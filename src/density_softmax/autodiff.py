@@ -1,15 +1,23 @@
 """Minimal reverse-mode automatic differentiation on float64 arrays.
 
-A ``Tensor`` wraps a numpy array and records the operations applied to it,
+A ``Tensor`` wraps a numpy array and records the operation that made it,
 forming a DAG. Calling :meth:`Tensor.backward` on a scalar node walks the
-graph in reverse topological order and accumulates gradients into every
-reachable node. Parameters disconnected from the loss simply keep a zero
-gradient.
+graph in reverse topological order and runs each node's backward rule.
 
-Only the handful of primitives needed for dense networks and coupling flows
-are implemented: matmul, broadcast add, elementwise mul/exp/tanh/relu,
-square, sum, and a fused softmax cross-entropy. Everything is float64;
-re-evaluating an identical graph yields bitwise-identical gradients.
+Gradients are lazy: a node holds no gradient until its first contribution
+arrives, an untouched ``grad`` reads as zeros, and nodes that received no
+gradient are skipped. The first contribution is stored as is and later ones
+add out of place, so an array handed to several nodes is never written
+through.
+
+The training hot paths are fused nodes with hand-written backward rules:
+``DenseNet.forward_tape`` (one node per dense stack), ``FlowModel.nll_loss``
+(one node per flow loss), ``layers.l2_loss`` and ``softmax_cross_entropy``
+below. The generic primitives here (matmul, broadcast add, elementwise
+mul/exp/tanh/relu, square, sum) build the small classifier heads and serve
+the tests as the per-op oracle that the fused nodes must match bit for bit.
+Everything is float64; re-evaluating an identical graph yields
+bitwise-identical gradients.
 """
 
 from __future__ import annotations
@@ -27,21 +35,33 @@ def _as_f64(data) -> np.ndarray:
 class Tensor:
     """Node in the computation graph: value, accumulated gradient, backward rule."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "_grad", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), name: str = ""):
+    def __init__(self, data, parents=()):
         self.data = _as_f64(data)
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
         self._parents = tuple(parents)
         self._backward = None
-        self.name = name
 
     @property
     def shape(self):
         return self.data.shape
 
+    @property
+    def grad(self) -> np.ndarray:
+        """Accumulated gradient; zeros while no contribution has arrived."""
+        return np.zeros_like(self.data) if self._grad is None else self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
+
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add one gradient contribution (never in place, see the module doc)."""
+        self._grad = g if self._grad is None else self._grad + g
+
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        self._grad = None
 
     # -- graph construction ------------------------------------------------
 
@@ -49,8 +69,8 @@ class Tensor:
         out = Tensor(self.data + other.data, (self, other))
 
         def backward():
-            self.grad += _unbroadcast(out.grad, self.data.shape)
-            other.grad += _unbroadcast(out.grad, other.data.shape)
+            self.accumulate(_unbroadcast(out.grad, self.data.shape))
+            other.accumulate(_unbroadcast(out.grad, other.data.shape))
 
         out._backward = backward
         return out
@@ -59,8 +79,8 @@ class Tensor:
         out = Tensor(self.data - other.data, (self, other))
 
         def backward():
-            self.grad += _unbroadcast(out.grad, self.data.shape)
-            other.grad -= _unbroadcast(out.grad, other.data.shape)
+            self.accumulate(_unbroadcast(out.grad, self.data.shape))
+            other.accumulate(-_unbroadcast(out.grad, other.data.shape))
 
         out._backward = backward
         return out
@@ -69,8 +89,8 @@ class Tensor:
         out = Tensor(self.data * other.data, (self, other))
 
         def backward():
-            self.grad += _unbroadcast(out.grad * other.data, self.data.shape)
-            other.grad += _unbroadcast(out.grad * self.data, other.data.shape)
+            self.accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
+            other.accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
 
         out._backward = backward
         return out
@@ -79,8 +99,8 @@ class Tensor:
         out = Tensor(self.data @ other.data, (self, other))
 
         def backward():
-            self.grad += out.grad @ other.data.T
-            other.grad += self.data.T @ out.grad
+            self.accumulate(out.grad @ other.data.T)
+            other.accumulate(self.data.T @ out.grad)
 
         out._backward = backward
         return out
@@ -91,7 +111,7 @@ class Tensor:
         out = Tensor(self.data * c, (self,))
 
         def backward():
-            self.grad += out.grad * c
+            self.accumulate(out.grad * c)
 
         out._backward = backward
         return out
@@ -102,7 +122,7 @@ class Tensor:
         out = Tensor(self.data * c, (self,))
 
         def backward():
-            self.grad += _unbroadcast(out.grad * c, self.data.shape)
+            self.accumulate(_unbroadcast(out.grad * c, self.data.shape))
 
         out._backward = backward
         return out
@@ -112,7 +132,7 @@ class Tensor:
         out = Tensor(self.data + c, (self,))
 
         def backward():
-            self.grad += _unbroadcast(out.grad, self.data.shape)
+            self.accumulate(_unbroadcast(out.grad, self.data.shape))
 
         out._backward = backward
         return out
@@ -121,7 +141,7 @@ class Tensor:
         out = Tensor(np.maximum(self.data, 0.0), (self,))
 
         def backward():
-            self.grad += out.grad * (self.data > 0.0)
+            self.accumulate(out.grad * (self.data > 0.0))
 
         out._backward = backward
         return out
@@ -131,7 +151,7 @@ class Tensor:
         out = Tensor(t, (self,))
 
         def backward():
-            self.grad += out.grad * (1.0 - t * t)
+            self.accumulate(out.grad * (1.0 - t * t))
 
         out._backward = backward
         return out
@@ -141,7 +161,7 @@ class Tensor:
         out = Tensor(e, (self,))
 
         def backward():
-            self.grad += out.grad * e
+            self.accumulate(out.grad * e)
 
         out._backward = backward
         return out
@@ -150,7 +170,7 @@ class Tensor:
         out = Tensor(self.data * self.data, (self,))
 
         def backward():
-            self.grad += out.grad * (2.0 * self.data)
+            self.accumulate(out.grad * (2.0 * self.data))
 
         out._backward = backward
         return out
@@ -159,7 +179,7 @@ class Tensor:
         out = Tensor(self.data.sum(), (self,))
 
         def backward():
-            self.grad += out.grad * np.ones_like(self.data)
+            self.accumulate(out.grad * np.ones_like(self.data))
 
         out._backward = backward
         return out
@@ -171,6 +191,7 @@ class Tensor:
 
         ``self`` must be a scalar. Gradients add onto whatever is already in
         ``.grad``, so call :meth:`zero_grad` on parameters between steps.
+        Nodes that no gradient reached are skipped.
         """
         if self.data.ndim != 0:
             raise ValueError("backward() requires a scalar loss node")
@@ -191,7 +212,7 @@ class Tensor:
                     stack.append((p, False))
         self.grad = self.grad + 1.0
         for node in reversed(order):
-            if node._backward is not None:
+            if node._backward is not None and node._grad is not None:
                 node._backward()
 
 
@@ -230,7 +251,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
         probs[np.arange(n), labels] -= 1.0
-        logits.grad += out.grad * probs / n
+        logits.accumulate(out.grad * probs / n)
 
     out._backward = backward
     return out

@@ -107,6 +107,14 @@ class _Required:
 _REQUIRED = _Required()
 
 
+def _build(path: str, cls, **fields):
+    """cls(**fields), with a ValueError from its validation as a ConfigError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _check_keys(doc: dict, path: str, allowed: set[str]):
     for key in doc:
         if key not in allowed:
@@ -154,16 +162,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
                     center=center,
                     spread=_expect(od, "dataset.ood", "spread", float, 0.1),
                     sigmas=_expect(od, "dataset.ood", "sigmas", float, 6.0)),
-        shift=ShiftSpec(kind=_expect(sd, "dataset.shift", "kind", str,
-                                     "gaussian_noise"),
-                        scales=tuple(float(s) for s in scales)),
+        shift=_build("dataset.shift", ShiftSpec,
+                     kind=_expect(sd, "dataset.shift", "kind", str, "gaussian_noise"),
+                     scales=tuple(float(s) for s in scales)),
     )
 
     ed = _expect(doc, "", "encoder", dict, {})
     _check_keys(ed, "encoder", {"input_dim", "width", "depth", "latent_dim",
                                 "activation"})
     width = _expect(ed, "encoder", "width", int, 128)
-    encoder = EncoderConfig(
+    encoder = _build(
+        "encoder", EncoderConfig,
         input_dim=_expect(ed, "encoder", "input_dim", int, 2),
         width=width,
         depth=_expect(ed, "encoder", "depth", int, 12),
@@ -178,7 +187,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     decay = td.get("lr_decay_epochs", [])
     if not isinstance(decay, list) or not all(isinstance(e, int) for e in decay):
         raise ConfigError("train.lr_decay_epochs", "expected a list of ints")
-    train = TrainConfig(
+    train = _build(
+        "train", TrainConfig,
         epochs=_expect(td, "train", "epochs", int, 100),
         batch_size=_expect(td, "train", "batch_size", int, 128),
         optimizer=opt,
@@ -211,9 +221,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
                                 lr=_expect(fd, "density.flow", "lr", float, 1e-4)),
         seed=seed,
     )
-    density = DensityConfig(kind=kind,
-                            bandwidth=None if bandwidth is None else float(bandwidth),
-                            flow=flow)
+    density = _build("density", DensityConfig, kind=kind,
+                     bandwidth=None if bandwidth is None else float(bandwidth),
+                     flow=flow)
 
     rd = _expect(doc, "", "reopt", dict, {})
     _check_keys(rd, "reopt", {"epochs", "batch_size", "lr", "reinit"})
@@ -231,17 +241,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
     bins = _expect(md, "metrics", "bins", int, 15)
     if bins < 1:
         raise ConfigError("metrics.bins", "must be >= 1")
+    ensemble_size = _expect(doc, "", "ensemble_size", int, 4)
+    if ensemble_size < 2:
+        raise ConfigError("ensemble_size", "an ensemble needs at least 2 members")
 
     return ExperimentConfig(
         seed=seed, k=k, dataset=dataset, encoder=encoder, train=train,
-        density=density, reopt=reopt, bins=bins,
-        ensemble_size=_expect(doc, "", "ensemble_size", int, 4),
+        density=density, reopt=reopt, bins=bins, ensemble_size=ensemble_size,
     )
 
 
 def _parse_optimizer(doc: dict, path: str) -> OptimizerSpec:
     _check_keys(doc, path, {"kind", "lr", "momentum", "nesterov", "beta1",
-                            "beta2", "eps", "l2"})
+                            "beta2", "eps"})
     kind = doc.get("kind", "adam")
     if kind not in ("adam", "sgd_momentum"):
         raise ConfigError(f"{path}.kind", "must be 'adam' or 'sgd_momentum'")
@@ -253,7 +265,6 @@ def _parse_optimizer(doc: dict, path: str) -> OptimizerSpec:
         beta1=_expect(doc, path, "beta1", float, 0.9),
         beta2=_expect(doc, path, "beta2", float, 0.999),
         eps=_expect(doc, path, "eps", float, 1e-8),
-        l2=_expect(doc, path, "l2", float, 0.0),
     )
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .layers import Dense, DenseNet, l2_penalty
-from .model import TrainingDiverged, minibatches
+from .layers import Dense, DenseNet, l2_backward, l2_value
+from .model import train_minibatches
 from .ops import logsumexp
 from .optim import OptimizerSpec
 
@@ -131,13 +131,41 @@ class CouplingLayer:
         s, b = self._subnet_outputs(h)
         return h + (1.0 - self.mask) * (t - b) * np.exp(-s)
 
-    def forward_tape(self, z: Tensor) -> tuple[Tensor, Tensor]:
+    def forward_cached(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Training forward: (t, sum of s over the batch, cache for backward).
+
+        Same arithmetic as the per-op tape composition the tests keep:
+        h = m*z, s = S(h)*(1-m), b = T(h)*(1-m), t = h + (z*exp(s) + b)*(1-m).
+        """
         comp = 1.0 - self.mask
-        h = z.mul_const(self.mask)
-        s = self.s_net.forward_tape(h).mul_const(comp)
-        b = self.t_net.forward_tape(h).mul_const(comp)
-        t = h + (z * s.exp() + b).mul_const(comp)
-        return t, s.sum()
+        h = z * self.mask
+        s_raw, s_cache = self.s_net.forward_cached(h)
+        b_raw, b_cache = self.t_net.forward_cached(h)
+        s = s_raw * comp
+        e = np.exp(s)
+        t = h + (z * e + b_raw * comp) * comp
+        return t, s.sum(), (z, e, comp, s_cache, b_cache)
+
+    def backward_cached(self, cache: tuple, g_t: np.ndarray, g_s_sum,
+                        t_net_first: bool) -> np.ndarray:
+        """Add the subnets' parameter gradients; return d(loss)/dz.
+
+        The masked input h collects three contributions, and floating-point
+        addition is not associative, so their order is fixed to the one the
+        per-op tape's depth-first walk produces: the pass-through term, then
+        the s-net's, then the t-net's; `t_net_first` swaps the last two,
+        which is the tape's order in the flow's final coupling layer.
+        """
+        z, e, comp, s_cache, b_cache = cache
+        g_u = g_t * comp
+        g_s = g_s_sum + g_u * z * e
+        g_h_s = self.s_net.backward_cached(s_cache, g_s * comp)
+        g_h_t = self.t_net.backward_cached(b_cache, g_u * comp)
+        if t_net_first:
+            g_h = g_t + g_h_t + g_h_s
+        else:
+            g_h = g_t + g_h_s + g_h_t
+        return g_u * e + g_h * self.mask
 
     def params(self) -> list[Tensor]:
         return self.s_net.params() + self.t_net.params()
@@ -226,20 +254,34 @@ class FlowModel:
                 for w in layer.s_net.weight_tensors() + layer.t_net.weight_tensors()]
 
     def nll_loss(self, batch: np.ndarray, l2: float) -> Tensor:
-        """Mean negative log-likelihood of the batch as a graph node."""
+        """Mean negative log-likelihood of the batch plus l2 * sum(w^2) over
+        the subnets' weight matrices, as one tape node."""
         n, d = batch.shape
-        z = Tensor(batch)
+        t = np.asarray(batch, dtype=np.float64)
+        caches = []
         s_total = None
         for layer in self.layers:
-            z, s_sum = layer.forward_tape(z)
+            t, s_sum, cache = layer.forward_cached(t)
+            caches.append(cache)
             s_total = s_sum if s_total is None else s_total + s_sum
         # mean over the batch of [0.5*||t||^2 - log_det] plus the base constant
-        loss = (z.square().sum().scale(0.5) - s_total).scale(1.0 / n)
-        loss = loss.add_const(0.5 * d * LOG_2PI)
-        penalty = l2_penalty(self.weight_tensors(), l2)
-        if penalty is not None:
-            loss = loss + penalty
-        return loss
+        loss = ((t * t).sum() * 0.5 - s_total) * (1.0 / n) + 0.5 * d * LOG_2PI
+        weights = self.weight_tensors() if l2 != 0.0 else []
+        if weights:
+            loss = loss + l2_value(weights, l2)
+        out = Tensor(loss)
+
+        def backward():
+            r = out.grad * (1.0 / n)
+            g = (r * 0.5) * (2.0 * t)
+            last = len(self.layers) - 1
+            for i in range(last, -1, -1):
+                g = self.layers[i].backward_cached(caches[i], g, -r, i == last)
+            if weights:
+                l2_backward(weights, l2, out.grad)
+
+        out._backward = backward
+        return out
 
 
 def flow_fit(z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[float]]:
@@ -252,23 +294,9 @@ def flow_fit(z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[float]]
     if n < config.batch_size:
         raise ValueError(f"need at least batch_size={config.batch_size} rows, got {n}")
     flow = FlowModel.build(z.shape[1], config)
-    params = flow.params()
-    opt = config.optimizer.build()
-    rng = np.random.default_rng(config.seed)
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        losses = []
-        for idx in minibatches(n, config.batch_size, rng):
-            loss = flow.nll_loss(z[idx], config.l2)
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(
-                    f"non-finite flow loss at epoch {epoch}; lower the learning rate")
-            for p in params:
-                p.zero_grad()
-            loss.backward()
-            opt.step(params)
-            losses.append(float(loss.data))
-        trace.append(float(np.mean(losses)))
+    trace = train_minibatches(
+        "flow", lambda idx: flow.nll_loss(z[idx], config.l2), flow.params(),
+        config.optimizer, n, config.batch_size, config.epochs, config.seed)
     return flow, trace
 
 

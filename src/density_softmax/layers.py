@@ -1,8 +1,12 @@
 """Dense layers and small feed-forward stacks with optional residual links.
 
 Each layer owns float64 parameter Tensors. ``forward`` runs plain numpy for
-inference; ``forward_tape`` builds the autodiff graph with identical
-arithmetic (tested for exact agreement).
+inference. For training, ``DenseNet.forward_tape`` puts the whole stack on
+the autodiff tape as one fused node: its forward repeats the arithmetic of
+``forward`` while caching each layer's input and activation, and its
+backward walks the stack once. The tests hold it to a per-op composition of
+the generic autodiff primitives, bit for bit, in values and in every
+gradient. ``l2_loss`` is the fused L2 penalty node.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ from .autodiff import Tensor
 ACTIVATIONS = ("relu", "tanh", "linear")
 
 
-def _apply_activation(h, activation: str, tape: bool):
+def _apply_activation(h: np.ndarray, activation: str) -> np.ndarray:
     if activation == "relu":
-        return h.relu() if tape else np.maximum(h, 0.0)
+        return np.maximum(h, 0.0)
     if activation == "tanh":
-        return h.tanh() if tape else np.tanh(h)
+        return np.tanh(h)
     if activation == "linear":
         return h
     raise ValueError(f"unknown activation {activation!r}")
@@ -65,14 +69,7 @@ class Dense:
         h = x @ self.weight.data
         if self.bias is not None:
             h = h + self.bias.data
-        h = _apply_activation(h, self.activation, tape=False)
-        return x + h if self.residual else h
-
-    def forward_tape(self, x: Tensor) -> Tensor:
-        h = x @ self.weight
-        if self.bias is not None:
-            h = h + self.bias
-        h = _apply_activation(h, self.activation, tape=True)
+        h = _apply_activation(h, self.activation)
         return x + h if self.residual else h
 
     def params(self) -> list[Tensor]:
@@ -98,10 +95,47 @@ class DenseNet:
             x = layer.forward(x)
         return x
 
-    def forward_tape(self, x: Tensor) -> Tensor:
+    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        """``forward`` that also returns what ``backward_cached`` needs: each
+        layer's input and activation (the relu mask and the tanh derivative
+        both follow from the activation, so the pre-activation is not kept)."""
+        cache = []
         for layer in self.layers:
-            x = layer.forward_tape(x)
-        return x
+            h = x @ layer.weight.data
+            if layer.bias is not None:
+                h += layer.bias.data
+            a = _apply_activation(h, layer.activation)
+            cache.append((x, a))
+            x = x + a if layer.residual else a
+        return x, cache
+
+    def backward_cached(self, cache: list, g: np.ndarray) -> np.ndarray:
+        """Given g = d(loss)/d(output), add every parameter's gradient and
+        return d(loss)/d(input)."""
+        for layer, (x, a) in zip(reversed(self.layers), reversed(cache)):
+            if layer.activation == "relu":
+                gh = g * (a > 0.0)
+            elif layer.activation == "tanh":
+                gh = g * (1.0 - a * a)
+            else:
+                gh = g
+            if layer.bias is not None:
+                layer.bias.accumulate(gh.sum(axis=0))
+            layer.weight.accumulate(x.T @ gh)
+            gx = gh @ layer.weight.data.T
+            g = g + gx if layer.residual else gx
+        return g
+
+    def forward_tape(self, x: Tensor) -> Tensor:
+        """The whole stack as one tape node."""
+        y, cache = self.forward_cached(x.data)
+        out = Tensor(y, (x,))
+
+        def backward():
+            x.accumulate(self.backward_cached(cache, out.grad))
+
+        out._backward = backward
+        return out
 
     def params(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]
@@ -114,11 +148,29 @@ class DenseNet:
         return [layer.weight for layer in self.layers]
 
 
-def l2_penalty(weights: list[Tensor], coefficient: float) -> Tensor | None:
-    """L2 regularizer coefficient * sum(w^2) as a graph node, or None if off."""
+def l2_value(weights: list[Tensor], coefficient: float) -> float:
+    """coefficient * sum(w^2), summed weight by weight in list order."""
+    total = (weights[0].data * weights[0].data).sum()
+    for w in weights[1:]:
+        total = total + (w.data * w.data).sum()
+    return total * float(coefficient)
+
+
+def l2_backward(weights: list[Tensor], coefficient: float, g) -> None:
+    """Add g * coefficient * 2w to each weight's gradient."""
+    k = g * float(coefficient)
+    for w in weights:
+        w.accumulate(k * (2.0 * w.data))
+
+
+def l2_loss(weights: list[Tensor], coefficient: float) -> Tensor | None:
+    """L2 regularizer coefficient * sum(w^2) as one tape node, or None if off."""
     if coefficient == 0.0 or not weights:
         return None
-    total = weights[0].square().sum()
-    for w in weights[1:]:
-        total = total + w.square().sum()
-    return total.scale(coefficient)
+    out = Tensor(l2_value(weights, coefficient))
+
+    def backward():
+        l2_backward(weights, coefficient, out.grad)
+
+    out._backward = backward
+    return out

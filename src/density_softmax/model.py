@@ -8,18 +8,33 @@ classifier is a single d_z x K matrix with no bias; logits are z @ theta.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .autodiff import Tensor, softmax_cross_entropy
 from .data import LabeledSet, require_fittable
-from .layers import Dense, DenseNet, fan_in_uniform, l2_penalty
+from .layers import Dense, DenseNet, fan_in_uniform, l2_loss
 from .ops import softmax
 from .optim import OptimizerSpec
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training loss goes non-finite (learning rate too high)."""
+    """Raised when a training loss goes non-finite (learning rate too high).
+
+    Names the stage ("erm", "flow" or "reopt"), the epoch and the batch within
+    it, and the last finite loss of the run (None if the first batch failed).
+    """
+
+    def __init__(self, stage: str, epoch: int, batch: int,
+                 last_finite_loss: float | None):
+        super().__init__(
+            f"non-finite {stage} loss at epoch {epoch}, batch {batch} "
+            f"(last finite loss {last_finite_loss}); lower the learning rate")
+        self.stage = stage
+        self.epoch = epoch
+        self.batch = batch
+        self.last_finite_loss = last_finite_loss
 
 
 @dataclass(frozen=True)
@@ -148,6 +163,41 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
+def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray], Tensor],
+                      params: list[Tensor], optimizer: OptimizerSpec, n: int,
+                      batch_size: int, epochs: int, seed: int,
+                      lr_at: Callable[[int], float] | None = None) -> list[float]:
+    """The minibatch loop every training stage shares.
+
+    Each epoch visits the n rows in a seeded shuffle; per batch it builds the
+    scalar loss node `loss_fn(idx)`, checks it is finite, clears the grads,
+    runs backward and takes one optimizer step. `lr_at(epoch)`, if given,
+    sets the learning rate at the start of each epoch. Returns the per-epoch
+    mean loss trace; a non-finite loss raises TrainingDiverged.
+    """
+    opt = optimizer.build()
+    rng = np.random.default_rng(seed)
+    trace: list[float] = []
+    last_finite = None
+    for epoch in range(epochs):
+        if lr_at is not None:
+            opt.lr = lr_at(epoch)
+        losses = []
+        for batch, idx in enumerate(minibatches(n, batch_size, rng)):
+            loss = loss_fn(idx)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise TrainingDiverged(stage, epoch, batch, last_finite)
+            for p in params:
+                p.zero_grad()
+            loss.backward()
+            opt.step(params)
+            losses.append(value)
+            last_finite = value
+        trace.append(float(np.mean(losses)))
+    return trace
+
+
 def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
               config: TrainConfig) -> list[float]:
     """Minimize mean cross-entropy of softmax(classifier(encoder(x))).
@@ -156,31 +206,17 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
     l2 * sum(w^2) over all weight matrices to the loss.
     """
     require_fittable(train)
-    params = encoder.params() + classifier.params()
     weights = encoder.net.weight_tensors() + [classifier.theta]
-    opt = config.optimizer.build()
-    rng = np.random.default_rng(config.seed)
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        opt.lr = config.lr_at(epoch)
-        epoch_losses = []
-        for idx in minibatches(train.n, config.batch_size, rng):
-            z = encoder.encode_tape(train.features[idx])
-            logits = z @ classifier.theta
-            loss = softmax_cross_entropy(logits, train.labels[idx])
-            penalty = l2_penalty(weights, config.l2)
-            if penalty is not None:
-                loss = loss + penalty
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}; lower the learning rate")
-            for p in params:
-                p.zero_grad()
-            loss.backward()
-            opt.step(params)
-            epoch_losses.append(float(loss.data))
-        trace.append(float(np.mean(epoch_losses)))
-    return trace
+
+    def loss_fn(idx: np.ndarray) -> Tensor:
+        z = encoder.encode_tape(train.features[idx])
+        loss = softmax_cross_entropy(z @ classifier.theta, train.labels[idx])
+        penalty = l2_loss(weights, config.l2)
+        return loss if penalty is None else loss + penalty
+
+    return train_minibatches("erm", loss_fn, encoder.params() + classifier.params(),
+                             config.optimizer, train.n, config.batch_size,
+                             config.epochs, config.seed, config.lr_at)
 
 
 def predict_probs(encoder: Encoder, classifier: Classifier, x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,20 @@
-"""Plain-numpy inference ops: softmax, cross-entropy, entropy helpers."""
+"""Plain-numpy inference ops: input check, softmax, cross-entropy, entropy."""
 
 from __future__ import annotations
 
 import numpy as np
 
 PROB_FLOOR = 1e-12
+
+
+def finite_rows(x) -> np.ndarray:
+    """x as a float64 batch of rows (one row if x is a vector); a NaN or an
+    infinity raises ValueError naming the first row that holds one."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if not np.isfinite(x).all():
+        row = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
+        raise ValueError(f"input row {row} is not finite")
+    return x
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

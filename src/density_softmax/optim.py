@@ -1,7 +1,15 @@
 """SGD-with-momentum and Adam parameter updates.
 
-L2 here is a coupled gradient term (2*l2*w, the gradient of l2*sum(w^2));
-the training loops instead put the penalty in the loss and leave it 0.
+On its first step an optimizer packs its parameters into one contiguous
+float64 vector and rebinds each parameter's ``data`` to a view of it; its
+state (momentum, or Adam's two moments) lives in vectors of the same
+layout. A step gathers the gradients into one vector and then updates every
+parameter with a few vectorized passes, whatever the number of parameters.
+Every update is elementwise, so the result is bit for bit the one a
+per-parameter loop gives.
+
+There is no optimizer-level weight decay: the training loops put L2 in the
+loss (``train.l2``, ``density.flow.l2``).
 """
 
 from __future__ import annotations
@@ -13,31 +21,75 @@ import numpy as np
 from .autodiff import Tensor
 
 
+class _Packed:
+    """Parameters packed into one vector, plus a gradient vector and scratch."""
+
+    def __init__(self, params: list[Tensor]):
+        self.params = list(params)
+        self.data = np.concatenate([np.ravel(p.data) for p in self.params])
+        self.grad = np.empty_like(self.data)
+        self.scratch = np.empty_like(self.data)
+        for p, view in zip(self.params, self.views(self.data)):
+            p.data = view
+        self.data_views = [p.data for p in self.params]
+        self.grad_views = self.views(self.grad)
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views of a vector laid out like ``data``."""
+        out, start = [], 0
+        for p in self.params:
+            size = p.data.size
+            out.append(flat[start:start + size].reshape(p.data.shape))
+            start += size
+        return out
+
+    def state(self) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """A zero state vector and its per-parameter views keyed by id."""
+        flat = np.zeros_like(self.data)
+        return flat, {id(p): v for p, v in zip(self.params, self.views(flat))}
+
+    def gather(self, params: list[Tensor]) -> np.ndarray:
+        """Copy the parameters' gradients into ``grad``."""
+        if len(params) != len(self.params) or any(
+                p is not q for p, q in zip(params, self.params)):
+            raise ValueError("an optimizer steps the parameter list it first stepped")
+        for p, data, grad in zip(self.params, self.data_views, self.grad_views):
+            if p.data is not data:
+                raise ValueError("parameter data was rebound after the first step")
+            g = p.grad
+            if g.shape != data.shape:
+                raise ValueError("gradient/parameter shape mismatch")
+            grad[...] = g
+        return self.grad
+
+
 @dataclass
 class SgdMomentum:
     lr: float
     momentum: float = 0.0
     nesterov: bool = False
-    l2: float = 0.0
     _velocity: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _packed: _Packed | None = field(default=None, repr=False)
+    _velocity_flat: np.ndarray | None = field(default=None, repr=False)
 
     def step(self, params: list[Tensor]) -> None:
-        for p in params:
-            if p.grad.shape != p.data.shape:
-                raise ValueError("gradient/parameter shape mismatch")
-            g = p.grad
-            if self.l2:
-                g = g + 2.0 * self.l2 * p.data
-            v = self._velocity.get(id(p))
-            if v is None:
-                v = np.zeros_like(p.data)
-                self._velocity[id(p)] = v
-            v *= self.momentum
-            v += g
-            if self.nesterov:
-                p.data -= self.lr * (g + self.momentum * v)
-            else:
-                p.data -= self.lr * v
+        if not params:
+            return
+        if self._packed is None:
+            self._packed = _Packed(params)
+            self._velocity_flat, self._velocity = self._packed.state()
+        pk, v = self._packed, self._velocity_flat
+        g = pk.gather(params)
+        v *= self.momentum
+        v += g
+        update = pk.scratch
+        if self.nesterov:
+            np.multiply(v, self.momentum, out=update)
+            update += g
+            update *= self.lr
+        else:
+            np.multiply(v, self.lr, out=update)
+        pk.data -= update
 
 
 @dataclass
@@ -46,30 +98,44 @@ class Adam:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    l2: float = 0.0
     _m: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _v: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _t: int = 0
+    _packed: _Packed | None = field(default=None, repr=False)
+    _m_flat: np.ndarray | None = field(default=None, repr=False)
+    _v_flat: np.ndarray | None = field(default=None, repr=False)
 
     def step(self, params: list[Tensor]) -> None:
         self._t += 1
+        if not params:
+            return
+        if self._packed is None:
+            self._packed = _Packed(params)
+            self._m_flat, self._m = self._packed.state()
+            self._v_flat, self._v = self._packed.state()
+        pk, m, v = self._packed, self._m_flat, self._v_flat
+        g = pk.gather(params)
         b1t = 1.0 - self.beta1**self._t
         b2t = 1.0 - self.beta2**self._t
-        for p in params:
-            if p.grad.shape != p.data.shape:
-                raise ValueError("gradient/parameter shape mismatch")
-            g = p.grad
-            if self.l2:
-                g = g + 2.0 * self.l2 * p.data
-            m = self._m.setdefault(id(p), np.zeros_like(p.data))
-            v = self._v.setdefault(id(p), np.zeros_like(p.data))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / b1t
-            v_hat = v / b2t
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        tmp = pk.scratch
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps); g is spent, its buffer
+        # holds the denominator
+        np.divide(m, b1t, out=tmp)
+        tmp *= self.lr
+        denom = g
+        np.divide(v, b2t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        tmp /= denom
+        pk.data -= tmp
 
 
 Optimizer = SgdMomentum | Adam
@@ -86,13 +152,11 @@ class OptimizerSpec:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    l2: float = 0.0
 
     def build(self) -> Optimizer:
         if self.kind == "adam":
-            return Adam(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                        eps=self.eps, l2=self.l2)
+            return Adam(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
         if self.kind == "sgd_momentum":
             return SgdMomentum(lr=self.lr, momentum=self.momentum,
-                               nesterov=self.nesterov, l2=self.l2)
+                               nesterov=self.nesterov)
         raise ValueError(f"unknown optimizer kind {self.kind!r}")

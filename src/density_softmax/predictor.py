@@ -22,9 +22,9 @@ import numpy as np
 from .autodiff import Tensor, softmax_cross_entropy
 from .data import LabeledSet, require_fittable
 from .density import FlowConfig, ScaledDensity, compute_scale, flow_fit, kde_fit
-from .model import (Classifier, Encoder, EncoderConfig, TrainConfig,
-                    TrainingDiverged, erm_train, init_model, minibatches)
-from .ops import entropy, softmax
+from .model import (Classifier, Encoder, EncoderConfig, TrainConfig, erm_train,
+                    init_model, train_minibatches)
+from .ops import entropy, finite_rows, softmax
 from .optim import OptimizerSpec
 
 
@@ -65,8 +65,11 @@ class DensitySoftmaxModel:
     k: int
 
     def predict(self, x: np.ndarray) -> Prediction:
-        """One encoder pass, one density pass, one matrix product per sample."""
-        z = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        """One encoder pass, one density pass, one matrix product per sample.
+
+        Rows with a NaN or an infinity are rejected up front (ValueError).
+        """
+        z = finite_rows(x)
         latent = self.encoder.encode(z)
         s = self.density.scaled_likelihood(latent)
         logits = self.classifier.logits(latent)
@@ -117,24 +120,13 @@ def reoptimize_classifier(model: DensitySoftmaxModel, train: LabeledSet,
     z = model.encoder.encode(train.features)
     s = model.density.scaled_likelihood(z)
     theta = model.classifier.theta
-    opt = config.optimizer.build()
-    rng = np.random.default_rng(config.seed)
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        losses = []
-        for idx in minibatches(train.n, config.batch_size, rng):
-            logits = Tensor(z[idx]) @ theta
-            scaled = logits.mul_const(s[idx][:, None])
-            loss = softmax_cross_entropy(scaled, train.labels[idx])
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(
-                    f"non-finite re-optimization loss at epoch {epoch}")
-            theta.zero_grad()
-            loss.backward()
-            opt.step([theta])
-            losses.append(float(loss.data))
-        trace.append(float(np.mean(losses)))
-    return trace
+
+    def loss_fn(idx: np.ndarray) -> Tensor:
+        scaled = (Tensor(z[idx]) @ theta).mul_const(s[idx][:, None])
+        return softmax_cross_entropy(scaled, train.labels[idx])
+
+    return train_minibatches("reopt", loss_fn, [theta], config.optimizer, train.n,
+                             config.batch_size, config.epochs, config.seed)
 
 
 def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,

@@ -14,6 +14,7 @@ from .autodiff import Tensor
 from .density import CouplingLayer, FlowModel, KdeModel, ScaledDensity
 from .layers import Dense, DenseNet
 from .model import Classifier, Encoder, EncoderConfig, Ensemble
+from .ops import finite_rows, softmax
 from .predictor import DensitySoftmaxModel
 
 CONTAINER_VERSION = 1
@@ -172,9 +173,9 @@ class ErmModel:
         self.k = classifier.k
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        from .ops import softmax
-
-        z = self.encoder.encode(np.atleast_2d(x))
+        """Plain-softmax probabilities; rows with a NaN or an infinity are
+        rejected up front (ValueError)."""
+        z = self.encoder.encode(finite_rows(x))
         return softmax(self.classifier.logits(z))
 
     def param_count(self) -> int:

@@ -94,6 +94,27 @@ class TestGraphSemantics:
         loss.backward()
         np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-12)
 
+    def test_untouched_grad_reads_zero_and_is_not_allocated(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)))
+        np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
+        assert x._grad is None
+
+    def test_node_without_incoming_grad_is_skipped(self, rng):
+        a = Tensor(rng.normal(size=(2, 2)))
+        b = a.relu()
+        cut = Tensor(b.data, (b,))  # consumer with no backward rule: b gets no grad
+        cut.sum().backward()
+        assert b._grad is None and a._grad is None
+
+    def test_shared_contribution_is_not_written_through(self, rng):
+        # s = x + y hands the same array to x and y; x then takes a second
+        # contribution, which must not leak into y's gradient.
+        x = Tensor(rng.normal(size=3))
+        y = Tensor(rng.normal(size=3))
+        ((x + y) + x).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+        np.testing.assert_array_equal(y.grad, np.ones(3))
+
     def test_backward_requires_scalar(self, rng):
         x = Tensor(rng.normal(size=(2, 2)))
         with pytest.raises(ValueError):

@@ -226,9 +226,14 @@ class TestFlowFit:
         cfg = FlowConfig(epochs=500, batch_size=128, l2=0.0,
                          optimizer=OptimizerSpec(kind="sgd_momentum", lr=1e12),
                          seed=0)
-        with np.errstate(all="ignore"), pytest.raises(
-                (TrainingDiverged, FloatingPointError)):
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
             flow_fit(z, cfg)
+        err = info.value
+        assert (err.stage, err.epoch, err.batch) == ("flow", 2, 0)
+        assert np.isfinite(err.last_finite_loss)
+        assert str(err).startswith(
+            f"non-finite flow loss at epoch 2, batch 0 (last finite loss "
+            f"{err.last_finite_loss})")
 
 
 class TestScaling:

@@ -1,0 +1,225 @@
+"""Fused training nodes, the contiguous optimizer state and the shared
+minibatch loop against the per-op references in tape_reference.py.
+
+The fused nodes must reproduce the per-op tape exactly: equal values and
+equal gradients for every parameter and input, bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from density_softmax.autodiff import Tensor
+from density_softmax.data import make_two_moons
+from density_softmax.density import FlowConfig, FlowModel, compute_scale
+from density_softmax.layers import Dense, DenseNet, l2_loss
+from density_softmax.model import EncoderConfig, TrainConfig, init_model
+from density_softmax.optim import Adam, OptimizerSpec, SgdMomentum
+from density_softmax.predictor import DensityConfig, ReoptConfig, train_pipeline
+
+import tape_reference as ref
+from conftest import assert_grads_close, central_difference_grad
+
+
+def grads(tensors):
+    return [t.grad.copy() for t in tensors]
+
+
+def assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def randomized_flow(dim, layers, l2_seed):
+    rng = np.random.default_rng(100 + 10 * layers + l2_seed)
+    flow = FlowModel.build(dim, FlowConfig(coupling_layers=layers, hidden_units=5,
+                                           hidden_layers=2, seed=layers))
+    for p in flow.params():  # zero-initialized output layers would hide terms
+        p.data[...] = rng.normal(size=p.data.shape) * 0.3
+    return flow, rng
+
+
+class TestDenseNetNode:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_matches_per_op_tape_exactly(self, rng, activation, residual, bias):
+        net = DenseNet([Dense.init(rng, 3, 5, activation, bias=bias),
+                        Dense.init(rng, 5, 5, activation, bias=bias, residual=residual),
+                        Dense.init(rng, 5, 5, activation, bias=bias, residual=residual),
+                        Dense.init(rng, 5, 4, activation, bias=bias)])
+        x = rng.normal(size=(9, 3))
+        upstream = rng.normal(size=(9, 4))
+        params = net.params()
+
+        x_ref = Tensor(x)
+        want = ref.densenet_forward_tape(net, x_ref)
+        want.mul_const(upstream).sum().backward()
+        want_grads = grads(params + [x_ref])
+
+        for p in params:
+            p.zero_grad()
+        x_fused = Tensor(x)
+        got = net.forward_tape(x_fused)
+        got.mul_const(upstream).sum().backward()
+
+        np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(got.data, net.forward(x))
+        assert_all_equal(grads(params + [x_fused]), want_grads)
+
+
+class TestL2Node:
+    @pytest.mark.parametrize("coefficient", [0.0, 0.01])
+    def test_matches_per_op_tape_exactly(self, rng, coefficient):
+        weights = [Tensor(rng.normal(size=s)) for s in [(3, 4), (4,), (4, 2)]]
+        want = ref.l2_penalty(weights, coefficient)
+        got = l2_loss(weights, coefficient)
+        if coefficient == 0.0:
+            assert want is None and got is None
+            return
+        want.backward()
+        want_grads = grads(weights)
+        for w in weights:
+            w.zero_grad()
+        got.backward()
+        assert got.data == want.data
+        assert_all_equal(grads(weights), want_grads)
+
+
+class TestFlowNllNode:
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_matches_per_op_tape_exactly(self, layers, l2):
+        # Also pins the order in which a coupling layer's masked input adds
+        # its three gradient contributions (see CouplingLayer.backward_cached).
+        flow, rng = randomized_flow(6, layers, int(l2 > 0))
+        batch = rng.normal(size=(9, 6))
+        params = flow.params()
+
+        want = ref.flow_nll_loss(flow, batch, l2)
+        want.backward()
+        want_grads = grads(params)
+
+        for p in params:
+            p.zero_grad()
+        got = flow.nll_loss(batch, l2)
+        got.backward()
+
+        assert got.data == want.data
+        assert_all_equal(grads(params), want_grads)
+
+    def test_matches_finite_differences(self):
+        flow, rng = randomized_flow(3, 2, 1)
+        batch = rng.normal(size=(5, 3))
+        params = flow.params()
+        flow.nll_loss(batch, 0.01).backward()
+
+        def loss():
+            return float(flow.nll_loss(batch, 0.01).data)
+
+        assert_grads_close([p.grad for p in params],
+                           central_difference_grad(loss, params))
+
+
+class TestContiguousOptimizer:
+    def params_and_grads(self, rng, steps):
+        shapes = [(3, 4), (4,), (), (2, 2)]
+        params = [Tensor(rng.normal(size=s)) for s in shapes]
+        # None: the parameter gets no gradient that step (lazy grads read 0)
+        seq = [[None if (i + t) % 3 == 0 else rng.normal(size=s)
+                for i, s in enumerate(shapes)] for t in range(steps)]
+        return params, seq
+
+    def test_adam_matches_per_parameter_adam_exactly(self, rng):
+        params, seq = self.params_and_grads(rng, 6)
+        twins = [Tensor(p.data.copy()) for p in params]
+        opt, oracle = Adam(lr=0.05), ref.PerParamAdam(lr=0.05)
+        for step_grads in seq:
+            for p, q, g in zip(params, twins, step_grads):
+                p.grad = g
+                q.grad = g
+            opt.step(params)
+            oracle.step(twins)
+            assert_all_equal([p.data for p in params], [q.data for q in twins])
+        assert_all_equal([opt._m[id(p)] for p in params],
+                         [oracle.m[id(q)] for q in twins])
+
+    @pytest.mark.parametrize("nesterov", [False, True])
+    def test_sgd_matches_per_parameter_update_exactly(self, rng, nesterov):
+        params, seq = self.params_and_grads(rng, 4)
+        expected = [p.data.copy() for p in params]
+        velocity = [np.zeros_like(e) for e in expected]
+        opt = SgdMomentum(lr=0.1, momentum=0.9, nesterov=nesterov)
+        for step_grads in seq:
+            for p, g in zip(params, step_grads):
+                p.grad = g
+            opt.step(params)
+            for i, g in enumerate(step_grads):
+                g = np.zeros_like(expected[i]) if g is None else g
+                velocity[i] *= 0.9
+                velocity[i] += g
+                step = g + 0.9 * velocity[i] if nesterov else velocity[i]
+                expected[i] = expected[i] - 0.1 * step
+            assert_all_equal([p.data for p in params], expected)
+
+    def test_parameters_become_views_of_one_vector(self, rng):
+        params = [Tensor(rng.normal(size=s)) for s in [(3, 4), (4,)]]
+        before = [p.data.copy() for p in params]
+        Adam(lr=0.1).step(params)  # no grads: parameters must not move
+        assert_all_equal([p.data for p in params], before)
+        assert params[0].data.base is params[1].data.base
+
+    def test_other_parameter_list_rejected(self, rng):
+        a, b = Tensor(rng.normal(size=2)), Tensor(rng.normal(size=2))
+        opt = Adam(lr=0.1)
+        opt.step([a])
+        with pytest.raises(ValueError):
+            opt.step([b])
+
+    def test_rebound_parameter_rejected(self, rng):
+        p = Tensor(rng.normal(size=2))
+        opt = SgdMomentum(lr=0.1)
+        opt.step([p])
+        p.data = np.zeros(2)
+        with pytest.raises(ValueError):
+            opt.step([p])
+
+
+class TestPipelineAgainstPerOpLoops:
+    def test_loss_traces_and_weights_match_exactly(self):
+        train = make_two_moons(50, 0.1, seed=2)  # 100 rows: batches 32,32,32,4
+        enc_cfg = EncoderConfig(input_dim=2, width=8, depth=2, latent_dim=8,
+                                activation="tanh")
+        train_cfg = TrainConfig(epochs=4, batch_size=32, l2=1e-3,
+                                optimizer=OptimizerSpec(kind="adam", lr=3e-3),
+                                lr_decay_epochs=(2,), lr_decay_ratio=0.5, seed=2)
+        flow_cfg = FlowConfig(coupling_layers=3, hidden_units=4, hidden_layers=2,
+                              epochs=3, batch_size=32, l2=0.01,
+                              optimizer=OptimizerSpec(kind="adam", lr=1e-2))
+        reopt_cfg = ReoptConfig(epochs=3, batch_size=32,
+                                optimizer=OptimizerSpec(kind="adam", lr=1e-2))
+        result = train_pipeline(train, enc_cfg, train_cfg,
+                                DensityConfig(kind="flow", flow=flow_cfg), reopt_cfg)
+
+        encoder, classifier = init_model(enc_cfg, 2, train_cfg.seed)
+        erm = ref.reference_erm(encoder, classifier, train, train_cfg)
+        train_z = encoder.encode(train.features)
+        flow_cfg = replace(flow_cfg, seed=train_cfg.seed)
+        flow = FlowModel.build(train_z.shape[1], flow_cfg)
+        flow_trace = ref.reference_flow_fit(flow, train_z, flow_cfg)
+        s = compute_scale(flow, train_z).scaled_likelihood(train_z)
+        reopt = ref.reference_reopt(classifier.theta, train_z, s, train.labels,
+                                    replace(reopt_cfg, seed=train_cfg.seed))
+
+        assert result.erm_loss_trace == erm
+        assert result.density_loss_trace == flow_trace
+        assert result.reopt_loss_trace == reopt
+        model = result.model
+        assert_all_equal([p.data for p in model.encoder.params()],
+                         [p.data for p in encoder.params()])
+        assert_all_equal([p.data for p in model.density.inner.params()],
+                         [p.data for p in flow.params()])
+        np.testing.assert_array_equal(model.classifier.theta.data,
+                                      classifier.theta.data)

@@ -160,8 +160,14 @@ class TestErmTrain:
         cfg = TrainConfig(epochs=200, batch_size=32,
                           optimizer=OptimizerSpec(kind="sgd_momentum", lr=1e9),
                           seed=0)
-        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
             erm_train(enc, clf, train, cfg)
+        err = info.value
+        assert (err.stage, err.epoch, err.batch) == ("erm", 1, 1)
+        assert np.isfinite(err.last_finite_loss)
+        assert str(err).startswith(
+            f"non-finite erm loss at epoch 1, batch 1 (last finite loss "
+            f"{err.last_finite_loss})")
 
     def test_lr_schedule(self):
         cfg = TrainConfig(epochs=10, batch_size=8,

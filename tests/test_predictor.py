@@ -109,6 +109,13 @@ class TestPredictMechanics:
         pred = model.predict(rng.normal(size=(10, 2)))
         np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_up_front(self, rng, bad):
+        x = rng.normal(size=(5, 2))
+        x[3, 1] = bad
+        with pytest.raises(ValueError, match="input row 3 is not finite"):
+            pinned_model(0.5).predict(x)
+
     def test_latent_and_likelihood_exposed(self, rng):
         model = pinned_model(0.3)
         pred = model.predict(rng.normal(size=(4, 2)))

@@ -81,6 +81,15 @@ class TestErmAndEnsembleContainers:
         x = train.features[:20]
         np.testing.assert_array_equal(back.predict_probs(x), erm.predict_probs(x))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_erm_model_rejects_non_finite_row(self, pipeline_result, bad):
+        train, result = pipeline_result
+        x = train.features[:4].copy()
+        x[2, 0] = bad
+        erm = ErmModel(result.model.encoder, result.erm_classifier)
+        with pytest.raises(ValueError, match="input row 2 is not finite"):
+            erm.predict_probs(x)
+
     def test_ensemble_round_trip(self, tmp_path):
         train = make_two_moons(40, 0.1, seed=0)
         ens = ensemble_train(2, SMALL, 2, train, FAST)

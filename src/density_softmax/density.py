@@ -11,22 +11,22 @@ After fitting, :func:`compute_scale` records the maximum train-point
 log-density (a streaming max over batches); scaled likelihoods are then
 exp(log p(z) - max), which lives in (0, 1] with the densest train point
 mapping to exactly 1. Values that underflow are floored at the smallest
-positive normal float so the interval stays open at 0; test points denser
-than any train point clamp to 1.
+positive normal float so the interval stays open at 0 (this includes rows so
+far out that every squared distance overflows: their log-density is -inf);
+test points denser than any train point clamp to 1.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor
 from .layers import Dense, DenseNet, l2_backward, l2_value
 from .model import train_minibatches
-from .ops import logsumexp
 from .optim import OptimizerSpec
 
 LIKELIHOOD_FLOOR = sys.float_info.min  # smallest positive normal float64
@@ -37,37 +37,83 @@ LOG_2PI = math.log(2.0 * math.pi)
 # -- kernel density estimation ----------------------------------------------
 
 
+# Query rows per distance GEMM in KdeModel.log_density: the compute_scale
+# batch, so a chunk's 128 x n buffer stays ~1 MB at n = 1000 support rows.
+KDE_CHUNK_ROWS = 128
+
+
 @dataclass(frozen=True)
 class KdeModel:
-    """Gaussian KDE: log-mean of isotropic Gaussian kernels at the support."""
+    """Gaussian KDE: log-mean of isotropic Gaussian kernels at the support.
+
+    The support is copied and made read-only at construction, and its
+    squared row norms and the kernel normalizer are cached then (derived
+    state: not serialized, not compared), so a query pays only for its own
+    rows.
+    """
 
     support: np.ndarray  # n x d latent matrix
     bandwidth: float
+    support_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    log_norm: float = field(init=False, repr=False, compare=False)  # log n h^d (2 pi)^(d/2)
 
     def __post_init__(self):
-        object.__setattr__(self, "support", np.asarray(self.support, dtype=np.float64))
-        if self.support.ndim != 2 or self.support.shape[0] == 0:
+        support = np.array(self.support, dtype=np.float64)
+        if support.ndim != 2 or support.shape[0] == 0:
             raise ValueError("KDE support must be a non-empty matrix")
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
+        support.flags.writeable = False
+        support_sq = (support * support).sum(axis=1)
+        support_sq.flags.writeable = False
+        n, d = support.shape
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "support_sq", support_sq)
+        object.__setattr__(self, "log_norm", math.log(n) + d * math.log(self.bandwidth)
+                           + 0.5 * d * LOG_2PI)
 
     @property
     def dim(self) -> int:
         return self.support.shape[1]
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
+        """Log-density of each row of z; -inf where every squared distance
+        to the support overflows (a far, huge row), never NaN.
+
+        Walks z in chunks of KDE_CHUNK_ROWS rows through one reused
+        chunk x n buffer: ||z||^2 - 2 z.s + ||s||^2, clamped at 0, over
+        -2h^2, then a max-shifted log-sum-exp. A 1-row tail is folded into
+        the chunk before it, because numpy sends a 1-row product to another
+        BLAS kernel whose last bits differ from the batched ones.
+        """
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        n, d = self.support.shape
-        # squared distances via the expansion ||z-s||^2 = ||z||^2 - 2 z.s + ||s||^2
-        sq = (
-            (z * z).sum(axis=1)[:, None]
-            - 2.0 * z @ self.support.T
-            + (self.support * self.support).sum(axis=1)[None, :]
-        )
-        np.maximum(sq, 0.0, out=sq)
-        log_kernels = -sq / (2.0 * self.bandwidth**2)
-        norm = math.log(n) + d * math.log(self.bandwidth) + 0.5 * d * LOG_2PI
-        return logsumexp(log_kernels, axis=1) - norm
+        rows = z.shape[0]
+        bounds = list(range(0, rows, KDE_CHUNK_ROWS)) + [rows]
+        if len(bounds) > 2 and rows - bounds[-2] == 1:
+            del bounds[-2]
+        buf = np.empty((min(rows, KDE_CHUNK_ROWS + 1), self.support.shape[0]))
+        out = np.empty(rows)
+        denom = -2.0 * self.bandwidth**2
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for lo, hi in zip(bounds, bounds[1:]):
+                zc = z[lo:hi]
+                a = buf[:hi - lo]
+                np.matmul(zc * -2.0, self.support.T, out=a)
+                a += (zc * zc).sum(axis=1)[:, None]
+                a += self.support_sq
+                np.maximum(a, 0.0, out=a)
+                a /= denom
+                m = a.max(axis=1)
+                a -= m[:, None]
+                np.exp(a, out=a)
+                lse = out[lo:hi]
+                np.log(a.sum(axis=1), out=lse)
+                lse += m
+        # A row whose max is -inf or NaN (every distance overflowed) came
+        # out NaN; fmax turns exactly those into -inf.
+        np.fmax(out, -np.inf, out=out)
+        out -= self.log_norm
+        return out
 
     def param_count(self) -> int:
         return self.support.size + 1  # stored support plus the bandwidth
@@ -87,7 +133,7 @@ def kde_fit(z: np.ndarray, bandwidth: float | None = None) -> KdeModel:
     z = np.asarray(z, dtype=np.float64)
     if bandwidth is None:
         bandwidth = scott_bandwidth(z)
-    return KdeModel(support=z.copy(), bandwidth=float(bandwidth))
+    return KdeModel(support=z, bandwidth=float(bandwidth))
 
 
 # -- coupling flow ------------------------------------------------------------
@@ -113,23 +159,33 @@ class CouplingLayer:
             raise ValueError("mask must be binary")
         if self.mask.sum() in (0, self.mask.size):
             raise ValueError("mask needs at least one 0 and one 1")
-
-    def _subnet_outputs(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        comp = 1.0 - self.mask
-        s = self.s_net.forward(h) * comp
-        b = self.t_net.forward(h) * comp
-        return s, b
+        if not (self.s_net.layers and self.t_net.layers):
+            raise ValueError("coupling subnets need at least one layer")
 
     def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Inference forward: t and log|det| per row. Works in place on the
+        subnets' fresh outputs, so at most four batch-sized arrays are live."""
+        comp = 1.0 - self.mask
         h = z * self.mask
-        s, b = self._subnet_outputs(h)
-        t = h + (1.0 - self.mask) * (z * np.exp(s) + b)
-        return t, s.sum(axis=1)
+        u = self.s_net.forward(h)
+        u *= comp
+        log_det = u.sum(axis=1)
+        np.exp(u, out=u)
+        u *= z
+        b = self.t_net.forward(h)
+        b *= comp
+        u += b
+        del b
+        u *= comp
+        h += u
+        return h, log_det
 
     def inverse(self, t: np.ndarray) -> np.ndarray:
+        comp = 1.0 - self.mask
         h = t * self.mask
-        s, b = self._subnet_outputs(h)
-        return h + (1.0 - self.mask) * (t - b) * np.exp(-s)
+        s = self.s_net.forward(h) * comp
+        b = self.t_net.forward(h) * comp
+        return h + comp * (t - b) * np.exp(-s)
 
     def forward_cached(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         """Training forward: (t, sum of s over the batch, cache for backward).
@@ -200,6 +256,10 @@ class FlowModel:
     def __init__(self, dim: int, layers: list[CouplingLayer]):
         if dim < 2:
             raise ValueError("flow needs dim >= 2")
+        for i, layer in enumerate(layers):
+            if layer.mask.shape != (dim,):
+                raise ValueError(f"coupling layer {i} mask has length "
+                                 f"{layer.mask.size}, the flow is {dim}-d")
         self.dim = dim
         self.layers = layers
 
@@ -315,10 +375,11 @@ class ScaledDensity:
 
     def scaled_likelihood(self, z: np.ndarray) -> np.ndarray:
         """exp(log p(z) - max train log p), clamped into [floor, 1]."""
-        logp = self.inner.log_density(z)
+        s = self.inner.log_density(z) - self.max_train_log_density
+        np.minimum(s, 0.0, out=s)
         with np.errstate(under="ignore"):
-            s = np.exp(np.minimum(logp - self.max_train_log_density, 0.0))
-        return np.clip(s, LIKELIHOOD_FLOOR, 1.0)
+            np.exp(s, out=s)
+        return np.maximum(s, LIKELIHOOD_FLOOR, out=s)  # exp of <= 0 is <= 1
 
     def param_count(self) -> int:
         return self.inner.param_count() + 1  # plus the scale constant

@@ -20,11 +20,11 @@ from .autodiff import Tensor
 ACTIVATIONS = ("relu", "tanh", "linear")
 
 
-def _apply_activation(h: np.ndarray, activation: str) -> np.ndarray:
+def _apply_activation(h: np.ndarray, activation: str, out=None) -> np.ndarray:
     if activation == "relu":
-        return np.maximum(h, 0.0)
+        return np.maximum(h, 0.0, out=out)
     if activation == "tanh":
-        return np.tanh(h)
+        return np.tanh(h, out=out)
     if activation == "linear":
         return h
     raise ValueError(f"unknown activation {activation!r}")
@@ -46,6 +46,12 @@ class Dense:
     activation: str
     residual: bool = False
 
+    def __post_init__(self):
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.residual and self.weight.data.shape[0] != self.weight.data.shape[1]:
+            raise ValueError("residual layer needs equal input/output width")
+
     @classmethod
     def init(
         cls,
@@ -57,20 +63,19 @@ class Dense:
         residual: bool = False,
         zero: bool = False,
     ) -> "Dense":
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        if residual and in_dim != out_dim:
-            raise ValueError("residual layer needs equal input/output width")
         w = np.zeros((in_dim, out_dim)) if zero else fan_in_uniform(rng, in_dim, out_dim)
         b = Tensor(np.zeros(out_dim)) if bias else None
         return cls(weight=Tensor(w), bias=b, activation=activation, residual=residual)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Inference forward; works in the one fresh matmul output."""
         h = x @ self.weight.data
         if self.bias is not None:
-            h = h + self.bias.data
-        h = _apply_activation(h, self.activation)
-        return x + h if self.residual else h
+            h += self.bias.data
+        h = _apply_activation(h, self.activation, out=h)
+        if self.residual:
+            h += x
+        return h
 
     def params(self) -> list[Tensor]:
         return [self.weight] if self.bias is None else [self.weight, self.bias]

@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import Tensor, softmax_cross_entropy
 from .data import LabeledSet, require_fittable
 from .layers import Dense, DenseNet, fan_in_uniform, l2_loss
-from .ops import softmax
+from .ops import finite_rows, softmax
 from .optim import OptimizerSpec
 
 
@@ -90,7 +90,10 @@ class Encoder:
         if x.shape[1] != self.config.input_dim:
             raise ValueError(f"expected {self.config.input_dim} input columns, got {x.shape[1]}")
         self.eval_count += x.shape[0]
-        z = self.net.forward(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self.net.forward(x)
+        # a finite but huge input row can overflow on its way through the stack
+        finite_rows(z, "latent")
         return z[0] if squeeze else z
 
     def encode_tape(self, x: np.ndarray) -> Tensor:

@@ -7,13 +7,14 @@ import numpy as np
 PROB_FLOOR = 1e-12
 
 
-def finite_rows(x) -> np.ndarray:
+def finite_rows(x, what: str = "input") -> np.ndarray:
     """x as a float64 batch of rows (one row if x is a vector); a NaN or an
-    infinity raises ValueError naming the first row that holds one."""
+    infinity raises ValueError naming the first row that holds one, as
+    "<what> row i is not finite"."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if not np.isfinite(x).all():
         row = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
-        raise ValueError(f"input row {row} is not finite")
+        raise ValueError(f"{what} row {row} is not finite")
     return x
 
 
@@ -50,9 +51,3 @@ def entropy(probs: np.ndarray, base: str = "nats") -> np.ndarray:
         raise ValueError(f"unknown entropy base {base!r}")
     return h
 
-
-def logsumexp(a: np.ndarray, axis=None):
-    a = np.asarray(a, dtype=np.float64)
-    m = a.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m
-    return float(out.item()) if axis is None else np.squeeze(out, axis=axis)

@@ -99,8 +99,9 @@ class PipelineResult:
     reopt_loss_trace: list[float]
 
     def erm_probs(self, x: np.ndarray) -> np.ndarray:
-        """Baseline plain-softmax prediction with the step-1 classifier."""
-        z = self.model.encoder.encode(np.atleast_2d(x))
+        """Baseline plain-softmax prediction with the step-1 classifier; rows
+        with a NaN or an infinity are rejected up front (ValueError)."""
+        z = self.model.encoder.encode(finite_rows(x))
         return softmax(self.erm_classifier.logits(z))
 
 

@@ -61,7 +61,23 @@ def _encoder_to_dict(encoder: Encoder) -> dict:
 
 
 def _encoder_from_dict(d: dict) -> Encoder:
-    return Encoder(EncoderConfig(**d["config"]), _net_from_list(d["layers"]))
+    config = EncoderConfig(**d["config"])
+    net = _net_from_list(d["layers"])
+    if not net.layers:
+        raise ContainerError("encoder has no layers")
+    maps = (net.layers[0].weight.data.shape[0], net.layers[-1].weight.data.shape[1])
+    if maps != (config.input_dim, config.latent_dim):
+        raise ContainerError(f"encoder layers map {maps[0]} -> {maps[1]} columns, "
+                             f"config says {config.input_dim} -> {config.latent_dim}")
+    return Encoder(config, net)
+
+
+def _classifier_from_dict(d: dict, latent_dim: int, k: int) -> Classifier:
+    theta = np.array(d["theta"], dtype=np.float64)
+    if theta.shape != (latent_dim, k):
+        raise ContainerError(f"classifier theta has shape {theta.shape}, "
+                             f"expected latent_dim x k = {(latent_dim, k)}")
+    return Classifier(Tensor(theta))
 
 
 def _density_to_dict(density: ScaledDensity) -> dict:
@@ -81,7 +97,7 @@ def _density_to_dict(density: ScaledDensity) -> dict:
     return body
 
 
-def _density_from_dict(d: dict) -> ScaledDensity:
+def _density_from_dict(d: dict, latent_dim: int) -> ScaledDensity:
     if d["kind"] == "kde":
         inner: KdeModel | FlowModel = KdeModel(
             support=np.array(d["support"], dtype=np.float64),
@@ -94,6 +110,9 @@ def _density_from_dict(d: dict) -> ScaledDensity:
         inner = FlowModel(int(d["dim"]), layers)
     else:
         raise ContainerError(f"unknown density kind {d['kind']!r}")
+    if inner.dim != latent_dim:
+        raise ContainerError(f"{d['kind']} density is {inner.dim}-d, "
+                             f"the encoder's latent_dim is {latent_dim}")
     return ScaledDensity(inner=inner,
                          max_train_log_density=float(d["max_train_log_density"]))
 
@@ -134,29 +153,38 @@ def save_container(container: dict, path) -> None:
 
 
 def load_container(path):
-    """Load any container kind; returns the reconstructed model object."""
+    """Load any container kind; returns the reconstructed model object.
+
+    A malformed container raises ContainerError naming the missing key or
+    the part whose shape does not fit the rest of the model.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "version" not in doc:
-        raise ContainerError(f"{path}: missing version field")
-    if doc["version"] != CONTAINER_VERSION:
-        raise ContainerError(f"{path}: unsupported container version {doc['version']}")
-    return _from_dict(doc)
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+        if "version" not in doc:
+            raise ContainerError("missing version field")
+        if doc["version"] != CONTAINER_VERSION:
+            raise ContainerError(f"unsupported container version {doc['version']}")
+        return _from_dict(doc)
+    except KeyError as exc:
+        raise ContainerError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # ContainerError is a ValueError
+        raise ContainerError(f"{path}: {exc}") from exc
 
 
 def _from_dict(doc: dict):
     kind = doc.get("kind")
-    if kind == "density_softmax":
+    if kind in ("density_softmax", "erm"):
+        encoder = _encoder_from_dict(doc["encoder"])
+        latent_dim = encoder.config.latent_dim
+        classifier = _classifier_from_dict(doc["classifier"], latent_dim, int(doc["k"]))
+        if kind == "erm":
+            return ErmModel(encoder=encoder, classifier=classifier)
         return DensitySoftmaxModel(
-            encoder=_encoder_from_dict(doc["encoder"]),
-            classifier=Classifier(Tensor(np.array(doc["classifier"]["theta"]))),
-            density=_density_from_dict(doc["density"]),
-            k=int(doc["k"]),
-        )
-    if kind == "erm":
-        return ErmModel(
-            encoder=_encoder_from_dict(doc["encoder"]),
-            classifier=Classifier(Tensor(np.array(doc["classifier"]["theta"]))),
+            encoder=encoder, classifier=classifier,
+            density=_density_from_dict(doc["density"], latent_dim),
+            k=classifier.k,
         )
     if kind == "ensemble":
         members = [_from_dict(m) for m in doc["members"]]

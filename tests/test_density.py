@@ -2,13 +2,17 @@
 MLE fitting, and likelihood scaling."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from kde_reference import kde_log_density
 
 from density_softmax.density import (LIKELIHOOD_FLOOR, FlowConfig, FlowModel,
                                      KdeModel, ScaledDensity, compute_scale,
                                      flow_fit, kde_fit, scott_bandwidth)
+from density_softmax.layers import DenseNet
 from density_softmax.model import TrainingDiverged
 from density_softmax.optim import OptimizerSpec
 
@@ -63,6 +67,91 @@ class TestKde:
         dens = np.exp(kde.log_density(grid)).reshape(len(xs), len(xs))
         mass = np.trapezoid(np.trapezoid(dens, xs, axis=1), xs)
         assert 0.95 <= mass <= 1.05
+
+
+def latent_like(rng, rows: int, d: int = 128) -> np.ndarray:
+    """Rows shaped like encoder latents: a few clusters plus far stragglers."""
+    centers = rng.normal(size=(4, d)) * 3.0
+    z = centers[rng.integers(0, 4, rows)] + rng.normal(size=(rows, d))
+    z[::17] *= 4.0
+    return z
+
+
+class TestKdeChunkedKernel:
+    """log_density walks the queries in chunks through one reused buffer;
+    kde_reference keeps the one-shot n x N expansion it replaced."""
+
+    @pytest.fixture(scope="class")
+    def kde_and_queries(self):
+        # a bandwidth under Scott's (~3.4 here) so last-bit differences in
+        # the distances survive into the log-density
+        rng = np.random.default_rng(5)
+        return kde_fit(latent_like(rng, 1000), bandwidth=1.5), latent_like(rng, 4000)
+
+    @pytest.mark.parametrize("rows", [2, 127, 128, 129, 257, 1000, 1025])
+    def test_bitwise_equal_to_one_shot_reference(self, kde_and_queries, rows):
+        kde, queries = kde_and_queries
+        z = queries[:rows]
+        np.testing.assert_array_equal(
+            kde.log_density(z), kde_log_density(kde.support, kde.bandwidth, z))
+
+    def test_single_row_matches_reference(self, kde_and_queries):
+        kde, queries = kde_and_queries
+        for row in queries[:50]:
+            np.testing.assert_allclose(
+                kde.log_density(row),
+                kde_log_density(kde.support, kde.bandwidth, row), rtol=1e-12)
+
+    def test_train_max_is_exactly_one_under_compute_scale_batching(self):
+        train_z = latent_like(np.random.default_rng(6), 1000)
+        sd = compute_scale(kde_fit(train_z), train_z)
+        assert sd.scaled_likelihood(train_z).max() == 1.0
+        batched = [sd.scaled_likelihood(train_z[i:i + 128]).max()
+                   for i in range(0, 1000, 128)]
+        assert max(batched) == 1.0
+
+    def test_temporaries_do_not_grow_with_batch(self, kde_and_queries):
+        kde, queries = kde_and_queries
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                kde.log_density(queries[:rows])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) < 2 * peak(1000)
+
+    def test_support_norms_cached_read_only_not_in_repr(self, rng):
+        z = rng.normal(size=(20, 3))
+        kde = kde_fit(z, 0.5)
+        np.testing.assert_array_equal(kde.support_sq, (z * z).sum(axis=1))
+        assert not kde.support.flags.writeable
+        assert not kde.support_sq.flags.writeable
+        assert z.flags.writeable  # the caller's array is copied, not frozen
+        assert "support_sq" not in repr(kde)
+
+    @pytest.mark.parametrize("huge", [1e160, 1e200])
+    def test_huge_row_has_minus_inf_log_density(self, rng, huge):
+        kde = kde_fit(rng.normal(size=(50, 4)), 0.5)
+        z = np.array([[0.1, 0.0, 0.0, 0.0], [huge] * 4, [huge, -huge, huge, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logp = kde.log_density(z)
+            s = compute_scale(kde, kde.support).scaled_likelihood(z)
+        assert np.isfinite(logp[0])
+        assert np.all(logp[1:] == -np.inf)
+        assert np.all(s[1:] == LIKELIHOOD_FLOOR)
+
+    def test_every_kernel_underflowing_floors(self):
+        # ||z - s||^2 is finite but its ratio to 2h^2 overflows
+        kde = kde_fit(np.zeros((3, 2)), bandwidth=1e-160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sd = compute_scale(kde, kde.support)
+            assert kde.log_density([[1.0, 0.0]])[0] == -np.inf
+            assert sd.scaled_likelihood([[1.0, 0.0]])[0] == LIKELIHOOD_FLOOR
 
 
 def identity_flow(dim=2, layers=4) -> FlowModel:
@@ -146,6 +235,10 @@ class TestFlowStructure:
         with pytest.raises(ValueError):
             CouplingLayer(mask=np.array([1.0, 1.0]), s_net=layer.s_net,
                           t_net=layer.t_net)
+        # forward works in place on the subnets' outputs, which an empty
+        # subnet would alias to its input
+        with pytest.raises(ValueError, match="at least one layer"):
+            CouplingLayer(mask=layer.mask, s_net=DenseNet([]), t_net=layer.t_net)
 
 
 class TestFlowBijectivity:
@@ -164,6 +257,18 @@ class TestFlowBijectivity:
             z = rng.normal(size=dim)
             _, analytic = flow.forward(z[None, :])
             assert analytic[0] == pytest.approx(numeric_log_det(flow, z), abs=1e-4)
+
+    def test_in_place_forward_matches_training_forward(self, rng):
+        flow = randomized_flow(4, seed=3)
+        z = rng.normal(size=(7, 4))
+        for layer in flow.layers:
+            before = z.copy()
+            t, log_det = layer.forward(z)
+            t_cached, s_sum, _ = layer.forward_cached(z)
+            np.testing.assert_array_equal(t, t_cached)
+            assert log_det.sum() == pytest.approx(s_sum, rel=1e-12)
+            np.testing.assert_array_equal(z, before)
+            z = t
 
     def test_tape_forward_matches_numpy_forward(self, rng):
         flow = randomized_flow(3, seed=2)

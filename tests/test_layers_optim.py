@@ -62,6 +62,18 @@ class TestDenseNet:
         assert_grads_close([p.grad for p in params],
                            central_difference_grad(loss, params))
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_in_place_forward_matches_training_forward(self, rng, activation,
+                                                      residual, bias):
+        net = DenseNet([Dense.init(rng, 4, 4, activation, bias=bias, residual=residual)
+                        for _ in range(3)])
+        x = rng.normal(size=(5, 4))
+        before = x.copy()
+        np.testing.assert_array_equal(net.forward(x), net.forward_cached(x)[0])
+        np.testing.assert_array_equal(x, before)
+
     def test_l2_penalty_value_and_grad(self, rng):
         net = DenseNet([Dense.init(rng, 2, 3, "relu"), Dense.init(rng, 3, 2, "relu")])
         weights = net.weight_tensors()

@@ -1,5 +1,7 @@
 """Composite predictor: limiting behavior, pipeline stages, summaries."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,39 @@ class TestPredictMechanics:
         pred = model.predict(rng.normal(size=(4, 2)))
         assert pred.latent.shape == (4, 8)
         assert pred.scaled_likelihood.shape == (4,)
+
+
+class TestFarAndHugeRows:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        return small_pipeline(seed=2, reopt_epochs=1)[1]
+
+    @pytest.mark.parametrize("huge", [1e160, 1e200])
+    def test_huge_finite_row_floors_likelihood(self, trained, huge):
+        x = np.array([[0.5, 0.25], [huge, huge], [huge, -huge]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = trained.model.predict(x)
+        assert LIKELIHOOD_FLOOR < pred.scaled_likelihood[0] <= 1.0
+        assert np.all(pred.scaled_likelihood[1:] == LIKELIHOOD_FLOOR)
+        assert np.all(np.isfinite(pred.probs))
+        np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_latent_overflow_names_the_row(self):
+        model = pinned_model(0.5)
+        model.encoder.net.layers[0].weight.data *= 1e300
+        x = np.array([[0.5, 0.25], [1e10, 1e10]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="latent row 1 is not finite"):
+                model.predict(x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_erm_probs_rejects_non_finite_row(self, trained, bad):
+        x = np.zeros((3, 2))
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match="input row 1 is not finite"):
+            trained.erm_probs(x)
 
 
 class TestPipeline:

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from density_softmax import cli
 from density_softmax.data import make_two_moons
-from density_softmax.density import FlowConfig
+from density_softmax.density import FlowConfig, FlowModel, ScaledDensity
 from density_softmax.model import (EncoderConfig, TrainConfig, ensemble_train,
                                    init_model)
 from density_softmax.optim import OptimizerSpec
-from density_softmax.predictor import DensityConfig, ReoptConfig, train_pipeline
+from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel,
+                                       ReoptConfig, train_pipeline)
 from density_softmax.serialize import (ContainerError, ErmModel,
                                        density_softmax_container,
                                        ensemble_container, erm_container,
@@ -106,3 +108,74 @@ class TestErmAndEnsembleContainers:
         save_container(density_softmax_container(result.model), p1)
         save_container(density_softmax_container(result.model), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _flow_doc(model, dim: int) -> dict:
+    """model's container with a fresh dim-d coupling flow as its density."""
+    flow = FlowModel.build(dim, FlowConfig(coupling_layers=2, hidden_layers=1))
+    return density_softmax_container(DensitySoftmaxModel(
+        encoder=model.encoder, classifier=model.classifier,
+        density=ScaledDensity(inner=flow, max_train_log_density=0.0), k=model.k))
+
+
+def _drop_density(doc, model):
+    del doc["density"]
+    return doc
+
+
+def _short_theta(doc, model):
+    doc["classifier"]["theta"] = doc["classifier"]["theta"][:4]
+    return doc
+
+
+def _narrow_support(doc, model):
+    doc["density"]["support"] = [row[:4] for row in doc["density"]["support"]]
+    return doc
+
+
+def _config_input_dim(doc, model):
+    doc["encoder"]["config"]["input_dim"] = 3
+    return doc
+
+
+def _no_encoder_layers(doc, model):
+    doc["encoder"]["layers"] = []
+    return doc
+
+
+def _flow_of_other_dim(doc, model):
+    return _flow_doc(model, 4)
+
+
+def _short_mask(doc, model):
+    doc = _flow_doc(model, 8)
+    doc["density"]["layers"][1]["mask"] = doc["density"]["layers"][1]["mask"][:6]
+    return doc
+
+
+class TestContainerValidation:
+    """A malformed container fails in load_container with a ContainerError
+    naming what is wrong, and the CLI exits 2; it never loads and then fails
+    at predict time."""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_drop_density, "missing key 'density'"),
+        (_short_theta, r"theta has shape \(4, 2\), expected latent_dim x k = \(8, 2\)"),
+        (_narrow_support, "kde density is 4-d, the encoder's latent_dim is 8"),
+        (_flow_of_other_dim, "flow density is 4-d, the encoder's latent_dim is 8"),
+        (_short_mask, "coupling layer 1 mask has length 6, the flow is 8-d"),
+        (_config_input_dim, "encoder layers map 2 -> 8 columns, config says 3 -> 8"),
+        (_no_encoder_layers, "encoder has no layers"),
+    ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
+            "mask_length", "encoder_layers", "no_encoder_layers"])
+    def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
+                                              corrupt, message, capsys):
+        _, result = pipeline_result
+        doc = corrupt(density_softmax_container(result.model), result.model)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContainerError, match=message):
+            load_container(path)
+        code = cli.main(["surface", "--model", str(path), "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert message.replace("\\", "") in capsys.readouterr().err

@@ -15,13 +15,12 @@ from .metrics import (EvalReport, accuracy, auroc, aupr, brier_score,
                       evaluate_predictions, expected_calibration_error,
                       misclassified_ece, negative_log_likelihood,
                       ood_detection, reliability_bins)
-from .model import (Classifier, Encoder, EncoderConfig, Ensemble, TrainConfig,
-                    ensemble_train, erm_train, init_model, param_count)
+from .model import Classifier, Encoder, EncoderConfig, TrainConfig, erm_train, init_model
 from .ops import cross_entropy, entropy, softmax
 from .optim import Adam, OptimizerSpec, SgdMomentum
-from .predictor import (DensityConfig, DensitySoftmaxModel, Prediction,
-                        PipelineResult, ReoptConfig, predictive_summaries,
-                        reoptimize_classifier, train_pipeline)
+from .predictor import (DensityConfig, DensitySoftmaxModel, Ensemble, Prediction,
+                        PipelineResult, ReoptConfig, ensemble_train,
+                        predictive_summaries, reoptimize_classifier, train_pipeline)
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,7 @@ __all__ = [
     "expected_calibration_error", "flow_fit", "init_model", "kde_fit",
     "load_config", "load_csv", "make_ood_cluster", "make_two_moons",
     "make_two_ovals", "misclassified_ece", "negative_log_likelihood",
-    "ood_detection", "param_count", "parse_config", "predictive_summaries",
+    "ood_detection", "parse_config", "predictive_summaries",
     "reliability_bins", "reoptimize_classifier", "save_csv", "softmax",
     "train_pipeline",
 ]

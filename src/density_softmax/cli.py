@@ -25,11 +25,11 @@ import numpy as np
 from . import metrics as M
 from .config import ConfigError, ExperimentConfig, build_datasets, load_config
 from .data import DataError, LabeledSet, load_csv, save_csv
-from .model import TrainingDiverged, ensemble_train
-from .predictor import PipelineError, PipelineResult, train_pipeline
-from .serialize import (ContainerError, DensitySoftmaxModel, ErmModel,
-                        density_softmax_container, ensemble_container,
-                        erm_container, load_container, save_container)
+from .model import TrainingDiverged
+from .predictor import (DensitySoftmaxModel, PipelineError, PipelineResult,
+                        ensemble_train, predictive_summaries, train_pipeline)
+from .serialize import (ContainerError, density_softmax_container, ensemble_container,
+                        load_container, save_container)
 from .svg import heatmap_svg, histogram_svg, reliability_svg
 
 log = logging.getLogger("density_softmax")
@@ -62,21 +62,14 @@ def _bins_csv(bins: list[M.BinStats]) -> str:
 # -- model evaluation helpers -------------------------------------------------
 
 
-def _model_probs(model, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(probs, scaled_likelihood or None) for any container kind."""
-    if isinstance(model, DensitySoftmaxModel):
-        pred = model.predict(feats)
-        return pred.probs, pred.scaled_likelihood
-    return model.predict_probs(feats), None
-
-
 def _evaluate_model(model, name: str, sets: dict[str, LabeledSet],
                     bins: int) -> dict[str, M.EvalReport]:
     reports: dict[str, M.EvalReport] = {}
     for tag, dataset in sets.items():
-        probs, lik = _model_probs(model, dataset.features)
+        pred = model.predict(dataset.features)
         labels = None if dataset.domain == "ood" else dataset.labels
-        report = M.evaluate_predictions(tag, probs, labels, lik, bins)
+        report = M.evaluate_predictions(tag, pred.probs, labels,
+                                        pred.scaled_likelihood, bins)
         report.param_count = model.param_count()
         reports[tag] = report
         log.info("%s on %s: acc=%s ece=%s", name, tag,
@@ -86,10 +79,10 @@ def _evaluate_model(model, name: str, sets: dict[str, LabeledSet],
 
 def _ood_scores(model, dataset: LabeledSet) -> dict[str, np.ndarray]:
     """OOD scores oriented so higher means more OOD."""
-    probs, lik = _model_probs(model, dataset.features)
-    scores = {"neg_max_prob": -probs.max(axis=1)}
-    if lik is not None:
-        scores["neg_scaled_likelihood"] = -lik
+    pred = model.predict(dataset.features)
+    scores = {"neg_max_prob": -pred.probs.max(axis=1)}
+    if pred.scaled_likelihood is not None:
+        scores["neg_scaled_likelihood"] = -pred.scaled_likelihood
     return scores
 
 
@@ -129,11 +122,9 @@ def cmd_run(args) -> int:
 
     result = _run_pipeline(cfg, sets)
     save_container(density_softmax_container(result.model), out / "model.json")
-    save_container(erm_container(result.model.encoder, result.erm_classifier),
-                   out / "model_erm.json")
+    save_container(density_softmax_container(result.erm_model), out / "model_erm.json")
 
-    erm = ErmModel(result.model.encoder, result.erm_classifier)
-    for name, model in (("density_softmax", result.model), ("erm", erm)):
+    for name, model in (("density_softmax", result.model), ("erm", result.erm_model)):
         reports = _evaluate_model(model, name, sets, cfg.bins)
         for tag, report in reports.items():
             doc = report.to_dict()
@@ -176,17 +167,12 @@ def cmd_surface(args) -> int:
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
     grid = np.array([[x, y] for y in ys for x in xs])
-    probs, lik = _model_probs(model, grid)
-    if lik is None:
-        lik = np.ones(len(grid))
-    p1 = probs[:, 1]
-    fields = {
-        "prob_class0": probs[:, 0],
-        "variance": p1 * (1.0 - p1),
-        "entropy_bits": -(np.clip(probs, 1e-12, 1) * np.log2(np.clip(probs, 1e-12, 1))).sum(axis=1),
-        "u": 1.0 - 2.0 * np.abs(p1 - 0.5),
-        "scaled_likelihood": lik,
-    }
+    pred = model.predict(grid)
+    lik = pred.scaled_likelihood
+    summary = predictive_summaries(pred.probs, np.ones(len(grid)) if lik is None else lik)
+    fields = {"prob_class0": pred.probs[:, 0]}
+    for name in ("variance", "entropy_bits", "u", "scaled_likelihood"):
+        fields[name] = summary[name]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["x,y," + ",".join(fields)]
@@ -225,7 +211,7 @@ def _load_overlay_points(data_dir: str) -> list:
 
 def cmd_hist_likelihood(args) -> int:
     model = load_container(args.model)
-    if not isinstance(model, DensitySoftmaxModel):
+    if not isinstance(model, DensitySoftmaxModel) or model.density is None:
         raise ConfigError("model", "likelihood histograms need a density-softmax container")
     base = Path(args.data)
     series = []
@@ -258,7 +244,7 @@ def cmd_reliability(args) -> int:
     dataset = load_csv(args.set)
     if dataset.domain == "ood":
         raise ConfigError("set", "reliability diagrams need labeled data")
-    probs, _ = _model_probs(model, dataset.features)
+    probs = model.predict(dataset.features).probs
     bins = M.reliability_bins(probs, dataset.labels, args.bins)
     ece = M.ece_from_bins(bins, dataset.n)
     out = Path(args.out)
@@ -275,12 +261,12 @@ def _time_single_predictions(model, feats: np.ndarray, warmup: int,
                              repetitions: int) -> list[float]:
     n = feats.shape[0]
     for i in range(warmup):
-        _model_probs(model, feats[i % n:i % n + 1])
+        model.predict(feats[i % n:i % n + 1])
     times = []
     for i in range(repetitions):
         row = feats[i % n:i % n + 1]
         start = time.perf_counter()
-        _model_probs(model, row)
+        model.predict(row)
         times.append((time.perf_counter() - start) * 1e3)
     return times
 
@@ -323,15 +309,14 @@ def cmd_compare(args) -> int:
         cfg = load_config(config_path, args.seed)
         sets = build_datasets(cfg)
         result = _run_pipeline(cfg, sets)
-        erm = ErmModel(result.model.encoder, result.erm_classifier)
         ensemble = ensemble_train(cfg.ensemble_size, cfg.encoder, cfg.k,
                                   sets["train"], cfg.train)
         config_name = Path(config_path).stem
-        models = {"erm": erm, "density_softmax": result.model,
+        models = {"erm": result.erm_model, "density_softmax": result.model,
                   f"ensemble_{cfg.ensemble_size}": ensemble}
         save_container(density_softmax_container(result.model),
                        out / f"{config_name}_model.json")
-        save_container(erm_container(erm.encoder, erm.classifier),
+        save_container(density_softmax_container(result.erm_model),
                        out / f"{config_name}_model_erm.json")
         save_container(ensemble_container(ensemble),
                        out / f"{config_name}_model_ensemble.json")

@@ -1,25 +1,38 @@
 """Experiment configuration: JSON schema, validation, dataset construction.
 
+The JSON tree mirrors the dataclass tree: each JSON object is a config
+dataclass, each key one of its fields, and the field's type says what the
+value may be (a ``Literal`` lists the choices, a fixed-length tuple gives
+the list length, an int is never a bool, a float also takes an int).
+Defaults live only in the dataclasses and value checks only in their
+``__post_init__``; a ValueError raised there becomes a ConfigError naming
+the object's dotted path. There are three exceptions to the mirror:
+
+* ``bins`` is written under ``"metrics"``: ``{"metrics": {"bins": 15}}``;
+* a nested ``seed`` (train, density.flow, reopt) is not a key: it takes the
+  top-level seed, so every random draw derives from that single seed and
+  reruns reproduce artifacts byte for byte;
+* ``dataset`` and ``dataset.generator`` are required.
+
 Validation errors carry the dotted path of the offending field so the CLI
-can report exactly what to fix. Every random draw derives from the single
-top-level seed, which makes reruns reproduce artifacts byte for byte.
+can report exactly what to fix.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .data import (DEFAULT_SHIFT_SCALES, LabeledSet, ShiftSpec, default_ood_center,
-                   make_ood_cluster, make_two_moons, make_two_ovals, shift_suite)
-from .density import FlowConfig
+from .data import (LabeledSet, ShiftSpec, default_ood_center, make_ood_cluster,
+                   make_two_moons, make_two_ovals, shift_suite)
 from .model import EncoderConfig, TrainConfig
-from .optim import OptimizerSpec
 from .predictor import DensityConfig, ReoptConfig
-
-GENERATORS = ("two_moons", "two_ovals")
 
 
 class ConfigError(ValueError):
@@ -38,7 +51,7 @@ class OodSpec:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    generator: str = "two_moons"
+    generator: Literal["two_moons", "two_ovals"] = "two_moons"
     n_per_class: int = 500
     n_test_per_class: int = 500
     noise_sd: float = 0.1
@@ -58,6 +71,14 @@ class ExperimentConfig:
     reopt: ReoptConfig = ReoptConfig()
     bins: int = 15
     ensemble_size: int = 4
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ConfigError("k", "need at least 2 classes")
+        if self.bins < 1:
+            raise ConfigError("metrics.bins", "must be >= 1")
+        if self.ensemble_size < 2:
+            raise ConfigError("ensemble_size", "an ensemble needs at least 2 members")
 
 
 def build_datasets(cfg: ExperimentConfig) -> dict[str, LabeledSet]:
@@ -83,189 +104,83 @@ def build_datasets(cfg: ExperimentConfig) -> dict[str, LabeledSet]:
 
 # -- JSON parsing -------------------------------------------------------------
 
+REQUIRED = ("dataset", "dataset.generator")
 
-def _expect(doc: dict, path: str, key: str, types, default):
-    val = doc.get(key, default)
-    if val is default and default is not _REQUIRED:
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _value(tp, val, path: str, seed: int):
+    """val checked against the type hint tp (converted where JSON differs)."""
+    if dataclasses.is_dataclass(tp):
+        return _object(tp, val, path, seed)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        if val is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _value(tp, val, path, seed)
+    if origin is Literal:
+        if val not in args:
+            raise ConfigError(path, f"must be one of {args}")
         return val
-    where = f"{path}.{key}" if path else key
-    if val is _REQUIRED:
-        raise ConfigError(where, "missing required field")
-    if types is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, types) or isinstance(val, bool) and types is not bool:
-        raise ConfigError(where, f"expected {getattr(types, '__name__', types)}, "
-                                 f"got {type(val).__name__}")
+    if origin is tuple:
+        fixed = args[-1] is not Ellipsis
+        if not isinstance(val, list) or fixed and len(val) != len(args):
+            count = f"{len(args)} " if fixed else ""
+            raise ConfigError(path, f"expected a list of {count}{args[0].__name__}")
+        items = args if fixed else [args[0]] * len(val)
+        return tuple(_value(t, v, path, seed) for t, v in zip(items, val))
+    if tp is float and isinstance(val, int) and not isinstance(val, bool):
+        return float(val)
+    if not isinstance(val, tp) or isinstance(val, bool) and tp is not bool:
+        raise ConfigError(path, f"expected {tp.__name__}, got {type(val).__name__}")
     return val
 
 
-class _Required:
-    def __repr__(self):  # pragma: no cover
-        return "<required>"
-
-
-_REQUIRED = _Required()
-
-
-def _build(path: str, cls, **fields):
-    """cls(**fields), with a ValueError from its validation as a ConfigError."""
+def _object(cls, doc, path: str, seed: int):
+    """cls built from a JSON object whose keys are its fields (but a seed)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
+    hints = typing.get_type_hints(cls)
+    keys = [f.name for f in dataclasses.fields(cls) if f.name != "seed"]
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(_join(path, key), "unknown field")
+    for key in keys:
+        if _join(path, key) in REQUIRED and key not in doc:
+            raise ConfigError(_join(path, key), "missing required field")
+    # a nested object left out is walked as {}, so that its seed is set
+    fields = {key: _value(hints[key], doc.get(key, {}), _join(path, key), seed)
+              for key in keys if key in doc or dataclasses.is_dataclass(hints[key])}
+    if "seed" in hints:
+        fields["seed"] = seed
     try:
         return cls(**fields)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
 
-def _check_keys(doc: dict, path: str, allowed: set[str]):
-    for key in doc:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(where, "unknown field")
-
-
 def parse_config(doc: dict) -> ExperimentConfig:
+    """The ExperimentConfig a JSON document describes; the first fault found
+    raises a ConfigError naming its dotted path."""
     if not isinstance(doc, dict):
         raise ConfigError("", "config root must be a JSON object")
-    _check_keys(doc, "", {"seed", "k", "dataset", "encoder", "train", "density",
-                          "reopt", "metrics", "ensemble_size"})
-    seed = _expect(doc, "", "seed", int, 0)
-    k = _expect(doc, "", "k", int, 2)
-    if k < 2:
-        raise ConfigError("k", "need at least 2 classes")
-
-    dd = _expect(doc, "", "dataset", dict, _REQUIRED)
-    _check_keys(dd, "dataset", {"generator", "n_per_class", "n_test_per_class",
-                                "noise_sd", "separation", "ood", "shift"})
-    generator = _expect(dd, "dataset", "generator", str, _REQUIRED)
-    if generator not in GENERATORS:
-        raise ConfigError("dataset.generator", f"must be one of {GENERATORS}")
-    od = _expect(dd, "dataset", "ood", dict, {})
-    _check_keys(od, "dataset.ood", {"n", "center", "spread", "sigmas"})
-    center = od.get("center")
-    if center is not None:
-        if (not isinstance(center, list) or len(center) != 2
-                or not all(isinstance(c, (int, float)) for c in center)):
-            raise ConfigError("dataset.ood.center", "expected [x, y]")
-        center = (float(center[0]), float(center[1]))
-    sd = _expect(dd, "dataset", "shift", dict, {})
-    _check_keys(sd, "dataset.shift", {"kind", "scales"})
-    scales = sd.get("scales", list(DEFAULT_SHIFT_SCALES))
-    if (not isinstance(scales, list) or len(scales) != 5
-            or not all(isinstance(s, (int, float)) for s in scales)):
-        raise ConfigError("dataset.shift.scales", "expected 5 numbers")
-    dataset = DatasetSpec(
-        generator=generator,
-        n_per_class=_expect(dd, "dataset", "n_per_class", int, 500),
-        n_test_per_class=_expect(dd, "dataset", "n_test_per_class", int, 500),
-        noise_sd=_expect(dd, "dataset", "noise_sd", float, 0.1),
-        separation=_expect(dd, "dataset", "separation", float, 2.0),
-        ood=OodSpec(n=_expect(od, "dataset.ood", "n", int, 500),
-                    center=center,
-                    spread=_expect(od, "dataset.ood", "spread", float, 0.1),
-                    sigmas=_expect(od, "dataset.ood", "sigmas", float, 6.0)),
-        shift=_build("dataset.shift", ShiftSpec,
-                     kind=_expect(sd, "dataset.shift", "kind", str, "gaussian_noise"),
-                     scales=tuple(float(s) for s in scales)),
-    )
-
-    ed = _expect(doc, "", "encoder", dict, {})
-    _check_keys(ed, "encoder", {"input_dim", "width", "depth", "latent_dim",
-                                "activation"})
-    width = _expect(ed, "encoder", "width", int, 128)
-    encoder = _build(
-        "encoder", EncoderConfig,
-        input_dim=_expect(ed, "encoder", "input_dim", int, 2),
-        width=width,
-        depth=_expect(ed, "encoder", "depth", int, 12),
-        latent_dim=_expect(ed, "encoder", "latent_dim", int, width),
-        activation=_expect(ed, "encoder", "activation", str, "relu"),
-    )
-
-    td = _expect(doc, "", "train", dict, {})
-    _check_keys(td, "train", {"epochs", "batch_size", "optimizer",
-                              "lr_decay_epochs", "lr_decay_ratio", "l2"})
-    opt = _parse_optimizer(_expect(td, "train", "optimizer", dict, {}), "train.optimizer")
-    decay = td.get("lr_decay_epochs", [])
-    if not isinstance(decay, list) or not all(isinstance(e, int) for e in decay):
-        raise ConfigError("train.lr_decay_epochs", "expected a list of ints")
-    train = _build(
-        "train", TrainConfig,
-        epochs=_expect(td, "train", "epochs", int, 100),
-        batch_size=_expect(td, "train", "batch_size", int, 128),
-        optimizer=opt,
-        lr_decay_epochs=tuple(decay),
-        lr_decay_ratio=_expect(td, "train", "lr_decay_ratio", float, 1.0),
-        l2=_expect(td, "train", "l2", float, 0.0),
-        seed=seed,
-    )
-
-    dn = _expect(doc, "", "density", dict, {})
-    _check_keys(dn, "density", {"kind", "bandwidth", "flow"})
-    kind = _expect(dn, "density", "kind", str, "kde")
-    if kind not in ("kde", "flow"):
-        raise ConfigError("density.kind", "must be 'kde' or 'flow'")
-    bandwidth = dn.get("bandwidth")
-    if bandwidth is not None and not isinstance(bandwidth, (int, float)):
-        raise ConfigError("density.bandwidth", "expected a number or null")
-    fd = _expect(dn, "density", "flow", dict, {})
-    _check_keys(fd, "density.flow", {"coupling_layers", "hidden_units",
-                                     "hidden_layers", "epochs", "batch_size",
-                                     "l2", "lr"})
-    flow = FlowConfig(
-        coupling_layers=_expect(fd, "density.flow", "coupling_layers", int, 4),
-        hidden_units=_expect(fd, "density.flow", "hidden_units", int, 16),
-        hidden_layers=_expect(fd, "density.flow", "hidden_layers", int, 4),
-        epochs=_expect(fd, "density.flow", "epochs", int, 3000),
-        batch_size=_expect(fd, "density.flow", "batch_size", int, 128),
-        l2=_expect(fd, "density.flow", "l2", float, 0.01),
-        optimizer=OptimizerSpec(kind="adam",
-                                lr=_expect(fd, "density.flow", "lr", float, 1e-4)),
-        seed=seed,
-    )
-    density = _build("density", DensityConfig, kind=kind,
-                     bandwidth=None if bandwidth is None else float(bandwidth),
-                     flow=flow)
-
-    rd = _expect(doc, "", "reopt", dict, {})
-    _check_keys(rd, "reopt", {"epochs", "batch_size", "lr", "reinit"})
-    reopt = ReoptConfig(
-        epochs=_expect(rd, "reopt", "epochs", int, 10),
-        batch_size=_expect(rd, "reopt", "batch_size", int, 128),
-        optimizer=OptimizerSpec(kind="adam",
-                                lr=_expect(rd, "reopt", "lr", float, 1e-4)),
-        reinit=_expect(rd, "reopt", "reinit", bool, False),
-        seed=seed,
-    )
-
-    md = _expect(doc, "", "metrics", dict, {})
-    _check_keys(md, "metrics", {"bins"})
-    bins = _expect(md, "metrics", "bins", int, 15)
-    if bins < 1:
-        raise ConfigError("metrics.bins", "must be >= 1")
-    ensemble_size = _expect(doc, "", "ensemble_size", int, 4)
-    if ensemble_size < 2:
-        raise ConfigError("ensemble_size", "an ensemble needs at least 2 members")
-
-    return ExperimentConfig(
-        seed=seed, k=k, dataset=dataset, encoder=encoder, train=train,
-        density=density, reopt=reopt, bins=bins, ensemble_size=ensemble_size,
-    )
-
-
-def _parse_optimizer(doc: dict, path: str) -> OptimizerSpec:
-    _check_keys(doc, path, {"kind", "lr", "momentum", "nesterov", "beta1",
-                            "beta2", "eps"})
-    kind = doc.get("kind", "adam")
-    if kind not in ("adam", "sgd_momentum"):
-        raise ConfigError(f"{path}.kind", "must be 'adam' or 'sgd_momentum'")
-    return OptimizerSpec(
-        kind=kind,
-        lr=_expect(doc, path, "lr", float, 1e-4),
-        momentum=_expect(doc, path, "momentum", float, 0.9),
-        nesterov=_expect(doc, path, "nesterov", bool, True),
-        beta1=_expect(doc, path, "beta1", float, 0.9),
-        beta2=_expect(doc, path, "beta2", float, 0.999),
-        eps=_expect(doc, path, "eps", float, 1e-8),
-    )
+    doc = dict(doc)
+    if "bins" in doc:
+        raise ConfigError("bins", "unknown field")
+    metrics = doc.pop("metrics", {})
+    if not isinstance(metrics, dict):
+        raise ConfigError("metrics", f"expected an object, got {type(metrics).__name__}")
+    for key, val in metrics.items():
+        if key != "bins":
+            raise ConfigError(_join("metrics", key), "unknown field")
+        doc["bins"] = _value(int, val, "metrics.bins", 0)
+    seed = _value(int, doc.pop("seed", ExperimentConfig.seed), "seed", 0)
+    return _object(ExperimentConfig, doc, "", seed)
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:

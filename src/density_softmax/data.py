@@ -69,7 +69,7 @@ class ShiftSpec:
     """A shift family: kind plus a strictly increasing 5-level scale ladder."""
 
     kind: str = "gaussian_noise"
-    scales: tuple[float, ...] = DEFAULT_SHIFT_SCALES
+    scales: tuple[float, float, float, float, float] = DEFAULT_SHIFT_SCALES
 
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:

@@ -245,7 +245,7 @@ class FlowConfig:
     epochs: int = 3000
     batch_size: int = 128
     l2: float = 0.01
-    optimizer: OptimizerSpec = OptimizerSpec(kind="adam", lr=1e-4)
+    lr: float = 1e-4  # Adam
     seed: int = 0
 
 
@@ -299,8 +299,11 @@ class FlowModel:
         return t
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
+        """Log-density of each row of z; -inf where ||t||^2 overflows (a far,
+        huge row)."""
         t, log_det = self.forward(z)
-        base = -0.5 * (t * t).sum(axis=1) - 0.5 * self.dim * LOG_2PI
+        with np.errstate(over="ignore"):
+            base = -0.5 * (t * t).sum(axis=1) - 0.5 * self.dim * LOG_2PI
         return base + log_det
 
     def params(self) -> list[Tensor]:
@@ -356,7 +359,7 @@ def flow_fit(z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[float]]
     flow = FlowModel.build(z.shape[1], config)
     trace = train_minibatches(
         "flow", lambda idx: flow.nll_loss(z[idx], config.l2), flow.params(),
-        config.optimizer, n, config.batch_size, config.epochs, config.seed)
+        OptimizerSpec(lr=config.lr), n, config.batch_size, config.epochs, config.seed)
     return flow, trace
 
 
@@ -369,9 +372,6 @@ class ScaledDensity:
 
     inner: KdeModel | FlowModel
     max_train_log_density: float
-
-    def log_density(self, z: np.ndarray) -> np.ndarray:
-        return self.inner.log_density(z)
 
     def scaled_likelihood(self, z: np.ndarray) -> np.ndarray:
         """exp(log p(z) - max train log p), clamped into [floor, 1]."""

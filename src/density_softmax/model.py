@@ -7,7 +7,7 @@ classifier is a single d_z x K matrix with no bias; logits are z @ theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import Tensor, softmax_cross_entropy
 from .data import LabeledSet, require_fittable
 from .layers import Dense, DenseNet, fan_in_uniform, l2_loss
-from .ops import finite_rows, softmax
+from .ops import finite_rows
 from .optim import OptimizerSpec
 
 
@@ -42,10 +42,12 @@ class EncoderConfig:
     input_dim: int = 2
     width: int = 128
     depth: int = 12
-    latent_dim: int = 128
+    latent_dim: int | None = None  # None: equal to width
     activation: str = "relu"
 
     def __post_init__(self):
+        if self.latent_dim is None:
+            object.__setattr__(self, "latent_dim", self.width)
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.width != self.latent_dim:
@@ -150,15 +152,6 @@ def init_model(config: EncoderConfig, k: int, seed: int) -> tuple[Encoder, Class
     return encoder, Classifier(theta)
 
 
-def param_count(encoder: Encoder, classifier: Classifier, *extras) -> int:
-    """Total scalar parameters across the model and any extra components
-    exposing param_count()."""
-    total = encoder.param_count() + classifier.param_count()
-    for extra in extras:
-        total += extra.param_count()
-    return total
-
-
 def minibatches(n: int, batch_size: int, rng: np.random.Generator):
     """Shuffled index batches; the order is a pure function of the rng state."""
     order = rng.permutation(n)
@@ -220,35 +213,3 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
     return train_minibatches("erm", loss_fn, encoder.params() + classifier.params(),
                              config.optimizer, train.n, config.batch_size,
                              config.epochs, config.seed, config.lr_at)
-
-
-def predict_probs(encoder: Encoder, classifier: Classifier, x: np.ndarray) -> np.ndarray:
-    """Plain-softmax predictive probabilities (the pre-density baseline)."""
-    return softmax(classifier.logits(encoder.encode(np.atleast_2d(x))))
-
-
-@dataclass
-class Ensemble:
-    """Deep ensemble: members differ only by seed; the prediction is the
-    arithmetic mean of member probability vectors."""
-
-    members: list[tuple[Encoder, Classifier]]
-
-    def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        probs = [predict_probs(enc, clf, x) for enc, clf in self.members]
-        return np.mean(probs, axis=0)
-
-    def param_count(self) -> int:
-        return sum(param_count(enc, clf) for enc, clf in self.members)
-
-
-def ensemble_train(m: int, encoder_config: EncoderConfig, k: int,
-                   train: LabeledSet, train_config: TrainConfig) -> Ensemble:
-    if m < 2:
-        raise ValueError("an ensemble needs at least 2 members")
-    members = []
-    for i in range(m):
-        enc, clf = init_model(encoder_config, k, train_config.seed + i)
-        erm_train(enc, clf, train, replace(train_config, seed=train_config.seed + i))
-        members.append((enc, clf))
-    return Ensemble(members)

@@ -42,12 +42,9 @@ def cross_entropy(probs: np.ndarray, label: int) -> float:
 
 def entropy(probs: np.ndarray, base: str = "nats") -> np.ndarray:
     """Shannon entropy along the last axis. base is 'nats' or 'bits'."""
-    probs = np.asarray(probs, dtype=np.float64)
-    p = np.clip(probs, PROB_FLOOR, 1.0)
-    h = -(p * np.log(p)).sum(axis=-1)
-    if base == "bits":
-        return h / np.log(2.0)
-    if base != "nats":
+    logs = {"nats": np.log, "bits": np.log2}
+    if base not in logs:
         raise ValueError(f"unknown entropy base {base!r}")
-    return h
+    p = np.clip(np.asarray(probs, dtype=np.float64), PROB_FLOOR, 1.0)
+    return -(p * logs[base](p)).sum(axis=-1)
 

@@ -15,6 +15,7 @@ loss (``train.l2``, ``density.flow.l2``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -145,7 +146,7 @@ Optimizer = SgdMomentum | Adam
 class OptimizerSpec:
     """Serializable optimizer choice; build() yields a fresh stateful instance."""
 
-    kind: str = "adam"
+    kind: Literal["adam", "sgd_momentum"] = "adam"
     lr: float = 1e-4
     momentum: float = 0.9
     nesterov: bool = True

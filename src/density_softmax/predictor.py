@@ -10,12 +10,14 @@ scaled likelihood s in (0, 1] before the softmax:
 
 so s -> 0 drives the prediction to uniform while s = 1 reproduces the plain
 softmax bit for bit. Positive scaling never reorders logits, so the argmax
-(and accuracy) match the plain softmax with the same weights.
+(and accuracy) match the plain softmax with the same weights. The ERM
+baseline is the same model type without a density (s = 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Literal
 
 import numpy as np
 
@@ -32,20 +34,16 @@ from .optim import OptimizerSpec
 class DensityConfig:
     """Which density estimator step 2 fits on the train latents."""
 
-    kind: str = "kde"  # "kde" | "flow"
+    kind: Literal["kde", "flow"] = "kde"
     bandwidth: float | None = None  # kde; None = Scott's rule
     flow: FlowConfig = FlowConfig()
-
-    def __post_init__(self):
-        if self.kind not in ("kde", "flow"):
-            raise ValueError(f"unknown density kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class ReoptConfig:
     epochs: int = 10
     batch_size: int = 128
-    optimizer: OptimizerSpec = OptimizerSpec(kind="adam", lr=1e-4)
+    lr: float = 1e-4  # Adam
     reinit: bool = False  # start step 3 from fresh weights instead of step 1's
     seed: int = 0
 
@@ -53,16 +51,22 @@ class ReoptConfig:
 @dataclass(frozen=True)
 class Prediction:
     probs: np.ndarray
-    scaled_likelihood: np.ndarray
-    latent: np.ndarray
+    scaled_likelihood: np.ndarray | None  # None: no density (plain softmax)
+    latent: np.ndarray | None  # None for an ensemble
 
 
 @dataclass
 class DensitySoftmaxModel:
+    """Encoder, linear head and, optionally, a scaled density; without a
+    density it is the plain-softmax (ERM) model."""
+
     encoder: Encoder
     classifier: Classifier
-    density: ScaledDensity
-    k: int
+    density: ScaledDensity | None = None
+
+    @property
+    def k(self) -> int:
+        return self.classifier.k
 
     def predict(self, x: np.ndarray) -> Prediction:
         """One encoder pass, one density pass, one matrix product per sample.
@@ -71,17 +75,43 @@ class DensitySoftmaxModel:
         """
         z = finite_rows(x)
         latent = self.encoder.encode(z)
-        s = self.density.scaled_likelihood(latent)
         logits = self.classifier.logits(latent)
+        if self.density is None:
+            return Prediction(probs=softmax(logits), scaled_likelihood=None, latent=latent)
+        s = self.density.scaled_likelihood(latent)
         probs = softmax(s[:, None] * logits)
         return Prediction(probs=probs, scaled_likelihood=s, latent=latent)
 
-    def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        return self.predict(x).probs
+    def param_count(self) -> int:
+        total = self.encoder.param_count() + self.classifier.param_count()
+        return total if self.density is None else total + self.density.param_count()
+
+
+@dataclass
+class Ensemble:
+    """Deep ensemble: members differ only by seed; the prediction is the
+    arithmetic mean of member probability vectors."""
+
+    members: list[DensitySoftmaxModel]
+
+    def predict(self, x: np.ndarray) -> Prediction:
+        probs = np.mean([m.predict(x).probs for m in self.members], axis=0)
+        return Prediction(probs=probs, scaled_likelihood=None, latent=None)
 
     def param_count(self) -> int:
-        return (self.encoder.param_count() + self.classifier.param_count()
-                + self.density.param_count())
+        return sum(m.param_count() for m in self.members)
+
+
+def ensemble_train(m: int, encoder_config: EncoderConfig, k: int,
+                   train: LabeledSet, train_config: TrainConfig) -> Ensemble:
+    if m < 2:
+        raise ValueError("an ensemble needs at least 2 members")
+    members = []
+    for i in range(m):
+        enc, clf = init_model(encoder_config, k, train_config.seed + i)
+        erm_train(enc, clf, train, replace(train_config, seed=train_config.seed + i))
+        members.append(DensitySoftmaxModel(enc, clf))
+    return Ensemble(members)
 
 
 class PipelineError(RuntimeError):
@@ -93,16 +123,10 @@ class PipelineError(RuntimeError):
 @dataclass
 class PipelineResult:
     model: DensitySoftmaxModel
-    erm_classifier: Classifier  # step-1 head, shares the frozen encoder
+    erm_model: DensitySoftmaxModel  # step-1 head, no density; shares the encoder
     erm_loss_trace: list[float]
     density_loss_trace: list[float]
     reopt_loss_trace: list[float]
-
-    def erm_probs(self, x: np.ndarray) -> np.ndarray:
-        """Baseline plain-softmax prediction with the step-1 classifier; rows
-        with a NaN or an infinity are rejected up front (ValueError)."""
-        z = self.model.encoder.encode(finite_rows(x))
-        return softmax(self.erm_classifier.logits(z))
 
 
 def reoptimize_classifier(model: DensitySoftmaxModel, train: LabeledSet,
@@ -126,8 +150,8 @@ def reoptimize_classifier(model: DensitySoftmaxModel, train: LabeledSet,
         scaled = (Tensor(z[idx]) @ theta).mul_const(s[idx][:, None])
         return softmax_cross_entropy(scaled, train.labels[idx])
 
-    return train_minibatches("reopt", loss_fn, [theta], config.optimizer, train.n,
-                             config.batch_size, config.epochs, config.seed)
+    return train_minibatches("reopt", loss_fn, [theta], OptimizerSpec(lr=config.lr),
+                             train.n, config.batch_size, config.epochs, config.seed)
 
 
 def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,
@@ -154,15 +178,15 @@ def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,
     except Exception as exc:
         raise PipelineError("density", exc) from exc
 
-    model = DensitySoftmaxModel(encoder=encoder, classifier=classifier,
-                                density=density, k=k)
+    model = DensitySoftmaxModel(encoder=encoder, classifier=classifier, density=density)
     try:
         reopt_trace = reoptimize_classifier(
             model, train, replace(reopt_config, seed=train_config.seed))
     except Exception as exc:
         raise PipelineError("reoptimize", exc) from exc
 
-    return PipelineResult(model=model, erm_classifier=erm_classifier,
+    return PipelineResult(model=model,
+                          erm_model=DensitySoftmaxModel(encoder, erm_classifier),
                           erm_loss_trace=erm_trace,
                           density_loss_trace=density_trace,
                           reopt_loss_trace=reopt_trace)
@@ -187,11 +211,3 @@ def predictive_summaries(probs: np.ndarray, scaled_likelihood: np.ndarray) -> di
         out["u"] = 1.0 - 2.0 * np.abs(p - 0.5)
         out["entropy_bits"] = entropy(probs, "bits")
     return out
-
-
-def binary_summaries(probs: np.ndarray, scaled_likelihood: np.ndarray) -> dict:
-    """predictive_summaries that insists on a binary classifier."""
-    probs = np.atleast_2d(probs)
-    if probs.shape[1] != 2:
-        raise ValueError("binary summaries require exactly 2 classes")
-    return predictive_summaries(probs, scaled_likelihood)

@@ -7,15 +7,16 @@ float64 values, so save -> load reproduces every parameter bit for bit.
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
 from .density import CouplingLayer, FlowModel, KdeModel, ScaledDensity
 from .layers import Dense, DenseNet
-from .model import Classifier, Encoder, EncoderConfig, Ensemble
-from .ops import finite_rows, softmax
-from .predictor import DensitySoftmaxModel
+from .model import Classifier, Encoder, EncoderConfig
+from .predictor import DensitySoftmaxModel, Ensemble
 
 CONTAINER_VERSION = 1
 
@@ -118,38 +119,41 @@ def _density_from_dict(d: dict, latent_dim: int) -> ScaledDensity:
 
 
 def density_softmax_container(model: DensitySoftmaxModel) -> dict:
-    return {
+    """The model's container; kind "erm", with no density key, if it has no
+    density."""
+    doc = {
         "version": CONTAINER_VERSION,
-        "kind": "density_softmax",
+        "kind": "erm" if model.density is None else "density_softmax",
         "k": model.k,
         "encoder": _encoder_to_dict(model.encoder),
         "classifier": {"theta": model.classifier.theta.data.tolist()},
-        "density": _density_to_dict(model.density),
     }
-
-
-def erm_container(encoder: Encoder, classifier: Classifier) -> dict:
-    return {
-        "version": CONTAINER_VERSION,
-        "kind": "erm",
-        "k": classifier.k,
-        "encoder": _encoder_to_dict(encoder),
-        "classifier": {"theta": classifier.theta.data.tolist()},
-    }
+    if model.density is not None:
+        doc["density"] = _density_to_dict(model.density)
+    return doc
 
 
 def ensemble_container(ensemble: Ensemble) -> dict:
     return {
         "version": CONTAINER_VERSION,
         "kind": "ensemble",
-        "members": [erm_container(enc, clf) for enc, clf in ensemble.members],
+        "members": [density_softmax_container(m) for m in ensemble.members],
     }
 
 
 def save_container(container: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(container, fh, sort_keys=True)
-        fh.write("\n")
+    """Write the container through a sibling temporary file that replaces
+    path only once it is complete, so a failed dump leaves the previous
+    file as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(container, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_container(path):
@@ -179,32 +183,9 @@ def _from_dict(doc: dict):
         encoder = _encoder_from_dict(doc["encoder"])
         latent_dim = encoder.config.latent_dim
         classifier = _classifier_from_dict(doc["classifier"], latent_dim, int(doc["k"]))
-        if kind == "erm":
-            return ErmModel(encoder=encoder, classifier=classifier)
-        return DensitySoftmaxModel(
-            encoder=encoder, classifier=classifier,
-            density=_density_from_dict(doc["density"], latent_dim),
-            k=classifier.k,
-        )
+        density = (None if kind == "erm"
+                   else _density_from_dict(doc["density"], latent_dim))
+        return DensitySoftmaxModel(encoder, classifier, density)
     if kind == "ensemble":
-        members = [_from_dict(m) for m in doc["members"]]
-        return Ensemble([(m.encoder, m.classifier) for m in members])
+        return Ensemble([_from_dict(m) for m in doc["members"]])
     raise ContainerError(f"unknown container kind {kind!r}")
-
-
-class ErmModel:
-    """Deployable plain-softmax model (encoder + linear head)."""
-
-    def __init__(self, encoder: Encoder, classifier: Classifier):
-        self.encoder = encoder
-        self.classifier = classifier
-        self.k = classifier.k
-
-    def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        """Plain-softmax probabilities; rows with a NaN or an infinity are
-        rejected up front (ValueError)."""
-        z = self.encoder.encode(finite_rows(x))
-        return softmax(self.classifier.logits(z))
-
-    def param_count(self) -> int:
-        return self.encoder.param_count() + self.classifier.param_count()

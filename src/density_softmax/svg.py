@@ -47,10 +47,6 @@ class SvgCanvas:
             f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
             f'{body}\n</svg>\n')
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_string())
-
 
 def viridis_like(v: float) -> str:
     """Map [0, 1] to a dark-blue -> teal -> yellow ramp."""

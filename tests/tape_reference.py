@@ -16,6 +16,7 @@ import numpy as np
 
 from density_softmax.autodiff import Tensor, softmax_cross_entropy
 from density_softmax.model import minibatches
+from density_softmax.optim import OptimizerSpec
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -135,7 +136,7 @@ def reference_erm(encoder, classifier, train, config) -> list[float]:
 
 def reference_flow_fit(flow, z, config) -> list[float]:
     return reference_loop(lambda idx: flow_nll_loss(flow, z[idx], config.l2),
-                          flow.params(), config.optimizer, z.shape[0],
+                          flow.params(), OptimizerSpec(lr=config.lr), z.shape[0],
                           config.batch_size, config.epochs, config.seed)
 
 
@@ -144,5 +145,5 @@ def reference_reopt(theta: Tensor, z, s, labels, config) -> list[float]:
         scaled = (Tensor(z[idx]) @ theta).mul_const(s[idx][:, None])
         return softmax_cross_entropy(scaled, labels[idx])
 
-    return reference_loop(loss_fn, [theta], config.optimizer, z.shape[0],
+    return reference_loop(loss_fn, [theta], OptimizerSpec(lr=config.lr), z.shape[0],
                           config.batch_size, config.epochs, config.seed)

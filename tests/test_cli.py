@@ -1,0 +1,109 @@
+"""The command line as it is run: `python -m density_softmax.cli` in a
+subprocess for every subcommand, exit codes 0/2/3, byte-identical reruns."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import density_softmax
+
+SRC = Path(density_softmax.__file__).resolve().parents[1]
+
+TINY = {"seed": 1,
+        "dataset": {"generator": "two_moons", "n_per_class": 64,
+                    "n_test_per_class": 32, "ood": {"n": 32}},
+        "encoder": {"width": 8, "depth": 2},
+        "train": {"epochs": 3, "batch_size": 32, "optimizer": {"lr": 0.003}},
+        "reopt": {"epochs": 1, "batch_size": 32},
+        "ensemble_size": 2}
+
+
+def cli(*args) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "density_softmax.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def ok(*args) -> subprocess.CompletedProcess:
+    proc = cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def write_config(path: Path, doc: dict) -> Path:
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    config = write_config(root / "tiny.json", TINY)
+    ok("run", "--config", config, "--out", root / "run")
+    return root, config
+
+
+class TestSubcommands:
+    def test_run_is_byte_identical_across_reruns(self, work):
+        root, config = work
+        ok("run", "--config", config, "--out", root / "run_again")
+        first = tree(root / "run")
+        assert {"model.json", "model_erm.json", "loss_traces.json"} <= set(first)
+        assert first == tree(root / "run_again")
+
+    def test_compare_is_byte_identical_across_reruns(self, work):
+        root, config = work
+        outs = [root / "cmp_a", root / "cmp_b"]
+        for out in outs:
+            ok("compare", "--configs", config, "--out", out)
+        first = tree(outs[0])
+        assert {"compare.json", "compare.md", "tiny_model_ensemble.json"} <= set(first)
+        assert first == tree(outs[1])
+
+    def test_every_other_subcommand_exits_0(self, work):
+        root, config = work
+        run, data = root / "run", root / "run" / "data"
+        ok("gen-data", "--config", config, "--out", root / "gen")
+        # gen-data writes the very sets run trains and evaluates on
+        assert tree(root / "gen") == {k: v for k, v in tree(run).items()
+                                      if k.startswith("data/")}
+        for model in ("model.json", "model_erm.json"):
+            ok("surface", "--model", run / model, "--out", root / f"surf_{model}",
+               "--resolution", 10, "--data", data)
+            ok("reliability", "--model", run / model, "--set", data / "iid_test.csv",
+               "--out", root / f"rel_{model}")
+        ok("hist-likelihood", "--model", run / "model.json", "--data", data,
+           "--sets", "train", "ood", "--out", root / "hist")
+        ok("bench", "--models", run / "model.json", run / "model_erm.json",
+           "--set", data / "iid_test.csv", "--warmup", 2, "--repetitions", 5,
+           "--out", root / "bench")
+
+
+class TestExitCodes:
+    def test_bad_config_exits_2(self, tmp_path):
+        config = write_config(tmp_path / "bad.json", {**TINY, "colour": "blue"})
+        proc = cli("run", "--config", config, "--out", tmp_path / "out")
+        assert proc.returncode == 2
+        assert "error: colour: unknown field" in proc.stderr
+
+    def test_missing_model_exits_2(self, tmp_path):
+        proc = cli("surface", "--model", tmp_path / "absent.json", "--out", tmp_path / "s")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+
+    def test_diverging_training_exits_3(self, tmp_path):
+        doc = json.loads(json.dumps(TINY))
+        doc["train"]["optimizer"] = {"kind": "sgd_momentum", "lr": 1e30}
+        config = write_config(tmp_path / "diverge.json", doc)
+        proc = cli("run", "--config", config, "--out", tmp_path / "out")
+        assert proc.returncode == 3
+        assert "error: pipeline stage 'erm' failed" in proc.stderr

@@ -1,11 +1,18 @@
-"""Config parsing errors name the dotted path and reach the CLI as exit 2."""
+"""Config parsing: a table of valid and invalid documents; errors name the
+dotted path and reach the CLI as exit 2."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from density_softmax import cli
-from density_softmax.config import ConfigError, parse_config
+from density_softmax.config import ConfigError, ExperimentConfig, parse_config
+from density_softmax.data import ShiftSpec
+from density_softmax.density import FlowConfig
+from density_softmax.model import EncoderConfig
+from density_softmax.optim import OptimizerSpec
+from density_softmax.predictor import ReoptConfig
 
 BASE = {"dataset": {"generator": "two_moons"}}
 
@@ -46,3 +53,170 @@ class TestCliExitCodes:
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG == 2
         assert "error: encoder: width must equal latent_dim" in capsys.readouterr().err
+
+
+# -- the contract table --------------------------------------------------------
+#
+# Each document either parses to the config the dataclasses build, or fails
+# with a ConfigError naming the dotted path of the offending JSON value.
+
+
+def _doc(dotted: str, value) -> dict:
+    """BASE with the value at a dotted JSON path set (objects made as needed)."""
+    doc = json.loads(json.dumps(BASE))
+    *parents, key = dotted.split(".")
+    node = doc
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return doc
+
+
+def _set(obj, dotted: str, value):
+    """obj with the field at a dotted attribute path replaced."""
+    head, _, rest = dotted.partition(".")
+    return replace(obj, **{head: _set(getattr(obj, head), rest, value) if rest else value})
+
+
+def _expect(*changes) -> ExperimentConfig:
+    cfg = ExperimentConfig()
+    for dotted, value in changes:
+        cfg = _set(cfg, dotted, value)
+    return cfg
+
+
+VALID = [
+    ({}, _expect()),
+    ({"seed": 7}, _expect(("seed", 7), ("train.seed", 7), ("density.flow.seed", 7),
+                          ("reopt.seed", 7))),
+    ({"encoder": {"width": 8, "depth": 2}},
+     _expect(("encoder", EncoderConfig(width=8, depth=2, latent_dim=8)))),
+    ({"encoder": {"width": 8, "latent_dim": None}},
+     _expect(("encoder", EncoderConfig(width=8, latent_dim=8)))),
+    ({"encoder": {"width": 8, "latent_dim": 8, "activation": "tanh"}},
+     _expect(("encoder", EncoderConfig(width=8, latent_dim=8, activation="tanh")))),
+    ({"metrics": {"bins": 10}}, _expect(("bins", 10))),
+    ({"k": 3, "ensemble_size": 2}, _expect(("k", 3), ("ensemble_size", 2))),
+    ({"dataset": {"generator": "two_ovals", "separation": 3, "noise_sd": 0}},
+     _expect(("dataset.generator", "two_ovals"), ("dataset.separation", 3.0),
+             ("dataset.noise_sd", 0.0))),
+    (_doc("dataset.ood.center", [1, 2.5]), _expect(("dataset.ood.center", (1.0, 2.5)))),
+    (_doc("dataset.ood.center", None), _expect()),
+    (_doc("dataset.ood", {"n": 16, "spread": 0.5, "sigmas": 8}),
+     _expect(("dataset.ood.n", 16), ("dataset.ood.spread", 0.5),
+             ("dataset.ood.sigmas", 8.0))),
+    (_doc("dataset.shift", {"kind": "rotation", "scales": [1, 2, 3, 4, 5]}),
+     _expect(("dataset.shift", ShiftSpec("rotation", (1.0, 2.0, 3.0, 4.0, 5.0))))),
+    (_doc("train", {"epochs": 3, "batch_size": 16, "l2": 0.001,
+                    "lr_decay_epochs": [3, 6], "lr_decay_ratio": 0.1}),
+     _expect(("train.epochs", 3), ("train.batch_size", 16), ("train.l2", 0.001),
+             ("train.lr_decay_epochs", (3, 6)), ("train.lr_decay_ratio", 0.1))),
+    (_doc("train.optimizer", {"kind": "sgd_momentum", "lr": 0.1, "momentum": 0.5,
+                              "nesterov": False}),
+     _expect(("train.optimizer", OptimizerSpec("sgd_momentum", 0.1, 0.5, False)))),
+    (_doc("train.optimizer", {"lr": 1, "beta1": 0.8, "beta2": 0.99, "eps": 1e-6}),
+     _expect(("train.optimizer", OptimizerSpec(lr=1.0, beta1=0.8, beta2=0.99,
+                                               eps=1e-6)))),
+    (_doc("density", {"kind": "kde", "bandwidth": 1}), _expect(("density.bandwidth", 1.0))),
+    (_doc("density.bandwidth", None), _expect()),
+    (_doc("density", {"kind": "flow", "flow": {
+        "coupling_layers": 2, "hidden_units": 4, "hidden_layers": 1, "epochs": 5,
+        "batch_size": 32, "l2": 0, "lr": 0.001}}),
+     _expect(("density.kind", "flow"),
+             ("density.flow", FlowConfig(2, 4, 1, 5, 32, 0.0, 0.001)))),
+    (_doc("reopt", {"epochs": 3, "batch_size": 16, "lr": 0.01, "reinit": True}),
+     _expect(("reopt", ReoptConfig(3, 16, 0.01, True)))),
+]
+
+INVALID = [
+    ([], ""),
+    ({}, "dataset"),
+    ({"dataset": 3}, "dataset"),
+    ({"dataset": {}}, "dataset.generator"),
+    ({**BASE, "foo": 1}, "foo"),
+    ({**BASE, "bins": 15}, "bins"),
+    ({**BASE, "seed": 1.5}, "seed"),
+    ({**BASE, "seed": True}, "seed"),
+    ({**BASE, "k": 1}, "k"),
+    ({**BASE, "k": "2"}, "k"),
+    ({**BASE, "ensemble_size": 1}, "ensemble_size"),
+    ({**BASE, "ensemble_size": 2.0}, "ensemble_size"),
+    ({**BASE, "metrics": {"bins": 0}}, "metrics.bins"),
+    ({**BASE, "metrics": {"bins": "15"}}, "metrics.bins"),
+    ({**BASE, "metrics": {"foo": 1}}, "metrics.foo"),
+    ({**BASE, "metrics": 15}, "metrics"),
+    (_doc("dataset.generator", "spiral"), "dataset.generator"),
+    (_doc("dataset.generator", 1), "dataset.generator"),
+    (_doc("dataset.foo", 1), "dataset.foo"),
+    (_doc("dataset.n_per_class", True), "dataset.n_per_class"),
+    (_doc("dataset.n_per_class", 1.5), "dataset.n_per_class"),
+    (_doc("dataset.noise_sd", "0.1"), "dataset.noise_sd"),
+    (_doc("dataset.noise_sd", True), "dataset.noise_sd"),
+    (_doc("dataset.ood", []), "dataset.ood"),
+    (_doc("dataset.ood.foo", 1), "dataset.ood.foo"),
+    (_doc("dataset.ood.center", [1, 2, 3]), "dataset.ood.center"),
+    (_doc("dataset.ood.center", [1]), "dataset.ood.center"),
+    (_doc("dataset.ood.center", "1,2"), "dataset.ood.center"),
+    (_doc("dataset.ood.center", [1, "2"]), "dataset.ood.center"),
+    (_doc("dataset.ood.center", [True, 1]), "dataset.ood.center"),
+    (_doc("dataset.shift.foo", 1), "dataset.shift.foo"),
+    (_doc("dataset.shift.scales", [1, 2, 3, 4]), "dataset.shift.scales"),
+    (_doc("dataset.shift.scales", [1, 2, 3, 4, 5, 6]), "dataset.shift.scales"),
+    (_doc("dataset.shift.scales", 5), "dataset.shift.scales"),
+    (_doc("dataset.shift.scales", [1, 2, 3, 4, "5"]), "dataset.shift.scales"),
+    (_doc("dataset.shift.scales", [False, 1, 2, 3, 4]), "dataset.shift.scales"),
+    (_doc("dataset.shift.scales", [5, 4, 3, 2, 1]), "dataset.shift"),
+    (_doc("dataset.shift.kind", "blur"), "dataset.shift"),
+    (_doc("dataset.shift.kind", 3), "dataset.shift.kind"),
+    (_doc("encoder.foo", 1), "encoder.foo"),
+    (_doc("encoder", {"width": 64, "latent_dim": 32}), "encoder"),
+    (_doc("encoder.latent_dim", 64), "encoder"),
+    (_doc("encoder.depth", 0), "encoder"),
+    (_doc("encoder.width", True), "encoder.width"),
+    (_doc("encoder.activation", 1), "encoder.activation"),
+    (_doc("encoder", "wide"), "encoder"),
+    (_doc("train.foo", 1), "train.foo"),
+    (_doc("train.seed", 1), "train.seed"),
+    (_doc("train.epochs", -1), "train"),
+    (_doc("train.batch_size", 0), "train"),
+    (_doc("train.l2", "none"), "train.l2"),
+    (_doc("train.lr_decay_epochs", "3"), "train.lr_decay_epochs"),
+    (_doc("train.lr_decay_epochs", [1.5]), "train.lr_decay_epochs"),
+    (_doc("train.lr_decay_epochs", [True]), "train.lr_decay_epochs"),
+    (_doc("train.optimizer", "adam"), "train.optimizer"),
+    (_doc("train.optimizer.l2", 0.01), "train.optimizer.l2"),
+    (_doc("train.optimizer.kind", "rmsprop"), "train.optimizer.kind"),
+    (_doc("train.optimizer.kind", 5), "train.optimizer.kind"),
+    (_doc("train.optimizer.lr", "fast"), "train.optimizer.lr"),
+    (_doc("train.optimizer.nesterov", 1), "train.optimizer.nesterov"),
+    (_doc("density.foo", 1), "density.foo"),
+    (_doc("density.kind", "gmm"), "density.kind"),
+    (_doc("density.kind", None), "density.kind"),
+    (_doc("density.bandwidth", "wide"), "density.bandwidth"),
+    (_doc("density.bandwidth", True), "density.bandwidth"),
+    (_doc("density.flow", 4), "density.flow"),
+    (_doc("density.flow.seed", 1), "density.flow.seed"),
+    (_doc("density.flow.optimizer", {"lr": 0.1}), "density.flow.optimizer"),
+    (_doc("density.flow.lr", "slow"), "density.flow.lr"),
+    (_doc("density.flow.epochs", 1.0), "density.flow.epochs"),
+    (_doc("reopt.foo", 1), "reopt.foo"),
+    (_doc("reopt.seed", 1), "reopt.seed"),
+    (_doc("reopt.optimizer", {"lr": 0.1}), "reopt.optimizer"),
+    (_doc("reopt.reinit", 1), "reopt.reinit"),
+    (_doc("reopt.lr", None), "reopt.lr"),
+]
+
+
+class TestContractTable:
+    @pytest.mark.parametrize("fields, expected", VALID)
+    def test_valid_document_parses_to_dataclass_config(self, fields, expected):
+        doc = json.loads(json.dumps(BASE))
+        doc.update(fields)
+        assert parse_config(doc) == expected
+
+    @pytest.mark.parametrize("doc, path", INVALID, ids=[p or "root" for _, p in INVALID])
+    def test_invalid_document_names_the_path(self, doc, path):
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.path == path
+        assert str(info.value).startswith(f"{path}: ")

@@ -196,10 +196,8 @@ class TestPipelineAgainstPerOpLoops:
                                 optimizer=OptimizerSpec(kind="adam", lr=3e-3),
                                 lr_decay_epochs=(2,), lr_decay_ratio=0.5, seed=2)
         flow_cfg = FlowConfig(coupling_layers=3, hidden_units=4, hidden_layers=2,
-                              epochs=3, batch_size=32, l2=0.01,
-                              optimizer=OptimizerSpec(kind="adam", lr=1e-2))
-        reopt_cfg = ReoptConfig(epochs=3, batch_size=32,
-                                optimizer=OptimizerSpec(kind="adam", lr=1e-2))
+                              epochs=3, batch_size=32, l2=0.01, lr=1e-2)
+        reopt_cfg = ReoptConfig(epochs=3, batch_size=32, lr=1e-2)
         result = train_pipeline(train, enc_cfg, train_cfg,
                                 DensityConfig(kind="flow", flow=flow_cfg), reopt_cfg)
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from density_softmax.data import make_two_moons, make_two_ovals
-from density_softmax.model import (Classifier, EncoderConfig, Ensemble,
-                                   TrainConfig, TrainingDiverged,
-                                   ensemble_train, erm_train, init_model,
-                                   param_count, predict_probs)
+from density_softmax.model import (Classifier, EncoderConfig, TrainConfig,
+                                   TrainingDiverged, erm_train, init_model)
 from density_softmax.optim import OptimizerSpec
+from density_softmax.predictor import DensitySoftmaxModel, Ensemble, ensemble_train
 
 SMALL = EncoderConfig(input_dim=2, width=8, depth=2, latent_dim=8)
 
@@ -39,7 +38,7 @@ class TestInitModel:
         cfg = EncoderConfig(input_dim=d_x, width=w, depth=depth, latent_dim=w)
         enc, clf = init_model(cfg, k, seed=0)
         expected = d_x * w + w + depth * (w * w + w) + w * k
-        assert param_count(enc, clf) == expected
+        assert DensitySoftmaxModel(enc, clf).param_count() == expected
         # and the formula agrees with direct enumeration over tensors
         total = sum(p.data.size for p in enc.params() + clf.params())
         assert total == expected
@@ -131,7 +130,7 @@ class TestErmTrain:
         train = make_two_ovals(100, 4.0, 0.05, seed=0)
         enc, clf = init_model(SMALL, 2, seed=0)
         erm_train(enc, clf, train, small_train_config(epochs=60))
-        probs = predict_probs(enc, clf, train.features)
+        probs = DensitySoftmaxModel(enc, clf).predict(train.features).probs
         acc = (probs.argmax(axis=1) == train.labels).mean()
         assert acc >= 0.99
 
@@ -187,19 +186,20 @@ class TestEnsemble:
     def test_mean_of_simplex_stays_on_simplex(self):
         train = make_two_moons(30, 0.1, seed=0)
         ens = ensemble_train(2, SMALL, 2, train, small_train_config(epochs=3))
-        probs = ens.predict_probs(train.features[:10])
+        probs = ens.predict(train.features[:10]).probs
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_identical_members_equal_single_model(self):
         train = make_two_moons(30, 0.1, seed=0)
         enc, clf = init_model(SMALL, 2, seed=4)
         erm_train(enc, clf, train, small_train_config(epochs=3, seed=4))
-        ens = Ensemble([(enc, clf), (enc, clf)])
-        single = predict_probs(enc, clf, train.features[:5])
-        np.testing.assert_array_equal(ens.predict_probs(train.features[:5]), single)
+        model = DensitySoftmaxModel(enc, clf)
+        ens = Ensemble([model, model])
+        single = model.predict(train.features[:5]).probs
+        np.testing.assert_array_equal(ens.predict(train.features[:5]).probs, single)
 
     def test_param_count_additivity(self):
         train = make_two_moons(30, 0.1, seed=0)
         ens = ensemble_train(2, SMALL, 2, train, small_train_config(epochs=1))
-        single = param_count(*ens.members[0])
+        single = ens.members[0].param_count()
         assert ens.param_count() == 2 * single

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from density_softmax.autodiff import Tensor
 from density_softmax.data import make_two_moons
-from density_softmax.density import LIKELIHOOD_FLOOR, ScaledDensity, kde_fit
+from density_softmax.density import (LIKELIHOOD_FLOOR, FlowConfig, FlowModel,
+                                     ScaledDensity, kde_fit)
 from density_softmax.model import Classifier, EncoderConfig, TrainConfig, init_model
 from density_softmax.ops import entropy, softmax
 from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel,
-                                       PipelineError, ReoptConfig,
-                                       binary_summaries, predictive_summaries,
+                                       PipelineError, ReoptConfig, predictive_summaries,
                                        reoptimize_classifier, train_pipeline)
 
 SMALL = EncoderConfig(input_dim=2, width=8, depth=2, latent_dim=8)
@@ -39,8 +39,7 @@ class _PinnedDensity(ScaledDensity):
 
 def pinned_model(value: float, seed: int = 0, k: int = 2) -> DensitySoftmaxModel:
     enc, clf = init_model(SMALL, k, seed=seed)
-    return DensitySoftmaxModel(encoder=enc, classifier=clf,
-                               density=_PinnedDensity(value), k=k)
+    return DensitySoftmaxModel(encoder=enc, classifier=clf, density=_PinnedDensity(value))
 
 
 def small_pipeline(seed=0, reopt_epochs=5, density=None):
@@ -51,8 +50,7 @@ def small_pipeline(seed=0, reopt_epochs=5, density=None):
         TrainConfig(epochs=25, batch_size=64,
                     optimizer=OptimizerSpec(kind="adam", lr=3e-3), seed=seed),
         density or DensityConfig(kind="kde"),
-        ReoptConfig(epochs=reopt_epochs, batch_size=64,
-                    optimizer=OptimizerSpec(kind="adam", lr=3e-3), seed=seed),
+        ReoptConfig(epochs=reopt_epochs, batch_size=64, lr=3e-3, seed=seed),
         k=2,
     )
 
@@ -125,21 +123,39 @@ class TestPredictMechanics:
         assert pred.scaled_likelihood.shape == (4,)
 
 
+def tiny_flow_density() -> DensityConfig:
+    return DensityConfig(kind="flow", flow=FlowConfig(epochs=5, batch_size=64,
+                                                      coupling_layers=2))
+
+
+def assert_huge_rows_floor(model: DensitySoftmaxModel, huge: float):
+    x = np.array([[0.5, 0.25], [huge, huge], [huge, -huge]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred = model.predict(x)
+    assert LIKELIHOOD_FLOOR < pred.scaled_likelihood[0] <= 1.0
+    assert np.all(pred.scaled_likelihood[1:] == LIKELIHOOD_FLOOR)
+    assert np.all(np.isfinite(pred.probs))
+    np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0, atol=1e-12)
+
+
 class TestFarAndHugeRows:
     @pytest.fixture(scope="class")
     def trained(self):
         return small_pipeline(seed=2, reopt_epochs=1)[1]
 
-    @pytest.mark.parametrize("huge", [1e160, 1e200])
+    @pytest.fixture(scope="class")
+    def flow_trained(self):
+        return small_pipeline(seed=2, reopt_epochs=1, density=tiny_flow_density())[1]
+
+    @pytest.mark.parametrize("huge", [1e160, 1e200, 1e300])
     def test_huge_finite_row_floors_likelihood(self, trained, huge):
-        x = np.array([[0.5, 0.25], [huge, huge], [huge, -huge]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pred = trained.model.predict(x)
-        assert LIKELIHOOD_FLOOR < pred.scaled_likelihood[0] <= 1.0
-        assert np.all(pred.scaled_likelihood[1:] == LIKELIHOOD_FLOOR)
-        assert np.all(np.isfinite(pred.probs))
-        np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0, atol=1e-12)
+        assert_huge_rows_floor(trained.model, huge)
+
+    @pytest.mark.parametrize("huge", [1e160, 1e200, 1e300])
+    def test_huge_finite_row_floors_flow_likelihood(self, flow_trained, huge):
+        # ||t||^2 overflows in the flow's log-density; s floors, no warning
+        assert_huge_rows_floor(flow_trained.model, huge)
 
     def test_latent_overflow_names_the_row(self):
         model = pinned_model(0.5)
@@ -155,7 +171,27 @@ class TestFarAndHugeRows:
         x = np.zeros((3, 2))
         x[1, 0] = bad
         with pytest.raises(ValueError, match="input row 1 is not finite"):
-            trained.erm_probs(x)
+            trained.erm_model.predict(x)
+
+
+class TestDistanceAwareness:
+    """The paper's claim as a property: s falls monotonically along rays
+    leaving the training data and reaches the floor far from it."""
+
+    DISTANCES = np.array([3, 5, 10, 20, 50, 100])  # in train std
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["kde", "flow"])
+    def test_s_falls_along_rays_from_the_train_mean(self, kind, seed):
+        density = tiny_flow_density() if kind == "flow" else DensityConfig(kind="kde")
+        train, result = small_pipeline(seed=seed, density=density)
+        mean, std = train.features.mean(axis=0), train.features.std(axis=0)
+        angles = 2 * np.pi * np.arange(16) / 16
+        rays = np.column_stack([np.cos(angles), np.sin(angles)]) * std
+        x = mean + self.DISTANCES[None, :, None] * rays[:, None, :]
+        s = result.model.predict(x.reshape(-1, 2)).scaled_likelihood.reshape(16, -1)
+        assert np.all(np.diff(s, axis=1) <= 0)
+        assert np.all(s[:, -1] <= 1e-200)
 
 
 class TestPipeline:
@@ -169,8 +205,9 @@ class TestPipeline:
 
     def test_erm_snapshot_shares_encoder_but_not_head(self):
         train, result = small_pipeline(seed=1)
-        assert result.erm_classifier is not result.model.classifier
-        assert not np.array_equal(result.erm_classifier.theta.data,
+        assert result.erm_model.encoder is result.model.encoder
+        assert result.erm_model.classifier is not result.model.classifier
+        assert not np.array_equal(result.erm_model.classifier.theta.data,
                                   result.model.classifier.theta.data)
 
     def test_deterministic(self):
@@ -189,13 +226,7 @@ class TestPipeline:
         assert trace[-1] < trace[0]
 
     def test_flow_density_variant(self):
-        from density_softmax.density import FlowConfig, FlowModel
-
-        train, result = small_pipeline(
-            seed=4,
-            density=DensityConfig(kind="flow",
-                                  flow=FlowConfig(epochs=5, batch_size=64,
-                                                  coupling_layers=2)))
+        train, result = small_pipeline(seed=4, density=tiny_flow_density())
         assert isinstance(result.model.density.inner, FlowModel)
         assert len(result.density_loss_trace) == 5
 
@@ -215,7 +246,7 @@ class TestReoptimize:
         train, result = small_pipeline(seed=5, reopt_epochs=0)
         model = result.model
         np.testing.assert_array_equal(model.classifier.theta.data,
-                                      result.erm_classifier.theta.data)
+                                      result.erm_model.classifier.theta.data)
 
     def test_touches_only_the_classifier(self):
         train, result = small_pipeline(seed=6)
@@ -247,25 +278,23 @@ class TestReoptimize:
 
 class TestSummaries:
     def test_uniform_binary_prediction(self):
-        out = binary_summaries(np.array([[0.5, 0.5]]), np.array([1.0]))
+        out = predictive_summaries(np.array([[0.5, 0.5]]), np.array([1.0]))
         assert out["variance"][0] == pytest.approx(0.25, abs=1e-15)
         assert out["u"][0] == pytest.approx(1.0, abs=1e-15)
         assert out["entropy_bits"][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_confident_prediction(self):
         p = 1.0 - 1e-12
-        out = binary_summaries(np.array([[1.0 - p, p]]), np.array([1.0]))
+        out = predictive_summaries(np.array([[1.0 - p, p]]), np.array([1.0]))
         assert out["variance"][0] == pytest.approx(0.0, abs=1e-11)
         assert out["u"][0] == pytest.approx(0.0, abs=1e-11)
 
     def test_hand_values_at_p09(self):
-        out = binary_summaries(np.array([[0.1, 0.9]]), np.array([1.0]))
+        out = predictive_summaries(np.array([[0.1, 0.9]]), np.array([1.0]))
         assert out["u"][0] == pytest.approx(0.2, abs=1e-12)
         assert out["variance"][0] == pytest.approx(0.09, abs=1e-12)
 
     def test_binary_metrics_refused_for_k3(self):
-        with pytest.raises(ValueError):
-            binary_summaries(np.full((1, 3), 1 / 3), np.array([1.0]))
         out = predictive_summaries(np.full((1, 3), 1 / 3), np.array([1.0]))
         assert "variance" not in out
 

@@ -8,15 +8,13 @@ import pytest
 from density_softmax import cli
 from density_softmax.data import make_two_moons
 from density_softmax.density import FlowConfig, FlowModel, ScaledDensity
-from density_softmax.model import (EncoderConfig, TrainConfig, ensemble_train,
-                                   init_model)
+from density_softmax.model import EncoderConfig, TrainConfig, init_model
 from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel,
-                                       ReoptConfig, train_pipeline)
-from density_softmax.serialize import (ContainerError, ErmModel,
-                                       density_softmax_container,
-                                       ensemble_container, erm_container,
-                                       load_container, save_container)
+                                       ReoptConfig, ensemble_train, train_pipeline)
+from density_softmax.serialize import (ContainerError, density_softmax_container,
+                                       ensemble_container, load_container,
+                                       save_container)
 
 SMALL = EncoderConfig(input_dim=2, width=8, depth=2, latent_dim=8)
 FAST = TrainConfig(epochs=5, batch_size=64,
@@ -76,21 +74,22 @@ class TestDensitySoftmaxContainer:
 class TestErmAndEnsembleContainers:
     def test_erm_round_trip(self, tmp_path, pipeline_result):
         train, result = pipeline_result
-        erm = ErmModel(result.model.encoder, result.erm_classifier)
+        erm = result.erm_model
+        doc = density_softmax_container(erm)
+        assert doc["kind"] == "erm" and "density" not in doc
         path = tmp_path / "erm.json"
-        save_container(erm_container(erm.encoder, erm.classifier), path)
+        save_container(doc, path)
         back = load_container(path)
         x = train.features[:20]
-        np.testing.assert_array_equal(back.predict_probs(x), erm.predict_probs(x))
+        np.testing.assert_array_equal(back.predict(x).probs, erm.predict(x).probs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_erm_model_rejects_non_finite_row(self, pipeline_result, bad):
         train, result = pipeline_result
         x = train.features[:4].copy()
         x[2, 0] = bad
-        erm = ErmModel(result.model.encoder, result.erm_classifier)
         with pytest.raises(ValueError, match="input row 2 is not finite"):
-            erm.predict_probs(x)
+            result.erm_model.predict(x)
 
     def test_ensemble_round_trip(self, tmp_path):
         train = make_two_moons(40, 0.1, seed=0)
@@ -99,7 +98,7 @@ class TestErmAndEnsembleContainers:
         save_container(ensemble_container(ens), path)
         back = load_container(path)
         x = train.features[:10]
-        np.testing.assert_array_equal(back.predict_probs(x), ens.predict_probs(x))
+        np.testing.assert_array_equal(back.predict(x).probs, ens.predict(x).probs)
         assert back.param_count() == ens.param_count()
 
     def test_save_is_deterministic(self, tmp_path, pipeline_result):
@@ -109,13 +108,25 @@ class TestErmAndEnsembleContainers:
         save_container(density_softmax_container(result.model), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_leaves_previous_file_intact(self, tmp_path, pipeline_result):
+        _, result = pipeline_result
+        path = tmp_path / "model.json"
+        save_container(density_softmax_container(result.model), path)
+        before = path.read_bytes()
+        doc = density_softmax_container(result.model)
+        doc["z"] = np.float32(1.0)  # json fails on it after writing the rest
+        with pytest.raises(TypeError):
+            save_container(doc, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
 
 def _flow_doc(model, dim: int) -> dict:
     """model's container with a fresh dim-d coupling flow as its density."""
     flow = FlowModel.build(dim, FlowConfig(coupling_layers=2, hidden_layers=1))
     return density_softmax_container(DensitySoftmaxModel(
         encoder=model.encoder, classifier=model.classifier,
-        density=ScaledDensity(inner=flow, max_train_log_density=0.0), k=model.k))
+        density=ScaledDensity(inner=flow, max_train_log_density=0.0)))
 
 
 def _drop_density(doc, model):

@@ -28,8 +28,8 @@ from .data import DataError, LabeledSet, load_csv, save_csv
 from .model import TrainingDiverged
 from .predictor import (DensitySoftmaxModel, PipelineError, PipelineResult,
                         ensemble_train, predictive_summaries, train_pipeline)
-from .serialize import (ContainerError, density_softmax_container, ensemble_container,
-                        load_container, save_container)
+from .serialize import (ContainerError, container_kind, density_softmax_container,
+                        ensemble_container, load_container, save_container)
 from .svg import heatmap_svg, histogram_svg, reliability_svg
 
 log = logging.getLogger("density_softmax")
@@ -159,8 +159,7 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
 
 def cmd_surface(args) -> int:
     model = load_container(args.model)
-    k = getattr(model, "k", None)
-    if k != 2:
+    if model.k != 2:
         raise ConfigError("model", "surface plots require a binary classifier")
     x0, x1, y0, y1 = _parse_bounds(args.bounds)
     res = args.resolution
@@ -281,7 +280,7 @@ def cmd_bench(args) -> int:
         q1, med, q3 = (float(q) for q in np.percentile(times, [25, 50, 75]))
         rows.append({
             "model": Path(path).stem,
-            "kind": type(model).__name__,
+            "kind": container_kind(model),
             "param_count": model.param_count(),
             "latency_ms_median": med,
             "latency_ms_iqr": q3 - q1,

@@ -94,6 +94,23 @@ class Ensemble:
 
     members: list[DensitySoftmaxModel]
 
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("an ensemble needs at least one member")
+        first = self.members[0]
+        for i, m in enumerate(self.members[1:], start=1):
+            if m.k != first.k:
+                raise ValueError(f"ensemble member {i} has k = {m.k}, "
+                                 f"member 0 has k = {first.k}")
+            dims = m.encoder.config.input_dim, first.encoder.config.input_dim
+            if dims[0] != dims[1]:
+                raise ValueError(f"ensemble member {i} has input_dim = {dims[0]}, "
+                                 f"member 0 has input_dim = {dims[1]}")
+
+    @property
+    def k(self) -> int:
+        return self.members[0].k
+
     def predict(self, x: np.ndarray) -> Prediction:
         probs = np.mean([m.predict(x).probs for m in self.members], axis=0)
         return Prediction(probs=probs, scaled_likelihood=None, latent=None)

@@ -1,12 +1,24 @@
 """Versioned JSON model containers with exact float round-trip.
 
-Weights are stored as nested lists; json emits full-precision reprs of
-float64 values, so save -> load reproduces every parameter bit for bit.
+A container is one JSON document. Every float64 array in it (dense weights
+and biases, the classifier's theta, the KDE support, the coupling masks) is
+an object ``{"shape": [...], "float64le": "<base64>"}``: the array's raw
+little-endian IEEE-754 bytes, base64-encoded. Save -> load therefore
+reproduces every parameter bit for bit by construction (the bytes are the
+bits, -0.0, subnormals and the largest finite value included), and neither
+side turns a weight into a Python float or its decimal repr. Scalars
+(bandwidth, max_train_log_density, config integers) stay JSON numbers.
+
+Version 2 is the only version read; a version-1 container (nested lists
+of decimal floats) is refused with a ContainerError, and ``run`` writes the
+same model again as version 2.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 from pathlib import Path
 
@@ -18,26 +30,52 @@ from .layers import Dense, DenseNet
 from .model import Classifier, Encoder, EncoderConfig
 from .predictor import DensitySoftmaxModel, Ensemble
 
-CONTAINER_VERSION = 1
+CONTAINER_VERSION = 2
 
 
 class ContainerError(ValueError):
     pass
 
 
+def _encode_array(a: np.ndarray) -> dict:
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape),
+            "float64le": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode_array(d: dict, what: str, ndim: int) -> np.ndarray:
+    """The writable float64 array stored in d; what names it in errors."""
+    if not isinstance(d, dict):
+        raise ContainerError(f"{what} is not a {{shape, float64le}} object")
+    shape = d["shape"]
+    if not (isinstance(shape, list) and len(shape) == ndim
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ContainerError(f"{what} shape {shape!r} is not a list of "
+                             f"{ndim} non-negative integers")
+    try:
+        raw = base64.b64decode(d["float64le"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ContainerError(f"{what} is not valid base64: {exc}") from None
+    needed = 8 * math.prod(shape)
+    if len(raw) != needed:
+        raise ContainerError(f"{what} holds {len(raw)} bytes, shape {shape} needs {needed}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
 def _dense_to_dict(layer: Dense) -> dict:
     return {
-        "weight": layer.weight.data.tolist(),
-        "bias": None if layer.bias is None else layer.bias.data.tolist(),
+        "weight": _encode_array(layer.weight.data),
+        "bias": None if layer.bias is None else _encode_array(layer.bias.data),
         "activation": layer.activation,
         "residual": layer.residual,
     }
 
 
-def _dense_from_dict(d: dict) -> Dense:
+def _dense_from_dict(d: dict, what: str) -> Dense:
+    bias = d["bias"]
     return Dense(
-        weight=Tensor(np.array(d["weight"], dtype=np.float64)),
-        bias=None if d["bias"] is None else Tensor(np.array(d["bias"], dtype=np.float64)),
+        weight=Tensor(_decode_array(d["weight"], f"{what} weight", 2)),
+        bias=None if bias is None else Tensor(_decode_array(bias, f"{what} bias", 1)),
         activation=d["activation"],
         residual=bool(d["residual"]),
     )
@@ -47,8 +85,8 @@ def _net_to_list(net: DenseNet) -> list:
     return [_dense_to_dict(layer) for layer in net.layers]
 
 
-def _net_from_list(layers: list) -> DenseNet:
-    return DenseNet([_dense_from_dict(d) for d in layers])
+def _net_from_list(layers: list, what: str) -> DenseNet:
+    return DenseNet([_dense_from_dict(d, f"{what} layer {i}") for i, d in enumerate(layers)])
 
 
 def _encoder_to_dict(encoder: Encoder) -> dict:
@@ -63,7 +101,7 @@ def _encoder_to_dict(encoder: Encoder) -> dict:
 
 def _encoder_from_dict(d: dict) -> Encoder:
     config = EncoderConfig(**d["config"])
-    net = _net_from_list(d["layers"])
+    net = _net_from_list(d["layers"], "encoder")
     if not net.layers:
         raise ContainerError("encoder has no layers")
     maps = (net.layers[0].weight.data.shape[0], net.layers[-1].weight.data.shape[1])
@@ -74,7 +112,7 @@ def _encoder_from_dict(d: dict) -> Encoder:
 
 
 def _classifier_from_dict(d: dict, latent_dim: int, k: int) -> Classifier:
-    theta = np.array(d["theta"], dtype=np.float64)
+    theta = _decode_array(d["theta"], "classifier theta", 2)
     if theta.shape != (latent_dim, k):
         raise ContainerError(f"classifier theta has shape {theta.shape}, "
                              f"expected latent_dim x k = {(latent_dim, k)}")
@@ -84,11 +122,11 @@ def _classifier_from_dict(d: dict, latent_dim: int, k: int) -> Classifier:
 def _density_to_dict(density: ScaledDensity) -> dict:
     inner = density.inner
     if isinstance(inner, KdeModel):
-        body = {"kind": "kde", "support": inner.support.tolist(),
+        body = {"kind": "kde", "support": _encode_array(inner.support),
                 "bandwidth": inner.bandwidth}
     elif isinstance(inner, FlowModel):
         body = {"kind": "flow", "dim": inner.dim,
-                "layers": [{"mask": layer.mask.tolist(),
+                "layers": [{"mask": _encode_array(layer.mask),
                             "s_net": _net_to_list(layer.s_net),
                             "t_net": _net_to_list(layer.t_net)}
                            for layer in inner.layers]}
@@ -101,13 +139,13 @@ def _density_to_dict(density: ScaledDensity) -> dict:
 def _density_from_dict(d: dict, latent_dim: int) -> ScaledDensity:
     if d["kind"] == "kde":
         inner: KdeModel | FlowModel = KdeModel(
-            support=np.array(d["support"], dtype=np.float64),
+            support=_decode_array(d["support"], "kde support", 2),
             bandwidth=float(d["bandwidth"]))
     elif d["kind"] == "flow":
-        layers = [CouplingLayer(mask=np.array(ld["mask"], dtype=np.float64),
-                                s_net=_net_from_list(ld["s_net"]),
-                                t_net=_net_from_list(ld["t_net"]))
-                  for ld in d["layers"]]
+        layers = [CouplingLayer(mask=_decode_array(ld["mask"], f"flow layer {i} mask", 1),
+                                s_net=_net_from_list(ld["s_net"], f"flow layer {i} s_net"),
+                                t_net=_net_from_list(ld["t_net"], f"flow layer {i} t_net"))
+                  for i, ld in enumerate(d["layers"])]
         inner = FlowModel(int(d["dim"]), layers)
     else:
         raise ContainerError(f"unknown density kind {d['kind']!r}")
@@ -118,15 +156,23 @@ def _density_from_dict(d: dict, latent_dim: int) -> ScaledDensity:
                          max_train_log_density=float(d["max_train_log_density"]))
 
 
+def container_kind(model: DensitySoftmaxModel | Ensemble) -> str:
+    """The "kind" field of the model's container: "erm", "density_softmax"
+    or "ensemble"."""
+    if isinstance(model, Ensemble):
+        return "ensemble"
+    return "erm" if model.density is None else "density_softmax"
+
+
 def density_softmax_container(model: DensitySoftmaxModel) -> dict:
     """The model's container; kind "erm", with no density key, if it has no
     density."""
     doc = {
         "version": CONTAINER_VERSION,
-        "kind": "erm" if model.density is None else "density_softmax",
+        "kind": container_kind(model),
         "k": model.k,
         "encoder": _encoder_to_dict(model.encoder),
-        "classifier": {"theta": model.classifier.theta.data.tolist()},
+        "classifier": {"theta": _encode_array(model.classifier.theta.data)},
     }
     if model.density is not None:
         doc["density"] = _density_to_dict(model.density)
@@ -159,8 +205,9 @@ def save_container(container: dict, path) -> None:
 def load_container(path):
     """Load any container kind; returns the reconstructed model object.
 
-    A malformed container raises ContainerError naming the missing key or
-    the part whose shape does not fit the rest of the model.
+    A malformed container raises ContainerError naming the missing key, the
+    array whose bytes do not decode to its shape, or the part whose shape
+    does not fit the rest of the model.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -169,7 +216,9 @@ def load_container(path):
         if "version" not in doc:
             raise ContainerError("missing version field")
         if doc["version"] != CONTAINER_VERSION:
-            raise ContainerError(f"unsupported container version {doc['version']}")
+            raise ContainerError(
+                f"unsupported container version {doc['version']}; this build reads "
+                f"version {CONTAINER_VERSION}, so write the model again with `run`")
         return _from_dict(doc)
     except KeyError as exc:
         raise ContainerError(f"{path}: missing key {exc}") from exc
@@ -178,14 +227,18 @@ def load_container(path):
 
 
 def _from_dict(doc: dict):
+    if doc.get("kind") == "ensemble":
+        return Ensemble([_model_from_dict(m) for m in doc["members"]])
+    return _model_from_dict(doc)
+
+
+def _model_from_dict(doc: dict) -> DensitySoftmaxModel:
     kind = doc.get("kind")
-    if kind in ("density_softmax", "erm"):
-        encoder = _encoder_from_dict(doc["encoder"])
-        latent_dim = encoder.config.latent_dim
-        classifier = _classifier_from_dict(doc["classifier"], latent_dim, int(doc["k"]))
-        density = (None if kind == "erm"
-                   else _density_from_dict(doc["density"], latent_dim))
-        return DensitySoftmaxModel(encoder, classifier, density)
-    if kind == "ensemble":
-        return Ensemble([_from_dict(m) for m in doc["members"]])
-    raise ContainerError(f"unknown container kind {kind!r}")
+    if kind not in ("density_softmax", "erm"):
+        raise ContainerError(f"unknown container kind {kind!r}")
+    encoder = _encoder_from_dict(doc["encoder"])
+    latent_dim = encoder.config.latent_dim
+    classifier = _classifier_from_dict(doc["classifier"], latent_dim, int(doc["k"]))
+    density = (None if kind == "erm"
+               else _density_from_dict(doc["density"], latent_dim))
+    return DensitySoftmaxModel(encoder, classifier, density)

@@ -86,6 +86,8 @@ class TestSubcommands:
         ok("bench", "--models", run / "model.json", run / "model_erm.json",
            "--set", data / "iid_test.csv", "--warmup", 2, "--repetitions", 5,
            "--out", root / "bench")
+        bench = json.loads((root / "bench" / "bench.json").read_text())
+        assert [m["kind"] for m in bench["models"]] == ["density_softmax", "erm"]
 
 
 class TestExitCodes:

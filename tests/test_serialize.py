@@ -12,9 +12,10 @@ from density_softmax.model import EncoderConfig, TrainConfig, init_model
 from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel,
                                        ReoptConfig, ensemble_train, train_pipeline)
-from density_softmax.serialize import (ContainerError, density_softmax_container,
-                                       ensemble_container, load_container,
-                                       save_container)
+from density_softmax.serialize import (CONTAINER_VERSION, ContainerError,
+                                       _decode_array, _encode_array,
+                                       density_softmax_container, ensemble_container,
+                                       load_container, save_container)
 
 SMALL = EncoderConfig(input_dim=2, width=8, depth=2, latent_dim=8)
 FAST = TrainConfig(epochs=5, batch_size=64,
@@ -52,8 +53,8 @@ class TestDensitySoftmaxContainer:
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "weird.json"
-        path.write_text('{"version": 1, "kind": "mystery"}')
-        with pytest.raises(ContainerError, match="kind"):
+        path.write_text(json.dumps({"version": CONTAINER_VERSION, "kind": "mystery"}))
+        with pytest.raises(ContainerError, match="unknown container kind 'mystery'"):
             load_container(path)
 
     def test_flow_density_round_trip(self, tmp_path):
@@ -69,6 +70,36 @@ class TestDensitySoftmaxContainer:
         x = train.features[:10]
         np.testing.assert_array_equal(back.predict(x).probs,
                                       result.model.predict(x).probs)
+
+
+class TestArrayEncoding:
+    EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+    def test_extreme_values_round_trip_bit_for_bit(self, tmp_path):
+        enc, clf = init_model(SMALL, 2, seed=0)
+        first = enc.net.layers[0]
+        first.weight.data[0, :4] = self.EXTREMES
+        first.bias.data[:4] = self.EXTREMES
+        clf.theta.data[0, :] = [-0.0, 5e-324]
+        path = tmp_path / "extreme.json"
+        save_container(density_softmax_container(DensitySoftmaxModel(enc, clf)), path)
+        back = load_container(path)
+        pairs = [(back.classifier.theta, clf.theta)]
+        for mine, theirs in zip(back.encoder.net.layers, enc.net.layers):
+            pairs += [(mine.weight, theirs.weight), (mine.bias, theirs.bias)]
+        for mine, theirs in pairs:
+            assert mine.data.dtype == np.float64 and mine.data.flags.writeable
+            np.testing.assert_array_equal(mine.data.view(np.uint64),
+                                          theirs.data.view(np.uint64))
+
+    def test_encode_decode_is_exact_for_any_shape(self):
+        for a in (np.array(self.EXTREMES), np.arange(6.0).reshape(2, 3).T,
+                  np.zeros((0, 3))):
+            d = json.loads(json.dumps(_encode_array(a)))
+            back = _decode_array(d, "a", a.ndim)
+            assert back.shape == a.shape
+            np.testing.assert_array_equal(back.view(np.uint64),
+                                          np.ascontiguousarray(a).view(np.uint64))
 
 
 class TestErmAndEnsembleContainers:
@@ -100,6 +131,41 @@ class TestErmAndEnsembleContainers:
         x = train.features[:10]
         np.testing.assert_array_equal(back.predict(x).probs, ens.predict(x).probs)
         assert back.param_count() == ens.param_count()
+
+    def test_binary_ensemble_surface_exits_0(self, tmp_path):
+        train = make_two_moons(40, 0.1, seed=0)
+        path = tmp_path / "ens.json"
+        save_container(ensemble_container(ensemble_train(2, SMALL, 2, train, FAST)), path)
+        code = cli.main(["surface", "--model", str(path), "--out", str(tmp_path / "s"),
+                         "--resolution", "5"])
+        assert code == 0
+        lines = (tmp_path / "s" / "surface.csv").read_text().splitlines()
+        assert len(lines) == 1 + 5 * 5
+
+    @pytest.mark.parametrize("second, message", [
+        (None, "an ensemble needs at least one member"),
+        ((SMALL, 3), "ensemble member 1 has k = 3, member 0 has k = 2"),
+        ((EncoderConfig(input_dim=3, width=8, depth=2, latent_dim=8), 2),
+         "ensemble member 1 has input_dim = 3, member 0 has input_dim = 2"),
+    ], ids=["no_members", "k", "input_dim"])
+    def test_inconsistent_ensemble_rejected_at_load(self, tmp_path, pipeline_result,
+                                                    second, message, capsys):
+        """second: (encoder config, k) of a member beside the 2-class ERM
+        model, or None for an ensemble with no members."""
+        _, result = pipeline_result
+        members = []
+        if second is not None:
+            enc, clf = init_model(*second, seed=0)
+            members = [density_softmax_container(result.erm_model),
+                       density_softmax_container(DensitySoftmaxModel(enc, clf))]
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({"version": CONTAINER_VERSION, "kind": "ensemble",
+                                    "members": members}))
+        with pytest.raises(ContainerError, match=message):
+            load_container(path)
+        code = cli.main(["surface", "--model", str(path), "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_save_is_deterministic(self, tmp_path, pipeline_result):
         _, result = pipeline_result
@@ -134,13 +200,18 @@ def _drop_density(doc, model):
     return doc
 
 
+def _sliced(d: dict, index) -> dict:
+    """The stored array d with index applied, stored again."""
+    return _encode_array(_decode_array(d, "test array", len(d["shape"]))[index])
+
+
 def _short_theta(doc, model):
-    doc["classifier"]["theta"] = doc["classifier"]["theta"][:4]
+    doc["classifier"]["theta"] = _sliced(doc["classifier"]["theta"], slice(4))
     return doc
 
 
 def _narrow_support(doc, model):
-    doc["density"]["support"] = [row[:4] for row in doc["density"]["support"]]
+    doc["density"]["support"] = _sliced(doc["density"]["support"], (slice(None), slice(4)))
     return doc
 
 
@@ -160,7 +231,52 @@ def _flow_of_other_dim(doc, model):
 
 def _short_mask(doc, model):
     doc = _flow_doc(model, 8)
-    doc["density"]["layers"][1]["mask"] = doc["density"]["layers"][1]["mask"][:6]
+    doc["density"]["layers"][1]["mask"] = _sliced(doc["density"]["layers"][1]["mask"],
+                                                  slice(6))
+    return doc
+
+
+def _version_1(doc, model):
+    """The same model as the version-1 format wrote it: arrays as nested lists."""
+    def to_v1(node):
+        if isinstance(node, dict) and "float64le" in node:
+            return _decode_array(node, "test array", len(node["shape"])).tolist()
+        if isinstance(node, dict):
+            return {key: to_v1(value) for key, value in node.items()}
+        return [to_v1(value) for value in node] if isinstance(node, list) else node
+    return {**to_v1(doc), "version": 1}
+
+
+def _base64_cut_short(doc, model):
+    weight = doc["encoder"]["layers"][1]["weight"]
+    weight["float64le"] = weight["float64le"][:-4]
+    return doc
+
+
+def _base64_cut_mid_quad(doc, model):
+    weight = doc["encoder"]["layers"][1]["weight"]
+    weight["float64le"] = weight["float64le"][:-1]
+    return doc
+
+
+def _not_base64(doc, model):
+    bias = doc["encoder"]["layers"][0]["bias"]
+    bias["float64le"] = bias["float64le"][:4] + "!" + bias["float64le"][4:]
+    return doc
+
+
+def _shape_disagrees_with_bytes(doc, model):
+    doc["classifier"]["theta"]["shape"] = [8, 3]
+    return doc
+
+
+def _flat_theta(doc, model):
+    doc["classifier"]["theta"]["shape"] = [16]  # 16 floats: the byte count fits
+    return doc
+
+
+def _nested_list_support(doc, model):
+    doc["density"]["support"] = model.density.inner.support.tolist()
     return doc
 
 
@@ -177,8 +293,21 @@ class TestContainerValidation:
         (_short_mask, "coupling layer 1 mask has length 6, the flow is 8-d"),
         (_config_input_dim, "encoder layers map 2 -> 8 columns, config says 3 -> 8"),
         (_no_encoder_layers, "encoder has no layers"),
+        (_version_1, "unsupported container version 1; this build reads version 2, "
+                     "so write the model again with `run`"),
+        (_base64_cut_short, "encoder layer 1 weight holds 510 bytes, shape "
+                            r"\[8, 8\] needs 512"),
+        (_base64_cut_mid_quad, "encoder layer 1 weight is not valid base64"),
+        (_not_base64, "encoder layer 0 bias is not valid base64"),
+        (_shape_disagrees_with_bytes, r"classifier theta holds 128 bytes, shape \[8, 3\] "
+                                      "needs 192"),
+        (_flat_theta, r"classifier theta shape \[16\] is not a list of 2 non-negative "
+                      "integers"),
+        (_nested_list_support, r"kde support is not a \{shape, float64le\} object"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
-            "mask_length", "encoder_layers", "no_encoder_layers"])
+            "mask_length", "encoder_layers", "no_encoder_layers", "version_1",
+            "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
+            "shape_ndim", "nested_list_array"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
                                               corrupt, message, capsys):
         _, result = pipeline_result

@@ -5,7 +5,13 @@ Two estimators share the same interface (``log_density`` over rows):
 * :class:`KdeModel` — Gaussian kernel density with a scalar bandwidth.
 * :class:`FlowModel` — affine coupling flow with exact log-likelihood via
   the change-of-variables formula: log p(z) = log N(t; 0, I) + log|det J|
-  where t is the stacked coupling transform of z.
+  where t is the stacked coupling transform of z. Each coupling layer
+  splits z into pass-through columns P (its mask's ones, a prefix or a
+  suffix of the columns) and transformed columns T, and its subnets read
+  only z_P and compute only the T outputs. The log-det sums still run over
+  a full-width array (s in T, zeros in P), so numpy's pairwise summation
+  groups the terms as it does for the masked product s * (1 - mask) and
+  the sums stay bit-identical to it (see :class:`CouplingLayer`).
 
 After fitting, :func:`compute_scale` records the maximum train-point
 log-density (a streaming max over batches); scaled likelihoods are then
@@ -141,87 +147,131 @@ def kde_fit(z: np.ndarray, bandwidth: float | None = None) -> KdeModel:
 
 @dataclass
 class CouplingLayer:
-    """Affine coupling: coordinates with mask 1 pass through and drive the
-    scale/shift subnets; the complement is transformed.
+    """Affine coupling (RealNVP) on the split z = (z_P, z_T): the mask's
+    ones mark the pass-through columns P, its zeros the transformed columns T.
 
-    forward:  t = m*z + (1-m) * (z * exp(s) + b)   with s = S(m*z), b = T(m*z)
-    inverse:  z = m*t + (1-m) * (t - b) * exp(-s)
-    log|det| = sum of s over transformed coordinates.
+    forward:  t_P = z_P,  t_T = z_T * exp(s) + b   with s = S(z_P), b = T(z_P)
+    inverse:  z_P = t_P,  z_T = (t_T - b) * exp(-s)
+    log|det| = sum of s over T.
+
+    The kernels work on the column halves: each subnet reads z_P through
+    its first layer's rows P and computes only its outputs T through its
+    last layer's columns T, so no arithmetic runs on the zeros of a masked
+    product. The skipped first-layer rows T and last-layer columns P stay
+    in the parameters and get a zero data gradient (plus the L2 term). The
+    halves are slices, cached at construction, so the mask's ones must be a
+    prefix or a suffix (the only masks ``FlowModel.build`` writes), and both
+    subnets must map len(mask) columns to len(mask) columns through
+    non-residual end layers.
+
+    The log-det sums run over a full-width array with s in T and zeros in
+    P, laid out as the masked product s * (1 - mask) would be: numpy's
+    pairwise summation groups terms by their position, so each sum groups
+    its terms as the masked composition's does. Where the half-width
+    matmuls also equal the full-width ones (at the default 128-d latent),
+    the loss and its trace are bit-identical to the masked composition; at
+    some small widths OpenBLAS picks another kernel for a half-width
+    product, which moves the last bits.
     """
 
     mask: np.ndarray
     s_net: DenseNet
     t_net: DenseNet
+    p_cols: slice = field(init=False, repr=False, compare=False)
+    t_cols: slice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=np.float64)
         if not ((self.mask == 0) | (self.mask == 1)).all():
             raise ValueError("mask must be binary")
-        if self.mask.sum() in (0, self.mask.size):
+        d, k = self.mask.size, int(self.mask.sum())
+        if k in (0, d):
             raise ValueError("mask needs at least one 0 and one 1")
-        if not (self.s_net.layers and self.t_net.layers):
-            raise ValueError("coupling subnets need at least one layer")
+        if self.mask[:k].all():
+            self.p_cols, self.t_cols = slice(0, k), slice(k, d)
+        elif self.mask[d - k:].all():
+            self.p_cols, self.t_cols = slice(d - k, d), slice(0, d - k)
+        else:
+            raise ValueError("mask ones must be a prefix or a suffix of the mask")
+        for name, net in (("s_net", self.s_net), ("t_net", self.t_net)):
+            if not net.layers:
+                raise ValueError("coupling subnets need at least one layer")
+            first, last = net.layers[0], net.layers[-1]
+            maps = (first.weight.data.shape[0], last.weight.data.shape[1])
+            if maps != (d, d):
+                raise ValueError(f"{name} maps {maps[0]} -> {maps[1]} columns, "
+                                 f"the mask has length {d}")
+            if first.residual or last.residual:
+                raise ValueError(f"{name} first and last layers must not be residual")
+
+    def _log_det_layout(self, s: np.ndarray) -> np.ndarray:
+        """Zeros of the full width with s in the columns T."""
+        out = np.zeros((s.shape[0], self.mask.size))
+        out[:, self.t_cols] = s
+        return out
 
     def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inference forward: t and log|det| per row. Works in place on the
-        subnets' fresh outputs, so at most four batch-sized arrays are live."""
-        comp = 1.0 - self.mask
-        h = z * self.mask
-        u = self.s_net.forward(h)
-        u *= comp
-        log_det = u.sum(axis=1)
+        s-net's fresh output."""
+        p, tc = self.p_cols, self.t_cols
+        zp = z[:, p]
+        u = self.s_net.forward(zp, p, tc)
+        out = self._log_det_layout(u)
+        log_det = out.sum(axis=1)
         np.exp(u, out=u)
-        u *= z
-        b = self.t_net.forward(h)
-        b *= comp
-        u += b
-        del b
-        u *= comp
-        h += u
-        return h, log_det
+        u *= z[:, tc]
+        u += self.t_net.forward(zp, p, tc)
+        out[:, tc] = u
+        out[:, p] = zp
+        return out, log_det
 
     def inverse(self, t: np.ndarray) -> np.ndarray:
-        comp = 1.0 - self.mask
-        h = t * self.mask
-        s = self.s_net.forward(h) * comp
-        b = self.t_net.forward(h) * comp
-        return h + comp * (t - b) * np.exp(-s)
+        p, tc = self.p_cols, self.t_cols
+        tp = t[:, p]
+        s = self.s_net.forward(tp, p, tc)
+        b = self.t_net.forward(tp, p, tc)
+        z = np.empty(t.shape)
+        z[:, p] = tp
+        z[:, tc] = (t[:, tc] - b) * np.exp(-s)
+        return z
 
     def forward_cached(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """Training forward: (t, sum of s over the batch, cache for backward).
-
-        Same arithmetic as the per-op tape composition the tests keep:
-        h = m*z, s = S(h)*(1-m), b = T(h)*(1-m), t = h + (z*exp(s) + b)*(1-m).
-        """
-        comp = 1.0 - self.mask
-        h = z * self.mask
-        s_raw, s_cache = self.s_net.forward_cached(h)
-        b_raw, b_cache = self.t_net.forward_cached(h)
-        s = s_raw * comp
+        """Training forward: (t, sum of s over the batch, cache for backward)."""
+        p, tc = self.p_cols, self.t_cols
+        zp, zt = z[:, p], z[:, tc]
+        s, s_cache = self.s_net.forward_cached(zp, p, tc)
+        b, b_cache = self.t_net.forward_cached(zp, p, tc)
+        out = self._log_det_layout(s)
+        s_sum = out.sum()
         e = np.exp(s)
-        t = h + (z * e + b_raw * comp) * comp
-        return t, s.sum(), (z, e, comp, s_cache, b_cache)
+        out[:, tc] = zt * e + b
+        out[:, p] = zp
+        return out, s_sum, (zt, e, s_cache, b_cache)
 
     def backward_cached(self, cache: tuple, g_t: np.ndarray, g_s_sum,
-                        t_net_first: bool) -> np.ndarray:
-        """Add the subnets' parameter gradients; return d(loss)/dz.
+                        t_net_first: bool, input_grad: bool = True) -> np.ndarray | None:
+        """Add the subnets' parameter gradients; return d(loss)/dz, or None
+        when ``input_grad`` is false.
 
-        The masked input h collects three contributions, and floating-point
-        addition is not associative, so their order is fixed to the one the
-        per-op tape's depth-first walk produces: the pass-through term, then
-        the s-net's, then the t-net's; `t_net_first` swaps the last two,
-        which is the tape's order in the flow's final coupling layer.
+        z_P collects three contributions, and floating-point addition is
+        not associative, so their order is fixed to the one the per-op
+        tape's depth-first walk produces: the pass-through term, then the
+        s-net's, then the t-net's; `t_net_first` swaps the last two, which
+        is the tape's order in the flow's final coupling layer.
         """
-        z, e, comp, s_cache, b_cache = cache
-        g_u = g_t * comp
-        g_s = g_s_sum + g_u * z * e
-        g_h_s = self.s_net.backward_cached(s_cache, g_s * comp)
-        g_h_t = self.t_net.backward_cached(b_cache, g_u * comp)
-        if t_net_first:
-            g_h = g_t + g_h_t + g_h_s
-        else:
-            g_h = g_t + g_h_s + g_h_t
-        return g_u * e + g_h * self.mask
+        zt, e, s_cache, b_cache = cache
+        p, tc = self.p_cols, self.t_cols
+        g_out = g_t[:, tc]
+        g_s = g_s_sum + g_out * zt * e
+        g_p_s = self.s_net.backward_cached(s_cache, g_s, p, tc, input_grad)
+        g_p_t = self.t_net.backward_cached(b_cache, g_out, p, tc, input_grad)
+        if not input_grad:
+            return None
+        g_z = np.empty(g_t.shape)
+        g_z[:, tc] = g_out * e
+        g_z[:, p] = (g_t[:, p] + g_p_t + g_p_s if t_net_first
+                     else g_t[:, p] + g_p_s + g_p_t)
+        return g_z
 
     def params(self) -> list[Tensor]:
         return self.s_net.params() + self.t_net.params()
@@ -257,11 +307,16 @@ class FlowModel:
         if dim < 2:
             raise ValueError("flow needs dim >= 2")
         for i, layer in enumerate(layers):
-            if layer.mask.shape != (dim,):
-                raise ValueError(f"coupling layer {i} mask has length "
-                                 f"{layer.mask.size}, the flow is {dim}-d")
+            self.check_mask(i, layer.mask, dim)
         self.dim = dim
         self.layers = layers
+
+    @staticmethod
+    def check_mask(index: int, mask: np.ndarray, dim: int) -> None:
+        """A coupling mask must span the flow's dim columns."""
+        if mask.shape != (dim,):
+            raise ValueError(f"coupling layer {index} mask has length "
+                             f"{mask.size}, the flow is {dim}-d")
 
     @classmethod
     def build(cls, dim: int, config: FlowConfig) -> "FlowModel":
@@ -339,7 +394,7 @@ class FlowModel:
             g = (r * 0.5) * (2.0 * t)
             last = len(self.layers) - 1
             for i in range(last, -1, -1):
-                g = self.layers[i].backward_cached(caches[i], g, -r, i == last)
+                g = self.layers[i].backward_cached(caches[i], g, -r, i == last, i > 0)
             if weights:
                 l2_backward(weights, l2, out.grad)
 

@@ -7,6 +7,12 @@ the autodiff tape as one fused node: its forward repeats the arithmetic of
 backward walks the stack once. The tests hold it to a per-op composition of
 the generic autodiff primitives, bit for bit, in values and in every
 gradient. ``l2_loss`` is the fused L2 penalty node.
+
+``DenseNet`` can also run sliced (``rows``/``cols``): the input holds only
+some of the first layer's input columns, and only some of the last layer's
+output columns are computed. The coupling flow uses this to feed its subnets
+only the pass-through columns and to compute only the transformed ones; a
+skipped weight entry gets no gradient from the data.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import numpy as np
 from .autodiff import Tensor
 
 ACTIVATIONS = ("relu", "tanh", "linear")
+
+ALL = slice(None)  # every row or column: an unsliced layer
 
 
 def _apply_activation(h: np.ndarray, activation: str, out=None) -> np.ndarray:
@@ -51,6 +59,10 @@ class Dense:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.residual and self.weight.data.shape[0] != self.weight.data.shape[1]:
             raise ValueError("residual layer needs equal input/output width")
+        units = self.weight.data.shape[1]
+        if self.bias is not None and self.bias.data.shape != (units,):
+            raise ValueError(f"bias has shape {self.bias.data.shape}, the layer has "
+                             f"{units} units")
 
     @classmethod
     def init(
@@ -67,11 +79,18 @@ class Dense:
         b = Tensor(np.zeros(out_dim)) if bias else None
         return cls(weight=Tensor(w), bias=b, activation=activation, residual=residual)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Inference forward; works in the one fresh matmul output."""
-        h = x @ self.weight.data
-        if self.bias is not None:
-            h += self.bias.data
+    def forward(self, x: np.ndarray, rows=ALL, cols=ALL) -> np.ndarray:
+        """Inference forward; works in the one fresh matmul output. x holds
+        the input columns ``rows``, and only the output columns ``cols`` are
+        computed; a sliced layer must not be residual."""
+        w = self.weight.data
+        b = None if self.bias is None else self.bias.data
+        if rows is not ALL or cols is not ALL:
+            w = w[rows, cols]
+            b = None if b is None else b[cols]
+        h = x @ w
+        if b is not None:
+            h += b
         h = _apply_activation(h, self.activation, out=h)
         if self.residual:
             h += x
@@ -95,29 +114,40 @@ class DenseNet:
                     f"{nxt.weight.data.shape}"
                 )
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x)
+    def forward(self, x: np.ndarray, rows=ALL, cols=ALL) -> np.ndarray:
+        """Inference forward. x holds the input columns ``rows``; only the
+        output columns ``cols`` are computed."""
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            x = layer.forward(x, rows if i == 0 else ALL, cols if i == last else ALL)
         return x
 
-    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+    def forward_cached(self, x: np.ndarray, rows=ALL, cols=ALL) -> tuple[np.ndarray, list]:
         """``forward`` that also returns what ``backward_cached`` needs: each
         layer's input and activation (the relu mask and the tanh derivative
-        both follow from the activation, so the pre-activation is not kept)."""
+        both follow from the activation, so the pre-activation is not kept).
+        The end layers of a sliced pass must not be residual."""
         cache = []
-        for layer in self.layers:
-            h = x @ layer.weight.data
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            r, c = rows if i == 0 else ALL, cols if i == last else ALL
+            h = x @ layer.weight.data[r, c]
             if layer.bias is not None:
-                h += layer.bias.data
+                h += layer.bias.data[c]
             a = _apply_activation(h, layer.activation)
             cache.append((x, a))
             x = x + a if layer.residual else a
         return x, cache
 
-    def backward_cached(self, cache: list, g: np.ndarray) -> np.ndarray:
+    def backward_cached(self, cache: list, g: np.ndarray, rows=ALL, cols=ALL,
+                        input_grad: bool = True) -> np.ndarray | None:
         """Given g = d(loss)/d(output), add every parameter's gradient and
-        return d(loss)/d(input)."""
-        for layer, (x, a) in zip(reversed(self.layers), reversed(cache)):
+        return d(loss)/d(input), or None when ``input_grad`` is false. The
+        entries a sliced pass skipped get a zero gradient."""
+        last = len(self.layers) - 1
+        for i in range(last, -1, -1):
+            layer, (x, a) = self.layers[i], cache[i]
+            r, c = rows if i == 0 else ALL, cols if i == last else ALL
             if layer.activation == "relu":
                 gh = g * (a > 0.0)
             elif layer.activation == "tanh":
@@ -125,9 +155,11 @@ class DenseNet:
             else:
                 gh = g
             if layer.bias is not None:
-                layer.bias.accumulate(gh.sum(axis=0))
-            layer.weight.accumulate(x.T @ gh)
-            gx = gh @ layer.weight.data.T
+                layer.bias.accumulate(_placed(gh.sum(axis=0), layer.bias.data, c))
+            layer.weight.accumulate(_placed(x.T @ gh, layer.weight.data, (r, c)))
+            if i == 0 and not input_grad:
+                return None
+            gx = gh @ layer.weight.data[r, c].T
             g = g + gx if layer.residual else gx
         return g
 
@@ -151,6 +183,16 @@ class DenseNet:
     def weight_tensors(self) -> list[Tensor]:
         """Weight matrices only (biases excluded), for l2 penalties."""
         return [layer.weight for layer in self.layers]
+
+
+def _placed(part: np.ndarray, like: np.ndarray, index) -> np.ndarray:
+    """part at index in an array of zeros shaped like ``like``; part itself
+    when the index takes everything."""
+    if index == ALL or index == (ALL, ALL):
+        return part
+    full = np.zeros(like.shape)
+    full[index] = part
+    return full
 
 
 def l2_value(weights: list[Tensor], coefficient: float) -> float:

@@ -72,13 +72,13 @@ def _dense_to_dict(layer: Dense) -> dict:
 
 
 def _dense_from_dict(d: dict, what: str) -> Dense:
-    bias = d["bias"]
-    return Dense(
-        weight=Tensor(_decode_array(d["weight"], f"{what} weight", 2)),
-        bias=None if bias is None else Tensor(_decode_array(bias, f"{what} bias", 1)),
-        activation=d["activation"],
-        residual=bool(d["residual"]),
-    )
+    weight = Tensor(_decode_array(d["weight"], f"{what} weight", 2))
+    bias = None if d["bias"] is None else Tensor(_decode_array(d["bias"], f"{what} bias", 1))
+    try:
+        return Dense(weight=weight, bias=bias, activation=d["activation"],
+                     residual=bool(d["residual"]))
+    except ValueError as exc:
+        raise ContainerError(f"{what}: {exc}") from None
 
 
 def _net_to_list(net: DenseNet) -> list:
@@ -142,11 +142,19 @@ def _density_from_dict(d: dict, latent_dim: int) -> ScaledDensity:
             support=_decode_array(d["support"], "kde support", 2),
             bandwidth=float(d["bandwidth"]))
     elif d["kind"] == "flow":
-        layers = [CouplingLayer(mask=_decode_array(ld["mask"], f"flow layer {i} mask", 1),
-                                s_net=_net_from_list(ld["s_net"], f"flow layer {i} s_net"),
-                                t_net=_net_from_list(ld["t_net"], f"flow layer {i} t_net"))
-                  for i, ld in enumerate(d["layers"])]
-        inner = FlowModel(int(d["dim"]), layers)
+        dim = int(d["dim"])
+        layers = []
+        for i, ld in enumerate(d["layers"]):
+            what = f"flow layer {i}"
+            mask = _decode_array(ld["mask"], f"{what} mask", 1)
+            FlowModel.check_mask(i, mask, dim)  # before the subnets are held to it
+            s_net = _net_from_list(ld["s_net"], f"{what} s_net")
+            t_net = _net_from_list(ld["t_net"], f"{what} t_net")
+            try:
+                layers.append(CouplingLayer(mask=mask, s_net=s_net, t_net=t_net))
+            except ValueError as exc:
+                raise ContainerError(f"{what}: {exc}") from None
+        inner = FlowModel(dim, layers)
     else:
         raise ContainerError(f"unknown density kind {d['kind']!r}")
     if inner.dim != latent_dim:
@@ -228,7 +236,11 @@ def load_container(path):
 
 def _from_dict(doc: dict):
     if doc.get("kind") == "ensemble":
-        return Ensemble([_model_from_dict(m) for m in doc["members"]])
+        members = doc["members"]
+        for i, member in enumerate(members):
+            if not isinstance(member, dict):
+                raise ContainerError(f"ensemble member {i} is not an object")
+        return Ensemble([_model_from_dict(m) for m in members])
     return _model_from_dict(doc)
 
 

@@ -2,8 +2,9 @@
 
 These build the forward passes of the fused nodes (a dense stack, the flow
 loss, the L2 penalty) out of the generic autodiff primitives, one tape node
-per operation. The tests require the fused nodes to reproduce their values
-and every gradient bit for bit. The per-parameter Adam and the reference training
+per operation; the coupling layers here run on full-width masked arrays,
+where the program's kernels work on column halves. The tests require the
+fused nodes to reproduce their values and every gradient bit for bit. The per-parameter Adam and the reference training
 loops play the same role for the contiguous optimizer state and the shared
 minibatch loop.
 """
@@ -54,6 +55,26 @@ def coupling_forward_tape(layer, z: Tensor) -> tuple[Tensor, Tensor]:
     b = densenet_forward_tape(layer.t_net, h).mul_const(comp)
     t = h + (z * s.exp() + b).mul_const(comp)
     return t, s.sum()
+
+
+def masked_coupling_forward(layer, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A coupling layer's inference forward on full-width masked arrays:
+    h = m*z, s = S(h)*(1-m), t = h + (z*exp(s) + T(h)*(1-m))*(1-m); returns
+    t and log|det| per row."""
+    comp = 1.0 - layer.mask
+    h = z * layer.mask
+    s = layer.s_net.forward(h) * comp
+    t = h + (z * np.exp(s) + layer.t_net.forward(h) * comp) * comp
+    return t, s.sum(axis=1)
+
+
+def masked_log_density(flow, z: np.ndarray) -> np.ndarray:
+    """Per-row flow log-density through masked_coupling_forward."""
+    log_det = np.zeros(z.shape[0])
+    for layer in flow.layers:
+        z, layer_log_det = masked_coupling_forward(layer, z)
+        log_det += layer_log_det
+    return -0.5 * (z * z).sum(axis=1) - 0.5 * flow.dim * LOG_2PI + log_det
 
 
 def flow_nll_loss(flow, batch: np.ndarray, l2: float) -> Tensor:

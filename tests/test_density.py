@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from kde_reference import kde_log_density
 
-from density_softmax.density import (LIKELIHOOD_FLOOR, FlowConfig, FlowModel,
-                                     KdeModel, ScaledDensity, compute_scale,
+from density_softmax.density import (LIKELIHOOD_FLOOR, CouplingLayer, FlowConfig,
+                                     FlowModel, KdeModel, ScaledDensity, compute_scale,
                                      flow_fit, kde_fit, scott_bandwidth)
-from density_softmax.layers import DenseNet
+from density_softmax.layers import Dense, DenseNet
 from density_softmax.model import TrainingDiverged
 
 
@@ -238,6 +238,25 @@ class TestFlowStructure:
         # subnet would alias to its input
         with pytest.raises(ValueError, match="at least one layer"):
             CouplingLayer(mask=layer.mask, s_net=DenseNet([]), t_net=layer.t_net)
+
+    def test_split_contract_rejected(self):
+        layer = FlowModel.build(4, FlowConfig(seed=0)).layers[0]
+        with pytest.raises(ValueError, match="must be a prefix or a suffix"):
+            CouplingLayer(mask=np.array([1.0, 0.0, 1.0, 0.0]), s_net=layer.s_net,
+                          t_net=layer.t_net)
+        rng = np.random.default_rng(0)
+        wide = DenseNet([Dense.init(rng, 5, 3), Dense.init(rng, 3, 4)])
+        with pytest.raises(ValueError, match="t_net maps 5 -> 4 columns, the mask has length 4"):
+            CouplingLayer(mask=layer.mask, s_net=layer.s_net, t_net=wide)
+        looped = DenseNet([Dense.init(rng, 4, 4, residual=True), Dense.init(rng, 4, 4)])
+        with pytest.raises(ValueError, match="s_net first and last layers must not be residual"):
+            CouplingLayer(mask=layer.mask, s_net=looped, t_net=layer.t_net)
+
+    def test_suffix_mask_passes_trailing_columns(self, rng):
+        layer = FlowModel.build(5, FlowConfig(seed=0)).layers[1]  # mask 0 0 1 1 1
+        assert (layer.p_cols, layer.t_cols) == (slice(2, 5), slice(0, 2))
+        z = rng.normal(size=(4, 5))
+        np.testing.assert_array_equal(layer.forward(z)[0][:, 2:], z[:, 2:])
 
 
 class TestFlowBijectivity:

@@ -48,7 +48,7 @@ class TestDensitySoftmaxContainer:
         path = tmp_path / "noversion.json"
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        with pytest.raises(ContainerError, match="version"):
+        with pytest.raises(ContainerError, match="missing version field"):
             load_container(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
@@ -167,6 +167,16 @@ class TestErmAndEnsembleContainers:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_non_object_member_rejected_at_load(self, tmp_path, capsys):
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({"version": CONTAINER_VERSION, "kind": "ensemble",
+                                    "members": [[]]}))
+        with pytest.raises(ContainerError, match="ensemble member 0 is not an object"):
+            load_container(path)
+        code = cli.main(["surface", "--model", str(path), "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "ensemble member 0 is not an object" in capsys.readouterr().err
+
     def test_save_is_deterministic(self, tmp_path, pipeline_result):
         _, result = pipeline_result
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -233,6 +243,27 @@ def _short_mask(doc, model):
     doc = _flow_doc(model, 8)
     doc["density"]["layers"][1]["mask"] = _sliced(doc["density"]["layers"][1]["mask"],
                                                   slice(6))
+    return doc
+
+
+def _interleaved_mask(doc, model):
+    doc = _flow_doc(model, 8)
+    doc["density"]["layers"][0]["mask"] = _encode_array(np.array([1.0, 0.0] * 4))
+    return doc
+
+
+def _wide_subnet_input(doc, model):
+    """The s-net's first layer reads 10 columns of the 8-d flow."""
+    doc = _flow_doc(model, 8)
+    first = doc["density"]["layers"][1]["s_net"][0]
+    weight = _decode_array(first["weight"], "test array", 2)
+    first["weight"] = _encode_array(np.vstack([weight, weight[:2]]))
+    return doc
+
+
+def _short_bias(doc, model):
+    doc["encoder"]["layers"][0]["bias"] = _sliced(doc["encoder"]["layers"][0]["bias"],
+                                                  slice(5))
     return doc
 
 
@@ -304,10 +335,15 @@ class TestContainerValidation:
         (_flat_theta, r"classifier theta shape \[16\] is not a list of 2 non-negative "
                       "integers"),
         (_nested_list_support, r"kde support is not a \{shape, float64le\} object"),
+        (_interleaved_mask, "flow layer 0: mask ones must be a prefix or a suffix"),
+        (_wide_subnet_input, "flow layer 1: s_net maps 10 -> 8 columns, the mask has "
+                             "length 8"),
+        (_short_bias, r"encoder layer 0: bias has shape \(5,\), the layer has 8 units"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
             "mask_length", "encoder_layers", "no_encoder_layers", "version_1",
             "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
-            "shape_ndim", "nested_list_array"])
+            "shape_ndim", "nested_list_array", "mask_not_prefix_or_suffix",
+            "subnet_width", "bias_length"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
                                               corrupt, message, capsys):
         _, result = pipeline_result

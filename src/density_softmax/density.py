@@ -255,7 +255,7 @@ class CouplingLayer:
 
         z_P collects three contributions, and floating-point addition is
         not associative, so their order is fixed to the one the per-op
-        tape's depth-first walk produces: the pass-through term, then the
+        test oracle's depth-first walk produces: the pass-through term, then the
         s-net's, then the t-net's; `t_net_first` swaps the last two, which
         is the tape's order in the flow's final coupling layer.
         """
@@ -297,6 +297,13 @@ class FlowConfig:
     l2: float = 0.01
     lr: float = 1e-4  # Adam
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        for name in ("batch_size", "coupling_layers", "hidden_units", "hidden_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class FlowModel:
@@ -373,7 +380,8 @@ class FlowModel:
 
     def nll_loss(self, batch: np.ndarray, l2: float) -> Tensor:
         """Mean negative log-likelihood of the batch plus l2 * sum(w^2) over
-        the subnets' weight matrices, as one tape node."""
+        the subnets' weight matrices, as one loss node; its rule walks the
+        coupling layers in reverse, then adds the L2 term."""
         n, d = batch.shape
         t = np.asarray(batch, dtype=np.float64)
         caches = []
@@ -387,19 +395,16 @@ class FlowModel:
         weights = self.weight_tensors() if l2 != 0.0 else []
         if weights:
             loss = loss + l2_value(weights, l2)
-        out = Tensor(loss)
-
-        def backward():
-            r = out.grad * (1.0 / n)
+        def rule(upstream) -> None:
+            r = upstream * (1.0 / n)
             g = (r * 0.5) * (2.0 * t)
             last = len(self.layers) - 1
             for i in range(last, -1, -1):
                 g = self.layers[i].backward_cached(caches[i], g, -r, i == last, i > 0)
             if weights:
-                l2_backward(weights, l2, out.grad)
+                l2_backward(weights, l2, upstream)
 
-        out._backward = backward
-        return out
+        return Tensor(loss, rule)
 
 
 def flow_fit(z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[float]]:

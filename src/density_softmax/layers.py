@@ -1,12 +1,11 @@
 """Dense layers and small feed-forward stacks with optional residual links.
 
 Each layer owns float64 parameter Tensors. ``forward`` runs plain numpy for
-inference. For training, ``DenseNet.forward_tape`` puts the whole stack on
-the autodiff tape as one fused node: its forward repeats the arithmetic of
-``forward`` while caching each layer's input and activation, and its
-backward walks the stack once. The tests hold it to a per-op composition of
-the generic autodiff primitives, bit for bit, in values and in every
-gradient. ``l2_loss`` is the fused L2 penalty node.
+inference. For training, ``DenseNet.forward_cached`` repeats its arithmetic
+while caching each layer's input and activation, ``backward_cached`` walks
+the stack once, and ``l2_value``/``l2_backward`` are the L2 penalty; the
+loss nodes ``erm_loss`` and ``FlowModel.nll_loss`` call them. The tests hold
+them to the per-op oracle tape, bit for bit in values and every gradient.
 
 ``DenseNet`` can also run sliced (``rows``/``cols``): the input holds only
 some of the first layer's input columns, and only some of the last layer's
@@ -18,12 +17,14 @@ skipped weight entry gets no gradient from the data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal, get_args
 
 import numpy as np
 
 from .autodiff import Tensor
 
-ACTIVATIONS = ("relu", "tanh", "linear")
+Activation = Literal["relu", "tanh", "linear"]
+ACTIVATIONS = get_args(Activation)
 
 ALL = slice(None)  # every row or column: an unsliced layer
 
@@ -51,7 +52,7 @@ class Dense:
 
     weight: Tensor
     bias: Tensor | None
-    activation: str
+    activation: Activation
     residual: bool = False
 
     def __post_init__(self):
@@ -70,7 +71,7 @@ class Dense:
         rng: np.random.Generator,
         in_dim: int,
         out_dim: int,
-        activation: str = "relu",
+        activation: Activation = "relu",
         bias: bool = True,
         residual: bool = False,
         zero: bool = False,
@@ -163,17 +164,6 @@ class DenseNet:
             g = g + gx if layer.residual else gx
         return g
 
-    def forward_tape(self, x: Tensor) -> Tensor:
-        """The whole stack as one tape node."""
-        y, cache = self.forward_cached(x.data)
-        out = Tensor(y, (x,))
-
-        def backward():
-            x.accumulate(self.backward_cached(cache, out.grad))
-
-        out._backward = backward
-        return out
-
     def params(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]
 
@@ -208,16 +198,3 @@ def l2_backward(weights: list[Tensor], coefficient: float, g) -> None:
     k = g * float(coefficient)
     for w in weights:
         w.accumulate(k * (2.0 * w.data))
-
-
-def l2_loss(weights: list[Tensor], coefficient: float) -> Tensor | None:
-    """L2 regularizer coefficient * sum(w^2) as one tape node, or None if off."""
-    if coefficient == 0.0 or not weights:
-        return None
-    out = Tensor(l2_value(weights, coefficient))
-
-    def backward():
-        l2_backward(weights, coefficient, out.grad)
-
-    out._backward = backward
-    return out

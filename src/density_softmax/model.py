@@ -3,6 +3,7 @@
 The encoder is an input projection followed by `depth` residual blocks
 y = x + relu(Wx + b), so width must equal the latent dimension. The
 classifier is a single d_z x K matrix with no bias; logits are z @ theta.
+ERM and re-optimization share the head's fused ``head_cross_entropy``.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_cross_entropy
+from .autodiff import Tensor
 from .data import LabeledSet, require_fittable
-from .layers import Dense, DenseNet, fan_in_uniform, l2_loss
+from .layers import Activation, Dense, DenseNet, fan_in_uniform, l2_backward, l2_value
 from .ops import finite_rows
 from .optim import OptimizerSpec
 
@@ -43,11 +44,13 @@ class EncoderConfig:
     width: int = 128
     depth: int = 12
     latent_dim: int | None = None  # None: equal to width
-    activation: str = "relu"
+    activation: Activation = "relu"
 
     def __post_init__(self):
         if self.latent_dim is None:
             object.__setattr__(self, "latent_dim", self.width)
+        if self.width < 1:
+            raise ValueError("width must be >= 1")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.width != self.latent_dim:
@@ -76,13 +79,11 @@ class TrainConfig:
 
 
 class Encoder:
-    """Input projection plus residual relu blocks; tracks rows encoded so
-    tests can assert the single-forward-pass contract."""
+    """Input projection plus residual relu blocks."""
 
     def __init__(self, config: EncoderConfig, net: DenseNet):
         self.config = config
         self.net = net
-        self.eval_count = 0  # rows pushed through encode()
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -91,16 +92,16 @@ class Encoder:
             x = x[None, :]
         if x.shape[1] != self.config.input_dim:
             raise ValueError(f"expected {self.config.input_dim} input columns, got {x.shape[1]}")
-        self.eval_count += x.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
             z = self.net.forward(x)
         # a finite but huge input row can overflow on its way through the stack
         finite_rows(z, "latent")
         return z[0] if squeeze else z
 
-    def encode_tape(self, x: np.ndarray) -> Tensor:
-        self.eval_count += x.shape[0]
-        return self.net.forward_tape(Tensor(x))
+    def encode_tape(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        """Training forward: the latents of x and the cache that
+        ``DenseNet.backward_cached`` takes."""
+        return self.net.forward_cached(x)
 
     def params(self) -> list[Tensor]:
         return self.net.params()
@@ -194,6 +195,64 @@ def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray], Tensor],
     return trace
 
 
+def head_cross_entropy(z: np.ndarray, theta: Tensor, labels: np.ndarray,
+                       s: np.ndarray | None = None) -> tuple[float, Callable]:
+    """Mean cross-entropy of softmax(s * (z @ theta)) against integer labels
+    (no scaling when s is None), fused.
+
+    The forward is a max-shifted log-sum-exp and the backward the closed
+    form (softmax - onehot) / n; shift invariance of softmax makes treating
+    the per-row max as a constant exact. Returns the loss and its rule:
+    ``rule(g, input_grad=False)`` adds g * d(loss)/d(theta) to theta's
+    gradient and returns g * d(loss)/dz, or None when ``input_grad`` is false.
+    """
+    labels = np.asarray(labels)
+    logits = z @ theta.data
+    if s is not None:
+        logits = logits * s[:, None]
+    n, k = logits.shape
+    if labels.shape != (n,):
+        raise ValueError(f"labels shape {labels.shape} does not match {n} logit rows")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError("label index out of range")
+    rows = np.arange(n)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    loss = (lse - shifted[rows, labels]).mean()
+
+    def rule(g, input_grad: bool = False) -> np.ndarray | None:
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[rows, labels] -= 1.0
+        g_logits = g * probs / n
+        if s is not None:
+            g_logits = g_logits * s[:, None]
+        theta.accumulate(z.T @ g_logits)
+        return g_logits @ theta.data.T if input_grad else None
+
+    return loss, rule
+
+
+def erm_loss(encoder: Encoder, classifier: Classifier, x: np.ndarray,
+             labels: np.ndarray, l2: float) -> Tensor:
+    """Mean cross-entropy of softmax(encode(x) @ theta) plus l2 * sum(w^2)
+    over every weight matrix, as one loss node. Its rule runs the head, the
+    encoder stack (no gradient for x) and the L2 term."""
+    z, cache = encoder.encode_tape(x)
+    loss, head_rule = head_cross_entropy(z, classifier.theta, labels)
+    weights = encoder.net.weight_tensors() + [classifier.theta] if l2 != 0.0 else []
+    if weights:
+        loss = loss + l2_value(weights, l2)
+
+    def rule(g) -> None:
+        encoder.net.backward_cached(cache, head_rule(g, input_grad=True),
+                                    input_grad=False)
+        if weights:
+            l2_backward(weights, l2, g)
+
+    return Tensor(loss, rule)
+
+
 def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
               config: TrainConfig) -> list[float]:
     """Minimize mean cross-entropy of softmax(classifier(encoder(x))).
@@ -202,13 +261,10 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
     l2 * sum(w^2) over all weight matrices to the loss.
     """
     require_fittable(train)
-    weights = encoder.net.weight_tensors() + [classifier.theta]
 
     def loss_fn(idx: np.ndarray) -> Tensor:
-        z = encoder.encode_tape(train.features[idx])
-        loss = softmax_cross_entropy(z @ classifier.theta, train.labels[idx])
-        penalty = l2_loss(weights, config.l2)
-        return loss if penalty is None else loss + penalty
+        return erm_loss(encoder, classifier, train.features[idx], train.labels[idx],
+                        config.l2)
 
     return train_minibatches("erm", loss_fn, encoder.params() + classifier.params(),
                              config.optimizer, train.n, config.batch_size,

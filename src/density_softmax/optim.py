@@ -44,10 +44,9 @@ class _Packed:
             start += size
         return out
 
-    def state(self) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """A zero state vector and its per-parameter views keyed by id."""
-        flat = np.zeros_like(self.data)
-        return flat, {id(p): v for p, v in zip(self.params, self.views(flat))}
+    def state(self) -> np.ndarray:
+        """A zero state vector laid out like ``data``."""
+        return np.zeros_like(self.data)
 
     def gather(self, params: list[Tensor]) -> np.ndarray:
         """Copy the parameters' gradients into ``grad``."""
@@ -69,17 +68,16 @@ class SgdMomentum:
     lr: float
     momentum: float = 0.0
     nesterov: bool = False
-    _velocity: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _packed: _Packed | None = field(default=None, repr=False)
-    _velocity_flat: np.ndarray | None = field(default=None, repr=False)
+    _velocity: np.ndarray | None = field(default=None, repr=False)
 
     def step(self, params: list[Tensor]) -> None:
         if not params:
             return
         if self._packed is None:
             self._packed = _Packed(params)
-            self._velocity_flat, self._velocity = self._packed.state()
-        pk, v = self._packed, self._velocity_flat
+            self._velocity = self._packed.state()
+        pk, v = self._packed, self._velocity
         g = pk.gather(params)
         v *= self.momentum
         v += g
@@ -99,12 +97,10 @@ class Adam:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    _m: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _v: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _t: int = 0
     _packed: _Packed | None = field(default=None, repr=False)
-    _m_flat: np.ndarray | None = field(default=None, repr=False)
-    _v_flat: np.ndarray | None = field(default=None, repr=False)
+    _m: np.ndarray | None = field(default=None, repr=False)
+    _v: np.ndarray | None = field(default=None, repr=False)
 
     def step(self, params: list[Tensor]) -> None:
         self._t += 1
@@ -112,9 +108,9 @@ class Adam:
             return
         if self._packed is None:
             self._packed = _Packed(params)
-            self._m_flat, self._m = self._packed.state()
-            self._v_flat, self._v = self._packed.state()
-        pk, m, v = self._packed, self._m_flat, self._v_flat
+            self._m = self._packed.state()
+            self._v = self._packed.state()
+        pk, m, v = self._packed, self._m, self._v
         g = pk.gather(params)
         b1t = 1.0 - self.beta1**self._t
         b2t = 1.0 - self.beta2**self._t

@@ -21,11 +21,11 @@ from typing import Literal
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_cross_entropy
+from .autodiff import Tensor
 from .data import LabeledSet, require_fittable
 from .density import FlowConfig, ScaledDensity, compute_scale, flow_fit, kde_fit
 from .model import (Classifier, Encoder, EncoderConfig, TrainConfig, erm_train,
-                    init_model, train_minibatches)
+                    head_cross_entropy, init_model, train_minibatches)
 from .ops import entropy, finite_rows, softmax
 from .optim import OptimizerSpec
 
@@ -38,6 +38,10 @@ class DensityConfig:
     bandwidth: float | None = None  # kde; None = Scott's rule
     flow: FlowConfig = FlowConfig()
 
+    def __post_init__(self):
+        if self.bandwidth is not None and not self.bandwidth > 0:
+            raise ValueError("bandwidth must be > 0")
+
 
 @dataclass(frozen=True)
 class ReoptConfig:
@@ -46,6 +50,12 @@ class ReoptConfig:
     lr: float = 1e-4  # Adam
     reinit: bool = False  # start step 3 from fresh weights instead of step 1's
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -151,7 +161,7 @@ def reoptimize_classifier(model: DensitySoftmaxModel, train: LabeledSet,
     """Step 3: refit the classifier against softmax(s * logits) targets.
 
     Latents and scaled likelihoods are precomputed once (encoder and density
-    are frozen), so each step touches only the d_z x K head.
+    are frozen), so each step's loss node touches only the d_z x K head.
     """
     require_fittable(train)
     if config.reinit:
@@ -164,8 +174,7 @@ def reoptimize_classifier(model: DensitySoftmaxModel, train: LabeledSet,
     theta = model.classifier.theta
 
     def loss_fn(idx: np.ndarray) -> Tensor:
-        scaled = (Tensor(z[idx]) @ theta).mul_const(s[idx][:, None])
-        return softmax_cross_entropy(scaled, train.labels[idx])
+        return Tensor(*head_cross_entropy(z[idx], theta, train.labels[idx], s[idx]))
 
     return train_minibatches("reopt", loss_fn, [theta], OptimizerSpec(lr=config.lr),
                              train.n, config.batch_size, config.epochs, config.seed)

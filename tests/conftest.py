@@ -31,6 +31,19 @@ def assert_grads_close(analytic, numeric, rel_tol: float = 1e-4):
         assert rel.max() < rel_tol, f"gradient mismatch: max rel err {rel.max():.3e}"
 
 
+def count_forward_rows(monkeypatch, net) -> list[int]:
+    """Spy on net.forward: the rows of each call, in call order."""
+    rows = []
+    forward = net.forward
+
+    def spy(x, *args, **kwargs):
+        rows.append(x.shape[0])
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(net, "forward", spy)
+    return rows
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -1,12 +1,22 @@
-"""Per-op reference compositions for the fused training nodes.
+"""The per-op autodiff tape: the test oracle for the fused training nodes.
 
-These build the forward passes of the fused nodes (a dense stack, the flow
-loss, the L2 penalty) out of the generic autodiff primitives, one tape node
-per operation; the coupling layers here run on full-width masked arrays,
-where the program's kernels work on column halves. The tests require the
-fused nodes to reproduce their values and every gradient bit for bit. The per-parameter Adam and the reference training
-loops play the same role for the contiguous optimizer state and the shared
-minibatch loop.
+The program trains with one loss node per stage and a hand-written backward
+rule (``erm_loss``, ``head_cross_entropy``, ``FlowModel.nll_loss``). This
+module holds a general reverse-mode tape to check them against: a
+``Node`` records the operation that made it (matmul, broadcast add,
+elementwise mul/exp/tanh/relu, square, sum, the softmax cross-entropy), and
+``Node.backward`` walks the graph in reverse topological order. The program's
+parameter ``Tensor``s enter the graph as leaves: they receive their
+gradients through ``accumulate``, and ``leaf`` puts one on the tape where an
+operation starts from it.
+
+The compositions below build each training stage's loss from these
+primitives, one node per operation; the coupling layers here run on
+full-width masked arrays, where the program's kernels work on column
+halves. The tests require the fused nodes to reproduce their values and
+every gradient bit for bit. The per-parameter Adam and the reference
+training loops play the same role for the contiguous optimizer state and the
+shared minibatch loop.
 """
 
 from __future__ import annotations
@@ -15,14 +25,256 @@ import math
 
 import numpy as np
 
-from density_softmax.autodiff import Tensor, softmax_cross_entropy
+from density_softmax.autodiff import Tensor
 from density_softmax.model import minibatches
 from density_softmax.optim import OptimizerSpec
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def dense_forward_tape(layer, x: Tensor) -> Tensor:
+def _as_f64(data) -> np.ndarray:
+    arr = np.asarray(data, dtype=np.float64)
+    return arr
+
+
+class Node:
+    """Node in the computation graph: value, accumulated gradient, backward
+    rule. A parent may also be a program ``Tensor``: a leaf, which only
+    receives its gradient."""
+
+    __slots__ = ("data", "_grad", "_parents", "_backward")
+
+    def __init__(self, data, parents=()):
+        self.data = _as_f64(data)
+        self._grad = None
+        self._parents = tuple(parents)
+        self._backward = None
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Accumulated gradient; zeros while no contribution has arrived."""
+        return np.zeros_like(self.data) if self._grad is None else self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
+
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add one gradient contribution (never in place, see the module doc)."""
+        self._grad = g if self._grad is None else self._grad + g
+
+    def zero_grad(self) -> None:
+        self._grad = None
+
+    # -- graph construction ------------------------------------------------
+
+    def __add__(self, other: "Node") -> "Node":
+        out = Node(self.data + other.data, (self, other))
+
+        def backward():
+            self.accumulate(_unbroadcast(out.grad, self.data.shape))
+            other.accumulate(_unbroadcast(out.grad, other.data.shape))
+
+        out._backward = backward
+        return out
+
+    def __sub__(self, other: "Node") -> "Node":
+        out = Node(self.data - other.data, (self, other))
+
+        def backward():
+            self.accumulate(_unbroadcast(out.grad, self.data.shape))
+            other.accumulate(-_unbroadcast(out.grad, other.data.shape))
+
+        out._backward = backward
+        return out
+
+    def __mul__(self, other: "Node") -> "Node":
+        out = Node(self.data * other.data, (self, other))
+
+        def backward():
+            self.accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
+            other.accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
+
+        out._backward = backward
+        return out
+
+    def __matmul__(self, other: "Node") -> "Node":
+        out = Node(self.data @ other.data, (self, other))
+
+        def backward():
+            self.accumulate(out.grad @ other.data.T)
+            other.accumulate(self.data.T @ out.grad)
+
+        out._backward = backward
+        return out
+
+    def scale(self, c: float) -> "Node":
+        """Multiply by a python scalar constant (not a graph node)."""
+        c = float(c)
+        out = Node(self.data * c, (self,))
+
+        def backward():
+            self.accumulate(out.grad * c)
+
+        out._backward = backward
+        return out
+
+    def mul_const(self, c) -> "Node":
+        """Elementwise multiply by a constant array (masks, frozen scales)."""
+        c = _as_f64(c)
+        out = Node(self.data * c, (self,))
+
+        def backward():
+            self.accumulate(_unbroadcast(out.grad * c, self.data.shape))
+
+        out._backward = backward
+        return out
+
+    def add_const(self, c) -> "Node":
+        c = _as_f64(c)
+        out = Node(self.data + c, (self,))
+
+        def backward():
+            self.accumulate(_unbroadcast(out.grad, self.data.shape))
+
+        out._backward = backward
+        return out
+
+    def relu(self) -> "Node":
+        out = Node(np.maximum(self.data, 0.0), (self,))
+
+        def backward():
+            self.accumulate(out.grad * (self.data > 0.0))
+
+        out._backward = backward
+        return out
+
+    def tanh(self) -> "Node":
+        t = np.tanh(self.data)
+        out = Node(t, (self,))
+
+        def backward():
+            self.accumulate(out.grad * (1.0 - t * t))
+
+        out._backward = backward
+        return out
+
+    def exp(self) -> "Node":
+        e = np.exp(self.data)
+        out = Node(e, (self,))
+
+        def backward():
+            self.accumulate(out.grad * e)
+
+        out._backward = backward
+        return out
+
+    def square(self) -> "Node":
+        out = Node(self.data * self.data, (self,))
+
+        def backward():
+            self.accumulate(out.grad * (2.0 * self.data))
+
+        out._backward = backward
+        return out
+
+    def sum(self) -> "Node":
+        out = Node(self.data.sum(), (self,))
+
+        def backward():
+            self.accumulate(out.grad * np.ones_like(self.data))
+
+        out._backward = backward
+        return out
+
+    # -- backward pass -----------------------------------------------------
+
+    def backward(self) -> None:
+        """Accumulate d(self)/d(node) into every node reachable from self.
+
+        ``self`` must be a scalar. Gradients add onto whatever is already in
+        ``.grad``, so call :meth:`zero_grad` on parameters between steps.
+        Nodes that no gradient reached are skipped.
+        """
+        if self.data.ndim != 0:
+            raise ValueError("backward() requires a scalar loss node")
+        order: list[Node] = []
+        seen: set[int] = set()
+        stack: list[tuple[Node, bool]] = [(self, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                order.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for p in node._parents:
+                if isinstance(p, Node) and id(p) not in seen:
+                    stack.append((p, False))
+        self.grad = self.grad + 1.0
+        for node in reversed(order):
+            if node._backward is not None and node._grad is not None:
+                node._backward()
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum grad down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
+    """Mean cross-entropy of softmax(logits) against integer labels.
+
+    Fused primitive: forward uses max-shifted log-sum-exp, backward is the
+    closed form (softmax - onehot) / n. Shift invariance of softmax makes
+    treating the per-row max as a constant exact.
+    """
+    labels = np.asarray(labels)
+    n, k = logits.data.shape
+    if labels.shape != (n,):
+        raise ValueError(f"labels shape {labels.shape} does not match {n} logit rows")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError("label index out of range")
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    losses = lse - shifted[np.arange(n), labels]
+    out = Node(losses.mean(), (logits,))
+
+    def backward():
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(n), labels] -= 1.0
+        logits.accumulate(out.grad * probs / n)
+
+    out._backward = backward
+    return out
+
+def leaf(t: Tensor) -> Node:
+    """A program Tensor on the tape: the node hands its gradient to t."""
+    out = Node(t.data, (t,))
+
+    def backward():
+        t.accumulate(out.grad)
+
+    out._backward = backward
+    return out
+
+
+def dense_forward_tape(layer, x: Node) -> Node:
     h = x @ layer.weight
     if layer.bias is not None:
         h = h + layer.bias
@@ -33,22 +285,22 @@ def dense_forward_tape(layer, x: Tensor) -> Tensor:
     return x + h if layer.residual else h
 
 
-def densenet_forward_tape(net, x: Tensor) -> Tensor:
+def densenet_forward_tape(net, x: Node) -> Node:
     for layer in net.layers:
         x = dense_forward_tape(layer, x)
     return x
 
 
-def l2_penalty(weights: list[Tensor], coefficient: float) -> Tensor | None:
+def l2_penalty(weights: list[Tensor], coefficient: float) -> Node | None:
     if coefficient == 0.0 or not weights:
         return None
-    total = weights[0].square().sum()
+    total = leaf(weights[0]).square().sum()
     for w in weights[1:]:
-        total = total + w.square().sum()
+        total = total + leaf(w).square().sum()
     return total.scale(coefficient)
 
 
-def coupling_forward_tape(layer, z: Tensor) -> tuple[Tensor, Tensor]:
+def coupling_forward_tape(layer, z: Node) -> tuple[Node, Node]:
     comp = 1.0 - layer.mask
     h = z.mul_const(layer.mask)
     s = densenet_forward_tape(layer.s_net, h).mul_const(comp)
@@ -77,9 +329,9 @@ def masked_log_density(flow, z: np.ndarray) -> np.ndarray:
     return -0.5 * (z * z).sum(axis=1) - 0.5 * flow.dim * LOG_2PI + log_det
 
 
-def flow_nll_loss(flow, batch: np.ndarray, l2: float) -> Tensor:
+def flow_nll_loss(flow, batch: np.ndarray, l2: float) -> Node:
     n, d = batch.shape
-    z = Tensor(batch)
+    z = Node(batch)
     s_total = None
     for layer in flow.layers:
         z, s_sum = coupling_forward_tape(layer, z)
@@ -141,14 +393,22 @@ def reference_loop(loss_fn, params, spec, n, batch_size, epochs, seed,
     return trace
 
 
-def reference_erm(encoder, classifier, train, config) -> list[float]:
-    weights = encoder.net.weight_tensors() + [classifier.theta]
+def erm_loss(encoder, classifier, x: np.ndarray, labels: np.ndarray, l2: float) -> Node:
+    z = densenet_forward_tape(encoder.net, Node(x))
+    loss = softmax_cross_entropy(z @ classifier.theta, labels)
+    penalty = l2_penalty(encoder.net.weight_tensors() + [classifier.theta], l2)
+    return loss if penalty is None else loss + penalty
 
+
+def reopt_loss(theta: Tensor, z: np.ndarray, s: np.ndarray, labels: np.ndarray) -> Node:
+    scaled = (Node(z) @ theta).mul_const(s[:, None])
+    return softmax_cross_entropy(scaled, labels)
+
+
+def reference_erm(encoder, classifier, train, config) -> list[float]:
     def loss_fn(idx):
-        z = densenet_forward_tape(encoder.net, Tensor(train.features[idx]))
-        loss = softmax_cross_entropy(z @ classifier.theta, train.labels[idx])
-        penalty = l2_penalty(weights, config.l2)
-        return loss if penalty is None else loss + penalty
+        return erm_loss(encoder, classifier, train.features[idx], train.labels[idx],
+                        config.l2)
 
     return reference_loop(loss_fn, encoder.params() + classifier.params(),
                           config.optimizer, train.n, config.batch_size,
@@ -162,9 +422,6 @@ def reference_flow_fit(flow, z, config) -> list[float]:
 
 
 def reference_reopt(theta: Tensor, z, s, labels, config) -> list[float]:
-    def loss_fn(idx):
-        scaled = (Tensor(z[idx]) @ theta).mul_const(s[idx][:, None])
-        return softmax_cross_entropy(scaled, labels[idx])
-
-    return reference_loop(loss_fn, [theta], OptimizerSpec(lr=config.lr), z.shape[0],
+    return reference_loop(lambda idx: reopt_loss(theta, z[idx], s[idx], labels[idx]),
+                          [theta], OptimizerSpec(lr=config.lr), z.shape[0],
                           config.batch_size, config.epochs, config.seed)

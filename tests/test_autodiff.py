@@ -1,48 +1,54 @@
-"""Gradient correctness of the tape against central finite differences."""
+"""The program's Tensor, and the per-op oracle tape in tape_reference.py
+against central finite differences.
+
+The oracle is what the fused training nodes are held to bit for bit, so its
+own primitives are checked here against numeric gradients.
+"""
 
 import numpy as np
 import pytest
 
-from density_softmax.autodiff import Tensor, softmax_cross_entropy
+from density_softmax.autodiff import Tensor
+from tape_reference import Node, leaf, softmax_cross_entropy
 
 from conftest import assert_grads_close, central_difference_grad
 
 
 class TestPrimitives:
     def test_matmul_grad(self, rng):
-        w = Tensor(rng.normal(size=(3, 4)))
+        w = Node(rng.normal(size=(3, 4)))
         x = rng.normal(size=(5, 3))
 
         def loss():
             return float((x @ w.data).sum())
 
-        out = (Tensor(x) @ w).sum()
+        out = (Node(x) @ w).sum()
         out.backward()
         assert_grads_close([w.grad], central_difference_grad(loss, [w]))
 
     def test_linear_loss_gradient_is_input_structure(self):
         # loss = sum(x @ W) with x fixed: dL/dW[i, j] = sum_n x[n, i]
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        w = Tensor(np.zeros((2, 3)))
-        loss = (Tensor(x) @ w).sum()
+        w = Node(np.zeros((2, 3)))
+        loss = (Node(x) @ w).sum()
         loss.backward()
         expected = np.repeat(x.sum(axis=0)[:, None], 3, axis=1)
         np.testing.assert_array_equal(w.grad, expected)
 
     def test_broadcast_add_bias(self, rng):
-        b = Tensor(rng.normal(size=4))
+        b = Node(rng.normal(size=4))
         x = rng.normal(size=(6, 4))
 
         def loss():
             return float(np.tanh(x + b.data).sum())
 
-        out = (Tensor(x) + b).tanh().sum()
+        out = (Node(x) + b).tanh().sum()
         out.backward()
         assert_grads_close([b.grad], central_difference_grad(loss, [b]))
 
     @pytest.mark.parametrize("op", ["relu", "tanh", "exp", "square"])
     def test_unary_ops(self, rng, op):
-        v = Tensor(rng.normal(size=(4, 3)) + 0.1)  # nudge off relu kink
+        v = Node(rng.normal(size=(4, 3)) + 0.1)  # nudge off relu kink
 
         def loss():
             x = v.data
@@ -55,8 +61,8 @@ class TestPrimitives:
         assert_grads_close([v.grad], central_difference_grad(loss, [v]))
 
     def test_mul_and_scale(self, rng):
-        a = Tensor(rng.normal(size=(3, 3)))
-        b = Tensor(rng.normal(size=(3, 3)))
+        a = Node(rng.normal(size=(3, 3)))
+        b = Node(rng.normal(size=(3, 3)))
 
         def loss():
             return float((a.data * b.data * 2.5).sum())
@@ -68,7 +74,7 @@ class TestPrimitives:
 
     def test_mul_const_mask(self, rng):
         mask = np.array([1.0, 0.0, 1.0])
-        v = Tensor(rng.normal(size=(4, 3)))
+        v = Node(rng.normal(size=(4, 3)))
 
         def loss():
             return float((v.data * mask).sum())
@@ -80,8 +86,8 @@ class TestPrimitives:
 
 class TestGraphSemantics:
     def test_disconnected_parameter_gets_zero_gradient(self, rng):
-        used = Tensor(rng.normal(size=(2, 2)))
-        unused = Tensor(rng.normal(size=(2, 2)))
+        used = Node(rng.normal(size=(2, 2)))
+        unused = Node(rng.normal(size=(2, 2)))
         loss = used.square().sum()
         used.zero_grad(), unused.zero_grad()
         loss.backward()
@@ -89,44 +95,44 @@ class TestGraphSemantics:
 
     def test_reused_node_accumulates(self, rng):
         # y = x * x via the same node twice must match d(x^2) = 2x
-        x = Tensor(rng.normal(size=(3,)))
+        x = Node(rng.normal(size=(3,)))
         loss = (x * x).sum()
         loss.backward()
         np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-12)
 
     def test_untouched_grad_reads_zero_and_is_not_allocated(self, rng):
-        x = Tensor(rng.normal(size=(2, 3)))
-        np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
-        assert x._grad is None
+        for x in (Tensor(rng.normal(size=(2, 3))), Node(rng.normal(size=(2, 3)))):
+            np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
+            assert x._grad is None
 
     def test_node_without_incoming_grad_is_skipped(self, rng):
-        a = Tensor(rng.normal(size=(2, 2)))
+        a = Node(rng.normal(size=(2, 2)))
         b = a.relu()
-        cut = Tensor(b.data, (b,))  # consumer with no backward rule: b gets no grad
+        cut = Node(b.data, (b,))  # consumer with no backward rule: b gets no grad
         cut.sum().backward()
         assert b._grad is None and a._grad is None
 
     def test_shared_contribution_is_not_written_through(self, rng):
         # s = x + y hands the same array to x and y; x then takes a second
         # contribution, which must not leak into y's gradient.
-        x = Tensor(rng.normal(size=3))
-        y = Tensor(rng.normal(size=3))
+        x = Node(rng.normal(size=3))
+        y = Node(rng.normal(size=3))
         ((x + y) + x).sum().backward()
         np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
         np.testing.assert_array_equal(y.grad, np.ones(3))
 
     def test_backward_requires_scalar(self, rng):
-        x = Tensor(rng.normal(size=(2, 2)))
+        x = Node(rng.normal(size=(2, 2)))
         with pytest.raises(ValueError):
             (x + x).backward()
 
     def test_identical_graph_twice_gives_bitwise_identical_grads(self, rng):
-        w = Tensor(rng.normal(size=(4, 4)))
+        w = Node(rng.normal(size=(4, 4)))
         x = rng.normal(size=(8, 4))
 
         def run():
             w.zero_grad()
-            ((Tensor(x) @ w).relu().square().sum()).backward()
+            ((Node(x) @ w).relu().square().sum()).backward()
             return w.grad.copy()
 
         g1, g2 = run(), run()
@@ -135,7 +141,7 @@ class TestGraphSemantics:
 
 class TestSoftmaxCrossEntropy:
     def test_matches_finite_differences(self, rng):
-        logits = Tensor(rng.normal(size=(6, 4)))
+        logits = Node(rng.normal(size=(6, 4)))
         labels = rng.integers(0, 4, size=6)
 
         def loss():
@@ -149,12 +155,12 @@ class TestSoftmaxCrossEntropy:
         assert_grads_close([logits.grad], central_difference_grad(loss, [logits]))
 
     def test_label_out_of_range(self, rng):
-        logits = Tensor(rng.normal(size=(2, 3)))
+        logits = Node(rng.normal(size=(2, 3)))
         with pytest.raises(ValueError):
             softmax_cross_entropy(logits, np.array([0, 3]))
 
     def test_value_on_uniform_logits(self):
-        logits = Tensor(np.zeros((5, 4)))
+        logits = Node(np.zeros((5, 4)))
         out = softmax_cross_entropy(logits, np.zeros(5, dtype=int))
         assert out.data == pytest.approx(np.log(4.0), abs=1e-12)
 
@@ -162,9 +168,9 @@ class TestSoftmaxCrossEntropy:
 class TestTwoLayerNetOracle:
     def test_random_two_layer_net_all_parameters(self, rng):
         """Analytic vs central-difference gradients on a 2-layer net."""
-        w1 = Tensor(rng.normal(size=(3, 5)))
-        b1 = Tensor(rng.normal(size=5))
-        w2 = Tensor(rng.normal(size=(5, 2)))
+        w1 = Node(rng.normal(size=(3, 5)))
+        b1 = Node(rng.normal(size=5))
+        w2 = Node(rng.normal(size=(5, 2)))
         x = rng.normal(size=(7, 3))
         labels = rng.integers(0, 2, size=7)
         params = [w1, b1, w2]
@@ -176,8 +182,52 @@ class TestTwoLayerNetOracle:
             lse = np.log(np.exp(shifted).sum(axis=1))
             return float((lse - shifted[np.arange(7), labels]).mean())
 
-        h = ((Tensor(x) @ w1) + b1).relu()
+        h = ((Node(x) @ w1) + b1).relu()
         loss = softmax_cross_entropy(h @ w2, labels)
         loss.backward()
         numeric = central_difference_grad(forward, params)
         assert_grads_close([p.grad for p in params], numeric)
+
+
+class TestTensor:
+    """The program's Tensor: a parameter or a loss node with its rule."""
+
+    def test_backward_on_a_parameter_raises(self, rng):
+        with pytest.raises(ValueError, match="no rule"):
+            Tensor(rng.normal(size=3)).backward()
+
+    def test_loss_node_runs_its_rule_with_unit_upstream(self, rng):
+        p = Tensor(rng.normal(size=3))
+        seen = []
+
+        def rule(g):
+            seen.append(g)
+            p.accumulate(g * p.data)
+
+        Tensor(0.5, rule).backward()
+        assert seen == [1.0]
+        np.testing.assert_array_equal(p.grad, p.data)
+
+    def test_accumulate_never_writes_through(self):
+        shared = np.ones(3)
+        a, b = Tensor(np.zeros(3)), Tensor(np.zeros(3))
+        a.accumulate(shared)
+        b.accumulate(shared)
+        a.accumulate(shared)
+        np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+        np.testing.assert_array_equal(shared, np.ones(3))
+        a.zero_grad()
+        assert a._grad is None
+
+    def test_program_tensor_is_an_oracle_leaf(self, rng):
+        """A Tensor parent gets the gradient a Node parent would, bit for bit."""
+        x = rng.normal(size=(5, 3))
+        w = Tensor(rng.normal(size=(3, 4)))
+        twin = Node(w.data.copy())
+        (Node(x) @ w).relu().sum().backward()
+        (Node(x) @ twin).relu().sum().backward()
+        np.testing.assert_array_equal(w.grad, twin.grad)
+        w.zero_grad()
+        leaf(w).square().sum().backward()
+        np.testing.assert_array_equal(w.grad, 2.0 * w.data)

@@ -126,6 +126,8 @@ VALID = [
              ("density.flow", FlowConfig(2, 4, 1, 5, 32, 0.0, 0.001)))),
     (_doc("reopt", {"epochs": 3, "batch_size": 16, "lr": 0.01, "reinit": True}),
      _expect(("reopt", ReoptConfig(3, 16, 0.01, True)))),
+    (_doc("density.flow.epochs", 0), _expect(("density.flow.epochs", 0))),
+    (_doc("reopt.epochs", 0), _expect(("reopt.epochs", 0))),
 ]
 
 INVALID = [
@@ -174,6 +176,8 @@ INVALID = [
     (_doc("encoder.depth", 0), "encoder"),
     (_doc("encoder.width", True), "encoder.width"),
     (_doc("encoder.activation", 1), "encoder.activation"),
+    (_doc("encoder.activation", "foo"), "encoder.activation"),
+    (_doc("encoder.width", 0), "encoder"),
     (_doc("encoder", "wide"), "encoder"),
     (_doc("train.foo", 1), "train.foo"),
     (_doc("train.seed", 1), "train.seed"),
@@ -194,16 +198,25 @@ INVALID = [
     (_doc("density.kind", None), "density.kind"),
     (_doc("density.bandwidth", "wide"), "density.bandwidth"),
     (_doc("density.bandwidth", True), "density.bandwidth"),
+    (_doc("density.bandwidth", 0), "density"),
+    (_doc("density.bandwidth", -0.5), "density"),
     (_doc("density.flow", 4), "density.flow"),
     (_doc("density.flow.seed", 1), "density.flow.seed"),
     (_doc("density.flow.optimizer", {"lr": 0.1}), "density.flow.optimizer"),
     (_doc("density.flow.lr", "slow"), "density.flow.lr"),
     (_doc("density.flow.epochs", 1.0), "density.flow.epochs"),
+    (_doc("density.flow.epochs", -1), "density.flow"),
+    (_doc("density.flow.batch_size", 0), "density.flow"),
+    (_doc("density.flow.coupling_layers", 0), "density.flow"),
+    (_doc("density.flow.hidden_units", 0), "density.flow"),
+    (_doc("density.flow.hidden_layers", 0), "density.flow"),
     (_doc("reopt.foo", 1), "reopt.foo"),
     (_doc("reopt.seed", 1), "reopt.seed"),
     (_doc("reopt.optimizer", {"lr": 0.1}), "reopt.optimizer"),
     (_doc("reopt.reinit", 1), "reopt.reinit"),
     (_doc("reopt.lr", None), "reopt.lr"),
+    (_doc("reopt.epochs", -1), "reopt"),
+    (_doc("reopt.batch_size", 0), "reopt"),
 ]
 
 

@@ -1,10 +1,16 @@
 """Fused training nodes, the contiguous optimizer state and the shared
-minibatch loop against the per-op references in tape_reference.py.
+minibatch loop against the per-op oracle in tape_reference.py.
 
-The fused nodes must reproduce the per-op tape exactly: equal values and
-equal gradients for every parameter and input, bit for bit.
+Each training stage runs one loss node per step with a hand-written backward
+rule: ``erm_loss`` (encoder stack, head cross-entropy, L2), the head's
+``head_cross_entropy`` under s (re-optimization) and ``FlowModel.nll_loss``.
+They and their kernels (``DenseNet.forward_cached``/``backward_cached``,
+``l2_value``/``l2_backward``, the coupling kernels) must reproduce the per-op
+tape exactly: equal values and equal gradients for every parameter and
+input, bit for bit.
 """
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +20,12 @@ from density_softmax.autodiff import Tensor
 from density_softmax.data import make_two_moons
 from density_softmax.density import (CouplingLayer, FlowConfig, FlowModel, compute_scale,
                                      flow_fit)
-from density_softmax.layers import Dense, DenseNet, l2_loss
-from density_softmax.model import EncoderConfig, TrainConfig, init_model
+from density_softmax.layers import Dense, DenseNet, l2_backward, l2_value
+from density_softmax.model import (EncoderConfig, TrainConfig, erm_loss, erm_train,
+                                   head_cross_entropy, init_model)
 from density_softmax.optim import Adam, OptimizerSpec, SgdMomentum
-from density_softmax.predictor import DensityConfig, ReoptConfig, train_pipeline
+from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel, ReoptConfig,
+                                       reoptimize_classifier, train_pipeline)
 
 import tape_reference as ref
 from conftest import assert_grads_close, central_difference_grad
@@ -31,6 +39,13 @@ def assert_all_equal(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+def set_grad(p, g):
+    """p's gradient set to g; None leaves it untouched (lazy zeros)."""
+    p.zero_grad()
+    if g is not None:
+        p.accumulate(g)
 
 
 def randomized_flow(dim, layers, l2_seed):
@@ -55,20 +70,19 @@ class TestDenseNetNode:
         upstream = rng.normal(size=(9, 4))
         params = net.params()
 
-        x_ref = Tensor(x)
+        x_ref = ref.Node(x)
         want = ref.densenet_forward_tape(net, x_ref)
         want.mul_const(upstream).sum().backward()
         want_grads = grads(params + [x_ref])
 
         for p in params:
             p.zero_grad()
-        x_fused = Tensor(x)
-        got = net.forward_tape(x_fused)
-        got.mul_const(upstream).sum().backward()
+        got, cache = net.forward_cached(x)
+        g_x = net.backward_cached(cache, upstream)
 
-        np.testing.assert_array_equal(got.data, want.data)
-        np.testing.assert_array_equal(got.data, net.forward(x))
-        assert_all_equal(grads(params + [x_fused]), want_grads)
+        np.testing.assert_array_equal(got, want.data)
+        np.testing.assert_array_equal(got, net.forward(x))
+        assert_all_equal(grads(params) + [g_x], want_grads)
 
 
 class TestL2Node:
@@ -76,17 +90,90 @@ class TestL2Node:
     def test_matches_per_op_tape_exactly(self, rng, coefficient):
         weights = [Tensor(rng.normal(size=s)) for s in [(3, 4), (4,), (4, 2)]]
         want = ref.l2_penalty(weights, coefficient)
-        got = l2_loss(weights, coefficient)
-        if coefficient == 0.0:
-            assert want is None and got is None
+        got = l2_value(weights, coefficient)
+        if coefficient == 0.0:  # the tape adds no node; the kernels add nothing
+            assert want is None and got == 0.0
+            l2_backward(weights, coefficient, 1.0)
+            assert_all_equal(grads(weights), [np.zeros_like(w.data) for w in weights])
             return
         want.backward()
         want_grads = grads(weights)
         for w in weights:
             w.zero_grad()
-        got.backward()
-        assert got.data == want.data
+        l2_backward(weights, coefficient, 1.0)
+        assert got == want.data
         assert_all_equal(grads(weights), want_grads)
+
+
+class TestErmNode:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_matches_per_op_tape_exactly(self, activation, l2):
+        rng = np.random.default_rng(7)
+        config = EncoderConfig(input_dim=3, width=6, depth=2, activation=activation)
+        encoder, classifier = init_model(config, 4, seed=1)
+        x = rng.normal(size=(11, 3))
+        labels = rng.integers(0, 4, size=11)
+        params = encoder.params() + classifier.params()
+
+        want = ref.erm_loss(encoder, classifier, x, labels, l2)
+        want.backward()
+        want_grads = grads(params)
+
+        for p in params:
+            p.zero_grad()
+        got = erm_loss(encoder, classifier, x, labels, l2)
+        got.backward()
+
+        assert got.data == want.data
+        assert_all_equal(grads(params), want_grads)
+
+
+class TestHeadNode:
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_matches_per_op_tape_exactly(self, rng, scaled):
+        theta = Tensor(rng.normal(size=(5, 3)))
+        z = rng.normal(size=(9, 5))
+        labels = rng.integers(0, 3, size=9)
+        s = rng.uniform(0.01, 1.0, size=9) if scaled else None
+
+        z_ref = ref.Node(z)
+        logits = z_ref @ theta
+        want = ref.softmax_cross_entropy(
+            logits if s is None else logits.mul_const(s[:, None]), labels)
+        want.backward()
+        want_grads = [theta.grad.copy(), z_ref.grad.copy()]
+
+        theta.zero_grad()
+        loss, rule = head_cross_entropy(z, theta, labels, s)
+        g_z = rule(1.0, input_grad=True)
+        assert loss == want.data
+        assert_all_equal([theta.grad, g_z], want_grads)
+
+        # the node re-optimization steps on: no gradient for z
+        theta.zero_grad()
+        node = Tensor(*head_cross_entropy(z, theta, labels, s))
+        node.backward()
+        assert node.data == want.data
+        np.testing.assert_array_equal(theta.grad, want_grads[0])
+
+    def test_scaled_matches_finite_differences(self, rng):
+        theta = Tensor(rng.normal(size=(4, 3)))
+        z = Tensor(rng.normal(size=(6, 4)))
+        labels = rng.integers(0, 3, size=6)
+        s = rng.uniform(0.05, 1.0, size=6)
+        _, rule = head_cross_entropy(z.data, theta, labels, s)
+        g_z = rule(1.0, input_grad=True)
+
+        def loss():
+            return float(head_cross_entropy(z.data, theta, labels, s)[0])
+
+        assert_grads_close([theta.grad, g_z], central_difference_grad(loss, [theta, z]))
+
+    def test_label_out_of_range(self, rng):
+        theta = Tensor(rng.normal(size=(2, 3)))
+        with pytest.raises(ValueError, match="out of range"):
+            head_cross_entropy(rng.normal(size=(2, 2)), theta, np.array([0, 3]))
 
 
 class TestFlowNllNode:
@@ -153,7 +240,7 @@ class TestSplitCoupling:
         batch = rng.normal(size=(n, dim))
         params = layer.params()
 
-        z_ref = Tensor(batch)
+        z_ref = ref.Node(batch)
         t_ref, s_ref = ref.coupling_forward_tape(layer, z_ref)
         (t_ref.square().sum().scale(0.5) - s_ref).scale(1.0 / n).backward()
         want_grads = grads(params + [z_ref])
@@ -241,13 +328,14 @@ class TestContiguousOptimizer:
         opt, oracle = Adam(lr=0.05), ref.PerParamAdam(lr=0.05)
         for step_grads in seq:
             for p, q, g in zip(params, twins, step_grads):
-                p.grad = g
-                q.grad = g
+                set_grad(p, g)
+                set_grad(q, g)
             opt.step(params)
             oracle.step(twins)
             assert_all_equal([p.data for p in params], [q.data for q in twins])
-        assert_all_equal([opt._m[id(p)] for p in params],
-                         [oracle.m[id(q)] for q in twins])
+        for flat, moments in ((opt._m, oracle.m), (opt._v, oracle.v)):
+            want = np.concatenate([moments[id(q)].ravel() for q in twins])
+            np.testing.assert_array_equal(flat, want)
 
     @pytest.mark.parametrize("nesterov", [False, True])
     def test_sgd_matches_per_parameter_update_exactly(self, rng, nesterov):
@@ -257,7 +345,7 @@ class TestContiguousOptimizer:
         opt = SgdMomentum(lr=0.1, momentum=0.9, nesterov=nesterov)
         for step_grads in seq:
             for p, g in zip(params, step_grads):
-                p.grad = g
+                set_grad(p, g)
             opt.step(params)
             for i, g in enumerate(step_grads):
                 g = np.zeros_like(expected[i]) if g is None else g
@@ -266,6 +354,8 @@ class TestContiguousOptimizer:
                 step = g + 0.9 * velocity[i] if nesterov else velocity[i]
                 expected[i] = expected[i] - 0.1 * step
             assert_all_equal([p.data for p in params], expected)
+        np.testing.assert_array_equal(
+            opt._velocity, np.concatenate([v.ravel() for v in velocity]))
 
     def test_parameters_become_views_of_one_vector(self, rng):
         params = [Tensor(rng.normal(size=s)) for s in [(3, 4), (4,)]]
@@ -324,3 +414,25 @@ class TestPipelineAgainstPerOpLoops:
                          [p.data for p in flow.params()])
         np.testing.assert_array_equal(model.classifier.theta.data,
                                       classifier.theta.data)
+
+
+class TestNoReferenceCycles:
+    def test_training_stages_leave_no_garbage_cycles(self):
+        """A rule takes its upstream gradient as an argument, so a step's
+        loss node is freed by reference counting alone."""
+        train = make_two_moons(128, 0.1, seed=4)  # 256 rows
+        encoder, classifier = init_model(EncoderConfig(width=16, depth=2), 2, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            erm_train(encoder, classifier, train,
+                      TrainConfig(epochs=2, batch_size=32, l2=1e-3))
+            assert gc.collect() == 0
+            z = encoder.encode(train.features)
+            flow, _ = flow_fit(z, FlowConfig(epochs=2, batch_size=32))
+            assert gc.collect() == 0
+            model = DensitySoftmaxModel(encoder, classifier, compute_scale(flow, z))
+            reoptimize_classifier(model, train, ReoptConfig(epochs=2, batch_size=32))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from density_softmax.autodiff import Tensor
-from density_softmax.layers import Dense, DenseNet, l2_loss
+from density_softmax.layers import Dense, DenseNet, l2_backward, l2_value
 from density_softmax.optim import Adam, OptimizerSpec, SgdMomentum
 
 from conftest import assert_grads_close, central_difference_grad
-from tape_reference import dense_forward_tape
+from tape_reference import Node, dense_forward_tape
 
 
 class TestDense:
@@ -16,7 +16,7 @@ class TestDense:
         layer = Dense.init(rng, 3, 5, "tanh")
         x = rng.normal(size=(4, 3))
         np.testing.assert_array_equal(layer.forward(x),
-                                      dense_forward_tape(layer, Tensor(x)).data)
+                                      dense_forward_tape(layer, Node(x)).data)
 
     def test_residual_requires_square(self, rng):
         with pytest.raises(ValueError):
@@ -57,8 +57,8 @@ class TestDenseNet:
         def loss():
             return float(np.square(net.forward(x)).sum())
 
-        out = net.forward_tape(Tensor(x)).square().sum()
-        out.backward()
+        y, cache = net.forward_cached(x)
+        net.backward_cached(cache, 2.0 * y, input_grad=False)
         assert_grads_close([p.grad for p in params],
                            central_difference_grad(loss, params))
 
@@ -77,23 +77,21 @@ class TestDenseNet:
     def test_l2_penalty_value_and_grad(self, rng):
         net = DenseNet([Dense.init(rng, 2, 3, "relu"), Dense.init(rng, 3, 2, "relu")])
         weights = net.weight_tensors()
-        pen = l2_loss(weights, 0.01)
-        assert pen.data == pytest.approx(
+        assert l2_value(weights, 0.01) == pytest.approx(
             0.01 * sum(np.square(w.data).sum() for w in weights))
-        pen.backward()
+        l2_backward(weights, 0.01, 1.0)
 
         def loss():
             return float(0.01 * sum(np.square(w.data).sum() for w in weights))
 
         assert_grads_close([w.grad for w in weights],
                            central_difference_grad(loss, weights))
-        assert l2_loss(weights, 0.0) is None
 
 
 class TestSgd:
     def test_one_step_definition(self):
         p = Tensor(np.array(1.0))
-        p.grad = np.array(2.0)
+        p.accumulate(np.array(2.0))
         SgdMomentum(lr=0.1).step([p])
         assert p.data == pytest.approx(0.8, abs=1e-15)
 
@@ -107,14 +105,15 @@ class TestSgd:
         p = Tensor(np.array(0.0))
         opt = SgdMomentum(lr=1.0, momentum=0.5)
         for _ in range(2):
-            p.grad = np.array(1.0)
+            p.zero_grad()
+            p.accumulate(np.array(1.0))
             opt.step([p])
         # steps: v=1 -> p=-1; v=1.5 -> p=-2.5
         assert p.data == pytest.approx(-2.5)
 
     def test_shape_mismatch_rejected(self):
         p = Tensor(np.zeros((2, 2)))
-        p.grad = np.zeros(3)
+        p.accumulate(np.zeros(3))
         with pytest.raises(ValueError):
             SgdMomentum(lr=0.1).step([p])
 
@@ -123,7 +122,7 @@ class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         for g in (0.5, -3.0, 100.0):
             p = Tensor(np.array(1.0))
-            p.grad = np.array(g)
+            p.accumulate(np.array(g))
             Adam(lr=1e-3).step([p])
             step = p.data - 1.0
             assert np.sign(step) == -np.sign(g)
@@ -137,11 +136,11 @@ class TestAdam:
 
     def test_state_shapes_mirror_params(self, rng):
         p = Tensor(rng.normal(size=(2, 5)))
-        p.grad = rng.normal(size=(2, 5))
+        p.accumulate(rng.normal(size=(2, 5)))
         opt = Adam(lr=0.01)
         opt.step([p])
-        assert opt._m[id(p)].shape == (2, 5)
-        assert opt._v[id(p)].shape == (2, 5)
+        assert opt._m.shape == opt._v.shape == (10,)
+        assert p.data.base is opt._packed.data
 
 
 class TestOptimizerSpec:

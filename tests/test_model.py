@@ -9,6 +9,8 @@ from density_softmax.model import (Classifier, EncoderConfig, TrainConfig,
 from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import DensitySoftmaxModel, Ensemble, ensemble_train
 
+from conftest import count_forward_rows
+
 SMALL = EncoderConfig(input_dim=2, width=8, depth=2, latent_dim=8)
 
 
@@ -76,13 +78,13 @@ class TestEncode:
         out = enc.encode(np.array([[1.0, -2.0]]))
         np.testing.assert_array_equal(out, np.zeros((1, 8)))
 
-    def test_eval_count_tracks_rows(self, rng):
+    def test_eval_count_tracks_rows(self, rng, monkeypatch):
         enc, _ = init_model(SMALL, 2, seed=1)
-        assert enc.eval_count == 0
+        rows = count_forward_rows(monkeypatch, enc.net)
         enc.encode(rng.normal(size=(7, 2)))
-        assert enc.eval_count == 7
+        assert rows == [7]
         enc.encode(rng.normal(size=2))
-        assert enc.eval_count == 8
+        assert rows == [7, 1]
 
 
 class TestLogits:

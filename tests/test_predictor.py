@@ -18,6 +18,8 @@ from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel,
                                        PipelineError, ReoptConfig, predictive_summaries,
                                        reoptimize_classifier, train_pipeline)
 
+from conftest import count_forward_rows
+
 SMALL = EncoderConfig(input_dim=2, width=8, depth=2, latent_dim=8)
 
 
@@ -98,11 +100,11 @@ class TestPredictMechanics:
         one = model.predict(x[2])
         np.testing.assert_allclose(one.probs[0], batch.probs[2], rtol=1e-12)
 
-    def test_single_encoder_pass_per_sample(self, rng):
+    def test_single_encoder_pass_per_sample(self, rng, monkeypatch):
         model = pinned_model(0.5)
-        model.encoder.eval_count = 0
+        rows = count_forward_rows(monkeypatch, model.encoder.net)
         model.predict(rng.normal(size=(37, 2)))
-        assert model.encoder.eval_count == 37
+        assert rows == [37]
 
     def test_prediction_on_simplex(self, rng):
         model = pinned_model(0.3)

@@ -62,6 +62,15 @@ def _bins_csv(bins: list[M.BinStats]) -> str:
 # -- model evaluation helpers -------------------------------------------------
 
 
+def _check_width(model, dataset: LabeledSet, path) -> None:
+    """A DataError naming the file and both widths when the dataset's
+    feature columns are not the model's inputs."""
+    width = dataset.features.shape[1]
+    if width != model.input_dim:
+        raise DataError(f"{path}: {width} feature columns, the model takes "
+                        f"{model.input_dim} inputs")
+
+
 def _evaluate_model(model, name: str, sets: dict[str, LabeledSet],
                     bins: int) -> dict[str, M.EvalReport]:
     reports: dict[str, M.EvalReport] = {}
@@ -219,6 +228,7 @@ def cmd_hist_likelihood(args) -> int:
         if not path.exists():
             raise ConfigError("sets", f"unknown set tag {tag!r} (no {path})")
         dataset = load_csv(path)
+        _check_width(model, dataset, path)
         lik = model.density.scaled_likelihood(model.encoder.encode(dataset.features))
         series.append((tag, lik))
     edges = np.linspace(0.0, 1.0, args.hist_bins + 1)
@@ -241,6 +251,7 @@ def cmd_hist_likelihood(args) -> int:
 def cmd_reliability(args) -> int:
     model = load_container(args.model)
     dataset = load_csv(args.set)
+    _check_width(model, dataset, args.set)
     if dataset.domain == "ood":
         raise ConfigError("set", "reliability diagrams need labeled data")
     probs = model.predict(dataset.features).probs
@@ -275,6 +286,7 @@ def cmd_bench(args) -> int:
     rows = []
     for path in args.models:
         model = load_container(path)
+        _check_width(model, dataset, args.set)
         times = _time_single_predictions(model, dataset.features,
                                          args.warmup, args.repetitions)
         q1, med, q3 = (float(q) for q in np.percentile(times, [25, 50, 75]))

@@ -207,6 +207,8 @@ def load_csv(path) -> LabeledSet:
     header = lines[0].split(",")
     if len(header) < 4 or header[-3:] != ["label", "domain", "intensity"]:
         raise DataError(f"{path}: bad header {lines[0]!r}")
+    if len(lines) == 1:
+        raise DataError(f"{path}: no data rows")
     d = len(header) - 3
     feats, labels, domains, intensities = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):

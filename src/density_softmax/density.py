@@ -7,11 +7,18 @@ Two estimators share the same interface (``log_density`` over rows):
   the change-of-variables formula: log p(z) = log N(t; 0, I) + log|det J|
   where t is the stacked coupling transform of z. Each coupling layer
   splits z into pass-through columns P (its mask's ones, a prefix or a
-  suffix of the columns) and transformed columns T, and its subnets read
-  only z_P and compute only the T outputs. The log-det sums still run over
-  a full-width array (s in T, zeros in P), so numpy's pairwise summation
-  groups the terms as it does for the masked product s * (1 - mask) and
-  the sums stay bit-identical to it (see :class:`CouplingLayer`).
+  suffix of the columns) and transformed columns T. Its s-net and t-net
+  are stacked: each depth's two weight matrices live in one (2, in, out)
+  array, so one matmul runs both subnets, reading only z_P and computing
+  only the T outputs (see :class:`CouplingLayer`). Training carries the
+  flow state as its two column halves from layer to layer. The log-det
+  sums still run over a full-width array (s in T, zeros in P), so numpy's
+  pairwise summation groups the terms as it does for the masked product
+  s * (1 - mask) and the sums stay bit-identical to it.
+
+Both estimators walk their query rows in fixed chunks (``KDE_CHUNK_ROWS``,
+``FLOW_CHUNK_ROWS``), folding a 1-row tail into the chunk before it, so a
+chunked pass equals a one-shot pass bit for bit (see :func:`chunk_bounds`).
 
 After fitting, :func:`compute_scale` records the maximum train-point
 log-density (a streaming max over batches); scaled likelihoods are then
@@ -31,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .layers import Dense, DenseNet, l2_backward, l2_value
+from .layers import (Dense, DenseNet, activation_grad, apply_activation, l2_backward,
+                     l2_value)
 from .model import train_minibatches
 from .optim import OptimizerSpec
 
@@ -46,6 +54,22 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Query rows per distance GEMM in KdeModel.log_density: the compute_scale
 # batch, so a chunk's 128 x n buffer stays ~1 MB at n = 1000 support rows.
 KDE_CHUNK_ROWS = 128
+
+# Rows per pass in FlowModel.log_density: enough to amortize the per-layer
+# numpy calls, few enough that a chunk's stacked (2, rows, hidden)
+# activations stay in cache.
+FLOW_CHUNK_ROWS = 256
+
+
+def chunk_bounds(rows: int, chunk: int) -> list[int]:
+    """Row bounds of fixed chunks over rows, with a 1-row tail folded into
+    the chunk before it: numpy sends a 1-row product to another BLAS kernel
+    (gemv) whose last bits differ from the batched (gemm) ones, so a chunked
+    pass stays bit-identical to a one-shot pass."""
+    bounds = list(range(0, rows, chunk)) + [rows]
+    if len(bounds) > 2 and rows - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -86,17 +110,13 @@ class KdeModel:
         """Log-density of each row of z; -inf where every squared distance
         to the support overflows (a far, huge row), never NaN.
 
-        Walks z in chunks of KDE_CHUNK_ROWS rows through one reused
-        chunk x n buffer: ||z||^2 - 2 z.s + ||s||^2, clamped at 0, over
-        -2h^2, then a max-shifted log-sum-exp. A 1-row tail is folded into
-        the chunk before it, because numpy sends a 1-row product to another
-        BLAS kernel whose last bits differ from the batched ones.
+        Walks z in chunks of KDE_CHUNK_ROWS rows (see chunk_bounds) through
+        one reused chunk x n buffer: ||z||^2 - 2 z.s + ||s||^2, clamped at 0,
+        over -2h^2, then a max-shifted log-sum-exp.
         """
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         rows = z.shape[0]
-        bounds = list(range(0, rows, KDE_CHUNK_ROWS)) + [rows]
-        if len(bounds) > 2 and rows - bounds[-2] == 1:
-            del bounds[-2]
+        bounds = chunk_bounds(rows, KDE_CHUNK_ROWS)
         buf = np.empty((min(rows, KDE_CHUNK_ROWS + 1), self.support.shape[0]))
         out = np.empty(rows)
         denom = -2.0 * self.bandwidth**2
@@ -145,7 +165,18 @@ def kde_fit(z: np.ndarray, bandwidth: float | None = None) -> KdeModel:
 # -- coupling flow ------------------------------------------------------------
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _stack_shape(layer: Dense, last: bool) -> dict:
+    """What two subnets' layers must share to stack: all but the last
+    layer's activation, which each slot applies for itself."""
+    return {"weight shape": layer.weight.data.shape, "bias": layer.bias is None,
+            "residual": layer.residual, "activation": None if last else layer.activation}
+
+
 class CouplingLayer:
     """Affine coupling (RealNVP) on the split z = (z_P, z_T): the mask's
     ones mark the pass-through columns P, its zeros the transformed columns T.
@@ -154,15 +185,27 @@ class CouplingLayer:
     inverse:  z_P = t_P,  z_T = (t_T - b) * exp(-s)
     log|det| = sum of s over T.
 
-    The kernels work on the column halves: each subnet reads z_P through
-    its first layer's rows P and computes only its outputs T through its
-    last layer's columns T, so no arithmetic runs on the zeros of a masked
-    product. The skipped first-layer rows T and last-layer columns P stay
-    in the parameters and get a zero data gradient (plus the L2 term). The
-    halves are slices, cached at construction, so the mask's ones must be a
-    prefix or a suffix (the only masks ``FlowModel.build`` writes), and both
-    subnets must map len(mask) columns to len(mask) columns through
-    non-residual end layers.
+    Stacked subnets: ``net`` holds the s-net and the t-net as one stack of
+    Dense layers, each depth's weights in one (2, in, out) array and its
+    biases in one (2, 1, out) array, slot 0 the s-net and slot 1 the t-net.
+    Each dense step of both subnets is then one matmul over the stack; the
+    stacked product runs the same gemm per slot as a separate product, so no
+    sum is reordered. The stacked last layer is linear and ``final`` holds
+    the subnets' own last activations (tanh for s, linear for t), applied
+    per slot. The constructor takes the two subnets, which must share one
+    architecture, and copies them into the stack; ``s_net`` and ``t_net``
+    are read-only per-subnet views of the slots (what a container stores).
+
+    Halves: the stack reads z_P through its first layer's rows P and
+    computes only the T outputs through its last layer's columns T, so no
+    arithmetic runs on the zeros of a masked product. The skipped first-layer
+    rows T and last-layer columns P stay in the parameters and get a zero
+    data gradient (plus the L2 term). The halves are slices, cached at
+    construction, so the mask's ones must be a prefix or a suffix (the only
+    masks ``FlowModel.build`` writes), and both subnets must map len(mask)
+    columns to len(mask) columns through non-residual end layers. The
+    training kernels (``forward_cached``/``backward_cached``) take and
+    return the column halves themselves.
 
     The log-det sums run over a full-width array with s in T and zeros in
     P, laid out as the masked product s * (1 - mask) would be: numpy's
@@ -174,14 +217,8 @@ class CouplingLayer:
     product, which moves the last bits.
     """
 
-    mask: np.ndarray
-    s_net: DenseNet
-    t_net: DenseNet
-    p_cols: slice = field(init=False, repr=False, compare=False)
-    t_cols: slice = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=np.float64)
+    def __init__(self, mask: np.ndarray, s_net: DenseNet, t_net: DenseNet):
+        self.mask = np.asarray(mask, dtype=np.float64)
         if not ((self.mask == 0) | (self.mask == 1)).all():
             raise ValueError("mask must be binary")
         d, k = self.mask.size, int(self.mask.sum())
@@ -193,7 +230,7 @@ class CouplingLayer:
             self.p_cols, self.t_cols = slice(d - k, d), slice(0, d - k)
         else:
             raise ValueError("mask ones must be a prefix or a suffix of the mask")
-        for name, net in (("s_net", self.s_net), ("t_net", self.t_net)):
+        for name, net in (("s_net", s_net), ("t_net", t_net)):
             if not net.layers:
                 raise ValueError("coupling subnets need at least one layer")
             first, last = net.layers[0], net.layers[-1]
@@ -203,6 +240,41 @@ class CouplingLayer:
                                  f"the mask has length {d}")
             if first.residual or last.residual:
                 raise ValueError(f"{name} first and last layers must not be residual")
+        if len(s_net.layers) != len(t_net.layers):
+            raise ValueError(f"s_net has {len(s_net.layers)} layers, t_net has "
+                             f"{len(t_net.layers)}; the subnets must share one shape")
+        end = len(s_net.layers) - 1
+        stack = []
+        for i, (s, t) in enumerate(zip(s_net.layers, t_net.layers)):
+            a, b = (_stack_shape(x, i == end) for x in (s, t))
+            differ = [key for key in a if a[key] != b[key]]
+            if differ:
+                raise ValueError(f"s_net and t_net differ in layer {i} ({', '.join(differ)}); "
+                                 "the subnets must share one shape")
+            bias = None if s.bias is None else Tensor(
+                np.stack([s.bias.data, t.bias.data]).reshape(2, 1, -1))
+            stack.append(Dense(Tensor(np.stack([s.weight.data, t.weight.data])), bias,
+                               s.activation if i < end else "linear", s.residual))
+        self.net = DenseNet(stack)
+        self.final = (s_net.layers[-1].activation, t_net.layers[-1].activation)
+
+    def _subnet(self, slot: int) -> DenseNet:
+        end = len(self.net.layers) - 1
+        return DenseNet([
+            Dense(Tensor(_read_only(x.weight.data[slot])),
+                  None if x.bias is None else Tensor(_read_only(x.bias.data[slot, 0])),
+                  self.final[slot] if i == end else x.activation, x.residual)
+            for i, x in enumerate(self.net.layers)])
+
+    @property
+    def s_net(self) -> DenseNet:
+        """Read-only view of the s-net (slot 0 of the stack)."""
+        return self._subnet(0)
+
+    @property
+    def t_net(self) -> DenseNet:
+        """Read-only view of the t-net (slot 1 of the stack)."""
+        return self._subnet(1)
 
     def _log_det_layout(self, s: np.ndarray) -> np.ndarray:
         """Zeros of the full width with s in the columns T."""
@@ -210,17 +282,24 @@ class CouplingLayer:
         out[:, self.t_cols] = s
         return out
 
+    def _finish(self, st: np.ndarray) -> np.ndarray:
+        """Apply each subnet's last activation to its slot of the stack's
+        output, in place."""
+        for slot, activation in enumerate(self.final):
+            apply_activation(st[slot], activation, out=st[slot])
+        return st
+
     def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inference forward: t and log|det| per row. Works in place on the
-        s-net's fresh output."""
+        stack's fresh output."""
         p, tc = self.p_cols, self.t_cols
         zp = z[:, p]
-        u = self.s_net.forward(zp, p, tc)
+        u, b = self._finish(self.net.forward(zp, p, tc))
         out = self._log_det_layout(u)
         log_det = out.sum(axis=1)
         np.exp(u, out=u)
         u *= z[:, tc]
-        u += self.t_net.forward(zp, p, tc)
+        u += b
         out[:, tc] = u
         out[:, p] = zp
         return out, log_det
@@ -228,30 +307,28 @@ class CouplingLayer:
     def inverse(self, t: np.ndarray) -> np.ndarray:
         p, tc = self.p_cols, self.t_cols
         tp = t[:, p]
-        s = self.s_net.forward(tp, p, tc)
-        b = self.t_net.forward(tp, p, tc)
+        s, b = self._finish(self.net.forward(tp, p, tc))
         z = np.empty(t.shape)
         z[:, p] = tp
         z[:, tc] = (t[:, tc] - b) * np.exp(-s)
         return z
 
-    def forward_cached(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """Training forward: (t, sum of s over the batch, cache for backward)."""
-        p, tc = self.p_cols, self.t_cols
-        zp, zt = z[:, p], z[:, tc]
-        s, s_cache = self.s_net.forward_cached(zp, p, tc)
-        b, b_cache = self.t_net.forward_cached(zp, p, tc)
-        out = self._log_det_layout(s)
-        s_sum = out.sum()
+    def forward_cached(self, zp: np.ndarray, zt: np.ndarray
+                       ) -> tuple[np.ndarray, float, tuple]:
+        """Training forward on the halves z_P, z_T: (t_T, sum of s over the
+        batch, cache for backward); t_P is z_P itself."""
+        st, net_cache = self.net.forward_cached(zp, self.p_cols, self.t_cols)
+        s, b = self._finish(st)
+        s_sum = self._log_det_layout(s).sum()
         e = np.exp(s)
-        out[:, tc] = zt * e + b
-        out[:, p] = zp
-        return out, s_sum, (zt, e, s_cache, b_cache)
+        return zt * e + b, s_sum, (zt, e, st, net_cache)
 
-    def backward_cached(self, cache: tuple, g_t: np.ndarray, g_s_sum,
-                        t_net_first: bool, input_grad: bool = True) -> np.ndarray | None:
-        """Add the subnets' parameter gradients; return d(loss)/dz, or None
-        when ``input_grad`` is false.
+    def backward_cached(self, cache: tuple, g_p: np.ndarray, g_t: np.ndarray, g_s_sum,
+                        t_net_first: bool, input_grad: bool = True
+                        ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Given d(loss)/d(t_P), d(loss)/d(t_T) and d(loss)/d(sum of s), add
+        the subnets' parameter gradients; return d(loss)/d(z_P) and
+        d(loss)/d(z_T), or None when ``input_grad`` is false.
 
         z_P collects three contributions, and floating-point addition is
         not associative, so their order is fixed to the one the per-op
@@ -259,22 +336,25 @@ class CouplingLayer:
         s-net's, then the t-net's; `t_net_first` swaps the last two, which
         is the tape's order in the flow's final coupling layer.
         """
-        zt, e, s_cache, b_cache = cache
-        p, tc = self.p_cols, self.t_cols
-        g_out = g_t[:, tc]
-        g_s = g_s_sum + g_out * zt * e
-        g_p_s = self.s_net.backward_cached(s_cache, g_s, p, tc, input_grad)
-        g_p_t = self.t_net.backward_cached(b_cache, g_out, p, tc, input_grad)
+        zt, e, st, net_cache = cache
+        g = np.empty(st.shape)
+        activation_grad(g_s_sum + g_t * zt * e, st[0], self.final[0], g[0])
+        activation_grad(g_t, st[1], self.final[1], g[1])
+        g_in = self.net.backward_cached(net_cache, g, self.p_cols, self.t_cols,
+                                        input_grad)
         if not input_grad:
             return None
-        g_z = np.empty(g_t.shape)
-        g_z[:, tc] = g_out * e
-        g_z[:, p] = (g_t[:, p] + g_p_t + g_p_s if t_net_first
-                     else g_t[:, p] + g_p_s + g_p_t)
-        return g_z
+        g_zp = g_p + g_in[1] + g_in[0] if t_net_first else g_p + g_in[0] + g_in[1]
+        return g_zp, g_t * e
 
     def params(self) -> list[Tensor]:
-        return self.s_net.params() + self.t_net.params()
+        return self.net.params()
+
+    def weight_slots(self) -> list[np.ndarray]:
+        """The subnets' 2-D weight matrices, views of the stack: the s-net's,
+        then the t-net's."""
+        weights = self.net.weight_tensors()
+        return [w.data[slot] for slot in (0, 1) for w in weights]
 
 
 def _coupling_subnet(rng: np.random.Generator, dim: int, hidden_units: int,
@@ -362,11 +442,20 @@ class FlowModel:
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
         """Log-density of each row of z; -inf where ||t||^2 overflows (a far,
-        huge row)."""
-        t, log_det = self.forward(z)
-        with np.errstate(over="ignore"):
-            base = -0.5 * (t * t).sum(axis=1) - 0.5 * self.dim * LOG_2PI
-        return base + log_det
+        huge row). Walks z in chunks of FLOW_CHUNK_ROWS rows (see
+        chunk_bounds), which bounds the temporaries and keeps the subnets'
+        products in cache."""
+        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        rows = z.shape[0]
+        bounds = chunk_bounds(rows, FLOW_CHUNK_ROWS)
+        out = np.empty(rows)
+        const = 0.5 * self.dim * LOG_2PI
+        for lo, hi in zip(bounds, bounds[1:]):
+            t, log_det = self.forward(z[lo:hi])
+            with np.errstate(over="ignore"):
+                base = -0.5 * (t * t).sum(axis=1) - const
+            np.add(base, log_det, out=out[lo:hi])
+        return out
 
     def params(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]
@@ -375,36 +464,76 @@ class FlowModel:
         return sum(p.data.size for p in self.params())
 
     def weight_tensors(self) -> list[Tensor]:
-        return [w for layer in self.layers
-                for w in layer.s_net.weight_tensors() + layer.t_net.weight_tensors()]
+        """The subnets' 2-D weight matrices (read-only views of the stacked
+        slots), layer by layer: the s-net's, then the t-net's. The L2 value
+        sums them in this order."""
+        return [Tensor(_read_only(w)) for layer in self.layers for w in layer.weight_slots()]
 
     def nll_loss(self, batch: np.ndarray, l2: float) -> Tensor:
         """Mean negative log-likelihood of the batch plus l2 * sum(w^2) over
         the subnets' weight matrices, as one loss node; its rule walks the
-        coupling layers in reverse, then adds the L2 term."""
+        coupling layers in reverse, then adds the L2 term.
+
+        The flow state travels as its two column halves (layer i's T is
+        layer i+1's P), and so does its gradient; the full width is built
+        only for the log-det sums and ||t||^2."""
         n, d = batch.shape
-        t = np.asarray(batch, dtype=np.float64)
+        batch = np.asarray(batch, dtype=np.float64)
+        first = self.layers[0]
+        halves = ((first.p_cols, batch[:, first.p_cols]),
+                  (first.t_cols, batch[:, first.t_cols]))
         caches = []
         s_total = None
         for layer in self.layers:
-            t, s_sum, cache = layer.forward_cached(t)
+            zp, zt = _take(halves, layer, n, d)
+            t_t, s_sum, cache = layer.forward_cached(zp, zt)
+            halves = ((layer.p_cols, zp), (layer.t_cols, t_t))
             caches.append(cache)
             s_total = s_sum if s_total is None else s_total + s_sum
+        t = _join(halves, n, d)
         # mean over the batch of [0.5*||t||^2 - log_det] plus the base constant
         loss = ((t * t).sum() * 0.5 - s_total) * (1.0 / n) + 0.5 * d * LOG_2PI
-        weights = self.weight_tensors() if l2 != 0.0 else []
-        if weights:
-            loss = loss + l2_value(weights, l2)
+        if l2 != 0.0:
+            loss = loss + l2_value([w for layer in self.layers for w in layer.weight_slots()],
+                                   l2)
         def rule(upstream) -> None:
             r = upstream * (1.0 / n)
             g = (r * 0.5) * (2.0 * t)
+            g_halves = tuple((cols, g[:, cols]) for cols, _ in halves)
             last = len(self.layers) - 1
             for i in range(last, -1, -1):
-                g = self.layers[i].backward_cached(caches[i], g, -r, i == last, i > 0)
-            if weights:
-                l2_backward(weights, l2, upstream)
+                layer = self.layers[i]
+                g_p, g_t = _take(g_halves, layer, n, d)
+                g_z = layer.backward_cached(caches[i], g_p, g_t, -r, i == last, i > 0)
+                if g_z is not None:
+                    g_halves = ((layer.p_cols, g_z[0]), (layer.t_cols, g_z[1]))
+            if l2 != 0.0:
+                l2_backward([w for layer in self.layers for w in layer.net.weight_tensors()],
+                            l2, upstream)
 
         return Tensor(loss, rule)
+
+
+def _join(halves, n: int, d: int) -> np.ndarray:
+    """The full-width rows of two column halves ((cols, array), (cols, array))."""
+    full = np.empty((n, d))
+    for cols, part in halves:
+        full[:, cols] = part
+    return full
+
+
+def _take(halves, layer: CouplingLayer, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The layer's P and T columns from two column halves: the halves
+    themselves when they split where the layer does (alternating masks),
+    else slices of the joined width."""
+    (a_cols, a), (b_cols, b) = halves
+    p, tc = layer.p_cols, layer.t_cols
+    if (a_cols, b_cols) == (p, tc):
+        return a, b
+    if (a_cols, b_cols) == (tc, p):
+        return b, a
+    full = _join(halves, n, d)
+    return full[:, p], full[:, tc]
 
 
 def flow_fit(z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[float]]:

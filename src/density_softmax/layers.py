@@ -12,6 +12,13 @@ some of the first layer's input columns, and only some of the last layer's
 output columns are computed. The coupling flow uses this to feed its subnets
 only the pass-through columns and to compute only the transformed ones; a
 skipped weight entry gets no gradient from the data.
+
+A layer may also be stacked: weight (k, in, out) and bias (k, 1, out) hold k
+same-shaped layers, and every product broadcasts over the leading axis
+(``swapaxes(-1, -2)`` transposes, ``sum(axis=-2)`` reduces the rows), so one
+matmul runs the k gemms. A 2-D input feeds every slot. The coupling flow
+stacks its s-net and t-net this way; on 2-D arrays the operations are the
+unstacked ones.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ ACTIVATIONS = get_args(Activation)
 ALL = slice(None)  # every row or column: an unsliced layer
 
 
-def _apply_activation(h: np.ndarray, activation: str, out=None) -> np.ndarray:
+def apply_activation(h: np.ndarray, activation: str, out=None) -> np.ndarray:
     if activation == "relu":
         return np.maximum(h, 0.0, out=out)
     if activation == "tanh":
@@ -37,6 +44,19 @@ def _apply_activation(h: np.ndarray, activation: str, out=None) -> np.ndarray:
     if activation == "linear":
         return h
     raise ValueError(f"unknown activation {activation!r}")
+
+
+def activation_grad(g: np.ndarray, a: np.ndarray, activation: str, out: np.ndarray
+                    ) -> np.ndarray:
+    """g times the derivative of ``activation`` at its output a, written to out."""
+    if activation == "relu":
+        return np.multiply(g, a > 0.0, out=out)
+    if activation == "tanh":
+        np.multiply(a, a, out=out)
+        np.subtract(1.0, out, out=out)
+        return np.multiply(g, out, out=out)
+    out[...] = g
+    return out
 
 
 def fan_in_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -48,7 +68,8 @@ def fan_in_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 @dataclass
 class Dense:
     """Affine layer y = act(x W + b), with b optional and an optional
-    residual connection (requires equal input/output width)."""
+    residual connection (requires equal input/output width). A stacked
+    layer has weight (k, in, out) and bias (k, 1, out)."""
 
     weight: Tensor
     bias: Tensor | None
@@ -58,10 +79,12 @@ class Dense:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.residual and self.weight.data.shape[0] != self.weight.data.shape[1]:
+        shape = self.weight.data.shape
+        if self.residual and shape[-2] != shape[-1]:
             raise ValueError("residual layer needs equal input/output width")
-        units = self.weight.data.shape[1]
-        if self.bias is not None and self.bias.data.shape != (units,):
+        units = shape[-1]
+        want = (units,) if len(shape) == 2 else (shape[0], 1, units)
+        if self.bias is not None and self.bias.data.shape != want:
             raise ValueError(f"bias has shape {self.bias.data.shape}, the layer has "
                              f"{units} units")
 
@@ -87,12 +110,12 @@ class Dense:
         w = self.weight.data
         b = None if self.bias is None else self.bias.data
         if rows is not ALL or cols is not ALL:
-            w = w[rows, cols]
-            b = None if b is None else b[cols]
+            w = w[..., rows, cols]
+            b = None if b is None else b[..., cols]
         h = x @ w
         if b is not None:
             h += b
-        h = _apply_activation(h, self.activation, out=h)
+        h = apply_activation(h, self.activation, out=h)
         if self.residual:
             h += x
         return h
@@ -109,7 +132,7 @@ class DenseNet:
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.weight.data.shape[1] != nxt.weight.data.shape[0]:
+            if prev.weight.data.shape[-1] != nxt.weight.data.shape[-2]:
                 raise ValueError(
                     f"layer widths do not compose: {prev.weight.data.shape} -> "
                     f"{nxt.weight.data.shape}"
@@ -132,10 +155,10 @@ class DenseNet:
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             r, c = rows if i == 0 else ALL, cols if i == last else ALL
-            h = x @ layer.weight.data[r, c]
+            h = x @ layer.weight.data[..., r, c]
             if layer.bias is not None:
-                h += layer.bias.data[c]
-            a = _apply_activation(h, layer.activation)
+                h += layer.bias.data[..., c]
+            a = apply_activation(h, layer.activation)
             cache.append((x, a))
             x = x + a if layer.residual else a
         return x, cache
@@ -144,24 +167,34 @@ class DenseNet:
                         input_grad: bool = True) -> np.ndarray | None:
         """Given g = d(loss)/d(output), add every parameter's gradient and
         return d(loss)/d(input), or None when ``input_grad`` is false. The
-        entries a sliced pass skipped get a zero gradient."""
+        entries a sliced pass skipped get a zero gradient. g is only read;
+        the activation-derivative products and the residual sums go to two
+        buffers reused from layer to layer."""
         last = len(self.layers) - 1
+        gh_buf = sum_buf = None
         for i in range(last, -1, -1):
             layer, (x, a) = self.layers[i], cache[i]
             r, c = rows if i == 0 else ALL, cols if i == last else ALL
-            if layer.activation == "relu":
-                gh = g * (a > 0.0)
-            elif layer.activation == "tanh":
-                gh = g * (1.0 - a * a)
-            else:
+            if layer.activation == "linear":
                 gh = g
+            else:
+                if gh_buf is None or gh_buf.shape != g.shape:
+                    gh_buf = np.empty(g.shape)
+                gh = activation_grad(g, a, layer.activation, gh_buf)
             if layer.bias is not None:
-                layer.bias.accumulate(_placed(gh.sum(axis=0), layer.bias.data, c))
-            layer.weight.accumulate(_placed(x.T @ gh, layer.weight.data, (r, c)))
+                layer.bias.accumulate(_placed(gh.sum(axis=-2, keepdims=gh.ndim > 2),
+                                              layer.bias.data, (c,)))
+            layer.weight.accumulate(_placed(x.swapaxes(-1, -2) @ gh, layer.weight.data,
+                                            (r, c)))
             if i == 0 and not input_grad:
                 return None
-            gx = gh @ layer.weight.data[r, c].T
-            g = g + gx if layer.residual else gx
+            gx = gh @ layer.weight.data[..., r, c].swapaxes(-1, -2)
+            if layer.residual:
+                if sum_buf is None or sum_buf.shape != g.shape:
+                    sum_buf = np.empty(g.shape)
+                g = np.add(g, gx, out=sum_buf)
+            else:
+                g = gx
         return g
 
     def params(self) -> list[Tensor]:
@@ -175,21 +208,21 @@ class DenseNet:
         return [layer.weight for layer in self.layers]
 
 
-def _placed(part: np.ndarray, like: np.ndarray, index) -> np.ndarray:
-    """part at index in an array of zeros shaped like ``like``; part itself
-    when the index takes everything."""
-    if index == ALL or index == (ALL, ALL):
+def _placed(part: np.ndarray, like: np.ndarray, index: tuple) -> np.ndarray:
+    """part at index (of the trailing axes) in an array of zeros shaped like
+    ``like``; part itself when the index takes everything."""
+    if index == (ALL,) or index == (ALL, ALL):
         return part
     full = np.zeros(like.shape)
-    full[index] = part
+    full[(Ellipsis, *index)] = part
     return full
 
 
-def l2_value(weights: list[Tensor], coefficient: float) -> float:
-    """coefficient * sum(w^2), summed weight by weight in list order."""
-    total = (weights[0].data * weights[0].data).sum()
+def l2_value(weights: list[np.ndarray], coefficient: float) -> float:
+    """coefficient * sum(w^2), summed array by array in list order."""
+    total = (weights[0] * weights[0]).sum()
     for w in weights[1:]:
-        total = total + (w.data * w.data).sum()
+        total = total + (w * w).sum()
     return total * float(coefficient)
 
 

@@ -242,7 +242,7 @@ def erm_loss(encoder: Encoder, classifier: Classifier, x: np.ndarray,
     loss, head_rule = head_cross_entropy(z, classifier.theta, labels)
     weights = encoder.net.weight_tensors() + [classifier.theta] if l2 != 0.0 else []
     if weights:
-        loss = loss + l2_value(weights, l2)
+        loss = loss + l2_value([w.data for w in weights], l2)
 
     def rule(g) -> None:
         encoder.net.backward_cached(cache, head_rule(g, input_grad=True),

@@ -8,10 +8,14 @@ PROB_FLOOR = 1e-12
 
 
 def finite_rows(x, what: str = "input") -> np.ndarray:
-    """x as a float64 batch of rows (one row if x is a vector); a NaN or an
-    infinity raises ValueError naming the first row that holds one, as
+    """x as a float64 batch of rows (one row if x is a vector). Raises
+    ValueError naming the shape when x is not one row or a non-empty 2-D
+    batch, and naming the first row that holds a NaN or an infinity, as
     "<what> row i is not finite"."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError(f"{what} has shape {x.shape}; expected one row or a "
+                         "non-empty (rows, columns) batch")
     if not np.isfinite(x).all():
         row = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
         raise ValueError(f"{what} row {row} is not finite")

@@ -5,6 +5,8 @@ float64 vector and rebinds each parameter's ``data`` to a view of it; its
 state (momentum, or Adam's two moments) lives in vectors of the same
 layout. A step gathers the gradients into one vector and then updates every
 parameter with a few vectorized passes, whatever the number of parameters.
+The passes walk the vectors in chunks of CHUNK elements, so the half-dozen
+arrays one chunk's passes touch stay in cache from one pass to the next.
 Every update is elementwise, so the result is bit for bit the one a
 per-parameter loop gives.
 
@@ -21,15 +23,23 @@ import numpy as np
 
 from .autodiff import Tensor
 
+# Elements per optimizer pass: 256 KiB of float64 per array.
+CHUNK = 32768
+
 
 class _Packed:
-    """Parameters packed into one vector, plus a gradient vector and scratch."""
+    """Parameters packed into one vector, plus a gradient vector and a
+    one-chunk scratch."""
 
     def __init__(self, params: list[Tensor]):
         self.params = list(params)
         self.data = np.concatenate([np.ravel(p.data) for p in self.params])
         self.grad = np.empty_like(self.data)
-        self.scratch = np.empty_like(self.data)
+        size = self.data.size
+        scratch = np.empty(min(size, CHUNK))
+        # (slice of the vectors, scratch of its length); the last is shorter
+        self.chunks = [(slice(lo, lo + CHUNK), scratch[:min(CHUNK, size - lo)])
+                       for lo in range(0, size, CHUNK)]
         for p, view in zip(self.params, self.views(self.data)):
             p.data = view
         self.data_views = [p.data for p in self.params]
@@ -77,18 +87,19 @@ class SgdMomentum:
         if self._packed is None:
             self._packed = _Packed(params)
             self._velocity = self._packed.state()
-        pk, v = self._packed, self._velocity
+        pk = self._packed
         g = pk.gather(params)
-        v *= self.momentum
-        v += g
-        update = pk.scratch
-        if self.nesterov:
-            np.multiply(v, self.momentum, out=update)
-            update += g
-            update *= self.lr
-        else:
-            np.multiply(v, self.lr, out=update)
-        pk.data -= update
+        for c, update in pk.chunks:
+            gc, v = g[c], self._velocity[c]
+            v *= self.momentum
+            v += gc
+            if self.nesterov:
+                np.multiply(v, self.momentum, out=update)
+                update += gc
+                update *= self.lr
+            else:
+                np.multiply(v, self.lr, out=update)
+            pk.data[c] -= update
 
 
 @dataclass
@@ -110,29 +121,30 @@ class Adam:
             self._packed = _Packed(params)
             self._m = self._packed.state()
             self._v = self._packed.state()
-        pk, m, v = self._packed, self._m, self._v
+        pk = self._packed
         g = pk.gather(params)
         b1t = 1.0 - self.beta1**self._t
         b2t = 1.0 - self.beta2**self._t
-        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-        tmp = pk.scratch
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=tmp)
-        m += tmp
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=tmp)
-        tmp *= g
-        v += tmp
-        # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps); g is spent, its buffer
-        # holds the denominator
-        np.divide(m, b1t, out=tmp)
-        tmp *= self.lr
-        denom = g
-        np.divide(v, b2t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        tmp /= denom
-        pk.data -= tmp
+        for c, tmp in pk.chunks:
+            gc, m, v = g[c], self._m[c], self._v[c]
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            m *= self.beta1
+            np.multiply(gc, 1.0 - self.beta1, out=tmp)
+            m += tmp
+            v *= self.beta2
+            np.multiply(gc, 1.0 - self.beta2, out=tmp)
+            tmp *= gc
+            v += tmp
+            # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps); g is spent, its
+            # buffer holds the denominator
+            np.divide(m, b1t, out=tmp)
+            tmp *= self.lr
+            denom = gc
+            np.divide(v, b2t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            tmp /= denom
+            pk.data[c] -= tmp
 
 
 Optimizer = SgdMomentum | Adam

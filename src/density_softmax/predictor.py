@@ -78,6 +78,10 @@ class DensitySoftmaxModel:
     def k(self) -> int:
         return self.classifier.k
 
+    @property
+    def input_dim(self) -> int:
+        return self.encoder.config.input_dim
+
     def predict(self, x: np.ndarray) -> Prediction:
         """One encoder pass, one density pass, one matrix product per sample.
 
@@ -112,7 +116,7 @@ class Ensemble:
             if m.k != first.k:
                 raise ValueError(f"ensemble member {i} has k = {m.k}, "
                                  f"member 0 has k = {first.k}")
-            dims = m.encoder.config.input_dim, first.encoder.config.input_dim
+            dims = m.input_dim, first.input_dim
             if dims[0] != dims[1]:
                 raise ValueError(f"ensemble member {i} has input_dim = {dims[0]}, "
                                  f"member 0 has input_dim = {dims[1]}")
@@ -120,6 +124,10 @@ class Ensemble:
     @property
     def k(self) -> int:
         return self.members[0].k
+
+    @property
+    def input_dim(self) -> int:
+        return self.members[0].input_dim
 
     def predict(self, x: np.ndarray) -> Prediction:
         probs = np.mean([m.predict(x).probs for m in self.members], axis=0)

@@ -12,9 +12,12 @@ operation starts from it.
 
 The compositions below build each training stage's loss from these
 primitives, one node per operation; the coupling layers here run on
-full-width masked arrays, where the program's kernels work on column
-halves. The tests require the fused nodes to reproduce their values and
-every gradient bit for bit. The per-parameter Adam and the reference
+full-width masked arrays with separate s- and t-nets, where the program's
+kernels work on column halves with the two subnets stacked. ``SplitFlow``
+copies a flow's stacked slots into separate subnets for the tape, and its
+``stacked`` lays their gradients out as the stacked parameters. The tests
+require the fused nodes to reproduce their values and every gradient bit
+for bit. The per-parameter Adam and the reference
 training loops play the same role for the contiguous optimizer state and the
 shared minibatch loop.
 """
@@ -26,6 +29,8 @@ import math
 import numpy as np
 
 from density_softmax.autodiff import Tensor
+from density_softmax.density import CouplingLayer, FlowModel
+from density_softmax.layers import Dense, DenseNet
 from density_softmax.model import minibatches
 from density_softmax.optim import OptimizerSpec
 
@@ -298,6 +303,73 @@ def l2_penalty(weights: list[Tensor], coefficient: float) -> Node | None:
     for w in weights[1:]:
         total = total + leaf(w).square().sum()
     return total.scale(coefficient)
+
+
+def subnet_arrays(flow) -> list[np.ndarray]:
+    """Writable views of every subnet parameter of a stacked flow, in the
+    order of separate subnets: per coupling layer the s-net's weights and
+    biases depth by depth, then the t-net's."""
+    out = []
+    for layer in flow.layers:
+        for slot in (0, 1):
+            for dense in layer.net.layers:
+                out.append(dense.weight.data[slot])
+                if dense.bias is not None:
+                    out.append(dense.bias.data[slot, 0])
+    return out
+
+
+def _copy_net(net: DenseNet) -> DenseNet:
+    return DenseNet([Dense(Tensor(x.weight.data.copy()),
+                           None if x.bias is None else Tensor(x.bias.data.copy()),
+                           x.activation, x.residual) for x in net.layers])
+
+
+class SplitCoupling:
+    """A coupling layer's mask and its subnets as separate DenseNets with
+    their own parameters: the layer the tape differentiates."""
+
+    def __init__(self, layer):
+        self.mask = layer.mask
+        self.s_net, self.t_net = _copy_net(layer.s_net), _copy_net(layer.t_net)
+
+    def params(self) -> list[Tensor]:
+        return self.s_net.params() + self.t_net.params()
+
+    def stacked(self, attr: str) -> list[np.ndarray]:
+        """``attr`` ("data" or "grad") of the subnets' parameters laid out as
+        the coupling layer's stacked parameters: per depth the weights
+        (2, in, out), then the biases (2, 1, out)."""
+        out = []
+        for s, t in zip(self.s_net.layers, self.t_net.layers):
+            out.append(np.stack([getattr(s.weight, attr), getattr(t.weight, attr)]))
+            if s.bias is not None:
+                out.append(np.stack([getattr(s.bias, attr),
+                                     getattr(t.bias, attr)]).reshape(2, 1, -1))
+        return out
+
+
+class SplitFlow:
+    """A stacked FlowModel's twin with separate subnets (copies)."""
+
+    def __init__(self, flow):
+        self.dim = flow.dim
+        self.layers = [SplitCoupling(layer) for layer in flow.layers]
+
+    def params(self) -> list[Tensor]:
+        return [p for layer in self.layers for p in layer.params()]
+
+    def weight_tensors(self) -> list[Tensor]:
+        return [w for layer in self.layers
+                for w in layer.s_net.weight_tensors() + layer.t_net.weight_tensors()]
+
+    def stacked(self, attr: str) -> list[np.ndarray]:
+        """attr of every parameter in the stacked flow's ``params()`` order."""
+        return [a for layer in self.layers for a in layer.stacked(attr)]
+
+    def to_flow(self) -> FlowModel:
+        return FlowModel(self.dim, [CouplingLayer(layer.mask, layer.s_net, layer.t_net)
+                                    for layer in self.layers])
 
 
 def coupling_forward_tape(layer, z: Node) -> tuple[Node, Node]:

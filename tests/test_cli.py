@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import density_softmax
+from density_softmax.cli import main
+from density_softmax.data import LabeledSet, save_csv
 
 SRC = Path(density_softmax.__file__).resolve().parents[1]
 
@@ -109,3 +112,39 @@ class TestExitCodes:
         proc = cli("run", "--config", config, "--out", tmp_path / "out")
         assert proc.returncode == 3
         assert "error: pipeline stage 'erm' failed" in proc.stderr
+
+
+class TestInputWidth:
+    """A CSV whose feature width is not the model's input width exits 2 with
+    a message naming the file and both widths (in-process ``main``)."""
+
+    @pytest.fixture(scope="class")
+    def wide(self, work):
+        root, _ = work
+        data = root / "wide"
+        data.mkdir(exist_ok=True)
+        rows = np.random.default_rng(0).normal(size=(6, 3))
+        save_csv(LabeledSet(rows, np.array([0, 1] * 3), "iid_test", 0), data / "iid_test.csv")
+        return root / "run" / "model.json", data
+
+    def check_exit_2(self, capsys, argv, csv):
+        assert main([str(a) for a in argv]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {csv}: 3 feature columns, the model takes 2 inputs\n")
+
+    def test_bench(self, wide, tmp_path, capsys):
+        model, data = wide
+        self.check_exit_2(capsys, ["bench", "--models", model, "--set", data / "iid_test.csv",
+                                   "--out", tmp_path], data / "iid_test.csv")
+
+    def test_reliability(self, wide, tmp_path, capsys):
+        model, data = wide
+        self.check_exit_2(capsys, ["reliability", "--model", model, "--set",
+                                   data / "iid_test.csv", "--out", tmp_path],
+                          data / "iid_test.csv")
+
+    def test_hist_likelihood(self, wide, tmp_path, capsys):
+        model, data = wide
+        self.check_exit_2(capsys, ["hist-likelihood", "--model", model, "--data", data,
+                                   "--sets", "iid_test", "--out", tmp_path],
+                          data / "iid_test.csv")

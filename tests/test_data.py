@@ -183,6 +183,12 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="no rows"):
             load_csv(path)
 
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("x0,x1,label,domain,intensity\n")
+        with pytest.raises(DataError, match=f"^{path}: no data rows$"):
+            load_csv(path)
+
     def test_wrong_cell_count_names_line(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("x0,x1,label,domain,intensity\n1.0,2.0,0,train\n")

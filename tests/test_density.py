@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from kde_reference import kde_log_density
 
-from density_softmax.density import (LIKELIHOOD_FLOOR, CouplingLayer, FlowConfig,
-                                     FlowModel, KdeModel, ScaledDensity, compute_scale,
-                                     flow_fit, kde_fit, scott_bandwidth)
+from density_softmax.density import (FLOW_CHUNK_ROWS, LIKELIHOOD_FLOOR, CouplingLayer,
+                                     FlowConfig, FlowModel, KdeModel, ScaledDensity,
+                                     chunk_bounds, compute_scale, flow_fit, kde_fit,
+                                     scott_bandwidth)
 from density_softmax.layers import Dense, DenseNet
 from density_softmax.model import TrainingDiverged
 
@@ -156,12 +157,8 @@ class TestKdeChunkedKernel:
 def identity_flow(dim=2, layers=4) -> FlowModel:
     """Zero subnets leave every coupling layer as the identity map."""
     flow = FlowModel.build(dim, FlowConfig(coupling_layers=layers, seed=0))
-    for layer in flow.layers:
-        for net in (layer.s_net, layer.t_net):
-            for dense in net.layers:
-                dense.weight.data[...] = 0.0
-                if dense.bias is not None:
-                    dense.bias.data[...] = 0.0
+    for p in flow.params():
+        p.data[...] = 0.0
     return flow
 
 
@@ -170,9 +167,8 @@ def randomized_flow(dim, seed=0, scale=0.5) -> FlowModel:
     rng = np.random.default_rng(seed)
     flow = FlowModel.build(dim, FlowConfig(coupling_layers=4, seed=seed))
     for layer in flow.layers:
-        for net in (layer.s_net, layer.t_net):
-            final = net.layers[-1]
-            final.weight.data[...] = rng.normal(size=final.weight.data.shape) * scale
+        final = layer.net.layers[-1]  # stacked: the s-net's slot, then the t-net's
+        final.weight.data[...] = rng.normal(size=final.weight.data.shape) * scale
     return flow
 
 
@@ -252,11 +248,53 @@ class TestFlowStructure:
         with pytest.raises(ValueError, match="s_net first and last layers must not be residual"):
             CouplingLayer(mask=layer.mask, s_net=looped, t_net=layer.t_net)
 
+    def test_subnets_are_read_only_views_of_the_stack(self):
+        layer = FlowModel.build(4, FlowConfig(seed=0)).layers[0]
+        for slot, net in enumerate((layer.s_net, layer.t_net)):
+            for dense, stacked in zip(net.layers, layer.net.layers):
+                assert np.shares_memory(dense.weight.data, stacked.weight.data)
+                np.testing.assert_array_equal(dense.weight.data, stacked.weight.data[slot])
+                np.testing.assert_array_equal(dense.bias.data, stacked.bias.data[slot, 0])
+                with pytest.raises(ValueError, match="read-only"):
+                    dense.weight.data[...] = 0.0
+        assert (layer.s_net.layers[-1].activation, layer.t_net.layers[-1].activation) == \
+            ("tanh", "linear")
+        assert [p.data.shape for p in layer.params()][:2] == [(2, 4, 16), (2, 1, 16)]
+
+    def test_subnets_of_other_shapes_rejected(self):
+        layer = FlowModel.build(4, FlowConfig(hidden_layers=1, seed=0)).layers[0]
+        rng = np.random.default_rng(0)
+        deeper = DenseNet([Dense.init(rng, 4, 16), Dense.init(rng, 16, 16),
+                           Dense.init(rng, 16, 4)])
+        with pytest.raises(ValueError, match="s_net has 2 layers, t_net has 3"):
+            CouplingLayer(mask=layer.mask, s_net=layer.s_net, t_net=deeper)
+        narrower = DenseNet([Dense.init(rng, 4, 8), Dense.init(rng, 8, 4)])
+        with pytest.raises(ValueError, match="s_net and t_net differ in layer 0"):
+            CouplingLayer(mask=layer.mask, s_net=layer.s_net, t_net=narrower)
+
     def test_suffix_mask_passes_trailing_columns(self, rng):
         layer = FlowModel.build(5, FlowConfig(seed=0)).layers[1]  # mask 0 0 1 1 1
         assert (layer.p_cols, layer.t_cols) == (slice(2, 5), slice(0, 2))
         z = rng.normal(size=(4, 5))
         np.testing.assert_array_equal(layer.forward(z)[0][:, 2:], z[:, 2:])
+
+
+class TestFlowChunks:
+    def test_chunk_bounds_fold_a_one_row_tail(self):
+        assert chunk_bounds(1, 256) == [0, 1]
+        assert chunk_bounds(256, 256) == [0, 256]
+        assert chunk_bounds(257, 256) == [0, 257]
+        assert chunk_bounds(258, 256) == [0, 256, 258]
+        assert chunk_bounds(513, 256) == [0, 256, 513]
+
+    @pytest.mark.parametrize("rows", [1, FLOW_CHUNK_ROWS - 1, FLOW_CHUNK_ROWS,
+                                      FLOW_CHUNK_ROWS + 1, 1000, 1025])
+    def test_chunked_log_density_equals_one_shot_pass(self, rows):
+        flow = randomized_flow(128, seed=4, scale=0.1)
+        z = np.random.default_rng(rows).normal(size=(rows, 128))
+        t, log_det = flow.forward(z)
+        one_shot = -0.5 * (t * t).sum(axis=1) - 0.5 * 128 * math.log(2 * math.pi) + log_det
+        np.testing.assert_array_equal(flow.log_density(z), one_shot)
 
 
 class TestFlowBijectivity:
@@ -282,8 +320,9 @@ class TestFlowBijectivity:
         for layer in flow.layers:
             before = z.copy()
             t, log_det = layer.forward(z)
-            t_cached, s_sum, _ = layer.forward_cached(z)
-            np.testing.assert_array_equal(t, t_cached)
+            t_cached, s_sum, _ = layer.forward_cached(z[:, layer.p_cols], z[:, layer.t_cols])
+            np.testing.assert_array_equal(t[:, layer.t_cols], t_cached)
+            np.testing.assert_array_equal(t[:, layer.p_cols], z[:, layer.p_cols])
             assert log_det.sum() == pytest.approx(s_sum, rel=1e-12)
             np.testing.assert_array_equal(z, before)
             z = t

@@ -52,8 +52,8 @@ def randomized_flow(dim, layers, l2_seed):
     rng = np.random.default_rng(100 + 10 * layers + l2_seed)
     flow = FlowModel.build(dim, FlowConfig(coupling_layers=layers, hidden_units=5,
                                            hidden_layers=2, seed=layers))
-    for p in flow.params():  # zero-initialized output layers would hide terms
-        p.data[...] = rng.normal(size=p.data.shape) * 0.3
+    for a in ref.subnet_arrays(flow):  # zero-initialized output layers would hide terms
+        a[...] = rng.normal(size=a.shape) * 0.3
     return flow, rng
 
 
@@ -90,7 +90,7 @@ class TestL2Node:
     def test_matches_per_op_tape_exactly(self, rng, coefficient):
         weights = [Tensor(rng.normal(size=s)) for s in [(3, 4), (4,), (4, 2)]]
         want = ref.l2_penalty(weights, coefficient)
-        got = l2_value(weights, coefficient)
+        got = l2_value([w.data for w in weights], coefficient)
         if coefficient == 0.0:  # the tape adds no node; the kernels add nothing
             assert want is None and got == 0.0
             l2_backward(weights, coefficient, 1.0)
@@ -186,12 +186,11 @@ class TestFlowNllNode:
         batch = rng.normal(size=(9, 6))
         params = flow.params()
 
-        want = ref.flow_nll_loss(flow, batch, l2)
+        twin = ref.SplitFlow(flow)
+        want = ref.flow_nll_loss(twin, batch, l2)
         want.backward()
-        want_grads = grads(params)
+        want_grads = twin.stacked("grad")
 
-        for p in params:
-            p.zero_grad()
         got = flow.nll_loss(batch, l2)
         got.backward()
 
@@ -240,16 +239,20 @@ class TestSplitCoupling:
         batch = rng.normal(size=(n, dim))
         params = layer.params()
 
+        twin = ref.SplitCoupling(layer)
         z_ref = ref.Node(batch)
-        t_ref, s_ref = ref.coupling_forward_tape(layer, z_ref)
+        t_ref, s_ref = ref.coupling_forward_tape(twin, z_ref)
         (t_ref.square().sum().scale(0.5) - s_ref).scale(1.0 / n).backward()
-        want_grads = grads(params + [z_ref])
+        want_grads = twin.stacked("grad") + [z_ref.grad.copy()]
 
-        for p in params:
-            p.zero_grad()
-        t, s_sum, cache = layer.forward_cached(batch)
+        p, tc = layer.p_cols, layer.t_cols
+        t_t, s_sum, cache = layer.forward_cached(batch[:, p], batch[:, tc])
+        t = batch.copy()
+        t[:, tc] = t_t
         r = 1.0 / n  # the upstream gradients FlowModel.nll_loss hands its last layer
-        g_z = layer.backward_cached(cache, (r * 0.5) * (2.0 * t), -r, True)
+        g = (r * 0.5) * (2.0 * t)
+        g_z = np.empty_like(batch)
+        g_z[:, p], g_z[:, tc] = layer.backward_cached(cache, g[:, p], g[:, tc], -r, True)
 
         np.testing.assert_array_equal(t, t_ref.data)
         assert s_sum == s_ref.data
@@ -266,16 +269,35 @@ class TestSplitCoupling:
         batch = rng.normal(size=(9, dim))
         params = flow.params()
 
-        want = ref.flow_nll_loss(flow, batch, l2)
+        twin = ref.SplitFlow(flow)
+        want = ref.flow_nll_loss(twin, batch, l2)
         want.backward()
-        want_grads = grads(params)
-        for p in params:
-            p.zero_grad()
+        want_grads = twin.stacked("grad")
         got = flow.nll_loss(batch, l2)
         got.backward()
 
         assert got.data == want.data
         assert_all_equal(grads(params), want_grads)
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_flow_loss_with_unaligned_splits_matches_masked_tape(self, l2):
+        """Consecutive layers that do not swap halves (the same mask twice,
+        then a split at another column): the state is re-cut between them."""
+        flow, rng = randomized_flow(7, 3, 1)
+        masks = [np.repeat([1.0, 0.0], [3, 4]), np.repeat([1.0, 0.0], [3, 4]),
+                 np.repeat([0.0, 1.0], [5, 2])]
+        flow = FlowModel(7, [CouplingLayer(mask=m, s_net=c.s_net, t_net=c.t_net)
+                             for m, c in zip(masks, flow.layers)])
+        batch = rng.normal(size=(9, 7))
+
+        twin = ref.SplitFlow(flow)
+        want = ref.flow_nll_loss(twin, batch, l2)
+        want.backward()
+        got = flow.nll_loss(batch, l2)
+        got.backward()
+
+        assert got.data == want.data
+        assert_all_equal(grads(flow.params()), twin.stacked("grad"))
 
     @ORIENTATIONS
     def test_inverse_undoes_forward(self, dim, ones_first):
@@ -296,8 +318,8 @@ class TestSplitCoupling:
         widths), so those are held to 1e-12 relative."""
         rng = np.random.default_rng(dim)
         flow = FlowModel.build(dim, FlowConfig(seed=dim))
-        for p in flow.params():
-            p.data[...] = rng.normal(size=p.data.shape) * 0.1
+        for a in ref.subnet_arrays(flow):
+            a[...] = rng.normal(size=a.shape) * 0.1
         z = rng.normal(size=(300, dim))
         got, want = flow.log_density(z), ref.masked_log_density(flow, z)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -308,14 +330,18 @@ class TestSplitCoupling:
         z = np.random.default_rng(5).normal(size=(300, 128))  # batches 128, 128, 44
         cfg = FlowConfig(epochs=2, batch_size=128, seed=3)
         flow, trace = flow_fit(z, cfg)
-        twin = FlowModel.build(128, cfg)
+        twin = ref.SplitFlow(FlowModel.build(128, cfg))
         assert trace == ref.reference_flow_fit(twin, z, cfg)
-        assert_all_equal([p.data for p in flow.params()], [p.data for p in twin.params()])
+        assert_all_equal([p.data for p in flow.params()], twin.stacked("data"))
 
 
 class TestContiguousOptimizer:
-    def params_and_grads(self, rng, steps):
-        shapes = [(3, 4), (4,), (), (2, 2)]
+    SHAPES = [(3, 4), (4,), (), (2, 2)]
+    # 61,538 elements: two optimizer chunks (optim.CHUNK = 32,768), the first
+    # ending inside the first parameter and the second ragged (28,770)
+    MULTI_CHUNK = [(180, 200), (37,), (), (150, 170)]
+
+    def params_and_grads(self, rng, steps, shapes=SHAPES):
         params = [Tensor(rng.normal(size=s)) for s in shapes]
         # None: the parameter gets no gradient that step (lazy grads read 0)
         seq = [[None if (i + t) % 3 == 0 else rng.normal(size=s)
@@ -323,7 +349,14 @@ class TestContiguousOptimizer:
         return params, seq
 
     def test_adam_matches_per_parameter_adam_exactly(self, rng):
-        params, seq = self.params_and_grads(rng, 6)
+        self.check_adam(rng, self.SHAPES)
+
+    def test_adam_exact_across_chunks(self, rng):
+        chunks = self.check_adam(rng, self.MULTI_CHUNK)._packed.chunks
+        assert [buf.size for _, buf in chunks] == [32768, 28770]
+
+    def check_adam(self, rng, shapes):
+        params, seq = self.params_and_grads(rng, 6, shapes)
         twins = [Tensor(p.data.copy()) for p in params]
         opt, oracle = Adam(lr=0.05), ref.PerParamAdam(lr=0.05)
         for step_grads in seq:
@@ -336,10 +369,18 @@ class TestContiguousOptimizer:
         for flat, moments in ((opt._m, oracle.m), (opt._v, oracle.v)):
             want = np.concatenate([moments[id(q)].ravel() for q in twins])
             np.testing.assert_array_equal(flat, want)
+        return opt
 
     @pytest.mark.parametrize("nesterov", [False, True])
     def test_sgd_matches_per_parameter_update_exactly(self, rng, nesterov):
-        params, seq = self.params_and_grads(rng, 4)
+        self.check_sgd(rng, nesterov, self.SHAPES)
+
+    @pytest.mark.parametrize("nesterov", [False, True])
+    def test_sgd_exact_across_chunks(self, rng, nesterov):
+        self.check_sgd(rng, nesterov, self.MULTI_CHUNK)
+
+    def check_sgd(self, rng, nesterov, shapes):
+        params, seq = self.params_and_grads(rng, 4, shapes)
         expected = [p.data.copy() for p in params]
         velocity = [np.zeros_like(e) for e in expected]
         opt = SgdMomentum(lr=0.1, momentum=0.9, nesterov=nesterov)
@@ -398,9 +439,9 @@ class TestPipelineAgainstPerOpLoops:
         erm = ref.reference_erm(encoder, classifier, train, train_cfg)
         train_z = encoder.encode(train.features)
         flow_cfg = replace(flow_cfg, seed=train_cfg.seed)
-        flow = FlowModel.build(train_z.shape[1], flow_cfg)
-        flow_trace = ref.reference_flow_fit(flow, train_z, flow_cfg)
-        s = compute_scale(flow, train_z).scaled_likelihood(train_z)
+        twin = ref.SplitFlow(FlowModel.build(train_z.shape[1], flow_cfg))
+        flow_trace = ref.reference_flow_fit(twin, train_z, flow_cfg)
+        s = compute_scale(twin.to_flow(), train_z).scaled_likelihood(train_z)
         reopt = ref.reference_reopt(classifier.theta, train_z, s, train.labels,
                                     replace(reopt_cfg, seed=train_cfg.seed))
 
@@ -411,7 +452,7 @@ class TestPipelineAgainstPerOpLoops:
         assert_all_equal([p.data for p in model.encoder.params()],
                          [p.data for p in encoder.params()])
         assert_all_equal([p.data for p in model.density.inner.params()],
-                         [p.data for p in flow.params()])
+                         twin.stacked("data"))
         np.testing.assert_array_equal(model.classifier.theta.data,
                                       classifier.theta.data)
 

@@ -77,7 +77,7 @@ class TestDenseNet:
     def test_l2_penalty_value_and_grad(self, rng):
         net = DenseNet([Dense.init(rng, 2, 3, "relu"), Dense.init(rng, 3, 2, "relu")])
         weights = net.weight_tensors()
-        assert l2_value(weights, 0.01) == pytest.approx(
+        assert l2_value([w.data for w in weights], 0.01) == pytest.approx(
             0.01 * sum(np.square(w.data).sum() for w in weights))
         l2_backward(weights, 0.01, 1.0)
 

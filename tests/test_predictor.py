@@ -14,7 +14,7 @@ from density_softmax.density import (LIKELIHOOD_FLOOR, FlowConfig, FlowModel,
 from density_softmax.model import Classifier, EncoderConfig, TrainConfig, init_model
 from density_softmax.ops import entropy, softmax
 from density_softmax.optim import OptimizerSpec
-from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel,
+from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel, Ensemble,
                                        PipelineError, ReoptConfig, predictive_summaries,
                                        reoptimize_classifier, train_pipeline)
 
@@ -117,6 +117,14 @@ class TestPredictMechanics:
         x[3, 1] = bad
         with pytest.raises(ValueError, match="input row 3 is not finite"):
             pinned_model(0.5).predict(x)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (1, 1, 2)])
+    def test_bad_input_shape_rejected_up_front(self, shape):
+        message = rf"input has shape \({shape[0]}, {shape[1]}"
+        for model in (pinned_model(0.5), Ensemble([pinned_model(0.5, seed=s)
+                                                  for s in (0, 1)])):
+            with pytest.raises(ValueError, match=message):
+                model.predict(np.zeros(shape))
 
     def test_latent_and_likelihood_exposed(self, rng):
         model = pinned_model(0.3)

@@ -1,6 +1,7 @@
 """Model container round-trips must be exact."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from density_softmax.serialize import (CONTAINER_VERSION, ContainerError,
                                        _decode_array, _encode_array,
                                        density_softmax_container, ensemble_container,
                                        load_container, save_container)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 SMALL = EncoderConfig(input_dim=2, width=8, depth=2, latent_dim=8)
 FAST = TrainConfig(epochs=5, batch_size=64,
@@ -70,6 +73,22 @@ class TestDensitySoftmaxContainer:
         x = train.features[:10]
         np.testing.assert_array_equal(back.predict(x).probs,
                                       result.model.predict(x).probs)
+
+
+    def test_stored_flow_container_loads_predicts_and_saves_bit_for_bit(self, tmp_path):
+        """data/flow_model_v2.json and its expected outputs were written while
+        the coupling layers kept their s-net and t-net as separate arrays; the
+        stacked layers must load it, predict the same bits and write the
+        same bytes back."""
+        model = load_container(DATA / "flow_model_v2.json")
+        want = json.loads((DATA / "flow_model_v2_expected.json").read_text())
+        pred = model.predict(_decode_array(want["x"], "x", 2))
+        np.testing.assert_array_equal(pred.probs, _decode_array(want["probs"], "probs", 2))
+        np.testing.assert_array_equal(pred.scaled_likelihood,
+                                      _decode_array(want["scaled_likelihood"], "s", 1))
+        path = tmp_path / "again.json"
+        save_container(density_softmax_container(model), path)
+        assert path.read_bytes() == (DATA / "flow_model_v2.json").read_bytes()
 
 
 class TestArrayEncoding:
@@ -261,6 +280,13 @@ def _wide_subnet_input(doc, model):
     return doc
 
 
+def _subnets_differ(doc, model):
+    """The t-net's first layer is tanh, the s-net's relu: they cannot stack."""
+    doc = _flow_doc(model, 8)
+    doc["density"]["layers"][1]["t_net"][0]["activation"] = "tanh"
+    return doc
+
+
 def _short_bias(doc, model):
     doc["encoder"]["layers"][0]["bias"] = _sliced(doc["encoder"]["layers"][0]["bias"],
                                                   slice(5))
@@ -339,11 +365,12 @@ class TestContainerValidation:
         (_wide_subnet_input, "flow layer 1: s_net maps 10 -> 8 columns, the mask has "
                              "length 8"),
         (_short_bias, r"encoder layer 0: bias has shape \(5,\), the layer has 8 units"),
+        (_subnets_differ, "flow layer 1: s_net and t_net differ in layer 0"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
             "mask_length", "encoder_layers", "no_encoder_layers", "version_1",
             "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
             "shape_ndim", "nested_list_array", "mask_not_prefix_or_suffix",
-            "subnet_width", "bias_length"])
+            "subnet_width", "bias_length", "subnet_shapes"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
                                               corrupt, message, capsys):
         _, result = pipeline_result

@@ -137,7 +137,6 @@ def cmd_run(args) -> int:
         reports = _evaluate_model(model, name, sets, cfg.bins)
         for tag, report in reports.items():
             doc = report.to_dict()
-            doc.pop("latency_ms_per_sample")
             bins = doc.pop("bins")
             _write_json(out / f"report_{name}_{tag}.json", doc)
             if bins is not None:
@@ -170,7 +169,11 @@ def cmd_surface(args) -> int:
     model = load_container(args.model)
     if model.k != 2:
         raise ConfigError("model", "surface plots require a binary classifier")
+    if model.input_dim != 2:
+        raise ConfigError("model", f"surface plots need a 2-input model; this one takes "
+                          f"{model.input_dim} inputs")
     x0, x1, y0, y1 = _parse_bounds(args.bounds)
+    overlay = _load_overlay_points(model, args.data) if args.data else None
     res = args.resolution
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
@@ -189,7 +192,6 @@ def cmd_surface(args) -> int:
         lines.append(f"{x:.17g},{y:.17g},{vals}")
     _write_text(out / "surface.csv", "\n".join(lines) + "\n")
 
-    overlay = _load_overlay_points(args.data) if args.data else None
     for name in ("prob_class0", "variance", "entropy_bits", "u"):
         values = fields[name].reshape(res, res)
         vmax = 1.0
@@ -199,7 +201,7 @@ def cmd_surface(args) -> int:
     return EXIT_OK
 
 
-def _load_overlay_points(data_dir: str) -> list:
+def _load_overlay_points(model, data_dir: str) -> list:
     """Scatter overlay from a run's data directory: train classes + OOD."""
     points = []
     colors = {0: "#ff8800", 1: "#3366ff"}
@@ -207,11 +209,13 @@ def _load_overlay_points(data_dir: str) -> list:
     train_path = base / "train.csv"
     if train_path.exists():
         train = load_csv(train_path)
+        _check_width(model, train, train_path)
         for (x, y), label in zip(train.features, train.labels):
             points.append((x, y, colors.get(int(label), "#555555")))
     ood_path = base / "ood.csv"
     if ood_path.exists():
         ood = load_csv(ood_path)
+        _check_width(model, ood, ood_path)
         for x, y in ood.features:
             points.append((x, y, "#dd2222"))
     return points
@@ -337,7 +341,6 @@ def cmd_compare(args) -> int:
             for tag, report in reports.items():
                 doc = report.to_dict()
                 doc.pop("bins")
-                doc.pop("latency_ms_per_sample")
                 doc.update({"config": config_name, "model": name})
                 if tag == "ood":
                     doc["auroc"] = detection["neg_max_prob"]["auroc"]

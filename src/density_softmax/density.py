@@ -10,11 +10,13 @@ Two estimators share the same interface (``log_density`` over rows):
   suffix of the columns) and transformed columns T. Its s-net and t-net
   are stacked: each depth's two weight matrices live in one (2, in, out)
   array, so one matmul runs both subnets, reading only z_P and computing
-  only the T outputs (see :class:`CouplingLayer`). Training carries the
-  flow state as its two column halves from layer to layer. The log-det
-  sums still run over a full-width array (s in T, zeros in P), so numpy's
-  pairwise summation groups the terms as it does for the masked product
-  s * (1 - mask) and the sums stay bit-identical to it.
+  only the T outputs (see :class:`CouplingLayer`). One walk serves
+  inference (``forward``, ``log_density``) and training (``nll_loss``): it
+  carries the flow state as its two column halves from layer to layer and
+  joins them once at the end. The log-det sums still run over a full-width
+  array (s in T, zeros in P), so numpy's pairwise summation groups the
+  terms as it does for the masked product s * (1 - mask) and the sums stay
+  bit-identical to it.
 
 Both estimators walk their query rows in fixed chunks (``KDE_CHUNK_ROWS``,
 ``FLOW_CHUNK_ROWS``), folding a 1-row tail into the chunk before it, so a
@@ -25,8 +27,8 @@ log-density (a streaming max over batches); scaled likelihoods are then
 exp(log p(z) - max), which lives in (0, 1] with the densest train point
 mapping to exactly 1. Values that underflow are floored at the smallest
 positive normal float so the interval stays open at 0 (this includes rows so
-far out that every squared distance overflows: their log-density is -inf);
-test points denser than any train point clamp to 1.
+far out that every squared distance, or the flow transform, overflows: their
+log-density is -inf); test points denser than any train point clamp to 1.
 """
 
 from __future__ import annotations
@@ -196,16 +198,17 @@ class CouplingLayer:
     architecture, and copies them into the stack; ``s_net`` and ``t_net``
     are read-only per-subnet views of the slots (what a container stores).
 
-    Halves: the stack reads z_P through its first layer's rows P and
+    Halves: ``forward``, the one coupling step for inference and training,
+    takes the column halves z_P and z_T and returns t_T and s; t_P is z_P
+    itself. The stack reads z_P through its first layer's rows P and
     computes only the T outputs through its last layer's columns T, so no
     arithmetic runs on the zeros of a masked product. The skipped first-layer
     rows T and last-layer columns P stay in the parameters and get a zero
     data gradient (plus the L2 term). The halves are slices, cached at
     construction, so the mask's ones must be a prefix or a suffix (the only
     masks ``FlowModel.build`` writes), and both subnets must map len(mask)
-    columns to len(mask) columns through non-residual end layers. The
-    training kernels (``forward_cached``/``backward_cached``) take and
-    return the column halves themselves.
+    columns to len(mask) columns through non-residual end layers.
+    ``backward_cached`` also takes and returns the halves.
 
     The log-det sums run over a full-width array with s in T and zeros in
     P, laid out as the masked product s * (1 - mask) would be: numpy's
@@ -289,20 +292,20 @@ class CouplingLayer:
             apply_activation(st[slot], activation, out=st[slot])
         return st
 
-    def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Inference forward: t and log|det| per row. Works in place on the
-        stack's fresh output."""
-        p, tc = self.p_cols, self.t_cols
-        zp = z[:, p]
-        u, b = self._finish(self.net.forward(zp, p, tc))
-        out = self._log_det_layout(u)
-        log_det = out.sum(axis=1)
-        np.exp(u, out=u)
-        u *= z[:, tc]
-        u += b
-        out[:, tc] = u
-        out[:, p] = zp
-        return out, log_det
+    def forward(self, zp: np.ndarray, zt: np.ndarray, caches: list | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The coupling step on the halves z_P, z_T: t_T and s (t_P is z_P
+        itself). Given a caches list, appends what ``backward_cached``
+        needs."""
+        net_cache = None if caches is None else []
+        st = self._finish(self.net.forward(zp, self.p_cols, self.t_cols, net_cache))
+        s, b = st
+        e = np.exp(s)
+        t_t = zt * e
+        t_t += b
+        if caches is not None:
+            caches.append((zt, e, st, net_cache))
+        return t_t, s
 
     def inverse(self, t: np.ndarray) -> np.ndarray:
         p, tc = self.p_cols, self.t_cols
@@ -312,16 +315,6 @@ class CouplingLayer:
         z[:, p] = tp
         z[:, tc] = (t[:, tc] - b) * np.exp(-s)
         return z
-
-    def forward_cached(self, zp: np.ndarray, zt: np.ndarray
-                       ) -> tuple[np.ndarray, float, tuple]:
-        """Training forward on the halves z_P, z_T: (t_T, sum of s over the
-        batch, cache for backward); t_P is z_P itself."""
-        st, net_cache = self.net.forward_cached(zp, self.p_cols, self.t_cols)
-        s, b = self._finish(st)
-        s_sum = self._log_det_layout(s).sum()
-        e = np.exp(s)
-        return zt * e + b, s_sum, (zt, e, st, net_cache)
 
     def backward_cached(self, cache: tuple, g_p: np.ndarray, g_t: np.ndarray, g_s_sum,
                         t_net_first: bool, input_grad: bool = True
@@ -393,6 +386,8 @@ class FlowModel:
     def __init__(self, dim: int, layers: list[CouplingLayer]):
         if dim < 2:
             raise ValueError("flow needs dim >= 2")
+        if not layers:
+            raise ValueError("flow needs at least one coupling layer")
         for i, layer in enumerate(layers):
             self.check_mask(i, layer.mask, dim)
         self.dim = dim
@@ -423,14 +418,26 @@ class FlowModel:
         return cls(dim, layers)
 
     def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        log_det = np.zeros(z.shape[0])
-        for i, layer in enumerate(self.layers):
-            z, ld = layer.forward(z)
-            if not np.all(np.isfinite(z)):
-                raise FloatingPointError(f"non-finite values after coupling layer {i}")
-            log_det += ld
-        return z, log_det
+        """t and log|det| of each row of z."""
+        return self._walk(np.atleast_2d(np.asarray(z, dtype=np.float64)), 1)
+
+    def _walk(self, z: np.ndarray, axis: int | None, caches: list | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """t of the rows of z and the log-det: each layer's log-det layout
+        summed over ``axis`` (1: per row, None: over the batch), added up
+        layer by layer. The state travels as its two column halves (layer
+        i's T is layer i+1's P) and is joined once at the end. Given a
+        caches list, each layer appends its cache."""
+        n, d = z.shape
+        first = self.layers[0]
+        halves = ((first.p_cols, z[:, first.p_cols]), (first.t_cols, z[:, first.t_cols]))
+        log_det = 0.0
+        for layer in self.layers:
+            zp, zt = _take(halves, layer, n, d)
+            t_t, s = layer.forward(zp, zt, caches)
+            log_det = log_det + layer._log_det_layout(s).sum(axis=axis)
+            halves = ((layer.p_cols, zp), (layer.t_cols, t_t))
+        return _join(halves, n, d), log_det
 
     def inverse(self, t: np.ndarray) -> np.ndarray:
         t = np.atleast_2d(np.asarray(t, dtype=np.float64))
@@ -441,21 +448,24 @@ class FlowModel:
         return t
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
-        """Log-density of each row of z; -inf where ||t||^2 overflows (a far,
-        huge row). Walks z in chunks of FLOW_CHUNK_ROWS rows (see
-        chunk_bounds), which bounds the temporaries and keeps the subnets'
-        products in cache."""
+        """Log-density of each row of z; -inf where the transform or
+        ||t||^2 overflows (a far, huge row), never NaN. Walks z in chunks of
+        FLOW_CHUNK_ROWS rows (see chunk_bounds), which bounds the
+        temporaries and keeps the subnets' products in cache."""
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         rows = z.shape[0]
         bounds = chunk_bounds(rows, FLOW_CHUNK_ROWS)
         out = np.empty(rows)
         const = 0.5 * self.dim * LOG_2PI
-        for lo, hi in zip(bounds, bounds[1:]):
-            t, log_det = self.forward(z[lo:hi])
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in zip(bounds, bounds[1:]):
+                t, log_det = self._walk(z[lo:hi], 1)
                 base = -0.5 * (t * t).sum(axis=1) - const
-            np.add(base, log_det, out=out[lo:hi])
-        return out
+                np.add(base, log_det, out=out[lo:hi])
+        # A row whose transform overflowed came out NaN; the log-det is a
+        # sum of tanh values, so no row is +inf, and fmax turns exactly the
+        # NaN rows into -inf.
+        return np.fmax(out, -np.inf, out=out)
 
     def params(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]
@@ -474,23 +484,11 @@ class FlowModel:
         the subnets' weight matrices, as one loss node; its rule walks the
         coupling layers in reverse, then adds the L2 term.
 
-        The flow state travels as its two column halves (layer i's T is
-        layer i+1's P), and so does its gradient; the full width is built
-        only for the log-det sums and ||t||^2."""
+        The forward is the inference walk with caches; the gradient travels
+        as its two column halves like the flow state."""
         n, d = batch.shape
-        batch = np.asarray(batch, dtype=np.float64)
-        first = self.layers[0]
-        halves = ((first.p_cols, batch[:, first.p_cols]),
-                  (first.t_cols, batch[:, first.t_cols]))
-        caches = []
-        s_total = None
-        for layer in self.layers:
-            zp, zt = _take(halves, layer, n, d)
-            t_t, s_sum, cache = layer.forward_cached(zp, zt)
-            halves = ((layer.p_cols, zp), (layer.t_cols, t_t))
-            caches.append(cache)
-            s_total = s_sum if s_total is None else s_total + s_sum
-        t = _join(halves, n, d)
+        caches: list = []
+        t, s_total = self._walk(np.asarray(batch, dtype=np.float64), None, caches)
         # mean over the batch of [0.5*||t||^2 - log_det] plus the base constant
         loss = ((t * t).sum() * 0.5 - s_total) * (1.0 / n) + 0.5 * d * LOG_2PI
         if l2 != 0.0:
@@ -499,8 +497,9 @@ class FlowModel:
         def rule(upstream) -> None:
             r = upstream * (1.0 / n)
             g = (r * 0.5) * (2.0 * t)
-            g_halves = tuple((cols, g[:, cols]) for cols, _ in halves)
             last = len(self.layers) - 1
+            p, tc = self.layers[last].p_cols, self.layers[last].t_cols
+            g_halves = ((p, g[:, p]), (tc, g[:, tc]))
             for i in range(last, -1, -1):
                 layer = self.layers[i]
                 g_p, g_t = _take(g_halves, layer, n, d)

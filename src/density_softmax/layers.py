@@ -1,11 +1,13 @@
 """Dense layers and small feed-forward stacks with optional residual links.
 
-Each layer owns float64 parameter Tensors. ``forward`` runs plain numpy for
-inference. For training, ``DenseNet.forward_cached`` repeats its arithmetic
-while caching each layer's input and activation, ``backward_cached`` walks
-the stack once, and ``l2_value``/``l2_backward`` are the L2 penalty; the
-loss nodes ``erm_loss`` and ``FlowModel.nll_loss`` call them. The tests hold
-them to the per-op oracle tape, bit for bit in values and every gradient.
+Each layer owns float64 parameter Tensors. ``forward`` is the one forward
+step, for inference and training alike. Without a cache it works in place
+on its fresh matmul output. Given a cache list, each layer also appends its
+input and activation, and its residual sum goes out of place, so the cached
+arrays stay as they were. ``backward_cached`` walks that cache once, and
+``l2_value``/``l2_backward`` are the L2 penalty; the loss nodes ``erm_loss``
+and ``FlowModel.nll_loss`` call them. The tests hold them to the per-op
+oracle tape, bit for bit in values and every gradient.
 
 ``DenseNet`` can also run sliced (``rows``/``cols``): the input holds only
 some of the first layer's input columns, and only some of the last layer's
@@ -103,10 +105,15 @@ class Dense:
         b = Tensor(np.zeros(out_dim)) if bias else None
         return cls(weight=Tensor(w), bias=b, activation=activation, residual=residual)
 
-    def forward(self, x: np.ndarray, rows=ALL, cols=ALL) -> np.ndarray:
-        """Inference forward; works in the one fresh matmul output. x holds
-        the input columns ``rows``, and only the output columns ``cols`` are
-        computed; a sliced layer must not be residual."""
+    def forward(self, x: np.ndarray, rows=ALL, cols=ALL, cache: list | None = None
+                ) -> np.ndarray:
+        """act(x W + b), plus x for a residual layer. x holds the input
+        columns ``rows``, and only the output columns ``cols`` are computed;
+        a sliced layer must not be residual. The activation works in place on
+        the fresh matmul output. Given a cache list, the layer appends
+        (x, activation), which ``DenseNet.backward_cached`` reads (the relu
+        mask and the tanh derivative both follow from the activation), and
+        the residual sum goes to a new array."""
         w = self.weight.data
         b = None if self.bias is None else self.bias.data
         if rows is not ALL or cols is not ALL:
@@ -115,10 +122,13 @@ class Dense:
         h = x @ w
         if b is not None:
             h += b
-        h = apply_activation(h, self.activation, out=h)
+        a = apply_activation(h, self.activation, out=h)
+        if cache is not None:
+            cache.append((x, a))
+            return x + a if self.residual else a
         if self.residual:
-            h += x
-        return h
+            a += x
+        return a
 
     def params(self) -> list[Tensor]:
         return [self.weight] if self.bias is None else [self.weight, self.bias]
@@ -138,30 +148,16 @@ class DenseNet:
                     f"{nxt.weight.data.shape}"
                 )
 
-    def forward(self, x: np.ndarray, rows=ALL, cols=ALL) -> np.ndarray:
-        """Inference forward. x holds the input columns ``rows``; only the
-        output columns ``cols`` are computed."""
+    def forward(self, x: np.ndarray, rows=ALL, cols=ALL, cache: list | None = None
+                ) -> np.ndarray:
+        """The stack's output. x holds the input columns ``rows``; only the
+        output columns ``cols`` are computed. Given a cache list, every layer
+        appends what ``backward_cached`` needs; the end layers of a sliced
+        pass must not be residual."""
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = layer.forward(x, rows if i == 0 else ALL, cols if i == last else ALL)
+            x = layer.forward(x, rows if i == 0 else ALL, cols if i == last else ALL, cache)
         return x
-
-    def forward_cached(self, x: np.ndarray, rows=ALL, cols=ALL) -> tuple[np.ndarray, list]:
-        """``forward`` that also returns what ``backward_cached`` needs: each
-        layer's input and activation (the relu mask and the tanh derivative
-        both follow from the activation, so the pre-activation is not kept).
-        The end layers of a sliced pass must not be residual."""
-        cache = []
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            r, c = rows if i == 0 else ALL, cols if i == last else ALL
-            h = x @ layer.weight.data[..., r, c]
-            if layer.bias is not None:
-                h += layer.bias.data[..., c]
-            a = apply_activation(h, layer.activation)
-            cache.append((x, a))
-            x = x + a if layer.residual else a
-        return x, cache
 
     def backward_cached(self, cache: list, g: np.ndarray, rows=ALL, cols=ALL,
                         input_grad: bool = True) -> np.ndarray | None:

@@ -74,24 +74,21 @@ def expected_calibration_error(probs: np.ndarray, labels: np.ndarray,
     return ece_from_bins(stats, len(np.asarray(labels)))
 
 
-def misclassified_ece(probs: np.ndarray, labels: np.ndarray, bins: int = 15,
-                      misclassified_bins: bool = False) -> float | None:
+def misclassified_ece(probs: np.ndarray, labels: np.ndarray, bins: int = 15
+                      ) -> float | None:
     """Calibration gap normalized by the misclassified count instead of N.
 
     Returns None ("not applicable") when every sample is classified
-    correctly. With ``misclassified_bins`` the bins themselves are built
-    from the misclassified subset only, instead of from all samples.
+    correctly.
     """
     probs, labels = _validate(probs, labels)
-    wrong = probs.argmax(axis=1) != labels
-    n_wrong = int(wrong.sum())
-    if n_wrong == 0:
-        return None
-    if misclassified_bins:
-        stats = reliability_bins(probs[wrong], labels[wrong], bins)
-    else:
-        stats = reliability_bins(probs, labels, bins)
-    return ece_from_bins(stats, n_wrong)
+    return _mece(reliability_bins(probs, labels, bins), probs, labels)
+
+
+def _mece(stats: list[BinStats], probs: np.ndarray, labels: np.ndarray) -> float | None:
+    """misclassified_ece from the reliability bins of probs and labels."""
+    n_wrong = int((probs.argmax(axis=1) != labels).sum())
+    return ece_from_bins(stats, n_wrong) if n_wrong else None
 
 
 def negative_log_likelihood(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -196,7 +193,6 @@ class EvalReport:
     auroc: float | None = None
     aupr: float | None = None
     param_count: int | None = None
-    latency_ms_per_sample: float | None = None
     bins: list[BinStats] | None = None
 
     def to_dict(self) -> dict:
@@ -220,8 +216,8 @@ def evaluate_predictions(domain: str, probs: np.ndarray, labels: np.ndarray | No
     if labels is not None:
         report.accuracy = accuracy(probs, labels)
         report.nll = negative_log_likelihood(probs, labels)
-        report.ece = expected_calibration_error(probs, labels, bins)
-        report.mece = misclassified_ece(probs, labels, bins)
-        report.brier = brier_score(probs, labels)
         report.bins = reliability_bins(probs, labels, bins)
+        report.ece = ece_from_bins(report.bins, report.n)
+        report.mece = _mece(report.bins, *_validate(probs, labels))
+        report.brier = brier_score(probs, labels)
     return report

@@ -101,7 +101,8 @@ class Encoder:
     def encode_tape(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """Training forward: the latents of x and the cache that
         ``DenseNet.backward_cached`` takes."""
-        return self.net.forward_cached(x)
+        cache: list = []
+        return self.net.forward(x, cache=cache), cache
 
     def params(self) -> list[Tensor]:
         return self.net.params()

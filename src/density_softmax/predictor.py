@@ -24,6 +24,7 @@ import numpy as np
 from .autodiff import Tensor
 from .data import LabeledSet, require_fittable
 from .density import FlowConfig, ScaledDensity, compute_scale, flow_fit, kde_fit
+from .layers import fan_in_uniform
 from .model import (Classifier, Encoder, EncoderConfig, TrainConfig, erm_train,
                     head_cross_entropy, init_model, train_minibatches)
 from .ops import entropy, finite_rows, softmax
@@ -173,10 +174,9 @@ def reoptimize_classifier(model: DensitySoftmaxModel, train: LabeledSet,
     """
     require_fittable(train)
     if config.reinit:
-        rng = np.random.default_rng(config.seed)
-        d_z = model.classifier.theta.data.shape[0]
-        model.classifier.theta.data[...] = rng.uniform(
-            -1.0 / np.sqrt(d_z), 1.0 / np.sqrt(d_z), model.classifier.theta.data.shape)
+        d_z, k = model.classifier.theta.data.shape
+        model.classifier.theta.data[...] = fan_in_uniform(np.random.default_rng(config.seed),
+                                                          d_z, k)
     z = model.encoder.encode(train.features)
     s = model.density.scaled_likelihood(z)
     theta = model.classifier.theta

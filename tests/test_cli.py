@@ -13,6 +13,9 @@ import pytest
 import density_softmax
 from density_softmax.cli import main
 from density_softmax.data import LabeledSet, save_csv
+from density_softmax.model import EncoderConfig, init_model
+from density_softmax.predictor import DensitySoftmaxModel
+from density_softmax.serialize import density_softmax_container, save_container
 
 SRC = Path(density_softmax.__file__).resolve().parents[1]
 
@@ -124,7 +127,8 @@ class TestInputWidth:
         data = root / "wide"
         data.mkdir(exist_ok=True)
         rows = np.random.default_rng(0).normal(size=(6, 3))
-        save_csv(LabeledSet(rows, np.array([0, 1] * 3), "iid_test", 0), data / "iid_test.csv")
+        for tag in ("iid_test", "train"):
+            save_csv(LabeledSet(rows, np.array([0, 1] * 3), tag, 0), data / f"{tag}.csv")
         return root / "run" / "model.json", data
 
     def check_exit_2(self, capsys, argv, csv):
@@ -148,3 +152,18 @@ class TestInputWidth:
         self.check_exit_2(capsys, ["hist-likelihood", "--model", model, "--data", data,
                                    "--sets", "iid_test", "--out", tmp_path],
                           data / "iid_test.csv")
+
+    def test_surface_overlay(self, wide, tmp_path, capsys):
+        model, data = wide
+        self.check_exit_2(capsys, ["surface", "--model", model, "--data", data,
+                                   "--out", tmp_path], data / "train.csv")
+
+    def test_surface_model(self, tmp_path, capsys):
+        # the surface grid is 2-D, so a model with another input width is refused
+        encoder, classifier = init_model(EncoderConfig(input_dim=3, width=4, depth=1), 2, 0)
+        model = tmp_path / "wide_model.json"
+        save_container(density_softmax_container(DensitySoftmaxModel(encoder, classifier)),
+                       model)
+        assert main(["surface", "--model", str(model), "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == ("error: model: surface plots need a 2-input "
+                                          "model; this one takes 3 inputs\n")

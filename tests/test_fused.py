@@ -4,10 +4,11 @@ minibatch loop against the per-op oracle in tape_reference.py.
 Each training stage runs one loss node per step with a hand-written backward
 rule: ``erm_loss`` (encoder stack, head cross-entropy, L2), the head's
 ``head_cross_entropy`` under s (re-optimization) and ``FlowModel.nll_loss``.
-They and their kernels (``DenseNet.forward_cached``/``backward_cached``,
-``l2_value``/``l2_backward``, the coupling kernels) must reproduce the per-op
-tape exactly: equal values and equal gradients for every parameter and
-input, bit for bit.
+They and their kernels (``DenseNet.forward`` with a cache and
+``backward_cached``, ``l2_value``/``l2_backward``, the coupling step and its
+backward) must reproduce the per-op tape exactly: equal values and equal
+gradients for every parameter and input, bit for bit. The forward steps are
+the ones inference runs, so the same oracle holds the served path too.
 """
 
 import gc
@@ -77,7 +78,8 @@ class TestDenseNetNode:
 
         for p in params:
             p.zero_grad()
-        got, cache = net.forward_cached(x)
+        cache = []
+        got = net.forward(x, cache=cache)
         g_x = net.backward_cached(cache, upstream)
 
         np.testing.assert_array_equal(got, want.data)
@@ -246,20 +248,22 @@ class TestSplitCoupling:
         want_grads = twin.stacked("grad") + [z_ref.grad.copy()]
 
         p, tc = layer.p_cols, layer.t_cols
-        t_t, s_sum, cache = layer.forward_cached(batch[:, p], batch[:, tc])
+        caches = []
+        t_t, s = layer.forward(batch[:, p], batch[:, tc], caches)
         t = batch.copy()
         t[:, tc] = t_t
+        s_sum = layer._log_det_layout(s).sum()
+        log_det = layer._log_det_layout(s).sum(axis=1)
         r = 1.0 / n  # the upstream gradients FlowModel.nll_loss hands its last layer
         g = (r * 0.5) * (2.0 * t)
         g_z = np.empty_like(batch)
-        g_z[:, p], g_z[:, tc] = layer.backward_cached(cache, g[:, p], g[:, tc], -r, True)
+        g_z[:, p], g_z[:, tc] = layer.backward_cached(caches[0], g[:, p], g[:, tc], -r, True)
 
         np.testing.assert_array_equal(t, t_ref.data)
         assert s_sum == s_ref.data
         assert_all_equal(grads(params) + [g_z], want_grads)
-        t_inf, log_det = layer.forward(batch)
         want_t, want_log_det = ref.masked_coupling_forward(layer, batch)
-        np.testing.assert_array_equal(t_inf, want_t)
+        np.testing.assert_array_equal(t, want_t)
         np.testing.assert_array_equal(log_det, want_log_det)
 
     @ORIENTATIONS
@@ -282,7 +286,8 @@ class TestSplitCoupling:
     @pytest.mark.parametrize("l2", [0.0, 0.01])
     def test_flow_loss_with_unaligned_splits_matches_masked_tape(self, l2):
         """Consecutive layers that do not swap halves (the same mask twice,
-        then a split at another column): the state is re-cut between them."""
+        then a split at another column): the state is re-cut between them,
+        in training and at inference."""
         flow, rng = randomized_flow(7, 3, 1)
         masks = [np.repeat([1.0, 0.0], [3, 4]), np.repeat([1.0, 0.0], [3, 4]),
                  np.repeat([0.0, 1.0], [5, 2])]
@@ -298,13 +303,16 @@ class TestSplitCoupling:
 
         assert got.data == want.data
         assert_all_equal(grads(flow.params()), twin.stacked("grad"))
+        # small d: held to 1e-12 relative, as in test_log_density_matches_masked_reference
+        np.testing.assert_allclose(flow.log_density(batch), ref.masked_log_density(flow, batch),
+                                   rtol=1e-12, atol=0)
 
     @ORIENTATIONS
     def test_inverse_undoes_forward(self, dim, ones_first):
         flow, rng = oriented_flow(dim, 3, ones_first)
         z = rng.normal(size=(40, dim)) * 2.0
         for layer in flow.layers:
-            t, _ = layer.forward(z)
+            t, _ = FlowModel(dim, [layer]).forward(z)
             back = layer.inverse(t)
             np.testing.assert_array_equal(back[:, layer.p_cols], z[:, layer.p_cols])
             np.testing.assert_allclose(back, z, rtol=0, atol=1e-12)

@@ -108,13 +108,6 @@ class TestMisclassifiedEce:
         labels = np.ones(2, dtype=int)
         assert misclassified_ece(probs, labels, 15) is None
 
-    def test_restricted_bins_variant(self):
-        probs = binary_probs([0.9, 0.9, 0.7, 0.7])
-        labels = np.array([0, 1, 0, 1])  # one wrong per conf level
-        restricted = misclassified_ece(probs, labels, bins=1, misclassified_bins=True)
-        # bins over the 2 wrong samples only: acc 0, conf 0.8 -> (2/2)*0.8
-        assert restricted == pytest.approx(0.8, abs=1e-12)
-
     def test_nonnegative(self, rng):
         probs = binary_probs(rng.uniform(0.5, 1.0, 50))
         labels = rng.integers(0, 2, 50)

@@ -258,6 +258,12 @@ def _flow_of_other_dim(doc, model):
     return _flow_doc(model, 4)
 
 
+def _no_flow_layers(doc, model):
+    doc = _flow_doc(model, 8)
+    doc["density"]["layers"] = []
+    return doc
+
+
 def _short_mask(doc, model):
     doc = _flow_doc(model, 8)
     doc["density"]["layers"][1]["mask"] = _sliced(doc["density"]["layers"][1]["mask"],
@@ -366,11 +372,12 @@ class TestContainerValidation:
                              "length 8"),
         (_short_bias, r"encoder layer 0: bias has shape \(5,\), the layer has 8 units"),
         (_subnets_differ, "flow layer 1: s_net and t_net differ in layer 0"),
+        (_no_flow_layers, "flow needs at least one coupling layer"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
             "mask_length", "encoder_layers", "no_encoder_layers", "version_1",
             "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
             "shape_ndim", "nested_list_array", "mask_not_prefix_or_suffix",
-            "subnet_width", "bias_length", "subnet_shapes"])
+            "subnet_width", "bias_length", "subnet_shapes", "no_flow_layers"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
                                               corrupt, message, capsys):
         _, result = pipeline_result

@@ -17,7 +17,7 @@ from .metrics import (EvalReport, accuracy, auroc, aupr, brier_score,
                       ood_detection, reliability_bins)
 from .model import Classifier, Encoder, EncoderConfig, TrainConfig, erm_train, init_model
 from .ops import cross_entropy, entropy, softmax
-from .optim import Adam, OptimizerSpec, SgdMomentum
+from .optim import Adam, OptimizerSpec
 from .predictor import (DensityConfig, DensitySoftmaxModel, Ensemble, Prediction,
                         PipelineResult, ReoptConfig, ensemble_train,
                         predictive_summaries, reoptimize_classifier, train_pipeline)
@@ -29,7 +29,7 @@ __all__ = [
     "Encoder", "EncoderConfig", "Ensemble", "EvalReport", "ExperimentConfig",
     "FlowConfig", "FlowModel", "KdeModel", "LabeledSet", "OptimizerSpec",
     "PipelineResult", "Prediction", "ReoptConfig", "ScaledDensity",
-    "SgdMomentum", "ShiftSpec", "TrainConfig",
+    "ShiftSpec", "TrainConfig",
     "accuracy", "apply_shift", "auroc", "aupr", "brier_score",
     "build_datasets", "compute_scale", "cross_entropy", "ensemble_train",
     "entropy", "erm_train", "evaluate_predictions",

@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from . import metrics as M
 from .config import ConfigError, ExperimentConfig, build_datasets, load_config
 from .data import DataError, LabeledSet, load_csv, save_csv
 from .model import TrainingDiverged
+from .ops import NonFiniteRow
 from .predictor import (DensitySoftmaxModel, PipelineError, PipelineResult,
                         ensemble_train, predictive_summaries, train_pipeline)
 from .serialize import (ContainerError, container_kind, density_softmax_container,
@@ -69,6 +71,17 @@ def _check_width(model, dataset: LabeledSet, path) -> None:
     if width != model.input_dim:
         raise DataError(f"{path}: {width} feature columns, the model takes "
                         f"{model.input_dim} inputs")
+
+
+@contextmanager
+def _rows_of(path):
+    """A row of the CSV at path that is not finite, or whose latent
+    overflows in the encoder, becomes a DataError naming the file and the
+    data row (counted from 0)."""
+    try:
+        yield
+    except NonFiniteRow as exc:
+        raise DataError(f"{path}: data row {exc.row}: its {exc.what} is not finite") from None
 
 
 def _evaluate_model(model, name: str, sets: dict[str, LabeledSet],
@@ -162,6 +175,8 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
         raise ConfigError("bounds", "expected four numbers") from None
     if x1 <= x0 or y1 <= y0:
         raise ConfigError("bounds", "upper bounds must exceed lower bounds")
+    if not (np.isfinite(x1 - x0) and np.isfinite(y1 - y0)):
+        raise ConfigError("bounds", "each span x1 - x0 and y1 - y0 must be finite")
     return x0, x1, y0, y1
 
 
@@ -178,7 +193,12 @@ def cmd_surface(args) -> int:
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
     grid = np.array([[x, y] for y in ys for x in xs])
-    pred = model.predict(grid)
+    try:
+        pred = model.predict(grid)
+    except NonFiniteRow as exc:
+        x, y = grid[exc.row]
+        raise ConfigError("bounds", f"the {exc.what} of grid point ({x:g}, {y:g}) "
+                          "is not finite") from None
     lik = pred.scaled_likelihood
     summary = predictive_summaries(pred.probs, np.ones(len(grid)) if lik is None else lik)
     fields = {"prob_class0": pred.probs[:, 0]}
@@ -233,7 +253,8 @@ def cmd_hist_likelihood(args) -> int:
             raise ConfigError("sets", f"unknown set tag {tag!r} (no {path})")
         dataset = load_csv(path)
         _check_width(model, dataset, path)
-        lik = model.density.scaled_likelihood(model.encoder.encode(dataset.features))
+        with _rows_of(path):
+            lik = model.density.scaled_likelihood(model.encoder.encode(dataset.features))
         series.append((tag, lik))
     edges = np.linspace(0.0, 1.0, args.hist_bins + 1)
     out = Path(args.out)
@@ -258,7 +279,8 @@ def cmd_reliability(args) -> int:
     _check_width(model, dataset, args.set)
     if dataset.domain == "ood":
         raise ConfigError("set", "reliability diagrams need labeled data")
-    probs = model.predict(dataset.features).probs
+    with _rows_of(args.set):
+        probs = model.predict(dataset.features).probs
     bins = M.reliability_bins(probs, dataset.labels, args.bins)
     ece = M.ece_from_bins(bins, dataset.n)
     out = Path(args.out)
@@ -291,6 +313,8 @@ def cmd_bench(args) -> int:
     for path in args.models:
         model = load_container(path)
         _check_width(model, dataset, args.set)
+        with _rows_of(args.set):  # so that no timed call can fail
+            model.predict(dataset.features)
         times = _time_single_predictions(model, dataset.features,
                                          args.warmup, args.repetitions)
         q1, med, q3 = (float(q) for q in np.percentile(times, [25, 50, 75]))

@@ -43,7 +43,6 @@ from .autodiff import Tensor
 from .layers import (Dense, DenseNet, activation_grad, apply_activation, l2_backward,
                      l2_value)
 from .model import train_minibatches
-from .optim import OptimizerSpec
 
 LIKELIHOOD_FLOOR = sys.float_info.min  # smallest positive normal float64
 
@@ -380,8 +379,12 @@ class FlowConfig:
 
 
 class FlowModel:
-    """Stack of coupling layers with alternating half masks over a standard
-    normal base; provides exact log-density, forward, and inverse maps."""
+    """Stack of coupling layers with alternating masks over a standard
+    normal base; provides exact log-density, forward, and inverse maps.
+
+    Each layer passes through exactly the columns the layer before it
+    transformed (what ``build`` writes), so the walk hands a layer's two
+    halves to the next one swapped, with no re-cut of the state."""
 
     def __init__(self, dim: int, layers: list[CouplingLayer]):
         if dim < 2:
@@ -390,6 +393,10 @@ class FlowModel:
             raise ValueError("flow needs at least one coupling layer")
         for i, layer in enumerate(layers):
             self.check_mask(i, layer.mask, dim)
+            if i and layer.p_cols != layers[i - 1].t_cols:
+                raise ValueError(f"coupling layer {i} does not pass through the columns "
+                                 f"coupling layer {i - 1} transforms; the masks must "
+                                 "alternate")
         self.dim = dim
         self.layers = layers
 
@@ -425,19 +432,21 @@ class FlowModel:
               ) -> tuple[np.ndarray, np.ndarray]:
         """t of the rows of z and the log-det: each layer's log-det layout
         summed over ``axis`` (1: per row, None: over the batch), added up
-        layer by layer. The state travels as its two column halves (layer
-        i's T is layer i+1's P) and is joined once at the end. Given a
-        caches list, each layer appends its cache."""
-        n, d = z.shape
-        first = self.layers[0]
-        halves = ((first.p_cols, z[:, first.p_cols]), (first.t_cols, z[:, first.t_cols]))
+        layer by layer. The state travels as the next layer's halves (zp, zt)
+        and is joined once at the end. Given a caches list, each layer
+        appends its cache."""
+        first, last = self.layers[0], self.layers[-1]
+        zp, zt = z[:, first.p_cols], z[:, first.t_cols]
         log_det = 0.0
         for layer in self.layers:
-            zp, zt = _take(halves, layer, n, d)
             t_t, s = layer.forward(zp, zt, caches)
             log_det = log_det + layer._log_det_layout(s).sum(axis=axis)
-            halves = ((layer.p_cols, zp), (layer.t_cols, t_t))
-        return _join(halves, n, d), log_det
+            # this layer's T is the next layer's P, and its P the next's T
+            zp, zt = t_t, zp
+        t = np.empty(z.shape)
+        t[:, last.t_cols] = zp
+        t[:, last.p_cols] = zt
+        return t, log_det
 
     def inverse(self, t: np.ndarray) -> np.ndarray:
         t = np.atleast_2d(np.asarray(t, dtype=np.float64))
@@ -485,7 +494,7 @@ class FlowModel:
         coupling layers in reverse, then adds the L2 term.
 
         The forward is the inference walk with caches; the gradient travels
-        as its two column halves like the flow state."""
+        as the halves (g_p, g_t) like the flow state."""
         n, d = batch.shape
         caches: list = []
         t, s_total = self._walk(np.asarray(batch, dtype=np.float64), None, caches)
@@ -498,41 +507,18 @@ class FlowModel:
             r = upstream * (1.0 / n)
             g = (r * 0.5) * (2.0 * t)
             last = len(self.layers) - 1
-            p, tc = self.layers[last].p_cols, self.layers[last].t_cols
-            g_halves = ((p, g[:, p]), (tc, g[:, tc]))
+            g_p, g_t = g[:, self.layers[last].p_cols], g[:, self.layers[last].t_cols]
             for i in range(last, -1, -1):
-                layer = self.layers[i]
-                g_p, g_t = _take(g_halves, layer, n, d)
-                g_z = layer.backward_cached(caches[i], g_p, g_t, -r, i == last, i > 0)
+                g_z = self.layers[i].backward_cached(caches[i], g_p, g_t, -r, i == last,
+                                                     i > 0)
                 if g_z is not None:
-                    g_halves = ((layer.p_cols, g_z[0]), (layer.t_cols, g_z[1]))
+                    # layer i's P and T are layer i-1's T and P
+                    g_t, g_p = g_z
             if l2 != 0.0:
                 l2_backward([w for layer in self.layers for w in layer.net.weight_tensors()],
                             l2, upstream)
 
         return Tensor(loss, rule)
-
-
-def _join(halves, n: int, d: int) -> np.ndarray:
-    """The full-width rows of two column halves ((cols, array), (cols, array))."""
-    full = np.empty((n, d))
-    for cols, part in halves:
-        full[:, cols] = part
-    return full
-
-
-def _take(halves, layer: CouplingLayer, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The layer's P and T columns from two column halves: the halves
-    themselves when they split where the layer does (alternating masks),
-    else slices of the joined width."""
-    (a_cols, a), (b_cols, b) = halves
-    p, tc = layer.p_cols, layer.t_cols
-    if (a_cols, b_cols) == (p, tc):
-        return a, b
-    if (a_cols, b_cols) == (tc, p):
-        return b, a
-    full = _join(halves, n, d)
-    return full[:, p], full[:, tc]
 
 
 def flow_fit(z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[float]]:
@@ -547,7 +533,7 @@ def flow_fit(z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[float]]
     flow = FlowModel.build(z.shape[1], config)
     trace = train_minibatches(
         "flow", lambda idx: flow.nll_loss(z[idx], config.l2), flow.params(),
-        OptimizerSpec(lr=config.lr), n, config.batch_size, config.epochs, config.seed)
+        config.lr, n, config.batch_size, config.epochs, config.seed)
     return flow, trace
 
 

@@ -119,21 +119,12 @@ def auroc(scores_iid: np.ndarray, scores_ood: np.ndarray,
         raise ValueError("both score sets must be non-empty")
     if not higher_is_ood:
         iid, ood = -iid, -ood
-    combined = np.concatenate([iid, ood])
-    order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty_like(combined)
-    ranks[order] = np.arange(1, combined.size + 1, dtype=np.float64)
-    # average ranks across ties
-    sorted_vals = combined[order]
-    i = 0
-    while i < sorted_vals.size:
-        j = i
-        while j + 1 < sorted_vals.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
-    rank_sum_ood = ranks[iid.size:].sum()
+    _, group, counts = np.unique(np.concatenate([iid, ood]), return_inverse=True,
+                                 return_counts=True)
+    # a tie group at sorted positions i..j takes the mid-rank (i + j + 2) / 2
+    ends = np.cumsum(counts)
+    mid_ranks = (ends - counts + ends + 1) / 2.0
+    rank_sum_ood = mid_ranks[group[iid.size:]].sum()
     n_o, n_i = ood.size, iid.size
     return float((rank_sum_ood - n_o * (n_o + 1) / 2.0) / (n_o * n_i))
 

@@ -1,9 +1,10 @@
 """Residual feed-forward encoder, bias-free linear classifier, ERM training.
 
 The encoder is an input projection followed by `depth` residual blocks
-y = x + relu(Wx + b), so width must equal the latent dimension. The
+y = x + relu(Wx + b), so its width is the latent dimension. The
 classifier is a single d_z x K matrix with no bias; logits are z @ theta.
-ERM and re-optimization share the head's fused ``head_cross_entropy``.
+ERM and re-optimization share the head's fused ``head_cross_entropy``, and
+every training stage shares ``train_minibatches``: Adam at a fixed rate.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .autodiff import Tensor
 from .data import LabeledSet, require_fittable
 from .layers import Activation, Dense, DenseNet, fan_in_uniform, l2_backward, l2_value
 from .ops import finite_rows
-from .optim import OptimizerSpec
+from .optim import Adam, OptimizerSpec
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,18 +44,15 @@ class EncoderConfig:
     input_dim: int = 2
     width: int = 128
     depth: int = 12
-    latent_dim: int | None = None  # None: equal to width
     activation: Activation = "relu"
 
     def __post_init__(self):
-        if self.latent_dim is None:
-            object.__setattr__(self, "latent_dim", self.width)
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
         if self.width < 1:
             raise ValueError("width must be >= 1")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.width != self.latent_dim:
-            raise ValueError("width must equal latent_dim for residual blocks")
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 128
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
-    lr_decay_epochs: tuple[int, ...] = ()
-    lr_decay_ratio: float = 1.0
     l2: float = 0.0
     seed: int = 0
 
@@ -73,13 +69,9 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
-    def lr_at(self, epoch: int) -> float:
-        decays = sum(1 for e in self.lr_decay_epochs if epoch >= e)
-        return self.optimizer.lr * (self.lr_decay_ratio**decays)
-
 
 class Encoder:
-    """Input projection plus residual relu blocks."""
+    """Input projection plus residual blocks; the width is the latent width."""
 
     def __init__(self, config: EncoderConfig, net: DenseNet):
         self.config = config
@@ -150,7 +142,7 @@ def init_model(config: EncoderConfig, k: int, seed: int) -> tuple[Encoder, Class
         layers.append(Dense.init(rng, config.width, config.width, config.activation,
                                  residual=True))
     encoder = Encoder(config, DenseNet(layers))
-    theta = Tensor(fan_in_uniform(rng, config.latent_dim, k))
+    theta = Tensor(fan_in_uniform(rng, config.width, k))
     return encoder, Classifier(theta)
 
 
@@ -162,24 +154,20 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray], Tensor],
-                      params: list[Tensor], optimizer: OptimizerSpec, n: int,
-                      batch_size: int, epochs: int, seed: int,
-                      lr_at: Callable[[int], float] | None = None) -> list[float]:
+                      params: list[Tensor], lr: float, n: int, batch_size: int,
+                      epochs: int, seed: int) -> list[float]:
     """The minibatch loop every training stage shares.
 
     Each epoch visits the n rows in a seeded shuffle; per batch it builds the
     scalar loss node `loss_fn(idx)`, checks it is finite, clears the grads,
-    runs backward and takes one optimizer step. `lr_at(epoch)`, if given,
-    sets the learning rate at the start of each epoch. Returns the per-epoch
-    mean loss trace; a non-finite loss raises TrainingDiverged.
+    runs backward and takes one Adam step at the fixed rate lr. Returns the
+    per-epoch mean loss trace; a non-finite loss raises TrainingDiverged.
     """
-    opt = optimizer.build()
+    opt = Adam(params, lr)
     rng = np.random.default_rng(seed)
     trace: list[float] = []
     last_finite = None
     for epoch in range(epochs):
-        if lr_at is not None:
-            opt.lr = lr_at(epoch)
         losses = []
         for batch, idx in enumerate(minibatches(n, batch_size, rng)):
             loss = loss_fn(idx)
@@ -189,7 +177,7 @@ def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray], Tensor],
             for p in params:
                 p.zero_grad()
             loss.backward()
-            opt.step(params)
+            opt.step()
             losses.append(value)
             last_finite = value
         trace.append(float(np.mean(losses)))
@@ -268,5 +256,5 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
                         config.l2)
 
     return train_minibatches("erm", loss_fn, encoder.params() + classifier.params(),
-                             config.optimizer, train.n, config.batch_size,
-                             config.epochs, config.seed, config.lr_at)
+                             config.optimizer.lr, train.n, config.batch_size,
+                             config.epochs, config.seed)

@@ -7,18 +7,27 @@ import numpy as np
 PROB_FLOOR = 1e-12
 
 
+class NonFiniteRow(ValueError):
+    """A batch row holds a NaN or an infinity: "<what> row <row> is not finite"."""
+
+    def __init__(self, what: str, row: int):
+        super().__init__(f"{what} row {row} is not finite")
+        self.what = what
+        self.row = row
+
+
 def finite_rows(x, what: str = "input") -> np.ndarray:
     """x as a float64 batch of rows (one row if x is a vector). Raises
     ValueError naming the shape when x is not one row or a non-empty 2-D
-    batch, and naming the first row that holds a NaN or an infinity, as
-    "<what> row i is not finite"."""
+    batch, and NonFiniteRow naming the first row that holds a NaN or an
+    infinity."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"{what} has shape {x.shape}; expected one row or a "
                          "non-empty (rows, columns) batch")
     if not np.isfinite(x).all():
         row = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
-        raise ValueError(f"{what} row {row} is not finite")
+        raise NonFiniteRow(what, row)
     return x
 
 

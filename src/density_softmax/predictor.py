@@ -3,7 +3,8 @@
 Training runs three steps: (1) standard ERM on encoder + classifier,
 (2) density fit on the frozen encoder's train latents followed by likelihood
 scaling, (3) re-optimization of the classifier alone against the
-density-scaled objective. Inference multiplies each sample's logits by its
+density-scaled objective, starting from step 1's head. Every step that
+trains uses Adam at its own fixed learning rate. Inference multiplies each sample's logits by its
 scaled likelihood s in (0, 1] before the softmax:
 
     probs = softmax(s * (z @ theta)),  z = encode(x),  s = scaled_likelihood(z)
@@ -24,11 +25,9 @@ import numpy as np
 from .autodiff import Tensor
 from .data import LabeledSet, require_fittable
 from .density import FlowConfig, ScaledDensity, compute_scale, flow_fit, kde_fit
-from .layers import fan_in_uniform
 from .model import (Classifier, Encoder, EncoderConfig, TrainConfig, erm_train,
                     head_cross_entropy, init_model, train_minibatches)
 from .ops import entropy, finite_rows, softmax
-from .optim import OptimizerSpec
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class ReoptConfig:
     epochs: int = 10
     batch_size: int = 128
     lr: float = 1e-4  # Adam
-    reinit: bool = False  # start step 3 from fresh weights instead of step 1's
     seed: int = 0
 
     def __post_init__(self):
@@ -167,16 +165,13 @@ class PipelineResult:
 
 def reoptimize_classifier(model: DensitySoftmaxModel, train: LabeledSet,
                           config: ReoptConfig) -> list[float]:
-    """Step 3: refit the classifier against softmax(s * logits) targets.
+    """Step 3: refit the classifier, from its current weights, against
+    softmax(s * logits) targets.
 
     Latents and scaled likelihoods are precomputed once (encoder and density
     are frozen), so each step's loss node touches only the d_z x K head.
     """
     require_fittable(train)
-    if config.reinit:
-        d_z, k = model.classifier.theta.data.shape
-        model.classifier.theta.data[...] = fan_in_uniform(np.random.default_rng(config.seed),
-                                                          d_z, k)
     z = model.encoder.encode(train.features)
     s = model.density.scaled_likelihood(z)
     theta = model.classifier.theta
@@ -184,7 +179,7 @@ def reoptimize_classifier(model: DensitySoftmaxModel, train: LabeledSet,
     def loss_fn(idx: np.ndarray) -> Tensor:
         return Tensor(*head_cross_entropy(z[idx], theta, train.labels[idx], s[idx]))
 
-    return train_minibatches("reopt", loss_fn, [theta], OptimizerSpec(lr=config.lr),
+    return train_minibatches("reopt", loss_fn, [theta], config.lr,
                              train.n, config.batch_size, config.epochs, config.seed)
 
 

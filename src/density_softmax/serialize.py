@@ -9,7 +9,8 @@ bits, -0.0, subnormals and the largest finite value included), and neither
 side turns a weight into a Python float or its decimal repr. Scalars
 (bandwidth, max_train_log_density, config integers) stay JSON numbers.
 
-Version 2 is the only version read; a version-1 container (nested lists
+The encoder config keeps a "latent_dim" entry, which must equal its
+width. Version 2 is the only version read; a version-1 container (nested lists
 of decimal floats) is refused with a ContainerError, and ``run`` writes the
 same model again as version 2.
 """
@@ -93,21 +94,27 @@ def _encoder_to_dict(encoder: Encoder) -> dict:
     cfg = encoder.config
     return {
         "config": {"input_dim": cfg.input_dim, "width": cfg.width,
-                   "depth": cfg.depth, "latent_dim": cfg.latent_dim,
+                   "depth": cfg.depth, "latent_dim": cfg.width,
                    "activation": cfg.activation},
         "layers": _net_to_list(encoder.net),
     }
 
 
 def _encoder_from_dict(d: dict) -> Encoder:
-    config = EncoderConfig(**d["config"])
+    fields = dict(d["config"])
+    # the residual blocks keep the width, so the format's latent_dim must equal it
+    latent_dim = fields.pop("latent_dim")
+    config = EncoderConfig(**fields)
+    if latent_dim != config.width:
+        raise ContainerError(f"encoder latent_dim {latent_dim!r} is not its width "
+                             f"{config.width}")
     net = _net_from_list(d["layers"], "encoder")
     if not net.layers:
         raise ContainerError("encoder has no layers")
     maps = (net.layers[0].weight.data.shape[0], net.layers[-1].weight.data.shape[1])
-    if maps != (config.input_dim, config.latent_dim):
+    if maps != (config.input_dim, config.width):
         raise ContainerError(f"encoder layers map {maps[0]} -> {maps[1]} columns, "
-                             f"config says {config.input_dim} -> {config.latent_dim}")
+                             f"config says {config.input_dim} -> {config.width}")
     return Encoder(config, net)
 
 
@@ -249,7 +256,7 @@ def _model_from_dict(doc: dict) -> DensitySoftmaxModel:
     if kind not in ("density_softmax", "erm"):
         raise ContainerError(f"unknown container kind {kind!r}")
     encoder = _encoder_from_dict(doc["encoder"])
-    latent_dim = encoder.config.latent_dim
+    latent_dim = encoder.config.width
     classifier = _classifier_from_dict(doc["classifier"], latent_dim, int(doc["k"]))
     density = (None if kind == "erm"
                else _density_from_dict(doc["density"], latent_dim))

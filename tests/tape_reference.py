@@ -32,7 +32,6 @@ from density_softmax.autodiff import Tensor
 from density_softmax.density import CouplingLayer, FlowModel
 from density_softmax.layers import Dense, DenseNet
 from density_softmax.model import minibatches
-from density_softmax.optim import OptimizerSpec
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -442,16 +441,12 @@ class PerParamAdam:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def reference_loop(loss_fn, params, spec, n, batch_size, epochs, seed,
-                   lr_at=None) -> list[float]:
-    """The minibatch loop as each training stage spelled it out (Adam only)."""
-    assert spec.kind == "adam"
-    opt = PerParamAdam(spec.lr, spec.beta1, spec.beta2, spec.eps)
+def reference_loop(loss_fn, params, lr, n, batch_size, epochs, seed) -> list[float]:
+    """The minibatch loop as each training stage spelled it out."""
+    opt = PerParamAdam(lr)
     rng = np.random.default_rng(seed)
     trace = []
-    for epoch in range(epochs):
-        if lr_at is not None:
-            opt.lr = lr_at(epoch)
+    for _ in range(epochs):
         losses = []
         for idx in minibatches(n, batch_size, rng):
             loss = loss_fn(idx)
@@ -483,17 +478,17 @@ def reference_erm(encoder, classifier, train, config) -> list[float]:
                         config.l2)
 
     return reference_loop(loss_fn, encoder.params() + classifier.params(),
-                          config.optimizer, train.n, config.batch_size,
-                          config.epochs, config.seed, config.lr_at)
+                          config.optimizer.lr, train.n, config.batch_size,
+                          config.epochs, config.seed)
 
 
 def reference_flow_fit(flow, z, config) -> list[float]:
     return reference_loop(lambda idx: flow_nll_loss(flow, z[idx], config.l2),
-                          flow.params(), OptimizerSpec(lr=config.lr), z.shape[0],
+                          flow.params(), config.lr, z.shape[0],
                           config.batch_size, config.epochs, config.seed)
 
 
 def reference_reopt(theta: Tensor, z, s, labels, config) -> list[float]:
     return reference_loop(lambda idx: reopt_loss(theta, z[idx], s[idx], labels[idx]),
-                          [theta], OptimizerSpec(lr=config.lr), z.shape[0],
+                          [theta], config.lr, z.shape[0],
                           config.batch_size, config.epochs, config.seed)

@@ -110,11 +110,59 @@ class TestExitCodes:
 
     def test_diverging_training_exits_3(self, tmp_path):
         doc = json.loads(json.dumps(TINY))
-        doc["train"]["optimizer"] = {"kind": "sgd_momentum", "lr": 1e30}
+        doc["train"]["optimizer"] = {"lr": 1e200}
         config = write_config(tmp_path / "diverge.json", doc)
         proc = cli("run", "--config", config, "--out", tmp_path / "out")
         assert proc.returncode == 3
         assert "error: pipeline stage 'erm' failed" in proc.stderr
+
+
+class TestLatentOverflow:
+    """A finite CSV row whose latent overflows in the encoder exits 2 with a
+    DataError naming the file and the data row (in-process ``main``)."""
+
+    @pytest.fixture(scope="class")
+    def huge(self, work):
+        root, _ = work
+        data = root / "huge"
+        data.mkdir(exist_ok=True)
+        rows = np.array([[0.1, 0.2], [0.5, -0.3], [1.7e308, -1.7e308]])
+        save_csv(LabeledSet(rows, np.array([0, 1, 0]), "iid_test", 0), data / "iid_test.csv")
+        return root / "run" / "model.json", data / "iid_test.csv"
+
+    def check_exit_2(self, capsys, argv, csv):
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {csv}: data row 2: its latent is not finite\n"
+
+    def test_reliability(self, huge, tmp_path, capsys):
+        model, csv = huge
+        self.check_exit_2(capsys, ["reliability", "--model", model, "--set", csv,
+                                   "--out", tmp_path], csv)
+
+    def test_bench(self, huge, tmp_path, capsys):
+        # the whole set is checked before timing, which predicts row by row
+        model, csv = huge
+        self.check_exit_2(capsys, ["bench", "--models", model, "--set", csv, "--warmup", 0,
+                                   "--repetitions", 1, "--out", tmp_path], csv)
+        assert not (tmp_path / "bench.json").exists()
+
+    def test_hist_likelihood(self, huge, tmp_path, capsys):
+        model, csv = huge
+        self.check_exit_2(capsys, ["hist-likelihood", "--model", model, "--data", csv.parent,
+                                   "--sets", "iid_test", "--out", tmp_path], csv)
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ("-1e308,1e308,-1e308,1e308", "each span x1 - x0 and y1 - y0 must be finite"),
+    ("-1.7e308,0,0,1.7e308",
+     "the latent of grid point (-1.7e+308, 1.275e+308) is not finite"),
+], ids=["span", "latent"])
+def test_surface_bounds_that_overflow_exit_2(work, tmp_path, capsys, bounds, message):
+    root, _ = work
+    argv = ["surface", "--model", str(root / "run" / "model.json"), "--out", str(tmp_path),
+            "--resolution", "5", f"--bounds={bounds}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: bounds: {message}\n"
 
 
 class TestInputWidth:

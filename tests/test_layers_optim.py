@@ -5,7 +5,7 @@ import pytest
 
 from density_softmax.autodiff import Tensor
 from density_softmax.layers import Dense, DenseNet, l2_backward, l2_value
-from density_softmax.optim import Adam, OptimizerSpec, SgdMomentum
+from density_softmax.optim import Adam
 
 from conftest import assert_grads_close, central_difference_grad
 from tape_reference import Node, dense_forward_tape
@@ -91,42 +91,12 @@ class TestDenseNet:
                            central_difference_grad(loss, weights))
 
 
-class TestSgd:
-    def test_one_step_definition(self):
-        p = Tensor(np.array(1.0))
-        p.accumulate(np.array(2.0))
-        SgdMomentum(lr=0.1).step([p])
-        assert p.data == pytest.approx(0.8, abs=1e-15)
-
-    def test_zero_grad_zero_l2_leaves_params(self, rng):
-        p = Tensor(rng.normal(size=(3, 3)))
-        before = p.data.copy()
-        SgdMomentum(lr=0.5, momentum=0.9).step([p])
-        np.testing.assert_array_equal(p.data, before)
-
-    def test_momentum_accumulates(self):
-        p = Tensor(np.array(0.0))
-        opt = SgdMomentum(lr=1.0, momentum=0.5)
-        for _ in range(2):
-            p.zero_grad()
-            p.accumulate(np.array(1.0))
-            opt.step([p])
-        # steps: v=1 -> p=-1; v=1.5 -> p=-2.5
-        assert p.data == pytest.approx(-2.5)
-
-    def test_shape_mismatch_rejected(self):
-        p = Tensor(np.zeros((2, 2)))
-        p.accumulate(np.zeros(3))
-        with pytest.raises(ValueError):
-            SgdMomentum(lr=0.1).step([p])
-
-
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         for g in (0.5, -3.0, 100.0):
             p = Tensor(np.array(1.0))
             p.accumulate(np.array(g))
-            Adam(lr=1e-3).step([p])
+            Adam([p], lr=1e-3).step()
             step = p.data - 1.0
             assert np.sign(step) == -np.sign(g)
             assert abs(step) == pytest.approx(1e-3, rel=1e-4)
@@ -134,21 +104,19 @@ class TestAdam:
     def test_zero_grads_leave_params(self, rng):
         p = Tensor(rng.normal(size=4))
         before = p.data.copy()
-        Adam(lr=0.1).step([p])
+        Adam([p], lr=0.1).step()
         np.testing.assert_array_equal(p.data, before)
 
     def test_state_shapes_mirror_params(self, rng):
         p = Tensor(rng.normal(size=(2, 5)))
         p.accumulate(rng.normal(size=(2, 5)))
-        opt = Adam(lr=0.01)
-        opt.step([p])
-        assert opt._m.shape == opt._v.shape == (10,)
-        assert p.data.base is opt._packed.data
+        opt = Adam([p], lr=0.01)
+        opt.step()
+        assert opt.m.shape == opt.v.shape == (10,)
+        assert p.data.base is opt.data
 
-
-class TestOptimizerSpec:
-    def test_build_kinds(self):
-        assert isinstance(OptimizerSpec(kind="adam").build(), Adam)
-        assert isinstance(OptimizerSpec(kind="sgd_momentum").build(), SgdMomentum)
-        with pytest.raises(ValueError):
-            OptimizerSpec(kind="rmsprop").build()
+    def test_shape_mismatch_rejected(self):
+        p = Tensor(np.zeros((2, 2)))
+        p.accumulate(np.zeros(3))
+        with pytest.raises(ValueError, match="gradient/parameter shape mismatch"):
+            Adam([p], lr=0.1).step()

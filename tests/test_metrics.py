@@ -178,6 +178,15 @@ class TestOodDetection:
         ood = rng.integers(0, 6, n_ood).astype(float)
         assert auroc(iid, ood) == pytest.approx(brute_force_auroc(iid, ood), abs=1e-12)
 
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=80),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_tied_integer_scores_match_pairwise_definition(self, iid, ood):
+        iid, ood = np.array(iid, dtype=float), np.array(ood, dtype=float)
+        wins = (ood[:, None] > iid[None, :]).mean()
+        ties = (ood[:, None] == iid[None, :]).mean()
+        np.testing.assert_allclose(auroc(iid, ood), wins + 0.5 * ties, rtol=1e-12, atol=0)
+
     def test_direction_flag(self):
         iid = np.array([0.9, 0.8])  # iid scores HIGH under this scoring
         ood = np.array([0.1, 0.2])

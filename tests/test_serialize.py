@@ -20,9 +20,9 @@ from density_softmax.serialize import (CONTAINER_VERSION, ContainerError,
 
 DATA = Path(__file__).resolve().parent / "data"
 
-SMALL = EncoderConfig(input_dim=2, width=8, depth=2, latent_dim=8)
+SMALL = EncoderConfig(input_dim=2, width=8, depth=2)
 FAST = TrainConfig(epochs=5, batch_size=64,
-                   optimizer=OptimizerSpec(kind="adam", lr=3e-3), seed=0)
+                   optimizer=OptimizerSpec(lr=3e-3), seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +164,7 @@ class TestErmAndEnsembleContainers:
     @pytest.mark.parametrize("second, message", [
         (None, "an ensemble needs at least one member"),
         ((SMALL, 3), "ensemble member 1 has k = 3, member 0 has k = 2"),
-        ((EncoderConfig(input_dim=3, width=8, depth=2, latent_dim=8), 2),
+        ((EncoderConfig(input_dim=3, width=8, depth=2), 2),
          "ensemble member 1 has input_dim = 3, member 0 has input_dim = 2"),
     ], ids=["no_members", "k", "input_dim"])
     def test_inconsistent_ensemble_rejected_at_load(self, tmp_path, pipeline_result,
@@ -277,6 +277,19 @@ def _interleaved_mask(doc, model):
     return doc
 
 
+def _unaligned_masks(doc, model):
+    """Layer 1 passes through the columns layer 0 passes through."""
+    doc = _flow_doc(model, 8)
+    layers = doc["density"]["layers"]
+    layers[1]["mask"] = layers[0]["mask"]
+    return doc
+
+
+def _latent_dim_not_width(doc, model):
+    doc["encoder"]["config"]["latent_dim"] = 4
+    return doc
+
+
 def _wide_subnet_input(doc, model):
     """The s-net's first layer reads 10 columns of the 8-d flow."""
     doc = _flow_doc(model, 8)
@@ -373,11 +386,15 @@ class TestContainerValidation:
         (_short_bias, r"encoder layer 0: bias has shape \(5,\), the layer has 8 units"),
         (_subnets_differ, "flow layer 1: s_net and t_net differ in layer 0"),
         (_no_flow_layers, "flow needs at least one coupling layer"),
+        (_unaligned_masks, "coupling layer 1 does not pass through the columns "
+                           "coupling layer 0 transforms; the masks must alternate"),
+        (_latent_dim_not_width, "encoder latent_dim 4 is not its width 8"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
             "mask_length", "encoder_layers", "no_encoder_layers", "version_1",
             "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
             "shape_ndim", "nested_list_array", "mask_not_prefix_or_suffix",
-            "subnet_width", "bias_length", "subnet_shapes", "no_flow_layers"])
+            "subnet_width", "bias_length", "subnet_shapes", "no_flow_layers",
+            "unaligned_masks", "latent_dim_not_width"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
                                               corrupt, message, capsys):
         _, result = pipeline_result

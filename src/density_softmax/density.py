@@ -318,8 +318,8 @@ class CouplingLayer:
     def backward_cached(self, cache: tuple, g_p: np.ndarray, g_t: np.ndarray, g_s_sum,
                         t_net_first: bool, input_grad: bool = True
                         ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Given d(loss)/d(t_P), d(loss)/d(t_T) and d(loss)/d(sum of s), add
-        the subnets' parameter gradients; return d(loss)/d(z_P) and
+        """Given d(loss)/d(t_P), d(loss)/d(t_T) and d(loss)/d(sum of s),
+        write the subnets' parameter gradients; return d(loss)/d(z_P) and
         d(loss)/d(z_T), or None when ``input_grad`` is false.
 
         z_P collects three contributions, and floating-point addition is

@@ -4,16 +4,19 @@ Each layer owns float64 parameter Tensors. ``forward`` is the one forward
 step, for inference and training alike. Without a cache it works in place
 on its fresh matmul output. Given a cache list, each layer also appends its
 input and activation, and its residual sum goes out of place, so the cached
-arrays stay as they were. ``backward_cached`` walks that cache once, and
-``l2_value``/``l2_backward`` are the L2 penalty; the loss nodes ``erm_loss``
-and ``FlowModel.nll_loss`` call them. The tests hold them to the per-op
-oracle tape, bit for bit in values and every gradient.
+arrays stay as they were. ``backward_cached`` walks that cache once and
+writes each parameter's gradient, one product per parameter, with ``out=``
+into the ``grad`` view the optimizer bound (see ``autodiff``); no gradient
+array is allocated per parameter. ``l2_value``/``l2_backward`` are the L2
+penalty, whose gradient adds onto the written one in place; the loss nodes
+``erm_loss`` and ``FlowModel.nll_loss`` call them. The tests hold them to
+the per-op oracle tape, bit for bit in values and every gradient.
 
 ``DenseNet`` can also run sliced (``rows``/``cols``): the input holds only
 some of the first layer's input columns, and only some of the last layer's
 output columns are computed. The coupling flow uses this to feed its subnets
 only the pass-through columns and to compute only the transformed ones; a
-skipped weight entry gets no gradient from the data.
+skipped weight or bias entry gets a zero data gradient.
 
 A layer may also be stacked: weight (k, in, out) and bias (k, 1, out) hold k
 same-shaped layers, and every product broadcasts over the leading axis
@@ -161,10 +164,12 @@ class DenseNet:
 
     def backward_cached(self, cache: list, g: np.ndarray, rows=ALL, cols=ALL,
                         input_grad: bool = True) -> np.ndarray | None:
-        """Given g = d(loss)/d(output), add every parameter's gradient and
-        return d(loss)/d(input), or None when ``input_grad`` is false. The
-        entries a sliced pass skipped get a zero gradient. g is only read;
-        the activation-derivative products and the residual sums go to two
+        """Given g = d(loss)/d(output), write every parameter's gradient into
+        its bound ``grad`` and return d(loss)/d(input), or None when
+        ``input_grad`` is false. Each product goes with ``out=`` straight
+        into the gradient, or into its rows/columns a sliced pass computed;
+        the entries the pass skipped are zeroed. g is only read; the
+        activation-derivative products and the residual sums go to two
         buffers reused from layer to layer."""
         last = len(self.layers) - 1
         gh_buf = sum_buf = None
@@ -178,10 +183,12 @@ class DenseNet:
                     gh_buf = np.empty(g.shape)
                 gh = activation_grad(g, a, layer.activation, gh_buf)
             if layer.bias is not None:
-                layer.bias.accumulate(_placed(gh.sum(axis=-2, keepdims=gh.ndim > 2),
-                                              layer.bias.data, (c,)))
-            layer.weight.accumulate(_placed(x.swapaxes(-1, -2) @ gh, layer.weight.data,
-                                            (r, c)))
+                if c is not ALL:
+                    layer.bias.grad.fill(0.0)
+                np.sum(gh, axis=-2, keepdims=gh.ndim > 2, out=layer.bias.grad[..., c])
+            if r is not ALL or c is not ALL:
+                layer.weight.grad.fill(0.0)
+            np.matmul(x.swapaxes(-1, -2), gh, out=layer.weight.grad[..., r, c])
             if i == 0 and not input_grad:
                 return None
             gx = gh @ layer.weight.data[..., r, c].swapaxes(-1, -2)
@@ -204,16 +211,6 @@ class DenseNet:
         return [layer.weight for layer in self.layers]
 
 
-def _placed(part: np.ndarray, like: np.ndarray, index: tuple) -> np.ndarray:
-    """part at index (of the trailing axes) in an array of zeros shaped like
-    ``like``; part itself when the index takes everything."""
-    if index == (ALL,) or index == (ALL, ALL):
-        return part
-    full = np.zeros(like.shape)
-    full[(Ellipsis, *index)] = part
-    return full
-
-
 def l2_value(weights: list[np.ndarray], coefficient: float) -> float:
     """coefficient * sum(w^2), summed array by array in list order."""
     total = (weights[0] * weights[0]).sum()
@@ -223,7 +220,8 @@ def l2_value(weights: list[np.ndarray], coefficient: float) -> float:
 
 
 def l2_backward(weights: list[Tensor], coefficient: float, g) -> None:
-    """Add g * coefficient * 2w to each weight's gradient."""
+    """Add g * coefficient * 2w to each weight's gradient, in place; the data
+    gradient is written there first."""
     k = g * float(coefficient)
     for w in weights:
-        w.accumulate(k * (2.0 * w.data))
+        w.grad += k * (2.0 * w.data)

@@ -41,14 +41,11 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    input_dim: int = 2
     width: int = 128
     depth: int = 12
     activation: Activation = "relu"
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
         if self.width < 1:
             raise ValueError("width must be >= 1")
         if self.depth < 1:
@@ -77,13 +74,18 @@ class Encoder:
         self.config = config
         self.net = net
 
+    @property
+    def input_dim(self) -> int:
+        """The input width: the rows of the first layer's weight."""
+        return self.net.layers[0].weight.data.shape[0]
+
     def encode(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
-        if x.shape[1] != self.config.input_dim:
-            raise ValueError(f"expected {self.config.input_dim} input columns, got {x.shape[1]}")
+        if x.shape[1] != self.input_dim:
+            raise ValueError(f"expected {self.input_dim} input columns, got {x.shape[1]}")
         with np.errstate(over="ignore", invalid="ignore"):
             z = self.net.forward(x)
         # a finite but huge input row can overflow on its way through the stack
@@ -132,12 +134,16 @@ class Classifier:
         return Classifier(Tensor(self.theta.data.copy()))
 
 
-def init_model(config: EncoderConfig, k: int, seed: int) -> tuple[Encoder, Classifier]:
-    """Fan-in scaled-uniform init, deterministic per seed."""
+def init_model(config: EncoderConfig, input_dim: int, k: int, seed: int
+               ) -> tuple[Encoder, Classifier]:
+    """Fan-in scaled-uniform init of an encoder for input_dim columns and a
+    k-class head, deterministic per seed."""
+    if input_dim < 1:
+        raise ValueError("input_dim must be >= 1")
     if k < 2:
         raise ValueError("need at least 2 classes")
     rng = np.random.default_rng(seed)
-    layers = [Dense.init(rng, config.input_dim, config.width, config.activation)]
+    layers = [Dense.init(rng, input_dim, config.width, config.activation)]
     for _ in range(config.depth):
         layers.append(Dense.init(rng, config.width, config.width, config.activation,
                                  residual=True))
@@ -159,28 +165,32 @@ def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray], Tensor],
     """The minibatch loop every training stage shares.
 
     Each epoch visits the n rows in a seeded shuffle; per batch it builds the
-    scalar loss node `loss_fn(idx)`, checks it is finite, clears the grads,
-    runs backward and takes one Adam step at the fixed rate lr. Returns the
-    per-epoch mean loss trace; a non-finite loss raises TrainingDiverged.
+    scalar loss node `loss_fn(idx)`, checks it is finite, runs backward into
+    Adam's packed gradient and takes one Adam step at the fixed rate lr.
+    Returns the per-epoch mean loss trace; a non-finite loss raises
+    TrainingDiverged. On the way out every ``grad`` is set to None, so a
+    trained model holds no gradient memory.
     """
     opt = Adam(params, lr)
     rng = np.random.default_rng(seed)
     trace: list[float] = []
     last_finite = None
-    for epoch in range(epochs):
-        losses = []
-        for batch, idx in enumerate(minibatches(n, batch_size, rng)):
-            loss = loss_fn(idx)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDiverged(stage, epoch, batch, last_finite)
-            for p in params:
-                p.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(value)
-            last_finite = value
-        trace.append(float(np.mean(losses)))
+    try:
+        for epoch in range(epochs):
+            losses = []
+            for batch, idx in enumerate(minibatches(n, batch_size, rng)):
+                loss = loss_fn(idx)
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise TrainingDiverged(stage, epoch, batch, last_finite)
+                loss.backward()
+                opt.step()
+                losses.append(value)
+                last_finite = value
+            trace.append(float(np.mean(losses)))
+    finally:
+        for p in params:
+            p.grad = None
     return trace
 
 
@@ -192,8 +202,8 @@ def head_cross_entropy(z: np.ndarray, theta: Tensor, labels: np.ndarray,
     The forward is a max-shifted log-sum-exp and the backward the closed
     form (softmax - onehot) / n; shift invariance of softmax makes treating
     the per-row max as a constant exact. Returns the loss and its rule:
-    ``rule(g, input_grad=False)`` adds g * d(loss)/d(theta) to theta's
-    gradient and returns g * d(loss)/dz, or None when ``input_grad`` is false.
+    ``rule(g, input_grad=False)`` writes g * d(loss)/d(theta) to theta.grad
+    and returns g * d(loss)/dz, or None when ``input_grad`` is false.
     """
     labels = np.asarray(labels)
     logits = z @ theta.data
@@ -216,7 +226,7 @@ def head_cross_entropy(z: np.ndarray, theta: Tensor, labels: np.ndarray,
         g_logits = g * probs / n
         if s is not None:
             g_logits = g_logits * s[:, None]
-        theta.accumulate(z.T @ g_logits)
+        np.matmul(z.T, g_logits, out=theta.grad)
         return g_logits @ theta.data.T if input_grad else None
 
     return loss, rule

@@ -1,13 +1,16 @@
 """Adam parameter updates at a fixed learning rate.
 
 Adam packs the parameters it is built with into one contiguous float64
-vector and rebinds each parameter's ``data`` to a view of it; its two
-moments live in vectors of the same layout. A step gathers the gradients
-into one vector and then updates every parameter with a few vectorized
-passes, whatever the number of parameters. The passes walk the vectors in
-chunks of CHUNK elements, so the half-dozen arrays one chunk's passes touch
-stay in cache from one pass to the next. Every update is elementwise, so
-the result is bit for bit the one a per-parameter loop gives.
+vector and rebinds each parameter's ``data`` to a view of it, and its
+``grad`` to the same view of a gradient vector; the two moments share the
+layout. The loss rules write every gradient into those views, so a step
+updates every parameter straight from the packed gradient with a few
+vectorized passes, whatever the number of parameters. The passes walk the
+vectors in chunks of CHUNK elements, so the half-dozen arrays one chunk's
+passes touch stay in cache from one pass to the next. Every update is
+elementwise, so the result is bit for bit the one a per-parameter loop
+gives. A step leaves its denominator in the gradient vector, so every step's
+rules write it afresh.
 
 There is no optimizer-level weight decay: the training loops put L2 in the
 loss (``train.l2``, ``density.flow.l2``).
@@ -42,7 +45,7 @@ def _views(flat: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
 
 class Adam:
     """Adam over a fixed parameter list, packed into one vector at
-    construction, plus a gradient vector and a one-chunk scratch."""
+    construction, plus the gradient vector and a one-chunk scratch."""
 
     def __init__(self, params: list[Tensor], lr: float):
         self.lr = lr
@@ -60,23 +63,15 @@ class Adam:
         shapes = [p.data.shape for p in self.params]
         self.data_views = _views(self.data, shapes)
         self.grad_views = _views(self.grad, shapes)
-        for p, view in zip(self.params, self.data_views):
-            p.data = view
-
-    def _gather(self) -> np.ndarray:
-        """Copy the parameters' gradients into ``grad``."""
         for p, data, grad in zip(self.params, self.data_views, self.grad_views):
-            if p.data is not data:
-                raise ValueError("parameter data was rebound after the optimizer packed it")
-            g = p.grad
-            if g.shape != data.shape:
-                raise ValueError("gradient/parameter shape mismatch")
-            grad[...] = g
-        return self.grad
+            p.data, p.grad = data, grad
 
     def step(self) -> None:
+        for p, data, grad in zip(self.params, self.data_views, self.grad_views):
+            if p.data is not data or p.grad is not grad:
+                raise ValueError("parameter data or grad was rebound after packing")
         self.t += 1
-        g = self._gather()
+        g = self.grad
         b1t = 1.0 - BETA1**self.t
         b2t = 1.0 - BETA2**self.t
         for c, tmp in self.chunks:

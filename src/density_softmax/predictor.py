@@ -10,9 +10,13 @@ scaled likelihood s in (0, 1] before the softmax:
     probs = softmax(s * (z @ theta)),  z = encode(x),  s = scaled_likelihood(z)
 
 so s -> 0 drives the prediction to uniform while s = 1 reproduces the plain
-softmax bit for bit. Positive scaling never reorders logits, so the argmax
-(and accuracy) match the plain softmax with the same weights. The ERM
-baseline is the same model type without a density (s = 1).
+softmax bit for bit. In exact arithmetic a positive s never reorders the
+logits, so the argmax would match the plain softmax with the same weights.
+In floating point it need not: once s * logits falls below an ulp of the
+softmax, the probabilities tie exactly and ``argmax(probs)`` picks class 0,
+so accuracy taken from ``probs`` can drop below the logits' (ROADMAP, open
+item "The served class is the argmax of the logits"). The ERM baseline is
+the same model type without a density (s = 1).
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class DensitySoftmaxModel:
 
     @property
     def input_dim(self) -> int:
-        return self.encoder.config.input_dim
+        return self.encoder.input_dim
 
     def predict(self, x: np.ndarray) -> Prediction:
         """One encoder pass, one density pass, one matrix product per sample.
@@ -142,7 +146,8 @@ def ensemble_train(m: int, encoder_config: EncoderConfig, k: int,
         raise ValueError("an ensemble needs at least 2 members")
     members = []
     for i in range(m):
-        enc, clf = init_model(encoder_config, k, train_config.seed + i)
+        enc, clf = init_model(encoder_config, train.features.shape[1], k,
+                              train_config.seed + i)
         erm_train(enc, clf, train, replace(train_config, seed=train_config.seed + i))
         members.append(DensitySoftmaxModel(enc, clf))
     return Ensemble(members)
@@ -188,7 +193,8 @@ def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,
                    reopt_config: ReoptConfig, k: int = 2) -> PipelineResult:
     """Run all three training steps and keep the step-1 head as a baseline."""
     require_fittable(train)
-    encoder, classifier = init_model(encoder_config, k, train_config.seed)
+    encoder, classifier = init_model(encoder_config, train.features.shape[1], k,
+                                     train_config.seed)
     try:
         erm_trace = erm_train(encoder, classifier, train, train_config)
     except Exception as exc:

@@ -9,8 +9,8 @@ bits, -0.0, subnormals and the largest finite value included), and neither
 side turns a weight into a Python float or its decimal repr. Scalars
 (bandwidth, max_train_log_density, config integers) stay JSON numbers.
 
-The encoder config keeps a "latent_dim" entry, which must equal its
-width. Version 2 is the only version read; a version-1 container (nested lists
+The encoder config keeps an "input_dim" entry, which must equal the first
+layer's input width, and a "latent_dim" entry, which must equal its width. Version 2 is the only version read; a version-1 container (nested lists
 of decimal floats) is refused with a ContainerError, and ``run`` writes the
 same model again as version 2.
 """
@@ -93,7 +93,7 @@ def _net_from_list(layers: list, what: str) -> DenseNet:
 def _encoder_to_dict(encoder: Encoder) -> dict:
     cfg = encoder.config
     return {
-        "config": {"input_dim": cfg.input_dim, "width": cfg.width,
+        "config": {"input_dim": encoder.input_dim, "width": cfg.width,
                    "depth": cfg.depth, "latent_dim": cfg.width,
                    "activation": cfg.activation},
         "layers": _net_to_list(encoder.net),
@@ -104,6 +104,7 @@ def _encoder_from_dict(d: dict) -> Encoder:
     fields = dict(d["config"])
     # the residual blocks keep the width, so the format's latent_dim must equal it
     latent_dim = fields.pop("latent_dim")
+    input_dim = fields.pop("input_dim")
     config = EncoderConfig(**fields)
     if latent_dim != config.width:
         raise ContainerError(f"encoder latent_dim {latent_dim!r} is not its width "
@@ -112,9 +113,9 @@ def _encoder_from_dict(d: dict) -> Encoder:
     if not net.layers:
         raise ContainerError("encoder has no layers")
     maps = (net.layers[0].weight.data.shape[0], net.layers[-1].weight.data.shape[1])
-    if maps != (config.input_dim, config.width):
+    if maps != (input_dim, config.width):
         raise ContainerError(f"encoder layers map {maps[0]} -> {maps[1]} columns, "
-                             f"config says {config.input_dim} -> {config.width}")
+                             f"config says {input_dim} -> {config.width}")
     return Encoder(config, net)
 
 

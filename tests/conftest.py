@@ -24,6 +24,15 @@ def central_difference_grad(loss_fn, params: list[Tensor], h: float = 1e-5):
     return grads
 
 
+def bind_grads(params, fill: float = np.nan):
+    """Bind each parameter's grad to a fresh buffer filled with ``fill``, as
+    an optimizer binds views of its gradient vector, for calling a backward
+    rule without one. NaN makes an entry a rule leaves unwritten show."""
+    for p in params:
+        p.grad = np.full(p.data.shape, fill)
+    return params
+
+
 def assert_grads_close(analytic, numeric, rel_tol: float = 1e-4):
     for a, n in zip(analytic, numeric):
         denom = np.abs(a) + 1e-8

@@ -5,10 +5,12 @@ rule (``erm_loss``, ``head_cross_entropy``, ``FlowModel.nll_loss``). This
 module holds a general reverse-mode tape to check them against: a
 ``Node`` records the operation that made it (matmul, broadcast add,
 elementwise mul/exp/tanh/relu, square, sum, the softmax cross-entropy), and
-``Node.backward`` walks the graph in reverse topological order. The program's
-parameter ``Tensor``s enter the graph as leaves: they receive their
-gradients through ``accumulate``, and ``leaf`` puts one on the tape where an
-operation starts from it.
+``Node.backward`` walks the graph in reverse topological order, adding each
+contribution to a node's lazy gradient out of place. Parameters enter the
+graph as leaf ``Node``s of their own: ``node_net`` mirrors a program
+``DenseNet`` with Node leaves that share its arrays (or copy them), so the
+tape's gradients never touch the program's gradient buffers, while the
+reference optimizer's in-place updates train the program's arrays.
 
 The compositions below build each training stage's loss from these
 primitives, one node per operation; the coupling layers here run on
@@ -28,7 +30,6 @@ import math
 
 import numpy as np
 
-from density_softmax.autodiff import Tensor
 from density_softmax.density import CouplingLayer, FlowModel
 from density_softmax.layers import Dense, DenseNet
 from density_softmax.model import minibatches
@@ -43,8 +44,7 @@ def _as_f64(data) -> np.ndarray:
 
 class Node:
     """Node in the computation graph: value, accumulated gradient, backward
-    rule. A parent may also be a program ``Tensor``: a leaf, which only
-    receives its gradient."""
+    rule. A node without parents is a leaf: a parameter or an input."""
 
     __slots__ = ("data", "_grad", "_parents", "_backward")
 
@@ -219,7 +219,7 @@ class Node:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if isinstance(p, Node) and id(p) not in seen:
+                if id(p) not in seen:
                     stack.append((p, False))
         self.grad = self.grad + 1.0
         for node in reversed(order):
@@ -267,17 +267,6 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     out._backward = backward
     return out
 
-def leaf(t: Tensor) -> Node:
-    """A program Tensor on the tape: the node hands its gradient to t."""
-    out = Node(t.data, (t,))
-
-    def backward():
-        t.accumulate(out.grad)
-
-    out._backward = backward
-    return out
-
-
 def dense_forward_tape(layer, x: Node) -> Node:
     h = x @ layer.weight
     if layer.bias is not None:
@@ -295,13 +284,23 @@ def densenet_forward_tape(net, x: Node) -> Node:
     return x
 
 
-def l2_penalty(weights: list[Tensor], coefficient: float) -> Node | None:
+def l2_penalty(weights: list[Node], coefficient: float) -> Node | None:
     if coefficient == 0.0 or not weights:
         return None
-    total = leaf(weights[0]).square().sum()
+    total = weights[0].square().sum()
     for w in weights[1:]:
-        total = total + leaf(w).square().sum()
+        total = total + w.square().sum()
     return total.scale(coefficient)
+
+
+def node_net(net: DenseNet, copy: bool = False) -> DenseNet:
+    """net's layers with Node leaves holding its arrays (copies if ``copy``)."""
+    def leaf(a):
+        return Node(a.copy() if copy else a)
+
+    return DenseNet([Dense(leaf(x.weight.data),
+                           None if x.bias is None else leaf(x.bias.data),
+                           x.activation, x.residual) for x in net.layers])
 
 
 def subnet_arrays(flow) -> list[np.ndarray]:
@@ -318,21 +317,16 @@ def subnet_arrays(flow) -> list[np.ndarray]:
     return out
 
 
-def _copy_net(net: DenseNet) -> DenseNet:
-    return DenseNet([Dense(Tensor(x.weight.data.copy()),
-                           None if x.bias is None else Tensor(x.bias.data.copy()),
-                           x.activation, x.residual) for x in net.layers])
-
-
 class SplitCoupling:
     """A coupling layer's mask and its subnets as separate DenseNets with
     their own parameters: the layer the tape differentiates."""
 
     def __init__(self, layer):
         self.mask = layer.mask
-        self.s_net, self.t_net = _copy_net(layer.s_net), _copy_net(layer.t_net)
+        self.s_net = node_net(layer.s_net, copy=True)
+        self.t_net = node_net(layer.t_net, copy=True)
 
-    def params(self) -> list[Tensor]:
+    def params(self) -> list[Node]:
         return self.s_net.params() + self.t_net.params()
 
     def stacked(self, attr: str) -> list[np.ndarray]:
@@ -355,10 +349,10 @@ class SplitFlow:
         self.dim = flow.dim
         self.layers = [SplitCoupling(layer) for layer in flow.layers]
 
-    def params(self) -> list[Tensor]:
+    def params(self) -> list[Node]:
         return [p for layer in self.layers for p in layer.params()]
 
-    def weight_tensors(self) -> list[Tensor]:
+    def weight_tensors(self) -> list[Node]:
         return [w for layer in self.layers
                 for w in layer.s_net.weight_tensors() + layer.t_net.weight_tensors()]
 
@@ -424,7 +418,7 @@ class PerParamAdam:
         self.v: dict[int, np.ndarray] = {}
         self.t = 0
 
-    def step(self, params: list[Tensor]) -> None:
+    def step(self, params: list[Node]) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
@@ -460,24 +454,28 @@ def reference_loop(loss_fn, params, lr, n, batch_size, epochs, seed) -> list[flo
     return trace
 
 
-def erm_loss(encoder, classifier, x: np.ndarray, labels: np.ndarray, l2: float) -> Node:
-    z = densenet_forward_tape(encoder.net, Node(x))
-    loss = softmax_cross_entropy(z @ classifier.theta, labels)
-    penalty = l2_penalty(encoder.net.weight_tensors() + [classifier.theta], l2)
+def erm_loss(net: DenseNet, theta: Node, x: np.ndarray, labels: np.ndarray,
+             l2: float) -> Node:
+    """The ERM loss of an encoder net and a head theta with Node leaves."""
+    z = densenet_forward_tape(net, Node(x))
+    loss = softmax_cross_entropy(z @ theta, labels)
+    penalty = l2_penalty(net.weight_tensors() + [theta], l2)
     return loss if penalty is None else loss + penalty
 
 
-def reopt_loss(theta: Tensor, z: np.ndarray, s: np.ndarray, labels: np.ndarray) -> Node:
+def reopt_loss(theta: Node, z: np.ndarray, s: np.ndarray, labels: np.ndarray) -> Node:
     scaled = (Node(z) @ theta).mul_const(s[:, None])
     return softmax_cross_entropy(scaled, labels)
 
 
 def reference_erm(encoder, classifier, train, config) -> list[float]:
-    def loss_fn(idx):
-        return erm_loss(encoder, classifier, train.features[idx], train.labels[idx],
-                        config.l2)
+    """ERM on the tape, training the program encoder's and head's arrays."""
+    net, theta = node_net(encoder.net), Node(classifier.theta.data)
 
-    return reference_loop(loss_fn, encoder.params() + classifier.params(),
+    def loss_fn(idx):
+        return erm_loss(net, theta, train.features[idx], train.labels[idx], config.l2)
+
+    return reference_loop(loss_fn, net.params() + [theta],
                           config.optimizer.lr, train.n, config.batch_size,
                           config.epochs, config.seed)
 
@@ -488,7 +486,9 @@ def reference_flow_fit(flow, z, config) -> list[float]:
                           config.batch_size, config.epochs, config.seed)
 
 
-def reference_reopt(theta: Tensor, z, s, labels, config) -> list[float]:
-    return reference_loop(lambda idx: reopt_loss(theta, z[idx], s[idx], labels[idx]),
-                          [theta], config.lr, z.shape[0],
+def reference_reopt(theta: np.ndarray, z, s, labels, config) -> list[float]:
+    """Re-optimization on the tape, training the head array theta in place."""
+    node = Node(theta)
+    return reference_loop(lambda idx: reopt_loss(node, z[idx], s[idx], labels[idx]),
+                          [node], config.lr, z.shape[0],
                           config.batch_size, config.epochs, config.seed)

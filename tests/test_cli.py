@@ -208,7 +208,7 @@ class TestInputWidth:
 
     def test_surface_model(self, tmp_path, capsys):
         # the surface grid is 2-D, so a model with another input width is refused
-        encoder, classifier = init_model(EncoderConfig(input_dim=3, width=4, depth=1), 2, 0)
+        encoder, classifier = init_model(EncoderConfig(width=4, depth=1), 3, 2, 0)
         model = tmp_path / "wide_model.json"
         save_container(density_softmax_container(DensitySoftmaxModel(encoder, classifier)),
                        model)

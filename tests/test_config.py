@@ -92,6 +92,7 @@ def _expect(*changes) -> ExperimentConfig:
 # the encoder width), each with the value it used to default to.
 REMOVED = {
     "encoder.latent_dim": 128,
+    "encoder.input_dim": 2,
     "train.optimizer.kind": "adam",
     "train.optimizer.momentum": 0.9,
     "train.optimizer.nesterov": True,
@@ -109,8 +110,8 @@ VALID = [
                           ("reopt.seed", 7))),
     ({"encoder": {"width": 8, "depth": 2}},
      _expect(("encoder", EncoderConfig(width=8, depth=2)))),
-    ({"encoder": {"input_dim": 3, "width": 8}},
-     _expect(("encoder", EncoderConfig(input_dim=3, width=8)))),
+    ({"encoder": {"depth": 3, "width": 8}},
+     _expect(("encoder", EncoderConfig(width=8, depth=3)))),
     ({"encoder": {"width": 8, "activation": "tanh"}},
      _expect(("encoder", EncoderConfig(width=8, activation="tanh")))),
     ({"metrics": {"bins": 10}}, _expect(("bins", 10))),
@@ -184,7 +185,7 @@ INVALID = [
     (_doc("dataset.shift.kind", 3), "dataset.shift.kind"),
     (_doc("encoder.foo", 1), "encoder.foo"),
     (_doc("encoder", None), "encoder"),
-    (_doc("encoder.input_dim", 0), "encoder"),
+    (_doc("encoder", []), "encoder"),
     (_doc("encoder.depth", 0), "encoder"),
     (_doc("encoder.width", True), "encoder.width"),
     (_doc("encoder.activation", 1), "encoder.activation"),
@@ -262,7 +263,7 @@ SETTABLE = [
     "dataset.noise_sd", "dataset.separation",
     "dataset.ood.n", "dataset.ood.center", "dataset.ood.spread", "dataset.ood.sigmas",
     "dataset.shift.kind", "dataset.shift.scales",
-    "encoder.input_dim", "encoder.width", "encoder.depth", "encoder.activation",
+    "encoder.width", "encoder.depth", "encoder.activation",
     "train.epochs", "train.batch_size", "train.optimizer.lr", "train.l2",
     "density.kind", "density.bandwidth",
     "density.flow.coupling_layers", "density.flow.hidden_units",
@@ -288,5 +289,5 @@ def settable_paths(cls, path: str = "") -> list[str]:
 
 
 def test_settable_config_values_are_pinned():
-    assert len(SETTABLE) == 35
+    assert len(SETTABLE) == 34
     assert settable_paths(ExperimentConfig) == SETTABLE

@@ -29,7 +29,7 @@ from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel, Reopt
                                        reoptimize_classifier, train_pipeline)
 
 import tape_reference as ref
-from conftest import assert_grads_close, central_difference_grad
+from conftest import assert_grads_close, bind_grads, central_difference_grad
 
 
 def grads(tensors):
@@ -43,10 +43,8 @@ def assert_all_equal(got, want):
 
 
 def set_grad(p, g):
-    """p's gradient set to g; None leaves it untouched (lazy zeros)."""
-    p.zero_grad()
-    if g is not None:
-        p.accumulate(g)
+    """Write g into p's gradient buffer; None writes zeros."""
+    p.grad[...] = 0.0 if g is None else g
 
 
 def randomized_flow(dim, layers, l2_seed):
@@ -71,13 +69,12 @@ class TestDenseNetNode:
         upstream = rng.normal(size=(9, 4))
         params = net.params()
 
-        x_ref = ref.Node(x)
-        want = ref.densenet_forward_tape(net, x_ref)
+        twin, x_ref = ref.node_net(net), ref.Node(x)
+        want = ref.densenet_forward_tape(twin, x_ref)
         want.mul_const(upstream).sum().backward()
-        want_grads = grads(params + [x_ref])
+        want_grads = grads(twin.params() + [x_ref])
 
-        for p in params:
-            p.zero_grad()
+        bind_grads(params)
         cache = []
         got = net.forward(x, cache=cache)
         g_x = net.backward_cached(cache, upstream)
@@ -91,17 +88,17 @@ class TestL2Node:
     @pytest.mark.parametrize("coefficient", [0.0, 0.01])
     def test_matches_per_op_tape_exactly(self, rng, coefficient):
         weights = [Tensor(rng.normal(size=s)) for s in [(3, 4), (4,), (4, 2)]]
-        want = ref.l2_penalty(weights, coefficient)
+        twins = [ref.Node(w.data) for w in weights]
+        want = ref.l2_penalty(twins, coefficient)
         got = l2_value([w.data for w in weights], coefficient)
+        bind_grads(weights, 0.0)  # the data gradient l2_backward adds onto
         if coefficient == 0.0:  # the tape adds no node; the kernels add nothing
             assert want is None and got == 0.0
             l2_backward(weights, coefficient, 1.0)
             assert_all_equal(grads(weights), [np.zeros_like(w.data) for w in weights])
             return
         want.backward()
-        want_grads = grads(weights)
-        for w in weights:
-            w.zero_grad()
+        want_grads = grads(twins)
         l2_backward(weights, coefficient, 1.0)
         assert got == want.data
         assert_all_equal(grads(weights), want_grads)
@@ -112,18 +109,18 @@ class TestErmNode:
     @pytest.mark.parametrize("l2", [0.0, 1e-3])
     def test_matches_per_op_tape_exactly(self, activation, l2):
         rng = np.random.default_rng(7)
-        config = EncoderConfig(input_dim=3, width=6, depth=2, activation=activation)
-        encoder, classifier = init_model(config, 4, seed=1)
+        config = EncoderConfig(width=6, depth=2, activation=activation)
+        encoder, classifier = init_model(config, 3, 4, seed=1)
         x = rng.normal(size=(11, 3))
         labels = rng.integers(0, 4, size=11)
         params = encoder.params() + classifier.params()
 
-        want = ref.erm_loss(encoder, classifier, x, labels, l2)
+        net, theta = ref.node_net(encoder.net), ref.Node(classifier.theta.data)
+        want = ref.erm_loss(net, theta, x, labels, l2)
         want.backward()
-        want_grads = grads(params)
+        want_grads = grads(net.params() + [theta])
 
-        for p in params:
-            p.zero_grad()
+        bind_grads(params)
         got = erm_loss(encoder, classifier, x, labels, l2)
         got.backward()
 
@@ -139,21 +136,21 @@ class TestHeadNode:
         labels = rng.integers(0, 3, size=9)
         s = rng.uniform(0.01, 1.0, size=9) if scaled else None
 
-        z_ref = ref.Node(z)
-        logits = z_ref @ theta
+        z_ref, twin = ref.Node(z), ref.Node(theta.data)
+        logits = z_ref @ twin
         want = ref.softmax_cross_entropy(
             logits if s is None else logits.mul_const(s[:, None]), labels)
         want.backward()
-        want_grads = [theta.grad.copy(), z_ref.grad.copy()]
+        want_grads = [twin.grad.copy(), z_ref.grad.copy()]
 
-        theta.zero_grad()
+        bind_grads([theta])
         loss, rule = head_cross_entropy(z, theta, labels, s)
         g_z = rule(1.0, input_grad=True)
         assert loss == want.data
         assert_all_equal([theta.grad, g_z], want_grads)
 
         # the node re-optimization steps on: no gradient for z
-        theta.zero_grad()
+        bind_grads([theta])
         node = Tensor(*head_cross_entropy(z, theta, labels, s))
         node.backward()
         assert node.data == want.data
@@ -164,6 +161,7 @@ class TestHeadNode:
         z = Tensor(rng.normal(size=(6, 4)))
         labels = rng.integers(0, 3, size=6)
         s = rng.uniform(0.05, 1.0, size=6)
+        bind_grads([theta])
         _, rule = head_cross_entropy(z.data, theta, labels, s)
         g_z = rule(1.0, input_grad=True)
 
@@ -193,6 +191,7 @@ class TestFlowNllNode:
         want.backward()
         want_grads = twin.stacked("grad")
 
+        bind_grads(params)
         got = flow.nll_loss(batch, l2)
         got.backward()
 
@@ -202,7 +201,7 @@ class TestFlowNllNode:
     def test_matches_finite_differences(self):
         flow, rng = randomized_flow(3, 2, 1)
         batch = rng.normal(size=(5, 3))
-        params = flow.params()
+        params = bind_grads(flow.params())
         flow.nll_loss(batch, 0.01).backward()
 
         def loss():
@@ -247,6 +246,7 @@ class TestSplitCoupling:
         (t_ref.square().sum().scale(0.5) - s_ref).scale(1.0 / n).backward()
         want_grads = twin.stacked("grad") + [z_ref.grad.copy()]
 
+        bind_grads(params)
         p, tc = layer.p_cols, layer.t_cols
         caches = []
         t_t, s = layer.forward(batch[:, p], batch[:, tc], caches)
@@ -277,6 +277,7 @@ class TestSplitCoupling:
         want = ref.flow_nll_loss(twin, batch, l2)
         want.backward()
         want_grads = twin.stacked("grad")
+        bind_grads(params)
         got = flow.nll_loss(batch, l2)
         got.backward()
 
@@ -338,7 +339,7 @@ class TestContiguousOptimizer:
 
     def params_and_grads(self, rng, steps, shapes=SHAPES):
         params = [Tensor(rng.normal(size=s)) for s in shapes]
-        # None: the parameter gets no gradient that step (lazy grads read 0)
+        # None: the parameter's gradient is zero that step
         seq = [[None if (i + t) % 3 == 0 else rng.normal(size=s)
                 for i, s in enumerate(shapes)] for t in range(steps)]
         return params, seq
@@ -352,7 +353,7 @@ class TestContiguousOptimizer:
 
     def check_adam(self, rng, shapes):
         params, seq = self.params_and_grads(rng, 6, shapes)
-        twins = [Tensor(p.data.copy()) for p in params]
+        twins = bind_grads([ref.Node(p.data.copy()) for p in params])
         opt, oracle = Adam(params, lr=0.05), ref.PerParamAdam(lr=0.05)
         for step_grads in seq:
             for p, q, g in zip(params, twins, step_grads):
@@ -369,13 +370,16 @@ class TestContiguousOptimizer:
     def test_parameters_become_views_of_one_vector(self, rng):
         params = [Tensor(rng.normal(size=s)) for s in [(3, 4), (4,)]]
         before = [p.data.copy() for p in params]
-        Adam(params, lr=0.1).step()  # no grads: parameters must not move
+        opt = Adam(params, lr=0.1)
+        opt.grad[...] = 0.0  # zero gradients: parameters must not move
+        opt.step()
         assert_all_equal([p.data for p in params], before)
         assert params[0].data.base is params[1].data.base
 
     def test_rebound_parameter_rejected(self, rng):
         p = Tensor(rng.normal(size=2))
         opt = Adam([p], lr=0.1)
+        opt.grad[...] = 0.0
         opt.step()
         p.data = np.zeros(2)
         with pytest.raises(ValueError, match="rebound"):
@@ -385,8 +389,7 @@ class TestContiguousOptimizer:
 class TestPipelineAgainstPerOpLoops:
     def test_loss_traces_and_weights_match_exactly(self):
         train = make_two_moons(50, 0.1, seed=2)  # 100 rows: batches 32,32,32,4
-        enc_cfg = EncoderConfig(input_dim=2, width=8, depth=2,
-                                activation="tanh")
+        enc_cfg = EncoderConfig(width=8, depth=2, activation="tanh")
         train_cfg = TrainConfig(epochs=4, batch_size=32, l2=1e-3,
                                 optimizer=OptimizerSpec(lr=3e-3), seed=2)
         flow_cfg = FlowConfig(coupling_layers=3, hidden_units=4, hidden_layers=2,
@@ -395,14 +398,14 @@ class TestPipelineAgainstPerOpLoops:
         result = train_pipeline(train, enc_cfg, train_cfg,
                                 DensityConfig(kind="flow", flow=flow_cfg), reopt_cfg)
 
-        encoder, classifier = init_model(enc_cfg, 2, train_cfg.seed)
+        encoder, classifier = init_model(enc_cfg, 2, 2, train_cfg.seed)
         erm = ref.reference_erm(encoder, classifier, train, train_cfg)
         train_z = encoder.encode(train.features)
         flow_cfg = replace(flow_cfg, seed=train_cfg.seed)
         twin = ref.SplitFlow(FlowModel.build(train_z.shape[1], flow_cfg))
         flow_trace = ref.reference_flow_fit(twin, train_z, flow_cfg)
         s = compute_scale(twin.to_flow(), train_z).scaled_likelihood(train_z)
-        reopt = ref.reference_reopt(classifier.theta, train_z, s, train.labels,
+        reopt = ref.reference_reopt(classifier.theta.data, train_z, s, train.labels,
                                     replace(reopt_cfg, seed=train_cfg.seed))
 
         assert result.erm_loss_trace == erm
@@ -417,12 +420,88 @@ class TestPipelineAgainstPerOpLoops:
                                       classifier.theta.data)
 
 
+def stale_then_fresh(params, loss_fn, first, second):
+    """The gradients the rules write into Adam's bound buffers on batch
+    ``second`` right after a whole step on ``first`` (the buffers then hold
+    Adam's spent denominators), and those one backward on ``second`` writes
+    into fresh NaN-filled buffers at the same parameter values."""
+    opt = Adam(params, lr=1e-2)
+    loss_fn(first).backward()
+    opt.step()
+    loss_fn(second).backward()
+    reused = grads(params)
+    bind_grads(params)
+    loss_fn(second).backward()
+    return reused, grads(params)
+
+
+class TestGradientBuffersAreRewritten:
+    """Adam's gradient vector is reused from step to step and each rule
+    writes every entry of it afresh, so nothing of the last step survives."""
+
+    FIRST, SECOND = np.arange(32), np.arange(32, 64)
+
+    def test_erm_with_l2(self):
+        train = make_two_moons(32, 0.1, seed=1)
+        encoder, classifier = init_model(EncoderConfig(width=8, depth=2), 2, 2, seed=0)
+        params = encoder.params() + classifier.params()
+        reused, fresh = stale_then_fresh(
+            params, lambda idx: erm_loss(encoder, classifier, train.features[idx],
+                                         train.labels[idx], 1e-3),
+            self.FIRST, self.SECOND)
+        assert_all_equal(reused, fresh)
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_coupling_skipped_rows_and_columns(self, l2):
+        flow, rng = randomized_flow(6, 2, 1)
+        z = rng.normal(size=(64, 6))
+        params = flow.params()
+        reused, fresh = stale_then_fresh(params, lambda idx: flow.nll_loss(z[idx], l2),
+                                         self.FIRST, self.SECOND)
+        assert_all_equal(reused, fresh)
+        for layer in flow.layers:
+            first, last = layer.net.layers[0], layer.net.layers[-1]
+            # first-layer rows T and last-layer columns P see no data
+            for w, skipped in ((first.weight, (Ellipsis, layer.t_cols, slice(None))),
+                               (last.weight, (Ellipsis, layer.p_cols))):
+                np.testing.assert_array_equal(w.grad[skipped],
+                                              l2 * (2.0 * w.data[skipped]))
+            np.testing.assert_array_equal(last.bias.grad[..., layer.p_cols], 0.0)
+
+    def test_theta_taken_over_by_reoptimization(self):
+        train = make_two_moons(32, 0.1, seed=1)
+        encoder, classifier = init_model(EncoderConfig(width=8, depth=2), 2, 2, seed=0)
+        erm_train(encoder, classifier, train, TrainConfig(epochs=1, batch_size=16))
+        theta = classifier.theta
+        assert theta.grad is None
+        z = encoder.encode(train.features)
+        s = np.random.default_rng(0).uniform(0.1, 1.0, size=train.n)
+        reused, fresh = stale_then_fresh(
+            [theta], lambda idx: Tensor(*head_cross_entropy(z[idx], theta,
+                                                            train.labels[idx], s[idx])),
+            self.FIRST, self.SECOND)
+        assert_all_equal(reused, fresh)
+
+    def test_trained_model_holds_no_gradient(self):
+        train = make_two_moons(32, 0.1, seed=3)
+        flow_cfg = FlowConfig(coupling_layers=2, hidden_units=4, hidden_layers=1,
+                              epochs=1, batch_size=32)
+        result = train_pipeline(train, EncoderConfig(width=8, depth=2),
+                                TrainConfig(epochs=1, batch_size=32),
+                                DensityConfig(kind="flow", flow=flow_cfg),
+                                ReoptConfig(epochs=1, batch_size=32))
+        model = result.model
+        params = (model.encoder.params() + model.classifier.params()
+                  + result.erm_model.classifier.params() + model.density.inner.params())
+        assert [p.grad for p in params] == [None] * len(params)
+
+
 class TestNoReferenceCycles:
     def test_training_stages_leave_no_garbage_cycles(self):
         """A rule takes its upstream gradient as an argument, so a step's
         loss node is freed by reference counting alone."""
         train = make_two_moons(128, 0.1, seed=4)  # 256 rows
-        encoder, classifier = init_model(EncoderConfig(width=16, depth=2), 2, seed=0)
+        encoder, classifier = init_model(EncoderConfig(width=16, depth=2), 2, 2, seed=0)
         gc.collect()
         gc.disable()
         try:

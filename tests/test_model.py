@@ -11,7 +11,7 @@ from density_softmax.predictor import DensitySoftmaxModel, Ensemble, ensemble_tr
 
 from conftest import count_forward_rows
 
-SMALL = EncoderConfig(input_dim=2, width=8, depth=2)
+SMALL = EncoderConfig(width=8, depth=2)
 
 
 def small_train_config(epochs=30, lr=3e-3, seed=0, **kw):
@@ -21,27 +21,27 @@ def small_train_config(epochs=30, lr=3e-3, seed=0, **kw):
 
 class TestInitModel:
     def test_same_seed_identical_weights(self):
-        e1, c1 = init_model(SMALL, 2, seed=5)
-        e2, c2 = init_model(SMALL, 2, seed=5)
+        e1, c1 = init_model(SMALL, 2, 2, seed=5)
+        e2, c2 = init_model(SMALL, 2, 2, seed=5)
         for p1, p2 in zip(e1.params() + c1.params(), e2.params() + c2.params()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_different_seed_differs(self):
-        e1, _ = init_model(SMALL, 2, seed=5)
-        e2, _ = init_model(SMALL, 2, seed=6)
+        e1, _ = init_model(SMALL, 2, 2, seed=5)
+        e2, _ = init_model(SMALL, 2, 2, seed=6)
         assert not np.array_equal(e1.params()[0].data, e2.params()[0].data)
 
     def test_width_latent_mismatch_rejected(self):
         # the width is the latent width: the head takes width rows, no other
-        enc, clf = init_model(EncoderConfig(input_dim=2, width=8, depth=1), 2, seed=0)
+        enc, clf = init_model(EncoderConfig(width=8, depth=1), 2, 2, seed=0)
         assert clf.theta.data.shape == (8, 2)
         with pytest.raises(ValueError, match="latent dim 16 does not match"):
             clf.logits(np.zeros((3, 16)))
 
     def test_param_count_formula(self):
         d_x, w, depth, k = 2, 4, 1, 2
-        cfg = EncoderConfig(input_dim=d_x, width=w, depth=depth)
-        enc, clf = init_model(cfg, k, seed=0)
+        cfg = EncoderConfig(width=w, depth=depth)
+        enc, clf = init_model(cfg, d_x, k, seed=0)
         expected = d_x * w + w + depth * (w * w + w) + w * k
         assert DensitySoftmaxModel(enc, clf).param_count() == expected
         # and the formula agrees with direct enumeration over tensors
@@ -49,16 +49,22 @@ class TestInitModel:
         assert total == expected
 
     def test_classifier_has_no_bias(self):
-        _, clf = init_model(SMALL, 3, seed=0)
+        _, clf = init_model(SMALL, 2, 3, seed=0)
         assert clf.params() == [clf.theta]
         assert clf.theta.data.shape == (8, 3)
+
+    def test_input_width_from_the_caller(self):
+        enc, _ = init_model(SMALL, 5, 2, seed=0)
+        assert enc.input_dim == 5
+        with pytest.raises(ValueError, match="input_dim must be >= 1"):
+            init_model(SMALL, 0, 2, seed=0)
 
 
 class TestEncode:
     def test_row_independence(self, rng):
         # batch-of-one agrees with the batch row (BLAS may round differently
         # across batch shapes, hence the tolerance)...
-        enc, _ = init_model(SMALL, 2, seed=1)
+        enc, _ = init_model(SMALL, 2, 2, seed=1)
         x = rng.normal(size=(10, 2))
         batch = enc.encode(x)
         for i in range(10):
@@ -70,19 +76,19 @@ class TestEncode:
         np.testing.assert_array_equal(enc.encode(x2)[0], batch[0])
 
     def test_dimension_mismatch(self, rng):
-        enc, _ = init_model(SMALL, 2, seed=1)
+        enc, _ = init_model(SMALL, 2, 2, seed=1)
         with pytest.raises(ValueError):
             enc.encode(rng.normal(size=(4, 3)))
 
     def test_zero_weight_encoder_maps_to_zero(self):
-        enc, _ = init_model(SMALL, 2, seed=1)
+        enc, _ = init_model(SMALL, 2, 2, seed=1)
         for p in enc.params():
             p.data[...] = 0.0
         out = enc.encode(np.array([[1.0, -2.0]]))
         np.testing.assert_array_equal(out, np.zeros((1, 8)))
 
     def test_eval_count_tracks_rows(self, rng, monkeypatch):
-        enc, _ = init_model(SMALL, 2, seed=1)
+        enc, _ = init_model(SMALL, 2, 2, seed=1)
         rows = count_forward_rows(monkeypatch, enc.net)
         enc.encode(rng.normal(size=(7, 2)))
         assert rows == [7]
@@ -118,7 +124,7 @@ class TestLogits:
 class TestErmTrain:
     def test_zero_epochs_leaves_parameters(self):
         train = make_two_moons(50, 0.1, seed=0)
-        enc, clf = init_model(SMALL, 2, seed=0)
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
         before = [p.data.copy() for p in enc.params() + clf.params()]
         trace = erm_train(enc, clf, train, small_train_config(epochs=0))
         assert trace == []
@@ -127,13 +133,13 @@ class TestErmTrain:
 
     def test_loss_decreases(self):
         train = make_two_moons(100, 0.1, seed=0)
-        enc, clf = init_model(SMALL, 2, seed=0)
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
         trace = erm_train(enc, clf, train, small_train_config())
         assert trace[-1] < trace[0]
 
     def test_separable_ovals_reach_high_accuracy(self):
         train = make_two_ovals(100, 4.0, 0.05, seed=0)
-        enc, clf = init_model(SMALL, 2, seed=0)
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
         erm_train(enc, clf, train, small_train_config(epochs=60))
         probs = DensitySoftmaxModel(enc, clf).predict(train.features).probs
         acc = (probs.argmax(axis=1) == train.labels).mean()
@@ -143,7 +149,7 @@ class TestErmTrain:
         train = make_two_moons(60, 0.1, seed=0)
         results = []
         for _ in range(2):
-            enc, clf = init_model(SMALL, 2, seed=3)
+            enc, clf = init_model(SMALL, 2, 2, seed=3)
             erm_train(enc, clf, train, small_train_config(epochs=5, seed=3))
             results.append(np.concatenate([p.data.ravel()
                                            for p in enc.params() + clf.params()]))
@@ -154,13 +160,13 @@ class TestErmTrain:
 
         iid = make_two_moons(20, 0.1, seed=0, domain="iid_test")
         shifted = apply_shift(iid, ShiftSpec(), 1, seed=0)
-        enc, clf = init_model(SMALL, 2, seed=0)
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
         with pytest.raises(DataError):
             erm_train(enc, clf, shifted, small_train_config(epochs=1))
 
     def test_divergence_raises(self):
         train = make_two_moons(50, 0.1, seed=0)
-        enc, clf = init_model(SMALL, 2, seed=0)
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
         cfg = TrainConfig(epochs=200, batch_size=32,
                           optimizer=OptimizerSpec(lr=1e200),
                           seed=0)
@@ -188,7 +194,7 @@ class TestEnsemble:
 
     def test_identical_members_equal_single_model(self):
         train = make_two_moons(30, 0.1, seed=0)
-        enc, clf = init_model(SMALL, 2, seed=4)
+        enc, clf = init_model(SMALL, 2, 2, seed=4)
         erm_train(enc, clf, train, small_train_config(epochs=3, seed=4))
         model = DensitySoftmaxModel(enc, clf)
         ens = Ensemble([model, model])

@@ -20,7 +20,7 @@ from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel, Ensem
 
 from conftest import count_forward_rows
 
-SMALL = EncoderConfig(input_dim=2, width=8, depth=2)
+SMALL = EncoderConfig(width=8, depth=2)
 
 
 class _PinnedDensity(ScaledDensity):
@@ -40,7 +40,7 @@ class _PinnedDensity(ScaledDensity):
 
 
 def pinned_model(value: float, seed: int = 0, k: int = 2) -> DensitySoftmaxModel:
-    enc, clf = init_model(SMALL, k, seed=seed)
+    enc, clf = init_model(SMALL, 2, k, seed=seed)
     return DensitySoftmaxModel(encoder=enc, classifier=clf, density=_PinnedDensity(value))
 
 

@@ -20,7 +20,7 @@ from density_softmax.serialize import (CONTAINER_VERSION, ContainerError,
 
 DATA = Path(__file__).resolve().parent / "data"
 
-SMALL = EncoderConfig(input_dim=2, width=8, depth=2)
+SMALL = EncoderConfig(width=8, depth=2)
 FAST = TrainConfig(epochs=5, batch_size=64,
                    optimizer=OptimizerSpec(lr=3e-3), seed=0)
 
@@ -95,7 +95,7 @@ class TestArrayEncoding:
     EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 
     def test_extreme_values_round_trip_bit_for_bit(self, tmp_path):
-        enc, clf = init_model(SMALL, 2, seed=0)
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
         first = enc.net.layers[0]
         first.weight.data[0, :4] = self.EXTREMES
         first.bias.data[:4] = self.EXTREMES
@@ -163,13 +163,13 @@ class TestErmAndEnsembleContainers:
 
     @pytest.mark.parametrize("second, message", [
         (None, "an ensemble needs at least one member"),
-        ((SMALL, 3), "ensemble member 1 has k = 3, member 0 has k = 2"),
-        ((EncoderConfig(input_dim=3, width=8, depth=2), 2),
+        ((SMALL, 2, 3), "ensemble member 1 has k = 3, member 0 has k = 2"),
+        ((SMALL, 3, 2),
          "ensemble member 1 has input_dim = 3, member 0 has input_dim = 2"),
     ], ids=["no_members", "k", "input_dim"])
     def test_inconsistent_ensemble_rejected_at_load(self, tmp_path, pipeline_result,
                                                     second, message, capsys):
-        """second: (encoder config, k) of a member beside the 2-class ERM
+        """second: (encoder config, input width, k) of a member beside the 2-class ERM
         model, or None for an ensemble with no members."""
         _, result = pipeline_result
         members = []

@@ -13,8 +13,10 @@ Gradients are written once: a parameter's ``grad`` is None until an
 optimizer binds it to a view of its packed gradient vector (``optim.Adam``).
 A rule writes each parameter's data gradient into that view in place,
 overwriting the last step's, and an L2 term then adds to it, so there is
-nothing to clear between steps. A general per-op tape exists only in the
-tests, as the oracle the rules must match bit for bit.
+nothing to clear between steps; every write goes through ``bound_grad``,
+which raises ValueError naming a parameter no optimizer bound. A general
+per-op tape exists only in the tests, as the oracle the rules must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Tensor"]
+__all__ = ["Tensor", "bound_grad"]
 
 
 class Tensor:
@@ -41,3 +43,12 @@ class Tensor:
         if self.rule is None:
             raise ValueError("backward() needs a loss node; this tensor has no rule")
         self.rule(1.0)
+
+
+def bound_grad(p: Tensor, what: str) -> np.ndarray:
+    """p's gradient buffer, which a rule writes into; a parameter that no
+    optimizer bound raises ValueError naming it (``what``)."""
+    if p.grad is None:
+        raise ValueError(f"{what} has no bound gradient buffer; bind the parameters "
+                         "to an optimizer (optim.Adam) before backward()")
+    return p.grad

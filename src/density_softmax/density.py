@@ -6,17 +6,18 @@ Two estimators share the same interface (``log_density`` over rows):
 * :class:`FlowModel` — affine coupling flow with exact log-likelihood via
   the change-of-variables formula: log p(z) = log N(t; 0, I) + log|det J|
   where t is the stacked coupling transform of z. Each coupling layer
-  splits z into pass-through columns P (its mask's ones, a prefix or a
-  suffix of the columns) and transformed columns T. Its s-net and t-net
-  are stacked: each depth's two weight matrices live in one (2, in, out)
-  array, so one matmul runs both subnets, reading only z_P and computing
-  only the T outputs (see :class:`CouplingLayer`). One walk serves
-  inference (``forward``, ``log_density``) and training (``nll_loss``): it
-  carries the flow state as its two column halves from layer to layer and
-  joins them once at the end. The log-det sums still run over a full-width
-  array (s in T, zeros in P), so numpy's pairwise summation groups the
-  terms as it does for the masked product s * (1 - mask) and the sums stay
-  bit-identical to it.
+  splits z into pass-through columns P and transformed columns T, fixed by
+  its index (:func:`halves`): even layers pass through the first dim // 2
+  columns, odd layers the rest, so no mask is stored. Its s-net and t-net
+  are one stacked net: each depth's two weight matrices live in one
+  (2, in, out) array, so one matmul runs both subnets, reading only z_P and
+  computing only the T outputs (see :class:`CouplingLayer`). One walk
+  serves inference (``forward``, ``log_density``) and training
+  (``nll_loss``): it carries the flow state as its two column halves from
+  layer to layer and joins them once at the end. The log-det sums still run
+  over a full-width array (s in T, zeros in P), so numpy's pairwise
+  summation groups the terms as it does for the masked product
+  s * (1 - mask) and the sums stay bit-identical to it.
 
 Both estimators walk their query rows in fixed chunks (``KDE_CHUNK_ROWS``,
 ``FLOW_CHUNK_ROWS``), folding a 1-row tail into the chunk before it, so a
@@ -40,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .layers import (Dense, DenseNet, activation_grad, apply_activation, l2_backward,
-                     l2_value)
+from .layers import (Dense, DenseNet, activation_grad, apply_activation, fan_in_uniform,
+                     l2_backward, l2_value)
 from .model import train_minibatches
 
 LIKELIHOOD_FLOOR = sys.float_info.min  # smallest positive normal float64
@@ -171,43 +172,38 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _stack_shape(layer: Dense, last: bool) -> dict:
-    """What two subnets' layers must share to stack: all but the last
-    layer's activation, which each slot applies for itself."""
-    return {"weight shape": layer.weight.data.shape, "bias": layer.bias is None,
-            "residual": layer.residual, "activation": None if last else layer.activation}
+FINAL = ("tanh", "linear")  # the s-net's and t-net's last activations, per slot
+
+
+def halves(dim: int, index: int) -> tuple[slice, slice]:
+    """The pass-through columns P and the transformed columns T of coupling
+    layer ``index``: even layers pass through the first dim // 2 columns,
+    odd layers the rest, so each layer passes through what the one before
+    it transformed."""
+    first, rest = slice(0, dim // 2), slice(dim // 2, dim)
+    return (first, rest) if index % 2 == 0 else (rest, first)
 
 
 class CouplingLayer:
-    """Affine coupling (RealNVP) on the split z = (z_P, z_T): the mask's
-    ones mark the pass-through columns P, its zeros the transformed columns T.
+    """Affine coupling (RealNVP) on the split z = (z_P, z_T) of
+    :func:`halves`: P the pass-through columns, T the transformed ones.
 
     forward:  t_P = z_P,  t_T = z_T * exp(s) + b   with s = S(z_P), b = T(z_P)
-    inverse:  z_P = t_P,  z_T = (t_T - b) * exp(-s)
     log|det| = sum of s over T.
 
-    Stacked subnets: ``net`` holds the s-net and the t-net as one stack of
-    Dense layers, each depth's weights in one (2, in, out) array and its
-    biases in one (2, 1, out) array, slot 0 the s-net and slot 1 the t-net.
-    Each dense step of both subnets is then one matmul over the stack; the
-    stacked product runs the same gemm per slot as a separate product, so no
-    sum is reordered. The stacked last layer is linear and ``final`` holds
-    the subnets' own last activations (tanh for s, linear for t), applied
-    per slot. The constructor takes the two subnets, which must share one
-    architecture, and copies them into the stack; ``s_net`` and ``t_net``
-    are read-only per-subnet views of the slots (what a container stores).
+    ``net`` is the s-net and the t-net stacked: each depth's weights are one
+    (2, in, out) array and its biases one (2, 1, out) array, slot 0 the
+    s-net and slot 1 the t-net, so one matmul runs a dense step of both (the
+    same gemm per slot as a separate product, so no sum is reordered). It
+    maps dim columns to dim columns through non-residual end layers; its
+    last layer is linear, and ``FINAL`` is applied per slot after it.
 
-    Halves: ``forward``, the one coupling step for inference and training,
-    takes the column halves z_P and z_T and returns t_T and s; t_P is z_P
-    itself. The stack reads z_P through its first layer's rows P and
-    computes only the T outputs through its last layer's columns T, so no
-    arithmetic runs on the zeros of a masked product. The skipped first-layer
-    rows T and last-layer columns P stay in the parameters and get a zero
-    data gradient (plus the L2 term). The halves are slices, cached at
-    construction, so the mask's ones must be a prefix or a suffix (the only
-    masks ``FlowModel.build`` writes), and both subnets must map len(mask)
-    columns to len(mask) columns through non-residual end layers.
-    ``backward_cached`` also takes and returns the halves.
+    ``forward``, the one coupling step for inference and training, takes the
+    halves z_P and z_T and returns t_T and s; t_P is z_P itself. The stack
+    reads z_P through its first layer's rows P and computes only the T
+    outputs through its last layer's columns T, so no arithmetic runs on the
+    zeros of a masked product; the skipped rows and columns get a zero data
+    gradient (plus the L2 term). ``backward_cached`` also works on halves.
 
     The log-det sums run over a full-width array with s in T and zeros in
     P, laid out as the masked product s * (1 - mask) would be: numpy's
@@ -219,77 +215,33 @@ class CouplingLayer:
     product, which moves the last bits.
     """
 
-    def __init__(self, mask: np.ndarray, s_net: DenseNet, t_net: DenseNet):
-        self.mask = np.asarray(mask, dtype=np.float64)
-        if not ((self.mask == 0) | (self.mask == 1)).all():
-            raise ValueError("mask must be binary")
-        d, k = self.mask.size, int(self.mask.sum())
-        if k in (0, d):
-            raise ValueError("mask needs at least one 0 and one 1")
-        if self.mask[:k].all():
-            self.p_cols, self.t_cols = slice(0, k), slice(k, d)
-        elif self.mask[d - k:].all():
-            self.p_cols, self.t_cols = slice(d - k, d), slice(0, d - k)
-        else:
-            raise ValueError("mask ones must be a prefix or a suffix of the mask")
-        for name, net in (("s_net", s_net), ("t_net", t_net)):
-            if not net.layers:
-                raise ValueError("coupling subnets need at least one layer")
-            first, last = net.layers[0], net.layers[-1]
-            maps = (first.weight.data.shape[0], last.weight.data.shape[1])
-            if maps != (d, d):
-                raise ValueError(f"{name} maps {maps[0]} -> {maps[1]} columns, "
-                                 f"the mask has length {d}")
-            if first.residual or last.residual:
-                raise ValueError(f"{name} first and last layers must not be residual")
-        if len(s_net.layers) != len(t_net.layers):
-            raise ValueError(f"s_net has {len(s_net.layers)} layers, t_net has "
-                             f"{len(t_net.layers)}; the subnets must share one shape")
-        end = len(s_net.layers) - 1
-        stack = []
-        for i, (s, t) in enumerate(zip(s_net.layers, t_net.layers)):
-            a, b = (_stack_shape(x, i == end) for x in (s, t))
-            differ = [key for key in a if a[key] != b[key]]
-            if differ:
-                raise ValueError(f"s_net and t_net differ in layer {i} ({', '.join(differ)}); "
-                                 "the subnets must share one shape")
-            bias = None if s.bias is None else Tensor(
-                np.stack([s.bias.data, t.bias.data]).reshape(2, 1, -1))
-            stack.append(Dense(Tensor(np.stack([s.weight.data, t.weight.data])), bias,
-                               s.activation if i < end else "linear", s.residual))
-        self.net = DenseNet(stack)
-        self.final = (s_net.layers[-1].activation, t_net.layers[-1].activation)
-
-    def _subnet(self, slot: int) -> DenseNet:
-        end = len(self.net.layers) - 1
-        return DenseNet([
-            Dense(Tensor(_read_only(x.weight.data[slot])),
-                  None if x.bias is None else Tensor(_read_only(x.bias.data[slot, 0])),
-                  self.final[slot] if i == end else x.activation, x.residual)
-            for i, x in enumerate(self.net.layers)])
-
-    @property
-    def s_net(self) -> DenseNet:
-        """Read-only view of the s-net (slot 0 of the stack)."""
-        return self._subnet(0)
-
-    @property
-    def t_net(self) -> DenseNet:
-        """Read-only view of the t-net (slot 1 of the stack)."""
-        return self._subnet(1)
+    def __init__(self, net: DenseNet, dim: int, index: int):
+        what = f"coupling layer {index} net"
+        if not net.layers:
+            raise ValueError(f"{what} needs at least one layer")
+        for i, layer in enumerate(net.layers):
+            shape = layer.weight.data.shape
+            if len(shape) != 3 or shape[0] != 2:
+                raise ValueError(f"{what} layer {i} weight has shape {shape}, "
+                                 "not a (2, in, out) stack")
+        first, last = net.layers[0], net.layers[-1]
+        maps = (first.weight.data.shape[1], last.weight.data.shape[2])
+        if maps != (dim, dim):
+            raise ValueError(f"{what} maps {maps[0]} -> {maps[1]} columns, "
+                             f"the flow is {dim}-d")
+        if first.residual or last.residual:
+            raise ValueError(f"{what} first and last layers must not be residual")
+        if last.activation != "linear":
+            raise ValueError(f"{what} last layer is {last.activation}, not linear")
+        self.net = net
+        self.dim = dim
+        self.p_cols, self.t_cols = halves(dim, index)
 
     def _log_det_layout(self, s: np.ndarray) -> np.ndarray:
         """Zeros of the full width with s in the columns T."""
-        out = np.zeros((s.shape[0], self.mask.size))
+        out = np.zeros((s.shape[0], self.dim))
         out[:, self.t_cols] = s
         return out
-
-    def _finish(self, st: np.ndarray) -> np.ndarray:
-        """Apply each subnet's last activation to its slot of the stack's
-        output, in place."""
-        for slot, activation in enumerate(self.final):
-            apply_activation(st[slot], activation, out=st[slot])
-        return st
 
     def forward(self, zp: np.ndarray, zt: np.ndarray, caches: list | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -297,7 +249,9 @@ class CouplingLayer:
         itself). Given a caches list, appends what ``backward_cached``
         needs."""
         net_cache = None if caches is None else []
-        st = self._finish(self.net.forward(zp, self.p_cols, self.t_cols, net_cache))
+        st = self.net.forward(zp, self.p_cols, self.t_cols, net_cache)
+        for slot, activation in enumerate(FINAL):
+            apply_activation(st[slot], activation, out=st[slot])
         s, b = st
         e = np.exp(s)
         t_t = zt * e
@@ -305,15 +259,6 @@ class CouplingLayer:
         if caches is not None:
             caches.append((zt, e, st, net_cache))
         return t_t, s
-
-    def inverse(self, t: np.ndarray) -> np.ndarray:
-        p, tc = self.p_cols, self.t_cols
-        tp = t[:, p]
-        s, b = self._finish(self.net.forward(tp, p, tc))
-        z = np.empty(t.shape)
-        z[:, p] = tp
-        z[:, tc] = (t[:, tc] - b) * np.exp(-s)
-        return z
 
     def backward_cached(self, cache: tuple, g_p: np.ndarray, g_t: np.ndarray, g_s_sum,
                         t_net_first: bool, input_grad: bool = True
@@ -330,8 +275,8 @@ class CouplingLayer:
         """
         zt, e, st, net_cache = cache
         g = np.empty(st.shape)
-        activation_grad(g_s_sum + g_t * zt * e, st[0], self.final[0], g[0])
-        activation_grad(g_t, st[1], self.final[1], g[1])
+        activation_grad(g_s_sum + g_t * zt * e, st[0], FINAL[0], g[0])
+        activation_grad(g_t, st[1], FINAL[1], g[1])
         g_in = self.net.backward_cached(net_cache, g, self.p_cols, self.t_cols,
                                         input_grad)
         if not input_grad:
@@ -349,14 +294,22 @@ class CouplingLayer:
         return [w.data[slot] for slot in (0, 1) for w in weights]
 
 
-def _coupling_subnet(rng: np.random.Generator, dim: int, hidden_units: int,
-                     hidden_layers: int, final_activation: str) -> DenseNet:
-    # Zero-initialized output layer makes the freshly built flow the identity.
-    layers = [Dense.init(rng, dim, hidden_units, "relu")]
-    for _ in range(hidden_layers - 1):
-        layers.append(Dense.init(rng, hidden_units, hidden_units, "relu"))
-    layers.append(Dense.init(rng, hidden_units, dim, final_activation, zero=True))
-    return DenseNet(layers)
+def _coupling_net(rng: np.random.Generator, dim: int, hidden_units: int,
+                  hidden_layers: int) -> DenseNet:
+    """A fresh coupling layer's stacked net: the s-net's weights are drawn,
+    then the t-net's, and each depth's pair is stacked. The zero last layer
+    makes the freshly built flow the identity."""
+    widths = [dim] + [hidden_units] * hidden_layers + [dim]
+    shapes = list(zip(widths, widths[1:]))
+
+    def subnet() -> list[np.ndarray]:
+        return [fan_in_uniform(rng, *shape) for shape in shapes[:-1]] + [np.zeros(shapes[-1])]
+
+    s_net, t_net = subnet(), subnet()
+    end = len(shapes) - 1
+    return DenseNet([Dense(Tensor(np.stack(pair)), Tensor(np.zeros((2, 1, pair[0].shape[1]))),
+                           "relu" if i < end else "linear")
+                     for i, pair in enumerate(zip(s_net, t_net))])
 
 
 @dataclass(frozen=True)
@@ -379,50 +332,27 @@ class FlowConfig:
 
 
 class FlowModel:
-    """Stack of coupling layers with alternating masks over a standard
-    normal base; provides exact log-density, forward, and inverse maps.
+    """Stack of coupling layers over a standard normal base, built from one
+    stacked net per layer; provides exact log-density and the forward map.
 
-    Each layer passes through exactly the columns the layer before it
-    transformed (what ``build`` writes), so the walk hands a layer's two
-    halves to the next one swapped, with no re-cut of the state."""
+    Layer i's columns are ``halves(dim, i)``, so each layer passes through
+    exactly the columns the layer before it transformed, and the walk hands
+    a layer's two halves to the next one swapped, with no re-cut of the
+    state."""
 
-    def __init__(self, dim: int, layers: list[CouplingLayer]):
+    def __init__(self, dim: int, nets: list[DenseNet]):
         if dim < 2:
             raise ValueError("flow needs dim >= 2")
-        if not layers:
+        if not nets:
             raise ValueError("flow needs at least one coupling layer")
-        for i, layer in enumerate(layers):
-            self.check_mask(i, layer.mask, dim)
-            if i and layer.p_cols != layers[i - 1].t_cols:
-                raise ValueError(f"coupling layer {i} does not pass through the columns "
-                                 f"coupling layer {i - 1} transforms; the masks must "
-                                 "alternate")
         self.dim = dim
-        self.layers = layers
-
-    @staticmethod
-    def check_mask(index: int, mask: np.ndarray, dim: int) -> None:
-        """A coupling mask must span the flow's dim columns."""
-        if mask.shape != (dim,):
-            raise ValueError(f"coupling layer {index} mask has length "
-                             f"{mask.size}, the flow is {dim}-d")
+        self.layers = [CouplingLayer(net, dim, i) for i, net in enumerate(nets)]
 
     @classmethod
     def build(cls, dim: int, config: FlowConfig) -> "FlowModel":
         rng = np.random.default_rng(config.seed)
-        half = np.zeros(dim)
-        half[: dim // 2] = 1.0
-        layers = []
-        for i in range(config.coupling_layers):
-            mask = half if i % 2 == 0 else 1.0 - half
-            layers.append(CouplingLayer(
-                mask=mask.copy(),
-                s_net=_coupling_subnet(rng, dim, config.hidden_units,
-                                       config.hidden_layers, "tanh"),
-                t_net=_coupling_subnet(rng, dim, config.hidden_units,
-                                       config.hidden_layers, "linear"),
-            ))
-        return cls(dim, layers)
+        return cls(dim, [_coupling_net(rng, dim, config.hidden_units, config.hidden_layers)
+                         for _ in range(config.coupling_layers)])
 
     def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """t and log|det| of each row of z."""
@@ -447,14 +377,6 @@ class FlowModel:
         t[:, last.t_cols] = zp
         t[:, last.p_cols] = zt
         return t, log_det
-
-    def inverse(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-        for i, layer in enumerate(reversed(self.layers)):
-            t = layer.inverse(t)
-            if not np.all(np.isfinite(t)):
-                raise FloatingPointError(f"non-finite values inverting coupling layer {i}")
-        return t
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
         """Log-density of each row of z; -inf where the transform or

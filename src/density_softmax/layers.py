@@ -33,7 +33,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, bound_grad
 
 Activation = Literal["relu", "tanh", "linear"]
 ACTIVATIONS = get_args(Activation)
@@ -183,12 +183,14 @@ class DenseNet:
                     gh_buf = np.empty(g.shape)
                 gh = activation_grad(g, a, layer.activation, gh_buf)
             if layer.bias is not None:
+                bias_grad = bound_grad(layer.bias, f"dense layer {i} bias")
                 if c is not ALL:
-                    layer.bias.grad.fill(0.0)
-                np.sum(gh, axis=-2, keepdims=gh.ndim > 2, out=layer.bias.grad[..., c])
+                    bias_grad.fill(0.0)
+                np.sum(gh, axis=-2, keepdims=gh.ndim > 2, out=bias_grad[..., c])
+            weight_grad = bound_grad(layer.weight, f"dense layer {i} weight")
             if r is not ALL or c is not ALL:
-                layer.weight.grad.fill(0.0)
-            np.matmul(x.swapaxes(-1, -2), gh, out=layer.weight.grad[..., r, c])
+                weight_grad.fill(0.0)
+            np.matmul(x.swapaxes(-1, -2), gh, out=weight_grad[..., r, c])
             if i == 0 and not input_grad:
                 return None
             gx = gh @ layer.weight.data[..., r, c].swapaxes(-1, -2)
@@ -223,5 +225,6 @@ def l2_backward(weights: list[Tensor], coefficient: float, g) -> None:
     """Add g * coefficient * 2w to each weight's gradient, in place; the data
     gradient is written there first."""
     k = g * float(coefficient)
-    for w in weights:
-        w.grad += k * (2.0 * w.data)
+    for i, w in enumerate(weights):
+        grad = bound_grad(w, f"L2 weight {i}")
+        grad += k * (2.0 * w.data)

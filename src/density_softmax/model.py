@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, bound_grad
 from .data import LabeledSet, require_fittable
 from .layers import Activation, Dense, DenseNet, fan_in_uniform, l2_backward, l2_value
 from .ops import finite_rows
@@ -70,14 +70,20 @@ class TrainConfig:
 class Encoder:
     """Input projection plus residual blocks; the width is the latent width."""
 
-    def __init__(self, config: EncoderConfig, net: DenseNet):
-        self.config = config
+    def __init__(self, net: DenseNet):
+        if not net.layers:
+            raise ValueError("encoder has no layers")
         self.net = net
 
     @property
     def input_dim(self) -> int:
         """The input width: the rows of the first layer's weight."""
         return self.net.layers[0].weight.data.shape[0]
+
+    @property
+    def latent_dim(self) -> int:
+        """The latent width: the columns of the last layer's weight."""
+        return self.net.layers[-1].weight.data.shape[1]
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -147,7 +153,7 @@ def init_model(config: EncoderConfig, input_dim: int, k: int, seed: int
     for _ in range(config.depth):
         layers.append(Dense.init(rng, config.width, config.width, config.activation,
                                  residual=True))
-    encoder = Encoder(config, DenseNet(layers))
+    encoder = Encoder(DenseNet(layers))
     theta = Tensor(fan_in_uniform(rng, config.width, k))
     return encoder, Classifier(theta)
 
@@ -226,7 +232,7 @@ def head_cross_entropy(z: np.ndarray, theta: Tensor, labels: np.ndarray,
         g_logits = g * probs / n
         if s is not None:
             g_logits = g_logits * s[:, None]
-        np.matmul(z.T, g_logits, out=theta.grad)
+        np.matmul(z.T, g_logits, out=bound_grad(theta, "classifier theta"))
         return g_logits @ theta.data.T if input_grad else None
 
     return loss, rule

@@ -4,8 +4,8 @@ Training runs three steps: (1) standard ERM on encoder + classifier,
 (2) density fit on the frozen encoder's train latents followed by likelihood
 scaling, (3) re-optimization of the classifier alone against the
 density-scaled objective, starting from step 1's head. Every step that
-trains uses Adam at its own fixed learning rate. Inference multiplies each sample's logits by its
-scaled likelihood s in (0, 1] before the softmax:
+trains uses Adam at its own fixed learning rate. Inference multiplies each
+sample's logits by its scaled likelihood s in (0, 1] before the softmax:
 
     probs = softmax(s * (z @ theta)),  z = encode(x),  s = scaled_likelihood(z)
 

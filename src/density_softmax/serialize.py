@@ -1,18 +1,27 @@
 """Versioned JSON model containers with exact float round-trip.
 
 A container is one JSON document. Every float64 array in it (dense weights
-and biases, the classifier's theta, the KDE support, the coupling masks) is
-an object ``{"shape": [...], "float64le": "<base64>"}``: the array's raw
+and biases, the classifier's theta, the KDE support) is an object
+``{"shape": [...], "float64le": "<base64>"}``: the array's raw
 little-endian IEEE-754 bytes, base64-encoded. Save -> load therefore
 reproduces every parameter bit for bit by construction (the bytes are the
 bits, -0.0, subnormals and the largest finite value included), and neither
 side turns a weight into a Python float or its decimal repr. Scalars
-(bandwidth, max_train_log_density, config integers) stay JSON numbers.
+(bandwidth, max_train_log_density) stay JSON numbers.
 
-The encoder config keeps an "input_dim" entry, which must equal the first
-layer's input width, and a "latent_dim" entry, which must equal its width. Version 2 is the only version read; a version-1 container (nested lists
-of decimal floats) is refused with a ContainerError, and ``run`` writes the
-same model again as version 2.
+Version 3, the only version read, stores each fact once: the "kind"
+("density_softmax" or "erm"), the "encoder" as a list of dense layers,
+"classifier.theta" and, for "density_softmax" only, the "density": a KDE's
+support and bandwidth, or a flow's "layers", one stacked net per coupling
+layer with (2, in, out) weights (slot 0 the s-net, slot 1 the t-net), plus
+max_train_log_density. An "ensemble" holds its "members", model containers
+without the version field. The loader works out and checks the rest: the
+input and latent widths from the encoder's end layers, the class count from
+theta's columns (at least 2, latent-width rows), the flow's width from the
+latents (each stacked net maps it to itself through a linear last layer),
+each coupling layer's halves from its index and the subnets' last
+activations from ``density.FINAL``. Another version is refused with a
+ContainerError; ``run`` writes the same model again as version 3.
 """
 
 from __future__ import annotations
@@ -26,12 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .density import CouplingLayer, FlowModel, KdeModel, ScaledDensity
+from .density import FlowModel, KdeModel, ScaledDensity
 from .layers import Dense, DenseNet
-from .model import Classifier, Encoder, EncoderConfig
+from .model import Classifier, Encoder
 from .predictor import DensitySoftmaxModel, Ensemble
 
-CONTAINER_VERSION = 2
+CONTAINER_VERSION = 3
 
 
 class ContainerError(ValueError):
@@ -72,9 +81,11 @@ def _dense_to_dict(layer: Dense) -> dict:
     }
 
 
-def _dense_from_dict(d: dict, what: str) -> Dense:
-    weight = Tensor(_decode_array(d["weight"], f"{what} weight", 2))
-    bias = None if d["bias"] is None else Tensor(_decode_array(d["bias"], f"{what} bias", 1))
+def _dense_from_dict(d: dict, what: str, stacked: bool) -> Dense:
+    """A layer, or with ``stacked`` a (2, in, out) stack of two."""
+    weight = Tensor(_decode_array(d["weight"], f"{what} weight", 3 if stacked else 2))
+    bias = (None if d["bias"] is None
+            else Tensor(_decode_array(d["bias"], f"{what} bias", 3 if stacked else 1)))
     try:
         return Dense(weight=weight, bias=bias, activation=d["activation"],
                      residual=bool(d["residual"]))
@@ -86,45 +97,12 @@ def _net_to_list(net: DenseNet) -> list:
     return [_dense_to_dict(layer) for layer in net.layers]
 
 
-def _net_from_list(layers: list, what: str) -> DenseNet:
-    return DenseNet([_dense_from_dict(d, f"{what} layer {i}") for i, d in enumerate(layers)])
-
-
-def _encoder_to_dict(encoder: Encoder) -> dict:
-    cfg = encoder.config
-    return {
-        "config": {"input_dim": encoder.input_dim, "width": cfg.width,
-                   "depth": cfg.depth, "latent_dim": cfg.width,
-                   "activation": cfg.activation},
-        "layers": _net_to_list(encoder.net),
-    }
-
-
-def _encoder_from_dict(d: dict) -> Encoder:
-    fields = dict(d["config"])
-    # the residual blocks keep the width, so the format's latent_dim must equal it
-    latent_dim = fields.pop("latent_dim")
-    input_dim = fields.pop("input_dim")
-    config = EncoderConfig(**fields)
-    if latent_dim != config.width:
-        raise ContainerError(f"encoder latent_dim {latent_dim!r} is not its width "
-                             f"{config.width}")
-    net = _net_from_list(d["layers"], "encoder")
-    if not net.layers:
-        raise ContainerError("encoder has no layers")
-    maps = (net.layers[0].weight.data.shape[0], net.layers[-1].weight.data.shape[1])
-    if maps != (input_dim, config.width):
-        raise ContainerError(f"encoder layers map {maps[0]} -> {maps[1]} columns, "
-                             f"config says {input_dim} -> {config.width}")
-    return Encoder(config, net)
-
-
-def _classifier_from_dict(d: dict, latent_dim: int, k: int) -> Classifier:
-    theta = _decode_array(d["theta"], "classifier theta", 2)
-    if theta.shape != (latent_dim, k):
-        raise ContainerError(f"classifier theta has shape {theta.shape}, "
-                             f"expected latent_dim x k = {(latent_dim, k)}")
-    return Classifier(Tensor(theta))
+def _net_from_list(layers: list, what: str, stacked: bool = False) -> DenseNet:
+    dense = [_dense_from_dict(d, f"{what} layer {i}", stacked) for i, d in enumerate(layers)]
+    try:
+        return DenseNet(dense)
+    except ValueError as exc:
+        raise ContainerError(f"{what}: {exc}") from None
 
 
 def _density_to_dict(density: ScaledDensity) -> dict:
@@ -133,11 +111,7 @@ def _density_to_dict(density: ScaledDensity) -> dict:
         body = {"kind": "kde", "support": _encode_array(inner.support),
                 "bandwidth": inner.bandwidth}
     elif isinstance(inner, FlowModel):
-        body = {"kind": "flow", "dim": inner.dim,
-                "layers": [{"mask": _encode_array(layer.mask),
-                            "s_net": _net_to_list(layer.s_net),
-                            "t_net": _net_to_list(layer.t_net)}
-                           for layer in inner.layers]}
+        body = {"kind": "flow", "layers": [_net_to_list(layer.net) for layer in inner.layers]}
     else:  # pragma: no cover
         raise ContainerError(f"unknown density type {type(inner).__name__}")
     body["max_train_log_density"] = density.max_train_log_density
@@ -149,25 +123,15 @@ def _density_from_dict(d: dict, latent_dim: int) -> ScaledDensity:
         inner: KdeModel | FlowModel = KdeModel(
             support=_decode_array(d["support"], "kde support", 2),
             bandwidth=float(d["bandwidth"]))
+        if inner.dim != latent_dim:
+            raise ContainerError(f"kde density is {inner.dim}-d, "
+                                 f"the encoder's latent_dim is {latent_dim}")
     elif d["kind"] == "flow":
-        dim = int(d["dim"])
-        layers = []
-        for i, ld in enumerate(d["layers"]):
-            what = f"flow layer {i}"
-            mask = _decode_array(ld["mask"], f"{what} mask", 1)
-            FlowModel.check_mask(i, mask, dim)  # before the subnets are held to it
-            s_net = _net_from_list(ld["s_net"], f"{what} s_net")
-            t_net = _net_from_list(ld["t_net"], f"{what} t_net")
-            try:
-                layers.append(CouplingLayer(mask=mask, s_net=s_net, t_net=t_net))
-            except ValueError as exc:
-                raise ContainerError(f"{what}: {exc}") from None
-        inner = FlowModel(dim, layers)
+        # the flow is as wide as the latents it models
+        inner = FlowModel(latent_dim, [_net_from_list(layers, f"flow layer {i}", True)
+                                       for i, layers in enumerate(d["layers"])])
     else:
         raise ContainerError(f"unknown density kind {d['kind']!r}")
-    if inner.dim != latent_dim:
-        raise ContainerError(f"{d['kind']} density is {inner.dim}-d, "
-                             f"the encoder's latent_dim is {latent_dim}")
     return ScaledDensity(inner=inner,
                          max_train_log_density=float(d["max_train_log_density"]))
 
@@ -180,14 +144,10 @@ def container_kind(model: DensitySoftmaxModel | Ensemble) -> str:
     return "erm" if model.density is None else "density_softmax"
 
 
-def density_softmax_container(model: DensitySoftmaxModel) -> dict:
-    """The model's container; kind "erm", with no density key, if it has no
-    density."""
+def _model_to_dict(model: DensitySoftmaxModel) -> dict:
     doc = {
-        "version": CONTAINER_VERSION,
         "kind": container_kind(model),
-        "k": model.k,
-        "encoder": _encoder_to_dict(model.encoder),
+        "encoder": _net_to_list(model.encoder.net),
         "classifier": {"theta": _encode_array(model.classifier.theta.data)},
     }
     if model.density is not None:
@@ -195,11 +155,18 @@ def density_softmax_container(model: DensitySoftmaxModel) -> dict:
     return doc
 
 
+def density_softmax_container(model: DensitySoftmaxModel) -> dict:
+    """The model's container; kind "erm", with no density key, if it has no
+    density."""
+    return {"version": CONTAINER_VERSION, **_model_to_dict(model)}
+
+
 def ensemble_container(ensemble: Ensemble) -> dict:
+    """The members' containers under one version field."""
     return {
         "version": CONTAINER_VERSION,
         "kind": "ensemble",
-        "members": [density_softmax_container(m) for m in ensemble.members],
+        "members": [_model_to_dict(m) for m in ensemble.members],
     }
 
 
@@ -256,9 +223,16 @@ def _model_from_dict(doc: dict) -> DensitySoftmaxModel:
     kind = doc.get("kind")
     if kind not in ("density_softmax", "erm"):
         raise ContainerError(f"unknown container kind {kind!r}")
-    encoder = _encoder_from_dict(doc["encoder"])
-    latent_dim = encoder.config.width
-    classifier = _classifier_from_dict(doc["classifier"], latent_dim, int(doc["k"]))
+    if kind == "erm" and "density" in doc:
+        raise ContainerError("an erm container has no density, but this one carries one")
+    encoder = Encoder(_net_from_list(doc["encoder"], "encoder"))
+    theta = _decode_array(doc["classifier"]["theta"], "classifier theta", 2)
+    if theta.shape[0] != encoder.latent_dim:
+        raise ContainerError(f"classifier theta has {theta.shape[0]} rows, "
+                             f"the encoder's latent_dim is {encoder.latent_dim}")
+    if theta.shape[1] < 2:
+        raise ContainerError(f"classifier theta has {theta.shape[1]} column; "
+                             "a head needs at least 2 classes")
     density = (None if kind == "erm"
-               else _density_from_dict(doc["density"], latent_dim))
-    return DensitySoftmaxModel(encoder, classifier, density)
+               else _density_from_dict(doc["density"], encoder.latent_dim))
+    return DensitySoftmaxModel(encoder, Classifier(Tensor(theta)), density)

@@ -15,11 +15,13 @@ reference optimizer's in-place updates train the program's arrays.
 The compositions below build each training stage's loss from these
 primitives, one node per operation; the coupling layers here run on
 full-width masked arrays with separate s- and t-nets, where the program's
-kernels work on column halves with the two subnets stacked. ``SplitFlow``
-copies a flow's stacked slots into separate subnets for the tape, and its
-``stacked`` lays their gradients out as the stacked parameters. The tests
-require the fused nodes to reproduce their values and every gradient bit
-for bit. The per-parameter Adam and the reference
+kernels work on column halves with the two subnets stacked. ``slot_nets``
+views a coupling layer's stacked slots as two 2-D nets and ``pass_mask``
+builds its full-width mask from its pass-through columns, so no oracle
+runs the stacked forward. ``SplitFlow`` copies those subnets for the tape,
+and its ``stacked`` lays their gradients out as the stacked parameters.
+The tests require the fused nodes to reproduce their values and every
+gradient bit for bit. The per-parameter Adam and the reference
 training loops play the same role for the contiguous optimizer state and the
 shared minibatch loop.
 """
@@ -30,7 +32,8 @@ import math
 
 import numpy as np
 
-from density_softmax.density import CouplingLayer, FlowModel
+from density_softmax.autodiff import Tensor
+from density_softmax.density import FINAL, FlowModel
 from density_softmax.layers import Dense, DenseNet
 from density_softmax.model import minibatches
 
@@ -317,14 +320,32 @@ def subnet_arrays(flow) -> list[np.ndarray]:
     return out
 
 
+def slot_nets(layer) -> tuple[DenseNet, DenseNet]:
+    """A coupling layer's s-net and t-net as 2-D DenseNets over views of its
+    stacked slots, each with its own last activation (FINAL)."""
+    end = len(layer.net.layers) - 1
+    return tuple(DenseNet([
+        Dense(Tensor(x.weight.data[slot]),
+              None if x.bias is None else Tensor(x.bias.data[slot, 0]),
+              FINAL[slot] if i == end else x.activation, x.residual)
+        for i, x in enumerate(layer.net.layers)]) for slot in (0, 1))
+
+
+def pass_mask(layer) -> np.ndarray:
+    """The full-width mask of a coupling layer: ones on its pass-through
+    columns."""
+    mask = np.zeros(layer.dim)
+    mask[layer.p_cols] = 1.0
+    return mask
+
+
 class SplitCoupling:
     """A coupling layer's mask and its subnets as separate DenseNets with
     their own parameters: the layer the tape differentiates."""
 
     def __init__(self, layer):
-        self.mask = layer.mask
-        self.s_net = node_net(layer.s_net, copy=True)
-        self.t_net = node_net(layer.t_net, copy=True)
+        self.mask = pass_mask(layer)
+        self.s_net, self.t_net = (node_net(net, copy=True) for net in slot_nets(layer))
 
     def params(self) -> list[Node]:
         return self.s_net.params() + self.t_net.params()
@@ -361,8 +382,16 @@ class SplitFlow:
         return [a for layer in self.layers for a in layer.stacked(attr)]
 
     def to_flow(self) -> FlowModel:
-        return FlowModel(self.dim, [CouplingLayer(layer.mask, layer.s_net, layer.t_net)
-                                    for layer in self.layers])
+        """The stacked FlowModel of the twin's current parameters."""
+        nets = []
+        for layer in self.layers:
+            arrays = iter(layer.stacked("data"))
+            end = len(layer.s_net.layers) - 1
+            nets.append(DenseNet([
+                Dense(Tensor(next(arrays)), None if x.bias is None else Tensor(next(arrays)),
+                      "linear" if i == end else x.activation, x.residual)
+                for i, x in enumerate(layer.s_net.layers)]))
+        return FlowModel(self.dim, nets)
 
 
 def coupling_forward_tape(layer, z: Node) -> tuple[Node, Node]:
@@ -375,13 +404,15 @@ def coupling_forward_tape(layer, z: Node) -> tuple[Node, Node]:
 
 
 def masked_coupling_forward(layer, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A coupling layer's inference forward on full-width masked arrays:
-    h = m*z, s = S(h)*(1-m), t = h + (z*exp(s) + T(h)*(1-m))*(1-m); returns
-    t and log|det| per row."""
-    comp = 1.0 - layer.mask
-    h = z * layer.mask
-    s = layer.s_net.forward(h) * comp
-    t = h + (z * np.exp(s) + layer.t_net.forward(h) * comp) * comp
+    """A coupling layer's inference forward on full-width masked arrays,
+    through its slots' 2-D nets: h = m*z, s = S(h)*(1-m),
+    t = h + (z*exp(s) + T(h)*(1-m))*(1-m); returns t and log|det| per row."""
+    mask = pass_mask(layer)
+    comp = 1.0 - mask
+    s_net, t_net = slot_nets(layer)
+    h = z * mask
+    s = s_net.forward(h) * comp
+    t = h + (z * np.exp(s) + t_net.forward(h) * comp) * comp
     return t, s.sum(axis=1)
 
 

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from density_softmax.autodiff import Tensor
 from density_softmax.data import make_two_moons, make_two_ovals
-from density_softmax.model import (Classifier, EncoderConfig, TrainConfig,
-                                   TrainingDiverged, erm_train, init_model)
+from density_softmax.density import FlowConfig, FlowModel
+from density_softmax.layers import DenseNet, l2_backward
+from density_softmax.model import (Classifier, Encoder, EncoderConfig, TrainConfig,
+                                   TrainingDiverged, erm_loss, erm_train, head_cross_entropy,
+                                   init_model)
 from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import DensitySoftmaxModel, Ensemble, ensemble_train
 
@@ -58,6 +62,12 @@ class TestInitModel:
         assert enc.input_dim == 5
         with pytest.raises(ValueError, match="input_dim must be >= 1"):
             init_model(SMALL, 0, 2, seed=0)
+
+    def test_widths_read_from_the_layers(self):
+        enc, _ = init_model(EncoderConfig(width=6, depth=1), 3, 2, seed=0)
+        assert (enc.input_dim, enc.latent_dim) == (3, 6)
+        with pytest.raises(ValueError, match="encoder has no layers"):
+            Encoder(DenseNet([]))
 
 
 class TestEncode:
@@ -178,6 +188,39 @@ class TestErmTrain:
         assert str(err).startswith(
             f"non-finite erm loss at epoch 0, batch 1 (last finite loss "
             f"{err.last_finite_loss})")
+
+
+class TestUnboundGradient:
+    """A rule run on a parameter no optimizer bound names it in a ValueError
+    instead of dropping its gradient or failing on None."""
+
+    def test_head_rule(self):
+        _, clf = init_model(SMALL, 2, 2, seed=0)
+        z = np.random.default_rng(0).normal(size=(5, 8))
+        node = Tensor(*head_cross_entropy(z, clf.theta, np.array([0, 1, 0, 1, 1])))
+        with pytest.raises(ValueError, match="classifier theta has no bound gradient"):
+            node.backward()
+
+    def test_erm_loss(self):
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
+        train = make_two_moons(5, 0.1, seed=0)
+        node = erm_loss(enc, clf, train.features, train.labels, 1e-3)
+        with pytest.raises(ValueError, match="classifier theta has no bound gradient"):
+            node.backward()
+        clf.theta.grad = np.empty(clf.theta.data.shape)
+        with pytest.raises(ValueError, match="dense layer 2 bias has no bound gradient"):
+            node.backward()
+
+    def test_flow_nll_loss(self):
+        flow = FlowModel.build(4, FlowConfig(coupling_layers=2, hidden_layers=1))
+        node = flow.nll_loss(np.random.default_rng(0).normal(size=(6, 4)), 0.0)
+        with pytest.raises(ValueError, match="dense layer 1 bias has no bound gradient"):
+            node.backward()
+
+    def test_l2_term(self):
+        w = Tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="L2 weight 0 has no bound gradient"):
+            l2_backward([w], 0.1, 1.0)
 
 
 class TestEnsemble:

@@ -76,11 +76,12 @@ class TestDensitySoftmaxContainer:
 
 
     def test_stored_flow_container_loads_predicts_and_saves_bit_for_bit(self, tmp_path):
-        """data/flow_model_v2.json and its expected outputs were written while
-        the coupling layers kept their s-net and t-net as separate arrays; the
-        stacked layers must load it, predict the same bits and write the
-        same bytes back."""
-        model = load_container(DATA / "flow_model_v2.json")
+        """data/flow_model_v2_expected.json holds the outputs of the version-2
+        container data/flow_model_v2.json, written while the coupling layers
+        kept their s-net and t-net as separate arrays beside a mask;
+        data/flow_model_v3.json is the same model as version 3 stores it.
+        It must load, predict the same bits and write the same bytes back."""
+        model = load_container(DATA / "flow_model_v3.json")
         want = json.loads((DATA / "flow_model_v2_expected.json").read_text())
         pred = model.predict(_decode_array(want["x"], "x", 2))
         np.testing.assert_array_equal(pred.probs, _decode_array(want["probs"], "probs", 2))
@@ -88,7 +89,53 @@ class TestDensitySoftmaxContainer:
                                       _decode_array(want["scaled_likelihood"], "s", 1))
         path = tmp_path / "again.json"
         save_container(density_softmax_container(model), path)
-        assert path.read_bytes() == (DATA / "flow_model_v2.json").read_bytes()
+        assert path.read_bytes() == (DATA / "flow_model_v3.json").read_bytes()
+
+
+def _key_paths(node, path=()):
+    """The path to every object key in a JSON document, parents first."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _key_paths(value, path + (i,))
+
+
+class TestEveryStoredKeyIsRead:
+    """A container stores no fact the loader ignores: deleting any one key
+    of a saved container makes it fail to load."""
+
+    @pytest.fixture(scope="class")
+    def containers(self, pipeline_result):
+        train, result = pipeline_result
+        flow = train_pipeline(
+            make_two_moons(130, 0.1, seed=1), SMALL, FAST,
+            DensityConfig(kind="flow", flow=FlowConfig(epochs=1, batch_size=128,
+                                                       coupling_layers=2, hidden_layers=1)),
+            ReoptConfig(epochs=1, batch_size=64, seed=0))
+        return {"kde": density_softmax_container(result.model),
+                "flow": density_softmax_container(flow.model),
+                "erm": density_softmax_container(result.erm_model),
+                "ensemble": ensemble_container(ensemble_train(2, SMALL, 2, train, FAST))}
+
+    @pytest.mark.parametrize("kind", ["kde", "flow", "erm", "ensemble"])
+    def test_deleting_any_key_fails_to_load(self, tmp_path, containers, kind):
+        doc = containers[kind]
+        path = tmp_path / "model.json"
+        paths = list(_key_paths(doc))
+        assert len(paths) > 20
+        for key_path in paths:
+            broken = json.loads(json.dumps(doc))
+            parent = broken
+            for key in key_path[:-1]:
+                parent = parent[key]
+            del parent[key_path[-1]]
+            path.write_text(json.dumps(broken))
+            with pytest.raises(ContainerError):
+                load_container(path)
+                pytest.fail(f"{kind} container without {key_path} loaded")
 
 
 class TestArrayEncoding:
@@ -196,6 +243,25 @@ class TestErmAndEnsembleContainers:
         assert code == 2
         assert "ensemble member 0 is not an object" in capsys.readouterr().err
 
+    def test_stored_keys_are_the_documented_facts(self, pipeline_result):
+        """Version 3 keeps no copy of a fact the loader works out again."""
+        train, result = pipeline_result
+        kde = density_softmax_container(result.model)
+        assert set(kde) == {"version", "kind", "encoder", "classifier", "density"}
+        assert set(kde["classifier"]) == {"theta"}
+        assert set(kde["density"]) == {"kind", "support", "bandwidth", "max_train_log_density"}
+        assert all(set(layer) == {"weight", "bias", "activation", "residual"}
+                   for layer in kde["encoder"])
+        flow = density_softmax_container(DensitySoftmaxModel(
+            result.model.encoder, result.model.classifier,
+            ScaledDensity(FlowModel.build(8, FlowConfig(coupling_layers=2)), 0.0)))
+        assert set(flow["density"]) == {"kind", "layers", "max_train_log_density"}
+        assert [layer[0]["weight"]["shape"] for layer in flow["density"]["layers"]] == \
+            [[2, 8, 16]] * 2
+        ens = ensemble_container(ensemble_train(2, SMALL, 2, train, FAST))
+        assert set(ens) == {"version", "kind", "members"}
+        assert all(set(m) == {"kind", "encoder", "classifier"} for m in ens["members"])
+
     def test_save_is_deterministic(self, tmp_path, pipeline_result):
         _, result = pipeline_result
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -244,13 +310,16 @@ def _narrow_support(doc, model):
     return doc
 
 
-def _config_input_dim(doc, model):
-    doc["encoder"]["config"]["input_dim"] = 3
+def _encoder_layers_do_not_compose(doc, model):
+    """The first encoder layer maps 2 -> 7 columns, the next reads 8."""
+    first = doc["encoder"][0]
+    first["weight"] = _sliced(first["weight"], (slice(None), slice(7)))
+    first["bias"] = _sliced(first["bias"], slice(7))
     return doc
 
 
 def _no_encoder_layers(doc, model):
-    doc["encoder"]["layers"] = []
+    doc["encoder"] = []
     return doc
 
 
@@ -264,52 +333,48 @@ def _no_flow_layers(doc, model):
     return doc
 
 
-def _short_mask(doc, model):
-    doc = _flow_doc(model, 8)
-    doc["density"]["layers"][1]["mask"] = _sliced(doc["density"]["layers"][1]["mask"],
-                                                  slice(6))
-    return doc
-
-
-def _interleaved_mask(doc, model):
-    doc = _flow_doc(model, 8)
-    doc["density"]["layers"][0]["mask"] = _encode_array(np.array([1.0, 0.0] * 4))
-    return doc
-
-
-def _unaligned_masks(doc, model):
-    """Layer 1 passes through the columns layer 0 passes through."""
-    doc = _flow_doc(model, 8)
-    layers = doc["density"]["layers"]
-    layers[1]["mask"] = layers[0]["mask"]
-    return doc
-
-
-def _latent_dim_not_width(doc, model):
-    doc["encoder"]["config"]["latent_dim"] = 4
+def _one_column_theta(doc, model):
+    doc["classifier"]["theta"] = _sliced(doc["classifier"]["theta"], (slice(None), slice(1)))
     return doc
 
 
 def _wide_subnet_input(doc, model):
-    """The s-net's first layer reads 10 columns of the 8-d flow."""
+    """Coupling layer 1's first layer reads 10 columns of the 8-d flow."""
     doc = _flow_doc(model, 8)
-    first = doc["density"]["layers"][1]["s_net"][0]
-    weight = _decode_array(first["weight"], "test array", 2)
-    first["weight"] = _encode_array(np.vstack([weight, weight[:2]]))
+    first = doc["density"]["layers"][1][0]
+    weight = _decode_array(first["weight"], "test array", 3)
+    first["weight"] = _encode_array(np.concatenate([weight, weight[:, :2]], axis=1))
     return doc
 
 
-def _subnets_differ(doc, model):
-    """The t-net's first layer is tanh, the s-net's relu: they cannot stack."""
+def _one_slot_stack(doc, model):
+    """Coupling layer 1's first layer keeps only the s-net's slot."""
     doc = _flow_doc(model, 8)
-    doc["density"]["layers"][1]["t_net"][0]["activation"] = "tanh"
+    first = doc["density"]["layers"][1][0]
+    first["weight"] = _sliced(first["weight"], slice(1))
+    first["bias"] = _sliced(first["bias"], slice(1))
+    return doc
+
+
+def _nonlinear_stack_end(doc, model):
+    doc = _flow_doc(model, 8)
+    doc["density"]["layers"][1][-1]["activation"] = "tanh"
+    return doc
+
+
+def _erm_with_density(doc, model):
+    doc["kind"] = "erm"
     return doc
 
 
 def _short_bias(doc, model):
-    doc["encoder"]["layers"][0]["bias"] = _sliced(doc["encoder"]["layers"][0]["bias"],
-                                                  slice(5))
+    doc["encoder"][0]["bias"] = _sliced(doc["encoder"][0]["bias"], slice(5))
     return doc
+
+
+def _version_2(doc, model):
+    """The stored version-2 container (masks, separate subnets, encoder config)."""
+    return json.loads((DATA / "flow_model_v2.json").read_text())
 
 
 def _version_1(doc, model):
@@ -324,19 +389,19 @@ def _version_1(doc, model):
 
 
 def _base64_cut_short(doc, model):
-    weight = doc["encoder"]["layers"][1]["weight"]
+    weight = doc["encoder"][1]["weight"]
     weight["float64le"] = weight["float64le"][:-4]
     return doc
 
 
 def _base64_cut_mid_quad(doc, model):
-    weight = doc["encoder"]["layers"][1]["weight"]
+    weight = doc["encoder"][1]["weight"]
     weight["float64le"] = weight["float64le"][:-1]
     return doc
 
 
 def _not_base64(doc, model):
-    bias = doc["encoder"]["layers"][0]["bias"]
+    bias = doc["encoder"][0]["bias"]
     bias["float64le"] = bias["float64le"][:4] + "!" + bias["float64le"][4:]
     return doc
 
@@ -363,13 +428,15 @@ class TestContainerValidation:
 
     @pytest.mark.parametrize("corrupt, message", [
         (_drop_density, "missing key 'density'"),
-        (_short_theta, r"theta has shape \(4, 2\), expected latent_dim x k = \(8, 2\)"),
+        (_short_theta, "classifier theta has 4 rows, the encoder's latent_dim is 8"),
         (_narrow_support, "kde density is 4-d, the encoder's latent_dim is 8"),
-        (_flow_of_other_dim, "flow density is 4-d, the encoder's latent_dim is 8"),
-        (_short_mask, "coupling layer 1 mask has length 6, the flow is 8-d"),
-        (_config_input_dim, "encoder layers map 2 -> 8 columns, config says 3 -> 8"),
+        (_flow_of_other_dim, "coupling layer 0 net maps 4 -> 4 columns, the flow is 8-d"),
+        (_encoder_layers_do_not_compose,
+         r"encoder: layer widths do not compose: \(2, 7\) -> \(8, 8\)"),
         (_no_encoder_layers, "encoder has no layers"),
-        (_version_1, "unsupported container version 1; this build reads version 2, "
+        (_version_2, "unsupported container version 2; this build reads version 3, "
+                     "so write the model again with `run`"),
+        (_version_1, "unsupported container version 1; this build reads version 3, "
                      "so write the model again with `run`"),
         (_base64_cut_short, "encoder layer 1 weight holds 510 bytes, shape "
                             r"\[8, 8\] needs 512"),
@@ -380,21 +447,20 @@ class TestContainerValidation:
         (_flat_theta, r"classifier theta shape \[16\] is not a list of 2 non-negative "
                       "integers"),
         (_nested_list_support, r"kde support is not a \{shape, float64le\} object"),
-        (_interleaved_mask, "flow layer 0: mask ones must be a prefix or a suffix"),
-        (_wide_subnet_input, "flow layer 1: s_net maps 10 -> 8 columns, the mask has "
-                             "length 8"),
+        (_wide_subnet_input, "coupling layer 1 net maps 10 -> 8 columns, the flow is 8-d"),
         (_short_bias, r"encoder layer 0: bias has shape \(5,\), the layer has 8 units"),
-        (_subnets_differ, "flow layer 1: s_net and t_net differ in layer 0"),
+        (_one_slot_stack, r"coupling layer 1 net layer 0 weight has shape \(1, 8, 16\), "
+                          r"not a \(2, in, out\) stack"),
         (_no_flow_layers, "flow needs at least one coupling layer"),
-        (_unaligned_masks, "coupling layer 1 does not pass through the columns "
-                           "coupling layer 0 transforms; the masks must alternate"),
-        (_latent_dim_not_width, "encoder latent_dim 4 is not its width 8"),
+        (_one_column_theta, "classifier theta has 1 column; a head needs at least 2 classes"),
+        (_nonlinear_stack_end, "coupling layer 1 net last layer is tanh, not linear"),
+        (_erm_with_density, "an erm container has no density, but this one carries one"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
-            "mask_length", "encoder_layers", "no_encoder_layers", "version_1",
+            "encoder_layers", "no_encoder_layers", "version_2", "version_1",
             "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
-            "shape_ndim", "nested_list_array", "mask_not_prefix_or_suffix",
-            "subnet_width", "bias_length", "subnet_shapes", "no_flow_layers",
-            "unaligned_masks", "latent_dim_not_width"])
+            "shape_ndim", "nested_list_array", "subnet_width", "bias_length",
+            "subnet_shapes", "no_flow_layers", "theta_columns", "stack_end_activation",
+            "erm_with_density"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
                                               corrupt, message, capsys):
         _, result = pipeline_result

@@ -244,6 +244,16 @@ class TestFlowStructure:
             assert not dense[2].weight.data.any()
             assert not any(x.bias.data.any() for x in dense)
 
+    def test_bad_mask_rejected(self):
+        """Each layer's halves must both be non-empty, so a flow needs two
+        columns; and forward works in place on the net's output, which an
+        empty net would alias to its input."""
+        assert halves(1, 0) == (slice(0, 0), slice(0, 1))
+        with pytest.raises(ValueError, match=r"flow needs dim >= 2"):
+            FlowModel.build(1, FlowConfig(seed=0))
+        with pytest.raises(ValueError, match="at least one layer"):
+            CouplingLayer(DenseNet([]), 4, 0)
+
     def test_split_contract_rejected(self):
         rng = np.random.default_rng(0)
 
@@ -262,10 +272,6 @@ class TestFlowStructure:
         with pytest.raises(ValueError, match="coupling layer 0 net last layer is tanh, "
                                              "not linear"):
             CouplingLayer(stack((4, 3), (3, 4), last="tanh"), 4, 0)
-        # forward works in place on the net's output, which an empty net
-        # would alias to its input
-        with pytest.raises(ValueError, match="at least one layer"):
-            CouplingLayer(DenseNet([]), 4, 0)
 
     def test_subnets_are_read_only_views_of_the_stack(self):
         """The subnets' 2-D weight matrices the L2 term reads."""

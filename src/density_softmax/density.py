@@ -22,9 +22,15 @@ Two estimators share the same interface (``log_density`` over rows):
 Both estimators walk their query rows in fixed chunks (``KDE_CHUNK_ROWS``,
 ``FLOW_CHUNK_ROWS``), folding a 1-row tail into the chunk before it, so a
 chunked pass equals a one-shot pass bit for bit (see :func:`chunk_bounds`).
+The KDE raises its max-shifted log-kernels to at least
+``KDE_LOG_KERNEL_FLOOR`` = -700 before the exp, which keeps numpy on its
+vectorized exp (a subnormal or zero result costs 15-150x more per element)
+and moves no output bit: each row's largest kernel is e^0 = 1, and a term
+below e^-700 is far under half an ulp of that row sum.
 
 After fitting, :func:`compute_scale` records the maximum train-point
-log-density (a streaming max over batches); scaled likelihoods are then
+log-density (one chunked pass over the train latents, whose scaled
+likelihoods it also returns for re-optimization); scaled likelihoods are then
 exp(log p(z) - max), which lives in (0, 1] with the densest train point
 mapping to exactly 1. Values that underflow are floored at the smallest
 positive normal float so the interval stays open at 0 (this includes rows so
@@ -53,9 +59,14 @@ LOG_2PI = math.log(2.0 * math.pi)
 # -- kernel density estimation ----------------------------------------------
 
 
-# Query rows per distance GEMM in KdeModel.log_density: the compute_scale
-# batch, so a chunk's 128 x n buffer stays ~1 MB at n = 1000 support rows.
+# Query rows per distance GEMM in KdeModel.log_density, so a chunk's
+# 128 x n buffer stays ~1 MB at n = 1000 support rows.
 KDE_CHUNK_ROWS = 128
+
+# Floor of the max-shifted log-kernels in KdeModel.log_density: e^-700 is a
+# normal float, so the exp stays on numpy's vectorized path; below about
+# -708 numpy computes each element alone.
+KDE_LOG_KERNEL_FLOOR = -700.0
 
 # Rows per pass in FlowModel.log_density: enough to amortize the per-layer
 # numpy calls, few enough that a chunk's stacked (2, rows, hidden)
@@ -114,7 +125,16 @@ class KdeModel:
 
         Walks z in chunks of KDE_CHUNK_ROWS rows (see chunk_bounds) through
         one reused chunk x n buffer: ||z||^2 - 2 z.s + ||s||^2, clamped at 0,
-        over -2h^2, then a max-shifted log-sum-exp.
+        over -2h^2, then a max-shifted log-sum-exp whose shifted log-kernels
+        are raised to at least KDE_LOG_KERNEL_FLOOR before the exp.
+
+        The floor leaves every output bit as it was: after the shift the
+        nearest kernel is exactly e^0 = 1, so each row sum is at least 1,
+        and a floored term is below e^-700 ~ 1e-304, some 10^288 times less
+        than half an ulp of 1. It can only change a partial sum of the
+        pairwise summation that is itself tiny, and the row sum absorbs that
+        partial. tests/kde_reference.py keeps the unfloored kernel as the
+        oracle.
         """
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         rows = z.shape[0]
@@ -133,6 +153,7 @@ class KdeModel:
                 a /= denom
                 m = a.max(axis=1)
                 a -= m[:, None]
+                np.maximum(a, KDE_LOG_KERNEL_FLOOR, out=a)
                 np.exp(a, out=a)
                 lse = out[lo:hi]
                 np.log(a.sum(axis=1), out=lse)
@@ -471,7 +492,12 @@ class ScaledDensity:
 
     def scaled_likelihood(self, z: np.ndarray) -> np.ndarray:
         """exp(log p(z) - max train log p), clamped into [floor, 1]."""
-        s = self.inner.log_density(z) - self.max_train_log_density
+        return self.scale(self.inner.log_density(z))
+
+    def scale(self, log_density: np.ndarray) -> np.ndarray:
+        """The scaled likelihood of rows whose log-density the inner model
+        gave: exp(log_density - max train log p), clamped into [floor, 1]."""
+        s = log_density - self.max_train_log_density
         np.minimum(s, 0.0, out=s)
         with np.errstate(under="ignore"):
             np.exp(s, out=s)
@@ -481,15 +507,15 @@ class ScaledDensity:
         return self.inner.param_count() + 1  # plus the scale constant
 
 
-def compute_scale(density: KdeModel | FlowModel, train_z: np.ndarray,
-                  batch_size: int = 128) -> ScaledDensity:
-    """Streaming max of train log-densities over batches."""
+def compute_scale(density: KdeModel | FlowModel,
+                  train_z: np.ndarray) -> tuple[ScaledDensity, np.ndarray]:
+    """The density scaled by its max train log-density, and the scaled
+    likelihood of each train row, from one density pass over train_z (which
+    the density walks in its own chunks), so the densest train row scales to
+    exactly 1 in the same pass that serves the train rows."""
     train_z = np.asarray(train_z, dtype=np.float64)
     if train_z.ndim != 2 or train_z.shape[0] == 0:
         raise ValueError("train_z must be a non-empty matrix")
-    best = -np.inf
-    for start in range(0, train_z.shape[0], batch_size):
-        batch_max = float(density.log_density(train_z[start:start + batch_size]).max())
-        if batch_max > best:
-            best = batch_max
-    return ScaledDensity(inner=density, max_train_log_density=best)
+    log_p = density.log_density(train_z)
+    scaled = ScaledDensity(inner=density, max_train_log_density=float(log_p.max()))
+    return scaled, scaled.scale(log_p)

@@ -102,11 +102,10 @@ class Dense:
         activation: Activation = "relu",
         bias: bool = True,
         residual: bool = False,
-        zero: bool = False,
     ) -> "Dense":
-        w = np.zeros((in_dim, out_dim)) if zero else fan_in_uniform(rng, in_dim, out_dim)
         b = Tensor(np.zeros(out_dim)) if bias else None
-        return cls(weight=Tensor(w), bias=b, activation=activation, residual=residual)
+        return cls(weight=Tensor(fan_in_uniform(rng, in_dim, out_dim)), bias=b,
+                   activation=activation, residual=residual)
 
     def forward(self, x: np.ndarray, rows=ALL, cols=ALL, cache: list | None = None
                 ) -> np.ndarray:

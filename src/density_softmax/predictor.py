@@ -168,18 +168,20 @@ class PipelineResult:
     reopt_loss_trace: list[float]
 
 
-def reoptimize_classifier(model: DensitySoftmaxModel, train: LabeledSet,
-                          config: ReoptConfig) -> list[float]:
+def reoptimize_classifier(classifier: Classifier, train: LabeledSet, z: np.ndarray,
+                          s: np.ndarray, config: ReoptConfig) -> list[float]:
     """Step 3: refit the classifier, from its current weights, against
     softmax(s * logits) targets.
 
-    Latents and scaled likelihoods are precomputed once (encoder and density
-    are frozen), so each step's loss node touches only the d_z x K head.
+    z and s are the train rows' latents and scaled likelihoods, computed once
+    by the pipeline (encoder and density are frozen), so each step's loss
+    node touches only the d_z x K head.
     """
     require_fittable(train)
-    z = model.encoder.encode(train.features)
-    s = model.density.scaled_likelihood(z)
-    theta = model.classifier.theta
+    if len(z) != train.n or len(s) != train.n:
+        raise ValueError(f"{len(z)} latents and {len(s)} scaled likelihoods "
+                         f"for {train.n} train rows")
+    theta = classifier.theta
 
     def loss_fn(idx: np.ndarray) -> Tensor:
         return Tensor(*head_cross_entropy(z[idx], theta, train.labels[idx], s[idx]))
@@ -209,18 +211,17 @@ def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,
         else:
             fitted, density_trace = flow_fit(
                 train_z, replace(density_config.flow, seed=train_config.seed))
-        density = compute_scale(fitted, train_z)
+        density, train_s = compute_scale(fitted, train_z)
     except Exception as exc:
         raise PipelineError("density", exc) from exc
 
-    model = DensitySoftmaxModel(encoder=encoder, classifier=classifier, density=density)
     try:
         reopt_trace = reoptimize_classifier(
-            model, train, replace(reopt_config, seed=train_config.seed))
+            classifier, train, train_z, train_s, replace(reopt_config, seed=train_config.seed))
     except Exception as exc:
         raise PipelineError("reoptimize", exc) from exc
 
-    return PipelineResult(model=model,
+    return PipelineResult(model=DensitySoftmaxModel(encoder, classifier, density),
                           erm_model=DensitySoftmaxModel(encoder, erm_classifier),
                           erm_loss_trace=erm_trace,
                           density_loss_trace=density_trace,

@@ -21,7 +21,9 @@ theta's columns (at least 2, latent-width rows), the flow's width from the
 latents (each stacked net maps it to itself through a linear last layer),
 each coupling layer's halves from its index and the subnets' last
 activations from ``density.FINAL``. Another version is refused with a
-ContainerError; ``run`` writes the same model again as version 3.
+ContainerError; ``run`` writes the same model again as version 3. So is a
+key the loader does not read, in any object of the document: a stale or
+hand-added fact could otherwise disagree with the model silently.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ class ContainerError(ValueError):
     pass
 
 
+def _known(d: dict, what: str, keys: tuple[str, ...]) -> dict:
+    """d, once each of its keys is one of keys; what names it in errors."""
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ContainerError(f"{what} has unknown key {unknown[0]!r}")
+    return d
+
+
 def _encode_array(a: np.ndarray) -> dict:
     a = np.ascontiguousarray(a, dtype="<f8")
     return {"shape": list(a.shape),
@@ -57,7 +67,7 @@ def _decode_array(d: dict, what: str, ndim: int) -> np.ndarray:
     """The writable float64 array stored in d; what names it in errors."""
     if not isinstance(d, dict):
         raise ContainerError(f"{what} is not a {{shape, float64le}} object")
-    shape = d["shape"]
+    shape = _known(d, what, ("shape", "float64le"))["shape"]
     if not (isinstance(shape, list) and len(shape) == ndim
             and all(type(n) is int and n >= 0 for n in shape)):
         raise ContainerError(f"{what} shape {shape!r} is not a list of "
@@ -83,6 +93,7 @@ def _dense_to_dict(layer: Dense) -> dict:
 
 def _dense_from_dict(d: dict, what: str, stacked: bool) -> Dense:
     """A layer, or with ``stacked`` a (2, in, out) stack of two."""
+    _known(d, what, ("weight", "bias", "activation", "residual"))
     weight = Tensor(_decode_array(d["weight"], f"{what} weight", 3 if stacked else 2))
     bias = (None if d["bias"] is None
             else Tensor(_decode_array(d["bias"], f"{what} bias", 3 if stacked else 1)))
@@ -120,6 +131,7 @@ def _density_to_dict(density: ScaledDensity) -> dict:
 
 def _density_from_dict(d: dict, latent_dim: int) -> ScaledDensity:
     if d["kind"] == "kde":
+        _known(d, "density", ("kind", "support", "bandwidth", "max_train_log_density"))
         inner: KdeModel | FlowModel = KdeModel(
             support=_decode_array(d["support"], "kde support", 2),
             bandwidth=float(d["bandwidth"]))
@@ -127,6 +139,7 @@ def _density_from_dict(d: dict, latent_dim: int) -> ScaledDensity:
             raise ContainerError(f"kde density is {inner.dim}-d, "
                                  f"the encoder's latent_dim is {latent_dim}")
     elif d["kind"] == "flow":
+        _known(d, "density", ("kind", "layers", "max_train_log_density"))
         # the flow is as wide as the latents it models
         inner = FlowModel(latent_dim, [_net_from_list(layers, f"flow layer {i}", True)
                                        for i, layers in enumerate(d["layers"])])
@@ -202,7 +215,7 @@ def load_container(path):
             raise ContainerError(
                 f"unsupported container version {doc['version']}; this build reads "
                 f"version {CONTAINER_VERSION}, so write the model again with `run`")
-        return _from_dict(doc)
+        return _from_dict({key: value for key, value in doc.items() if key != "version"})
     except KeyError as exc:
         raise ContainerError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:  # ContainerError is a ValueError
@@ -210,23 +223,27 @@ def load_container(path):
 
 
 def _from_dict(doc: dict):
+    """The model of a container body: the document without its version."""
     if doc.get("kind") == "ensemble":
-        members = doc["members"]
+        members = _known(doc, "container", ("kind", "members"))["members"]
         for i, member in enumerate(members):
             if not isinstance(member, dict):
                 raise ContainerError(f"ensemble member {i} is not an object")
-        return Ensemble([_model_from_dict(m) for m in members])
-    return _model_from_dict(doc)
+        return Ensemble([_model_from_dict(m, f"ensemble member {i}")
+                         for i, m in enumerate(members)])
+    return _model_from_dict(doc, "container")
 
 
-def _model_from_dict(doc: dict) -> DensitySoftmaxModel:
+def _model_from_dict(doc: dict, what: str) -> DensitySoftmaxModel:
     kind = doc.get("kind")
     if kind not in ("density_softmax", "erm"):
         raise ContainerError(f"unknown container kind {kind!r}")
     if kind == "erm" and "density" in doc:
         raise ContainerError("an erm container has no density, but this one carries one")
+    _known(doc, what, ("kind", "encoder", "classifier", "density"))
     encoder = Encoder(_net_from_list(doc["encoder"], "encoder"))
-    theta = _decode_array(doc["classifier"]["theta"], "classifier theta", 2)
+    classifier = _known(doc["classifier"], "classifier", ("theta",))
+    theta = _decode_array(classifier["theta"], "classifier theta", 2)
     if theta.shape[0] != encoder.latent_dim:
         raise ContainerError(f"classifier theta has {theta.shape[0]} rows, "
                              f"the encoder's latent_dim is {encoder.latent_dim}")

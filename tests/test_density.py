@@ -7,10 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from kde_reference import kde_log_density
 
 from density_softmax.autodiff import Tensor
-from density_softmax.density import (FINAL, FLOW_CHUNK_ROWS, LIKELIHOOD_FLOOR, CouplingLayer,
+from density_softmax.density import (FINAL, FLOW_CHUNK_ROWS, KDE_CHUNK_ROWS,
+                                     KDE_LOG_KERNEL_FLOOR, LIKELIHOOD_FLOOR, CouplingLayer,
                                      FlowConfig, FlowModel, KdeModel, ScaledDensity,
                                      chunk_bounds, compute_scale, flow_fit, halves, kde_fit,
                                      scott_bandwidth)
@@ -105,8 +108,9 @@ class TestKdeChunkedKernel:
 
     def test_train_max_is_exactly_one_under_compute_scale_batching(self):
         train_z = latent_like(np.random.default_rng(6), 1000)
-        sd = compute_scale(kde_fit(train_z), train_z)
-        assert sd.scaled_likelihood(train_z).max() == 1.0
+        sd, train_s = compute_scale(kde_fit(train_z), train_z)
+        np.testing.assert_array_equal(train_s, sd.scaled_likelihood(train_z))
+        assert train_s.max() == 1.0
         batched = [sd.scaled_likelihood(train_z[i:i + 128]).max()
                    for i in range(0, 1000, 128)]
         assert max(batched) == 1.0
@@ -140,7 +144,7 @@ class TestKdeChunkedKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             logp = kde.log_density(z)
-            s = compute_scale(kde, kde.support).scaled_likelihood(z)
+            s = compute_scale(kde, kde.support)[0].scaled_likelihood(z)
         assert np.isfinite(logp[0])
         assert np.all(logp[1:] == -np.inf)
         assert np.all(s[1:] == LIKELIHOOD_FLOOR)
@@ -150,9 +154,66 @@ class TestKdeChunkedKernel:
         kde = kde_fit(np.zeros((3, 2)), bandwidth=1e-160)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sd = compute_scale(kde, kde.support)
+            sd, _ = compute_scale(kde, kde.support)
             assert kde.log_density([[1.0, 0.0]])[0] == -np.inf
             assert sd.scaled_likelihood([[1.0, 0.0]])[0] == LIKELIHOOD_FLOOR
+
+
+# Where a band's max-shifted log-kernels lie: e^t is subnormal, exactly 0,
+# or any of those and normal.
+LOG_KERNEL_BANDS = {"subnormal": (-745.0, -709.0), "zero": (-1500.0, -745.0),
+                    "mixed": (-1500.0, 0.0)}
+
+
+def chunkwise_reference(support, bandwidth, z):
+    """kde_reference over each chunk of KdeModel.log_density. At a latent
+    width of a few dims OpenBLAS's gemm gives a row other last bits in
+    another row block, so a one-shot product is no oracle there."""
+    bounds = chunk_bounds(len(z), KDE_CHUNK_ROWS)
+    return np.concatenate([kde_log_density(support, bandwidth, z[lo:hi])
+                           for lo, hi in zip(bounds, bounds[1:])])
+
+
+class TestKdeLogKernelFloor:
+    """log_density raises the shifted log-kernels to KDE_LOG_KERNEL_FLOOR
+    before the exp; the unfloored kde_reference must still agree bit for
+    bit where the kernels underflow."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+           bandwidth=st.floats(0.05, 5.0), n=st.integers(2, 300),
+           band=st.sampled_from(sorted(LOG_KERNEL_BANDS)),
+           rows=st.sampled_from([1, 2, 127, 128, 129, 257]))
+    @settings(max_examples=60, deadline=None)
+    @example(seed=1, d=2, bandwidth=1.0, n=300, band="mixed", rows=257)
+    def test_bitwise_equal_to_unfloored_reference(self, seed, d, bandwidth, n, band, rows):
+        """Support row 0 sits at c and the others in random directions at
+        the distance that puts their shifted log-kernel, seen from c, at a
+        uniform draw from the band; the queries scatter within 0.01 h of c.
+        In the subnormal and zero bands every kernel but the nearest
+        underflows."""
+        lo, hi = LOG_KERNEL_BANDS[band]
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(n - 1, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        radius = bandwidth * np.sqrt(-2.0 * rng.uniform(lo, hi, n - 1))
+        c = rng.normal(size=d) * 3.0
+        support = c + np.vstack([np.zeros(d), u * radius[:, None]])
+        queries = c + rng.normal(size=(rows, d)) * 0.01 * bandwidth
+        shifted = -((queries[:, None, :] - support) ** 2).sum(axis=2) / (2 * bandwidth**2)
+        shifted -= shifted.max(axis=1, keepdims=True)
+        if band != "mixed":
+            assert np.all(shifted[:, 1:] < KDE_LOG_KERNEL_FLOOR)
+
+        kde = kde_fit(support, bandwidth)
+        np.testing.assert_array_equal(kde.log_density(queries),
+                                      chunkwise_reference(support, bandwidth, queries))
+        np.testing.assert_array_equal(kde.log_density(queries[0]),
+                                      kde_log_density(support, bandwidth, queries[0]))
+        sd, train_s = compute_scale(kde, support)
+        np.testing.assert_array_equal(kde.log_density(support),
+                                      chunkwise_reference(support, bandwidth, support))
+        assert sd.scaled_likelihood(support).max() == 1.0
+        np.testing.assert_array_equal(train_s, sd.scaled_likelihood(support))
 
 
 def identity_flow(dim=2, layers=4) -> FlowModel:
@@ -432,7 +493,7 @@ class TestFlowFit:
 class TestScaling:
     def test_argmax_train_point_scales_to_one(self, rng):
         z = rng.normal(size=(50, 2))
-        sd = compute_scale(kde_fit(z, 0.5), z)
+        sd, _ = compute_scale(kde_fit(z, 0.5), z)
         scaled = sd.scaled_likelihood(z)
         assert scaled.max() == pytest.approx(1.0, abs=1e-12)
         assert np.all(scaled <= 1.0)
@@ -441,27 +502,27 @@ class TestScaling:
     def test_streaming_max_matches_global_max(self, rng):
         z = rng.normal(size=(333, 2))
         kde = kde_fit(z, 0.5)
-        sd = compute_scale(kde, z, batch_size=100)
+        sd, _ = compute_scale(kde, z)
         assert sd.max_train_log_density == pytest.approx(
             float(kde.log_density(z).max()), abs=0)
 
     def test_far_point_is_tiny_but_positive(self):
         flow = identity_flow(dim=2)
-        sd = compute_scale(flow, np.zeros((10, 2)))
+        sd, _ = compute_scale(flow, np.zeros((10, 2)))
         far = np.array([[20.0, 0.0]])  # log-density gap of -200 nats
         val = sd.scaled_likelihood(far)[0]
         assert 0.0 < val < 1e-80
 
     def test_underflow_maps_to_smallest_positive_normal(self):
         flow = identity_flow(dim=2)
-        sd = compute_scale(flow, np.zeros((10, 2)))
+        sd, _ = compute_scale(flow, np.zeros((10, 2)))
         very_far = np.array([[60.0, 0.0]])  # gap of -1800 nats: exp underflows
         assert sd.scaled_likelihood(very_far)[0] == LIKELIHOOD_FLOOR
 
     def test_denser_than_train_clamps_to_one(self):
         flow = identity_flow(dim=2)
         ring = np.column_stack([np.full(8, 3.0), np.zeros(8)])
-        sd = compute_scale(flow, ring)
+        sd, _ = compute_scale(flow, ring)
         assert sd.scaled_likelihood(np.zeros((1, 2)))[0] == 1.0
 
     def test_empty_train_rejected(self):
@@ -470,11 +531,11 @@ class TestScaling:
 
     def test_intermediate_point_in_open_interval(self, rng):
         z = rng.normal(size=(100, 2))
-        sd = compute_scale(kde_fit(z, 0.3), z)
+        sd, _ = compute_scale(kde_fit(z, 0.3), z)
         vals = sd.scaled_likelihood(z + 0.5)
         assert np.all((vals > 0) & (vals <= 1))
 
     def test_scaled_density_param_count(self, rng):
         z = rng.normal(size=(20, 3))
-        sd = compute_scale(kde_fit(z, 0.5), z)
+        sd, _ = compute_scale(kde_fit(z, 0.5), z)
         assert sd.param_count() == 20 * 3 + 1 + 1

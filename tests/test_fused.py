@@ -376,7 +376,7 @@ class TestPipelineAgainstPerOpLoops:
         flow_cfg = replace(flow_cfg, seed=train_cfg.seed)
         twin = ref.SplitFlow(FlowModel.build(train_z.shape[1], flow_cfg))
         flow_trace = ref.reference_flow_fit(twin, train_z, flow_cfg)
-        s = compute_scale(twin.to_flow(), train_z).scaled_likelihood(train_z)
+        s = compute_scale(twin.to_flow(), train_z)[0].scaled_likelihood(train_z)
         reopt = ref.reference_reopt(classifier.theta.data, train_z, s, train.labels,
                                     replace(reopt_cfg, seed=train_cfg.seed))
 
@@ -483,8 +483,8 @@ class TestNoReferenceCycles:
             z = encoder.encode(train.features)
             flow, _ = flow_fit(z, FlowConfig(epochs=2, batch_size=32))
             assert gc.collect() == 0
-            model = DensitySoftmaxModel(encoder, classifier, compute_scale(flow, z))
-            reoptimize_classifier(model, train, ReoptConfig(epochs=2, batch_size=32))
+            _, s = compute_scale(flow, z)
+            reoptimize_classifier(classifier, train, z, s, ReoptConfig(epochs=2, batch_size=32))
             assert gc.collect() == 0
         finally:
             gc.enable()

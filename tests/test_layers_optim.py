@@ -33,7 +33,7 @@ class TestDense:
             Dense.init(rng, 2, 2, "gelu")
 
     def test_zero_init_is_identity_under_residual(self, rng):
-        layer = Dense.init(rng, 3, 3, "relu", residual=True, zero=True)
+        layer = Dense(Tensor(np.zeros((3, 3))), Tensor(np.zeros(3)), "relu", residual=True)
         x = rng.normal(size=(5, 3))
         np.testing.assert_array_equal(layer.forward(x), x)
 

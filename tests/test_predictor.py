@@ -267,7 +267,8 @@ class TestReoptimize:
         model = result.model
         enc_before = [p.data.copy() for p in model.encoder.params()]
         scale_before = model.density.max_train_log_density
-        reoptimize_classifier(model, train,
+        z = model.encoder.encode(train.features)
+        reoptimize_classifier(model.classifier, train, z, model.density.scaled_likelihood(z),
                               ReoptConfig(epochs=3, batch_size=64, seed=6))
         for p, b in zip(model.encoder.params(), enc_before):
             np.testing.assert_array_equal(p.data, b)
@@ -278,8 +279,10 @@ class TestReoptimize:
 
         train, result = small_pipeline(seed=8, reopt_epochs=0)
         iid = make_two_moons(20, 0.1, seed=9, domain="iid_test")
+        z = result.model.encoder.encode(iid.features)
+        s = result.model.density.scaled_likelihood(z)
         with pytest.raises(DataError):
-            reoptimize_classifier(result.model, iid, ReoptConfig(epochs=1))
+            reoptimize_classifier(result.model.classifier, iid, z, s, ReoptConfig(epochs=1))
 
 
 class TestSummaries:

@@ -14,7 +14,7 @@ from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel,
                                        ReoptConfig, ensemble_train, train_pipeline)
 from density_softmax.serialize import (CONTAINER_VERSION, ContainerError,
-                                       _decode_array, _encode_array,
+                                       _decode_array, _encode_array, _model_to_dict,
                                        density_softmax_container, ensemble_container,
                                        load_container, save_container)
 
@@ -137,6 +137,41 @@ class TestEveryStoredKeyIsRead:
                 load_container(path)
                 pytest.fail(f"{kind} container without {key_path} loaded")
 
+    @pytest.mark.parametrize("kind", ["kde", "flow", "erm", "ensemble"])
+    def test_adding_a_key_to_any_object_fails_to_load(self, tmp_path, containers, kind):
+        """The converse: the loader reads no object with a key it does not
+        know, whatever its depth, and names the key."""
+        doc = containers[kind]
+        path = tmp_path / "model.json"
+        objects = [()] + [p for p in _key_paths(doc) if isinstance(_at(doc, p), dict)]
+        assert len(objects) >= 9
+        for key_path in objects:
+            broken = json.loads(json.dumps(doc))
+            _at(broken, key_path)["stray"] = 0
+            path.write_text(json.dumps(broken))
+            with pytest.raises(ContainerError, match="has unknown key 'stray'"):
+                load_container(path)
+                pytest.fail(f"{kind} container with a stray key at {key_path} loaded")
+
+    def test_unknown_key_names_the_object_and_cli_exits_2(self, tmp_path, containers,
+                                                          capsys):
+        doc = json.loads(json.dumps(containers["ensemble"]))
+        doc["members"][1]["version"] = CONTAINER_VERSION
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        message = "ensemble member 1 has unknown key 'version'"
+        with pytest.raises(ContainerError, match=message):
+            load_container(path)
+        code = cli.main(["surface", "--model", str(path), "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+def _at(doc, key_path):
+    for key in key_path:
+        doc = doc[key]
+    return doc
+
 
 class TestArrayEncoding:
     EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -222,8 +257,8 @@ class TestErmAndEnsembleContainers:
         members = []
         if second is not None:
             enc, clf = init_model(*second, seed=0)
-            members = [density_softmax_container(result.erm_model),
-                       density_softmax_container(DensitySoftmaxModel(enc, clf))]
+            members = [_model_to_dict(result.erm_model),
+                       _model_to_dict(DensitySoftmaxModel(enc, clf))]
         path = tmp_path / "ens.json"
         path.write_text(json.dumps({"version": CONTAINER_VERSION, "kind": "ensemble",
                                     "members": members}))

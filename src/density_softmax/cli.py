@@ -84,9 +84,20 @@ def _rows_of(path):
         raise DataError(f"{path}: data row {exc.row}: its {exc.what} is not finite") from None
 
 
+def _ood_scores(pred) -> dict[str, np.ndarray]:
+    """OOD scores of a prediction, oriented so higher means more OOD."""
+    scores = {"neg_max_prob": -pred.probs.max(axis=1)}
+    if pred.scaled_likelihood is not None:
+        scores["neg_scaled_likelihood"] = -pred.scaled_likelihood
+    return scores
+
+
 def _evaluate_model(model, name: str, sets: dict[str, LabeledSet],
-                    bins: int) -> dict[str, M.EvalReport]:
+                    bins: int) -> tuple[dict[str, M.EvalReport], dict]:
+    """The model's report on every set, and its OOD detection of the ood set
+    against iid_test, from one prediction per set."""
     reports: dict[str, M.EvalReport] = {}
+    scores: dict[str, dict[str, np.ndarray]] = {}
     for tag, dataset in sets.items():
         pred = model.predict(dataset.features)
         labels = None if dataset.domain == "ood" else dataset.labels
@@ -96,23 +107,11 @@ def _evaluate_model(model, name: str, sets: dict[str, LabeledSet],
         reports[tag] = report
         log.info("%s on %s: acc=%s ece=%s", name, tag,
                  report.accuracy, report.ece)
-    return reports
-
-
-def _ood_scores(model, dataset: LabeledSet) -> dict[str, np.ndarray]:
-    """OOD scores oriented so higher means more OOD."""
-    pred = model.predict(dataset.features)
-    scores = {"neg_max_prob": -pred.probs.max(axis=1)}
-    if pred.scaled_likelihood is not None:
-        scores["neg_scaled_likelihood"] = -pred.scaled_likelihood
-    return scores
-
-
-def _ood_detection_report(model, iid: LabeledSet, ood: LabeledSet) -> dict:
-    iid_scores = _ood_scores(model, iid)
-    ood_scores = _ood_scores(model, ood)
-    return {score: M.ood_detection(iid_scores[score], ood_scores[score])
-            for score in iid_scores}
+        if tag in ("iid_test", "ood"):
+            scores[tag] = _ood_scores(pred)
+    detection = {score: M.ood_detection(scores["iid_test"][score], scores["ood"][score])
+                 for score in scores["iid_test"]}
+    return reports, detection
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -147,7 +146,7 @@ def cmd_run(args) -> int:
     save_container(density_softmax_container(result.erm_model), out / "model_erm.json")
 
     for name, model in (("density_softmax", result.model), ("erm", result.erm_model)):
-        reports = _evaluate_model(model, name, sets, cfg.bins)
+        reports, detection = _evaluate_model(model, name, sets, cfg.bins)
         for tag, report in reports.items():
             doc = report.to_dict()
             bins = doc.pop("bins")
@@ -155,8 +154,7 @@ def cmd_run(args) -> int:
             if bins is not None:
                 _write_text(out / f"bins_{name}_{tag}.csv",
                             _bins_csv(report.bins))
-        _write_json(out / f"ood_detection_{name}.json",
-                    _ood_detection_report(model, sets["iid_test"], sets["ood"]))
+        _write_json(out / f"ood_detection_{name}.json", detection)
     _write_json(out / "loss_traces.json", {
         "erm": result.erm_loss_trace,
         "density": result.density_loss_trace,
@@ -360,8 +358,7 @@ def cmd_compare(args) -> int:
         save_container(ensemble_container(ensemble),
                        out / f"{config_name}_model_ensemble.json")
         for name, model in models.items():
-            reports = _evaluate_model(model, name, sets, cfg.bins)
-            detection = _ood_detection_report(model, sets["iid_test"], sets["ood"])
+            reports, detection = _evaluate_model(model, name, sets, cfg.bins)
             for tag, report in reports.items():
                 doc = report.to_dict()
                 doc.pop("bins")

@@ -31,7 +31,6 @@ class LabeledSet:
     features: np.ndarray
     labels: np.ndarray
     domain: str
-    seed: int
     intensity: int = 0  # 1..5 for shifted sets, 0 otherwise
 
     def __post_init__(self):
@@ -97,7 +96,7 @@ def make_two_moons(n_per_class: int, noise_sd: float, seed: int,
     if noise_sd > 0:
         feats = feats + rng.normal(0.0, noise_sd, feats.shape)
     labels = np.concatenate([np.zeros(n_per_class, int), np.ones(n_per_class, int)])
-    return LabeledSet(feats, labels, domain, seed)
+    return LabeledSet(feats, labels, domain)
 
 
 TWO_MOONS_CENTERS = (np.array([0.0, 0.0]), np.array([1.0, 0.5]))
@@ -125,7 +124,7 @@ def make_two_ovals(n_per_class: int, separation: float, noise_sd: float, seed: i
             y = y + rng.normal(0.0, OVAL_ASPECT * noise_sd, n_per_class)
         feats.append(np.column_stack([x, y]))
     labels = np.concatenate([np.zeros(n_per_class, int), np.ones(n_per_class, int)])
-    return LabeledSet(np.vstack(feats), labels, domain, seed)
+    return LabeledSet(np.vstack(feats), labels, domain)
 
 
 def make_ood_cluster(n: int, center, spread: float, seed: int) -> LabeledSet:
@@ -137,7 +136,7 @@ def make_ood_cluster(n: int, center, spread: float, seed: int) -> LabeledSet:
     feats = np.tile(center, (n, 1))
     if spread > 0:
         feats = feats + rng.normal(0.0, spread, feats.shape)
-    return LabeledSet(feats, np.zeros(n, int), "ood", seed)
+    return LabeledSet(feats, np.zeros(n, int), "ood")
 
 
 def default_ood_center(train: LabeledSet, sigmas: float = 6.0) -> np.ndarray:
@@ -174,7 +173,7 @@ def apply_shift(base: LabeledSet, spec: ShiftSpec, intensity: int, seed: int) ->
         direction = rng.normal(0.0, 1.0, feats.shape[1])
         direction /= np.linalg.norm(direction)
         feats = feats + scale * direction
-    return LabeledSet(feats, base.labels.copy(), "shifted", seed, intensity=intensity)
+    return LabeledSet(feats, base.labels.copy(), "shifted", intensity=intensity)
 
 
 def shift_suite(iid_test: LabeledSet, spec: ShiftSpec, seed: int) -> list[LabeledSet]:
@@ -228,8 +227,7 @@ def load_csv(path) -> LabeledSet:
         intensity = int(intensities[0])
     except ValueError:
         raise DataError(f"{path}: non-integer intensity {intensities[0]!r}") from None
-    return LabeledSet(np.array(feats), np.array(labels), domains[0], seed=0,
-                      intensity=intensity)
+    return LabeledSet(np.array(feats), np.array(labels), domains[0], intensity=intensity)
 
 
 def require_fittable(dataset: LabeledSet) -> LabeledSet:

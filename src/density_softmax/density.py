@@ -10,8 +10,9 @@ Two estimators share the same interface (``log_density`` over rows):
   its index (:func:`halves`): even layers pass through the first dim // 2
   columns, odd layers the rest, so no mask is stored. Its s-net and t-net
   are one stacked net: each depth's two weight matrices live in one
-  (2, in, out) array, so one matmul runs both subnets, reading only z_P and
-  computing only the T outputs (see :class:`CouplingLayer`). One walk
+  (2, in, out) array, so one matmul runs both subnets. The net maps the |P|
+  columns of z_P to the |T| outputs, so it stores only the weights it reads
+  (see :class:`CouplingLayer`). One walk
   serves inference (``forward``, ``log_density``) and training
   (``nll_loss``): it carries the flow state as its two column halves from
   layer to layer and joins them once at the end. The log-det sums still run
@@ -20,8 +21,11 @@ Two estimators share the same interface (``log_density`` over rows):
   s * (1 - mask) and the sums stay bit-identical to it.
 
 Both estimators walk their query rows in fixed chunks (``KDE_CHUNK_ROWS``,
-``FLOW_CHUNK_ROWS``), folding a 1-row tail into the chunk before it, so a
-chunked pass equals a one-shot pass bit for bit (see :func:`chunk_bounds`).
+``FLOW_CHUNK_ROWS``), folding a 1-row tail into the chunk before it (see
+:func:`chunk_bounds`). A chunked pass equals a one-shot pass bit for bit
+where every chunk's product runs the same gemm kernel, as checked at the
+128-d default latent; at narrow latents a row's last bits can depend on the
+batch it comes in.
 The KDE raises its max-shifted log-kernels to at least
 ``KDE_LOG_KERNEL_FLOOR`` = -700 before the exp, which keeps numpy on its
 vectorized exp (a subnormal or zero result costs 15-150x more per element)
@@ -77,8 +81,11 @@ FLOW_CHUNK_ROWS = 256
 def chunk_bounds(rows: int, chunk: int) -> list[int]:
     """Row bounds of fixed chunks over rows, with a 1-row tail folded into
     the chunk before it: numpy sends a 1-row product to another BLAS kernel
-    (gemv) whose last bits differ from the batched (gemm) ones, so a chunked
-    pass stays bit-identical to a one-shot pass."""
+    (gemv) whose last bits differ from the batched (gemm) ones. A chunked
+    pass is then bit-identical to a one-shot pass where the gemm gives each
+    row the same bits in any row block, as at the 128-d default latent; at
+    a narrow latent (d = 2) OpenBLAS can give a row other last bits in
+    another block."""
     bounds = list(range(0, rows, chunk)) + [rows]
     if len(bounds) > 2 and rows - bounds[-2] == 1:
         del bounds[-2]
@@ -205,6 +212,11 @@ def halves(dim: int, index: int) -> tuple[slice, slice]:
     return (first, rest) if index % 2 == 0 else (rest, first)
 
 
+def _width(cols: slice) -> int:
+    """The number of columns of one of the halves."""
+    return cols.stop - cols.start
+
+
 class CouplingLayer:
     """Affine coupling (RealNVP) on the split z = (z_P, z_T) of
     :func:`halves`: P the pass-through columns, T the transformed ones.
@@ -216,15 +228,15 @@ class CouplingLayer:
     (2, in, out) array and its biases one (2, 1, out) array, slot 0 the
     s-net and slot 1 the t-net, so one matmul runs a dense step of both (the
     same gemm per slot as a separate product, so no sum is reordered). It
-    maps dim columns to dim columns through non-residual end layers; its
-    last layer is linear, and ``FINAL`` is applied per slot after it.
+    maps the |P| columns of z_P to the |T| columns of s and b through
+    non-residual end layers, so it holds only the weights a masked
+    full-width net would read; its last layer is linear, and ``FINAL`` is
+    applied per slot after it.
 
     ``forward``, the one coupling step for inference and training, takes the
-    halves z_P and z_T and returns t_T and s; t_P is z_P itself. The stack
-    reads z_P through its first layer's rows P and computes only the T
-    outputs through its last layer's columns T, so no arithmetic runs on the
-    zeros of a masked product; the skipped rows and columns get a zero data
-    gradient (plus the L2 term). ``backward_cached`` also works on halves.
+    halves z_P and z_T and returns t_T and s; t_P is z_P itself, and no
+    arithmetic runs on the zeros of a masked product. ``backward_cached``
+    also works on halves.
 
     The log-det sums run over a full-width array with s in T and zeros in
     P, laid out as the masked product s * (1 - mask) would be: numpy's
@@ -245,18 +257,19 @@ class CouplingLayer:
             if len(shape) != 3 or shape[0] != 2:
                 raise ValueError(f"{what} layer {i} weight has shape {shape}, "
                                  "not a (2, in, out) stack")
+        self.p_cols, self.t_cols = halves(dim, index)
         first, last = net.layers[0], net.layers[-1]
         maps = (first.weight.data.shape[1], last.weight.data.shape[2])
-        if maps != (dim, dim):
-            raise ValueError(f"{what} maps {maps[0]} -> {maps[1]} columns, "
-                             f"the flow is {dim}-d")
+        needs = (_width(self.p_cols), _width(self.t_cols))
+        if maps != needs:
+            raise ValueError(f"{what} maps {maps[0]} -> {maps[1]} columns; in the "
+                             f"{dim}-d flow its halves need {needs[0]} -> {needs[1]}")
         if first.residual or last.residual:
             raise ValueError(f"{what} first and last layers must not be residual")
         if last.activation != "linear":
             raise ValueError(f"{what} last layer is {last.activation}, not linear")
         self.net = net
         self.dim = dim
-        self.p_cols, self.t_cols = halves(dim, index)
 
     def _log_det_layout(self, s: np.ndarray) -> np.ndarray:
         """Zeros of the full width with s in the columns T."""
@@ -270,7 +283,7 @@ class CouplingLayer:
         itself). Given a caches list, appends what ``backward_cached``
         needs."""
         net_cache = None if caches is None else []
-        st = self.net.forward(zp, self.p_cols, self.t_cols, net_cache)
+        st = self.net.forward(zp, net_cache)
         for slot, activation in enumerate(FINAL):
             apply_activation(st[slot], activation, out=st[slot])
         s, b = st
@@ -298,8 +311,7 @@ class CouplingLayer:
         g = np.empty(st.shape)
         activation_grad(g_s_sum + g_t * zt * e, st[0], FINAL[0], g[0])
         activation_grad(g_t, st[1], FINAL[1], g[1])
-        g_in = self.net.backward_cached(net_cache, g, self.p_cols, self.t_cols,
-                                        input_grad)
+        g_in = self.net.backward_cached(net_cache, g, input_grad)
         if not input_grad:
             return None
         g_zp = g_p + g_in[1] + g_in[0] if t_net_first else g_p + g_in[0] + g_in[1]
@@ -316,20 +328,23 @@ class CouplingLayer:
 
 
 def _coupling_net(rng: np.random.Generator, dim: int, hidden_units: int,
-                  hidden_layers: int) -> DenseNet:
-    """A fresh coupling layer's stacked net: the s-net's weights are drawn,
-    then the t-net's, and each depth's pair is stacked. The zero last layer
-    makes the freshly built flow the identity."""
-    widths = [dim] + [hidden_units] * hidden_layers + [dim]
+                  hidden_layers: int, index: int) -> DenseNet:
+    """A fresh stacked net of coupling layer ``index``: the s-net's weights
+    are drawn, then the t-net's, and each depth's pair is stacked. The first
+    matrix is drawn over all dim input rows, as a full-width net's is, and
+    keeps the rows P, so the generator's stream is that of a full-width
+    net. The zero last layer makes the freshly built flow the identity."""
+    p_cols, t_cols = halves(dim, index)
+    widths = [dim] + [hidden_units] * hidden_layers
     shapes = list(zip(widths, widths[1:]))
 
     def subnet() -> list[np.ndarray]:
-        return [fan_in_uniform(rng, *shape) for shape in shapes[:-1]] + [np.zeros(shapes[-1])]
+        drawn = [fan_in_uniform(rng, *shape) for shape in shapes]
+        return [drawn[0][p_cols]] + drawn[1:] + [np.zeros((hidden_units, _width(t_cols)))]
 
     s_net, t_net = subnet(), subnet()
-    end = len(shapes) - 1
     return DenseNet([Dense(Tensor(np.stack(pair)), Tensor(np.zeros((2, 1, pair[0].shape[1]))),
-                           "relu" if i < end else "linear")
+                           "relu" if i < hidden_layers else "linear")
                      for i, pair in enumerate(zip(s_net, t_net))])
 
 
@@ -372,8 +387,8 @@ class FlowModel:
     @classmethod
     def build(cls, dim: int, config: FlowConfig) -> "FlowModel":
         rng = np.random.default_rng(config.seed)
-        return cls(dim, [_coupling_net(rng, dim, config.hidden_units, config.hidden_layers)
-                         for _ in range(config.coupling_layers)])
+        return cls(dim, [_coupling_net(rng, dim, config.hidden_units, config.hidden_layers, i)
+                         for i in range(config.coupling_layers)])
 
     def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """t and log|det| of each row of z."""

@@ -12,15 +12,9 @@ penalty, whose gradient adds onto the written one in place; the loss nodes
 ``erm_loss`` and ``FlowModel.nll_loss`` call them. The tests hold them to
 the per-op oracle tape, bit for bit in values and every gradient.
 
-``DenseNet`` can also run sliced (``rows``/``cols``): the input holds only
-some of the first layer's input columns, and only some of the last layer's
-output columns are computed. The coupling flow uses this to feed its subnets
-only the pass-through columns and to compute only the transformed ones; a
-skipped weight or bias entry gets a zero data gradient.
-
 A layer may also be stacked: weight (k, in, out) and bias (k, 1, out) hold k
 same-shaped layers, and every product broadcasts over the leading axis
-(``swapaxes(-1, -2)`` transposes, ``sum(axis=-2)`` reduces the rows), so one
+(``swapaxes(-1, -2)`` transposes, ``sum(axis=-2)`` reduces the batch), so one
 matmul runs the k gemms. A 2-D input feeds every slot. The coupling flow
 stacks its s-net and t-net this way; on 2-D arrays the operations are the
 unstacked ones.
@@ -37,8 +31,6 @@ from .autodiff import Tensor, bound_grad
 
 Activation = Literal["relu", "tanh", "linear"]
 ACTIVATIONS = get_args(Activation)
-
-ALL = slice(None)  # every row or column: an unsliced layer
 
 
 def apply_activation(h: np.ndarray, activation: str, out=None) -> np.ndarray:
@@ -64,10 +56,10 @@ def activation_grad(g: np.ndarray, a: np.ndarray, activation: str, out: np.ndarr
     return out
 
 
-def fan_in_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def fan_in_uniform(rng: np.random.Generator, in_dim: int, out_dim: int) -> np.ndarray:
     """Scaled-uniform init: U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-    bound = 1.0 / np.sqrt(rows)
-    return rng.uniform(-bound, bound, size=(rows, cols))
+    bound = 1.0 / np.sqrt(in_dim)
+    return rng.uniform(-bound, bound, size=(in_dim, out_dim))
 
 
 @dataclass
@@ -107,23 +99,15 @@ class Dense:
         return cls(weight=Tensor(fan_in_uniform(rng, in_dim, out_dim)), bias=b,
                    activation=activation, residual=residual)
 
-    def forward(self, x: np.ndarray, rows=ALL, cols=ALL, cache: list | None = None
-                ) -> np.ndarray:
-        """act(x W + b), plus x for a residual layer. x holds the input
-        columns ``rows``, and only the output columns ``cols`` are computed;
-        a sliced layer must not be residual. The activation works in place on
-        the fresh matmul output. Given a cache list, the layer appends
-        (x, activation), which ``DenseNet.backward_cached`` reads (the relu
-        mask and the tanh derivative both follow from the activation), and
-        the residual sum goes to a new array."""
-        w = self.weight.data
-        b = None if self.bias is None else self.bias.data
-        if rows is not ALL or cols is not ALL:
-            w = w[..., rows, cols]
-            b = None if b is None else b[..., cols]
-        h = x @ w
-        if b is not None:
-            h += b
+    def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+        """act(x W + b), plus x for a residual layer. The activation works in
+        place on the fresh matmul output. Given a cache list, the layer
+        appends (x, activation), which ``DenseNet.backward_cached`` reads (the
+        relu mask and the tanh derivative both follow from the activation),
+        and the residual sum goes to a new array."""
+        h = x @ self.weight.data
+        if self.bias is not None:
+            h += self.bias.data
         a = apply_activation(h, self.activation, out=h)
         if cache is not None:
             cache.append((x, a))
@@ -150,31 +134,23 @@ class DenseNet:
                     f"{nxt.weight.data.shape}"
                 )
 
-    def forward(self, x: np.ndarray, rows=ALL, cols=ALL, cache: list | None = None
-                ) -> np.ndarray:
-        """The stack's output. x holds the input columns ``rows``; only the
-        output columns ``cols`` are computed. Given a cache list, every layer
-        appends what ``backward_cached`` needs; the end layers of a sliced
-        pass must not be residual."""
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            x = layer.forward(x, rows if i == 0 else ALL, cols if i == last else ALL, cache)
+    def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+        """The stack's output. Given a cache list, every layer appends what
+        ``backward_cached`` needs."""
+        for layer in self.layers:
+            x = layer.forward(x, cache)
         return x
 
-    def backward_cached(self, cache: list, g: np.ndarray, rows=ALL, cols=ALL,
-                        input_grad: bool = True) -> np.ndarray | None:
+    def backward_cached(self, cache: list, g: np.ndarray, input_grad: bool = True
+                        ) -> np.ndarray | None:
         """Given g = d(loss)/d(output), write every parameter's gradient into
         its bound ``grad`` and return d(loss)/d(input), or None when
         ``input_grad`` is false. Each product goes with ``out=`` straight
-        into the gradient, or into its rows/columns a sliced pass computed;
-        the entries the pass skipped are zeroed. g is only read; the
-        activation-derivative products and the residual sums go to two
-        buffers reused from layer to layer."""
-        last = len(self.layers) - 1
+        into the gradient. g is only read; the activation-derivative products
+        and the residual sums go to two buffers reused from layer to layer."""
         gh_buf = sum_buf = None
-        for i in range(last, -1, -1):
+        for i in range(len(self.layers) - 1, -1, -1):
             layer, (x, a) = self.layers[i], cache[i]
-            r, c = rows if i == 0 else ALL, cols if i == last else ALL
             if layer.activation == "linear":
                 gh = g
             else:
@@ -182,17 +158,13 @@ class DenseNet:
                     gh_buf = np.empty(g.shape)
                 gh = activation_grad(g, a, layer.activation, gh_buf)
             if layer.bias is not None:
-                bias_grad = bound_grad(layer.bias, f"dense layer {i} bias")
-                if c is not ALL:
-                    bias_grad.fill(0.0)
-                np.sum(gh, axis=-2, keepdims=gh.ndim > 2, out=bias_grad[..., c])
-            weight_grad = bound_grad(layer.weight, f"dense layer {i} weight")
-            if r is not ALL or c is not ALL:
-                weight_grad.fill(0.0)
-            np.matmul(x.swapaxes(-1, -2), gh, out=weight_grad[..., r, c])
+                np.sum(gh, axis=-2, keepdims=gh.ndim > 2,
+                       out=bound_grad(layer.bias, f"dense layer {i} bias"))
+            np.matmul(x.swapaxes(-1, -2), gh,
+                      out=bound_grad(layer.weight, f"dense layer {i} weight"))
             if i == 0 and not input_grad:
                 return None
-            gx = gh @ layer.weight.data[..., r, c].swapaxes(-1, -2)
+            gx = gh @ layer.weight.data.swapaxes(-1, -2)
             if layer.residual:
                 if sum_buf is None or sum_buf.shape != g.shape:
                     sum_buf = np.empty(g.shape)

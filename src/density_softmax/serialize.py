@@ -9,19 +9,21 @@ bits, -0.0, subnormals and the largest finite value included), and neither
 side turns a weight into a Python float or its decimal repr. Scalars
 (bandwidth, max_train_log_density) stay JSON numbers.
 
-Version 3, the only version read, stores each fact once: the "kind"
+Version 4, the only version read, stores each fact once: the "kind"
 ("density_softmax" or "erm"), the "encoder" as a list of dense layers,
 "classifier.theta" and, for "density_softmax" only, the "density": a KDE's
 support and bandwidth, or a flow's "layers", one stacked net per coupling
 layer with (2, in, out) weights (slot 0 the s-net, slot 1 the t-net), plus
-max_train_log_density. An "ensemble" holds its "members", model containers
-without the version field. The loader works out and checks the rest: the
-input and latent widths from the encoder's end layers, the class count from
-theta's columns (at least 2, latent-width rows), the flow's width from the
-latents (each stacked net maps it to itself through a linear last layer),
-each coupling layer's halves from its index and the subnets' last
+max_train_log_density. A coupling net maps its layer's |P| pass-through
+columns to its |T| transformed ones, so it stores no weight that no output
+reads. An "ensemble" holds its "members", model containers without the
+version field. The loader works out and checks the rest: the input and
+latent widths from the encoder's end layers, the class count from theta's
+columns (at least 2, latent-width rows), the flow's width from the latents
+(each coupling net maps its layer's halves of it through a linear last
+layer), each coupling layer's halves from its index and the subnets' last
 activations from ``density.FINAL``. Another version is refused with a
-ContainerError; ``run`` writes the same model again as version 3. So is a
+ContainerError; ``run`` writes the same model again as version 4. So is a
 key the loader does not read, in any object of the document: a stale or
 hand-added fact could otherwise disagree with the model silently.
 """
@@ -42,7 +44,7 @@ from .layers import Dense, DenseNet
 from .model import Classifier, Encoder
 from .predictor import DensitySoftmaxModel, Ensemble
 
-CONTAINER_VERSION = 3
+CONTAINER_VERSION = 4
 
 
 class ContainerError(ValueError):

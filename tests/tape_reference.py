@@ -18,8 +18,13 @@ full-width masked arrays with separate s- and t-nets, where the program's
 kernels work on column halves with the two subnets stacked. ``slot_nets``
 views a coupling layer's stacked slots as two 2-D nets and ``pass_mask``
 builds its full-width mask from its pass-through columns, so no oracle
-runs the stacked forward. ``SplitFlow`` copies those subnets for the tape,
-and its ``stacked`` lays their gradients out as the stacked parameters.
+runs the stacked forward. A program coupling net maps the |P| pass-through
+columns to the |T| transformed ones; ``SplitCoupling.full_width`` widens
+its first weight to every row and its last weight and bias to every column
+with zeros, by a tape op (``Node.widen``) whose backward hands the leaf its
+live rows or columns, so the leaves, and the L2 the tape sums over them,
+are the stored arrays. ``SplitFlow`` copies those subnets for the tape, and
+its ``stacked`` lays their gradients out as the stacked parameters.
 The tests require the fused nodes to reproduce their values and every
 gradient bit for bit. The per-parameter Adam and the reference
 training loops play the same role for the contiguous optimizer state and the
@@ -137,6 +142,19 @@ class Node:
 
         def backward():
             self.accumulate(_unbroadcast(out.grad * c, self.data.shape))
+
+        out._backward = backward
+        return out
+
+    def widen(self, shape: tuple, index) -> "Node":
+        """A zero array of ``shape`` holding self at ``index``; the backward
+        hands self the gradient at ``index``."""
+        data = np.zeros(shape)
+        data[index] = self.data
+        out = Node(data, (self,))
+
+        def backward():
+            self.accumulate(out.grad[index])
 
         out._backward = backward
         return out
@@ -344,8 +362,27 @@ class SplitCoupling:
     their own parameters: the layer the tape differentiates."""
 
     def __init__(self, layer):
+        self.dim, self.p_cols, self.t_cols = layer.dim, layer.p_cols, layer.t_cols
         self.mask = pass_mask(layer)
         self.s_net, self.t_net = (node_net(net, copy=True) for net in slot_nets(layer))
+
+    def full_width(self) -> list[DenseNet]:
+        """The s-net and the t-net as the masked composition's dim -> dim
+        nets: each first weight widened to rows P and each last weight and
+        bias to columns T, zeros elsewhere."""
+        nets = []
+        for net in (self.s_net, self.t_net):
+            end, dense = len(net.layers) - 1, []
+            for i, x in enumerate(net.layers):
+                w, b = x.weight, x.bias
+                if i == 0:
+                    w = w.widen((self.dim, w.shape[1]), self.p_cols)
+                if i == end:
+                    w = w.widen((w.shape[0], self.dim), (slice(None), self.t_cols))
+                    b = None if b is None else b.widen((self.dim,), self.t_cols)
+                dense.append(Dense(w, b, x.activation, x.residual))
+            nets.append(DenseNet(dense))
+        return nets
 
     def params(self) -> list[Node]:
         return self.s_net.params() + self.t_net.params()
@@ -397,20 +434,22 @@ class SplitFlow:
 def coupling_forward_tape(layer, z: Node) -> tuple[Node, Node]:
     comp = 1.0 - layer.mask
     h = z.mul_const(layer.mask)
-    s = densenet_forward_tape(layer.s_net, h).mul_const(comp)
-    b = densenet_forward_tape(layer.t_net, h).mul_const(comp)
+    s_net, t_net = layer.full_width()
+    s = densenet_forward_tape(s_net, h).mul_const(comp)
+    b = densenet_forward_tape(t_net, h).mul_const(comp)
     t = h + (z * s.exp() + b).mul_const(comp)
     return t, s.sum()
 
 
 def masked_coupling_forward(layer, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A coupling layer's inference forward on full-width masked arrays,
-    through its slots' 2-D nets: h = m*z, s = S(h)*(1-m),
-    t = h + (z*exp(s) + T(h)*(1-m))*(1-m); returns t and log|det| per row."""
-    mask = pass_mask(layer)
-    comp = 1.0 - mask
-    s_net, t_net = slot_nets(layer)
-    h = z * mask
+    through its slots' 2-D nets widened to dim -> dim: h = m*z,
+    s = S(h)*(1-m), t = h + (z*exp(s) + T(h)*(1-m))*(1-m); returns t and
+    log|det| per row."""
+    twin = SplitCoupling(layer)
+    comp = 1.0 - twin.mask
+    s_net, t_net = twin.full_width()
+    h = z * twin.mask
     s = s_net.forward(h) * comp
     t = h + (z * np.exp(s) + t_net.forward(h) * comp) * comp
     return t, s.sum(axis=1)

@@ -127,7 +127,7 @@ class TestLatentOverflow:
         data = root / "huge"
         data.mkdir(exist_ok=True)
         rows = np.array([[0.1, 0.2], [0.5, -0.3], [1.7e308, -1.7e308]])
-        save_csv(LabeledSet(rows, np.array([0, 1, 0]), "iid_test", 0), data / "iid_test.csv")
+        save_csv(LabeledSet(rows, np.array([0, 1, 0]), "iid_test"), data / "iid_test.csv")
         return root / "run" / "model.json", data / "iid_test.csv"
 
     def check_exit_2(self, capsys, argv, csv):
@@ -176,7 +176,7 @@ class TestInputWidth:
         data.mkdir(exist_ok=True)
         rows = np.random.default_rng(0).normal(size=(6, 3))
         for tag in ("iid_test", "train"):
-            save_csv(LabeledSet(rows, np.array([0, 1] * 3), tag, 0), data / f"{tag}.csv")
+            save_csv(LabeledSet(rows, np.array([0, 1] * 3), tag), data / f"{tag}.csv")
         return root / "run" / "model.json", data
 
     def check_exit_2(self, capsys, argv, csv):

@@ -199,16 +199,16 @@ class TestCsvRoundTrip:
 class TestLabeledSetInvariants:
     def test_rejects_nan_features(self):
         with pytest.raises(DataError):
-            LabeledSet(np.array([[np.nan, 0.0]]), np.array([0]), "train", 0)
+            LabeledSet(np.array([[np.nan, 0.0]]), np.array([0]), "train")
 
     def test_rejects_mismatched_labels(self):
         with pytest.raises(DataError):
-            LabeledSet(np.zeros((3, 2)), np.array([0, 1]), "train", 0)
+            LabeledSet(np.zeros((3, 2)), np.array([0, 1]), "train")
 
     def test_rejects_unknown_domain(self):
         with pytest.raises(DataError):
-            LabeledSet(np.zeros((1, 2)), np.array([0]), "validation", 0)
+            LabeledSet(np.zeros((1, 2)), np.array([0]), "validation")
 
     def test_shifted_needs_intensity(self):
         with pytest.raises(DataError):
-            LabeledSet(np.zeros((1, 2)), np.array([0]), "shifted", 0)
+            LabeledSet(np.zeros((1, 2)), np.array([0]), "shifted")

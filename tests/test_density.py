@@ -290,20 +290,31 @@ class TestFlowStructure:
 
     def test_build_draws_the_s_net_then_the_t_net(self):
         """Per coupling layer, build draws every hidden weight of the s-net,
-        then the t-net's, from one generator; the last layers and the biases
-        start at zero."""
+        then the t-net's, from one generator; the first matrix is drawn over
+        all 5 input rows and keeps the rows P. The last layers (|T| columns)
+        and the biases start at zero."""
         cfg = FlowConfig(coupling_layers=2, hidden_units=3, hidden_layers=2, seed=4)
         flow = FlowModel.build(5, cfg)
         rng = np.random.default_rng(cfg.seed)
-        for layer in flow.layers:
-            want = [[fan_in_uniform(rng, 5, 3), fan_in_uniform(rng, 3, 3)] for _ in FINAL]
+        for layer, (p, t) in zip(flow.layers, [(2, 3), (3, 2)]):
+            want = [[fan_in_uniform(rng, 5, 3)[layer.p_cols], fan_in_uniform(rng, 3, 3)]
+                    for _ in FINAL]
             dense = layer.net.layers
+            assert dense[0].weight.data.shape == (2, p, 3)
             for depth in (0, 1):
                 np.testing.assert_array_equal(dense[depth].weight.data,
                                               [want[0][depth], want[1][depth]])
-            assert dense[2].weight.data.shape == (2, 3, 5)
+            assert dense[2].weight.data.shape == (2, 3, t)
+            assert dense[2].bias.data.shape == (2, 1, t)
             assert not dense[2].weight.data.any()
             assert not any(x.bias.data.any() for x in dense)
+
+    def test_param_count_of_the_default_shape(self):
+        """A 128-d flow of 4 coupling layers with 4 x 16 hidden units: per
+        subnet 64*16 + 16, 3 * (16*16 + 16) and 16*64 + 64."""
+        flow = FlowModel.build(128, FlowConfig(coupling_layers=4, hidden_units=16,
+                                               hidden_layers=4))
+        assert flow.param_count() == 23_552
 
     def test_bad_mask_rejected(self):
         """Each layer's halves must both be non-empty, so a flow needs two
@@ -325,14 +336,18 @@ class TestFlowStructure:
                                    residual and i == 0)
                              for i, shape in enumerate(shapes)])
 
-        with pytest.raises(ValueError, match="coupling layer 1 net maps 5 -> 4 columns, "
-                                             "the flow is 4-d"):
-            CouplingLayer(stack((5, 3), (3, 4)), 4, 1)
+        CouplingLayer(stack((3, 4), (4, 2)), 5, 1)  # 3 pass-through, 2 transformed
+        with pytest.raises(ValueError, match="coupling layer 1 net maps 2 -> 3 columns; "
+                                             "in the 5-d flow its halves need 3 -> 2"):
+            CouplingLayer(stack((2, 4), (4, 3)), 5, 1)
+        with pytest.raises(ValueError, match="coupling layer 0 net maps 4 -> 4 columns; "
+                                             "in the 4-d flow its halves need 2 -> 2"):
+            CouplingLayer(stack((4, 3), (3, 4)), 4, 0)
         with pytest.raises(ValueError, match="first and last layers must not be residual"):
-            CouplingLayer(stack((4, 4), (4, 4), residual=True), 4, 0)
+            CouplingLayer(stack((2, 2), (2, 2), residual=True), 4, 0)
         with pytest.raises(ValueError, match="coupling layer 0 net last layer is tanh, "
                                              "not linear"):
-            CouplingLayer(stack((4, 3), (3, 4), last="tanh"), 4, 0)
+            CouplingLayer(stack((2, 3), (3, 2), last="tanh"), 4, 0)
 
     def test_subnets_are_read_only_views_of_the_stack(self):
         """The subnets' 2-D weight matrices the L2 term reads."""
@@ -347,7 +362,7 @@ class TestFlowStructure:
             np.testing.assert_array_equal(view.data, stacked[depth].data[slot])
             with pytest.raises(ValueError, match="read-only"):
                 view.data[...] = 0.0
-        assert [p.data.shape for p in layer.params()][:2] == [(2, 4, 16), (2, 1, 16)]
+        assert [p.data.shape for p in layer.params()][:2] == [(2, 2, 16), (2, 1, 16)]
         assert layer.net.layers[-1].activation == "linear" and FINAL == ("tanh", "linear")
 
     def test_subnets_of_other_shapes_rejected(self):
@@ -356,10 +371,10 @@ class TestFlowStructure:
         first, last = net.layers
         one_slot = Dense(Tensor(first.weight.data[:1]), Tensor(first.bias.data[:1]), "relu")
         with pytest.raises(ValueError, match=r"coupling layer 0 net layer 0 weight has "
-                                             r"shape \(1, 4, 16\), not a \(2, in, out\) stack"):
+                                             r"shape \(1, 2, 16\), not a \(2, in, out\) stack"):
             CouplingLayer(DenseNet([one_slot, last]), 4, 0)
         flat = Dense(Tensor(last.weight.data[0]), Tensor(last.bias.data[0, 0]), "linear")
-        with pytest.raises(ValueError, match=r"layer 1 weight has shape \(16, 4\)"):
+        with pytest.raises(ValueError, match=r"layer 1 weight has shape \(16, 2\)"):
             CouplingLayer(DenseNet([first, flat]), 4, 0)
 
     def test_suffix_mask_passes_trailing_columns(self, rng):

@@ -79,9 +79,12 @@ class TestDensitySoftmaxContainer:
         """data/flow_model_v2_expected.json holds the outputs of the version-2
         container data/flow_model_v2.json, written while the coupling layers
         kept their s-net and t-net as separate arrays beside a mask;
-        data/flow_model_v3.json is the same model as version 3 stores it.
-        It must load, predict the same bits and write the same bytes back."""
-        model = load_container(DATA / "flow_model_v3.json")
+        data/flow_model_v3.json is the same model with the subnets stacked,
+        and data/flow_model_v4.json the same again with the entries no
+        output reads dropped: each first layer keeps its rows P, each last
+        layer its columns T. It must load, predict the same bits and write
+        the same bytes back."""
+        model = load_container(DATA / "flow_model_v4.json")
         want = json.loads((DATA / "flow_model_v2_expected.json").read_text())
         pred = model.predict(_decode_array(want["x"], "x", 2))
         np.testing.assert_array_equal(pred.probs, _decode_array(want["probs"], "probs", 2))
@@ -89,7 +92,7 @@ class TestDensitySoftmaxContainer:
                                       _decode_array(want["scaled_likelihood"], "s", 1))
         path = tmp_path / "again.json"
         save_container(density_softmax_container(model), path)
-        assert path.read_bytes() == (DATA / "flow_model_v3.json").read_bytes()
+        assert path.read_bytes() == (DATA / "flow_model_v4.json").read_bytes()
 
 
 def _key_paths(node, path=()):
@@ -279,7 +282,7 @@ class TestErmAndEnsembleContainers:
         assert "ensemble member 0 is not an object" in capsys.readouterr().err
 
     def test_stored_keys_are_the_documented_facts(self, pipeline_result):
-        """Version 3 keeps no copy of a fact the loader works out again."""
+        """Version 4 keeps no copy of a fact the loader works out again."""
         train, result = pipeline_result
         kde = density_softmax_container(result.model)
         assert set(kde) == {"version", "kind", "encoder", "classifier", "density"}
@@ -291,8 +294,8 @@ class TestErmAndEnsembleContainers:
             result.model.encoder, result.model.classifier,
             ScaledDensity(FlowModel.build(8, FlowConfig(coupling_layers=2)), 0.0)))
         assert set(flow["density"]) == {"kind", "layers", "max_train_log_density"}
-        assert [layer[0]["weight"]["shape"] for layer in flow["density"]["layers"]] == \
-            [[2, 8, 16]] * 2
+        assert [[net[0]["weight"]["shape"], net[-1]["weight"]["shape"]]
+                for net in flow["density"]["layers"]] == [[[2, 4, 16], [2, 16, 4]]] * 2
         ens = ensemble_container(ensemble_train(2, SMALL, 2, train, FAST))
         assert set(ens) == {"version", "kind", "members"}
         assert all(set(m) == {"kind", "encoder", "classifier"} for m in ens["members"])
@@ -374,7 +377,7 @@ def _one_column_theta(doc, model):
 
 
 def _wide_subnet_input(doc, model):
-    """Coupling layer 1's first layer reads 10 columns of the 8-d flow."""
+    """Coupling layer 1's first layer reads 6 columns, not the 4 of its P."""
     doc = _flow_doc(model, 8)
     first = doc["density"]["layers"][1][0]
     weight = _decode_array(first["weight"], "test array", 3)
@@ -405,6 +408,11 @@ def _erm_with_density(doc, model):
 def _short_bias(doc, model):
     doc["encoder"][0]["bias"] = _sliced(doc["encoder"][0]["bias"], slice(5))
     return doc
+
+
+def _version_3(doc, model):
+    """The stored version-3 container (dim -> dim coupling nets)."""
+    return json.loads((DATA / "flow_model_v3.json").read_text())
 
 
 def _version_2(doc, model):
@@ -465,13 +473,16 @@ class TestContainerValidation:
         (_drop_density, "missing key 'density'"),
         (_short_theta, "classifier theta has 4 rows, the encoder's latent_dim is 8"),
         (_narrow_support, "kde density is 4-d, the encoder's latent_dim is 8"),
-        (_flow_of_other_dim, "coupling layer 0 net maps 4 -> 4 columns, the flow is 8-d"),
+        (_flow_of_other_dim, "coupling layer 0 net maps 2 -> 2 columns; in the 8-d flow "
+                             "its halves need 4 -> 4"),
         (_encoder_layers_do_not_compose,
          r"encoder: layer widths do not compose: \(2, 7\) -> \(8, 8\)"),
         (_no_encoder_layers, "encoder has no layers"),
-        (_version_2, "unsupported container version 2; this build reads version 3, "
+        (_version_3, "unsupported container version 3; this build reads version 4, "
                      "so write the model again with `run`"),
-        (_version_1, "unsupported container version 1; this build reads version 3, "
+        (_version_2, "unsupported container version 2; this build reads version 4, "
+                     "so write the model again with `run`"),
+        (_version_1, "unsupported container version 1; this build reads version 4, "
                      "so write the model again with `run`"),
         (_base64_cut_short, "encoder layer 1 weight holds 510 bytes, shape "
                             r"\[8, 8\] needs 512"),
@@ -482,16 +493,17 @@ class TestContainerValidation:
         (_flat_theta, r"classifier theta shape \[16\] is not a list of 2 non-negative "
                       "integers"),
         (_nested_list_support, r"kde support is not a \{shape, float64le\} object"),
-        (_wide_subnet_input, "coupling layer 1 net maps 10 -> 8 columns, the flow is 8-d"),
+        (_wide_subnet_input, "coupling layer 1 net maps 6 -> 4 columns; in the 8-d flow "
+                             "its halves need 4 -> 4"),
         (_short_bias, r"encoder layer 0: bias has shape \(5,\), the layer has 8 units"),
-        (_one_slot_stack, r"coupling layer 1 net layer 0 weight has shape \(1, 8, 16\), "
+        (_one_slot_stack, r"coupling layer 1 net layer 0 weight has shape \(1, 4, 16\), "
                           r"not a \(2, in, out\) stack"),
         (_no_flow_layers, "flow needs at least one coupling layer"),
         (_one_column_theta, "classifier theta has 1 column; a head needs at least 2 classes"),
         (_nonlinear_stack_end, "coupling layer 1 net last layer is tanh, not linear"),
         (_erm_with_density, "an erm container has no density, but this one carries one"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
-            "encoder_layers", "no_encoder_layers", "version_2", "version_1",
+            "encoder_layers", "no_encoder_layers", "version_3", "version_2", "version_1",
             "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
             "shape_ndim", "nested_list_array", "subnet_width", "bias_length",
             "subnet_shapes", "no_flow_layers", "theta_columns", "stack_end_activation",

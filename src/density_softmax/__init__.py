@@ -16,7 +16,7 @@ from .metrics import (EvalReport, accuracy, auroc, aupr, brier_score,
                       misclassified_ece, negative_log_likelihood,
                       ood_detection, reliability_bins)
 from .model import Classifier, Encoder, EncoderConfig, TrainConfig, erm_train, init_model
-from .ops import cross_entropy, entropy, softmax
+from .ops import entropy, softmax
 from .optim import Adam, OptimizerSpec
 from .predictor import (DensityConfig, DensitySoftmaxModel, Ensemble, Prediction,
                         PipelineResult, ReoptConfig, ensemble_train,
@@ -31,7 +31,7 @@ __all__ = [
     "PipelineResult", "Prediction", "ReoptConfig", "ScaledDensity",
     "ShiftSpec", "TrainConfig",
     "accuracy", "apply_shift", "auroc", "aupr", "brier_score",
-    "build_datasets", "compute_scale", "cross_entropy", "ensemble_train",
+    "build_datasets", "compute_scale", "ensemble_train",
     "entropy", "erm_train", "evaluate_predictions",
     "expected_calibration_error", "flow_fit", "init_model", "kde_fit",
     "load_config", "load_csv", "make_ood_cluster", "make_two_moons",

@@ -5,9 +5,9 @@ scalar loss of one training step, which also carries a hand-written backward
 rule. Each stage builds one such node per step, with no graph behind it:
 ``erm_loss`` (encoder stack, head cross-entropy and L2),
 ``head_cross_entropy`` under the scaled likelihood s (re-optimization) and
-``FlowModel.nll_loss``. :meth:`Tensor.backward` runs the rule with upstream
-gradient 1.0. A rule takes that gradient as an argument and holds no
-reference to its node, so a step leaves no reference cycle behind.
+``FlowModel.nll_loss``. :meth:`Tensor.backward` runs the rule, which takes
+no argument: the loss is the end of the graph, so its upstream gradient is
+1.0. A rule holds no reference to its node, so a step leaves no cycle.
 
 Gradients are written once: a parameter's ``grad`` is None until an
 optimizer binds it to a view of its packed gradient vector (``optim.Adam``).
@@ -33,7 +33,7 @@ class Tensor:
 
     __slots__ = ("data", "grad", "rule")
 
-    def __init__(self, data, rule: Callable[[float], None] | None = None):
+    def __init__(self, data, rule: Callable[[], None] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.rule = rule
@@ -42,7 +42,7 @@ class Tensor:
         """Write d(self)/d(parameter) into every parameter's bound ``grad``."""
         if self.rule is None:
             raise ValueError("backward() needs a loss node; this tensor has no rule")
-        self.rule(1.0)
+        self.rule()
 
 
 def bound_grad(p: Tensor, what: str) -> np.ndarray:

@@ -389,6 +389,17 @@ def cmd_compare(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+def _count(minimum: int):
+    """An argparse type: an integer of at least minimum, so a bad count exits
+    2 with an error that names its flag."""
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid count value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected a count >= {minimum}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="density-softmax",
@@ -412,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     surf.add_argument("--out", required=True)
     surf.add_argument("--bounds", default="-3,4,-3,4",
                       help="grid bounds as x0,x1,y0,y1")
-    surf.add_argument("--resolution", type=int, default=200)
+    surf.add_argument("--resolution", type=_count(1), default=200)
     surf.add_argument("--data", default=None,
                       help="optional data dir for a scatter overlay")
     surf.set_defaults(func=cmd_surface)
@@ -421,22 +432,22 @@ def build_parser() -> argparse.ArgumentParser:
     hist.add_argument("--model", required=True)
     hist.add_argument("--data", required=True, help="directory of <tag>.csv files")
     hist.add_argument("--sets", nargs="+", required=True)
-    hist.add_argument("--hist-bins", type=int, default=30)
+    hist.add_argument("--hist-bins", type=_count(1), default=30)
     hist.add_argument("--out", required=True)
     hist.set_defaults(func=cmd_hist_likelihood)
 
     rel = sub.add_parser("reliability", help="reliability diagram for one labeled set")
     rel.add_argument("--model", required=True)
     rel.add_argument("--set", required=True, help="dataset CSV path")
-    rel.add_argument("--bins", type=int, default=15)
+    rel.add_argument("--bins", type=_count(1), default=15)
     rel.add_argument("--out", required=True)
     rel.set_defaults(func=cmd_reliability)
 
     bench = sub.add_parser("bench", help="parameter counts and per-sample latency")
     bench.add_argument("--models", nargs="+", required=True)
     bench.add_argument("--set", required=True)
-    bench.add_argument("--warmup", type=int, default=50)
-    bench.add_argument("--repetitions", type=int, default=1000)
+    bench.add_argument("--warmup", type=_count(0), default=50)
+    bench.add_argument("--repetitions", type=_count(1), default=1000)
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=cmd_bench)
 

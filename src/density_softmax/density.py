@@ -228,10 +228,10 @@ class CouplingLayer:
     (2, in, out) array and its biases one (2, 1, out) array, slot 0 the
     s-net and slot 1 the t-net, so one matmul runs a dense step of both (the
     same gemm per slot as a separate product, so no sum is reordered). It
-    maps the |P| columns of z_P to the |T| columns of s and b through
-    non-residual end layers, so it holds only the weights a masked
-    full-width net would read; its last layer is linear, and ``FINAL`` is
-    applied per slot after it.
+    maps the |P| columns of z_P to the |T| columns of s and b, so it holds
+    only the weights a masked full-width net would read. :func:`coupling_net`
+    lays it out: relu layers, then a linear last layer, after which
+    ``FINAL`` is applied per slot.
 
     ``forward``, the one coupling step for inference and training, takes the
     halves z_P and z_T and returns t_T and s; t_P is z_P itself, and no
@@ -258,16 +258,11 @@ class CouplingLayer:
                 raise ValueError(f"{what} layer {i} weight has shape {shape}, "
                                  "not a (2, in, out) stack")
         self.p_cols, self.t_cols = halves(dim, index)
-        first, last = net.layers[0], net.layers[-1]
-        maps = (first.weight.data.shape[1], last.weight.data.shape[2])
+        maps = (net.layers[0].weight.data.shape[1], net.layers[-1].weight.data.shape[2])
         needs = (_width(self.p_cols), _width(self.t_cols))
         if maps != needs:
             raise ValueError(f"{what} maps {maps[0]} -> {maps[1]} columns; in the "
                              f"{dim}-d flow its halves need {needs[0]} -> {needs[1]}")
-        if first.residual or last.residual:
-            raise ValueError(f"{what} first and last layers must not be residual")
-        if last.activation != "linear":
-            raise ValueError(f"{what} last layer is {last.activation}, not linear")
         self.net = net
         self.dim = dim
 
@@ -327,8 +322,16 @@ class CouplingLayer:
         return [w.data[slot] for slot in (0, 1) for w in weights]
 
 
-def _coupling_net(rng: np.random.Generator, dim: int, hidden_units: int,
-                  hidden_layers: int, index: int) -> DenseNet:
+def coupling_net(layers: list[tuple[Tensor, Tensor]]) -> DenseNet:
+    """A coupling layer's stacked s-/t-net over its (weight, bias) pairs, fresh
+    or loaded: relu layers, then a linear last layer."""
+    end = len(layers) - 1
+    return DenseNet([Dense(weight, bias, "linear" if i == end else "relu")
+                     for i, (weight, bias) in enumerate(layers)])
+
+
+def _fresh_net(rng: np.random.Generator, dim: int, hidden_units: int, hidden_layers: int,
+               index: int) -> DenseNet:
     """A fresh stacked net of coupling layer ``index``: the s-net's weights
     are drawn, then the t-net's, and each depth's pair is stacked. The first
     matrix is drawn over all dim input rows, as a full-width net's is, and
@@ -343,9 +346,8 @@ def _coupling_net(rng: np.random.Generator, dim: int, hidden_units: int,
         return [drawn[0][p_cols]] + drawn[1:] + [np.zeros((hidden_units, _width(t_cols)))]
 
     s_net, t_net = subnet(), subnet()
-    return DenseNet([Dense(Tensor(np.stack(pair)), Tensor(np.zeros((2, 1, pair[0].shape[1]))),
-                           "relu" if i < hidden_layers else "linear")
-                     for i, pair in enumerate(zip(s_net, t_net))])
+    return coupling_net([(Tensor(np.stack(pair)), Tensor(np.zeros((2, 1, pair[0].shape[1]))))
+                         for pair in zip(s_net, t_net)])
 
 
 @dataclass(frozen=True)
@@ -387,7 +389,7 @@ class FlowModel:
     @classmethod
     def build(cls, dim: int, config: FlowConfig) -> "FlowModel":
         rng = np.random.default_rng(config.seed)
-        return cls(dim, [_coupling_net(rng, dim, config.hidden_units, config.hidden_layers, i)
+        return cls(dim, [_fresh_net(rng, dim, config.hidden_units, config.hidden_layers, i)
                          for i in range(config.coupling_layers)])
 
     def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,8 +463,8 @@ class FlowModel:
         if l2 != 0.0:
             loss = loss + l2_value([w for layer in self.layers for w in layer.weight_slots()],
                                    l2)
-        def rule(upstream) -> None:
-            r = upstream * (1.0 / n)
+        def rule() -> None:
+            r = 1.0 / n
             g = (r * 0.5) * (2.0 * t)
             last = len(self.layers) - 1
             g_p, g_t = g[:, self.layers[last].p_cols], g[:, self.layers[last].t_cols]
@@ -473,8 +475,7 @@ class FlowModel:
                     # layer i's P and T are layer i-1's T and P
                     g_t, g_p = g_z
             if l2 != 0.0:
-                l2_backward([w for layer in self.layers for w in layer.net.weight_tensors()],
-                            l2, upstream)
+                l2_backward([w for layer in self.layers for w in layer.net.weight_tensors()], l2)
 
         return Tensor(loss, rule)
 

@@ -1,16 +1,20 @@
 """Dense layers and small feed-forward stacks with optional residual links.
 
-Each layer owns float64 parameter Tensors. ``forward`` is the one forward
-step, for inference and training alike. Without a cache it works in place
-on its fresh matmul output. Given a cache list, each layer also appends its
-input and activation, and its residual sum goes out of place, so the cached
-arrays stay as they were. ``backward_cached`` walks that cache once and
-writes each parameter's gradient, one product per parameter, with ``out=``
-into the ``grad`` view the optimizer bound (see ``autodiff``); no gradient
-array is allocated per parameter. ``l2_value``/``l2_backward`` are the L2
-penalty, whose gradient adds onto the written one in place; the loss nodes
-``erm_loss`` and ``FlowModel.nll_loss`` call them. The tests hold them to
-the per-op oracle tape, bit for bit in values and every gradient.
+Each layer owns two float64 parameter Tensors, a weight and a bias. Each
+network's layout is built in one place, fresh or loaded: the encoder's by
+``model.encoder_net``, a coupling net's by ``density.coupling_net``.
+
+``forward`` is the one forward step, for inference and training alike.
+Without a cache it works in place on its fresh matmul output. Given a cache
+list, each layer also appends its input and activation, and its residual sum
+goes out of place, so the cached arrays stay as they were.
+``backward_cached`` walks that cache once and writes each parameter's
+gradient, one product per parameter, with ``out=`` into the ``grad`` view
+the optimizer bound (see ``autodiff``); no gradient array is allocated per
+parameter. ``l2_value``/``l2_backward`` are the L2 penalty, whose gradient
+adds onto the written one in place; the loss nodes ``erm_loss`` and
+``FlowModel.nll_loss`` call them. The tests hold them to the per-op oracle
+tape, bit for bit in values and every gradient.
 
 A layer may also be stacked: weight (k, in, out) and bias (k, 1, out) hold k
 same-shaped layers, and every product broadcasts over the leading axis
@@ -38,9 +42,7 @@ def apply_activation(h: np.ndarray, activation: str, out=None) -> np.ndarray:
         return np.maximum(h, 0.0, out=out)
     if activation == "tanh":
         return np.tanh(h, out=out)
-    if activation == "linear":
-        return h
-    raise ValueError(f"unknown activation {activation!r}")
+    return h  # linear; Dense admits only ACTIVATIONS
 
 
 def activation_grad(g: np.ndarray, a: np.ndarray, activation: str, out: np.ndarray
@@ -64,12 +66,12 @@ def fan_in_uniform(rng: np.random.Generator, in_dim: int, out_dim: int) -> np.nd
 
 @dataclass
 class Dense:
-    """Affine layer y = act(x W + b), with b optional and an optional
-    residual connection (requires equal input/output width). A stacked
-    layer has weight (k, in, out) and bias (k, 1, out)."""
+    """Affine layer y = act(x W + b) with an optional residual connection
+    (requires equal input/output width). A stacked layer has weight
+    (k, in, out) and bias (k, 1, out)."""
 
     weight: Tensor
-    bias: Tensor | None
+    bias: Tensor
     activation: Activation
     residual: bool = False
 
@@ -78,26 +80,12 @@ class Dense:
             raise ValueError(f"unknown activation {self.activation!r}")
         shape = self.weight.data.shape
         if self.residual and shape[-2] != shape[-1]:
-            raise ValueError("residual layer needs equal input/output width")
+            raise ValueError(f"residual layer needs equal input/output width, not {shape}")
         units = shape[-1]
         want = (units,) if len(shape) == 2 else (shape[0], 1, units)
-        if self.bias is not None and self.bias.data.shape != want:
-            raise ValueError(f"bias has shape {self.bias.data.shape}, the layer has "
-                             f"{units} units")
-
-    @classmethod
-    def init(
-        cls,
-        rng: np.random.Generator,
-        in_dim: int,
-        out_dim: int,
-        activation: Activation = "relu",
-        bias: bool = True,
-        residual: bool = False,
-    ) -> "Dense":
-        b = Tensor(np.zeros(out_dim)) if bias else None
-        return cls(weight=Tensor(fan_in_uniform(rng, in_dim, out_dim)), bias=b,
-                   activation=activation, residual=residual)
+        if self.bias.data.shape != want:
+            raise ValueError(f"bias has shape {self.bias.data.shape}, a weight of shape "
+                             f"{shape} needs {want}")
 
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
         """act(x W + b), plus x for a residual layer. The activation works in
@@ -106,8 +94,7 @@ class Dense:
         relu mask and the tanh derivative both follow from the activation),
         and the residual sum goes to a new array."""
         h = x @ self.weight.data
-        if self.bias is not None:
-            h += self.bias.data
+        h += self.bias.data
         a = apply_activation(h, self.activation, out=h)
         if cache is not None:
             cache.append((x, a))
@@ -117,7 +104,7 @@ class Dense:
         return a
 
     def params(self) -> list[Tensor]:
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
+        return [self.weight, self.bias]
 
 
 @dataclass
@@ -157,9 +144,8 @@ class DenseNet:
                 if gh_buf is None or gh_buf.shape != g.shape:
                     gh_buf = np.empty(g.shape)
                 gh = activation_grad(g, a, layer.activation, gh_buf)
-            if layer.bias is not None:
-                np.sum(gh, axis=-2, keepdims=gh.ndim > 2,
-                       out=bound_grad(layer.bias, f"dense layer {i} bias"))
+            np.sum(gh, axis=-2, keepdims=gh.ndim > 2,
+                   out=bound_grad(layer.bias, f"dense layer {i} bias"))
             np.matmul(x.swapaxes(-1, -2), gh,
                       out=bound_grad(layer.weight, f"dense layer {i} weight"))
             if i == 0 and not input_grad:
@@ -192,10 +178,10 @@ def l2_value(weights: list[np.ndarray], coefficient: float) -> float:
     return total * float(coefficient)
 
 
-def l2_backward(weights: list[Tensor], coefficient: float, g) -> None:
-    """Add g * coefficient * 2w to each weight's gradient, in place; the data
+def l2_backward(weights: list[Tensor], coefficient: float) -> None:
+    """Add coefficient * 2w to each weight's gradient, in place; the data
     gradient is written there first."""
-    k = g * float(coefficient)
+    k = float(coefficient)
     for i, w in enumerate(weights):
         grad = bound_grad(w, f"L2 weight {i}")
         grad += k * (2.0 * w.data)

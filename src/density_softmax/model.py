@@ -140,20 +140,26 @@ class Classifier:
         return Classifier(Tensor(self.theta.data.copy()))
 
 
+def encoder_net(layers: list[tuple[Tensor, Tensor]], activation: Activation) -> DenseNet:
+    """The encoder's stack over its (weight, bias) pairs, fresh or loaded, all with
+    one activation: layer 0 projects the input, each later one is a residual block."""
+    return DenseNet([Dense(weight, bias, activation, residual=i > 0)
+                     for i, (weight, bias) in enumerate(layers)])
+
+
 def init_model(config: EncoderConfig, input_dim: int, k: int, seed: int
                ) -> tuple[Encoder, Classifier]:
     """Fan-in scaled-uniform init of an encoder for input_dim columns and a
-    k-class head, deterministic per seed."""
+    k-class head, deterministic per seed; biases start at zero."""
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     if k < 2:
         raise ValueError("need at least 2 classes")
     rng = np.random.default_rng(seed)
-    layers = [Dense.init(rng, input_dim, config.width, config.activation)]
-    for _ in range(config.depth):
-        layers.append(Dense.init(rng, config.width, config.width, config.activation,
-                                 residual=True))
-    encoder = Encoder(DenseNet(layers))
+    widths = [input_dim] + [config.width] * (config.depth + 1)
+    layers = [(Tensor(fan_in_uniform(rng, n_in, n_out)), Tensor(np.zeros(n_out)))
+              for n_in, n_out in zip(widths, widths[1:])]
+    encoder = Encoder(encoder_net(layers, config.activation))
     theta = Tensor(fan_in_uniform(rng, config.width, k))
     return encoder, Classifier(theta)
 
@@ -208,8 +214,8 @@ def head_cross_entropy(z: np.ndarray, theta: Tensor, labels: np.ndarray,
     The forward is a max-shifted log-sum-exp and the backward the closed
     form (softmax - onehot) / n; shift invariance of softmax makes treating
     the per-row max as a constant exact. Returns the loss and its rule:
-    ``rule(g, input_grad=False)`` writes g * d(loss)/d(theta) to theta.grad
-    and returns g * d(loss)/dz, or None when ``input_grad`` is false.
+    ``rule(input_grad=False)`` writes d(loss)/d(theta) to theta.grad and
+    returns d(loss)/dz, or None when ``input_grad`` is false.
     """
     labels = np.asarray(labels)
     logits = z @ theta.data
@@ -225,11 +231,11 @@ def head_cross_entropy(z: np.ndarray, theta: Tensor, labels: np.ndarray,
     lse = np.log(np.exp(shifted).sum(axis=1))
     loss = (lse - shifted[rows, labels]).mean()
 
-    def rule(g, input_grad: bool = False) -> np.ndarray | None:
+    def rule(input_grad: bool = False) -> np.ndarray | None:
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
         probs[rows, labels] -= 1.0
-        g_logits = g * probs / n
+        g_logits = probs / n
         if s is not None:
             g_logits = g_logits * s[:, None]
         np.matmul(z.T, g_logits, out=bound_grad(theta, "classifier theta"))
@@ -249,11 +255,10 @@ def erm_loss(encoder: Encoder, classifier: Classifier, x: np.ndarray,
     if weights:
         loss = loss + l2_value([w.data for w in weights], l2)
 
-    def rule(g) -> None:
-        encoder.net.backward_cached(cache, head_rule(g, input_grad=True),
-                                    input_grad=False)
+    def rule() -> None:
+        encoder.net.backward_cached(cache, head_rule(input_grad=True), input_grad=False)
         if weights:
-            l2_backward(weights, l2, g)
+            l2_backward(weights, l2)
 
     return Tensor(loss, rule)
 

@@ -1,4 +1,4 @@
-"""Plain-numpy inference ops: input check, softmax, cross-entropy, entropy."""
+"""Plain-numpy inference ops: input check, softmax, entropy."""
 
 from __future__ import annotations
 
@@ -41,16 +41,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """-log p[label] for a single probability vector, floored at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise ValueError("cross_entropy expects a single probability vector")
-    if not 0 <= label < probs.shape[0]:
-        raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    return float(-np.log(max(probs[label], PROB_FLOOR)))
 
 
 def entropy(probs: np.ndarray, base: str = "nats") -> np.ndarray:

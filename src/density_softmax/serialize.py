@@ -7,25 +7,26 @@ little-endian IEEE-754 bytes, base64-encoded. Save -> load therefore
 reproduces every parameter bit for bit by construction (the bytes are the
 bits, -0.0, subnormals and the largest finite value included), and neither
 side turns a weight into a Python float or its decimal repr. Scalars
-(bandwidth, max_train_log_density) stay JSON numbers.
+(bandwidth, max_train_log_density) stay finite JSON numbers.
 
-Version 4, the only version read, stores each fact once: the "kind"
-("density_softmax" or "erm"), the "encoder" as a list of dense layers,
-"classifier.theta" and, for "density_softmax" only, the "density": a KDE's
-support and bandwidth, or a flow's "layers", one stacked net per coupling
-layer with (2, in, out) weights (slot 0 the s-net, slot 1 the t-net), plus
-max_train_log_density. A coupling net maps its layer's |P| pass-through
-columns to its |T| transformed ones, so it stores no weight that no output
-reads. An "ensemble" holds its "members", model containers without the
-version field. The loader works out and checks the rest: the input and
-latent widths from the encoder's end layers, the class count from theta's
-columns (at least 2, latent-width rows), the flow's width from the latents
-(each coupling net maps its layer's halves of it through a linear last
-layer), each coupling layer's halves from its index and the subnets' last
-activations from ``density.FINAL``. Another version is refused with a
-ContainerError; ``run`` writes the same model again as version 4. So is a
-key the loader does not read, in any object of the document: a stale or
-hand-added fact could otherwise disagree with the model silently.
+Version 5, the only version read, stores arrays and no layout: the "kind"
+("density_softmax" or "erm"), the "encoder" as its "activation" and its
+"layers", "classifier.theta" and, for "density_softmax" only, the
+"density": a KDE's support and bandwidth, or a flow's "layers", one stacked
+net per coupling layer with (2, in, out) weights (slot 0 the s-net, slot 1
+the t-net), plus max_train_log_density. Each layer is a {weight, bias}. A
+coupling net maps its layer's |P| pass-through columns to its |T|
+transformed ones, so it stores no weight that no output reads. An
+"ensemble" holds its "members", model containers without the version
+field. The loader lays each net out with the function that builds it
+fresh, ``model.encoder_net`` or ``density.coupling_net``, and works out and
+checks the rest: the input and latent widths from the encoder's end layers,
+the class count from theta's columns (at least 2, latent-width rows), the
+flow's width from the latents and each coupling layer's halves from its
+index. Another version is refused with a ContainerError; ``run`` writes the
+same model again as version 5. So is a key the loader does not read, in any
+object of the document: a stale or hand-added fact could otherwise disagree
+with the model silently.
 """
 
 from __future__ import annotations
@@ -34,17 +35,19 @@ import base64
 import json
 import math
 import os
+import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .autodiff import Tensor
-from .density import FlowModel, KdeModel, ScaledDensity
-from .layers import Dense, DenseNet
-from .model import Classifier, Encoder
+from .density import FlowModel, KdeModel, ScaledDensity, coupling_net
+from .layers import DenseNet
+from .model import Classifier, Encoder, encoder_net
 from .predictor import DensitySoftmaxModel, Ensemble
 
-CONTAINER_VERSION = 4
+CONTAINER_VERSION = 5
 
 
 class ContainerError(ValueError):
@@ -84,36 +87,33 @@ def _decode_array(d: dict, what: str, ndim: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _dense_to_dict(layer: Dense) -> dict:
-    return {
-        "weight": _encode_array(layer.weight.data),
-        "bias": None if layer.bias is None else _encode_array(layer.bias.data),
-        "activation": layer.activation,
-        "residual": layer.residual,
-    }
-
-
-def _dense_from_dict(d: dict, what: str, stacked: bool) -> Dense:
-    """A layer, or with ``stacked`` a (2, in, out) stack of two."""
-    _known(d, what, ("weight", "bias", "activation", "residual"))
-    weight = Tensor(_decode_array(d["weight"], f"{what} weight", 3 if stacked else 2))
-    bias = (None if d["bias"] is None
-            else Tensor(_decode_array(d["bias"], f"{what} bias", 3 if stacked else 1)))
-    try:
-        return Dense(weight=weight, bias=bias, activation=d["activation"],
-                     residual=bool(d["residual"]))
-    except ValueError as exc:
-        raise ContainerError(f"{what}: {exc}") from None
+def _finite_number(d: dict, key: str) -> float:
+    """The density's d[key] as a float, once it is a finite JSON number; a
+    bool, a string, NaN or an infinity raises a ContainerError naming key."""
+    value = d[key]
+    # a comparison, not float(): an int too large for a float compares False
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ContainerError(f"density {key} is {value!r}, not a finite number")
+    return float(value)
 
 
 def _net_to_list(net: DenseNet) -> list:
-    return [_dense_to_dict(layer) for layer in net.layers]
+    return [{"weight": _encode_array(layer.weight.data), "bias": _encode_array(layer.bias.data)}
+            for layer in net.layers]
 
 
-def _net_from_list(layers: list, what: str, stacked: bool = False) -> DenseNet:
-    dense = [_dense_from_dict(d, f"{what} layer {i}", stacked) for i, d in enumerate(layers)]
+def _net_from_list(layers: list, what: str, build: Callable[[list], DenseNet],
+                   stacked: bool = False) -> DenseNet:
+    """The net that build lays out over the stored layers' (weight, bias)
+    pairs, with ``stacked`` (2, in, out) weights and (2, 1, out) biases."""
+    pairs = []
+    for i, d in enumerate(layers):
+        name = f"{what} layer {i}"
+        _known(d, name, ("weight", "bias"))
+        pairs.append((Tensor(_decode_array(d["weight"], f"{name} weight", 3 if stacked else 2)),
+                      Tensor(_decode_array(d["bias"], f"{name} bias", 3 if stacked else 1))))
     try:
-        return DenseNet(dense)
+        return build(pairs)
     except ValueError as exc:
         raise ContainerError(f"{what}: {exc}") from None
 
@@ -136,19 +136,20 @@ def _density_from_dict(d: dict, latent_dim: int) -> ScaledDensity:
         _known(d, "density", ("kind", "support", "bandwidth", "max_train_log_density"))
         inner: KdeModel | FlowModel = KdeModel(
             support=_decode_array(d["support"], "kde support", 2),
-            bandwidth=float(d["bandwidth"]))
+            bandwidth=_finite_number(d, "bandwidth"))
         if inner.dim != latent_dim:
             raise ContainerError(f"kde density is {inner.dim}-d, "
                                  f"the encoder's latent_dim is {latent_dim}")
     elif d["kind"] == "flow":
         _known(d, "density", ("kind", "layers", "max_train_log_density"))
         # the flow is as wide as the latents it models
-        inner = FlowModel(latent_dim, [_net_from_list(layers, f"flow layer {i}", True)
+        inner = FlowModel(latent_dim, [_net_from_list(layers, f"flow layer {i}", coupling_net,
+                                                      stacked=True)
                                        for i, layers in enumerate(d["layers"])])
     else:
         raise ContainerError(f"unknown density kind {d['kind']!r}")
     return ScaledDensity(inner=inner,
-                         max_train_log_density=float(d["max_train_log_density"]))
+                         max_train_log_density=_finite_number(d, "max_train_log_density"))
 
 
 def container_kind(model: DensitySoftmaxModel | Ensemble) -> str:
@@ -162,7 +163,9 @@ def container_kind(model: DensitySoftmaxModel | Ensemble) -> str:
 def _model_to_dict(model: DensitySoftmaxModel) -> dict:
     doc = {
         "kind": container_kind(model),
-        "encoder": _net_to_list(model.encoder.net),
+        # every encoder layer has the one activation (model.encoder_net)
+        "encoder": {"activation": model.encoder.net.layers[0].activation,
+                    "layers": _net_to_list(model.encoder.net)},
         "classifier": {"theta": _encode_array(model.classifier.theta.data)},
     }
     if model.density is not None:
@@ -243,7 +246,9 @@ def _model_from_dict(doc: dict, what: str) -> DensitySoftmaxModel:
     if kind == "erm" and "density" in doc:
         raise ContainerError("an erm container has no density, but this one carries one")
     _known(doc, what, ("kind", "encoder", "classifier", "density"))
-    encoder = Encoder(_net_from_list(doc["encoder"], "encoder"))
+    stored = _known(doc["encoder"], "encoder", ("activation", "layers"))
+    encoder = Encoder(_net_from_list(stored["layers"], "encoder",
+                                     lambda pairs: encoder_net(pairs, stored["activation"])))
     classifier = _known(doc["classifier"], "classifier", ("theta",))
     theta = _decode_array(classifier["theta"], "classifier theta", 2)
     if theta.shape[0] != encoder.latent_dim:

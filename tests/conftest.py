@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from density_softmax.autodiff import Tensor
+from density_softmax.layers import Dense, fan_in_uniform
 
 
 def central_difference_grad(loss_fn, params: list[Tensor], h: float = 1e-5):
@@ -38,6 +39,13 @@ def assert_grads_close(analytic, numeric, rel_tol: float = 1e-4):
         denom = np.abs(a) + 1e-8
         rel = np.abs(a - n) / denom
         assert rel.max() < rel_tol, f"gradient mismatch: max rel err {rel.max():.3e}"
+
+
+def dense(rng, in_dim: int, out_dim: int, activation: str = "relu",
+          residual: bool = False) -> Dense:
+    """A freshly initialized layer: a fan-in uniform weight, a zero bias."""
+    return Dense(Tensor(fan_in_uniform(rng, in_dim, out_dim)), Tensor(np.zeros(out_dim)),
+                 activation, residual)
 
 
 def count_forward_rows(monkeypatch, net) -> list[int]:

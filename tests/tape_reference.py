@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from density_softmax.autodiff import Tensor
-from density_softmax.density import FINAL, FlowModel
+from density_softmax.density import FINAL, FlowModel, coupling_net
 from density_softmax.layers import Dense, DenseNet
 from density_softmax.model import minibatches
 
@@ -289,9 +289,7 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     return out
 
 def dense_forward_tape(layer, x: Node) -> Node:
-    h = x @ layer.weight
-    if layer.bias is not None:
-        h = h + layer.bias
+    h = x @ layer.weight + layer.bias
     if layer.activation == "relu":
         h = h.relu()
     elif layer.activation == "tanh":
@@ -319,9 +317,8 @@ def node_net(net: DenseNet, copy: bool = False) -> DenseNet:
     def leaf(a):
         return Node(a.copy() if copy else a)
 
-    return DenseNet([Dense(leaf(x.weight.data),
-                           None if x.bias is None else leaf(x.bias.data),
-                           x.activation, x.residual) for x in net.layers])
+    return DenseNet([Dense(leaf(x.weight.data), leaf(x.bias.data), x.activation, x.residual)
+                     for x in net.layers])
 
 
 def subnet_arrays(flow) -> list[np.ndarray]:
@@ -332,9 +329,7 @@ def subnet_arrays(flow) -> list[np.ndarray]:
     for layer in flow.layers:
         for slot in (0, 1):
             for dense in layer.net.layers:
-                out.append(dense.weight.data[slot])
-                if dense.bias is not None:
-                    out.append(dense.bias.data[slot, 0])
+                out += [dense.weight.data[slot], dense.bias.data[slot, 0]]
     return out
 
 
@@ -343,8 +338,7 @@ def slot_nets(layer) -> tuple[DenseNet, DenseNet]:
     stacked slots, each with its own last activation (FINAL)."""
     end = len(layer.net.layers) - 1
     return tuple(DenseNet([
-        Dense(Tensor(x.weight.data[slot]),
-              None if x.bias is None else Tensor(x.bias.data[slot, 0]),
+        Dense(Tensor(x.weight.data[slot]), Tensor(x.bias.data[slot, 0]),
               FINAL[slot] if i == end else x.activation, x.residual)
         for i, x in enumerate(layer.net.layers)]) for slot in (0, 1))
 
@@ -379,7 +373,7 @@ class SplitCoupling:
                     w = w.widen((self.dim, w.shape[1]), self.p_cols)
                 if i == end:
                     w = w.widen((w.shape[0], self.dim), (slice(None), self.t_cols))
-                    b = None if b is None else b.widen((self.dim,), self.t_cols)
+                    b = b.widen((self.dim,), self.t_cols)
                 dense.append(Dense(w, b, x.activation, x.residual))
             nets.append(DenseNet(dense))
         return nets
@@ -394,9 +388,7 @@ class SplitCoupling:
         out = []
         for s, t in zip(self.s_net.layers, self.t_net.layers):
             out.append(np.stack([getattr(s.weight, attr), getattr(t.weight, attr)]))
-            if s.bias is not None:
-                out.append(np.stack([getattr(s.bias, attr),
-                                     getattr(t.bias, attr)]).reshape(2, 1, -1))
+            out.append(np.stack([getattr(s.bias, attr), getattr(t.bias, attr)]).reshape(2, 1, -1))
         return out
 
 
@@ -422,12 +414,8 @@ class SplitFlow:
         """The stacked FlowModel of the twin's current parameters."""
         nets = []
         for layer in self.layers:
-            arrays = iter(layer.stacked("data"))
-            end = len(layer.s_net.layers) - 1
-            nets.append(DenseNet([
-                Dense(Tensor(next(arrays)), None if x.bias is None else Tensor(next(arrays)),
-                      "linear" if i == end else x.activation, x.residual)
-                for i, x in enumerate(layer.s_net.layers)]))
+            arrays = [Tensor(a) for a in layer.stacked("data")]
+            nets.append(coupling_net(list(zip(arrays[::2], arrays[1::2]))))
         return FlowModel(self.dim, nets)
 
 

@@ -200,12 +200,12 @@ class TestTensor:
         p = Tensor(rng.normal(size=3))
         assert p.grad is None  # no buffer until an optimizer binds one
         bind_grads([p])
-        seen = []
+        runs = []
 
-        def rule(g):
-            seen.append(g)
-            np.multiply(g, p.data, out=p.grad)
+        def rule():  # a loss node's upstream gradient is 1.0, so a rule takes none
+            runs.append(1)
+            p.grad[...] = p.data
 
         Tensor(0.5, rule).backward()
-        assert seen == [1.0]
+        assert runs == [1]
         np.testing.assert_array_equal(p.grad, p.data)

@@ -215,3 +215,25 @@ class TestInputWidth:
         assert main(["surface", "--model", str(model), "--out", str(tmp_path / "s")]) == 2
         assert capsys.readouterr().err == ("error: model: surface plots need a 2-input "
                                           "model; this one takes 3 inputs\n")
+
+
+@pytest.mark.parametrize("argv, flag, minimum", [
+    (["surface", "--model", "m.json", "--resolution", "0"], "--resolution", 1),
+    (["surface", "--model", "m.json", "--resolution", "-1"], "--resolution", 1),
+    (["reliability", "--model", "m.json", "--set", "x.csv", "--bins", "0"], "--bins", 1),
+    (["hist-likelihood", "--model", "m.json", "--data", "d", "--sets", "ood",
+      "--hist-bins", "0"], "--hist-bins", 1),
+    (["bench", "--models", "m.json", "--set", "x.csv", "--repetitions", "0"],
+     "--repetitions", 1),
+    (["bench", "--models", "m.json", "--set", "x.csv", "--warmup", "-1"], "--warmup", 0),
+], ids=["resolution_0", "resolution_-1", "bins_0", "hist_bins_0", "repetitions_0",
+        "warmup_-1"])
+def test_count_flag_out_of_range_exits_2(tmp_path, capsys, argv, flag, minimum):
+    """A count flag is checked as it is parsed, before any file is read:
+    exit 2 and an error naming the flag, not a traceback further down."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    value = argv[argv.index(flag) + 1]
+    assert (f"error: argument {flag}: expected a count >= {minimum}, got {value}"
+            in capsys.readouterr().err)

@@ -15,8 +15,8 @@ from density_softmax.autodiff import Tensor
 from density_softmax.density import (FINAL, FLOW_CHUNK_ROWS, KDE_CHUNK_ROWS,
                                      KDE_LOG_KERNEL_FLOOR, LIKELIHOOD_FLOOR, CouplingLayer,
                                      FlowConfig, FlowModel, KdeModel, ScaledDensity,
-                                     chunk_bounds, compute_scale, flow_fit, halves, kde_fit,
-                                     scott_bandwidth)
+                                     chunk_bounds, compute_scale, coupling_net, flow_fit,
+                                     halves, kde_fit, scott_bandwidth)
 from density_softmax.layers import Dense, DenseNet, fan_in_uniform
 from density_softmax.model import TrainingDiverged
 
@@ -329,25 +329,20 @@ class TestFlowStructure:
     def test_split_contract_rejected(self):
         rng = np.random.default_rng(0)
 
-        def stack(*shapes, residual=False, last="linear"):
-            return DenseNet([Dense(Tensor(rng.normal(size=(2, *shape))),
-                                   Tensor(np.zeros((2, 1, shape[1]))),
-                                   last if i == len(shapes) - 1 else "relu",
-                                   residual and i == 0)
-                             for i, shape in enumerate(shapes)])
+        def stack(*shapes):
+            return coupling_net([(Tensor(rng.normal(size=(2, *shape))),
+                                  Tensor(np.zeros((2, 1, shape[1])))) for shape in shapes])
 
-        CouplingLayer(stack((3, 4), (4, 2)), 5, 1)  # 3 pass-through, 2 transformed
+        net = stack((3, 4), (4, 4), (4, 2))
+        assert [(x.activation, x.residual) for x in net.layers] == [
+            ("relu", False), ("relu", False), ("linear", False)]
+        CouplingLayer(net, 5, 1)  # 3 pass-through, 2 transformed
         with pytest.raises(ValueError, match="coupling layer 1 net maps 2 -> 3 columns; "
                                              "in the 5-d flow its halves need 3 -> 2"):
             CouplingLayer(stack((2, 4), (4, 3)), 5, 1)
         with pytest.raises(ValueError, match="coupling layer 0 net maps 4 -> 4 columns; "
                                              "in the 4-d flow its halves need 2 -> 2"):
             CouplingLayer(stack((4, 3), (3, 4)), 4, 0)
-        with pytest.raises(ValueError, match="first and last layers must not be residual"):
-            CouplingLayer(stack((2, 2), (2, 2), residual=True), 4, 0)
-        with pytest.raises(ValueError, match="coupling layer 0 net last layer is tanh, "
-                                             "not linear"):
-            CouplingLayer(stack((2, 3), (3, 2), last="tanh"), 4, 0)
 
     def test_subnets_are_read_only_views_of_the_stack(self):
         """The subnets' 2-D weight matrices the L2 term reads."""

@@ -7,30 +7,30 @@ from density_softmax.autodiff import Tensor
 from density_softmax.layers import Dense, DenseNet, l2_backward, l2_value
 from density_softmax.optim import Adam
 
-from conftest import assert_grads_close, bind_grads, central_difference_grad
+from conftest import assert_grads_close, bind_grads, central_difference_grad, dense
 from tape_reference import Node, dense_forward_tape
 
 
 class TestDense:
     def test_forward_matches_tape_forward(self, rng):
-        layer = Dense.init(rng, 3, 5, "tanh")
+        layer = dense(rng, 3, 5, "tanh")
         x = rng.normal(size=(4, 3))
         np.testing.assert_array_equal(layer.forward(x),
                                       dense_forward_tape(layer, Node(x)).data)
 
     def test_residual_requires_square(self, rng):
-        with pytest.raises(ValueError):
-            Dense.init(rng, 3, 5, "relu", residual=True)
+        with pytest.raises(ValueError, match=r"not \(3, 5\)"):
+            dense(rng, 3, 5, "relu", residual=True)
 
     def test_residual_forward(self, rng):
-        layer = Dense.init(rng, 4, 4, "relu", residual=True)
+        layer = dense(rng, 4, 4, "relu", residual=True)
         x = rng.normal(size=(2, 4))
         inner = np.maximum(x @ layer.weight.data + layer.bias.data, 0.0)
         np.testing.assert_array_equal(layer.forward(x), x + inner)
 
     def test_unknown_activation(self, rng):
         with pytest.raises(ValueError):
-            Dense.init(rng, 2, 2, "gelu")
+            dense(rng, 2, 2, "gelu")
 
     def test_zero_init_is_identity_under_residual(self, rng):
         layer = Dense(Tensor(np.zeros((3, 3))), Tensor(np.zeros(3)), "relu", residual=True)
@@ -41,16 +41,15 @@ class TestDense:
 class TestDenseNet:
     def test_width_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
-            DenseNet([Dense.init(rng, 2, 3, "relu"), Dense.init(rng, 4, 2, "relu")])
+            DenseNet([dense(rng, 2, 3, "relu"), dense(rng, 4, 2, "relu")])
 
     def test_param_count(self, rng):
-        net = DenseNet([Dense.init(rng, 2, 4, "relu"),
-                        Dense.init(rng, 4, 3, "linear", bias=False)])
-        assert net.param_count() == 2 * 4 + 4 + 4 * 3
+        net = DenseNet([dense(rng, 2, 4, "relu"), dense(rng, 4, 3, "linear")])
+        assert net.param_count() == 2 * 4 + 4 + 4 * 3 + 3
 
     def test_gradients_through_residual_stack(self, rng):
-        net = DenseNet([Dense.init(rng, 3, 3, "relu", residual=True),
-                        Dense.init(rng, 3, 3, "tanh")])
+        net = DenseNet([dense(rng, 3, 3, "relu", residual=True),
+                        dense(rng, 3, 3, "tanh")])
         x = rng.normal(size=(4, 3))
         params = bind_grads(net.params())
 
@@ -65,11 +64,13 @@ class TestDenseNet:
 
     @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
     @pytest.mark.parametrize("residual", [False, True])
-    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("random_bias", [False, True])
     def test_in_place_forward_matches_training_forward(self, rng, activation,
-                                                      residual, bias):
-        net = DenseNet([Dense.init(rng, 4, 4, activation, bias=bias, residual=residual)
-                        for _ in range(3)])
+                                                      residual, random_bias):
+        net = DenseNet([dense(rng, 4, 4, activation, residual) for _ in range(3)])
+        if random_bias:  # a fresh layer's bias is zero
+            for layer in net.layers:
+                layer.bias.data[...] = rng.normal(size=4)
         # without a cache the residual sum runs in place, with one out of place
         x = rng.normal(size=(5, 4))
         before = x.copy()
@@ -78,11 +79,11 @@ class TestDenseNet:
         np.testing.assert_array_equal(x, before)
 
     def test_l2_penalty_value_and_grad(self, rng):
-        net = DenseNet([Dense.init(rng, 2, 3, "relu"), Dense.init(rng, 3, 2, "relu")])
+        net = DenseNet([dense(rng, 2, 3, "relu"), dense(rng, 3, 2, "relu")])
         weights = bind_grads(net.weight_tensors(), 0.0)
         assert l2_value([w.data for w in weights], 0.01) == pytest.approx(
             0.01 * sum(np.square(w.data).sum() for w in weights))
-        l2_backward(weights, 0.01, 1.0)
+        l2_backward(weights, 0.01)
 
         def loss():
             return float(0.01 * sum(np.square(w.data).sum() for w in weights))

@@ -6,7 +6,7 @@ import pytest
 from density_softmax.autodiff import Tensor
 from density_softmax.data import make_two_moons, make_two_ovals
 from density_softmax.density import FlowConfig, FlowModel
-from density_softmax.layers import DenseNet, l2_backward
+from density_softmax.layers import DenseNet, fan_in_uniform, l2_backward
 from density_softmax.model import (Classifier, Encoder, EncoderConfig, TrainConfig,
                                    TrainingDiverged, erm_loss, erm_train, head_cross_entropy,
                                    init_model)
@@ -62,6 +62,19 @@ class TestInitModel:
         assert enc.input_dim == 5
         with pytest.raises(ValueError, match="input_dim must be >= 1"):
             init_model(SMALL, 0, 2, seed=0)
+
+    def test_layout_and_draws(self):
+        """Layer 0 projects and every later layer is a residual block, all with
+        the configured activation; the weights are drawn layer by layer, then
+        theta, and the biases start at zero."""
+        enc, clf = init_model(EncoderConfig(width=4, depth=2, activation="tanh"), 3, 2, seed=7)
+        rng = np.random.default_rng(7)
+        assert [(x.activation, x.residual) for x in enc.net.layers] == [
+            ("tanh", False), ("tanh", True), ("tanh", True)]
+        for layer, shape in zip(enc.net.layers, [(3, 4), (4, 4), (4, 4)]):
+            np.testing.assert_array_equal(layer.weight.data, fan_in_uniform(rng, *shape))
+            np.testing.assert_array_equal(layer.bias.data, np.zeros(4))
+        np.testing.assert_array_equal(clf.theta.data, fan_in_uniform(rng, 4, 2))
 
     def test_widths_read_from_the_layers(self):
         enc, _ = init_model(EncoderConfig(width=6, depth=1), 3, 2, seed=0)
@@ -220,7 +233,7 @@ class TestUnboundGradient:
     def test_l2_term(self):
         w = Tensor(np.ones((2, 2)))
         with pytest.raises(ValueError, match="L2 weight 0 has no bound gradient"):
-            l2_backward([w], 0.1, 1.0)
+            l2_backward([w], 0.1)
 
 
 class TestEnsemble:

@@ -1,11 +1,11 @@
-"""Softmax and cross-entropy numerics."""
+"""Softmax and entropy numerics."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from density_softmax.ops import cross_entropy, entropy, softmax
+from density_softmax.ops import entropy, softmax
 from kde_reference import logsumexp
 
 finite_logits = st.lists(
@@ -61,25 +61,6 @@ class TestSoftmax:
         batched = softmax(u)
         for i in range(5):
             np.testing.assert_array_equal(batched[i], softmax(u[i]))
-
-
-class TestCrossEntropy:
-    def test_one_hot_correct_is_zero(self):
-        assert cross_entropy(np.array([0.0, 1.0]), 1) == 0.0
-
-    def test_uniform_k4(self):
-        assert cross_entropy(np.full(4, 0.25), 2) == pytest.approx(np.log(4), abs=1e-12)
-
-    def test_hand_value(self):
-        assert cross_entropy(np.array([0.7, 0.3]), 1) == pytest.approx(1.20397, abs=1e-5)
-
-    def test_zero_probability_is_floored(self):
-        val = cross_entropy(np.array([1.0, 0.0]), 1)
-        assert val == pytest.approx(-np.log(1e-12))
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
 
 
 class TestEntropyAndLse:

@@ -1,6 +1,7 @@
 """Model container round-trips must be exact."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +81,12 @@ class TestDensitySoftmaxContainer:
         container data/flow_model_v2.json, written while the coupling layers
         kept their s-net and t-net as separate arrays beside a mask;
         data/flow_model_v3.json is the same model with the subnets stacked,
-        and data/flow_model_v4.json the same again with the entries no
-        output reads dropped: each first layer keeps its rows P, each last
-        layer its columns T. It must load, predict the same bits and write
-        the same bytes back."""
-        model = load_container(DATA / "flow_model_v4.json")
+        data/flow_model_v4.json the same again with the entries no output
+        reads dropped (each first layer keeps its rows P, each last layer
+        its columns T), and data/flow_model_v5.json the same again with each
+        layer's activation and residual flag dropped. It must load, predict
+        the same bits and write the same bytes back."""
+        model = load_container(DATA / "flow_model_v5.json")
         want = json.loads((DATA / "flow_model_v2_expected.json").read_text())
         pred = model.predict(_decode_array(want["x"], "x", 2))
         np.testing.assert_array_equal(pred.probs, _decode_array(want["probs"], "probs", 2))
@@ -92,7 +94,7 @@ class TestDensitySoftmaxContainer:
                                       _decode_array(want["scaled_likelihood"], "s", 1))
         path = tmp_path / "again.json"
         save_container(density_softmax_container(model), path)
-        assert path.read_bytes() == (DATA / "flow_model_v4.json").read_bytes()
+        assert path.read_bytes() == (DATA / "flow_model_v5.json").read_bytes()
 
 
 def _key_paths(node, path=()):
@@ -282,20 +284,23 @@ class TestErmAndEnsembleContainers:
         assert "ensemble member 0 is not an object" in capsys.readouterr().err
 
     def test_stored_keys_are_the_documented_facts(self, pipeline_result):
-        """Version 4 keeps no copy of a fact the loader works out again."""
+        """Version 5 keeps no copy of a fact the loader works out again: no
+        layer stores its activation or whether it is residual."""
         train, result = pipeline_result
         kde = density_softmax_container(result.model)
         assert set(kde) == {"version", "kind", "encoder", "classifier", "density"}
         assert set(kde["classifier"]) == {"theta"}
         assert set(kde["density"]) == {"kind", "support", "bandwidth", "max_train_log_density"}
-        assert all(set(layer) == {"weight", "bias", "activation", "residual"}
-                   for layer in kde["encoder"])
+        assert set(kde["encoder"]) == {"activation", "layers"}
+        assert all(set(layer) == {"weight", "bias"} for layer in kde["encoder"]["layers"])
         flow = density_softmax_container(DensitySoftmaxModel(
             result.model.encoder, result.model.classifier,
             ScaledDensity(FlowModel.build(8, FlowConfig(coupling_layers=2)), 0.0)))
         assert set(flow["density"]) == {"kind", "layers", "max_train_log_density"}
         assert [[net[0]["weight"]["shape"], net[-1]["weight"]["shape"]]
                 for net in flow["density"]["layers"]] == [[[2, 4, 16], [2, 16, 4]]] * 2
+        assert all(set(layer) == {"weight", "bias"}
+                   for net in flow["density"]["layers"] for layer in net)
         ens = ensemble_container(ensemble_train(2, SMALL, 2, train, FAST))
         assert set(ens) == {"version", "kind", "members"}
         assert all(set(m) == {"kind", "encoder", "classifier"} for m in ens["members"])
@@ -350,14 +355,19 @@ def _narrow_support(doc, model):
 
 def _encoder_layers_do_not_compose(doc, model):
     """The first encoder layer maps 2 -> 7 columns, the next reads 8."""
-    first = doc["encoder"][0]
+    first = doc["encoder"]["layers"][0]
     first["weight"] = _sliced(first["weight"], (slice(None), slice(7)))
     first["bias"] = _sliced(first["bias"], slice(7))
     return doc
 
 
 def _no_encoder_layers(doc, model):
-    doc["encoder"] = []
+    doc["encoder"]["layers"] = []
+    return doc
+
+
+def _unknown_activation(doc, model):
+    doc["encoder"]["activation"] = "gelu"
     return doc
 
 
@@ -394,20 +404,21 @@ def _one_slot_stack(doc, model):
     return doc
 
 
-def _nonlinear_stack_end(doc, model):
-    doc = _flow_doc(model, 8)
-    doc["density"]["layers"][1][-1]["activation"] = "tanh"
-    return doc
-
-
 def _erm_with_density(doc, model):
     doc["kind"] = "erm"
     return doc
 
 
 def _short_bias(doc, model):
-    doc["encoder"][0]["bias"] = _sliced(doc["encoder"][0]["bias"], slice(5))
+    first = doc["encoder"]["layers"][0]
+    first["bias"] = _sliced(first["bias"], slice(5))
     return doc
+
+
+def _version_4(doc, model):
+    """The stored version-4 container (each layer's activation and
+    residual flag stored with it)."""
+    return json.loads((DATA / "flow_model_v4.json").read_text())
 
 
 def _version_3(doc, model):
@@ -432,19 +443,19 @@ def _version_1(doc, model):
 
 
 def _base64_cut_short(doc, model):
-    weight = doc["encoder"][1]["weight"]
+    weight = doc["encoder"]["layers"][1]["weight"]
     weight["float64le"] = weight["float64le"][:-4]
     return doc
 
 
 def _base64_cut_mid_quad(doc, model):
-    weight = doc["encoder"][1]["weight"]
+    weight = doc["encoder"]["layers"][1]["weight"]
     weight["float64le"] = weight["float64le"][:-1]
     return doc
 
 
 def _not_base64(doc, model):
-    bias = doc["encoder"][0]["bias"]
+    bias = doc["encoder"]["layers"][0]["bias"]
     bias["float64le"] = bias["float64le"][:4] + "!" + bias["float64le"][4:]
     return doc
 
@@ -478,11 +489,11 @@ class TestContainerValidation:
         (_encoder_layers_do_not_compose,
          r"encoder: layer widths do not compose: \(2, 7\) -> \(8, 8\)"),
         (_no_encoder_layers, "encoder has no layers"),
-        (_version_3, "unsupported container version 3; this build reads version 4, "
+        (_version_3, "unsupported container version 3; this build reads version 5, "
                      "so write the model again with `run`"),
-        (_version_2, "unsupported container version 2; this build reads version 4, "
+        (_version_2, "unsupported container version 2; this build reads version 5, "
                      "so write the model again with `run`"),
-        (_version_1, "unsupported container version 1; this build reads version 4, "
+        (_version_1, "unsupported container version 1; this build reads version 5, "
                      "so write the model again with `run`"),
         (_base64_cut_short, "encoder layer 1 weight holds 510 bytes, shape "
                             r"\[8, 8\] needs 512"),
@@ -495,19 +506,22 @@ class TestContainerValidation:
         (_nested_list_support, r"kde support is not a \{shape, float64le\} object"),
         (_wide_subnet_input, "coupling layer 1 net maps 6 -> 4 columns; in the 8-d flow "
                              "its halves need 4 -> 4"),
-        (_short_bias, r"encoder layer 0: bias has shape \(5,\), the layer has 8 units"),
+        (_short_bias, r"encoder: bias has shape \(5,\), a weight of shape \(2, 8\) needs "
+                      r"\(8,\)"),
         (_one_slot_stack, r"coupling layer 1 net layer 0 weight has shape \(1, 4, 16\), "
                           r"not a \(2, in, out\) stack"),
         (_no_flow_layers, "flow needs at least one coupling layer"),
         (_one_column_theta, "classifier theta has 1 column; a head needs at least 2 classes"),
-        (_nonlinear_stack_end, "coupling layer 1 net last layer is tanh, not linear"),
         (_erm_with_density, "an erm container has no density, but this one carries one"),
+        (_version_4, "unsupported container version 4; this build reads version 5, "
+                     "so write the model again with `run`"),
+        (_unknown_activation, "encoder: unknown activation 'gelu'"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
             "encoder_layers", "no_encoder_layers", "version_3", "version_2", "version_1",
             "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
             "shape_ndim", "nested_list_array", "subnet_width", "bias_length",
-            "subnet_shapes", "no_flow_layers", "theta_columns", "stack_end_activation",
-            "erm_with_density"])
+            "subnet_shapes", "no_flow_layers", "theta_columns", "erm_with_density",
+            "version_4", "unknown_activation"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
                                               corrupt, message, capsys):
         _, result = pipeline_result
@@ -519,3 +533,36 @@ class TestContainerValidation:
         code = cli.main(["surface", "--model", str(path), "--out", str(tmp_path / "s")])
         assert code == 2
         assert message.replace("\\", "") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_train_log_density", float("nan")), ("max_train_log_density", float("-inf")),
+        ("max_train_log_density", float("inf")), ("max_train_log_density", "0.5"),
+        ("max_train_log_density", True), ("bandwidth", "3.5"), ("bandwidth", True),
+        ("bandwidth", float("nan")), ("bandwidth", 10**400),
+    ], ids=["max_nan", "max_-inf", "max_inf", "max_string", "max_bool", "bandwidth_string",
+            "bandwidth_bool", "bandwidth_nan", "bandwidth_beyond_float"])
+    def test_scalar_that_is_not_a_finite_number_rejected(self, tmp_path, pipeline_result,
+                                                         key, value, capsys):
+        """A density scalar must be a finite JSON number: NaN crashed predict,
+        -Infinity scaled every row to s = 1, and a string or a bool passed
+        for a number."""
+        _, result = pipeline_result
+        doc = density_softmax_container(result.model)
+        doc["density"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        message = f"density {key} is {value!r}, not a finite number"
+        with pytest.raises(ContainerError, match=re.escape(message)):
+            load_container(path)
+        code = cli.main(["surface", "--model", str(path), "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_integer_scalars_load(self, tmp_path, pipeline_result):
+        _, result = pipeline_result
+        doc = density_softmax_container(result.model)
+        doc["density"].update(bandwidth=1, max_train_log_density=0)
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(doc))
+        density = load_container(path).density
+        assert (density.inner.bandwidth, density.max_train_log_density) == (1.0, 0.0)

@@ -1,9 +1,11 @@
 """Density-softmax predictor: frozen encoder, scaled likelihood, re-tuned head.
 
 Training runs three steps: (1) standard ERM on encoder + classifier,
-(2) density fit on the frozen encoder's train latents followed by likelihood
-scaling, (3) re-optimization of the classifier alone against the
-density-scaled objective, starting from step 1's head. Every step that
+(2) density fit on the frozen encoder's train latents (a KDE on the latents,
+or a coupling flow on their whitened top principal coordinates, projected
+once) followed by likelihood scaling in one scoring pass, (3)
+re-optimization of the classifier alone against the density-scaled
+objective, starting from step 1's head. Every step that
 trains uses Adam at its own fixed learning rate. Inference multiplies each
 sample's logits by its scaled likelihood s in (0, 1] before the softmax:
 
@@ -28,7 +30,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data import LabeledSet, require_fittable
-from .density import FlowConfig, ScaledDensity, compute_scale, flow_fit, kde_fit
+from .density import (FlowConfig, ScaledDensity, compute_scale, fit_projection, flow_fit,
+                      kde_fit)
 from .model import (Classifier, Encoder, EncoderConfig, TrainConfig, erm_train,
                     head_cross_entropy, init_model, train_minibatches)
 from .ops import entropy, finite_rows, softmax
@@ -89,6 +92,8 @@ class DensitySoftmaxModel:
         """One encoder pass, one density pass, one matrix product per sample.
 
         Rows with a NaN or an infinity are rejected up front (ValueError).
+        A row's s, and so its probs, can differ in the last bits between a
+        batch-1 call and a batched one (see ScaledDensity.scaled_likelihood).
         """
         z = finite_rows(x)
         latent = self.encoder.encode(z)
@@ -207,11 +212,14 @@ def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,
         train_z = encoder.encode(train.features)
         density_trace: list[float] = []
         if density_config.kind == "kde":
-            fitted = kde_fit(train_z, density_config.bandwidth)
+            density, train_s = compute_scale(kde_fit(train_z, density_config.bandwidth),
+                                             train_z)
         else:
+            projection = fit_projection(train_z)
+            coords = projection.project(train_z)
             fitted, density_trace = flow_fit(
-                train_z, replace(density_config.flow, seed=train_config.seed))
-        density, train_s = compute_scale(fitted, train_z)
+                coords, replace(density_config.flow, seed=train_config.seed))
+            density, train_s = compute_scale(fitted, coords, projection)
     except Exception as exc:
         raise PipelineError("density", exc) from exc
 

@@ -9,12 +9,14 @@ bits, -0.0, subnormals and the largest finite value included), and neither
 side turns a weight into a Python float or its decimal repr. Scalars
 (bandwidth, max_train_log_density) stay finite JSON numbers.
 
-Version 5, the only version read, stores arrays and no layout: the "kind"
+Version 6, the only version read, stores arrays and no layout: the "kind"
 ("density_softmax" or "erm"), the "encoder" as its "activation" and its
 "layers", "classifier.theta" and, for "density_softmax" only, the
-"density": a KDE's support and bandwidth, or a flow's "layers", one stacked
-net per coupling layer with (2, in, out) weights (slot 0 the s-net, slot 1
-the t-net), plus max_train_log_density. Each layer is a {weight, bias}. A
+"density": a KDE's support and bandwidth, or a flow's "projection" (its
+"mean" (d,), "directions" (r, d) and "scales" (r,), which map a d-wide
+latent to the r coordinates the flow models) and "layers", one stacked net
+per coupling layer with (2, in, out) weights (slot 0 the s-net, slot 1 the
+t-net), plus max_train_log_density. Each layer is a {weight, bias}. A
 coupling net maps its layer's |P| pass-through columns to its |T|
 transformed ones, so it stores no weight that no output reads. An
 "ensemble" holds its "members", model containers without the version
@@ -22,11 +24,13 @@ field. The loader lays each net out with the function that builds it
 fresh, ``model.encoder_net`` or ``density.coupling_net``, and works out and
 checks the rest: the input and latent widths from the encoder's end layers,
 the class count from theta's columns (at least 2, latent-width rows), the
-flow's width from the latents and each coupling layer's halves from its
-index. Another version is refused with a ContainerError; ``run`` writes the
-same model again as version 5. So is a key the loader does not read, in any
-object of the document: a stale or hand-added fact could otherwise disagree
-with the model silently.
+projection's width against the latent width and its scales (positive), the
+flow's width from the projection's r and each coupling layer's halves from
+its index. Another version is refused with a ContainerError after reading
+the version field alone; ``run`` writes the same model again as version 6.
+So is a key the loader does not read, in any object of the document, and an
+object or a list stored as another JSON type, each named by its key: a
+stale or hand-added fact could otherwise disagree with the model silently.
 """
 
 from __future__ import annotations
@@ -42,21 +46,32 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import Tensor
-from .density import FlowModel, KdeModel, ScaledDensity, coupling_net
+from .density import FlowModel, KdeModel, LatentProjection, ScaledDensity, coupling_net
 from .layers import DenseNet
 from .model import Classifier, Encoder, encoder_net
 from .predictor import DensitySoftmaxModel, Ensemble
 
-CONTAINER_VERSION = 5
+CONTAINER_VERSION = 6
+
+# a flow's projection arrays, in LatentProjection's field order
+PROJECTION_KEYS = ("mean", "directions", "scales")
 
 
 class ContainerError(ValueError):
     pass
 
 
-def _known(d: dict, what: str, keys: tuple[str, ...]) -> dict:
-    """d, once each of its keys is one of keys; what names it in errors."""
-    unknown = sorted(set(d) - set(keys))
+def _object(d, what: str) -> dict:
+    """d, once it is a JSON object; what names it in errors."""
+    if not isinstance(d, dict):
+        raise ContainerError(f"{what} is not an object")
+    return d
+
+
+def _known(d, what: str, keys: tuple[str, ...]) -> dict:
+    """d, once it is an object each of whose keys is one of keys; what
+    names it in errors."""
+    unknown = sorted(set(_object(d, what)) - set(keys))
     if unknown:
         raise ContainerError(f"{what} has unknown key {unknown[0]!r}")
     return d
@@ -102,12 +117,19 @@ def _net_to_list(net: DenseNet) -> list:
             for layer in net.layers]
 
 
-def _net_from_list(layers: list, what: str, build: Callable[[list], DenseNet],
+def _list(value, what: str) -> list:
+    """value, once it is a JSON list; what names it in errors."""
+    if not isinstance(value, list):
+        raise ContainerError(f"{what} is not a list")
+    return value
+
+
+def _net_from_list(layers, what: str, build: Callable[[list], DenseNet],
                    stacked: bool = False) -> DenseNet:
     """The net that build lays out over the stored layers' (weight, bias)
     pairs, with ``stacked`` (2, in, out) weights and (2, 1, out) biases."""
     pairs = []
-    for i, d in enumerate(layers):
+    for i, d in enumerate(_list(layers, what)):
         name = f"{what} layer {i}"
         _known(d, name, ("weight", "bias"))
         pairs.append((Tensor(_decode_array(d["weight"], f"{name} weight", 3 if stacked else 2)),
@@ -124,15 +146,20 @@ def _density_to_dict(density: ScaledDensity) -> dict:
         body = {"kind": "kde", "support": _encode_array(inner.support),
                 "bandwidth": inner.bandwidth}
     elif isinstance(inner, FlowModel):
-        body = {"kind": "flow", "layers": [_net_to_list(layer.net) for layer in inner.layers]}
+        projection = density.projection
+        body = {"kind": "flow",
+                "projection": {name: _encode_array(getattr(projection, name))
+                               for name in PROJECTION_KEYS},
+                "layers": [_net_to_list(layer.net) for layer in inner.layers]}
     else:  # pragma: no cover
         raise ContainerError(f"unknown density type {type(inner).__name__}")
     body["max_train_log_density"] = density.max_train_log_density
     return body
 
 
-def _density_from_dict(d: dict, latent_dim: int) -> ScaledDensity:
-    if d["kind"] == "kde":
+def _density_from_dict(d, latent_dim: int) -> ScaledDensity:
+    projection = None
+    if _object(d, "density")["kind"] == "kde":
         _known(d, "density", ("kind", "support", "bandwidth", "max_train_log_density"))
         inner: KdeModel | FlowModel = KdeModel(
             support=_decode_array(d["support"], "kde support", 2),
@@ -141,15 +168,23 @@ def _density_from_dict(d: dict, latent_dim: int) -> ScaledDensity:
             raise ContainerError(f"kde density is {inner.dim}-d, "
                                  f"the encoder's latent_dim is {latent_dim}")
     elif d["kind"] == "flow":
-        _known(d, "density", ("kind", "layers", "max_train_log_density"))
-        # the flow is as wide as the latents it models
-        inner = FlowModel(latent_dim, [_net_from_list(layers, f"flow layer {i}", coupling_net,
-                                                      stacked=True)
-                                       for i, layers in enumerate(d["layers"])])
+        _known(d, "density", ("kind", "projection", "layers", "max_train_log_density"))
+        stored = _known(d["projection"], "flow projection", PROJECTION_KEYS)
+        projection = LatentProjection(*(_decode_array(stored[name], f"flow projection {name}",
+                                                      2 if name == "directions" else 1)
+                                        for name in PROJECTION_KEYS))
+        if projection.mean.size != latent_dim:
+            raise ContainerError(f"flow projection reads {projection.mean.size} latent "
+                                 f"columns, the encoder's latent_dim is {latent_dim}")
+        # the flow is as wide as the coordinates it models
+        inner = FlowModel(projection.dim,
+                          [_net_from_list(layers, f"flow layer {i}", coupling_net, stacked=True)
+                           for i, layers in enumerate(_list(d["layers"], "flow layers"))])
     else:
         raise ContainerError(f"unknown density kind {d['kind']!r}")
     return ScaledDensity(inner=inner,
-                         max_train_log_density=_finite_number(d, "max_train_log_density"))
+                         max_train_log_density=_finite_number(d, "max_train_log_density"),
+                         projection=projection)
 
 
 def container_kind(model: DensitySoftmaxModel | Ensemble) -> str:
@@ -213,7 +248,7 @@ def load_container(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text)
+        doc = _object(json.loads(text), "container")
         if "version" not in doc:
             raise ContainerError("missing version field")
         if doc["version"] != CONTAINER_VERSION:
@@ -230,17 +265,15 @@ def load_container(path):
 def _from_dict(doc: dict):
     """The model of a container body: the document without its version."""
     if doc.get("kind") == "ensemble":
-        members = _known(doc, "container", ("kind", "members"))["members"]
-        for i, member in enumerate(members):
-            if not isinstance(member, dict):
-                raise ContainerError(f"ensemble member {i} is not an object")
+        members = _list(_known(doc, "container", ("kind", "members"))["members"],
+                        "ensemble members")
         return Ensemble([_model_from_dict(m, f"ensemble member {i}")
                          for i, m in enumerate(members)])
     return _model_from_dict(doc, "container")
 
 
-def _model_from_dict(doc: dict, what: str) -> DensitySoftmaxModel:
-    kind = doc.get("kind")
+def _model_from_dict(doc, what: str) -> DensitySoftmaxModel:
+    kind = _object(doc, what).get("kind")
     if kind not in ("density_softmax", "erm"):
         raise ContainerError(f"unknown container kind {kind!r}")
     if kind == "erm" and "density" in doc:

@@ -13,10 +13,12 @@ from kde_reference import kde_log_density
 
 from density_softmax.autodiff import Tensor
 from density_softmax.density import (FINAL, FLOW_CHUNK_ROWS, KDE_CHUNK_ROWS,
-                                     KDE_LOG_KERNEL_FLOOR, LIKELIHOOD_FLOOR, CouplingLayer,
-                                     FlowConfig, FlowModel, KdeModel, ScaledDensity,
-                                     chunk_bounds, compute_scale, coupling_net, flow_fit,
-                                     halves, kde_fit, scott_bandwidth)
+                                     KDE_LOG_KERNEL_FLOOR, LIKELIHOOD_FLOOR,
+                                     PROJECTION_VARIANCE_KEPT, CouplingLayer, FlowConfig,
+                                     FlowModel, KdeModel, LatentProjection, ScaledDensity,
+                                     chunk_bounds, compute_scale, coupling_net,
+                                     fit_projection, flow_fit, halves, kde_fit,
+                                     scott_bandwidth)
 from density_softmax.layers import Dense, DenseNet, fan_in_uniform
 from density_softmax.model import TrainingDiverged
 
@@ -549,3 +551,60 @@ class TestScaling:
         z = rng.normal(size=(20, 3))
         sd, _ = compute_scale(kde_fit(z, 0.5), z)
         assert sd.param_count() == 20 * 3 + 1 + 1
+
+
+class TestLatentProjection:
+    @pytest.mark.parametrize("spread", [[5.0, 2.0, 0.5, 0.1, 0.01, 0.001], [1.0] * 6,
+                                        [3.0, 1.0, 1e-3, 0.0, 0.0, 0.0]])
+    def test_whitened_top_directions_keep_the_variance_share(self, spread):
+        """Rows of 6 columns with the given spreads, rotated at random and
+        shifted: the projection keeps the fewest directions holding
+        PROJECTION_VARIANCE_KEPT of the variance (at least 2), orthonormal,
+        and the train coordinates have mean 0 and unit variance."""
+        rng = np.random.default_rng(0)
+        rotation, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        z = (rng.normal(size=(500, 6)) * spread) @ rotation + 3.0
+        p = fit_projection(z)
+        power = np.linalg.svd(z - z.mean(axis=0), compute_uv=False) ** 2
+        share = np.cumsum(power) / power.sum()
+        assert p.dim >= 2 and share[p.dim - 1] >= PROJECTION_VARIANCE_KEPT
+        assert p.dim == 2 or share[p.dim - 2] < PROJECTION_VARIANCE_KEPT
+        np.testing.assert_allclose(p.directions @ p.directions.T, np.eye(p.dim), atol=1e-12)
+        coords = p.project(z)
+        assert coords.shape == (500, p.dim)
+        np.testing.assert_allclose(coords.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(coords.std(axis=0), 1.0, rtol=1e-12)
+        assert p.param_count() == 6 + 6 * p.dim + p.dim
+
+    @pytest.mark.parametrize("points, varying", [(1, 0), (2, 1)])
+    def test_fewer_than_two_varying_directions_rejected(self, points, varying):
+        """Latents at 1 or 2 distinct points vary along 0 or 1 direction;
+        no scale is divided by then."""
+        rng = np.random.default_rng(1)
+        z = rng.normal(size=(points, 8))[np.arange(40) % points]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"the train latents vary along {varying} "
+                                                 r"direction\(s\); the flow needs at least 2"):
+                fit_projection(z)
+
+    def test_huge_rows_floor_without_a_warning(self):
+        """A huge finite latent row overflows its coordinates (or makes them
+        NaN); the flow maps them to -inf and s floors, with no warning."""
+        rng = np.random.default_rng(2)
+        z = rng.normal(size=(200, 4)) * [3.0, 1.0, 0.5, 0.2]
+        p = fit_projection(z)
+        coords = p.project(z)
+        sd, train_s = compute_scale(identity_flow(p.dim), coords, p)
+        np.testing.assert_array_equal(sd.scaled_likelihood(z), train_s)
+        huge = np.array([[1e308, -1e308, 1e308, -1e308], [1e308, 0.0, 0.0, 0.0],
+                         [1e200, 1e200, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(sd.scaled_likelihood(huge) == LIKELIHOOD_FLOOR)
+
+    @pytest.mark.parametrize("scales", [[1.0, 0.0], [1.0, -1.0], [1.0, np.nan],
+                                        [1.0, np.inf]])
+    def test_non_positive_scale_rejected(self, scales):
+        with pytest.raises(ValueError, match="projection scales must be positive and finite"):
+            LatentProjection(np.zeros(3), np.eye(3)[:2], np.array(scales))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from density_softmax.autodiff import Tensor
-from density_softmax.data import make_two_moons
+from density_softmax.config import build_datasets, parse_config
+from density_softmax.data import LabeledSet, make_two_moons
 from density_softmax.density import (LIKELIHOOD_FLOOR, FlowConfig, FlowModel,
                                      ScaledDensity, kde_fit)
 from density_softmax.model import Classifier, EncoderConfig, TrainConfig, init_model
@@ -240,9 +241,30 @@ class TestPipeline:
         assert trace[-1] < trace[0]
 
     def test_flow_density_variant(self):
+        """The flow models the whitened principal coordinates of the train
+        latents, and the KDE the latents themselves."""
         train, result = small_pipeline(seed=4, density=tiny_flow_density())
-        assert isinstance(result.model.density.inner, FlowModel)
+        density = result.model.density
+        assert isinstance(density.inner, FlowModel)
         assert len(result.density_loss_trace) == 5
+        z = result.model.encoder.encode(train.features)
+        np.testing.assert_array_equal(density.projection.mean, z.mean(axis=0))
+        assert density.inner.dim == density.projection.dim >= 2
+        coords = density.projection.project(z)
+        np.testing.assert_allclose(coords.std(axis=0), 1.0, rtol=1e-12)
+        assert small_pipeline(seed=4)[1].model.density.projection is None
+
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_latents_varying_along_fewer_than_two_directions_fail_the_density_stage(
+            self, points):
+        """Train rows at 1 or 2 distinct points give latents that vary along
+        0 or 1 direction, too few for a coupling flow."""
+        rows = np.array([[0.0, 0.0], [1.0, 0.5]])[np.arange(100) % points]
+        train = LabeledSet(rows, np.arange(100) % 2, "train")
+        with pytest.raises(PipelineError, match=f"vary along {points - 1} direction") as err:
+            train_pipeline(train, SMALL, TrainConfig(epochs=2, batch_size=64),
+                           tiny_flow_density(), ReoptConfig(epochs=1), k=2)
+        assert err.value.stage == "density"
 
     def test_stage_failure_names_stage(self):
         train = make_two_moons(100, 0.1, seed=0)
@@ -253,6 +275,25 @@ class TestPipeline:
             train_pipeline(train, SMALL, bad_train_cfg, DensityConfig(),
                            ReoptConfig(), k=2)
         assert err.value.stage == "erm"
+
+
+class TestTrainScale:
+    """The densest train row scores exactly 1 when the train latents are
+    scored again in the 128-row batches of the benchmark's check (a batch-1
+    call may differ in the last bits; see compute_scale)."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", ["kde", "flow"])
+    def test_max_s_is_one_in_128_row_batches(self, kind, seed):
+        cfg = parse_config({"seed": seed, "dataset": {"generator": "two_moons"},
+                            "train": {"epochs": 2, "optimizer": {"lr": 1e-3}},
+                            "density": {"kind": kind, "flow": {"epochs": 20}}})
+        train = build_datasets(cfg)["train"]
+        model = train_pipeline(train, cfg.encoder, cfg.train, cfg.density, cfg.reopt,
+                               cfg.k).model
+        z = model.encoder.encode(train.features)
+        assert max(model.density.scaled_likelihood(z[i:i + 128]).max()
+                   for i in range(0, len(z), 128)) == 1.0
 
 
 class TestReoptimize:

@@ -9,7 +9,7 @@ import pytest
 
 from density_softmax import cli
 from density_softmax.data import make_two_moons
-from density_softmax.density import FlowConfig, FlowModel, ScaledDensity
+from density_softmax.density import FlowConfig, FlowModel, LatentProjection, ScaledDensity
 from density_softmax.model import EncoderConfig, TrainConfig, init_model
 from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel,
@@ -77,16 +77,15 @@ class TestDensitySoftmaxContainer:
 
 
     def test_stored_flow_container_loads_predicts_and_saves_bit_for_bit(self, tmp_path):
-        """data/flow_model_v2_expected.json holds the outputs of the version-2
-        container data/flow_model_v2.json, written while the coupling layers
-        kept their s-net and t-net as separate arrays beside a mask;
-        data/flow_model_v3.json is the same model with the subnets stacked,
-        data/flow_model_v4.json the same again with the entries no output
-        reads dropped (each first layer keeps its rows P, each last layer
-        its columns T), and data/flow_model_v5.json the same again with each
-        layer's activation and residual flag dropped. It must load, predict
-        the same bits and write the same bytes back."""
-        model = load_container(DATA / "flow_model_v5.json")
+        """data/flow_model_v2_expected.json holds the outputs of a version-2
+        container, written while the coupling layers kept their s-net and
+        t-net as separate arrays beside a mask. data/flow_model_v6.json is
+        the same model in the current layout: stacked subnets that store
+        only the entries an output reads, no per-layer activation, and the
+        identity projection on its 8-d latent (mean 0, directions I, scales
+        1). It must load, predict the same bits and write the same bytes
+        back."""
+        model = load_container(DATA / "flow_model_v6.json")
         want = json.loads((DATA / "flow_model_v2_expected.json").read_text())
         pred = model.predict(_decode_array(want["x"], "x", 2))
         np.testing.assert_array_equal(pred.probs, _decode_array(want["probs"], "probs", 2))
@@ -94,7 +93,7 @@ class TestDensitySoftmaxContainer:
                                       _decode_array(want["scaled_likelihood"], "s", 1))
         path = tmp_path / "again.json"
         save_container(density_softmax_container(model), path)
-        assert path.read_bytes() == (DATA / "flow_model_v5.json").read_bytes()
+        assert path.read_bytes() == (DATA / "flow_model_v6.json").read_bytes()
 
 
 def _key_paths(node, path=()):
@@ -284,8 +283,9 @@ class TestErmAndEnsembleContainers:
         assert "ensemble member 0 is not an object" in capsys.readouterr().err
 
     def test_stored_keys_are_the_documented_facts(self, pipeline_result):
-        """Version 5 keeps no copy of a fact the loader works out again: no
-        layer stores its activation or whether it is residual."""
+        """Version 6 keeps no copy of a fact the loader works out again: no
+        layer stores its activation or whether it is residual, and the
+        flow's width is its projection's."""
         train, result = pipeline_result
         kde = density_softmax_container(result.model)
         assert set(kde) == {"version", "kind", "encoder", "classifier", "density"}
@@ -295,8 +295,12 @@ class TestErmAndEnsembleContainers:
         assert all(set(layer) == {"weight", "bias"} for layer in kde["encoder"]["layers"])
         flow = density_softmax_container(DensitySoftmaxModel(
             result.model.encoder, result.model.classifier,
-            ScaledDensity(FlowModel.build(8, FlowConfig(coupling_layers=2)), 0.0)))
-        assert set(flow["density"]) == {"kind", "layers", "max_train_log_density"}
+            ScaledDensity(FlowModel.build(8, FlowConfig(coupling_layers=2)), 0.0,
+                          _identity_projection(8))))
+        assert set(flow["density"]) == {"kind", "projection", "layers",
+                                        "max_train_log_density"}
+        assert {key: value["shape"] for key, value in flow["density"]["projection"].items()} \
+            == {"mean": [8], "directions": [8, 8], "scales": [8]}
         assert [[net[0]["weight"]["shape"], net[-1]["weight"]["shape"]]
                 for net in flow["density"]["layers"]] == [[[2, 4, 16], [2, 16, 4]]] * 2
         assert all(set(layer) == {"weight", "bias"}
@@ -325,12 +329,18 @@ class TestErmAndEnsembleContainers:
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
+def _identity_projection(dim: int) -> LatentProjection:
+    return LatentProjection(np.zeros(dim), np.eye(dim), np.ones(dim))
+
+
 def _flow_doc(model, dim: int) -> dict:
-    """model's container with a fresh dim-d coupling flow as its density."""
+    """model's container with a fresh dim-d coupling flow as its density,
+    behind the identity projection of model's 8-d latent."""
     flow = FlowModel.build(dim, FlowConfig(coupling_layers=2, hidden_layers=1))
     return density_softmax_container(DensitySoftmaxModel(
         encoder=model.encoder, classifier=model.classifier,
-        density=ScaledDensity(inner=flow, max_train_log_density=0.0)))
+        density=ScaledDensity(inner=flow, max_train_log_density=0.0,
+                              projection=_identity_projection(8))))
 
 
 def _drop_density(doc, model):
@@ -415,31 +425,49 @@ def _short_bias(doc, model):
     return doc
 
 
-def _version_4(doc, model):
-    """The stored version-4 container (each layer's activation and
-    residual flag stored with it)."""
-    return json.loads((DATA / "flow_model_v4.json").read_text())
+def _version(number: int):
+    """A corrupter giving the stored current container with only its version
+    field set to number: the loader reads that field alone before it
+    refuses an old version."""
+    def corrupt(doc, model):
+        return {**json.loads((DATA / "flow_model_v6.json").read_text()), "version": number}
+    return corrupt
 
 
-def _version_3(doc, model):
-    """The stored version-3 container (dim -> dim coupling nets)."""
-    return json.loads((DATA / "flow_model_v3.json").read_text())
+def _old_version(number: int) -> str:
+    return (f"unsupported container version {number}; this build reads version 6, "
+            "so write the model again with `run`")
 
 
-def _version_2(doc, model):
-    """The stored version-2 container (masks, separate subnets, encoder config)."""
-    return json.loads((DATA / "flow_model_v2.json").read_text())
+def _projection_of_other_width(doc, model):
+    """A projection that reads 4 latent columns of the 8-d latent."""
+    doc = _flow_doc(model, 8)
+    projection = doc["density"]["projection"]
+    projection["mean"] = _sliced(projection["mean"], slice(4))
+    projection["directions"] = _sliced(projection["directions"], (slice(None), slice(4)))
+    return doc
 
 
-def _version_1(doc, model):
-    """The same model as the version-1 format wrote it: arrays as nested lists."""
-    def to_v1(node):
-        if isinstance(node, dict) and "float64le" in node:
-            return _decode_array(node, "test array", len(node["shape"])).tolist()
-        if isinstance(node, dict):
-            return {key: to_v1(value) for key, value in node.items()}
-        return [to_v1(value) for value in node] if isinstance(node, list) else node
-    return {**to_v1(doc), "version": 1}
+def _projection_short_scales(doc, model):
+    doc = _flow_doc(model, 8)
+    projection = doc["density"]["projection"]
+    projection["scales"] = _sliced(projection["scales"], slice(7))
+    return doc
+
+
+def _projection_zero_scale(doc, model):
+    doc = _flow_doc(model, 8)
+    doc["density"]["projection"]["scales"] = _encode_array(np.eye(8)[0])
+    return doc
+
+
+def _stored_as(value, *key_path):
+    """A corrupter storing value at key_path of a flow model's container."""
+    def corrupt(doc, model):
+        doc = _flow_doc(model, 8)
+        _at(doc, key_path[:-1])[key_path[-1]] = value
+        return doc
+    return corrupt
 
 
 def _base64_cut_short(doc, model):
@@ -489,12 +517,9 @@ class TestContainerValidation:
         (_encoder_layers_do_not_compose,
          r"encoder: layer widths do not compose: \(2, 7\) -> \(8, 8\)"),
         (_no_encoder_layers, "encoder has no layers"),
-        (_version_3, "unsupported container version 3; this build reads version 5, "
-                     "so write the model again with `run`"),
-        (_version_2, "unsupported container version 2; this build reads version 5, "
-                     "so write the model again with `run`"),
-        (_version_1, "unsupported container version 1; this build reads version 5, "
-                     "so write the model again with `run`"),
+        (_version(3), _old_version(3)),
+        (_version(2), _old_version(2)),
+        (_version(1), _old_version(1)),
         (_base64_cut_short, "encoder layer 1 weight holds 510 bytes, shape "
                             r"\[8, 8\] needs 512"),
         (_base64_cut_mid_quad, "encoder layer 1 weight is not valid base64"),
@@ -513,15 +538,26 @@ class TestContainerValidation:
         (_no_flow_layers, "flow needs at least one coupling layer"),
         (_one_column_theta, "classifier theta has 1 column; a head needs at least 2 classes"),
         (_erm_with_density, "an erm container has no density, but this one carries one"),
-        (_version_4, "unsupported container version 4; this build reads version 5, "
-                     "so write the model again with `run`"),
+        (_version(4), _old_version(4)),
         (_unknown_activation, "encoder: unknown activation 'gelu'"),
+        (_version(5), _old_version(5)),
+        (_projection_of_other_width,
+         "flow projection reads 4 latent columns, the encoder's latent_dim is 8"),
+        (_projection_short_scales, r"projection directions have shape \(8, 8\); 7 scales "
+                                   r"over a 8-d mean need \(7, 8\)"),
+        (_projection_zero_scale, "projection scales must be positive and finite"),
+        (_stored_as(5, "encoder", "layers", 0), "encoder layer 0 is not an object"),
+        (_stored_as(3, "density", "layers", 1), "flow layer 1 is not a list"),
+        (_stored_as([], "encoder"), "encoder is not an object"),
+        (_stored_as([], "density", "projection"), "flow projection is not an object"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
             "encoder_layers", "no_encoder_layers", "version_3", "version_2", "version_1",
             "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
             "shape_ndim", "nested_list_array", "subnet_width", "bias_length",
             "subnet_shapes", "no_flow_layers", "theta_columns", "erm_with_density",
-            "version_4", "unknown_activation"])
+            "version_4", "unknown_activation", "version_5", "projection_width",
+            "projection_scales_length", "projection_zero_scale", "encoder_layer_type",
+            "coupling_net_type", "encoder_type", "projection_type"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
                                               corrupt, message, capsys):
         _, result = pipeline_result

@@ -576,6 +576,21 @@ class TestLatentProjection:
         np.testing.assert_allclose(coords.std(axis=0), 1.0, rtol=1e-12)
         assert p.param_count() == 6 + 6 * p.dim + p.dim
 
+    def test_a_row_projects_alike_in_any_batch(self):
+        """Each row's coordinates are a function of the row alone, bit for
+        bit, in one pass, in 128-row batches and one row at a time (a BLAS
+        product with r = 4 columns rounds rows differently at 1000 rows than
+        at 128 or at 1)."""
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(1000, 128)) * np.concatenate([[10.0, 6.0, 4.0, 3.0],
+                                                          np.full(124, 0.05)])
+        p = fit_projection(z)
+        assert p.dim == 4
+        whole = p.project(z)
+        for rows in (128, 1):
+            np.testing.assert_array_equal(
+                np.vstack([p.project(z[i:i + rows]) for i in range(0, 1000, rows)]), whole)
+
     @pytest.mark.parametrize("points, varying", [(1, 0), (2, 1)])
     def test_fewer_than_two_varying_directions_rejected(self, points, varying):
         """Latents at 1 or 2 distinct points vary along 0 or 1 direction;

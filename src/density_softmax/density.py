@@ -563,17 +563,16 @@ class LatentProjection:
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """The coordinates of each row of z, each a function of its row
-        alone: every dot product is an elementwise product summed by numpy
-        over the row's contiguous d entries, where a BLAS product of a
-        narrow (d, r) matrix rounds a row differently in batches of other
-        sizes, so the densest train row could score below 1 when served in
+        alone: numpy's einsum sums every dot product over the row's d
+        entries in one loop, whatever the batch, where a BLAS product with
+        r columns rounds a row differently in batches of other sizes, and
+        the densest train row could then score below 1 when served in
         another batch than compute_scale's. Under the flow walk's errstate:
         a huge row's coordinates overflow to an infinity or NaN, which the
         density maps to -inf, with no warning."""
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         with np.errstate(over="ignore", invalid="ignore"):
-            products = (z - self.mean)[:, None, :] * self.directions
-            coords = np.add.reduce(products, axis=2)
+            coords = np.einsum("nd,rd->nr", z - self.mean, self.directions)
             coords /= self.scales
         return coords
 

@@ -578,16 +578,16 @@ class TestLatentProjection:
 
     def test_a_row_projects_alike_in_any_batch(self):
         """Each row's coordinates are a function of the row alone, bit for
-        bit, in one pass, in 128-row batches and one row at a time (a BLAS
-        product with r = 4 columns rounds rows differently at 1000 rows than
-        at 128 or at 1)."""
+        bit, in one pass and in batches of 1 to 256 rows (a BLAS product
+        with r = 4 columns rounds rows differently at 1000 rows than at 128
+        or at 1)."""
         rng = np.random.default_rng(3)
         z = rng.normal(size=(1000, 128)) * np.concatenate([[10.0, 6.0, 4.0, 3.0],
                                                           np.full(124, 0.05)])
         p = fit_projection(z)
         assert p.dim == 4
         whole = p.project(z)
-        for rows in (128, 1):
+        for rows in (1, 2, 7, 128, 256):
             np.testing.assert_array_equal(
                 np.vstack([p.project(z[i:i + rows]) for i in range(0, 1000, rows)]), whole)
 

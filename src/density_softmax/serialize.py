@@ -53,8 +53,7 @@ from .predictor import DensitySoftmaxModel, Ensemble
 
 CONTAINER_VERSION = 6
 
-# a flow's projection arrays, in LatentProjection's field order
-PROJECTION_KEYS = ("mean", "directions", "scales")
+PROJECTION_KEYS = ("mean", "directions", "scales")  # a flow's projection arrays
 
 
 class ContainerError(ValueError):
@@ -170,9 +169,12 @@ def _density_from_dict(d, latent_dim: int) -> ScaledDensity:
     elif d["kind"] == "flow":
         _known(d, "density", ("kind", "projection", "layers", "max_train_log_density"))
         stored = _known(d["projection"], "flow projection", PROJECTION_KEYS)
-        projection = LatentProjection(*(_decode_array(stored[name], f"flow projection {name}",
-                                                      2 if name == "directions" else 1)
-                                        for name in PROJECTION_KEYS))
+
+        def array(name: str, ndim: int) -> np.ndarray:
+            return _decode_array(stored[name], f"flow projection {name}", ndim)
+
+        projection = LatentProjection(array("mean", 1), array("directions", 2),
+                                      array("scales", 1))
         if projection.mean.size != latent_dim:
             raise ContainerError(f"flow projection reads {projection.mean.size} latent "
                                  f"columns, the encoder's latent_dim is {latent_dim}")

@@ -45,11 +45,10 @@ class Tensor:
         self.rule()
 
 
-def bound_grad(p: Tensor, what: str, *args) -> np.ndarray:
+def bound_grad(p: Tensor, what: str) -> np.ndarray:
     """p's gradient buffer, which a rule writes into; a parameter that no
-    optimizer bound raises ValueError naming it (``what % args``, formatted
-    only then, since a step makes dozens of these calls)."""
+    optimizer bound raises ValueError naming it (``what``)."""
     if p.grad is None:
-        raise ValueError(f"{what % args} has no bound gradient buffer; bind the "
-                         "parameters to an optimizer (optim.Adam) before backward()")
+        raise ValueError(f"{what} has no bound gradient buffer; bind the parameters "
+                         "to an optimizer (optim.Adam) before backward()")
     return p.grad

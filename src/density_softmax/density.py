@@ -3,7 +3,9 @@
 Two estimators share the same interface (``log_density`` over rows). The
 KDE models the latents themselves; the flow models their whitened top
 principal coordinates (:class:`LatentProjection`, fit by
-:func:`fit_projection` on the train latents): in all 128 latent dims a
+:func:`fit_projection` on the train latents), and a Gaussian scores each
+row's distance off those coordinates' subspace, so a row far from the
+train latents in any direction still scores low. In all 128 latent dims a
 fitted density's log p spreads over so many nats that almost every row's
 scaled likelihood collapses toward 0, while on two moons 99% of the
 variance lies in about 4 directions.
@@ -39,11 +41,12 @@ and moves no output bit: each row's largest kernel is e^0 = 1, and a term
 below e^-700 is far under half an ulp of that row sum.
 
 After fitting, :func:`compute_scale` records the maximum train-point
-log-density (one chunked pass over the train latents or their coordinates,
-whose scaled likelihoods it also returns for re-optimization); scaled
-likelihoods are then exp(log p(z) - max), which lives in (0, 1] with the
-densest train point mapping to exactly 1. A projection is affine, so its
-log-Jacobian is a constant that cancels in that difference. Values that
+log-density (one chunked pass over the train latents, whose scaled
+likelihoods it also returns for re-optimization); scaled likelihoods are
+then exp(log p(z) - max), which lives in (0, 1] with the densest train
+point mapping to exactly 1. A projection is affine, so its log-Jacobian is
+a constant that cancels in that difference, as does the normalizer of the
+Gaussian on the residual (:func:`latent_log_density`). Values that
 underflow are floored at the smallest positive normal float so the interval
 stays open at 0 (this includes rows so far out that every squared distance,
 the projection or the flow transform overflows: their log-density is -inf);
@@ -60,7 +63,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .layers import (Dense, DenseNet, activation_grad, apply_activation, fan_in_uniform,
-                     l2_backward)
+                     l2_backward, l2_value)
 from .model import train_minibatches
 
 LIKELIHOOD_FLOOR = sys.float_info.min  # smallest positive normal float64
@@ -456,21 +459,6 @@ class FlowModel:
         sums them in this order."""
         return [Tensor(_read_only(w)) for layer in self.layers for w in layer.weight_slots()]
 
-    def _l2_value(self, coefficient: float) -> float:
-        """coefficient * sum(w^2) over the subnets' weight matrices, bit for
-        bit ``layers.l2_value`` over ``weight_tensors()``: each (2, in, out)
-        stack is squared and reduced in one call over its (2, in * out) view,
-        which sums each slot as that slot's own ``sum()`` does, and the
-        per-slot sums are added in the same (layer, slot, depth) order."""
-        total = None
-        for layer in self.layers:
-            sums = [np.add.reduce((w.data * w.data).reshape(2, -1), axis=1)
-                    for w in layer.net.weight_tensors()]
-            for slot in (0, 1):
-                for pair in sums:
-                    total = pair[slot] if total is None else total + pair[slot]
-        return total * float(coefficient)
-
     def nll_loss(self, batch: np.ndarray, l2: float) -> Tensor:
         """Mean negative log-likelihood of the batch plus l2 * sum(w^2) over
         the subnets' weight matrices, as one loss node; its rule walks the
@@ -484,7 +472,8 @@ class FlowModel:
         # mean over the batch of [0.5*||t||^2 - log_det] plus the base constant
         loss = ((t * t).sum() * 0.5 - s_total) * (1.0 / n) + 0.5 * d * LOG_2PI
         if l2 != 0.0:
-            loss = loss + self._l2_value(l2)
+            loss = loss + l2_value([w for layer in self.layers for w in layer.weight_slots()],
+                                   l2)
         def rule() -> None:
             r = 1.0 / n
             g = (r * 0.5) * (2.0 * t)
@@ -529,55 +518,73 @@ PROJECTION_VARIANCE_KEPT = 0.99
 
 @dataclass(frozen=True)
 class LatentProjection:
-    """The whitened top principal coordinates of latent rows:
-    (z - mean) @ directions.T / scales.
+    """The whitened top principal coordinates of latent rows,
+    (z - mean) @ directions.T / scales, and the log-density of each row's
+    residual off their subspace under N(0, residual_scale^2 I).
 
     ``directions`` holds r orthonormal rows, the top right singular vectors
     of the centered train latents, and ``scales`` the train latents'
     standard deviation along each, so the train coordinates have mean 0 and
-    unit variance per column. The arrays are copied and made read-only at
-    construction. The map is affine, so its log-Jacobian is a constant that
-    cancels in s = exp(log p(proj z) - max train log p(proj z)).
+    unit variance per column. ``residual_scale`` is their standard
+    deviation along the largest direction the coordinates leave out, so the
+    Gaussian on the residual is at least as wide as the train latents along
+    every direction it covers, and a row far off the subspace still scores
+    low. The arrays are copied and made read-only at construction. The
+    density of a latent row is the inner density of its coordinates times
+    that Gaussian; the map to the coordinates is affine, so its log-Jacobian
+    and the Gaussian's normalizer are constants that cancel in
+    s = exp(log p(z) - max train log p(z)).
     """
 
     mean: np.ndarray  # (d,)
     directions: np.ndarray  # (r, d)
     scales: np.ndarray  # (r,)
+    residual_scale: float
 
     def __post_init__(self):
         for name in ("mean", "directions", "scales"):
             a = np.array(getattr(self, name), dtype=np.float64)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "residual_scale", float(self.residual_scale))
         want = (self.scales.size, self.mean.size)
         if self.directions.shape != want:
             raise ValueError(f"projection directions have shape {self.directions.shape}; "
                              f"{want[0]} scales over a {want[1]}-d mean need {want}")
         if not np.all((self.scales > 0) & (self.scales < np.inf)):
             raise ValueError("projection scales must be positive and finite")
+        if not 0 < self.residual_scale < np.inf:
+            raise ValueError("projection residual_scale must be positive and finite")
 
     @property
     def dim(self) -> int:
         """r, the width of the coordinates."""
         return self.directions.shape[0]
 
-    def project(self, z: np.ndarray) -> np.ndarray:
-        """The coordinates of each row of z, each a function of its row
-        alone: numpy's einsum sums every dot product over the row's d
-        entries in one loop, whatever the batch, where a BLAS product with
-        r columns rounds a row differently in batches of other sizes, and
-        the densest train row could then score below 1 when served in
-        another batch than compute_scale's. Under the flow walk's errstate:
-        a huge row's coordinates overflow to an infinity or NaN, which the
-        density maps to -inf, with no warning."""
+    def project(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates of each row of z, and -||residual||^2 /
+        (2 residual_scale^2), where the residual is the row's centered part
+        off the directions' span.
+
+        Each is a function of its row alone: numpy's einsum sums every dot
+        product over the row's entries in one loop, whatever the batch,
+        where a BLAS product with r columns rounds a row differently in
+        batches of other sizes, and the densest train row could then score
+        below 1 when served in another batch than compute_scale's. Under the
+        flow walk's errstate: a huge row's values overflow to an infinity or
+        NaN, which the density maps to -inf, with no warning."""
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         with np.errstate(over="ignore", invalid="ignore"):
-            coords = np.einsum("nd,rd->nr", z - self.mean, self.directions)
+            centered = z - self.mean
+            coords = np.einsum("nd,rd->nr", centered, self.directions)
+            centered -= np.einsum("nr,rd->nd", coords, self.directions)
+            off = (centered * centered).sum(axis=1)
+            off *= -0.5 / self.residual_scale**2
             coords /= self.scales
-        return coords
+        return coords, off
 
     def param_count(self) -> int:
-        return self.mean.size + self.directions.size + self.scales.size
+        return self.mean.size + self.directions.size + self.scales.size + 1
 
 
 def fit_projection(z: np.ndarray) -> LatentProjection:
@@ -589,7 +596,9 @@ def fit_projection(z: np.ndarray) -> LatentProjection:
     direction varies when its singular value exceeds max(n, d) * eps *
     sqrt(n) * max|z|: numpy's rank tolerance, taken relative to the rows'
     magnitude, since centering leaves rounding noise of about eps * max|z|
-    per entry even where every row is equal."""
+    per entry even where every row is equal. The residual scale comes from
+    the largest singular value left out, and at least from that tolerance,
+    so it stays positive where the rows lie in r directions."""
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
     mean = z.mean(axis=0)
@@ -602,7 +611,9 @@ def fit_projection(z: np.ndarray) -> LatentProjection:
     power = sv * sv
     share = np.cumsum(power) / power.sum()
     r = max(2, min(varying, int(np.searchsorted(share, PROJECTION_VARIANCE_KEPT)) + 1))
-    return LatentProjection(mean, vt[:r], sv[:r] / math.sqrt(n))
+    left_out = sv[r] if r < sv.size else 0.0
+    return LatentProjection(mean, vt[:r], sv[:r] / math.sqrt(n),
+                            float(max(left_out, noise)) / math.sqrt(n))
 
 
 # -- likelihood scaling -------------------------------------------------------
@@ -612,27 +623,28 @@ def fit_projection(z: np.ndarray) -> LatentProjection:
 class ScaledDensity:
     """A fitted density plus the max train log-density used for scaling.
 
-    ``projection`` maps latent rows to the coordinates the inner density
-    models (a flow's whitened principal coordinates); None means the inner
-    density models the latents themselves (a KDE)."""
+    ``projection`` maps latent rows to the coordinates a flow models and
+    scores their distance off the coordinates' subspace; a KDE models the
+    latents themselves and has none, and a flow must have one."""
 
     inner: KdeModel | FlowModel
     max_train_log_density: float
     projection: LatentProjection | None = None
 
+    def __post_init__(self):
+        if isinstance(self.inner, FlowModel) and self.projection is None:
+            raise ValueError("a flow density needs the projection of its latent rows")
+
     def scaled_likelihood(self, z: np.ndarray) -> np.ndarray:
         """exp(log p(z) - max train log p), clamped into [floor, 1], of each
-        latent row of z (projected first, if the density has a projection).
-        A row's s can differ in its last bits between a batch-1 call and a
-        batched one: at narrow widths BLAS may round a row's products
-        differently in another batch (see chunk_bounds)."""
-        if self.projection is not None:
-            z = self.projection.project(z)
-        return self.scale(self.inner.log_density(z))
+        latent row of z. A row's s can differ in its last bits between a
+        batch-1 call and a batched one: at narrow widths BLAS may round a
+        row's products differently in another batch (see chunk_bounds)."""
+        return self.scale(latent_log_density(self.inner, self.projection, z))
 
     def scale(self, log_density: np.ndarray) -> np.ndarray:
-        """The scaled likelihood of rows whose log-density the inner model
-        gave: exp(log_density - max train log p), clamped into [floor, 1]."""
+        """The scaled likelihood of rows of the given log-density:
+        exp(log_density - max train log p), clamped into [floor, 1]."""
         s = log_density - self.max_train_log_density
         np.minimum(s, 0.0, out=s)
         with np.errstate(under="ignore"):
@@ -644,23 +656,38 @@ class ScaledDensity:
         return self.inner.param_count() + 1 + extra  # plus the scale constant
 
 
+def latent_log_density(density: KdeModel | FlowModel, projection: LatentProjection | None,
+                       z: np.ndarray) -> np.ndarray:
+    """log p of each latent row of z, up to a constant: the density's own
+    log-density, or, with a projection, the density's log-density of the
+    row's coordinates plus the projection's residual term. -inf, never NaN,
+    where a value overflowed."""
+    if projection is None:
+        return density.log_density(z)
+    coords, off = projection.project(z)
+    log_p = density.log_density(coords)
+    with np.errstate(invalid="ignore"):
+        log_p += off
+    return np.fmax(log_p, -np.inf, out=log_p)
+
+
 def compute_scale(density: KdeModel | FlowModel, train_z: np.ndarray,
                   projection: LatentProjection | None = None
                   ) -> tuple[ScaledDensity, np.ndarray]:
     """The density scaled by its max train log-density, and the scaled
-    likelihood of each train row, from one density pass over train_z (which
-    the density walks in its own chunks), so the densest train row scales to
-    exactly 1 in the same pass that serves the train rows.
+    likelihood of each train latent row, from one density pass over train_z
+    (which the density walks in its own chunks), so the densest train row
+    scales to exactly 1 in the same pass that serves the train rows.
 
-    train_z holds the rows the density was fit on: the train latents, or
-    their coordinates under ``projection``, which the result then applies to
-    every latent row it scores. Served in other batches, the densest train
-    row can score 1 minus an ulp or two (see ScaledDensity.scaled_likelihood);
-    in 128- and 256-row batches it scored exactly 1 on the tests' pipelines."""
+    A flow was fit on the coordinates of train_z under ``projection``, which
+    the result applies to every latent row it scores. Served in other
+    batches, the densest train row can score 1 minus an ulp or two (see
+    ScaledDensity.scaled_likelihood); in 128- and 256-row batches it scored
+    exactly 1 on the tests' pipelines."""
     train_z = np.asarray(train_z, dtype=np.float64)
     if train_z.ndim != 2 or train_z.shape[0] == 0:
         raise ValueError("train_z must be a non-empty matrix")
-    log_p = density.log_density(train_z)
+    log_p = latent_log_density(density, projection, train_z)
     scaled = ScaledDensity(inner=density, max_train_log_density=float(log_p.max()),
                            projection=projection)
     return scaled, scaled.scale(log_p)

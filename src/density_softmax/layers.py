@@ -145,9 +145,9 @@ class DenseNet:
                     gh_buf = np.empty(g.shape)
                 gh = activation_grad(g, a, layer.activation, gh_buf)
             np.add.reduce(gh, axis=-2, keepdims=gh.ndim > 2,
-                          out=bound_grad(layer.bias, "dense layer %d bias", i))
+                          out=bound_grad(layer.bias, f"dense layer {i} bias"))
             np.matmul(x.swapaxes(-1, -2), gh,
-                      out=bound_grad(layer.weight, "dense layer %d weight", i))
+                      out=bound_grad(layer.weight, f"dense layer {i} weight"))
             if i == 0 and not input_grad:
                 return None
             gx = gh @ layer.weight.data.swapaxes(-1, -2)
@@ -183,5 +183,5 @@ def l2_backward(weights: list[Tensor], coefficient: float) -> None:
     gradient is written there first."""
     k = float(coefficient)
     for i, w in enumerate(weights):
-        grad = bound_grad(w, "L2 weight %d", i)
+        grad = bound_grad(w, f"L2 weight {i}")
         grad += k * (2.0 * w.data)

@@ -2,8 +2,9 @@
 
 Training runs three steps: (1) standard ERM on encoder + classifier,
 (2) density fit on the frozen encoder's train latents (a KDE on the latents,
-or a coupling flow on their whitened top principal coordinates, projected
-once) followed by likelihood scaling in one scoring pass, (3)
+or a coupling flow on their whitened top principal coordinates, times a
+Gaussian on each row's distance off those coordinates' subspace) followed
+by likelihood scaling in one scoring pass, (3)
 re-optimization of the classifier alone against the density-scaled
 objective, starting from step 1's head. Every step that
 trains uses Adam at its own fixed learning rate. Inference multiplies each
@@ -216,10 +217,10 @@ def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,
                                              train_z)
         else:
             projection = fit_projection(train_z)
-            coords = projection.project(train_z)
+            coords, _ = projection.project(train_z)
             fitted, density_trace = flow_fit(
                 coords, replace(density_config.flow, seed=train_config.seed))
-            density, train_s = compute_scale(fitted, coords, projection)
+            density, train_s = compute_scale(fitted, train_z, projection)
     except Exception as exc:
         raise PipelineError("density", exc) from exc
 

@@ -7,16 +7,19 @@ little-endian IEEE-754 bytes, base64-encoded. Save -> load therefore
 reproduces every parameter bit for bit by construction (the bytes are the
 bits, -0.0, subnormals and the largest finite value included), and neither
 side turns a weight into a Python float or its decimal repr. Scalars
-(bandwidth, max_train_log_density) stay finite JSON numbers.
+(bandwidth, max_train_log_density, residual_scale) stay finite JSON
+numbers.
 
 Version 6, the only version read, stores arrays and no layout: the "kind"
 ("density_softmax" or "erm"), the "encoder" as its "activation" and its
 "layers", "classifier.theta" and, for "density_softmax" only, the
 "density": a KDE's support and bandwidth, or a flow's "projection" (its
 "mean" (d,), "directions" (r, d) and "scales" (r,), which map a d-wide
-latent to the r coordinates the flow models) and "layers", one stacked net
-per coupling layer with (2, in, out) weights (slot 0 the s-net, slot 1 the
-t-net), plus max_train_log_density. Each layer is a {weight, bias}. A
+latent to the r coordinates the flow models, and its "residual_scale", the
+width of the Gaussian on a row's distance off them) and "layers", one
+stacked net per coupling layer with (2, in, out) weights (slot 0 the s-net,
+slot 1 the t-net), plus max_train_log_density. Each layer is a {weight,
+bias}. A
 coupling net maps its layer's |P| pass-through columns to its |T|
 transformed ones, so it stores no weight that no output reads. An
 "ensemble" holds its "members", model containers without the version
@@ -24,9 +27,9 @@ field. The loader lays each net out with the function that builds it
 fresh, ``model.encoder_net`` or ``density.coupling_net``, and works out and
 checks the rest: the input and latent widths from the encoder's end layers,
 the class count from theta's columns (at least 2, latent-width rows), the
-projection's width against the latent width and its scales (positive), the
-flow's width from the projection's r and each coupling layer's halves from
-its index. Another version is refused with a ContainerError after reading
+projection's width against the latent width, its scales and its
+residual_scale (positive), the flow's width from the projection's r and
+each coupling layer's halves from its index. Another version is refused with a ContainerError after reading
 the version field alone; ``run`` writes the same model again as version 6.
 So is a key the loader does not read, in any object of the document, and an
 object or a list stored as another JSON type, each named by its key: a
@@ -53,7 +56,7 @@ from .predictor import DensitySoftmaxModel, Ensemble
 
 CONTAINER_VERSION = 6
 
-PROJECTION_KEYS = ("mean", "directions", "scales")  # a flow's projection arrays
+PROJECTION_ARRAYS = ("mean", "directions", "scales")  # and the scalar residual_scale
 
 
 class ContainerError(ValueError):
@@ -101,13 +104,13 @@ def _decode_array(d: dict, what: str, ndim: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _finite_number(d: dict, key: str) -> float:
-    """The density's d[key] as a float, once it is a finite JSON number; a
-    bool, a string, NaN or an infinity raises a ContainerError naming key."""
+def _finite_number(d: dict, key: str, what: str = "density") -> float:
+    """d[key] as a float, once it is a finite JSON number; a bool, a
+    string, NaN or an infinity raises a ContainerError naming what and key."""
     value = d[key]
     # a comparison, not float(): an int too large for a float compares False
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ContainerError(f"density {key} is {value!r}, not a finite number")
+        raise ContainerError(f"{what} {key} is {value!r}, not a finite number")
     return float(value)
 
 
@@ -147,8 +150,9 @@ def _density_to_dict(density: ScaledDensity) -> dict:
     elif isinstance(inner, FlowModel):
         projection = density.projection
         body = {"kind": "flow",
-                "projection": {name: _encode_array(getattr(projection, name))
-                               for name in PROJECTION_KEYS},
+                "projection": {**{name: _encode_array(getattr(projection, name))
+                                  for name in PROJECTION_ARRAYS},
+                               "residual_scale": projection.residual_scale},
                 "layers": [_net_to_list(layer.net) for layer in inner.layers]}
     else:  # pragma: no cover
         raise ContainerError(f"unknown density type {type(inner).__name__}")
@@ -168,13 +172,15 @@ def _density_from_dict(d, latent_dim: int) -> ScaledDensity:
                                  f"the encoder's latent_dim is {latent_dim}")
     elif d["kind"] == "flow":
         _known(d, "density", ("kind", "projection", "layers", "max_train_log_density"))
-        stored = _known(d["projection"], "flow projection", PROJECTION_KEYS)
+        stored = _known(d["projection"], "flow projection",
+                        PROJECTION_ARRAYS + ("residual_scale",))
 
         def array(name: str, ndim: int) -> np.ndarray:
             return _decode_array(stored[name], f"flow projection {name}", ndim)
 
         projection = LatentProjection(array("mean", 1), array("directions", 2),
-                                      array("scales", 1))
+                                      array("scales", 1),
+                                      _finite_number(stored, "residual_scale", "flow projection"))
         if projection.mean.size != latent_dim:
             raise ContainerError(f"flow projection reads {projection.mean.size} latent "
                                  f"columns, the encoder's latent_dim is {latent_dim}")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from density_softmax.autodiff import Tensor
+from density_softmax.density import LatentProjection
 from density_softmax.layers import Dense, fan_in_uniform
 
 
@@ -46,6 +47,12 @@ def dense(rng, in_dim: int, out_dim: int, activation: str = "relu",
     """A freshly initialized layer: a fan-in uniform weight, a zero bias."""
     return Dense(Tensor(fan_in_uniform(rng, in_dim, out_dim)), Tensor(np.zeros(out_dim)),
                  activation, residual)
+
+
+def identity_projection(dim: int) -> LatentProjection:
+    """The projection that keeps all of a dim-wide latent as it is: mean 0,
+    directions I, scales 1; no row has a residual, so its term is 0."""
+    return LatentProjection(np.zeros(dim), np.eye(dim), np.ones(dim), 1.0)
 
 
 def count_forward_rows(monkeypatch, net) -> list[int]:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from conftest import identity_projection
 from hypothesis import strategies as st
 from kde_reference import kde_log_density
 
@@ -18,7 +19,7 @@ from density_softmax.density import (FINAL, FLOW_CHUNK_ROWS, KDE_CHUNK_ROWS,
                                      FlowModel, KdeModel, LatentProjection, ScaledDensity,
                                      chunk_bounds, compute_scale, coupling_net,
                                      fit_projection, flow_fit, halves, kde_fit,
-                                     scott_bandwidth)
+                                     latent_log_density, scott_bandwidth)
 from density_softmax.layers import Dense, DenseNet, fan_in_uniform
 from density_softmax.model import TrainingDiverged
 
@@ -520,26 +521,26 @@ class TestScaling:
 
     def test_far_point_is_tiny_but_positive(self):
         flow = identity_flow(dim=2)
-        sd, _ = compute_scale(flow, np.zeros((10, 2)))
+        sd, _ = compute_scale(flow, np.zeros((10, 2)), identity_projection(2))
         far = np.array([[20.0, 0.0]])  # log-density gap of -200 nats
         val = sd.scaled_likelihood(far)[0]
         assert 0.0 < val < 1e-80
 
     def test_underflow_maps_to_smallest_positive_normal(self):
         flow = identity_flow(dim=2)
-        sd, _ = compute_scale(flow, np.zeros((10, 2)))
+        sd, _ = compute_scale(flow, np.zeros((10, 2)), identity_projection(2))
         very_far = np.array([[60.0, 0.0]])  # gap of -1800 nats: exp underflows
         assert sd.scaled_likelihood(very_far)[0] == LIKELIHOOD_FLOOR
 
     def test_denser_than_train_clamps_to_one(self):
         flow = identity_flow(dim=2)
         ring = np.column_stack([np.full(8, 3.0), np.zeros(8)])
-        sd, _ = compute_scale(flow, ring)
+        sd, _ = compute_scale(flow, ring, identity_projection(2))
         assert sd.scaled_likelihood(np.zeros((1, 2)))[0] == 1.0
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
-            compute_scale(identity_flow(2), np.zeros((0, 2)))
+            compute_scale(identity_flow(2), np.zeros((0, 2)), identity_projection(2))
 
     def test_intermediate_point_in_open_interval(self, rng):
         z = rng.normal(size=(100, 2))
@@ -570,11 +571,11 @@ class TestLatentProjection:
         assert p.dim >= 2 and share[p.dim - 1] >= PROJECTION_VARIANCE_KEPT
         assert p.dim == 2 or share[p.dim - 2] < PROJECTION_VARIANCE_KEPT
         np.testing.assert_allclose(p.directions @ p.directions.T, np.eye(p.dim), atol=1e-12)
-        coords = p.project(z)
-        assert coords.shape == (500, p.dim)
+        coords, off = p.project(z)
+        assert coords.shape == (500, p.dim) and off.shape == (500,)
         np.testing.assert_allclose(coords.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(coords.std(axis=0), 1.0, rtol=1e-12)
-        assert p.param_count() == 6 + 6 * p.dim + p.dim
+        assert p.param_count() == 6 + 6 * p.dim + p.dim + 1
 
     def test_a_row_projects_alike_in_any_batch(self):
         """Each row's coordinates are a function of the row alone, bit for
@@ -588,8 +589,9 @@ class TestLatentProjection:
         assert p.dim == 4
         whole = p.project(z)
         for rows in (1, 2, 7, 128, 256):
-            np.testing.assert_array_equal(
-                np.vstack([p.project(z[i:i + rows]) for i in range(0, 1000, rows)]), whole)
+            parts = [p.project(z[i:i + rows]) for i in range(0, 1000, rows)]
+            np.testing.assert_array_equal(np.vstack([c for c, _ in parts]), whole[0])
+            np.testing.assert_array_equal(np.concatenate([o for _, o in parts]), whole[1])
 
     @pytest.mark.parametrize("points, varying", [(1, 0), (2, 1)])
     def test_fewer_than_two_varying_directions_rejected(self, points, varying):
@@ -609,8 +611,8 @@ class TestLatentProjection:
         rng = np.random.default_rng(2)
         z = rng.normal(size=(200, 4)) * [3.0, 1.0, 0.5, 0.2]
         p = fit_projection(z)
-        coords = p.project(z)
-        sd, train_s = compute_scale(identity_flow(p.dim), coords, p)
+        assert p.dim == 3
+        sd, train_s = compute_scale(identity_flow(p.dim), z, p)
         np.testing.assert_array_equal(sd.scaled_likelihood(z), train_s)
         huge = np.array([[1e308, -1e308, 1e308, -1e308], [1e308, 0.0, 0.0, 0.0],
                          [1e200, 1e200, 0.0, 0.0]])
@@ -618,8 +620,50 @@ class TestLatentProjection:
             warnings.simplefilter("error")
             assert np.all(sd.scaled_likelihood(huge) == LIKELIHOOD_FLOOR)
 
+    def test_residual_is_scored_at_the_largest_left_out_scale(self):
+        """residual_scale is the train rows' standard deviation along the
+        largest direction the coordinates leave out, and a row moved off
+        the subspace by v loses exactly ||v||^2 / (2 residual_scale^2) of
+        log p: the flow sees no change in its coordinates."""
+        rng = np.random.default_rng(4)
+        rotation, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        z = (rng.normal(size=(400, 6)) * [5.0, 3.0, 0.3, 0.2, 0.1, 0.05]) @ rotation
+        p = fit_projection(z)
+        sv = np.linalg.svd(z - z.mean(axis=0), compute_uv=False)
+        assert p.dim == 2 and p.residual_scale == pytest.approx(sv[2] / 20.0, rel=1e-12)
+        flow = identity_flow(2)
+        on = p.mean + np.array([[0.5, -1.0]]) @ p.directions  # on the subspace
+        off = rotation[3] * 4.0 * p.residual_scale - p.directions.T @ (
+            p.directions @ rotation[3] * 4.0 * p.residual_scale)  # orthogonal to it
+        gap = latent_log_density(flow, p, on) - latent_log_density(flow, p, on + off)
+        np.testing.assert_allclose(gap, 0.5 * (off @ off) / p.residual_scale**2, rtol=1e-9)
+        np.testing.assert_allclose(p.project(on + off)[0], p.project(on)[0], atol=1e-12)
+
+    def test_rows_in_r_directions_keep_a_positive_residual_scale(self):
+        """Rows that vary along exactly 2 directions leave no variance out;
+        the residual scale is then the rank tolerance, not 0, and a row on
+        their plane has a zero residual term."""
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(100, 2)) @ np.linalg.qr(rng.normal(size=(5, 5)))[0][:2]
+        p = fit_projection(z)
+        assert p.dim == 2 and 0.0 < p.residual_scale < 1e-12
+        assert p.project(z[:1] * 0.5)[1][0] > -1.0
+
+    def test_identity_projection_adds_nothing(self, rng):
+        z = rng.normal(size=(50, 3))
+        coords, off = identity_projection(3).project(z)
+        np.testing.assert_array_equal(coords, z)
+        assert np.all(off == 0.0)
+
+    def test_flow_density_needs_a_projection(self):
+        with pytest.raises(ValueError, match="a flow density needs the projection"):
+            ScaledDensity(identity_flow(2), 0.0)
+
     @pytest.mark.parametrize("scales", [[1.0, 0.0], [1.0, -1.0], [1.0, np.nan],
                                         [1.0, np.inf]])
     def test_non_positive_scale_rejected(self, scales):
         with pytest.raises(ValueError, match="projection scales must be positive and finite"):
-            LatentProjection(np.zeros(3), np.eye(3)[:2], np.array(scales))
+            LatentProjection(np.zeros(3), np.eye(3)[:2], np.array(scales), 1.0)
+        with pytest.raises(ValueError,
+                           match="projection residual_scale must be positive and finite"):
+            LatentProjection(np.zeros(3), np.eye(3)[:2], np.ones(2), scales[1])

@@ -29,7 +29,8 @@ from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel, Reopt
                                        reoptimize_classifier, train_pipeline)
 
 import tape_reference as ref
-from conftest import assert_grads_close, bind_grads, central_difference_grad, dense
+from conftest import (assert_grads_close, bind_grads, central_difference_grad, dense,
+                      identity_projection)
 
 
 def grads(tensors):
@@ -359,39 +360,46 @@ class TestContiguousOptimizer:
             opt.step()
 
 
+def pipeline_and_reference(activation: str):
+    """A small flow pipeline's result, and the per-op reference loops run
+    from the same initial model: ERM, the projection the pipeline fits
+    (fit_projection gives it again from the same latents), the flow fit on
+    the coordinates and the re-optimization against the scaled likelihood."""
+    train = make_two_moons(50, 0.1, seed=2)  # 100 rows: batches 32,32,32,4
+    enc_cfg = EncoderConfig(width=8, depth=2, activation=activation)
+    train_cfg = TrainConfig(epochs=4, batch_size=32, l2=1e-3,
+                            optimizer=OptimizerSpec(lr=3e-3), seed=2)
+    flow_cfg = FlowConfig(coupling_layers=3, hidden_units=4, hidden_layers=2,
+                          epochs=3, batch_size=32, l2=0.01, lr=1e-2)
+    reopt_cfg = ReoptConfig(epochs=3, batch_size=32, lr=1e-2)
+    result = train_pipeline(train, enc_cfg, train_cfg,
+                            DensityConfig(kind="flow", flow=flow_cfg), reopt_cfg)
+
+    encoder, classifier = init_model(enc_cfg, 2, 2, train_cfg.seed)
+    ref_traces = {"erm": ref.reference_erm(encoder, classifier, train, train_cfg)}
+    train_z = encoder.encode(train.features)
+    projection = fit_projection(train_z)
+    coords, _ = projection.project(train_z)
+    flow_cfg = replace(flow_cfg, seed=train_cfg.seed)
+    twin = ref.SplitFlow(FlowModel.build(projection.dim, flow_cfg))
+    ref_traces["flow"] = ref.reference_flow_fit(twin, coords, flow_cfg)
+    s = compute_scale(twin.to_flow(), train_z, projection)[0].scaled_likelihood(train_z)
+    ref_traces["reopt"] = ref.reference_reopt(classifier.theta.data, train_z, s,
+                                              train.labels,
+                                              replace(reopt_cfg, seed=train_cfg.seed))
+    return result, ref_traces, encoder, projection, twin, classifier
+
+
 class TestPipelineAgainstPerOpLoops:
     def test_loss_traces_and_weights_match_exactly(self):
-        train = make_two_moons(50, 0.1, seed=2)  # 100 rows: batches 32,32,32,4
-        # relu: this tanh encoder's latents keep 99% of their variance in 2
-        # directions, and on 1-column halves the half-width products round
-        # differently from the masked oracle's (see CouplingLayer)
-        enc_cfg = EncoderConfig(width=8, depth=2, activation="relu")
-        train_cfg = TrainConfig(epochs=4, batch_size=32, l2=1e-3,
-                                optimizer=OptimizerSpec(lr=3e-3), seed=2)
-        flow_cfg = FlowConfig(coupling_layers=3, hidden_units=4, hidden_layers=2,
-                              epochs=3, batch_size=32, l2=0.01, lr=1e-2)
-        reopt_cfg = ReoptConfig(epochs=3, batch_size=32, lr=1e-2)
-        result = train_pipeline(train, enc_cfg, train_cfg,
-                                DensityConfig(kind="flow", flow=flow_cfg), reopt_cfg)
-
-        encoder, classifier = init_model(enc_cfg, 2, 2, train_cfg.seed)
-        erm = ref.reference_erm(encoder, classifier, train, train_cfg)
-        train_z = encoder.encode(train.features)
-        # the flow models the latents' coordinates under the pipeline's fitted
-        # projection, which fit_projection gives again from the same latents
-        projection = fit_projection(train_z)
+        """relu latents keep 99% of their variance in 4 directions, so the
+        flow's halves are 2 columns wide."""
+        result, want, encoder, projection, twin, classifier = pipeline_and_reference("relu")
         assert projection.dim == 4
-        coords = projection.project(train_z)
-        flow_cfg = replace(flow_cfg, seed=train_cfg.seed)
-        twin = ref.SplitFlow(FlowModel.build(projection.dim, flow_cfg))
-        flow_trace = ref.reference_flow_fit(twin, coords, flow_cfg)
-        s = compute_scale(twin.to_flow(), coords, projection)[0].scaled_likelihood(train_z)
-        reopt = ref.reference_reopt(classifier.theta.data, train_z, s, train.labels,
-                                    replace(reopt_cfg, seed=train_cfg.seed))
 
-        assert result.erm_loss_trace == erm
-        assert result.density_loss_trace == flow_trace
-        assert result.reopt_loss_trace == reopt
+        assert result.erm_loss_trace == want["erm"]
+        assert result.density_loss_trace == want["flow"]
+        assert result.reopt_loss_trace == want["reopt"]
         model = result.model
         assert_all_equal([p.data for p in model.encoder.params()],
                          [p.data for p in encoder.params()])
@@ -400,8 +408,33 @@ class TestPipelineAgainstPerOpLoops:
         fitted = model.density.projection
         assert_all_equal([fitted.mean, fitted.directions, fitted.scales],
                          [projection.mean, projection.directions, projection.scales])
+        assert fitted.residual_scale == projection.residual_scale
         np.testing.assert_array_equal(model.classifier.theta.data,
                                       classifier.theta.data)
+
+    def test_narrow_flow_matches_to_rounding(self):
+        """tanh latents keep 99% of their variance in 2 directions, so each
+        flow half is 1 column wide. There the half-width products round
+        differently from the masked oracle's full-width ones (see
+        CouplingLayer), so the flow and what follows it are held to
+        TestSplitCoupling's narrow-width tolerance, 1e-12 relative; ERM and
+        the projection still match bit for bit."""
+        result, want, encoder, projection, twin, classifier = pipeline_and_reference("tanh")
+        assert projection.dim == 2
+
+        assert result.erm_loss_trace == want["erm"]
+        assert_all_equal([p.data for p in result.model.encoder.params()],
+                         [p.data for p in encoder.params()])
+        fitted = result.model.density.projection
+        assert_all_equal([fitted.mean, fitted.directions, fitted.scales],
+                         [projection.mean, projection.directions, projection.scales])
+        np.testing.assert_allclose(result.density_loss_trace, want["flow"], rtol=1e-12)
+        for got, ref_w in zip([p.data for p in result.model.density.inner.params()],
+                              twin.stacked("data")):
+            np.testing.assert_allclose(got, ref_w, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(result.reopt_loss_trace, want["reopt"], rtol=1e-12)
+        np.testing.assert_allclose(result.model.classifier.theta.data,
+                                   classifier.theta.data, rtol=1e-12)
 
 
 def stale_then_fresh(params, loss_fn, first, second):
@@ -487,7 +520,7 @@ class TestNoReferenceCycles:
             z = encoder.encode(train.features)
             flow, _ = flow_fit(z, FlowConfig(epochs=2, batch_size=32))
             assert gc.collect() == 0
-            _, s = compute_scale(flow, z)
+            _, s = compute_scale(flow, z, identity_projection(z.shape[1]))
             reoptimize_classifier(classifier, train, z, s, ReoptConfig(epochs=2, batch_size=32))
             assert gc.collect() == 0
         finally:

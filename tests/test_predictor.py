@@ -250,7 +250,7 @@ class TestPipeline:
         z = result.model.encoder.encode(train.features)
         np.testing.assert_array_equal(density.projection.mean, z.mean(axis=0))
         assert density.inner.dim == density.projection.dim >= 2
-        coords = density.projection.project(z)
+        coords, _ = density.projection.project(z)
         np.testing.assert_allclose(coords.std(axis=0), 1.0, rtol=1e-12)
         assert small_pipeline(seed=4)[1].model.density.projection is None
 

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import identity_projection
 
 from density_softmax import cli
 from density_softmax.data import make_two_moons
-from density_softmax.density import FlowConfig, FlowModel, LatentProjection, ScaledDensity
+from density_softmax.density import FlowConfig, FlowModel, ScaledDensity
 from density_softmax.model import EncoderConfig, TrainConfig, init_model
 from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel,
@@ -83,7 +84,7 @@ class TestDensitySoftmaxContainer:
         the same model in the current layout: stacked subnets that store
         only the entries an output reads, no per-layer activation, and the
         identity projection on its 8-d latent (mean 0, directions I, scales
-        1). It must load, predict the same bits and write the same bytes
+        1, residual_scale 1; no row has a residual). It must load, predict the same bits and write the same bytes
         back."""
         model = load_container(DATA / "flow_model_v6.json")
         want = json.loads((DATA / "flow_model_v2_expected.json").read_text())
@@ -296,11 +297,13 @@ class TestErmAndEnsembleContainers:
         flow = density_softmax_container(DensitySoftmaxModel(
             result.model.encoder, result.model.classifier,
             ScaledDensity(FlowModel.build(8, FlowConfig(coupling_layers=2)), 0.0,
-                          _identity_projection(8))))
+                          identity_projection(8))))
         assert set(flow["density"]) == {"kind", "projection", "layers",
                                         "max_train_log_density"}
-        assert {key: value["shape"] for key, value in flow["density"]["projection"].items()} \
-            == {"mean": [8], "directions": [8, 8], "scales": [8]}
+        projection = flow["density"]["projection"]
+        assert {key: value["shape"] for key, value in projection.items()
+                if key != "residual_scale"} == {"mean": [8], "directions": [8, 8], "scales": [8]}
+        assert projection["residual_scale"] == 1.0
         assert [[net[0]["weight"]["shape"], net[-1]["weight"]["shape"]]
                 for net in flow["density"]["layers"]] == [[[2, 4, 16], [2, 16, 4]]] * 2
         assert all(set(layer) == {"weight", "bias"}
@@ -329,10 +332,6 @@ class TestErmAndEnsembleContainers:
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
-def _identity_projection(dim: int) -> LatentProjection:
-    return LatentProjection(np.zeros(dim), np.eye(dim), np.ones(dim))
-
-
 def _flow_doc(model, dim: int) -> dict:
     """model's container with a fresh dim-d coupling flow as its density,
     behind the identity projection of model's 8-d latent."""
@@ -340,7 +339,7 @@ def _flow_doc(model, dim: int) -> dict:
     return density_softmax_container(DensitySoftmaxModel(
         encoder=model.encoder, classifier=model.classifier,
         density=ScaledDensity(inner=flow, max_train_log_density=0.0,
-                              projection=_identity_projection(8))))
+                              projection=identity_projection(8))))
 
 
 def _drop_density(doc, model):
@@ -550,6 +549,10 @@ class TestContainerValidation:
         (_stored_as(3, "density", "layers", 1), "flow layer 1 is not a list"),
         (_stored_as([], "encoder"), "encoder is not an object"),
         (_stored_as([], "density", "projection"), "flow projection is not an object"),
+        (_stored_as(0.0, "density", "projection", "residual_scale"),
+         "projection residual_scale must be positive and finite"),
+        (_stored_as("1", "density", "projection", "residual_scale"),
+         "flow projection residual_scale is '1', not a finite number"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
             "encoder_layers", "no_encoder_layers", "version_3", "version_2", "version_1",
             "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
@@ -557,7 +560,8 @@ class TestContainerValidation:
             "subnet_shapes", "no_flow_layers", "theta_columns", "erm_with_density",
             "version_4", "unknown_activation", "version_5", "projection_width",
             "projection_scales_length", "projection_zero_scale", "encoder_layer_type",
-            "coupling_net_type", "encoder_type", "projection_type"])
+            "coupling_net_type", "encoder_type", "projection_type",
+            "projection_zero_residual_scale", "projection_residual_scale_type"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
                                               corrupt, message, capsys):
         _, result = pipeline_result

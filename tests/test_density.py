@@ -641,13 +641,15 @@ class TestLatentProjection:
 
     def test_rows_in_r_directions_keep_a_positive_residual_scale(self):
         """Rows that vary along exactly 2 directions leave no variance out;
-        the residual scale is then the rank tolerance, not 0, and a row on
-        their plane has a zero residual term."""
+        the residual scale is then the rank tolerance, not 0: rows on their
+        plane keep a residual term near 0, and a row 1e-9 off it is far
+        out."""
         rng = np.random.default_rng(5)
         z = rng.normal(size=(100, 2)) @ np.linalg.qr(rng.normal(size=(5, 5)))[0][:2]
         p = fit_projection(z)
         assert p.dim == 2 and 0.0 < p.residual_scale < 1e-12
-        assert p.project(z[:1] * 0.5)[1][0] > -1.0
+        assert np.all(p.project(z)[1] > -0.01)
+        assert p.project(z[:1] + 1e-9)[1][0] < -1e6
 
     def test_identity_projection_adds_nothing(self, rng):
         z = rng.normal(size=(50, 3))

@@ -3,7 +3,9 @@
 The JSON tree mirrors the dataclass tree: each JSON object is a config
 dataclass, each key one of its fields, and the field's type says what the
 value may be (a ``Literal`` lists the choices, a fixed-length tuple gives
-the list length, an int is never a bool, a float also takes an int).
+the list length, an int is never a bool, a float also takes an int and is
+never NaN or an infinity, which ``json`` reads from the tokens ``NaN`` and
+``Infinity``).
 Defaults live only in the dataclasses and value checks only in their
 ``__post_init__``; a ValueError raised there becomes a ConfigError naming
 the object's dotted path. There are three exceptions to the mirror:
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import types
 import typing
 from dataclasses import dataclass
@@ -29,8 +32,8 @@ from typing import Literal
 
 import numpy as np
 
-from .data import (LabeledSet, ShiftSpec, default_ood_center, make_ood_cluster,
-                   make_two_moons, make_two_ovals, shift_suite)
+from .data import (LabeledSet, ShiftSpec, class_count, default_ood_center,
+                   make_ood_cluster, make_two_moons, make_two_ovals, shift_suite)
 from .model import EncoderConfig, TrainConfig
 from .predictor import DensityConfig, ReoptConfig
 
@@ -48,6 +51,10 @@ class OodSpec:
     spread: float = 0.1
     sigmas: float = 6.0  # auto placement distance in train std units
 
+    def __post_init__(self):
+        if not self.spread >= 0:
+            raise ValueError("spread must be >= 0")
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -63,7 +70,6 @@ class DatasetSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
-    k: int = 2
     dataset: DatasetSpec = DatasetSpec()
     encoder: EncoderConfig = EncoderConfig()
     train: TrainConfig = TrainConfig()
@@ -73,12 +79,15 @@ class ExperimentConfig:
     ensemble_size: int = 4
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError("k", "need at least 2 classes")
         if self.bins < 1:
             raise ConfigError("metrics.bins", "must be >= 1")
         if self.ensemble_size < 2:
             raise ConfigError("ensemble_size", "an ensemble needs at least 2 members")
+
+    @property
+    def k(self) -> int:
+        """The class count, which the dataset's generator fixes."""
+        return class_count(self.dataset.generator)
 
 
 def build_datasets(cfg: ExperimentConfig) -> dict[str, LabeledSet]:
@@ -132,7 +141,9 @@ def _value(tp, val, path: str, seed: int):
             raise ConfigError(path, f"expected a list of {count}{args[0].__name__}")
         items = args if fixed else [args[0]] * len(val)
         return tuple(_value(t, v, path, seed) for t, v in zip(items, val))
-    if tp is float and isinstance(val, int) and not isinstance(val, bool):
+    if tp is float and isinstance(val, (int, float)) and not isinstance(val, bool):
+        if not abs(val) <= sys.float_info.max:
+            raise ConfigError(path, f"expected a finite number, got {val!r}")
         return float(val)
     if not isinstance(val, tp) or isinstance(val, bool) and tp is not bool:
         raise ConfigError(path, f"expected {tp.__name__}, got {type(val).__name__}")

@@ -79,6 +79,11 @@ class ShiftSpec:
             raise DataError("shift scales must be strictly increasing")
 
 
+def class_count(generator: str) -> int:
+    """The number of classes the named generator draws (both are binary)."""
+    return {"two_moons": 2, "two_ovals": 2}[generator]
+
+
 def make_two_moons(n_per_class: int, noise_sd: float, seed: int,
                    domain: str = "train") -> LabeledSet:
     """Two interleaved half-circle classes in R^2 (unit radius; the second
@@ -98,8 +103,6 @@ def make_two_moons(n_per_class: int, noise_sd: float, seed: int,
     labels = np.concatenate([np.zeros(n_per_class, int), np.ones(n_per_class, int)])
     return LabeledSet(feats, labels, domain)
 
-
-TWO_MOONS_CENTERS = (np.array([0.0, 0.0]), np.array([1.0, 0.5]))
 
 # Width ratio of the long axis to the short axis of each oval.
 OVAL_ASPECT = 4.0

@@ -1,26 +1,26 @@
 """Latent-space density estimation and likelihood scaling.
 
-Two estimators share the same interface (``log_density`` over rows). The
-KDE models the latents themselves; the flow models their whitened top
-principal coordinates (:class:`LatentProjection`, fit by
-:func:`fit_projection` on the train latents), and a Gaussian scores each
-row's distance off those coordinates' subspace, so a row far from the
-train latents in any direction still scores low. In all 128 latent dims a
-fitted density's log p spreads over so many nats that almost every row's
-scaled likelihood collapses toward 0, while on two moons 99% of the
-variance lies in about 4 directions.
+Two estimators share the same interface: ``log_density`` of latent rows,
+up to a constant. The KDE models the latents themselves. The flow owns a
+:class:`LatentProjection`, fit in :func:`flow_fit`: it models the rows'
+whitened top principal coordinates, and a Gaussian scores each row's
+distance off their subspace, so a row far from the train latents in any
+direction still scores low. In all 128 latent dims a fitted density's log p spreads
+over so many nats that almost every row's scaled likelihood collapses
+toward 0, while on two moons 99% of the variance lies in about 4
+directions.
 
 * :class:`KdeModel` — Gaussian kernel density with a scalar bandwidth.
 * :class:`FlowModel` — affine coupling flow with exact log-likelihood via
-  the change-of-variables formula: log p(z) = log N(t; 0, I) + log|det J|
-  where t is the stacked coupling transform of z. Each coupling layer
-  splits z into pass-through columns P and transformed columns T, fixed by
-  its index (:func:`halves`): even layers pass through the first dim // 2
-  columns, odd layers the rest, so no mask is stored. Its s-net and t-net
-  are one stacked net: each depth's two weight matrices live in one
-  (2, in, out) array, so one matmul runs both subnets. The net maps the |P|
-  columns of z_P to the |T| outputs, so it stores only the weights it reads
-  (see :class:`CouplingLayer`). One walk
+  the change-of-variables formula: log p(c) = log N(t; 0, I) + log|det J|
+  where c are a latent row's coordinates and t their stacked coupling
+  transform. Each coupling layer splits c into pass-through columns P and
+  transformed columns T, fixed by its index (:func:`halves`): even layers
+  pass through the first dim // 2 columns, odd layers the rest, so no mask
+  is stored. Its s-net and t-net are one stacked net: each depth's two
+  weight matrices live in one (2, in, out) array, so one matmul runs both
+  subnets. The net maps the |P| columns of c_P to the |T| outputs, so it
+  stores only the weights it reads (see :class:`CouplingLayer`). One walk
   serves inference (``forward``, ``log_density``) and training
   (``nll_loss``): it carries the flow state as its two column halves from
   layer to layer and joins them once at the end. The log-det sums still run
@@ -46,7 +46,7 @@ likelihoods it also returns for re-optimization); scaled likelihoods are
 then exp(log p(z) - max), which lives in (0, 1] with the densest train
 point mapping to exactly 1. A projection is affine, so its log-Jacobian is
 a constant that cancels in that difference, as does the normalizer of the
-Gaussian on the residual (:func:`latent_log_density`). Values that
+Gaussian on the residual (:meth:`FlowModel.log_density`). Values that
 underflow are floored at the smallest positive normal float so the interval
 stays open at 0 (this includes rows so far out that every squared distance,
 the projection or the flow transform overflows: their log-density is -inf);
@@ -122,8 +122,8 @@ class KdeModel:
         support = np.array(self.support, dtype=np.float64)
         if support.ndim != 2 or support.shape[0] == 0:
             raise ValueError("KDE support must be a non-empty matrix")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
         support.flags.writeable = False
         support_sq = (support * support).sum(axis=1)
         support_sq.flags.writeable = False
@@ -341,20 +341,19 @@ def coupling_net(layers: list[tuple[Tensor, Tensor]]) -> DenseNet:
                      for i, (weight, bias) in enumerate(layers)])
 
 
-def _fresh_net(rng: np.random.Generator, dim: int, hidden_units: int, hidden_layers: int,
-               index: int) -> DenseNet:
+def _fresh_net(rng: np.random.Generator, dim: int, config: FlowConfig, index: int) -> DenseNet:
     """A fresh stacked net of coupling layer ``index``: the s-net's weights
     are drawn, then the t-net's, and each depth's pair is stacked. The first
     matrix is drawn over all dim input rows, as a full-width net's is, and
     keeps the rows P, so the generator's stream is that of a full-width
     net. The zero last layer makes the freshly built flow the identity."""
     p_cols, t_cols = halves(dim, index)
-    widths = [dim] + [hidden_units] * hidden_layers
+    widths = [dim] + [config.hidden_units] * config.hidden_layers
     shapes = list(zip(widths, widths[1:]))
 
     def subnet() -> list[np.ndarray]:
         drawn = [fan_in_uniform(rng, *shape) for shape in shapes]
-        return [drawn[0][p_cols]] + drawn[1:] + [np.zeros((hidden_units, _width(t_cols)))]
+        return [drawn[0][p_cols]] + drawn[1:] + [np.zeros((config.hidden_units, _width(t_cols)))]
 
     s_net, t_net = subnet(), subnet()
     return coupling_net([(Tensor(np.stack(pair)), Tensor(np.zeros((2, 1, pair[0].shape[1]))))
@@ -378,34 +377,42 @@ class FlowConfig:
         for name in ("batch_size", "coupling_layers", "hidden_units", "hidden_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not self.l2 >= 0:
+            raise ValueError("l2 must be >= 0")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be positive and finite")
 
 
 class FlowModel:
-    """Stack of coupling layers over a standard normal base, built from one
-    stacked net per layer; provides exact log-density and the forward map.
+    """A density of latent rows: coupling layers, one stacked net each, over
+    a standard normal base on the rows' coordinates under ``projection``,
+    times a Gaussian on each row's residual off them. ``log_density`` takes
+    latent rows; ``forward`` and ``nll_loss`` take coordinates.
 
     Layer i's columns are ``halves(dim, i)``, so each layer passes through
     exactly the columns the layer before it transformed, and the walk hands
     a layer's two halves to the next one swapped, with no re-cut of the
     state."""
 
-    def __init__(self, dim: int, nets: list[DenseNet]):
+    def __init__(self, projection: LatentProjection, nets: list[DenseNet]):
+        dim = projection.dim
         if dim < 2:
             raise ValueError("flow needs dim >= 2")
         if not nets:
             raise ValueError("flow needs at least one coupling layer")
+        self.projection = projection
         self.dim = dim
         self.layers = [CouplingLayer(net, dim, i) for i, net in enumerate(nets)]
 
     @classmethod
-    def build(cls, dim: int, config: FlowConfig) -> "FlowModel":
+    def build(cls, projection: LatentProjection, config: FlowConfig) -> "FlowModel":
         rng = np.random.default_rng(config.seed)
-        return cls(dim, [_fresh_net(rng, dim, config.hidden_units, config.hidden_layers, i)
-                         for i in range(config.coupling_layers)])
+        return cls(projection, [_fresh_net(rng, projection.dim, config, i)
+                                for i in range(config.coupling_layers)])
 
-    def forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """t and log|det| of each row of z."""
-        return self._walk(np.atleast_2d(np.asarray(z, dtype=np.float64)), 1)
+    def forward(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """t and log|det| of each row of the coordinates c."""
+        return self._walk(np.atleast_2d(np.asarray(c, dtype=np.float64)), 1)
 
     def _walk(self, z: np.ndarray, axis: int | None, caches: list | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -428,30 +435,32 @@ class FlowModel:
         return t, log_det
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
-        """Log-density of each row of z; -inf where the transform or
-        ||t||^2 overflows (a far, huge row), never NaN. Walks z in chunks of
-        FLOW_CHUNK_ROWS rows (see chunk_bounds), which bounds the
+        """Log-density of each latent row of z, up to a constant: that of its
+        coordinates plus the projection's residual term; -inf where a value
+        overflows (a far, huge row), never NaN. Walks the coordinates in
+        chunks of FLOW_CHUNK_ROWS rows (see chunk_bounds), which bounds the
         temporaries and keeps the subnets' products in cache."""
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        rows = z.shape[0]
+        coords, off = self.projection.project(z)
+        rows = coords.shape[0]
         bounds = chunk_bounds(rows, FLOW_CHUNK_ROWS)
         out = np.empty(rows)
         const = 0.5 * self.dim * LOG_2PI
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in zip(bounds, bounds[1:]):
-                t, log_det = self._walk(z[lo:hi], 1)
+                t, log_det = self._walk(coords[lo:hi], 1)
                 base = -0.5 * (t * t).sum(axis=1) - const
                 np.add(base, log_det, out=out[lo:hi])
-        # A row whose transform overflowed came out NaN; the log-det is a
-        # sum of tanh values, so no row is +inf, and fmax turns exactly the
-        # NaN rows into -inf.
+            out += off
+        # A row whose projection or transform overflowed came out NaN; the
+        # log-det is a sum of tanh values and the residual term is <= 0, so
+        # no row is +inf, and fmax turns exactly the NaN rows into -inf.
         return np.fmax(out, -np.inf, out=out)
 
     def params(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]
 
     def param_count(self) -> int:
-        return sum(p.data.size for p in self.params())
+        return sum(p.data.size for p in self.params()) + self.projection.param_count()
 
     def weight_tensors(self) -> list[Tensor]:
         """The subnets' 2-D weight matrices (read-only views of the stacked
@@ -460,9 +469,10 @@ class FlowModel:
         return [Tensor(_read_only(w)) for layer in self.layers for w in layer.weight_slots()]
 
     def nll_loss(self, batch: np.ndarray, l2: float) -> Tensor:
-        """Mean negative log-likelihood of the batch plus l2 * sum(w^2) over
-        the subnets' weight matrices, as one loss node; its rule walks the
-        coupling layers in reverse, then adds the L2 term.
+        """Mean negative log-likelihood of a batch of coordinates plus
+        l2 * sum(w^2) over the subnets' weight matrices, as one loss node;
+        its rule walks the coupling layers in reverse, then adds the L2
+        term.
 
         The forward is the inference walk with caches; the gradient travels
         as the halves (g_p, g_t) like the flow state."""
@@ -491,18 +501,22 @@ class FlowModel:
         return Tensor(loss, rule)
 
 
-def flow_fit(z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[float]]:
-    """Fit a coupling flow to latent rows by minimizing mean NLL.
+def flow_fit(train_z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[float]]:
+    """Fit the projection of the train latent rows (:func:`fit_projection`,
+    one SVD), then the coupling layers on their coordinates by minimizing
+    mean NLL. The model's log-density is of latent rows, up to a constant.
 
     Returns the model and the per-epoch loss trace.
     """
-    z = np.asarray(z, dtype=np.float64)
-    n = z.shape[0]
+    train_z = np.asarray(train_z, dtype=np.float64)
+    projection = fit_projection(train_z)
+    coords, _ = projection.project(train_z)
+    n = coords.shape[0]
     if n < config.batch_size:
         raise ValueError(f"need at least batch_size={config.batch_size} rows, got {n}")
-    flow = FlowModel.build(z.shape[1], config)
+    flow = FlowModel.build(projection, config)
     trace = train_minibatches(
-        "flow", lambda idx: flow.nll_loss(z[idx], config.l2), flow.params(),
+        "flow", lambda idx: flow.nll_loss(coords[idx], config.l2), flow.params(),
         config.lr, n, config.batch_size, config.epochs, config.seed)
     return flow, trace
 
@@ -529,11 +543,7 @@ class LatentProjection:
     deviation along the largest direction the coordinates leave out, so the
     Gaussian on the residual is at least as wide as the train latents along
     every direction it covers, and a row far off the subspace still scores
-    low. The arrays are copied and made read-only at construction. The
-    density of a latent row is the inner density of its coordinates times
-    that Gaussian; the map to the coordinates is affine, so its log-Jacobian
-    and the Gaussian's normalizer are constants that cancel in
-    s = exp(log p(z) - max train log p(z)).
+    low. The arrays are copied and made read-only at construction.
     """
 
     mean: np.ndarray  # (d,)
@@ -621,26 +631,18 @@ def fit_projection(z: np.ndarray) -> LatentProjection:
 
 @dataclass(frozen=True)
 class ScaledDensity:
-    """A fitted density plus the max train log-density used for scaling.
-
-    ``projection`` maps latent rows to the coordinates a flow models and
-    scores their distance off the coordinates' subspace; a KDE models the
-    latents themselves and has none, and a flow must have one."""
+    """A fitted density of latent rows plus the max train log-density used
+    for scaling."""
 
     inner: KdeModel | FlowModel
     max_train_log_density: float
-    projection: LatentProjection | None = None
-
-    def __post_init__(self):
-        if isinstance(self.inner, FlowModel) and self.projection is None:
-            raise ValueError("a flow density needs the projection of its latent rows")
 
     def scaled_likelihood(self, z: np.ndarray) -> np.ndarray:
         """exp(log p(z) - max train log p), clamped into [floor, 1], of each
         latent row of z. A row's s can differ in its last bits between a
         batch-1 call and a batched one: at narrow widths BLAS may round a
         row's products differently in another batch (see chunk_bounds)."""
-        return self.scale(latent_log_density(self.inner, self.projection, z))
+        return self.scale(self.inner.log_density(z))
 
     def scale(self, log_density: np.ndarray) -> np.ndarray:
         """The scaled likelihood of rows of the given log-density:
@@ -652,42 +654,22 @@ class ScaledDensity:
         return np.maximum(s, LIKELIHOOD_FLOOR, out=s)  # exp of <= 0 is <= 1
 
     def param_count(self) -> int:
-        extra = 0 if self.projection is None else self.projection.param_count()
-        return self.inner.param_count() + 1 + extra  # plus the scale constant
+        return self.inner.param_count() + 1  # plus the scale constant
 
 
-def latent_log_density(density: KdeModel | FlowModel, projection: LatentProjection | None,
-                       z: np.ndarray) -> np.ndarray:
-    """log p of each latent row of z, up to a constant: the density's own
-    log-density, or, with a projection, the density's log-density of the
-    row's coordinates plus the projection's residual term. -inf, never NaN,
-    where a value overflowed."""
-    if projection is None:
-        return density.log_density(z)
-    coords, off = projection.project(z)
-    log_p = density.log_density(coords)
-    with np.errstate(invalid="ignore"):
-        log_p += off
-    return np.fmax(log_p, -np.inf, out=log_p)
-
-
-def compute_scale(density: KdeModel | FlowModel, train_z: np.ndarray,
-                  projection: LatentProjection | None = None
+def compute_scale(density: KdeModel | FlowModel, train_z: np.ndarray
                   ) -> tuple[ScaledDensity, np.ndarray]:
     """The density scaled by its max train log-density, and the scaled
     likelihood of each train latent row, from one density pass over train_z
     (which the density walks in its own chunks), so the densest train row
     scales to exactly 1 in the same pass that serves the train rows.
 
-    A flow was fit on the coordinates of train_z under ``projection``, which
-    the result applies to every latent row it scores. Served in other
-    batches, the densest train row can score 1 minus an ulp or two (see
-    ScaledDensity.scaled_likelihood); in 128- and 256-row batches it scored
-    exactly 1 on the tests' pipelines."""
+    Served in other batches, the densest train row can score 1 minus an ulp
+    or two (see ScaledDensity.scaled_likelihood); in 128- and 256-row
+    batches it scored exactly 1 on the tests' pipelines."""
     train_z = np.asarray(train_z, dtype=np.float64)
     if train_z.ndim != 2 or train_z.shape[0] == 0:
         raise ValueError("train_z must be a non-empty matrix")
-    log_p = latent_log_density(density, projection, train_z)
-    scaled = ScaledDensity(inner=density, max_train_log_density=float(log_p.max()),
-                           projection=projection)
+    log_p = density.log_density(train_z)
+    scaled = ScaledDensity(inner=density, max_train_log_density=float(log_p.max()))
     return scaled, scaled.scale(log_p)

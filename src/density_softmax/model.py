@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.l2 >= 0:
+            raise ValueError("l2 must be >= 0")
 
 
 class Encoder:

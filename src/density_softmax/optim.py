@@ -101,3 +101,7 @@ class OptimizerSpec:
     """The learning rate of a training stage's Adam (``train.optimizer``)."""
 
     lr: float = 1e-4
+
+    def __post_init__(self):
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be positive and finite")

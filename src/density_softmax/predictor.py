@@ -1,10 +1,10 @@
 """Density-softmax predictor: frozen encoder, scaled likelihood, re-tuned head.
 
 Training runs three steps: (1) standard ERM on encoder + classifier,
-(2) density fit on the frozen encoder's train latents (a KDE on the latents,
-or a coupling flow on their whitened top principal coordinates, times a
-Gaussian on each row's distance off those coordinates' subspace) followed
-by likelihood scaling in one scoring pass, (3)
+(2) density fit on the frozen encoder's train latents (a KDE, or a flow that
+fits its own projection: coupling layers on the latents' whitened top
+principal coordinates times a Gaussian on each row's distance off them),
+then likelihood scaling in one scoring pass over the latent rows, (3)
 re-optimization of the classifier alone against the density-scaled
 objective, starting from step 1's head. Every step that
 trains uses Adam at its own fixed learning rate. Inference multiplies each
@@ -31,8 +31,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data import LabeledSet, require_fittable
-from .density import (FlowConfig, ScaledDensity, compute_scale, fit_projection, flow_fit,
-                      kde_fit)
+from .density import FlowConfig, ScaledDensity, compute_scale, flow_fit, kde_fit
 from .model import (Classifier, Encoder, EncoderConfig, TrainConfig, erm_train,
                     head_cross_entropy, init_model, train_minibatches)
 from .ops import entropy, finite_rows, softmax
@@ -63,6 +62,8 @@ class ReoptConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -213,14 +214,11 @@ def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,
         train_z = encoder.encode(train.features)
         density_trace: list[float] = []
         if density_config.kind == "kde":
-            density, train_s = compute_scale(kde_fit(train_z, density_config.bandwidth),
-                                             train_z)
+            fitted = kde_fit(train_z, density_config.bandwidth)
         else:
-            projection = fit_projection(train_z)
-            coords, _ = projection.project(train_z)
             fitted, density_trace = flow_fit(
-                coords, replace(density_config.flow, seed=train_config.seed))
-            density, train_s = compute_scale(fitted, train_z, projection)
+                train_z, replace(density_config.flow, seed=train_config.seed))
+        density, train_s = compute_scale(fitted, train_z)
     except Exception as exc:
         raise PipelineError("density", exc) from exc
 

@@ -13,23 +13,23 @@ numbers.
 Version 6, the only version read, stores arrays and no layout: the "kind"
 ("density_softmax" or "erm"), the "encoder" as its "activation" and its
 "layers", "classifier.theta" and, for "density_softmax" only, the
-"density": a KDE's support and bandwidth, or a flow's "projection" (its
-"mean" (d,), "directions" (r, d) and "scales" (r,), which map a d-wide
-latent to the r coordinates the flow models, and its "residual_scale", the
-width of the Gaussian on a row's distance off them) and "layers", one
-stacked net per coupling layer with (2, in, out) weights (slot 0 the s-net,
-slot 1 the t-net), plus max_train_log_density. Each layer is a {weight,
-bias}. A
-coupling net maps its layer's |P| pass-through columns to its |T|
-transformed ones, so it stores no weight that no output reads. An
-"ensemble" holds its "members", model containers without the version
-field. The loader lays each net out with the function that builds it
-fresh, ``model.encoder_net`` or ``density.coupling_net``, and works out and
-checks the rest: the input and latent widths from the encoder's end layers,
-the class count from theta's columns (at least 2, latent-width rows), the
-projection's width against the latent width, its scales and its
-residual_scale (positive), the flow's width from the projection's r and
-each coupling layer's halves from its index. Another version is refused with a ContainerError after reading
+"density": a KDE's support and bandwidth, or a flow's "projection"
+(``FlowModel.projection``: its "mean" (d,), "directions" (r, d) and
+"scales" (r,), which map a d-wide latent to the r coordinates the coupling
+layers model, and its "residual_scale", the width of the Gaussian on a
+row's distance off them) and "layers", one stacked net per coupling layer
+with (2, in, out) weights (slot 0 the s-net, slot 1 the t-net), plus
+max_train_log_density. Each layer is a {weight, bias}. A coupling net maps
+its layer's |P| pass-through columns to its |T| transformed ones, so it
+stores no weight that no output reads. An "ensemble" holds its "members",
+model containers without the version field. The loader lays each net out
+with the function that builds it fresh, ``model.encoder_net`` or
+``density.coupling_net``, and works out and checks the rest: the input and
+latent widths from the encoder's end layers, the class count from theta's
+columns (at least 2, latent-width rows), the projection's width against the
+latent width, its scales and its residual_scale (positive), the flow's
+width from the projection's r and each coupling layer's halves from its
+index. Another version is refused with a ContainerError after reading
 the version field alone; ``run`` writes the same model again as version 6.
 So is a key the loader does not read, in any object of the document, and an
 object or a list stored as another JSON type, each named by its key: a
@@ -148,7 +148,7 @@ def _density_to_dict(density: ScaledDensity) -> dict:
         body = {"kind": "kde", "support": _encode_array(inner.support),
                 "bandwidth": inner.bandwidth}
     elif isinstance(inner, FlowModel):
-        projection = density.projection
+        projection = inner.projection
         body = {"kind": "flow",
                 "projection": {**{name: _encode_array(getattr(projection, name))
                                   for name in PROJECTION_ARRAYS},
@@ -161,7 +161,6 @@ def _density_to_dict(density: ScaledDensity) -> dict:
 
 
 def _density_from_dict(d, latent_dim: int) -> ScaledDensity:
-    projection = None
     if _object(d, "density")["kind"] == "kde":
         _known(d, "density", ("kind", "support", "bandwidth", "max_train_log_density"))
         inner: KdeModel | FlowModel = KdeModel(
@@ -185,14 +184,13 @@ def _density_from_dict(d, latent_dim: int) -> ScaledDensity:
             raise ContainerError(f"flow projection reads {projection.mean.size} latent "
                                  f"columns, the encoder's latent_dim is {latent_dim}")
         # the flow is as wide as the coordinates it models
-        inner = FlowModel(projection.dim,
+        inner = FlowModel(projection,
                           [_net_from_list(layers, f"flow layer {i}", coupling_net, stacked=True)
                            for i, layers in enumerate(_list(d["layers"], "flow layers"))])
     else:
         raise ContainerError(f"unknown density kind {d['kind']!r}")
     return ScaledDensity(inner=inner,
-                         max_train_log_density=_finite_number(d, "max_train_log_density"),
-                         projection=projection)
+                         max_train_log_density=_finite_number(d, "max_train_log_density"))
 
 
 def container_kind(model: DensitySoftmaxModel | Ensemble) -> str:

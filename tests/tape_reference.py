@@ -393,9 +393,11 @@ class SplitCoupling:
 
 
 class SplitFlow:
-    """A stacked FlowModel's twin with separate subnets (copies)."""
+    """A stacked FlowModel's twin with separate subnets (copies) over the
+    same projection."""
 
     def __init__(self, flow):
+        self.projection = flow.projection
         self.dim = flow.dim
         self.layers = [SplitCoupling(layer) for layer in flow.layers]
 
@@ -416,7 +418,7 @@ class SplitFlow:
         for layer in self.layers:
             arrays = [Tensor(a) for a in layer.stacked("data")]
             nets.append(coupling_net(list(zip(arrays[::2], arrays[1::2]))))
-        return FlowModel(self.dim, nets)
+        return FlowModel(self.projection, nets)
 
 
 def coupling_forward_tape(layer, z: Node) -> tuple[Node, Node]:

@@ -3,6 +3,7 @@ dotted path and reach the CLI as exit 2."""
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import replace
 
@@ -47,6 +48,10 @@ class TestParseConfig:
             parse_config({**BASE, "ensemble_size": 1})
         assert info.value.path == "ensemble_size"
 
+    @pytest.mark.parametrize("generator", ["two_moons", "two_ovals"])
+    def test_class_count_comes_from_the_generator(self, generator):
+        assert parse_config({"dataset": {"generator": generator}}).k == 2
+
 
 class TestCliExitCodes:
     def test_invalid_encoder_exits_2(self, tmp_path, capsys):
@@ -55,6 +60,15 @@ class TestCliExitCodes:
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG == 2
         assert "error: encoder: width must be >= 1" in capsys.readouterr().err
+
+    def test_nan_token_exits_2(self, tmp_path, capsys):
+        """json reads the token NaN as a float; the config refuses it."""
+        config = tmp_path / "nan.json"
+        config.write_text('{"dataset": {"generator": "two_moons", "noise_sd": NaN}}')
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: dataset.noise_sd: expected a finite number, got nan\n")
 
 
 # -- the contract table --------------------------------------------------------
@@ -88,9 +102,11 @@ def _expect(*changes) -> ExperimentConfig:
 
 
 # Keys that are no longer settable (a second optimizer, Adam's constants, an
-# LR schedule, a head re-init switch and a latent width that had to equal
-# the encoder width), each with the value it used to default to.
+# LR schedule, a head re-init switch, a latent width that had to equal the
+# encoder width and a class count that the generator fixes), each with the
+# value it used to default to.
 REMOVED = {
+    "k": 2,
     "encoder.latent_dim": 128,
     "encoder.input_dim": 2,
     "train.optimizer.kind": "adam",
@@ -115,7 +131,7 @@ VALID = [
     ({"encoder": {"width": 8, "activation": "tanh"}},
      _expect(("encoder", EncoderConfig(width=8, activation="tanh")))),
     ({"metrics": {"bins": 10}}, _expect(("bins", 10))),
-    ({"k": 3, "ensemble_size": 2}, _expect(("k", 3), ("ensemble_size", 2))),
+    ({"ensemble_size": 2}, _expect(("ensemble_size", 2))),
     ({"dataset": {"generator": "two_ovals", "separation": 3, "noise_sd": 0}},
      _expect(("dataset.generator", "two_ovals"), ("dataset.separation", 3.0),
              ("dataset.noise_sd", 0.0))),
@@ -154,6 +170,7 @@ INVALID = [
     ({**BASE, "seed": True}, "seed"),
     ({**BASE, "k": 1}, "k"),
     ({**BASE, "k": "2"}, "k"),
+    ({**BASE, "k": 3}, "k"),  # a class no generator draws
     ({**BASE, "ensemble_size": 1}, "ensemble_size"),
     ({**BASE, "ensemble_size": 2.0}, "ensemble_size"),
     ({**BASE, "metrics": {"bins": 0}}, "metrics.bins"),
@@ -231,6 +248,35 @@ INVALID = [
 ]
 
 
+# Numbers a config refuses, each with the path its error names: NaN and the
+# infinities (json reads the tokens NaN and Infinity, and 1e999 as inf), an
+# int too large for a float, and learning rates, penalties and spreads out
+# of range.
+BAD_NUMBERS = [
+    ("dataset.noise_sd", math.nan, "dataset.noise_sd"),
+    ("dataset.separation", -math.inf, "dataset.separation"),
+    ("dataset.ood.sigmas", math.nan, "dataset.ood.sigmas"),
+    ("dataset.ood.center", [1.0, math.inf], "dataset.ood.center"),
+    ("dataset.shift.scales", [1, 2, 3, 4, math.inf], "dataset.shift.scales"),
+    ("dataset.ood.spread", -0.1, "dataset.ood"),
+    ("train.optimizer.lr", math.nan, "train.optimizer.lr"),
+    ("train.optimizer.lr", 0, "train.optimizer"),
+    ("train.optimizer.lr", -1e-3, "train.optimizer"),
+    ("train.l2", -5, "train"),
+    ("train.l2", 10**400, "train.l2"),
+    ("density.bandwidth", math.inf, "density.bandwidth"),
+    ("density.flow.lr", 0, "density.flow"),
+    ("density.flow.lr", math.inf, "density.flow.lr"),
+    ("density.flow.l2", -0.01, "density.flow"),
+    ("reopt.lr", 0, "reopt"),
+    ("reopt.lr", math.nan, "reopt.lr"),
+]
+
+REJECTED = INVALID + [(_doc(dotted, value), path) for dotted, value, path in BAD_NUMBERS]
+REJECTED_IDS = ([path or "root" for _, path in INVALID]
+                + [f"{dotted}={value!r}"[:40] for dotted, value, _ in BAD_NUMBERS])
+
+
 class TestContractTable:
     @pytest.mark.parametrize("fields, expected", VALID)
     def test_valid_document_parses_to_dataclass_config(self, fields, expected):
@@ -238,7 +284,7 @@ class TestContractTable:
         doc.update(fields)
         assert parse_config(doc) == expected
 
-    @pytest.mark.parametrize("doc, path", INVALID, ids=[p or "root" for _, p in INVALID])
+    @pytest.mark.parametrize("doc, path", REJECTED, ids=REJECTED_IDS)
     def test_invalid_document_names_the_path(self, doc, path):
         with pytest.raises(ConfigError) as info:
             parse_config(doc)
@@ -258,7 +304,7 @@ class TestContractTable:
 # field holding a config dataclass is an object of further keys, a nested
 # seed is not a key, and bins is written under "metrics".
 SETTABLE = [
-    "seed", "k",
+    "seed",
     "dataset.generator", "dataset.n_per_class", "dataset.n_test_per_class",
     "dataset.noise_sd", "dataset.separation",
     "dataset.ood.n", "dataset.ood.center", "dataset.ood.spread", "dataset.ood.sigmas",
@@ -289,5 +335,5 @@ def settable_paths(cls, path: str = "") -> list[str]:
 
 
 def test_settable_config_values_are_pinned():
-    assert len(SETTABLE) == 34
+    assert len(SETTABLE) == 33
     assert settable_paths(ExperimentConfig) == SETTABLE

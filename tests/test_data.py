@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from density_softmax.data import (DataError, LabeledSet, ShiftSpec,
-                                  TWO_MOONS_CENTERS, apply_shift,
+from density_softmax.data import (DataError, LabeledSet, ShiftSpec, apply_shift,
                                   default_ood_center, load_csv,
                                   make_ood_cluster, make_two_moons,
                                   make_two_ovals, require_fittable, save_csv,
                                   shift_suite)
+
+# The centers of the two moons' unit-radius arcs.
+TWO_MOONS_CENTERS = (np.array([0.0, 0.0]), np.array([1.0, 0.5]))
 
 
 class TestTwoMoons:

@@ -14,12 +14,11 @@ from kde_reference import kde_log_density
 
 from density_softmax.autodiff import Tensor
 from density_softmax.density import (FINAL, FLOW_CHUNK_ROWS, KDE_CHUNK_ROWS,
-                                     KDE_LOG_KERNEL_FLOOR, LIKELIHOOD_FLOOR,
+                                     KDE_LOG_KERNEL_FLOOR, LIKELIHOOD_FLOOR, LOG_2PI,
                                      PROJECTION_VARIANCE_KEPT, CouplingLayer, FlowConfig,
-                                     FlowModel, KdeModel, LatentProjection, ScaledDensity,
-                                     chunk_bounds, compute_scale, coupling_net,
-                                     fit_projection, flow_fit, halves, kde_fit,
-                                     latent_log_density, scott_bandwidth)
+                                     FlowModel, KdeModel, LatentProjection, chunk_bounds,
+                                     compute_scale, coupling_net, fit_projection, flow_fit,
+                                     halves, kde_fit, scott_bandwidth)
 from density_softmax.layers import Dense, DenseNet, fan_in_uniform
 from density_softmax.model import TrainingDiverged
 
@@ -56,10 +55,9 @@ class TestKde:
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
     def test_bad_bandwidth_rejected(self, rng):
-        with pytest.raises(ValueError):
-            kde_fit(rng.normal(size=(5, 2)), bandwidth=0.0)
-        with pytest.raises(ValueError):
-            kde_fit(rng.normal(size=(5, 2)), bandwidth=-1.0)
+        for bandwidth in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+                kde_fit(rng.normal(size=(5, 2)), bandwidth=bandwidth)
 
     def test_scott_default(self, rng):
         z = rng.normal(size=(100, 4))
@@ -219,18 +217,24 @@ class TestKdeLogKernelFloor:
         np.testing.assert_array_equal(train_s, sd.scaled_likelihood(support))
 
 
-def identity_flow(dim=2, layers=4) -> FlowModel:
-    """Zero subnets leave every coupling layer as the identity map."""
-    flow = FlowModel.build(dim, FlowConfig(coupling_layers=layers, seed=0))
+def identity_flow(dim=2, layers=4, projection=None) -> FlowModel:
+    """Zero subnets leave every coupling layer as the identity map. The
+    projection defaults to the identity of a dim-wide latent."""
+    if projection is None:
+        projection = identity_projection(dim)
+    flow = FlowModel.build(projection, FlowConfig(coupling_layers=layers, seed=0))
     for p in flow.params():
         p.data[...] = 0.0
     return flow
 
 
-def randomized_flow(dim, seed=0, scale=0.5) -> FlowModel:
-    """A flow with non-trivial random subnets (not fitted to anything)."""
+def randomized_flow(dim, seed=0, scale=0.5, projection=None) -> FlowModel:
+    """A flow with non-trivial random subnets (not fitted to anything). The
+    projection defaults to the identity of a dim-wide latent."""
     rng = np.random.default_rng(seed)
-    flow = FlowModel.build(dim, FlowConfig(coupling_layers=4, seed=seed))
+    if projection is None:
+        projection = identity_projection(dim)
+    flow = FlowModel.build(projection, FlowConfig(coupling_layers=4, seed=seed))
     for layer in flow.layers:
         final = layer.net.layers[-1]  # stacked: the s-net's slot, then the t-net's
         final.weight.data[...] = rng.normal(size=final.weight.data.shape) * scale
@@ -276,7 +280,8 @@ class TestFlowStructure:
         """The pass-through mask each layer's halves stand for: ones on P."""
         assert halves(5, 0) == (slice(0, 2), slice(2, 5))
         assert halves(5, 1) == (slice(2, 5), slice(0, 2))
-        flow = FlowModel.build(4, FlowConfig(coupling_layers=4, seed=0))
+        flow = FlowModel.build(identity_projection(4),
+                               FlowConfig(coupling_layers=4, seed=0))
         masks = np.zeros((4, 4))
         for i, layer in enumerate(flow.layers):
             assert (layer.p_cols, layer.t_cols) == halves(4, i)
@@ -285,7 +290,7 @@ class TestFlowStructure:
 
     def test_fresh_flow_starts_as_identity(self, rng):
         # zero-initialized output projections make the initial fit stable
-        flow = FlowModel.build(3, FlowConfig(seed=1))
+        flow = FlowModel.build(identity_projection(3), FlowConfig(seed=1))
         z = rng.normal(size=(10, 3))
         t, log_det = flow.forward(z)
         np.testing.assert_array_equal(t, z)
@@ -297,7 +302,7 @@ class TestFlowStructure:
         all 5 input rows and keeps the rows P. The last layers (|T| columns)
         and the biases start at zero."""
         cfg = FlowConfig(coupling_layers=2, hidden_units=3, hidden_layers=2, seed=4)
-        flow = FlowModel.build(5, cfg)
+        flow = FlowModel.build(identity_projection(5), cfg)
         rng = np.random.default_rng(cfg.seed)
         for layer, (p, t) in zip(flow.layers, [(2, 3), (3, 2)]):
             want = [[fan_in_uniform(rng, 5, 3)[layer.p_cols], fan_in_uniform(rng, 3, 3)]
@@ -314,10 +319,11 @@ class TestFlowStructure:
 
     def test_param_count_of_the_default_shape(self):
         """A 128-d flow of 4 coupling layers with 4 x 16 hidden units: per
-        subnet 64*16 + 16, 3 * (16*16 + 16) and 16*64 + 64."""
-        flow = FlowModel.build(128, FlowConfig(coupling_layers=4, hidden_units=16,
-                                               hidden_layers=4))
-        assert flow.param_count() == 23_552
+        subnet 64*16 + 16, 3 * (16*16 + 16) and 16*64 + 64; plus its
+        projection's mean, directions, scales and residual scale."""
+        flow = FlowModel.build(identity_projection(128),
+                               FlowConfig(coupling_layers=4, hidden_units=16, hidden_layers=4))
+        assert flow.param_count() == 23_552 + (128 + 128 * 128 + 128 + 1)
 
     def test_bad_mask_rejected(self):
         """Each layer's halves must both be non-empty, so a flow needs two
@@ -325,7 +331,7 @@ class TestFlowStructure:
         empty net would alias to its input."""
         assert halves(1, 0) == (slice(0, 0), slice(0, 1))
         with pytest.raises(ValueError, match=r"flow needs dim >= 2"):
-            FlowModel.build(1, FlowConfig(seed=0))
+            FlowModel.build(identity_projection(1), FlowConfig(seed=0))
         with pytest.raises(ValueError, match="at least one layer"):
             CouplingLayer(DenseNet([]), 4, 0)
 
@@ -349,7 +355,8 @@ class TestFlowStructure:
 
     def test_subnets_are_read_only_views_of_the_stack(self):
         """The subnets' 2-D weight matrices the L2 term reads."""
-        flow = FlowModel.build(4, FlowConfig(coupling_layers=1, hidden_layers=2, seed=0))
+        flow = FlowModel.build(identity_projection(4),
+                               FlowConfig(coupling_layers=1, hidden_layers=2, seed=0))
         layer = flow.layers[0]
         stacked = layer.net.weight_tensors()
         views = flow.weight_tensors()
@@ -365,7 +372,8 @@ class TestFlowStructure:
 
     def test_subnets_of_other_shapes_rejected(self):
         """A coupling net's layers hold exactly two subnets' weights."""
-        net = FlowModel.build(4, FlowConfig(hidden_layers=1, seed=0)).layers[0].net
+        net = FlowModel.build(identity_projection(4),
+                              FlowConfig(hidden_layers=1, seed=0)).layers[0].net
         first, last = net.layers
         one_slot = Dense(Tensor(first.weight.data[:1]), Tensor(first.bias.data[:1]), "relu")
         with pytest.raises(ValueError, match=r"coupling layer 0 net layer 0 weight has "
@@ -383,7 +391,7 @@ class TestFlowStructure:
         for p in flow.layers[0].params():  # layer 0 becomes the identity
             p.data[...] = 0.0
         z = rng.normal(size=(4, 5))
-        t, _ = FlowModel(5, [flow.layers[0].net, layer.net]).forward(z)
+        t, _ = FlowModel(identity_projection(5), [flow.layers[0].net, layer.net]).forward(z)
         np.testing.assert_array_equal(t[:, 2:], z[:, 2:])
         assert not np.array_equal(t[:, :2], z[:, :2])
 
@@ -469,12 +477,25 @@ class TestFlowFit:
         assert trace[-1] < trace[0]
 
     def test_mean_log_density_improves_from_init(self, rng):
+        """Against the fit of 0 epochs: the same projection, identity
+        coupling layers."""
         z = rng.standard_normal((256, 2)) * 0.3 + 1.5
-        init_logp = float(identity_flow(2).log_density(z).mean())
+        init, _ = flow_fit(z, FlowConfig(epochs=0, seed=1))
         flow, _ = flow_fit(z, FlowConfig(epochs=40, batch_size=64, l2=0.0,
                                          lr=1e-2,
                                          seed=1))
-        assert float(flow.log_density(z).mean()) > init_logp
+        assert float(flow.log_density(z).mean()) > float(init.log_density(z).mean())
+
+    def test_fit_owns_the_projection_of_its_rows(self, rng):
+        """flow_fit fits the projection of the latent rows it is given and
+        trains the coupling layers on their coordinates."""
+        z = rng.normal(size=(200, 5)) * [4.0, 2.0, 1.0, 0.05, 0.02] + 1.0
+        flow, _ = flow_fit(z, FlowConfig(epochs=1, batch_size=64, seed=0))
+        want = fit_projection(z)
+        assert flow.dim == flow.projection.dim == want.dim == 3
+        for name in ("mean", "directions", "scales"):
+            np.testing.assert_array_equal(getattr(flow.projection, name), getattr(want, name))
+        assert flow.projection.residual_scale == want.residual_scale
 
     def test_zero_epochs_returns_identity_init(self, rng):
         z = rng.standard_normal((128, 2))
@@ -488,11 +509,12 @@ class TestFlowFit:
             flow_fit(rng.standard_normal((10, 2)), FlowConfig(batch_size=128))
 
     def test_divergence_raises(self, rng):
-        # The flow trains with Adam, whose step is bounded by the learning
-        # rate; rows of norm ~1e150 give a finite first loss (~1e300) whose
-        # gradient overflows, so the second step's loss is not finite.
-        z = rng.standard_normal((128, 2)) * 1e150
-        cfg = FlowConfig(epochs=500, batch_size=128, l2=0.0, seed=0)
+        # flow_fit whitens its rows, so the first loss is finite at any row
+        # scale. Adam's first step moves each weight it reaches (the zero
+        # last layers') by about the learning rate, so at lr = 1e200 the
+        # t-nets' outputs reach ~1e200 and the second loss overflows.
+        z = rng.standard_normal((128, 2))
+        cfg = FlowConfig(epochs=500, batch_size=128, l2=0.0, lr=1e200, seed=0)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
             flow_fit(z, cfg)
         err = info.value
@@ -521,26 +543,26 @@ class TestScaling:
 
     def test_far_point_is_tiny_but_positive(self):
         flow = identity_flow(dim=2)
-        sd, _ = compute_scale(flow, np.zeros((10, 2)), identity_projection(2))
+        sd, _ = compute_scale(flow, np.zeros((10, 2)))
         far = np.array([[20.0, 0.0]])  # log-density gap of -200 nats
         val = sd.scaled_likelihood(far)[0]
         assert 0.0 < val < 1e-80
 
     def test_underflow_maps_to_smallest_positive_normal(self):
         flow = identity_flow(dim=2)
-        sd, _ = compute_scale(flow, np.zeros((10, 2)), identity_projection(2))
+        sd, _ = compute_scale(flow, np.zeros((10, 2)))
         very_far = np.array([[60.0, 0.0]])  # gap of -1800 nats: exp underflows
         assert sd.scaled_likelihood(very_far)[0] == LIKELIHOOD_FLOOR
 
     def test_denser_than_train_clamps_to_one(self):
         flow = identity_flow(dim=2)
         ring = np.column_stack([np.full(8, 3.0), np.zeros(8)])
-        sd, _ = compute_scale(flow, ring, identity_projection(2))
+        sd, _ = compute_scale(flow, ring)
         assert sd.scaled_likelihood(np.zeros((1, 2)))[0] == 1.0
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
-            compute_scale(identity_flow(2), np.zeros((0, 2)), identity_projection(2))
+            compute_scale(identity_flow(2), np.zeros((0, 2)))
 
     def test_intermediate_point_in_open_interval(self, rng):
         z = rng.normal(size=(100, 2))
@@ -612,7 +634,7 @@ class TestLatentProjection:
         z = rng.normal(size=(200, 4)) * [3.0, 1.0, 0.5, 0.2]
         p = fit_projection(z)
         assert p.dim == 3
-        sd, train_s = compute_scale(identity_flow(p.dim), z, p)
+        sd, train_s = compute_scale(identity_flow(projection=p), z)
         np.testing.assert_array_equal(sd.scaled_likelihood(z), train_s)
         huge = np.array([[1e308, -1e308, 1e308, -1e308], [1e308, 0.0, 0.0, 0.0],
                          [1e200, 1e200, 0.0, 0.0]])
@@ -631,11 +653,11 @@ class TestLatentProjection:
         p = fit_projection(z)
         sv = np.linalg.svd(z - z.mean(axis=0), compute_uv=False)
         assert p.dim == 2 and p.residual_scale == pytest.approx(sv[2] / 20.0, rel=1e-12)
-        flow = identity_flow(2)
+        flow = identity_flow(projection=p)
         on = p.mean + np.array([[0.5, -1.0]]) @ p.directions  # on the subspace
         off = rotation[3] * 4.0 * p.residual_scale - p.directions.T @ (
             p.directions @ rotation[3] * 4.0 * p.residual_scale)  # orthogonal to it
-        gap = latent_log_density(flow, p, on) - latent_log_density(flow, p, on + off)
+        gap = flow.log_density(on) - flow.log_density(on + off)
         np.testing.assert_allclose(gap, 0.5 * (off @ off) / p.residual_scale**2, rtol=1e-9)
         np.testing.assert_allclose(p.project(on + off)[0], p.project(on)[0], atol=1e-12)
 
@@ -657,9 +679,18 @@ class TestLatentProjection:
         np.testing.assert_array_equal(coords, z)
         assert np.all(off == 0.0)
 
-    def test_flow_density_needs_a_projection(self):
-        with pytest.raises(ValueError, match="a flow density needs the projection"):
-            ScaledDensity(identity_flow(2), 0.0)
+    def test_flow_scores_its_coordinates_and_the_residual(self):
+        """A flow's log-density of a latent row is its coupling walk's
+        log-density of the row's coordinates plus the projection's residual
+        term, bit for bit (200 rows: one FLOW_CHUNK_ROWS chunk)."""
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(200, 5)) * [4.0, 2.0, 1.0, 0.05, 0.02]
+        flow = randomized_flow(3, seed=6, scale=0.3, projection=fit_projection(z))
+        coords, off = flow.projection.project(z)
+        t, log_det = flow.forward(coords)
+        want = -0.5 * (t * t).sum(axis=1) - 0.5 * 3 * LOG_2PI + log_det + off
+        assert np.all(off < 0.0)
+        np.testing.assert_array_equal(flow.log_density(z), want)
 
     @pytest.mark.parametrize("scales", [[1.0, 0.0], [1.0, -1.0], [1.0, np.nan],
                                         [1.0, np.inf]])

@@ -50,8 +50,9 @@ def set_grad(p, g):
 
 def randomized_flow(dim, layers, l2_seed):
     rng = np.random.default_rng(100 + 10 * layers + l2_seed)
-    flow = FlowModel.build(dim, FlowConfig(coupling_layers=layers, hidden_units=5,
-                                           hidden_layers=2, seed=layers))
+    flow = FlowModel.build(identity_projection(dim),
+                           FlowConfig(coupling_layers=layers, hidden_units=5,
+                                      hidden_layers=2, seed=layers))
     for a in ref.subnet_arrays(flow):  # zero-initialized output layers would hide terms
         a[...] = rng.normal(size=a.shape) * 0.3
     return flow, rng
@@ -287,7 +288,7 @@ class TestSplitCoupling:
         the full-width ones, which moves last bits (CHANGES.md lists the
         widths), so those are held to 1e-12 relative."""
         rng = np.random.default_rng(dim)
-        flow = FlowModel.build(dim, FlowConfig(seed=dim))
+        flow = FlowModel.build(identity_projection(dim), FlowConfig(seed=dim))
         for a in ref.subnet_arrays(flow):
             a[...] = rng.normal(size=a.shape) * 0.1
         z = rng.normal(size=(300, dim))
@@ -300,8 +301,10 @@ class TestSplitCoupling:
         z = np.random.default_rng(5).normal(size=(300, 128))  # batches 128, 128, 44
         cfg = FlowConfig(epochs=2, batch_size=128, seed=3)
         flow, trace = flow_fit(z, cfg)
-        twin = ref.SplitFlow(FlowModel.build(128, cfg))
-        assert trace == ref.reference_flow_fit(twin, z, cfg)
+        assert flow.dim == 121
+        coords, _ = flow.projection.project(z)
+        twin = ref.SplitFlow(FlowModel.build(flow.projection, cfg))
+        assert trace == ref.reference_flow_fit(twin, coords, cfg)
         assert_all_equal([p.data for p in flow.params()], twin.stacked("data"))
 
 
@@ -362,7 +365,7 @@ class TestContiguousOptimizer:
 
 def pipeline_and_reference(activation: str):
     """A small flow pipeline's result, and the per-op reference loops run
-    from the same initial model: ERM, the projection the pipeline fits
+    from the same initial model: ERM, the projection flow_fit fits
     (fit_projection gives it again from the same latents), the flow fit on
     the coordinates and the re-optimization against the scaled likelihood."""
     train = make_two_moons(50, 0.1, seed=2)  # 100 rows: batches 32,32,32,4
@@ -381,9 +384,9 @@ def pipeline_and_reference(activation: str):
     projection = fit_projection(train_z)
     coords, _ = projection.project(train_z)
     flow_cfg = replace(flow_cfg, seed=train_cfg.seed)
-    twin = ref.SplitFlow(FlowModel.build(projection.dim, flow_cfg))
+    twin = ref.SplitFlow(FlowModel.build(projection, flow_cfg))
     ref_traces["flow"] = ref.reference_flow_fit(twin, coords, flow_cfg)
-    s = compute_scale(twin.to_flow(), train_z, projection)[0].scaled_likelihood(train_z)
+    s = compute_scale(twin.to_flow(), train_z)[0].scaled_likelihood(train_z)
     ref_traces["reopt"] = ref.reference_reopt(classifier.theta.data, train_z, s,
                                               train.labels,
                                               replace(reopt_cfg, seed=train_cfg.seed))
@@ -405,7 +408,7 @@ class TestPipelineAgainstPerOpLoops:
                          [p.data for p in encoder.params()])
         assert_all_equal([p.data for p in model.density.inner.params()],
                          twin.stacked("data"))
-        fitted = model.density.projection
+        fitted = model.density.inner.projection
         assert_all_equal([fitted.mean, fitted.directions, fitted.scales],
                          [projection.mean, projection.directions, projection.scales])
         assert fitted.residual_scale == projection.residual_scale
@@ -425,7 +428,7 @@ class TestPipelineAgainstPerOpLoops:
         assert result.erm_loss_trace == want["erm"]
         assert_all_equal([p.data for p in result.model.encoder.params()],
                          [p.data for p in encoder.params()])
-        fitted = result.model.density.projection
+        fitted = result.model.density.inner.projection
         assert_all_equal([fitted.mean, fitted.directions, fitted.scales],
                          [projection.mean, projection.directions, projection.scales])
         np.testing.assert_allclose(result.density_loss_trace, want["flow"], rtol=1e-12)
@@ -520,7 +523,7 @@ class TestNoReferenceCycles:
             z = encoder.encode(train.features)
             flow, _ = flow_fit(z, FlowConfig(epochs=2, batch_size=32))
             assert gc.collect() == 0
-            _, s = compute_scale(flow, z, identity_projection(z.shape[1]))
+            _, s = compute_scale(flow, z)
             reoptimize_classifier(classifier, train, z, s, ReoptConfig(epochs=2, batch_size=32))
             assert gc.collect() == 0
         finally:

@@ -13,7 +13,7 @@ from density_softmax.model import (Classifier, Encoder, EncoderConfig, TrainConf
 from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import DensitySoftmaxModel, Ensemble, ensemble_train
 
-from conftest import count_forward_rows
+from conftest import count_forward_rows, identity_projection
 
 SMALL = EncoderConfig(width=8, depth=2)
 
@@ -225,7 +225,8 @@ class TestUnboundGradient:
             node.backward()
 
     def test_flow_nll_loss(self):
-        flow = FlowModel.build(4, FlowConfig(coupling_layers=2, hidden_layers=1))
+        flow = FlowModel.build(identity_projection(4),
+                               FlowConfig(coupling_layers=2, hidden_layers=1))
         node = flow.nll_loss(np.random.default_rng(0).normal(size=(6, 4)), 0.0)
         with pytest.raises(ValueError, match="dense layer 1 bias has no bound gradient"):
             node.backward()

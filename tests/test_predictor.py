@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from density_softmax.autodiff import Tensor
 from density_softmax.config import build_datasets, parse_config
 from density_softmax.data import LabeledSet, make_two_moons
-from density_softmax.density import (LIKELIHOOD_FLOOR, FlowConfig, FlowModel,
+from density_softmax.density import (LIKELIHOOD_FLOOR, FlowConfig, FlowModel, KdeModel,
                                      ScaledDensity, kde_fit)
 from density_softmax.model import Classifier, EncoderConfig, TrainConfig, init_model
 from density_softmax.ops import entropy, softmax
@@ -248,11 +248,13 @@ class TestPipeline:
         assert isinstance(density.inner, FlowModel)
         assert len(result.density_loss_trace) == 5
         z = result.model.encoder.encode(train.features)
-        np.testing.assert_array_equal(density.projection.mean, z.mean(axis=0))
-        assert density.inner.dim == density.projection.dim >= 2
-        coords, _ = density.projection.project(z)
+        projection = density.inner.projection
+        np.testing.assert_array_equal(projection.mean, z.mean(axis=0))
+        assert density.inner.dim == projection.dim >= 2
+        coords, _ = projection.project(z)
         np.testing.assert_allclose(coords.std(axis=0), 1.0, rtol=1e-12)
-        assert small_pipeline(seed=4)[1].model.density.projection is None
+        kde = small_pipeline(seed=4)[1].model.density.inner
+        assert isinstance(kde, KdeModel) and kde.dim == z.shape[1]
 
     @pytest.mark.parametrize("points", [1, 2])
     def test_latents_varying_along_fewer_than_two_directions_fail_the_density_stage(

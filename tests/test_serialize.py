@@ -296,8 +296,8 @@ class TestErmAndEnsembleContainers:
         assert all(set(layer) == {"weight", "bias"} for layer in kde["encoder"]["layers"])
         flow = density_softmax_container(DensitySoftmaxModel(
             result.model.encoder, result.model.classifier,
-            ScaledDensity(FlowModel.build(8, FlowConfig(coupling_layers=2)), 0.0,
-                          identity_projection(8))))
+            ScaledDensity(FlowModel.build(identity_projection(8), FlowConfig(coupling_layers=2)),
+                          0.0)))
         assert set(flow["density"]) == {"kind", "projection", "layers",
                                         "max_train_log_density"}
         projection = flow["density"]["projection"]
@@ -333,13 +333,13 @@ class TestErmAndEnsembleContainers:
 
 
 def _flow_doc(model, dim: int) -> dict:
-    """model's container with a fresh dim-d coupling flow as its density,
-    behind the identity projection of model's 8-d latent."""
-    flow = FlowModel.build(dim, FlowConfig(coupling_layers=2, hidden_layers=1))
+    """model's container with a fresh coupling flow over the identity
+    projection of a dim-d latent as its density (model's latent is 8-d)."""
+    flow = FlowModel.build(identity_projection(dim),
+                           FlowConfig(coupling_layers=2, hidden_layers=1))
     return density_softmax_container(DensitySoftmaxModel(
         encoder=model.encoder, classifier=model.classifier,
-        density=ScaledDensity(inner=flow, max_train_log_density=0.0,
-                              projection=identity_projection(8))))
+        density=ScaledDensity(inner=flow, max_train_log_density=0.0)))
 
 
 def _drop_density(doc, model):
@@ -381,7 +381,10 @@ def _unknown_activation(doc, model):
 
 
 def _flow_of_other_dim(doc, model):
-    return _flow_doc(model, 4)
+    """The coupling layers of a 4-d flow behind the 8-d projection."""
+    doc = _flow_doc(model, 8)
+    doc["density"]["layers"] = _flow_doc(model, 4)["density"]["layers"]
+    return doc
 
 
 def _no_flow_layers(doc, model):

@@ -8,7 +8,9 @@ never NaN or an infinity, which ``json`` reads from the tokens ``NaN`` and
 ``Infinity``).
 Defaults live only in the dataclasses and value checks only in their
 ``__post_init__``; a ValueError raised there becomes a ConfigError naming
-the object's dotted path. There are three exceptions to the mirror:
+the object's dotted path, and a ConfigError raised there names a field by
+its path within the object, which the parser prefixes with the object's.
+There are three exceptions to the mirror:
 
 * ``bins`` is written under ``"metrics"``: ``{"metrics": {"bins": 15}}``;
 * a nested ``seed`` (train, density.flow, reopt) is not a key: it takes the
@@ -42,6 +44,7 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,8 @@ class OodSpec:
     sigmas: float = 6.0  # auto placement distance in train std units
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ConfigError("n", "must be >= 1")
         if not self.spread >= 0:
             raise ValueError("spread must be >= 0")
 
@@ -65,6 +70,13 @@ class DatasetSpec:
     separation: float = 2.0  # two_ovals only
     ood: OodSpec = OodSpec()
     shift: ShiftSpec = ShiftSpec()
+
+    def __post_init__(self):
+        for name in ("n_per_class", "n_test_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be >= 1")
+        if not self.noise_sd >= 0:
+            raise ConfigError("noise_sd", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -169,8 +181,8 @@ def _object(cls, doc, path: str, seed: int):
         fields["seed"] = seed
     try:
         return cls(**fields)
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        raise ConfigError(_join(path, exc.path), exc.message) from None
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 

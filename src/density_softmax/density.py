@@ -1,18 +1,22 @@
 """Latent-space density estimation and likelihood scaling.
 
 Two estimators share the same interface: ``log_density`` of latent rows,
-up to a constant. The KDE models the latents themselves. The flow owns a
-:class:`LatentProjection`, fit in :func:`flow_fit`: it models the rows'
-whitened top principal coordinates, and a Gaussian scores each row's
-distance off their subspace, so a row far from the train latents in any
-direction still scores low. In all 128 latent dims a fitted density's log p spreads
-over so many nats that almost every row's scaled likelihood collapses
-toward 0, while on two moons 99% of the variance lies in about 4
-directions.
+up to a constant. Each owns a :class:`LatentProjection` of the train
+latents onto their top principal directions, and scores each row's
+distance off their subspace with a Gaussian, so a row far from the train
+latents in any direction still scores low. In all 128 latent dims a
+fitted density's log p spreads over so many nats that almost every row's
+scaled likelihood collapses toward 0, while on two moons 99% of the
+variance lies in about 4 directions and 99.99% in about 17.
 
-* :class:`KdeModel` — Gaussian kernel density with a scalar bandwidth.
+* :class:`KdeModel` — Gaussian kernel density with a scalar bandwidth h on
+  the rows' coordinates in the directions holding KDE_VARIANCE_KEPT of the
+  variance (:func:`kde_fit`), times a Gaussian of width h on the residual;
+  one GEMM gives every log-kernel.
 * :class:`FlowModel` — affine coupling flow with exact log-likelihood via
-  the change-of-variables formula: log p(c) = log N(t; 0, I) + log|det J|
+  the change-of-variables formula, on the rows' whitened coordinates in the
+  directions holding PROJECTION_VARIANCE_KEPT (:func:`flow_fit`):
+  log p(c) = log N(t; 0, I) + log|det J|
   where c are a latent row's coordinates and t their stacked coupling
   transform. Each coupling layer splits c into pass-through columns P and
   transformed columns T, fixed by its index (:func:`halves`): even layers
@@ -30,10 +34,11 @@ directions.
 
 Both estimators walk their query rows in fixed chunks (``KDE_CHUNK_ROWS``,
 ``FLOW_CHUNK_ROWS``), folding a 1-row tail into the chunk before it (see
-:func:`chunk_bounds`). A chunked pass equals a one-shot pass bit for bit
-where every chunk's product runs the same gemm kernel, as checked at the
-128-d default latent; at narrow latents a row's last bits can depend on the
-batch it comes in.
+:func:`chunk_bounds`), and project each row by einsum, which gives a row
+the same coordinates in any batch. A chunked pass equals a one-shot pass
+bit for bit where every chunk's product runs the same gemm kernel, as
+checked at the 128-d default latent; at narrow widths a row's last bits
+can depend on the batch it comes in.
 The KDE raises its max-shifted log-kernels to at least
 ``KDE_LOG_KERNEL_FLOOR`` = -700 before the exp, which keeps numpy on its
 vectorized exp (a subnormal or zero result costs 15-150x more per element)
@@ -74,7 +79,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 # -- kernel density estimation ----------------------------------------------
 
 
-# Query rows per distance GEMM in KdeModel.log_density, so a chunk's
+# Query rows per kernel GEMM in KdeModel.log_density, so a chunk's
 # 128 x n buffer stays ~1 MB at n = 1000 support rows.
 KDE_CHUNK_ROWS = 128
 
@@ -105,70 +110,110 @@ def chunk_bounds(rows: int, chunk: int) -> list[int]:
 
 @dataclass(frozen=True)
 class KdeModel:
-    """Gaussian KDE: log-mean of isotropic Gaussian kernels at the support.
+    """Gaussian KDE of latent rows on their top principal coordinates.
 
-    The support is copied and made read-only at construction, and its
-    squared row norms and the kernel normalizer are cached then (derived
-    state: not serialized, not compared), so a query pays only for its own
-    rows.
+    ``projection`` (see :func:`kde_projection`) maps a d-wide latent row z to
+    its r coordinates c = (z - mean) @ directions.T, with unit scales and
+    the bandwidth h as its residual scale; ``support`` holds the train rows'
+    coordinates. The density is an r-dim KDE of c times an isotropic
+    Gaussian of width h on the residual, the row's centered part off the
+    directions' span:
+
+        log p(z) = log mean_j N(c; s_j, h^2 I_r) - ||residual||^2 / (2 h^2)
+                   - (d - r) log h - (d - r)/2 log 2 pi,
+
+    which equals the full-space KDE exactly when the support lies in the
+    subspace, and scores a row far off it low in every direction.
+
+    The support is copied and made read-only at construction, and two
+    derived values are cached then (not serialized, not compared): the
+    ``augmented`` n x (r + 1) support [s / h, -||s / h||^2 / 2] and the
+    normalizer ``log_norm`` = log n + d log h + d/2 log 2 pi.
     """
 
-    support: np.ndarray  # n x d latent matrix
-    bandwidth: float
-    support_sq: np.ndarray = field(init=False, repr=False, compare=False)
-    log_norm: float = field(init=False, repr=False, compare=False)  # log n h^d (2 pi)^(d/2)
+    projection: LatentProjection
+    support: np.ndarray  # n x r train coordinates
+    augmented: np.ndarray = field(init=False, repr=False, compare=False)
+    log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = np.array(self.support, dtype=np.float64)
         if support.ndim != 2 or support.shape[0] == 0:
             raise ValueError("KDE support must be a non-empty matrix")
-        if not 0 < self.bandwidth < np.inf:
-            raise ValueError("bandwidth must be positive and finite")
+        n, width = support.shape
+        r = self.projection.dim
+        if width != r:
+            raise ValueError(f"kde support has {width} columns; its projection keeps "
+                             f"{r} directions")
+        if not np.all(self.projection.scales == 1.0):
+            raise ValueError("a KDE projection has unit scales")
         support.flags.writeable = False
-        support_sq = (support * support).sum(axis=1)
-        support_sq.flags.writeable = False
-        n, d = support.shape
+        h = self.bandwidth
+        augmented = np.empty((n, r + 1))
+        np.divide(support, h, out=augmented[:, :r])
+        augmented[:, r] = np.einsum("nr,nr->n", augmented[:, :r], augmented[:, :r])
+        augmented[:, r] *= -0.5
+        augmented.flags.writeable = False
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "support_sq", support_sq)
-        object.__setattr__(self, "log_norm", math.log(n) + d * math.log(self.bandwidth)
-                           + 0.5 * d * LOG_2PI)
+        object.__setattr__(self, "augmented", augmented)
+        object.__setattr__(self, "log_norm", math.log(n) + self.dim * math.log(h)
+                           + 0.5 * self.dim * LOG_2PI)
+
+    @property
+    def bandwidth(self) -> float:
+        return self.projection.residual_scale
 
     @property
     def dim(self) -> int:
-        return self.support.shape[1]
+        """d, the width of the latent rows."""
+        return self.projection.mean.size
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
-        """Log-density of each row of z; -inf where every squared distance
-        to the support overflows (a far, huge row), never NaN.
+        """Log-density of each latent row of z; -inf where a value overflows
+        (a far, huge row), never NaN.
 
         Walks z in chunks of KDE_CHUNK_ROWS rows (see chunk_bounds) through
-        one reused chunk x n buffer: ||z||^2 - 2 z.s + ||s||^2, clamped at 0,
-        over -2h^2, then a max-shifted log-sum-exp whose shifted log-kernels
-        are raised to at least KDE_LOG_KERNEL_FLOOR before the exp.
+        reused buffers. Each chunk is centered and projected by einsum,
+        which sums each dot product over the row alone, so a row scores
+        alike in any batch. One GEMM of the augmented query [c / h, 1]
+        against ``augmented`` then gives every c.s / h^2 - ||s||^2 / (2 h^2),
+        the log-kernel plus the row's ||c||^2 / (2 h^2); a max-shifted
+        log-sum-exp runs over them, its shifted terms raised to at least
+        KDE_LOG_KERNEL_FLOOR before the exp. The row's own term comes after:
+        the directions are orthonormal, so ||c||^2 + ||residual||^2 =
+        ||z - mean||^2, and one norm per row gives both the kernels' missing
+        part and the residual's Gaussian. It is divided by h twice, so that
+        at a tiny h no step multiplies an infinity by 0.
 
-        The floor leaves every output bit as it was: after the shift the
-        nearest kernel is exactly e^0 = 1, so each row sum is at least 1,
-        and a floored term is below e^-700 ~ 1e-304, some 10^288 times less
-        than half an ulp of 1. It can only change a partial sum of the
-        pairwise summation that is itself tiny, and the row sum absorbs that
-        partial. tests/kde_reference.py keeps the unfloored kernel as the
-        oracle.
+        No squared distance is formed, so none needs a clamp at 0: the shift
+        bounds every exp at e^0 = 1 whatever the rounding, and rounding that
+        lifts a row's log-density above the densest train row's only scales
+        it to s = 1. The floor moves no output bit: each row sum is at least
+        the nearest kernel's e^0 = 1, and a floored term is below e^-700 ~
+        1e-304, far under half an ulp of it; it can only change a partial
+        sum of the pairwise summation that is itself tiny, and the row sum
+        absorbs that partial. tests/kde_reference.py keeps the unfloored
+        one-shot kernel as the oracle.
         """
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         rows = z.shape[0]
         bounds = chunk_bounds(rows, KDE_CHUNK_ROWS)
-        buf = np.empty((min(rows, KDE_CHUNK_ROWS + 1), self.support.shape[0]))
+        cap = min(rows, KDE_CHUNK_ROWS + 1)
+        r = self.projection.dim
+        centered = np.empty((cap, self.dim))
+        query = np.empty((cap, r + 1))
+        query[:, r] = 1.0
+        buf = np.empty((cap, self.support.shape[0]))
         out = np.empty(rows)
-        denom = -2.0 * self.bandwidth**2
+        h = self.bandwidth
+        mean, directions = self.projection.mean, self.projection.directions
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for lo, hi in zip(bounds, bounds[1:]):
-                zc = z[lo:hi]
+                c = np.subtract(z[lo:hi], mean, out=centered[:hi - lo])
+                q = query[:hi - lo]
+                np.divide(np.einsum("rd,nd->nr", directions, c), h, out=q[:, :r])
                 a = buf[:hi - lo]
-                np.matmul(zc * -2.0, self.support.T, out=a)
-                a += (zc * zc).sum(axis=1)[:, None]
-                a += self.support_sq
-                np.maximum(a, 0.0, out=a)
-                a /= denom
+                np.matmul(q, self.augmented.T, out=a)
                 m = a.max(axis=1)
                 a -= m[:, None]
                 np.maximum(a, KDE_LOG_KERNEL_FLOOR, out=a)
@@ -176,14 +221,22 @@ class KdeModel:
                 lse = out[lo:hi]
                 np.log(a.sum(axis=1), out=lse)
                 lse += m
-        # A row whose max is -inf or NaN (every distance overflowed) came
-        # out NaN; fmax turns exactly those into -inf.
+                sq = np.einsum("nd,nd->n", c, c)
+                sq /= h
+                sq /= h
+                sq *= 0.5
+                lse -= sq
+        # A row whose max is -inf or NaN, or whose norm overflowed to meet
+        # an infinite max, came out NaN; fmax turns exactly those into -inf.
         np.fmax(out, -np.inf, out=out)
         out -= self.log_norm
         return out
 
     def param_count(self) -> int:
-        return self.support.size + 1  # stored support plus the bandwidth
+        """The support, the projection's mean and directions, and the
+        bandwidth; the unit scales are fixed."""
+        projection = self.projection
+        return self.support.size + projection.mean.size + projection.directions.size + 1
 
 
 def scott_bandwidth(z: np.ndarray) -> float:
@@ -196,11 +249,31 @@ def scott_bandwidth(z: np.ndarray) -> float:
     return float(n ** (-1.0 / (d + 4))) * sigma
 
 
+def kde_projection(mean: np.ndarray, directions: np.ndarray, bandwidth: float
+                   ) -> LatentProjection:
+    """The projection of a KDE onto the given directions: unit scales, so
+    the coordinates keep the latents' units, and the bandwidth as the
+    width of the Gaussian on the residual."""
+    if not 0 < bandwidth < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
+    directions = np.asarray(directions, dtype=np.float64)
+    return LatentProjection(mean, directions, np.ones(directions.shape[0]), bandwidth)
+
+
 def kde_fit(z: np.ndarray, bandwidth: float | None = None) -> KdeModel:
+    """The KDE of the latent rows z on their fewest top principal
+    directions that keep KDE_VARIANCE_KEPT of the variance (at least 1),
+    from one SVD of the centered rows. The bandwidth defaults to Scott's
+    rule on the full d-wide rows."""
     z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] == 0:
+        raise ValueError("KDE support must be a non-empty matrix")
     if bandwidth is None:
         bandwidth = scott_bandwidth(z)
-    return KdeModel(support=z, bandwidth=float(bandwidth))
+    mean, sv, vt, noise = _principal_axes(z)
+    r = max(1, _directions_holding(sv, noise, KDE_VARIANCE_KEPT))
+    projection = kde_projection(mean, vt[:r], float(bandwidth))
+    return KdeModel(projection, np.einsum("rd,nd->nr", projection.directions, z - mean))
 
 
 # -- coupling flow ------------------------------------------------------------
@@ -529,6 +602,13 @@ def flow_fit(train_z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[f
 # layer needs two halves).
 PROJECTION_VARIANCE_KEPT = 0.99
 
+# Share of the train latents' variance that the KDE's coordinates keep: the
+# fewest top principal directions holding it, and at least 1. It is more
+# than the flow keeps because the KDE scores the residual at its bandwidth,
+# narrower than the left-out spread: at 99.99% (r = 16-20 on the default
+# config) an iid row's log s moved by at most 0.11 against the 128-d KDE.
+KDE_VARIANCE_KEPT = 0.9999
+
 
 @dataclass(frozen=True)
 class LatentProjection:
@@ -597,30 +677,48 @@ class LatentProjection:
         return self.mean.size + self.directions.size + self.scales.size + 1
 
 
-def fit_projection(z: np.ndarray) -> LatentProjection:
-    """The projection of the n latent rows z onto their fewest top principal
-    directions that keep PROJECTION_VARIANCE_KEPT of the variance (at least
-    2), from one SVD of the centered rows.
-
-    Raises ValueError when the rows vary along fewer than 2 directions. A
-    direction varies when its singular value exceeds max(n, d) * eps *
-    sqrt(n) * max|z|: numpy's rank tolerance, taken relative to the rows'
+def _principal_axes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The mean of the n latent rows z, the singular values and right
+    singular vectors of the centered rows (one SVD), and the rank
+    tolerance: a direction varies when its singular value exceeds max(n, d)
+    * eps * sqrt(n) * max|z|, numpy's tolerance taken relative to the rows'
     magnitude, since centering leaves rounding noise of about eps * max|z|
-    per entry even where every row is equal. The residual scale comes from
-    the largest singular value left out, and at least from that tolerance,
-    so it stays positive where the rows lie in r directions."""
-    z = np.asarray(z, dtype=np.float64)
+    per entry even where every row is equal."""
     n = z.shape[0]
     mean = z.mean(axis=0)
     _, sv, vt = np.linalg.svd(z - mean, full_matrices=False)
-    noise = max(z.shape) * np.finfo(np.float64).eps * math.sqrt(n) * np.abs(z).max()
+    tolerance = max(z.shape) * np.finfo(np.float64).eps * math.sqrt(n) * np.abs(z).max()
+    return mean, sv, vt, tolerance
+
+
+def _directions_holding(sv: np.ndarray, tolerance: float, kept: float) -> int:
+    """The fewest top directions whose squared singular values hold the
+    share kept of their sum, and at most the varying ones (0 if none)."""
+    varying = int((sv > tolerance).sum())
+    if varying == 0:
+        return 0
+    power = sv * sv
+    share = np.cumsum(power) / power.sum()
+    return min(varying, int(np.searchsorted(share, kept)) + 1)
+
+
+def fit_projection(z: np.ndarray) -> LatentProjection:
+    """The projection of the n latent rows z onto their fewest top principal
+    directions that keep PROJECTION_VARIANCE_KEPT of the variance (at least
+    2), from one SVD of the centered rows (see _principal_axes).
+
+    Raises ValueError when the rows vary along fewer than 2 directions. The
+    residual scale comes from the largest singular value left out, and at
+    least from the rank tolerance, so it stays positive where the rows lie
+    in r directions."""
+    z = np.asarray(z, dtype=np.float64)
+    n = z.shape[0]
+    mean, sv, vt, noise = _principal_axes(z)
     varying = int((sv > noise).sum())
     if varying < 2:
         raise ValueError(f"the train latents vary along {varying} direction(s); "
                          "the flow needs at least 2")
-    power = sv * sv
-    share = np.cumsum(power) / power.sum()
-    r = max(2, min(varying, int(np.searchsorted(share, PROJECTION_VARIANCE_KEPT)) + 1))
+    r = max(2, _directions_holding(sv, noise, PROJECTION_VARIANCE_KEPT))
     left_out = sv[r] if r < sv.size else 0.0
     return LatentProjection(mean, vt[:r], sv[:r] / math.sqrt(n),
                             float(max(left_out, noise)) / math.sqrt(n))

@@ -1,9 +1,9 @@
 """Density-softmax predictor: frozen encoder, scaled likelihood, re-tuned head.
 
 Training runs three steps: (1) standard ERM on encoder + classifier,
-(2) density fit on the frozen encoder's train latents (a KDE, or a flow that
-fits its own projection: coupling layers on the latents' whitened top
-principal coordinates times a Gaussian on each row's distance off them),
+(2) density fit on the frozen encoder's train latents (a KDE on their top
+principal coordinates, or coupling layers on their whitened ones, each
+times a Gaussian on each row's distance off them),
 then likelihood scaling in one scoring pass over the latent rows, (3)
 re-optimization of the classifier alone against the density-scaled
 objective, starting from step 1's head. Every step that

@@ -1,8 +1,8 @@
 """Versioned JSON model containers with exact float round-trip.
 
 A container is one JSON document. Every float64 array in it (dense weights
-and biases, the classifier's theta, the KDE support) is an object
-``{"shape": [...], "float64le": "<base64>"}``: the array's raw
+and biases, the classifier's theta, the projections, the KDE support) is
+an object ``{"shape": [...], "float64le": "<base64>"}``: the array's raw
 little-endian IEEE-754 bytes, base64-encoded. Save -> load therefore
 reproduces every parameter bit for bit by construction (the bytes are the
 bits, -0.0, subnormals and the largest finite value included), and neither
@@ -10,30 +10,40 @@ side turns a weight into a Python float or its decimal repr. Scalars
 (bandwidth, max_train_log_density, residual_scale) stay finite JSON
 numbers.
 
-Version 6, the only version read, stores arrays and no layout: the "kind"
+Version 7, the only version read, stores arrays and no layout: the "kind"
 ("density_softmax" or "erm"), the "encoder" as its "activation" and its
 "layers", "classifier.theta" and, for "density_softmax" only, the
-"density": a KDE's support and bandwidth, or a flow's "projection"
-(``FlowModel.projection``: its "mean" (d,), "directions" (r, d) and
-"scales" (r,), which map a d-wide latent to the r coordinates the coupling
-layers model, and its "residual_scale", the width of the Gaussian on a
-row's distance off them) and "layers", one stacked net per coupling layer
-with (2, in, out) weights (slot 0 the s-net, slot 1 the t-net), plus
-max_train_log_density. Each layer is a {weight, bias}. A coupling net maps
-its layer's |P| pass-through columns to its |T| transformed ones, so it
-stores no weight that no output reads. An "ensemble" holds its "members",
-model containers without the version field. The loader lays each net out
-with the function that builds it fresh, ``model.encoder_net`` or
-``density.coupling_net``, and works out and checks the rest: the input and
-latent widths from the encoder's end layers, the class count from theta's
-columns (at least 2, latent-width rows), the projection's width against the
-latent width, its scales and its residual_scale (positive), the flow's
-width from the projection's r and each coupling layer's halves from its
-index. Another version is refused with a ContainerError after reading
-the version field alone; ``run`` writes the same model again as version 6.
-So is a key the loader does not read, in any object of the document, and an
-object or a list stored as another JSON type, each named by its key: a
-stale or hand-added fact could otherwise disagree with the model silently.
+"density": its max_train_log_density and either
+
+* a KDE's "mean" (d,) and "directions" (r, d), which map a d-wide latent
+  to its r top principal coordinates, its "support" (n, r), the train
+  rows' coordinates, and its "bandwidth". The projection's unit scales
+  and its residual scale, the bandwidth, follow from these
+  (``density.kde_projection``), and the augmented support that the
+  kernel's GEMM reads is worked out again at load; or
+* a flow's "projection" (``FlowModel.projection``: its "mean" (d,),
+  "directions" (r, d) and "scales" (r,), which map a d-wide latent to the
+  r coordinates the coupling layers model, and its "residual_scale", the
+  width of the Gaussian on a row's distance off them) and "layers", one
+  stacked net per coupling layer with (2, in, out) weights (slot 0 the
+  s-net, slot 1 the t-net).
+
+Each layer is a {weight, bias}. A coupling net maps its layer's |P|
+pass-through columns to its |T| transformed ones, so it stores no weight
+that no output reads. An "ensemble" holds its "members", model containers
+without the version field. The loader lays each net out with the function
+that builds it fresh, ``model.encoder_net`` or ``density.coupling_net``,
+and works out and checks the rest: the input and latent widths from the
+encoder's end layers, the class count from theta's columns (at least 2,
+latent-width rows), each projection's width against the latent width, the
+KDE support's width against its directions, the flow's scales and
+residual_scale (positive), the flow's width from the projection's r and
+each coupling layer's halves from its index. Another version, 1 to 6
+included, is refused with a ContainerError after reading the version field
+alone; ``run`` writes the same model again as version 7. So is a key the
+loader does not read, in any object of the document, and an object or a
+list stored as another JSON type, each named by its key: a stale or
+hand-added fact could otherwise disagree with the model silently.
 """
 
 from __future__ import annotations
@@ -49,12 +59,13 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import Tensor
-from .density import FlowModel, KdeModel, LatentProjection, ScaledDensity, coupling_net
+from .density import (FlowModel, KdeModel, LatentProjection, ScaledDensity, coupling_net,
+                      kde_projection)
 from .layers import DenseNet
 from .model import Classifier, Encoder, encoder_net
 from .predictor import DensitySoftmaxModel, Ensemble
 
-CONTAINER_VERSION = 6
+CONTAINER_VERSION = 7
 
 PROJECTION_ARRAYS = ("mean", "directions", "scales")  # and the scalar residual_scale
 
@@ -145,8 +156,10 @@ def _net_from_list(layers, what: str, build: Callable[[list], DenseNet],
 def _density_to_dict(density: ScaledDensity) -> dict:
     inner = density.inner
     if isinstance(inner, KdeModel):
-        body = {"kind": "kde", "support": _encode_array(inner.support),
-                "bandwidth": inner.bandwidth}
+        projection = inner.projection
+        body = {"kind": "kde", "mean": _encode_array(projection.mean),
+                "directions": _encode_array(projection.directions),
+                "support": _encode_array(inner.support), "bandwidth": inner.bandwidth}
     elif isinstance(inner, FlowModel):
         projection = inner.projection
         body = {"kind": "flow",
@@ -162,10 +175,13 @@ def _density_to_dict(density: ScaledDensity) -> dict:
 
 def _density_from_dict(d, latent_dim: int) -> ScaledDensity:
     if _object(d, "density")["kind"] == "kde":
-        _known(d, "density", ("kind", "support", "bandwidth", "max_train_log_density"))
+        _known(d, "density", ("kind", "mean", "directions", "support", "bandwidth",
+                              "max_train_log_density"))
+        projection = kde_projection(_decode_array(d["mean"], "kde mean", 1),
+                                    _decode_array(d["directions"], "kde directions", 2),
+                                    _finite_number(d, "bandwidth"))
         inner: KdeModel | FlowModel = KdeModel(
-            support=_decode_array(d["support"], "kde support", 2),
-            bandwidth=_finite_number(d, "bandwidth"))
+            projection, _decode_array(d["support"], "kde support", 2))
         if inner.dim != latent_dim:
             raise ContainerError(f"kde density is {inner.dim}-d, "
                                  f"the encoder's latent_dim is {latent_dim}")

@@ -184,6 +184,10 @@ INVALID = [
     (_doc("dataset.n_per_class", 1.5), "dataset.n_per_class"),
     (_doc("dataset.noise_sd", "0.1"), "dataset.noise_sd"),
     (_doc("dataset.noise_sd", True), "dataset.noise_sd"),
+    (_doc("dataset.noise_sd", -1), "dataset.noise_sd"),
+    (_doc("dataset.n_per_class", 0), "dataset.n_per_class"),
+    (_doc("dataset.n_test_per_class", 0), "dataset.n_test_per_class"),
+    (_doc("dataset.ood.n", 0), "dataset.ood.n"),
     (_doc("dataset.ood", []), "dataset.ood"),
     (_doc("dataset.ood.foo", 1), "dataset.ood.foo"),
     (_doc("dataset.ood.center", [1, 2, 3]), "dataset.ood.center"),
@@ -298,6 +302,21 @@ class TestContractTable:
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {dotted}: unknown field\n"
+
+
+    @pytest.mark.parametrize("dotted, value, message", [
+        ("dataset.noise_sd", -1, "must be >= 0"),
+        ("dataset.n_per_class", 0, "must be >= 1"),
+        ("dataset.ood.n", 0, "must be >= 1"),
+    ])
+    def test_data_fault_exits_2_naming_its_path(self, tmp_path, capsys, dotted, value,
+                                                message):
+        """Checked at parse time, before any set is drawn."""
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(_doc(dotted, value)))
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {dotted}: {message}\n"
 
 
 # Every value a config document can set, as parse_config reads the tree: a

@@ -10,15 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from conftest import identity_projection
 from hypothesis import strategies as st
-from kde_reference import kde_log_density
+from kde_reference import full_space_log_density, kde_log_density
 
 from density_softmax.autodiff import Tensor
 from density_softmax.density import (FINAL, FLOW_CHUNK_ROWS, KDE_CHUNK_ROWS,
-                                     KDE_LOG_KERNEL_FLOOR, LIKELIHOOD_FLOOR, LOG_2PI,
-                                     PROJECTION_VARIANCE_KEPT, CouplingLayer, FlowConfig,
-                                     FlowModel, KdeModel, LatentProjection, chunk_bounds,
-                                     compute_scale, coupling_net, fit_projection, flow_fit,
-                                     halves, kde_fit, scott_bandwidth)
+                                     KDE_LOG_KERNEL_FLOOR, KDE_VARIANCE_KEPT,
+                                     LIKELIHOOD_FLOOR, LOG_2PI, PROJECTION_VARIANCE_KEPT,
+                                     CouplingLayer, FlowConfig, FlowModel, KdeModel,
+                                     LatentProjection, chunk_bounds, compute_scale,
+                                     coupling_net, fit_projection, flow_fit, halves, kde_fit,
+                                     kde_projection, scott_bandwidth)
 from density_softmax.layers import Dense, DenseNet, fan_in_uniform
 from density_softmax.model import TrainingDiverged
 
@@ -73,6 +74,60 @@ class TestKde:
         mass = np.trapezoid(np.trapezoid(dens, xs, axis=1), xs)
         assert 0.95 <= mass <= 1.05
 
+    @pytest.mark.parametrize("bandwidth", [None, 0.5])
+    def test_support_in_a_subspace_matches_the_full_space_kde(self, rng, bandwidth):
+        """Latents in a 3-dim affine subspace of 16 dims: the projected KDE
+        keeps 3 directions and equals the full-space KDE, on the subspace
+        and off it, since ||z - s||^2 = ||c - c_s||^2 + ||residual||^2."""
+        basis = np.linalg.qr(rng.normal(size=(16, 16)))[0][:3]
+        shift = rng.normal(size=16)
+        support = shift + (rng.normal(size=(300, 3)) * [3.0, 1.0, 0.3]) @ basis
+        on = shift + (rng.normal(size=(40, 3)) * 2.0) @ basis
+        off = on + rng.normal(size=(40, 16)) * 0.5
+        kde = kde_fit(support, bandwidth)
+        assert kde.projection.dim == 3 and kde.dim == 16
+        h = scott_bandwidth(support) if bandwidth is None else bandwidth
+        assert kde.bandwidth == h
+        for z in (on, off, support[:50]):
+            np.testing.assert_allclose(kde.log_density(z),
+                                       full_space_log_density(support, h, z),
+                                       rtol=0, atol=1e-10)
+
+    def test_keeps_the_fewest_directions_holding_the_variance_share(self, rng):
+        z = (rng.normal(size=(500, 6)) * [5.0, 2.0, 0.5, 0.1, 0.01, 0.001]
+             ) @ np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        kde = kde_fit(z)
+        power = np.linalg.svd(z - z.mean(axis=0), compute_uv=False) ** 2
+        share = np.cumsum(power) / power.sum()
+        r = kde.projection.dim
+        assert share[r - 1] >= KDE_VARIANCE_KEPT > share[r - 2]
+        np.testing.assert_array_equal(kde.projection.scales, np.ones(r))
+        assert kde.projection.residual_scale == kde.bandwidth
+        assert kde.support.shape == (500, r)
+
+    def test_rows_at_one_point_keep_one_direction(self):
+        kde = kde_fit(np.ones((4, 3)), bandwidth=0.5)
+        assert kde.projection.dim == 1
+        assert kde.log_density(np.ones(3))[0] == pytest.approx(
+            -3 * math.log(0.5) - 1.5 * math.log(2 * math.pi), abs=1e-12)
+
+    def test_param_count_of_the_default_shape(self):
+        """1000 train rows of a 128-d latent on 17 coordinates: the
+        support, the projection's mean and directions, and the bandwidth;
+        the unit scales are fixed. The support was 128,000 numbers."""
+        kde = KdeModel(kde_projection(np.zeros(128), np.eye(128)[:17], 1.0),
+                       np.zeros((1000, 17)))
+        assert kde.param_count() == 17_000 + 128 + 17 * 128 + 1 == 19_305
+
+    def test_support_of_another_width_or_scaled_projection_rejected(self):
+        projection = kde_projection(np.zeros(4), np.eye(4)[:2], 1.0)
+        with pytest.raises(ValueError, match="kde support has 3 columns; its projection "
+                                             "keeps 2 directions"):
+            KdeModel(projection, np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="a KDE projection has unit scales"):
+            KdeModel(LatentProjection(np.zeros(4), np.eye(4)[:2], np.full(2, 2.0), 1.0),
+                     np.zeros((5, 2)))
+
 
 def latent_like(rng, rows: int, d: int = 128) -> np.ndarray:
     """Rows shaped like encoder latents: a few clusters plus far stragglers."""
@@ -98,14 +153,13 @@ class TestKdeChunkedKernel:
         kde, queries = kde_and_queries
         z = queries[:rows]
         np.testing.assert_array_equal(
-            kde.log_density(z), kde_log_density(kde.support, kde.bandwidth, z))
+            kde.log_density(z), kde_log_density(kde, z))
 
     def test_single_row_matches_reference(self, kde_and_queries):
         kde, queries = kde_and_queries
         for row in queries[:50]:
             np.testing.assert_allclose(
-                kde.log_density(row),
-                kde_log_density(kde.support, kde.bandwidth, row), rtol=1e-12)
+                kde.log_density(row), kde_log_density(kde, row), rtol=1e-12)
 
     def test_train_max_is_exactly_one_under_compute_scale_batching(self):
         train_z = latent_like(np.random.default_rng(6), 1000)
@@ -132,11 +186,13 @@ class TestKdeChunkedKernel:
     def test_support_norms_cached_read_only_not_in_repr(self, rng):
         z = rng.normal(size=(20, 3))
         kde = kde_fit(z, 0.5)
-        np.testing.assert_array_equal(kde.support_sq, (z * z).sum(axis=1))
+        v = kde.support / 0.5
+        np.testing.assert_array_equal(kde.augmented[:, :-1], v)
+        np.testing.assert_array_equal(kde.augmented[:, -1], -0.5 * (v * v).sum(axis=1))
         assert not kde.support.flags.writeable
-        assert not kde.support_sq.flags.writeable
+        assert not kde.augmented.flags.writeable
         assert z.flags.writeable  # the caller's array is copied, not frozen
-        assert "support_sq" not in repr(kde)
+        assert "augmented" not in repr(kde)
 
     @pytest.mark.parametrize("huge", [1e160, 1e200])
     def test_huge_row_has_minus_inf_log_density(self, rng, huge):
@@ -166,12 +222,12 @@ LOG_KERNEL_BANDS = {"subnormal": (-745.0, -709.0), "zero": (-1500.0, -745.0),
                     "mixed": (-1500.0, 0.0)}
 
 
-def chunkwise_reference(support, bandwidth, z):
+def chunkwise_reference(kde, z):
     """kde_reference over each chunk of KdeModel.log_density. At a latent
     width of a few dims OpenBLAS's gemm gives a row other last bits in
     another row block, so a one-shot product is no oracle there."""
     bounds = chunk_bounds(len(z), KDE_CHUNK_ROWS)
-    return np.concatenate([kde_log_density(support, bandwidth, z[lo:hi])
+    return np.concatenate([kde_log_density(kde, z[lo:hi])
                            for lo, hi in zip(bounds, bounds[1:])])
 
 
@@ -207,12 +263,12 @@ class TestKdeLogKernelFloor:
 
         kde = kde_fit(support, bandwidth)
         np.testing.assert_array_equal(kde.log_density(queries),
-                                      chunkwise_reference(support, bandwidth, queries))
+                                      chunkwise_reference(kde, queries))
         np.testing.assert_array_equal(kde.log_density(queries[0]),
-                                      kde_log_density(support, bandwidth, queries[0]))
+                                      kde_log_density(kde, queries[0]))
         sd, train_s = compute_scale(kde, support)
         np.testing.assert_array_equal(kde.log_density(support),
-                                      chunkwise_reference(support, bandwidth, support))
+                                      chunkwise_reference(kde, support))
         assert sd.scaled_likelihood(support).max() == 1.0
         np.testing.assert_array_equal(train_s, sd.scaled_likelihood(support))
 
@@ -573,7 +629,10 @@ class TestScaling:
     def test_scaled_density_param_count(self, rng):
         z = rng.normal(size=(20, 3))
         sd, _ = compute_scale(kde_fit(z, 0.5), z)
-        assert sd.param_count() == 20 * 3 + 1 + 1
+        # 3 coordinates per support row, the projection's mean and
+        # directions, the bandwidth and the scale constant
+        assert sd.inner.projection.dim == 3
+        assert sd.param_count() == 20 * 3 + 3 + 3 * 3 + 1 + 1
 
 
 class TestLatentProjection:

@@ -25,8 +25,8 @@ from density_softmax.layers import DenseNet, l2_backward, l2_value
 from density_softmax.model import (EncoderConfig, TrainConfig, erm_loss, erm_train,
                                    head_cross_entropy, init_model)
 from density_softmax.optim import Adam, OptimizerSpec
-from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel, ReoptConfig,
-                                       reoptimize_classifier, train_pipeline)
+from density_softmax.predictor import (DensityConfig, ReoptConfig, reoptimize_classifier,
+                                       train_pipeline)
 
 import tape_reference as ref
 from conftest import (assert_grads_close, bind_grads, central_difference_grad, dense,

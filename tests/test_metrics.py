@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from density_softmax.metrics import (BinStats, accuracy, auroc, aupr,
+from density_softmax.metrics import (accuracy, auroc, aupr,
                                      bin_index, brier_score, ece_from_bins,
                                      evaluate_predictions,
                                      expected_calibration_error,

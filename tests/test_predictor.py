@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from density_softmax.autodiff import Tensor
 from density_softmax.config import build_datasets, parse_config
 from density_softmax.data import LabeledSet, make_two_moons
 from density_softmax.density import (LIKELIHOOD_FLOOR, FlowConfig, FlowModel, KdeModel,
                                      ScaledDensity, kde_fit)
-from density_softmax.model import Classifier, EncoderConfig, TrainConfig, init_model
+from density_softmax.model import EncoderConfig, TrainConfig, init_model
 from density_softmax.ops import entropy, softmax
 from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel, Ensemble,
@@ -209,14 +208,82 @@ class TestDistanceAwareness:
         assert np.all(s[:, -1] <= 1e-200)
 
 
+class TestDefaultConfigDistanceAwareness:
+    """The default KDE model at seed 0 (trained once for the class).
+
+    Near the support s is not monotone along a ray, since rays cross the
+    moons, so s is held against each row's distance d to its nearest train
+    latent. A KDE's log p lies within log n of the nearest kernel's, so
+    log s = -d^2 / (2 h^2) + C with C in a window of width log n: s may not
+    rise from one row to another whose d^2 is larger by 2 h^2 log n."""
+
+    RADII = np.array([0.25, 0.5, 1, 1.5, 2, 3, 4, 5, 6, 7, 8, 10, 20, 50, 100])  # input sd
+    OFFSETS = np.array([0.01, 0.03, 0.1, 0.3, 1, 3, 6, 7, 10])  # latent spread
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        """Rows on 64 rays from the train mean in input space, and 64 train
+        latents moved off the KDE's subspace, each with its s, its squared
+        distance to the nearest train latent and how far out it was put, in
+        train standard deviations."""
+        cfg = parse_config({"dataset": {"generator": "two_moons"}})
+        train = build_datasets(cfg)["train"]
+        model = train_pipeline(train, cfg.encoder, cfg.train, cfg.density, cfg.reopt,
+                               cfg.k).model
+        rng = np.random.default_rng(0)
+        angles = rng.uniform(0.0, 2 * np.pi, 64)
+        rays = np.column_stack([np.cos(angles), np.sin(angles)]) * train.features.std(axis=0)
+        x = train.features.mean(axis=0) + self.RADII[None, :, None] * rays[:, None, :]
+        ray = model.predict(x.reshape(-1, 2))
+
+        train_z = model.encoder.encode(train.features)
+        kde = model.density.inner
+        directions = kde.projection.directions
+        u = rng.normal(size=(64, kde.dim))
+        u -= (u @ directions.T) @ directions
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        spread = np.sqrt(train_z.var(axis=0).sum())
+        moved = (train_z[rng.integers(0, len(train_z), 64)][:, None, :]
+                 + (self.OFFSETS[:, None] * spread * u[:, None, :])).reshape(-1, kde.dim)
+
+        z = np.vstack([ray.latent, moved])
+        sq = ((z * z).sum(axis=1)[:, None] - 2.0 * z @ train_z.T
+              + (train_z * train_z).sum(axis=1)).min(axis=1)
+        s = np.concatenate([ray.scaled_likelihood, model.density.scaled_likelihood(moved)])
+        out = np.concatenate([np.tile(self.RADII, 64), np.tile(self.OFFSETS, 64)])
+        return kde, s, np.maximum(sq, 0.0), out
+
+    def test_s_does_not_rise_with_the_distance_to_the_train_latents(self, probe):
+        kde, s, sq, _ = probe
+        order = np.argsort(sq)
+        sq, s = sq[order], s[order]
+        margin = 2.0 * kde.bandwidth**2 * np.log(kde.support.shape[0])
+        # row i against every row j with sq_j <= sq_i - margin: the nearer
+        # rows' smallest s bounds s_i
+        nearer = np.searchsorted(sq, sq - margin, side="right")
+        smallest = np.minimum.accumulate(s)
+        has = nearer > 0
+        assert has.sum() > len(s) // 2
+        assert np.all(s[has] <= smallest[nearer[has] - 1])
+
+    def test_rows_beyond_6_train_sd_sit_at_the_floor(self, probe):
+        _, s, _, out = probe
+        assert np.all(s[out > 6] == LIKELIHOOD_FLOOR)
+        assert np.all(s[out <= 0.03] > LIKELIHOOD_FLOOR)
+
+
 class TestPipeline:
     def test_runs_end_to_end_and_freezes_encoder(self):
         train, result = small_pipeline(seed=0)
         model = result.model
         # encoder identical before/after steps 2-3: re-encode and compare to
-        # the density support (built from step-1 latents)
+        # the density support (the coordinates of the step-1 latents)
         z = model.encoder.encode(train.features)
-        np.testing.assert_array_equal(z, model.density.inner.support)
+        projection = model.density.inner.projection
+        np.testing.assert_array_equal(projection.mean, z.mean(axis=0))
+        np.testing.assert_array_equal(
+            np.einsum("nd,rd->nr", z - projection.mean, projection.directions),
+            model.density.inner.support)
 
     def test_erm_snapshot_shares_encoder_but_not_head(self):
         train, result = small_pipeline(seed=1)
@@ -242,7 +309,7 @@ class TestPipeline:
 
     def test_flow_density_variant(self):
         """The flow models the whitened principal coordinates of the train
-        latents, and the KDE the latents themselves."""
+        latents; the KDE too reads latent rows of the full width."""
         train, result = small_pipeline(seed=4, density=tiny_flow_density())
         density = result.model.density
         assert isinstance(density.inner, FlowModel)

@@ -80,13 +80,13 @@ class TestDensitySoftmaxContainer:
     def test_stored_flow_container_loads_predicts_and_saves_bit_for_bit(self, tmp_path):
         """data/flow_model_v2_expected.json holds the outputs of a version-2
         container, written while the coupling layers kept their s-net and
-        t-net as separate arrays beside a mask. data/flow_model_v6.json is
+        t-net as separate arrays beside a mask. data/flow_model_v7.json is
         the same model in the current layout: stacked subnets that store
         only the entries an output reads, no per-layer activation, and the
         identity projection on its 8-d latent (mean 0, directions I, scales
         1, residual_scale 1; no row has a residual). It must load, predict the same bits and write the same bytes
         back."""
-        model = load_container(DATA / "flow_model_v6.json")
+        model = load_container(DATA / "flow_model_v7.json")
         want = json.loads((DATA / "flow_model_v2_expected.json").read_text())
         pred = model.predict(_decode_array(want["x"], "x", 2))
         np.testing.assert_array_equal(pred.probs, _decode_array(want["probs"], "probs", 2))
@@ -94,7 +94,7 @@ class TestDensitySoftmaxContainer:
                                       _decode_array(want["scaled_likelihood"], "s", 1))
         path = tmp_path / "again.json"
         save_container(density_softmax_container(model), path)
-        assert path.read_bytes() == (DATA / "flow_model_v6.json").read_bytes()
+        assert path.read_bytes() == (DATA / "flow_model_v7.json").read_bytes()
 
 
 def _key_paths(node, path=()):
@@ -284,14 +284,19 @@ class TestErmAndEnsembleContainers:
         assert "ensemble member 0 is not an object" in capsys.readouterr().err
 
     def test_stored_keys_are_the_documented_facts(self, pipeline_result):
-        """Version 6 keeps no copy of a fact the loader works out again: no
-        layer stores its activation or whether it is residual, and the
-        flow's width is its projection's."""
+        """Version 7 keeps no copy of a fact the loader works out again: no
+        layer stores its activation or whether it is residual, the flow's
+        width is its projection's, and the KDE's projection stores no unit
+        scales and no residual scale beside its bandwidth."""
         train, result = pipeline_result
         kde = density_softmax_container(result.model)
         assert set(kde) == {"version", "kind", "encoder", "classifier", "density"}
         assert set(kde["classifier"]) == {"theta"}
-        assert set(kde["density"]) == {"kind", "support", "bandwidth", "max_train_log_density"}
+        assert set(kde["density"]) == {"kind", "mean", "directions", "support", "bandwidth",
+                                       "max_train_log_density"}
+        r = result.model.density.inner.projection.dim
+        assert {key: kde["density"][key]["shape"] for key in ("mean", "directions", "support")
+                } == {"mean": [8], "directions": [r, 8], "support": [train.n, r]}
         assert set(kde["encoder"]) == {"activation", "layers"}
         assert all(set(layer) == {"weight", "bias"} for layer in kde["encoder"]["layers"])
         flow = density_softmax_container(DensitySoftmaxModel(
@@ -359,6 +364,14 @@ def _short_theta(doc, model):
 
 def _narrow_support(doc, model):
     doc["density"]["support"] = _sliced(doc["density"]["support"], (slice(None), slice(4)))
+    return doc
+
+
+def _kde_of_other_width(doc, model):
+    """A KDE whose projection reads 4 latent columns of the 8-d latent."""
+    density = doc["density"]
+    density["mean"] = _sliced(density["mean"], slice(4))
+    density["directions"] = _sliced(density["directions"], (slice(None), slice(4)))
     return doc
 
 
@@ -432,12 +445,12 @@ def _version(number: int):
     field set to number: the loader reads that field alone before it
     refuses an old version."""
     def corrupt(doc, model):
-        return {**json.loads((DATA / "flow_model_v6.json").read_text()), "version": number}
+        return {**json.loads((DATA / "flow_model_v7.json").read_text()), "version": number}
     return corrupt
 
 
 def _old_version(number: int) -> str:
-    return (f"unsupported container version {number}; this build reads version 6, "
+    return (f"unsupported container version {number}; this build reads version 7, "
             "so write the model again with `run`")
 
 
@@ -513,7 +526,7 @@ class TestContainerValidation:
     @pytest.mark.parametrize("corrupt, message", [
         (_drop_density, "missing key 'density'"),
         (_short_theta, "classifier theta has 4 rows, the encoder's latent_dim is 8"),
-        (_narrow_support, "kde density is 4-d, the encoder's latent_dim is 8"),
+        (_narrow_support, "kde support has 4 columns; its projection keeps 8 directions"),
         (_flow_of_other_dim, "coupling layer 0 net maps 2 -> 2 columns; in the 8-d flow "
                              "its halves need 4 -> 4"),
         (_encoder_layers_do_not_compose,
@@ -556,6 +569,8 @@ class TestContainerValidation:
          "projection residual_scale must be positive and finite"),
         (_stored_as("1", "density", "projection", "residual_scale"),
          "flow projection residual_scale is '1', not a finite number"),
+        (_version(6), _old_version(6)),
+        (_kde_of_other_width, "kde density is 4-d, the encoder's latent_dim is 8"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
             "encoder_layers", "no_encoder_layers", "version_3", "version_2", "version_1",
             "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
@@ -564,7 +579,8 @@ class TestContainerValidation:
             "version_4", "unknown_activation", "version_5", "projection_width",
             "projection_scales_length", "projection_zero_scale", "encoder_layer_type",
             "coupling_net_type", "encoder_type", "projection_type",
-            "projection_zero_residual_scale", "projection_residual_scale_type"])
+            "projection_zero_residual_scale", "projection_residual_scale_type", "version_6",
+            "kde_width"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
                                               corrupt, message, capsys):
         _, result = pipeline_result

@@ -13,9 +13,10 @@ its path within the object, which the parser prefixes with the object's.
 There are three exceptions to the mirror:
 
 * ``bins`` is written under ``"metrics"``: ``{"metrics": {"bins": 15}}``;
-* a nested ``seed`` (train, density.flow, reopt) is not a key: it takes the
-  top-level seed, so every random draw derives from that single seed and
-  reruns reproduce artifacts byte for byte;
+* ``train.seed`` is not a key: it takes the top-level seed, which
+  ``train_pipeline`` also hands to the flow fit and the re-optimization,
+  so every random draw derives from that single seed and reruns reproduce
+  artifacts byte for byte;
 * ``dataset`` and ``dataset.generator`` are required.
 
 Validation errors carry the dotted path of the offending field so the CLI

@@ -222,6 +222,9 @@ def load_csv(path) -> LabeledSet:
             labels.append(int(cells[d]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+        for c, v in zip(cells, feats[-1]):
+            if not math.isfinite(v):
+                raise DataError(f"{path}:{lineno}: non-finite cell {c!r}")
         domains.append(cells[d + 1])
         intensities.append(cells[d + 2])
     if len(set(domains)) != 1 or len(set(intensities)) != 1:

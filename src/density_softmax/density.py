@@ -1,21 +1,24 @@
 """Latent-space density estimation and likelihood scaling.
 
 Two estimators share the same interface: ``log_density`` of latent rows,
-up to a constant. Each owns a :class:`LatentProjection` of the train
-latents onto their top principal directions, and scores each row's
-distance off their subspace with a Gaussian, so a row far from the train
-latents in any direction still scores low. In all 128 latent dims a
-fitted density's log p spreads over so many nats that almost every row's
-scaled likelihood collapses toward 0, while on two moons 99% of the
-variance lies in about 4 directions and 99.99% in about 17.
+up to a constant, which refuses rows of another width than the train
+latents'. Each models the rows' coordinates on the train latents' top
+principal directions, and scores each row's distance off their subspace
+with a Gaussian, so a row far from the train latents in any direction
+still scores low. In all 128 latent dims a fitted density's log p spreads
+over so many nats that almost every row's scaled likelihood collapses
+toward 0, while on two moons 99% of the variance lies in about 4
+directions and 99.99% in about 17.
 
 * :class:`KdeModel` — Gaussian kernel density with a scalar bandwidth h on
   the rows' coordinates in the directions holding KDE_VARIANCE_KEPT of the
   variance (:func:`kde_fit`), times a Gaussian of width h on the residual;
-  one GEMM gives every log-kernel.
+  it holds its mean, directions, support and bandwidth itself, and one
+  GEMM gives every log-kernel.
 * :class:`FlowModel` — affine coupling flow with exact log-likelihood via
   the change-of-variables formula, on the rows' whitened coordinates in the
-  directions holding PROJECTION_VARIANCE_KEPT (:func:`flow_fit`):
+  directions holding PROJECTION_VARIANCE_KEPT, which its
+  :class:`LatentProjection` maps them to (:func:`flow_fit`):
   log p(c) = log N(t; 0, I) + log|det J|
   where c are a latent row's coordinates and t their stacked coupling
   transform. Each coupling layer splits c into pass-through columns P and
@@ -108,16 +111,26 @@ def chunk_bounds(rows: int, chunk: int) -> list[int]:
     return bounds
 
 
+def latent_rows(z, width: int) -> np.ndarray:
+    """z as a float64 matrix of latent rows (a vector is one row), once
+    each row is width wide; numpy would otherwise broadcast a row of
+    another width against a width-wide mean."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if z.ndim != 2 or z.shape[1] != width:
+        raise ValueError(f"latent rows have shape {z.shape}; the density reads rows "
+                         f"{width} wide")
+    return z
+
+
 @dataclass(frozen=True)
 class KdeModel:
     """Gaussian KDE of latent rows on their top principal coordinates.
 
-    ``projection`` (see :func:`kde_projection`) maps a d-wide latent row z to
-    its r coordinates c = (z - mean) @ directions.T, with unit scales and
-    the bandwidth h as its residual scale; ``support`` holds the train rows'
-    coordinates. The density is an r-dim KDE of c times an isotropic
-    Gaussian of width h on the residual, the row's centered part off the
-    directions' span:
+    A d-wide latent row z has the r coordinates c = (z - mean) @
+    directions.T, where ``directions`` holds r orthonormal rows; ``support``
+    holds the train rows' coordinates. The density is an r-dim KDE of c
+    with the scalar bandwidth h times an isotropic Gaussian of width h on
+    the residual, the row's centered part off the directions' span:
 
         log p(z) = log mean_j N(c; s_j, h^2 I_r) - ||residual||^2 / (2 h^2)
                    - (d - r) log h - (d - r)/2 log 2 pi,
@@ -125,48 +138,47 @@ class KdeModel:
     which equals the full-space KDE exactly when the support lies in the
     subspace, and scores a row far off it low in every direction.
 
-    The support is copied and made read-only at construction, and two
+    The arrays are copied and made read-only at construction, and two
     derived values are cached then (not serialized, not compared): the
     ``augmented`` n x (r + 1) support [s / h, -||s / h||^2 / 2] and the
     normalizer ``log_norm`` = log n + d log h + d/2 log 2 pi.
     """
 
-    projection: LatentProjection
-    support: np.ndarray  # n x r train coordinates
+    mean: np.ndarray  # (d,)
+    directions: np.ndarray  # (r, d)
+    support: np.ndarray  # (n, r) train coordinates
+    bandwidth: float
     augmented: np.ndarray = field(init=False, repr=False, compare=False)
     log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        support = np.array(self.support, dtype=np.float64)
+        for name in ("mean", "directions", "support"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), float)))
+        h = float(self.bandwidth)
+        object.__setattr__(self, "bandwidth", h)
+        if not 0 < h < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
+        support = self.support
         if support.ndim != 2 or support.shape[0] == 0:
             raise ValueError("KDE support must be a non-empty matrix")
-        n, width = support.shape
-        r = self.projection.dim
-        if width != r:
-            raise ValueError(f"kde support has {width} columns; its projection keeps "
-                             f"{r} directions")
-        if not np.all(self.projection.scales == 1.0):
-            raise ValueError("a KDE projection has unit scales")
-        support.flags.writeable = False
-        h = self.bandwidth
+        n, r = support.shape
+        want = (r, self.dim)
+        if self.directions.shape != want:
+            raise ValueError(f"kde directions have shape {self.directions.shape}; a support "
+                             f"of shape {support.shape} over a {want[1]}-d mean needs {want}")
         augmented = np.empty((n, r + 1))
         np.divide(support, h, out=augmented[:, :r])
         augmented[:, r] = np.einsum("nr,nr->n", augmented[:, :r], augmented[:, :r])
         augmented[:, r] *= -0.5
         augmented.flags.writeable = False
-        object.__setattr__(self, "support", support)
         object.__setattr__(self, "augmented", augmented)
         object.__setattr__(self, "log_norm", math.log(n) + self.dim * math.log(h)
                            + 0.5 * self.dim * LOG_2PI)
 
     @property
-    def bandwidth(self) -> float:
-        return self.projection.residual_scale
-
-    @property
     def dim(self) -> int:
         """d, the width of the latent rows."""
-        return self.projection.mean.size
+        return self.mean.size
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
         """Log-density of each latent row of z; -inf where a value overflows
@@ -195,18 +207,17 @@ class KdeModel:
         absorbs that partial. tests/kde_reference.py keeps the unfloored
         one-shot kernel as the oracle.
         """
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        z = latent_rows(z, self.dim)
         rows = z.shape[0]
         bounds = chunk_bounds(rows, KDE_CHUNK_ROWS)
         cap = min(rows, KDE_CHUNK_ROWS + 1)
-        r = self.projection.dim
+        r = self.directions.shape[0]
         centered = np.empty((cap, self.dim))
         query = np.empty((cap, r + 1))
         query[:, r] = 1.0
         buf = np.empty((cap, self.support.shape[0]))
         out = np.empty(rows)
-        h = self.bandwidth
-        mean, directions = self.projection.mean, self.projection.directions
+        h, mean, directions = self.bandwidth, self.mean, self.directions
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for lo, hi in zip(bounds, bounds[1:]):
                 c = np.subtract(z[lo:hi], mean, out=centered[:hi - lo])
@@ -233,10 +244,8 @@ class KdeModel:
         return out
 
     def param_count(self) -> int:
-        """The support, the projection's mean and directions, and the
-        bandwidth; the unit scales are fixed."""
-        projection = self.projection
-        return self.support.size + projection.mean.size + projection.directions.size + 1
+        """The support, the mean, the directions and the bandwidth."""
+        return self.support.size + self.mean.size + self.directions.size + 1
 
 
 def scott_bandwidth(z: np.ndarray) -> float:
@@ -247,17 +256,6 @@ def scott_bandwidth(z: np.ndarray) -> float:
     if sigma == 0.0:
         sigma = 1.0
     return float(n ** (-1.0 / (d + 4))) * sigma
-
-
-def kde_projection(mean: np.ndarray, directions: np.ndarray, bandwidth: float
-                   ) -> LatentProjection:
-    """The projection of a KDE onto the given directions: unit scales, so
-    the coordinates keep the latents' units, and the bandwidth as the
-    width of the Gaussian on the residual."""
-    if not 0 < bandwidth < np.inf:
-        raise ValueError("bandwidth must be positive and finite")
-    directions = np.asarray(directions, dtype=np.float64)
-    return LatentProjection(mean, directions, np.ones(directions.shape[0]), bandwidth)
 
 
 def kde_fit(z: np.ndarray, bandwidth: float | None = None) -> KdeModel:
@@ -271,9 +269,8 @@ def kde_fit(z: np.ndarray, bandwidth: float | None = None) -> KdeModel:
     if bandwidth is None:
         bandwidth = scott_bandwidth(z)
     mean, sv, vt, noise = _principal_axes(z)
-    r = max(1, _directions_holding(sv, noise, KDE_VARIANCE_KEPT))
-    projection = kde_projection(mean, vt[:r], float(bandwidth))
-    return KdeModel(projection, np.einsum("rd,nd->nr", projection.directions, z - mean))
+    directions = vt[:max(1, _directions_holding(sv, noise, KDE_VARIANCE_KEPT))]
+    return KdeModel(mean, directions, np.einsum("rd,nd->nr", directions, z - mean), bandwidth)
 
 
 # -- coupling flow ------------------------------------------------------------
@@ -442,7 +439,6 @@ class FlowConfig:
     batch_size: int = 128
     l2: float = 0.01
     lr: float = 1e-4  # Adam
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -478,8 +474,8 @@ class FlowModel:
         self.layers = [CouplingLayer(net, dim, i) for i, net in enumerate(nets)]
 
     @classmethod
-    def build(cls, projection: LatentProjection, config: FlowConfig) -> "FlowModel":
-        rng = np.random.default_rng(config.seed)
+    def build(cls, projection: LatentProjection, config: FlowConfig, seed: int) -> "FlowModel":
+        rng = np.random.default_rng(seed)
         return cls(projection, [_fresh_net(rng, projection.dim, config, i)
                                 for i in range(config.coupling_layers)])
 
@@ -574,10 +570,11 @@ class FlowModel:
         return Tensor(loss, rule)
 
 
-def flow_fit(train_z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[float]]:
+def flow_fit(train_z: np.ndarray, config: FlowConfig, seed: int) -> tuple[FlowModel, list[float]]:
     """Fit the projection of the train latent rows (:func:`fit_projection`,
     one SVD), then the coupling layers on their coordinates by minimizing
-    mean NLL. The model's log-density is of latent rows, up to a constant.
+    mean NLL; seed draws the initial weights and the batch order. The
+    model's log-density is of latent rows, up to a constant.
 
     Returns the model and the per-epoch loss trace.
     """
@@ -587,10 +584,10 @@ def flow_fit(train_z: np.ndarray, config: FlowConfig) -> tuple[FlowModel, list[f
     n = coords.shape[0]
     if n < config.batch_size:
         raise ValueError(f"need at least batch_size={config.batch_size} rows, got {n}")
-    flow = FlowModel.build(projection, config)
+    flow = FlowModel.build(projection, config, seed)
     trace = train_minibatches(
         "flow", lambda idx: flow.nll_loss(coords[idx], config.l2), flow.params(),
-        config.lr, n, config.batch_size, config.epochs, config.seed)
+        config.lr, n, config.batch_size, config.epochs, seed)
     return flow, trace
 
 
@@ -612,9 +609,9 @@ KDE_VARIANCE_KEPT = 0.9999
 
 @dataclass(frozen=True)
 class LatentProjection:
-    """The whitened top principal coordinates of latent rows,
-    (z - mean) @ directions.T / scales, and the log-density of each row's
-    residual off their subspace under N(0, residual_scale^2 I).
+    """The flow's view of latent rows: their whitened top principal
+    coordinates, (z - mean) @ directions.T / scales, and the log-density of
+    each row's residual off their subspace under N(0, residual_scale^2 I).
 
     ``directions`` holds r orthonormal rows, the top right singular vectors
     of the centered train latents, and ``scales`` the train latents'
@@ -633,9 +630,7 @@ class LatentProjection:
 
     def __post_init__(self):
         for name in ("mean", "directions", "scales"):
-            a = np.array(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), float)))
         object.__setattr__(self, "residual_scale", float(self.residual_scale))
         want = (self.scales.size, self.mean.size)
         if self.directions.shape != want:
@@ -654,7 +649,8 @@ class LatentProjection:
     def project(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The coordinates of each row of z, and -||residual||^2 /
         (2 residual_scale^2), where the residual is the row's centered part
-        off the directions' span.
+        off the directions' span. A row of another width than the mean
+        raises ValueError.
 
         Each is a function of its row alone: numpy's einsum sums every dot
         product over the row's entries in one loop, whatever the batch,
@@ -663,7 +659,7 @@ class LatentProjection:
         below 1 when served in another batch than compute_scale's. Under the
         flow walk's errstate: a huge row's values overflow to an infinity or
         NaN, which the density maps to -inf, with no warning."""
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        z = latent_rows(z, self.mean.size)
         with np.errstate(over="ignore", invalid="ignore"):
             centered = z - self.mean
             coords = np.einsum("nd,rd->nr", centered, self.directions)

@@ -55,7 +55,6 @@ class ReoptConfig:
     epochs: int = 10
     batch_size: int = 128
     lr: float = 1e-4  # Adam
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -176,9 +175,9 @@ class PipelineResult:
 
 
 def reoptimize_classifier(classifier: Classifier, train: LabeledSet, z: np.ndarray,
-                          s: np.ndarray, config: ReoptConfig) -> list[float]:
+                          s: np.ndarray, config: ReoptConfig, seed: int) -> list[float]:
     """Step 3: refit the classifier, from its current weights, against
-    softmax(s * logits) targets.
+    softmax(s * logits) targets, in the batch order seed draws.
 
     z and s are the train rows' latents and scaled likelihoods, computed once
     by the pipeline (encoder and density are frozen), so each step's loss
@@ -194,7 +193,7 @@ def reoptimize_classifier(classifier: Classifier, train: LabeledSet, z: np.ndarr
         return Tensor(*head_cross_entropy(z[idx], theta, train.labels[idx], s[idx]))
 
     return train_minibatches("reopt", loss_fn, [theta], config.lr,
-                             train.n, config.batch_size, config.epochs, config.seed)
+                             train.n, config.batch_size, config.epochs, seed)
 
 
 def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,
@@ -216,15 +215,14 @@ def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,
         if density_config.kind == "kde":
             fitted = kde_fit(train_z, density_config.bandwidth)
         else:
-            fitted, density_trace = flow_fit(
-                train_z, replace(density_config.flow, seed=train_config.seed))
+            fitted, density_trace = flow_fit(train_z, density_config.flow, train_config.seed)
         density, train_s = compute_scale(fitted, train_z)
     except Exception as exc:
         raise PipelineError("density", exc) from exc
 
     try:
-        reopt_trace = reoptimize_classifier(
-            classifier, train, train_z, train_s, replace(reopt_config, seed=train_config.seed))
+        reopt_trace = reoptimize_classifier(classifier, train, train_z, train_s, reopt_config,
+                                            train_config.seed)
     except Exception as exc:
         raise PipelineError("reoptimize", exc) from exc
 

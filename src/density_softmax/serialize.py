@@ -6,7 +6,8 @@ an object ``{"shape": [...], "float64le": "<base64>"}``: the array's raw
 little-endian IEEE-754 bytes, base64-encoded. Save -> load therefore
 reproduces every parameter bit for bit by construction (the bytes are the
 bits, -0.0, subnormals and the largest finite value included), and neither
-side turns a weight into a Python float or its decimal repr. Scalars
+side turns a weight into a Python float or its decimal repr. An array
+holding a NaN or an infinity is refused at load, named by its key. Scalars
 (bandwidth, max_train_log_density, residual_scale) stay finite JSON
 numbers.
 
@@ -17,10 +18,9 @@ Version 7, the only version read, stores arrays and no layout: the "kind"
 
 * a KDE's "mean" (d,) and "directions" (r, d), which map a d-wide latent
   to its r top principal coordinates, its "support" (n, r), the train
-  rows' coordinates, and its "bandwidth". The projection's unit scales
-  and its residual scale, the bandwidth, follow from these
-  (``density.kde_projection``), and the augmented support that the
-  kernel's GEMM reads is worked out again at load; or
+  rows' coordinates, and its "bandwidth", the fields of ``KdeModel``; the
+  augmented support that the kernel's GEMM reads is worked out again at
+  load; or
 * a flow's "projection" (``FlowModel.projection``: its "mean" (d,),
   "directions" (r, d) and "scales" (r,), which map a d-wide latent to the
   r coordinates the coupling layers model, and its "residual_scale", the
@@ -36,7 +36,7 @@ that builds it fresh, ``model.encoder_net`` or ``density.coupling_net``,
 and works out and checks the rest: the input and latent widths from the
 encoder's end layers, the class count from theta's columns (at least 2,
 latent-width rows), each projection's width against the latent width, the
-KDE support's width against its directions, the flow's scales and
+KDE's directions against its mean and support, the flow's scales and
 residual_scale (positive), the flow's width from the projection's r and
 each coupling layer's halves from its index. Another version, 1 to 6
 included, is refused with a ContainerError after reading the version field
@@ -59,8 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import Tensor
-from .density import (FlowModel, KdeModel, LatentProjection, ScaledDensity, coupling_net,
-                      kde_projection)
+from .density import FlowModel, KdeModel, LatentProjection, ScaledDensity, coupling_net
 from .layers import DenseNet
 from .model import Classifier, Encoder, encoder_net
 from .predictor import DensitySoftmaxModel, Ensemble
@@ -97,7 +96,7 @@ def _encode_array(a: np.ndarray) -> dict:
 
 
 def _decode_array(d: dict, what: str, ndim: int) -> np.ndarray:
-    """The writable float64 array stored in d; what names it in errors."""
+    """The writable, finite float64 array stored in d; what names it in errors."""
     if not isinstance(d, dict):
         raise ContainerError(f"{what} is not a {{shape, float64le}} object")
     shape = _known(d, what, ("shape", "float64le"))["shape"]
@@ -112,7 +111,10 @@ def _decode_array(d: dict, what: str, ndim: int) -> np.ndarray:
     needed = 8 * math.prod(shape)
     if len(raw) != needed:
         raise ContainerError(f"{what} holds {len(raw)} bytes, shape {shape} needs {needed}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(a).all():
+        raise ContainerError(f"{what} holds a NaN or an infinity")
+    return a
 
 
 def _finite_number(d: dict, key: str, what: str = "density") -> float:
@@ -156,10 +158,9 @@ def _net_from_list(layers, what: str, build: Callable[[list], DenseNet],
 def _density_to_dict(density: ScaledDensity) -> dict:
     inner = density.inner
     if isinstance(inner, KdeModel):
-        projection = inner.projection
-        body = {"kind": "kde", "mean": _encode_array(projection.mean),
-                "directions": _encode_array(projection.directions),
-                "support": _encode_array(inner.support), "bandwidth": inner.bandwidth}
+        body = {"kind": "kde", "bandwidth": inner.bandwidth,
+                **{name: _encode_array(getattr(inner, name))
+                   for name in ("mean", "directions", "support")}}
     elif isinstance(inner, FlowModel):
         projection = inner.projection
         body = {"kind": "flow",
@@ -177,11 +178,10 @@ def _density_from_dict(d, latent_dim: int) -> ScaledDensity:
     if _object(d, "density")["kind"] == "kde":
         _known(d, "density", ("kind", "mean", "directions", "support", "bandwidth",
                               "max_train_log_density"))
-        projection = kde_projection(_decode_array(d["mean"], "kde mean", 1),
-                                    _decode_array(d["directions"], "kde directions", 2),
-                                    _finite_number(d, "bandwidth"))
         inner: KdeModel | FlowModel = KdeModel(
-            projection, _decode_array(d["support"], "kde support", 2))
+            _decode_array(d["mean"], "kde mean", 1),
+            _decode_array(d["directions"], "kde directions", 2),
+            _decode_array(d["support"], "kde support", 2), _finite_number(d, "bandwidth"))
         if inner.dim != latent_dim:
             raise ContainerError(f"kde density is {inner.dim}-d, "
                                  f"the encoder's latent_dim is {latent_dim}")

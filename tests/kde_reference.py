@@ -3,8 +3,7 @@
 `KdeModel.log_density` walks the query rows in chunks through one reused
 buffer; `kde_log_density` keeps the whole-matrix form of the same formula,
 so tests can hold the chunked kernel to it bit for bit. It reads the
-model's stored facts (projection mean and directions, support coordinates,
-bandwidth) and derives the rest itself. `full_space_log_density` is the
+model's stored facts (mean, directions, support coordinates, bandwidth) and derives the rest itself. `full_space_log_density` is the
 KDE on d-wide support rows, which the projected one equals where the
 support lies in its subspace.
 """
@@ -29,8 +28,7 @@ def kde_log_density(kde, z: np.ndarray) -> np.ndarray:
     against [s/h, -||s/h||^2/2] gives c.s/h^2 - ||s||^2/(2h^2), and
     ||c||^2 + ||residual||^2 = ||z - mean||^2 comes after the log-sum-exp."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    mean, directions = kde.projection.mean, kde.projection.directions
-    h = kde.bandwidth
+    mean, directions, h = kde.mean, kde.directions, kde.bandwidth
     n, d = kde.support.shape[0], mean.size
     with np.errstate(over="ignore", invalid="ignore"):
         centered = z - mean

@@ -540,15 +540,15 @@ def reference_erm(encoder, classifier, train, config) -> list[float]:
                           config.epochs, config.seed)
 
 
-def reference_flow_fit(flow, z, config) -> list[float]:
+def reference_flow_fit(flow, z, config, seed: int) -> list[float]:
     return reference_loop(lambda idx: flow_nll_loss(flow, z[idx], config.l2),
                           flow.params(), config.lr, z.shape[0],
-                          config.batch_size, config.epochs, config.seed)
+                          config.batch_size, config.epochs, seed)
 
 
-def reference_reopt(theta: np.ndarray, z, s, labels, config) -> list[float]:
+def reference_reopt(theta: np.ndarray, z, s, labels, config, seed: int) -> list[float]:
     """Re-optimization on the tape, training the head array theta in place."""
     node = Node(theta)
     return reference_loop(lambda idx: reopt_loss(node, z[idx], s[idx], labels[idx]),
                           [node], config.lr, z.shape[0],
-                          config.batch_size, config.epochs, config.seed)
+                          config.batch_size, config.epochs, seed)

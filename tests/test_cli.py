@@ -152,6 +152,34 @@ class TestLatentOverflow:
                                    "--sets", "iid_test", "--out", tmp_path], csv)
 
 
+class TestNonFiniteCell:
+    """A CSV cell that reads nan or inf exits 2 with a DataError naming the
+    file and the line (in-process ``main``)."""
+
+    @pytest.fixture(scope="class")
+    def nan_csv(self, work):
+        root, _ = work
+        csv = root / "nan_cell" / "iid_test.csv"
+        csv.parent.mkdir(exist_ok=True)
+        csv.write_text("x0,x1,label,domain,intensity\n0.1,0.2,0,iid_test,0\n"
+                       "nan,0.3,1,iid_test,0\n")
+        return root / "run" / "model.json", csv
+
+    def check_exit_2(self, capsys, argv, csv):
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {csv}:3: non-finite cell 'nan'\n"
+
+    def test_reliability(self, nan_csv, tmp_path, capsys):
+        model, csv = nan_csv
+        self.check_exit_2(capsys, ["reliability", "--model", model, "--set", csv,
+                                   "--out", tmp_path], csv)
+
+    def test_bench(self, nan_csv, tmp_path, capsys):
+        model, csv = nan_csv
+        self.check_exit_2(capsys, ["bench", "--models", model, "--set", csv, "--warmup", 0,
+                                   "--repetitions", 1, "--out", tmp_path], csv)
+
+
 @pytest.mark.parametrize("bounds, message", [
     ("-1e308,1e308,-1e308,1e308", "each span x1 - x0 and y1 - y0 must be finite"),
     ("-1.7e308,0,0,1.7e308",

@@ -122,8 +122,7 @@ REMOVED = {
 
 VALID = [
     ({}, _expect()),
-    ({"seed": 7}, _expect(("seed", 7), ("train.seed", 7), ("density.flow.seed", 7),
-                          ("reopt.seed", 7))),
+    ({"seed": 7}, _expect(("seed", 7), ("train.seed", 7))),
     ({"encoder": {"width": 8, "depth": 2}},
      _expect(("encoder", EncoderConfig(width=8, depth=2)))),
     ({"encoder": {"depth": 3, "width": 8}},
@@ -320,8 +319,8 @@ class TestContractTable:
 
 
 # Every value a config document can set, as parse_config reads the tree: a
-# field holding a config dataclass is an object of further keys, a nested
-# seed is not a key, and bins is written under "metrics".
+# field holding a config dataclass is an object of further keys, train.seed
+# is not a key, and bins is written under "metrics".
 SETTABLE = [
     "seed",
     "dataset.generator", "dataset.n_per_class", "dataset.n_test_per_class",

@@ -1,5 +1,7 @@
 """Toy generators, shifts, and CSV round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,17 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("x0,x1,label,domain,intensity\n1.0,oops,0,train,0\n")
         with pytest.raises(DataError, match=":2:"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        """float() reads these cells, and 1e400 overflows to inf; a model
+        would refuse the row later, naming neither file nor line."""
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,x1,label,domain,intensity\n1.0,2.0,0,train,0\n"
+                        f"0.5,{cell},1,train,0\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: non-finite cell "
+                                            f"'{re.escape(cell)}'$"):
             load_csv(path)
 
     def test_empty_file(self, tmp_path):

@@ -2,6 +2,7 @@
 MLE fitting, and likelihood scaling."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -19,7 +20,7 @@ from density_softmax.density import (FINAL, FLOW_CHUNK_ROWS, KDE_CHUNK_ROWS,
                                      CouplingLayer, FlowConfig, FlowModel, KdeModel,
                                      LatentProjection, chunk_bounds, compute_scale,
                                      coupling_net, fit_projection, flow_fit, halves, kde_fit,
-                                     kde_projection, scott_bandwidth)
+                                     scott_bandwidth)
 from density_softmax.layers import Dense, DenseNet, fan_in_uniform
 from density_softmax.model import TrainingDiverged
 
@@ -85,7 +86,7 @@ class TestKde:
         on = shift + (rng.normal(size=(40, 3)) * 2.0) @ basis
         off = on + rng.normal(size=(40, 16)) * 0.5
         kde = kde_fit(support, bandwidth)
-        assert kde.projection.dim == 3 and kde.dim == 16
+        assert kde.directions.shape == (3, 16) and kde.dim == 16
         h = scott_bandwidth(support) if bandwidth is None else bandwidth
         assert kde.bandwidth == h
         for z in (on, off, support[:50]):
@@ -99,34 +100,35 @@ class TestKde:
         kde = kde_fit(z)
         power = np.linalg.svd(z - z.mean(axis=0), compute_uv=False) ** 2
         share = np.cumsum(power) / power.sum()
-        r = kde.projection.dim
+        r = kde.directions.shape[0]
         assert share[r - 1] >= KDE_VARIANCE_KEPT > share[r - 2]
-        np.testing.assert_array_equal(kde.projection.scales, np.ones(r))
-        assert kde.projection.residual_scale == kde.bandwidth
+        np.testing.assert_allclose(kde.directions @ kde.directions.T, np.eye(r),
+                                   rtol=0, atol=1e-12)
         assert kde.support.shape == (500, r)
 
     def test_rows_at_one_point_keep_one_direction(self):
         kde = kde_fit(np.ones((4, 3)), bandwidth=0.5)
-        assert kde.projection.dim == 1
+        assert kde.directions.shape == (1, 3)
         assert kde.log_density(np.ones(3))[0] == pytest.approx(
             -3 * math.log(0.5) - 1.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_param_count_of_the_default_shape(self):
         """1000 train rows of a 128-d latent on 17 coordinates: the
-        support, the projection's mean and directions, and the bandwidth;
-        the unit scales are fixed. The support was 128,000 numbers."""
-        kde = KdeModel(kde_projection(np.zeros(128), np.eye(128)[:17], 1.0),
-                       np.zeros((1000, 17)))
+        support, the mean, the directions and the bandwidth. The support was
+        128,000 numbers."""
+        kde = KdeModel(np.zeros(128), np.eye(128)[:17], np.zeros((1000, 17)), 1.0)
         assert kde.param_count() == 17_000 + 128 + 17 * 128 + 1 == 19_305
 
-    def test_support_of_another_width_or_scaled_projection_rejected(self):
-        projection = kde_projection(np.zeros(4), np.eye(4)[:2], 1.0)
-        with pytest.raises(ValueError, match="kde support has 3 columns; its projection "
-                                             "keeps 2 directions"):
-            KdeModel(projection, np.zeros((5, 3)))
-        with pytest.raises(ValueError, match="a KDE projection has unit scales"):
-            KdeModel(LatentProjection(np.zeros(4), np.eye(4)[:2], np.full(2, 2.0), 1.0),
-                     np.zeros((5, 2)))
+    @pytest.mark.parametrize("mean, directions, support, needs", [
+        (4, (2, 4), (5, 3), (3, 4)), (4, (2, 3), (5, 2), (2, 4)), (3, (2, 4), (5, 2), (2, 3)),
+    ], ids=["support_width", "directions_width", "mean_width"])
+    def test_directions_that_do_not_fit_the_mean_and_support_rejected(
+            self, mean, directions, support, needs):
+        message = (f"kde directions have shape {directions}; a support of shape {support} "
+                   f"over a {mean}-d mean needs {needs}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            KdeModel(np.zeros(mean), np.eye(4)[:directions[0], :directions[1]],
+                     np.zeros(support), 1.0)
 
 
 def latent_like(rng, rows: int, d: int = 128) -> np.ndarray:
@@ -211,7 +213,7 @@ class TestKdeChunkedKernel:
         kde = kde_fit(np.zeros((3, 2)), bandwidth=1e-160)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sd, _ = compute_scale(kde, kde.support)
+            sd, _ = compute_scale(kde, np.zeros((3, 2)))
             assert kde.log_density([[1.0, 0.0]])[0] == -np.inf
             assert sd.scaled_likelihood([[1.0, 0.0]])[0] == LIKELIHOOD_FLOOR
 
@@ -278,7 +280,7 @@ def identity_flow(dim=2, layers=4, projection=None) -> FlowModel:
     projection defaults to the identity of a dim-wide latent."""
     if projection is None:
         projection = identity_projection(dim)
-    flow = FlowModel.build(projection, FlowConfig(coupling_layers=layers, seed=0))
+    flow = FlowModel.build(projection, FlowConfig(coupling_layers=layers), 0)
     for p in flow.params():
         p.data[...] = 0.0
     return flow
@@ -290,7 +292,7 @@ def randomized_flow(dim, seed=0, scale=0.5, projection=None) -> FlowModel:
     rng = np.random.default_rng(seed)
     if projection is None:
         projection = identity_projection(dim)
-    flow = FlowModel.build(projection, FlowConfig(coupling_layers=4, seed=seed))
+    flow = FlowModel.build(projection, FlowConfig(coupling_layers=4), seed)
     for layer in flow.layers:
         final = layer.net.layers[-1]  # stacked: the s-net's slot, then the t-net's
         final.weight.data[...] = rng.normal(size=final.weight.data.shape) * scale
@@ -336,8 +338,7 @@ class TestFlowStructure:
         """The pass-through mask each layer's halves stand for: ones on P."""
         assert halves(5, 0) == (slice(0, 2), slice(2, 5))
         assert halves(5, 1) == (slice(2, 5), slice(0, 2))
-        flow = FlowModel.build(identity_projection(4),
-                               FlowConfig(coupling_layers=4, seed=0))
+        flow = FlowModel.build(identity_projection(4), FlowConfig(coupling_layers=4), 0)
         masks = np.zeros((4, 4))
         for i, layer in enumerate(flow.layers):
             assert (layer.p_cols, layer.t_cols) == halves(4, i)
@@ -346,7 +347,7 @@ class TestFlowStructure:
 
     def test_fresh_flow_starts_as_identity(self, rng):
         # zero-initialized output projections make the initial fit stable
-        flow = FlowModel.build(identity_projection(3), FlowConfig(seed=1))
+        flow = FlowModel.build(identity_projection(3), FlowConfig(), 1)
         z = rng.normal(size=(10, 3))
         t, log_det = flow.forward(z)
         np.testing.assert_array_equal(t, z)
@@ -357,9 +358,9 @@ class TestFlowStructure:
         then the t-net's, from one generator; the first matrix is drawn over
         all 5 input rows and keeps the rows P. The last layers (|T| columns)
         and the biases start at zero."""
-        cfg = FlowConfig(coupling_layers=2, hidden_units=3, hidden_layers=2, seed=4)
-        flow = FlowModel.build(identity_projection(5), cfg)
-        rng = np.random.default_rng(cfg.seed)
+        cfg = FlowConfig(coupling_layers=2, hidden_units=3, hidden_layers=2)
+        flow = FlowModel.build(identity_projection(5), cfg, 4)
+        rng = np.random.default_rng(4)
         for layer, (p, t) in zip(flow.layers, [(2, 3), (3, 2)]):
             want = [[fan_in_uniform(rng, 5, 3)[layer.p_cols], fan_in_uniform(rng, 3, 3)]
                     for _ in FINAL]
@@ -378,7 +379,8 @@ class TestFlowStructure:
         subnet 64*16 + 16, 3 * (16*16 + 16) and 16*64 + 64; plus its
         projection's mean, directions, scales and residual scale."""
         flow = FlowModel.build(identity_projection(128),
-                               FlowConfig(coupling_layers=4, hidden_units=16, hidden_layers=4))
+                               FlowConfig(coupling_layers=4, hidden_units=16, hidden_layers=4),
+                               0)
         assert flow.param_count() == 23_552 + (128 + 128 * 128 + 128 + 1)
 
     def test_bad_mask_rejected(self):
@@ -387,7 +389,7 @@ class TestFlowStructure:
         empty net would alias to its input."""
         assert halves(1, 0) == (slice(0, 0), slice(0, 1))
         with pytest.raises(ValueError, match=r"flow needs dim >= 2"):
-            FlowModel.build(identity_projection(1), FlowConfig(seed=0))
+            FlowModel.build(identity_projection(1), FlowConfig(), 0)
         with pytest.raises(ValueError, match="at least one layer"):
             CouplingLayer(DenseNet([]), 4, 0)
 
@@ -412,7 +414,7 @@ class TestFlowStructure:
     def test_subnets_are_read_only_views_of_the_stack(self):
         """The subnets' 2-D weight matrices the L2 term reads."""
         flow = FlowModel.build(identity_projection(4),
-                               FlowConfig(coupling_layers=1, hidden_layers=2, seed=0))
+                               FlowConfig(coupling_layers=1, hidden_layers=2), 0)
         layer = flow.layers[0]
         stacked = layer.net.weight_tensors()
         views = flow.weight_tensors()
@@ -429,7 +431,7 @@ class TestFlowStructure:
     def test_subnets_of_other_shapes_rejected(self):
         """A coupling net's layers hold exactly two subnets' weights."""
         net = FlowModel.build(identity_projection(4),
-                              FlowConfig(hidden_layers=1, seed=0)).layers[0].net
+                              FlowConfig(hidden_layers=1), 0).layers[0].net
         first, last = net.layers
         one_slot = Dense(Tensor(first.weight.data[:1]), Tensor(first.bias.data[:1]), "relu")
         with pytest.raises(ValueError, match=r"coupling layer 0 net layer 0 weight has "
@@ -524,9 +526,7 @@ class TestFlowFit:
         # best possible mean log-density for N(0, I) data is -d/2 * log(2*pi*e)
         d = 2
         z = rng.standard_normal((512, d))
-        flow, trace = flow_fit(z, FlowConfig(epochs=60, batch_size=128, l2=0.0,
-                                             lr=1e-2,
-                                             seed=0))
+        flow, trace = flow_fit(z, FlowConfig(epochs=60, batch_size=128, l2=0.0, lr=1e-2), 0)
         mean_logp = float(flow.log_density(z).mean())
         optimum = -d / 2 * math.log(2 * math.pi * math.e)
         assert mean_logp > optimum - 0.2
@@ -536,17 +536,15 @@ class TestFlowFit:
         """Against the fit of 0 epochs: the same projection, identity
         coupling layers."""
         z = rng.standard_normal((256, 2)) * 0.3 + 1.5
-        init, _ = flow_fit(z, FlowConfig(epochs=0, seed=1))
-        flow, _ = flow_fit(z, FlowConfig(epochs=40, batch_size=64, l2=0.0,
-                                         lr=1e-2,
-                                         seed=1))
+        init, _ = flow_fit(z, FlowConfig(epochs=0), 1)
+        flow, _ = flow_fit(z, FlowConfig(epochs=40, batch_size=64, l2=0.0, lr=1e-2), 1)
         assert float(flow.log_density(z).mean()) > float(init.log_density(z).mean())
 
     def test_fit_owns_the_projection_of_its_rows(self, rng):
         """flow_fit fits the projection of the latent rows it is given and
         trains the coupling layers on their coordinates."""
         z = rng.normal(size=(200, 5)) * [4.0, 2.0, 1.0, 0.05, 0.02] + 1.0
-        flow, _ = flow_fit(z, FlowConfig(epochs=1, batch_size=64, seed=0))
+        flow, _ = flow_fit(z, FlowConfig(epochs=1, batch_size=64), 0)
         want = fit_projection(z)
         assert flow.dim == flow.projection.dim == want.dim == 3
         for name in ("mean", "directions", "scales"):
@@ -555,14 +553,14 @@ class TestFlowFit:
 
     def test_zero_epochs_returns_identity_init(self, rng):
         z = rng.standard_normal((128, 2))
-        flow, trace = flow_fit(z, FlowConfig(epochs=0, seed=0))
+        flow, trace = flow_fit(z, FlowConfig(epochs=0), 0)
         assert trace == []
         t, log_det = flow.forward(z)
         np.testing.assert_array_equal(t, z)
 
     def test_too_few_rows_rejected(self, rng):
         with pytest.raises(ValueError):
-            flow_fit(rng.standard_normal((10, 2)), FlowConfig(batch_size=128))
+            flow_fit(rng.standard_normal((10, 2)), FlowConfig(batch_size=128), 0)
 
     def test_divergence_raises(self, rng):
         # flow_fit whitens its rows, so the first loss is finite at any row
@@ -570,9 +568,9 @@ class TestFlowFit:
         # last layers') by about the learning rate, so at lr = 1e200 the
         # t-nets' outputs reach ~1e200 and the second loss overflows.
         z = rng.standard_normal((128, 2))
-        cfg = FlowConfig(epochs=500, batch_size=128, l2=0.0, lr=1e200, seed=0)
+        cfg = FlowConfig(epochs=500, batch_size=128, l2=0.0, lr=1e200)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
-            flow_fit(z, cfg)
+            flow_fit(z, cfg, 0)
         err = info.value
         assert (err.stage, err.epoch, err.batch) == ("flow", 1, 0)
         assert np.isfinite(err.last_finite_loss)
@@ -629,10 +627,47 @@ class TestScaling:
     def test_scaled_density_param_count(self, rng):
         z = rng.normal(size=(20, 3))
         sd, _ = compute_scale(kde_fit(z, 0.5), z)
-        # 3 coordinates per support row, the projection's mean and
-        # directions, the bandwidth and the scale constant
-        assert sd.inner.projection.dim == 3
+        # 3 coordinates per support row, the mean, the directions, the
+        # bandwidth and the scale constant
+        assert sd.inner.directions.shape == (3, 3)
         assert sd.param_count() == 20 * 3 + 3 + 3 * 3 + 1 + 1
+
+
+class TestLatentRowWidth:
+    """A density reads latent rows of its own width d. Numpy would broadcast
+    a row of another width against the d-wide mean and score an (n, 1)
+    batch as n rows of one repeated value, so each entry point refuses it
+    and names both widths. A vector of d values is one row."""
+
+    @pytest.fixture(scope="class")
+    def densities(self):
+        z = np.random.default_rng(0).normal(size=(200, 4))
+        return {"kde": kde_fit(z, 0.5),
+                "flow": flow_fit(z, FlowConfig(epochs=0, batch_size=64), 0)[0]}
+
+    @pytest.mark.parametrize("kind", ["kde", "flow"])
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 6), (5,), (2, 3, 4)])
+    def test_rows_of_another_width_rejected(self, densities, kind, shape):
+        density = densities[kind]
+        scaled, _ = compute_scale(density, np.zeros((2, 4)))
+        z = np.zeros(shape)
+        message = re.escape(f"latent rows have shape {np.atleast_2d(z).shape}; the density "
+                            "reads rows 4 wide")
+        calls = [lambda: density.log_density(z), lambda: scaled.scaled_likelihood(z)]
+        if kind == "flow":
+            calls.append(lambda: density.projection.project(z))
+        if len(shape) == 2:
+            calls.append(lambda: compute_scale(density, z))
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("kind", ["kde", "flow"])
+    def test_a_vector_is_a_batch_of_one(self, densities, kind):
+        density = densities[kind]
+        row = np.random.default_rng(1).normal(size=4)
+        assert density.log_density(row).shape == (1,)
+        assert density.log_density(row)[0] == density.log_density(row[None, :])[0]
 
 
 class TestLatentProjection:

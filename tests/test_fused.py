@@ -12,7 +12,6 @@ the ones inference runs, so the same oracle holds the served path too.
 """
 
 import gc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,7 +51,7 @@ def randomized_flow(dim, layers, l2_seed):
     rng = np.random.default_rng(100 + 10 * layers + l2_seed)
     flow = FlowModel.build(identity_projection(dim),
                            FlowConfig(coupling_layers=layers, hidden_units=5,
-                                      hidden_layers=2, seed=layers))
+                                      hidden_layers=2), layers)
     for a in ref.subnet_arrays(flow):  # zero-initialized output layers would hide terms
         a[...] = rng.normal(size=a.shape) * 0.3
     return flow, rng
@@ -288,7 +287,7 @@ class TestSplitCoupling:
         the full-width ones, which moves last bits (CHANGES.md lists the
         widths), so those are held to 1e-12 relative."""
         rng = np.random.default_rng(dim)
-        flow = FlowModel.build(identity_projection(dim), FlowConfig(seed=dim))
+        flow = FlowModel.build(identity_projection(dim), FlowConfig(), dim)
         for a in ref.subnet_arrays(flow):
             a[...] = rng.normal(size=a.shape) * 0.1
         z = rng.normal(size=(300, dim))
@@ -299,12 +298,12 @@ class TestSplitCoupling:
 
     def test_flow_fit_trace_matches_per_op_loop_at_d128(self):
         z = np.random.default_rng(5).normal(size=(300, 128))  # batches 128, 128, 44
-        cfg = FlowConfig(epochs=2, batch_size=128, seed=3)
-        flow, trace = flow_fit(z, cfg)
+        cfg = FlowConfig(epochs=2, batch_size=128)
+        flow, trace = flow_fit(z, cfg, 3)
         assert flow.dim == 121
         coords, _ = flow.projection.project(z)
-        twin = ref.SplitFlow(FlowModel.build(flow.projection, cfg))
-        assert trace == ref.reference_flow_fit(twin, coords, cfg)
+        twin = ref.SplitFlow(FlowModel.build(flow.projection, cfg, 3))
+        assert trace == ref.reference_flow_fit(twin, coords, cfg, 3)
         assert_all_equal([p.data for p in flow.params()], twin.stacked("data"))
 
 
@@ -383,13 +382,12 @@ def pipeline_and_reference(activation: str):
     train_z = encoder.encode(train.features)
     projection = fit_projection(train_z)
     coords, _ = projection.project(train_z)
-    flow_cfg = replace(flow_cfg, seed=train_cfg.seed)
-    twin = ref.SplitFlow(FlowModel.build(projection, flow_cfg))
-    ref_traces["flow"] = ref.reference_flow_fit(twin, coords, flow_cfg)
+    twin = ref.SplitFlow(FlowModel.build(projection, flow_cfg, train_cfg.seed))
+    ref_traces["flow"] = ref.reference_flow_fit(twin, coords, flow_cfg, train_cfg.seed)
     s = compute_scale(twin.to_flow(), train_z)[0].scaled_likelihood(train_z)
     ref_traces["reopt"] = ref.reference_reopt(classifier.theta.data, train_z, s,
                                               train.labels,
-                                              replace(reopt_cfg, seed=train_cfg.seed))
+                                              reopt_cfg, train_cfg.seed)
     return result, ref_traces, encoder, projection, twin, classifier
 
 
@@ -521,10 +519,10 @@ class TestNoReferenceCycles:
                       TrainConfig(epochs=2, batch_size=32, l2=1e-3))
             assert gc.collect() == 0
             z = encoder.encode(train.features)
-            flow, _ = flow_fit(z, FlowConfig(epochs=2, batch_size=32))
+            flow, _ = flow_fit(z, FlowConfig(epochs=2, batch_size=32), 0)
             assert gc.collect() == 0
             _, s = compute_scale(flow, z)
-            reoptimize_classifier(classifier, train, z, s, ReoptConfig(epochs=2, batch_size=32))
+            reoptimize_classifier(classifier, train, z, s, ReoptConfig(epochs=2, batch_size=32), 0)
             assert gc.collect() == 0
         finally:
             gc.enable()

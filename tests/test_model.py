@@ -226,7 +226,7 @@ class TestUnboundGradient:
 
     def test_flow_nll_loss(self):
         flow = FlowModel.build(identity_projection(4),
-                               FlowConfig(coupling_layers=2, hidden_layers=1))
+                               FlowConfig(coupling_layers=2, hidden_layers=1), 0)
         node = flow.nll_loss(np.random.default_rng(0).normal(size=(6, 4)), 0.0)
         with pytest.raises(ValueError, match="dense layer 1 bias has no bound gradient"):
             node.backward()

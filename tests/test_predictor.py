@@ -52,7 +52,7 @@ def small_pipeline(seed=0, reopt_epochs=5, density=None):
         TrainConfig(epochs=25, batch_size=64,
                     optimizer=OptimizerSpec(lr=3e-3), seed=seed),
         density or DensityConfig(kind="kde"),
-        ReoptConfig(epochs=reopt_epochs, batch_size=64, lr=3e-3, seed=seed),
+        ReoptConfig(epochs=reopt_epochs, batch_size=64, lr=3e-3),
         k=2,
     )
 
@@ -238,7 +238,7 @@ class TestDefaultConfigDistanceAwareness:
 
         train_z = model.encoder.encode(train.features)
         kde = model.density.inner
-        directions = kde.projection.directions
+        directions = kde.directions
         u = rng.normal(size=(64, kde.dim))
         u -= (u @ directions.T) @ directions
         u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -279,11 +279,10 @@ class TestPipeline:
         # encoder identical before/after steps 2-3: re-encode and compare to
         # the density support (the coordinates of the step-1 latents)
         z = model.encoder.encode(train.features)
-        projection = model.density.inner.projection
-        np.testing.assert_array_equal(projection.mean, z.mean(axis=0))
-        np.testing.assert_array_equal(
-            np.einsum("nd,rd->nr", z - projection.mean, projection.directions),
-            model.density.inner.support)
+        kde = model.density.inner
+        np.testing.assert_array_equal(kde.mean, z.mean(axis=0))
+        np.testing.assert_array_equal(np.einsum("nd,rd->nr", z - kde.mean, kde.directions),
+                                      kde.support)
 
     def test_erm_snapshot_shares_encoder_but_not_head(self):
         train, result = small_pipeline(seed=1)
@@ -379,7 +378,7 @@ class TestReoptimize:
         scale_before = model.density.max_train_log_density
         z = model.encoder.encode(train.features)
         reoptimize_classifier(model.classifier, train, z, model.density.scaled_likelihood(z),
-                              ReoptConfig(epochs=3, batch_size=64, seed=6))
+                              ReoptConfig(epochs=3, batch_size=64), 6)
         for p, b in zip(model.encoder.params(), enc_before):
             np.testing.assert_array_equal(p.data, b)
         assert model.density.max_train_log_density == scale_before
@@ -392,7 +391,7 @@ class TestReoptimize:
         z = result.model.encoder.encode(iid.features)
         s = result.model.density.scaled_likelihood(z)
         with pytest.raises(DataError):
-            reoptimize_classifier(result.model.classifier, iid, z, s, ReoptConfig(epochs=1))
+            reoptimize_classifier(result.model.classifier, iid, z, s, ReoptConfig(epochs=1), 0)
 
 
 class TestSummaries:

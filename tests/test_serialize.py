@@ -31,7 +31,7 @@ FAST = TrainConfig(epochs=5, batch_size=64,
 def pipeline_result():
     train = make_two_moons(80, 0.1, seed=0)
     return train, train_pipeline(train, SMALL, FAST, DensityConfig(kind="kde"),
-                                 ReoptConfig(epochs=2, batch_size=64, seed=0))
+                                 ReoptConfig(epochs=2, batch_size=64))
 
 
 class TestDensitySoftmaxContainer:
@@ -68,7 +68,7 @@ class TestDensitySoftmaxContainer:
             train, SMALL, FAST,
             DensityConfig(kind="flow", flow=FlowConfig(epochs=3, batch_size=128,
                                                        coupling_layers=2)),
-            ReoptConfig(epochs=1, batch_size=64, seed=0))
+            ReoptConfig(epochs=1, batch_size=64))
         path = tmp_path / "flow_model.json"
         save_container(density_softmax_container(result.model), path)
         back = load_container(path)
@@ -119,7 +119,7 @@ class TestEveryStoredKeyIsRead:
             make_two_moons(130, 0.1, seed=1), SMALL, FAST,
             DensityConfig(kind="flow", flow=FlowConfig(epochs=1, batch_size=128,
                                                        coupling_layers=2, hidden_layers=1)),
-            ReoptConfig(epochs=1, batch_size=64, seed=0))
+            ReoptConfig(epochs=1, batch_size=64))
         return {"kde": density_softmax_container(result.model),
                 "flow": density_softmax_container(flow.model),
                 "erm": density_softmax_container(result.erm_model),
@@ -286,22 +286,22 @@ class TestErmAndEnsembleContainers:
     def test_stored_keys_are_the_documented_facts(self, pipeline_result):
         """Version 7 keeps no copy of a fact the loader works out again: no
         layer stores its activation or whether it is residual, the flow's
-        width is its projection's, and the KDE's projection stores no unit
-        scales and no residual scale beside its bandwidth."""
+        width is its projection's, and the KDE stores its mean, directions,
+        support and bandwidth, with no scales and no residual scale."""
         train, result = pipeline_result
         kde = density_softmax_container(result.model)
         assert set(kde) == {"version", "kind", "encoder", "classifier", "density"}
         assert set(kde["classifier"]) == {"theta"}
         assert set(kde["density"]) == {"kind", "mean", "directions", "support", "bandwidth",
                                        "max_train_log_density"}
-        r = result.model.density.inner.projection.dim
+        r = result.model.density.inner.directions.shape[0]
         assert {key: kde["density"][key]["shape"] for key in ("mean", "directions", "support")
                 } == {"mean": [8], "directions": [r, 8], "support": [train.n, r]}
         assert set(kde["encoder"]) == {"activation", "layers"}
         assert all(set(layer) == {"weight", "bias"} for layer in kde["encoder"]["layers"])
         flow = density_softmax_container(DensitySoftmaxModel(
             result.model.encoder, result.model.classifier,
-            ScaledDensity(FlowModel.build(identity_projection(8), FlowConfig(coupling_layers=2)),
+            ScaledDensity(FlowModel.build(identity_projection(8), FlowConfig(coupling_layers=2), 0),
                           0.0)))
         assert set(flow["density"]) == {"kind", "projection", "layers",
                                         "max_train_log_density"}
@@ -341,7 +341,7 @@ def _flow_doc(model, dim: int) -> dict:
     """model's container with a fresh coupling flow over the identity
     projection of a dim-d latent as its density (model's latent is 8-d)."""
     flow = FlowModel.build(identity_projection(dim),
-                           FlowConfig(coupling_layers=2, hidden_layers=1))
+                           FlowConfig(coupling_layers=2, hidden_layers=1), 0)
     return density_softmax_container(DensitySoftmaxModel(
         encoder=model.encoder, classifier=model.classifier,
         density=ScaledDensity(inner=flow, max_train_log_density=0.0)))
@@ -365,6 +365,35 @@ def _short_theta(doc, model):
 def _narrow_support(doc, model):
     doc["density"]["support"] = _sliced(doc["density"]["support"], (slice(None), slice(4)))
     return doc
+
+
+def _kde_directions_one_column_short(doc, model):
+    """KDE directions of shape (r, d - 1) beside the d-wide mean."""
+    doc["density"]["directions"] = _sliced(doc["density"]["directions"],
+                                           (slice(None), slice(7)))
+    return doc
+
+
+def _kde_directions_one_row_long(doc, model):
+    """KDE directions of shape (r + 1, d) beside the r-column support."""
+    directions = doc["density"]["directions"]
+    rows = _decode_array(directions, "test array", 2)
+    doc["density"]["directions"] = _encode_array(np.vstack([rows, rows[:1]]))
+    return doc
+
+
+def _non_finite(value, *key_path, flow: bool = False):
+    """A corrupter storing the array at key_path with value as its first
+    entry, in the KDE model's container or, with flow, in a flow model's."""
+    def corrupt(doc, model):
+        if flow:
+            doc = _flow_doc(model, 8)
+        stored = _at(doc, key_path)
+        a = _decode_array(stored, "test array", len(stored["shape"]))
+        a.flat[0] = value
+        _at(doc, key_path[:-1])[key_path[-1]] = _encode_array(a)
+        return doc
+    return corrupt
 
 
 def _kde_of_other_width(doc, model):
@@ -526,7 +555,8 @@ class TestContainerValidation:
     @pytest.mark.parametrize("corrupt, message", [
         (_drop_density, "missing key 'density'"),
         (_short_theta, "classifier theta has 4 rows, the encoder's latent_dim is 8"),
-        (_narrow_support, "kde support has 4 columns; its projection keeps 8 directions"),
+        (_narrow_support, r"kde directions have shape \(8, 8\); a support of shape "
+                          r"\(160, 4\) over a 8-d mean needs \(4, 8\)"),
         (_flow_of_other_dim, "coupling layer 0 net maps 2 -> 2 columns; in the 8-d flow "
                              "its halves need 4 -> 4"),
         (_encoder_layers_do_not_compose,
@@ -571,6 +601,20 @@ class TestContainerValidation:
          "flow projection residual_scale is '1', not a finite number"),
         (_version(6), _old_version(6)),
         (_kde_of_other_width, "kde density is 4-d, the encoder's latent_dim is 8"),
+        (_kde_directions_one_column_short, r"kde directions have shape \(8, 7\); a support "
+                                           r"of shape \(160, 8\) over a 8-d mean needs "
+                                           r"\(8, 8\)"),
+        (_kde_directions_one_row_long, r"kde directions have shape \(9, 8\); a support of "
+                                       r"shape \(160, 8\) over a 8-d mean needs \(8, 8\)"),
+        (_non_finite(np.nan, "encoder", "layers", 1, "weight"),
+         "encoder layer 1 weight holds a NaN or an infinity"),
+        (_non_finite(np.inf, "classifier", "theta"),
+         "classifier theta holds a NaN or an infinity"),
+        (_non_finite(np.nan, "density", "support"), "kde support holds a NaN or an infinity"),
+        (_non_finite(-np.inf, "density", "projection", "directions", flow=True),
+         "flow projection directions holds a NaN or an infinity"),
+        (_non_finite(np.nan, "density", "layers", 0, 1, "weight", flow=True),
+         "flow layer 0 layer 1 weight holds a NaN or an infinity"),
     ], ids=["missing_key", "theta_shape", "kde_support_width", "flow_dim",
             "encoder_layers", "no_encoder_layers", "version_3", "version_2", "version_1",
             "base64_cut_short", "base64_cut_mid_quad", "not_base64", "shape_vs_bytes",
@@ -580,7 +624,9 @@ class TestContainerValidation:
             "projection_scales_length", "projection_zero_scale", "encoder_layer_type",
             "coupling_net_type", "encoder_type", "projection_type",
             "projection_zero_residual_scale", "projection_residual_scale_type", "version_6",
-            "kde_width"])
+            "kde_width", "kde_directions_width", "kde_directions_rows",
+            "non_finite_encoder_weight", "non_finite_theta", "non_finite_kde_support",
+            "non_finite_projection", "non_finite_coupling_weight"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
                                               corrupt, message, capsys):
         _, result = pipeline_result

@@ -277,6 +277,11 @@ def cmd_reliability(args) -> int:
     _check_width(model, dataset, args.set)
     if dataset.domain == "ood":
         raise ConfigError("set", "reliability diagrams need labeled data")
+    outside = np.flatnonzero(dataset.labels >= model.k)
+    if outside.size:
+        row = outside[0]
+        raise DataError(f"{args.set}: data row {row}: label {dataset.labels[row]} is not "
+                        f"one of the model's {model.k} classes")
     with _rows_of(args.set):
         probs = model.predict(dataset.features).probs
     bins = M.reliability_bins(probs, dataset.labels, args.bins)
@@ -467,7 +472,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContainerError, DataError, FileNotFoundError) as exc:
+    except (ConfigError, ContainerError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PipelineError, TrainingDiverged, FloatingPointError) as exc:

@@ -92,6 +92,8 @@ class ExperimentConfig:
     ensemble_size: int = 4
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         if self.bins < 1:
             raise ConfigError("metrics.bins", "must be >= 1")
         if self.ensemble_size < 2:
@@ -211,8 +213,10 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(str(path), "config root must be a JSON object")
     if seed_override is not None:
         doc["seed"] = seed_override
     return parse_config(doc)

@@ -202,8 +202,11 @@ def save_csv(dataset: LabeledSet, path) -> None:
 
 
 def load_csv(path) -> LabeledSet:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     if not lines:
         raise DataError(f"{path}: no rows")
     header = lines[0].split(",")
@@ -222,6 +225,8 @@ def load_csv(path) -> LabeledSet:
             labels.append(int(cells[d]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+        if labels[-1] < 0:
+            raise DataError(f"{path}:{lineno}: negative label {labels[-1]}")
         for c, v in zip(cells, feats[-1]):
             if not math.isfinite(v):
                 raise DataError(f"{path}:{lineno}: non-finite cell {c!r}")

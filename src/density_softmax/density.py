@@ -35,13 +35,13 @@ directions and 99.99% in about 17.
   summation groups the terms as it does for the masked product
   s * (1 - mask) and the sums stay bit-identical to it.
 
-Both estimators walk their query rows in fixed chunks (``KDE_CHUNK_ROWS``,
-``FLOW_CHUNK_ROWS``), folding a 1-row tail into the chunk before it (see
-:func:`chunk_bounds`), and project each row by einsum, which gives a row
-the same coordinates in any batch. A chunked pass equals a one-shot pass
-bit for bit where every chunk's product runs the same gemm kernel, as
-checked at the 128-d default latent; at narrow widths a row's last bits
-can depend on the batch it comes in.
+Both estimators project each row by einsum, which gives a row the same
+coordinates in any batch. The KDE walks its query rows in fixed chunks of
+``KDE_CHUNK_ROWS`` (see :func:`chunk_bounds`), which bound its chunk x
+support kernel block. The flow scores all rows in one coupling walk, whose
+temporaries are as wide as the coordinates (r = 3-4 on the default config)
+or the hidden layers. At narrow widths a row's last bits can depend on the
+batch it comes in.
 The KDE raises its max-shifted log-kernels to at least
 ``KDE_LOG_KERNEL_FLOOR`` = -700 before the exp, which keeps numpy on its
 vectorized exp (a subnormal or zero result costs 15-150x more per element)
@@ -49,7 +49,7 @@ and moves no output bit: each row's largest kernel is e^0 = 1, and a term
 below e^-700 is far under half an ulp of that row sum.
 
 After fitting, :func:`compute_scale` records the maximum train-point
-log-density (one chunked pass over the train latents, whose scaled
+log-density (one density pass over the train latents, whose scaled
 likelihoods it also returns for re-optimization); scaled likelihoods are
 then exp(log p(z) - max), which lives in (0, 1] with the densest train
 point mapping to exactly 1. A projection is affine, so its log-Jacobian is
@@ -90,11 +90,6 @@ KDE_CHUNK_ROWS = 128
 # normal float, so the exp stays on numpy's vectorized path; below about
 # -708 numpy computes each element alone.
 KDE_LOG_KERNEL_FLOOR = -700.0
-
-# Rows per pass in FlowModel.log_density: enough to amortize the per-layer
-# numpy calls, few enough that a chunk's stacked (2, rows, hidden)
-# activations stay in cache.
-FLOW_CHUNK_ROWS = 256
 
 
 def chunk_bounds(rows: int, chunk: int) -> list[int]:
@@ -479,17 +474,14 @@ class FlowModel:
         return cls(projection, [_fresh_net(rng, projection.dim, config, i)
                                 for i in range(config.coupling_layers)])
 
-    def forward(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """t and log|det| of each row of the coordinates c."""
-        return self._walk(np.atleast_2d(np.asarray(c, dtype=np.float64)), 1)
-
-    def _walk(self, z: np.ndarray, axis: int | None, caches: list | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """t of the rows of z and the log-det: each layer's log-det layout
-        summed over ``axis`` (1: per row, None: over the batch), added up
-        layer by layer. The state travels as the next layer's halves (zp, zt)
-        and is joined once at the end. Given a caches list, each layer
-        appends its cache."""
+    def forward(self, c: np.ndarray, axis: int | None = 1, caches: list | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """t of each row of the coordinates c and the log-det: each layer's
+        log-det layout summed over ``axis`` (1: per row, None: over the
+        batch), added up layer by layer. The state travels as the next
+        layer's halves (zp, zt) and is joined once at the end. Given a
+        caches list, each layer appends its cache."""
+        z = np.atleast_2d(np.asarray(c, dtype=np.float64))
         first, last = self.layers[0], self.layers[-1]
         zp, zt = z[:, first.p_cols], z[:, first.t_cols]
         log_det = 0.0
@@ -505,20 +497,14 @@ class FlowModel:
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
         """Log-density of each latent row of z, up to a constant: that of its
-        coordinates plus the projection's residual term; -inf where a value
-        overflows (a far, huge row), never NaN. Walks the coordinates in
-        chunks of FLOW_CHUNK_ROWS rows (see chunk_bounds), which bounds the
-        temporaries and keeps the subnets' products in cache."""
+        coordinates, from one ``forward`` walk, plus the projection's
+        residual term; -inf where a value overflows (a far, huge row), never
+        NaN."""
         coords, off = self.projection.project(z)
-        rows = coords.shape[0]
-        bounds = chunk_bounds(rows, FLOW_CHUNK_ROWS)
-        out = np.empty(rows)
-        const = 0.5 * self.dim * LOG_2PI
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo, hi in zip(bounds, bounds[1:]):
-                t, log_det = self._walk(coords[lo:hi], 1)
-                base = -0.5 * (t * t).sum(axis=1) - const
-                np.add(base, log_det, out=out[lo:hi])
+            t, log_det = self.forward(coords)
+            out = -0.5 * (t * t).sum(axis=1) - 0.5 * self.dim * LOG_2PI
+            out += log_det
             out += off
         # A row whose projection or transform overflowed came out NaN; the
         # log-det is a sum of tanh values and the residual term is <= 0, so
@@ -547,7 +533,7 @@ class FlowModel:
         as the halves (g_p, g_t) like the flow state."""
         n, d = batch.shape
         caches: list = []
-        t, s_total = self._walk(np.asarray(batch, dtype=np.float64), None, caches)
+        t, s_total = self.forward(batch, None, caches)
         # mean over the batch of [0.5*||t||^2 - log_det] plus the base constant
         loss = ((t * t).sum() * 0.5 - s_total) * (1.0 / n) + 0.5 * d * LOG_2PI
         if l2 != 0.0:
@@ -754,9 +740,9 @@ class ScaledDensity:
 def compute_scale(density: KdeModel | FlowModel, train_z: np.ndarray
                   ) -> tuple[ScaledDensity, np.ndarray]:
     """The density scaled by its max train log-density, and the scaled
-    likelihood of each train latent row, from one density pass over train_z
-    (which the density walks in its own chunks), so the densest train row
-    scales to exactly 1 in the same pass that serves the train rows.
+    likelihood of each train latent row, from one density pass over train_z,
+    so the densest train row scales to exactly 1 in the same pass that
+    serves the train rows.
 
     Served in other batches, the densest train row can score 1 minus an ulp
     or two (see ScaledDensity.scaled_likelihood); in 128- and 256-row

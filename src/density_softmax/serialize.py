@@ -267,10 +267,9 @@ def load_container(path):
     array whose bytes do not decode to its shape, or the part whose shape
     does not fit the rest of the model.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = _object(json.loads(text), "container")
+        with open(path, encoding="utf-8") as fh:
+            doc = _object(json.load(fh), "container")
         if "version" not in doc:
             raise ContainerError("missing version field")
         if doc["version"] != CONTAINER_VERSION:

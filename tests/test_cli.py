@@ -180,6 +180,104 @@ class TestNonFiniteCell:
                                    "--repetitions", 1, "--out", tmp_path], csv)
 
 
+class TestCsvLabels:
+    """A CSV label the model has no class for exits 2 naming the file and
+    its line or data row (in-process ``main``); ``reliability`` is the one
+    subcommand that reads labels."""
+
+    @pytest.mark.parametrize("label, where", [
+        (7, ": data row 1: label 7 is not one of the model's 2 classes"),
+        (-1, ":3: negative label -1"),
+    ], ids=["above_k", "negative"])
+    def test_reliability(self, work, tmp_path, capsys, label, where):
+        root, _ = work
+        csv = tmp_path / "labels.csv"
+        csv.write_text("x0,x1,label,domain,intensity\n0.1,0.2,0,iid_test,0\n"
+                       f"0.3,0.1,{label},iid_test,0\n")
+        argv = ["reliability", "--model", root / "run" / "model.json", "--set", csv,
+                "--out", tmp_path / "rel"]
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {csv}{where}\n"
+        assert not (tmp_path / "rel").exists()
+
+
+class TestSeedBoundary:
+    """A seed numpy cannot draw from, or a --seed on a config whose root is
+    not an object, exits 2 naming the seed field or the file (in-process
+    ``main``)."""
+
+    @pytest.mark.parametrize("flags, seed", [(["--seed", "-1"], 1), ([], -3)],
+                             ids=["flag", "config"])
+    def test_negative_seed(self, tmp_path, capsys, flags, seed):
+        config = write_config(tmp_path / "tiny.json", {**TINY, "seed": seed})
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")] + flags
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed: must be >= 0\n"
+
+    @pytest.mark.parametrize("root", [[1, 2], "tiny"], ids=["list", "string"])
+    def test_seed_flag_on_a_root_that_is_not_an_object(self, tmp_path, capsys, root):
+        config = write_config(tmp_path / "root.json", root)
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out"), "--seed", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {config}: config root must be a JSON object\n"
+
+
+class TestUnreadableInputs:
+    """A path that names the wrong kind of file, or a file that is not UTF-8
+    text, exits 2 with an error naming the path (in-process ``main``)."""
+
+    def check_exit_2(self, capsys, argv, *expected):
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(part in err for part in expected), err
+
+    def test_run_out_is_a_file(self, tmp_path, capsys):
+        config = write_config(tmp_path / "tiny.json", TINY)
+        out = tmp_path / "taken"
+        out.write_text("")
+        self.check_exit_2(capsys, ["run", "--config", config, "--out", out],
+                          "Not a directory", f"'{out / 'data'}'")
+
+    def test_reliability_out_is_a_file(self, work, tmp_path, capsys):
+        root, _ = work
+        out = tmp_path / "taken"
+        out.write_text("")
+        self.check_exit_2(capsys, ["reliability", "--model", root / "run" / "model.json",
+                                   "--set", root / "run" / "data" / "iid_test.csv",
+                                   "--out", out], "File exists", f"'{out}'")
+
+    @pytest.mark.parametrize("flag", ["--model", "--set"])
+    def test_input_is_a_directory(self, work, tmp_path, capsys, flag):
+        root, _ = work
+        argv = ["reliability", "--model", root / "run" / "model.json",
+                "--set", root / "run" / "data" / "iid_test.csv", "--out", tmp_path / "rel"]
+        argv[argv.index(flag) + 1] = tmp_path
+        self.check_exit_2(capsys, argv, "Is a directory", f"'{tmp_path}'")
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b'{"seed": "\xff"}')
+        self.check_exit_2(capsys, ["run", "--config", config, "--out", tmp_path / "out"],
+                          f"error: {config}: invalid JSON: 'utf-8' codec can't decode byte 0xff")
+
+    def test_csv_is_not_utf8(self, work, tmp_path, capsys):
+        root, _ = work
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(b"x0,x1,label,domain,intensity\n0.1,\xff,0,iid_test,0\n")
+        self.check_exit_2(capsys, ["reliability", "--model", root / "run" / "model.json",
+                                   "--set", csv, "--out", tmp_path / "rel"],
+                          f"error: {csv}: not UTF-8 text (")
+
+    def test_container_is_not_utf8(self, work, tmp_path, capsys):
+        root, _ = work
+        model = tmp_path / "bad_model.json"
+        model.write_bytes(b'{"version": "\xff"}')
+        self.check_exit_2(capsys, ["reliability", "--model", model,
+                                   "--set", root / "run" / "data" / "iid_test.csv",
+                                   "--out", tmp_path / "rel"],
+                          f"error: {model}: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("bounds, message", [
     ("-1e308,1e308,-1e308,1e308", "each span x1 - x0 and y1 - y0 must be finite"),
     ("-1.7e308,0,0,1.7e308",

@@ -167,6 +167,7 @@ INVALID = [
     ({**BASE, "bins": 15}, "bins"),
     ({**BASE, "seed": 1.5}, "seed"),
     ({**BASE, "seed": True}, "seed"),
+    ({**BASE, "seed": -3}, "seed"),  # numpy draws from non-negative seeds only
     ({**BASE, "k": 1}, "k"),
     ({**BASE, "k": "2"}, "k"),
     ({**BASE, "k": 3}, "k"),  # a class no generator draws

@@ -192,6 +192,18 @@ class TestCsvRoundTrip:
                                             f"'{re.escape(cell)}'$"):
             load_csv(path)
 
+    def test_negative_label_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,x1,label,domain,intensity\n1.0,2.0,0,train,0\n0.5,0.1,-1,train,0\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: negative label -1$"):
+            load_csv(path)
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x0,x1,label,domain,intensity\n1.0,\xff,0,train,0\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from kde_reference import full_space_log_density, kde_log_density
 
 from density_softmax.autodiff import Tensor
-from density_softmax.density import (FINAL, FLOW_CHUNK_ROWS, KDE_CHUNK_ROWS,
+from density_softmax.density import (FINAL, KDE_CHUNK_ROWS,
                                      KDE_LOG_KERNEL_FLOOR, KDE_VARIANCE_KEPT,
                                      LIKELIHOOD_FLOOR, LOG_2PI, PROJECTION_VARIANCE_KEPT,
                                      CouplingLayer, FlowConfig, FlowModel, KdeModel,
@@ -462,14 +462,26 @@ class TestFlowChunks:
         assert chunk_bounds(258, 256) == [0, 256, 258]
         assert chunk_bounds(513, 256) == [0, 256, 513]
 
-    @pytest.mark.parametrize("rows", [1, FLOW_CHUNK_ROWS - 1, FLOW_CHUNK_ROWS,
-                                      FLOW_CHUNK_ROWS + 1, 1000, 1025])
-    def test_chunked_log_density_equals_one_shot_pass(self, rows):
-        flow = randomized_flow(128, seed=4, scale=0.1)
-        z = np.random.default_rng(rows).normal(size=(rows, 128))
-        t, log_det = flow.forward(z)
-        one_shot = -0.5 * (t * t).sum(axis=1) - 0.5 * 128 * math.log(2 * math.pi) + log_det
-        np.testing.assert_array_equal(flow.log_density(z), one_shot)
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 1000, 1025])
+    def test_log_density_equals_one_shot_pass(self, rows):
+        """The flow scores all rows in one walk: its log-density equals the
+        base term, log-det and residual term of one forward over every row's
+        coordinates, on the 128-d identity projection and on 3- and 4-wide
+        projections of 16-d latents, the widths the benchmark flow runs at."""
+        rng = np.random.default_rng(rows)
+        for width, dim in ((128, 128), (3, 16), (4, 16)):
+            if width == dim:
+                projection = identity_projection(dim)
+            else:
+                directions = np.linalg.qr(rng.normal(size=(dim, width)))[0].T
+                projection = LatentProjection(rng.normal(size=dim), directions,
+                                              rng.uniform(0.5, 2.0, width), 0.3)
+            flow = randomized_flow(width, seed=4, scale=0.1, projection=projection)
+            z = rng.normal(size=(rows, dim))
+            coords, off = projection.project(z)
+            t, log_det = flow.forward(coords)
+            one_shot = -0.5 * (t * t).sum(axis=1) - 0.5 * width * LOG_2PI + log_det + off
+            np.testing.assert_array_equal(flow.log_density(z), one_shot)
 
 
 class TestFlowBijectivity:
@@ -776,7 +788,7 @@ class TestLatentProjection:
     def test_flow_scores_its_coordinates_and_the_residual(self):
         """A flow's log-density of a latent row is its coupling walk's
         log-density of the row's coordinates plus the projection's residual
-        term, bit for bit (200 rows: one FLOW_CHUNK_ROWS chunk)."""
+        term, bit for bit."""
         rng = np.random.default_rng(6)
         z = rng.normal(size=(200, 5)) * [4.0, 2.0, 1.0, 0.05, 0.02]
         flow = randomized_flow(3, seed=6, scale=0.3, projection=fit_projection(z))

@@ -24,6 +24,15 @@ class DataError(ValueError):
     pass
 
 
+def _tag_problem(domain: str, intensity: int) -> str | None:
+    """What is wrong with a set's domain and intensity tags, or None."""
+    if domain not in DOMAINS:
+        return f"unknown domain {domain!r}"
+    if domain == "shifted" and not 1 <= intensity <= 5:
+        return "shifted sets need intensity in 1..5"
+    return None
+
+
 @dataclass(frozen=True)
 class LabeledSet:
     """Feature matrix (n x d), integer labels (n,), and a domain tag."""
@@ -46,10 +55,9 @@ class LabeledSet:
             raise DataError("features must be finite")
         if labels.min() < 0:
             raise DataError("labels must be non-negative")
-        if self.domain not in DOMAINS:
-            raise DataError(f"unknown domain {self.domain!r}")
-        if self.domain == "shifted" and not 1 <= self.intensity <= 5:
-            raise DataError("shifted sets need intensity in 1..5")
+        problem = _tag_problem(self.domain, self.intensity)
+        if problem:
+            raise DataError(problem)
 
     @property
     def n(self) -> int:
@@ -230,15 +238,17 @@ def load_csv(path) -> LabeledSet:
         for c, v in zip(cells, feats[-1]):
             if not math.isfinite(v):
                 raise DataError(f"{path}:{lineno}: non-finite cell {c!r}")
+        try:
+            intensities.append(int(cells[d + 2]))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer intensity {cells[d + 2]!r}") from None
         domains.append(cells[d + 1])
-        intensities.append(cells[d + 2])
+        problem = _tag_problem(domains[-1], intensities[-1])
+        if problem:
+            raise DataError(f"{path}:{lineno}: {problem}")
     if len(set(domains)) != 1 or len(set(intensities)) != 1:
         raise DataError(f"{path}: mixed domain/intensity tags in one file")
-    try:
-        intensity = int(intensities[0])
-    except ValueError:
-        raise DataError(f"{path}: non-integer intensity {intensities[0]!r}") from None
-    return LabeledSet(np.array(feats), np.array(labels), domains[0], intensity=intensity)
+    return LabeledSet(np.array(feats), np.array(labels), domains[0], intensity=intensities[0])
 
 
 def require_fittable(dataset: LabeledSet) -> LabeledSet:

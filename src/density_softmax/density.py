@@ -30,10 +30,8 @@ directions and 99.99% in about 17.
   stores only the weights it reads (see :class:`CouplingLayer`). One walk
   serves inference (``forward``, ``log_density``) and training
   (``nll_loss``): it carries the flow state as its two column halves from
-  layer to layer and joins them once at the end. The log-det sums still run
-  over a full-width array (s in T, zeros in P), so numpy's pairwise
-  summation groups the terms as it does for the masked product
-  s * (1 - mask) and the sums stay bit-identical to it.
+  layer to layer, joins them once at the end, and sums each row's log-det
+  from s.
 
 Both estimators project each row by einsum, which gives a row the same
 coordinates in any batch. The KDE walks its query rows in fixed chunks of
@@ -313,15 +311,6 @@ class CouplingLayer:
     halves z_P and z_T and returns t_T and s; t_P is z_P itself, and no
     arithmetic runs on the zeros of a masked product. ``backward_cached``
     also works on halves.
-
-    The log-det sums run over a full-width array with s in T and zeros in
-    P, laid out as the masked product s * (1 - mask) would be: numpy's
-    pairwise summation groups terms by their position, so each sum groups
-    its terms as the masked composition's does. Where the half-width
-    matmuls also equal the full-width ones (at the default 128-d latent),
-    the loss and its trace are bit-identical to the masked composition; at
-    some small widths OpenBLAS picks another kernel for a half-width
-    product, which moves the last bits.
     """
 
     def __init__(self, net: DenseNet, dim: int, index: int):
@@ -340,13 +329,6 @@ class CouplingLayer:
             raise ValueError(f"{what} maps {maps[0]} -> {maps[1]} columns; in the "
                              f"{dim}-d flow its halves need {needs[0]} -> {needs[1]}")
         self.net = net
-        self.dim = dim
-
-    def _log_det_layout(self, s: np.ndarray) -> np.ndarray:
-        """Zeros of the full width with s in the columns T."""
-        out = np.zeros((s.shape[0], self.dim))
-        out[:, self.t_cols] = s
-        return out
 
     def forward(self, zp: np.ndarray, zt: np.ndarray, caches: list | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -474,12 +456,11 @@ class FlowModel:
         return cls(projection, [_fresh_net(rng, projection.dim, config, i)
                                 for i in range(config.coupling_layers)])
 
-    def forward(self, c: np.ndarray, axis: int | None = 1, caches: list | None = None
+    def forward(self, c: np.ndarray, caches: list | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
-        """t of each row of the coordinates c and the log-det: each layer's
-        log-det layout summed over ``axis`` (1: per row, None: over the
-        batch), added up layer by layer. The state travels as the next
-        layer's halves (zp, zt) and is joined once at the end. Given a
+        """t of each row of the coordinates c and its log-det: each layer's
+        s summed per row, added up layer by layer. The state travels as the
+        next layer's halves (zp, zt) and is joined once at the end. Given a
         caches list, each layer appends its cache."""
         z = np.atleast_2d(np.asarray(c, dtype=np.float64))
         first, last = self.layers[0], self.layers[-1]
@@ -487,7 +468,7 @@ class FlowModel:
         log_det = 0.0
         for layer in self.layers:
             t_t, s = layer.forward(zp, zt, caches)
-            log_det = log_det + layer._log_det_layout(s).sum(axis=axis)
+            log_det = log_det + s.sum(axis=1)
             # this layer's T is the next layer's P, and its P the next's T
             zp, zt = t_t, zp
         t = np.empty(z.shape)
@@ -533,9 +514,9 @@ class FlowModel:
         as the halves (g_p, g_t) like the flow state."""
         n, d = batch.shape
         caches: list = []
-        t, s_total = self.forward(batch, None, caches)
+        t, log_det = self.forward(batch, caches)
         # mean over the batch of [0.5*||t||^2 - log_det] plus the base constant
-        loss = ((t * t).sum() * 0.5 - s_total) * (1.0 / n) + 0.5 * d * LOG_2PI
+        loss = ((t * t).sum() * 0.5 - log_det.sum()) * (1.0 / n) + 0.5 * d * LOG_2PI
         if l2 != 0.0:
             loss = loss + l2_value([w for layer in self.layers for w in layer.weight_slots()],
                                    l2)

@@ -110,15 +110,13 @@ def brier_score(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(((probs - onehot) ** 2).sum(axis=1).mean())
 
 
-def auroc(scores_iid: np.ndarray, scores_ood: np.ndarray,
-          higher_is_ood: bool = True) -> float:
-    """Rank-statistic AUROC with tied ranks averaged (Mann-Whitney)."""
+def auroc(scores_iid: np.ndarray, scores_ood: np.ndarray) -> float:
+    """Rank-statistic AUROC with tied ranks averaged (Mann-Whitney); higher
+    scores mean OOD."""
     iid = np.asarray(scores_iid, dtype=np.float64)
     ood = np.asarray(scores_ood, dtype=np.float64)
     if iid.size == 0 or ood.size == 0:
         raise ValueError("both score sets must be non-empty")
-    if not higher_is_ood:
-        iid, ood = -iid, -ood
     _, group, counts = np.unique(np.concatenate([iid, ood]), return_inverse=True,
                                  return_counts=True)
     # a tie group at sorted positions i..j takes the mid-rank (i + j + 2) / 2
@@ -129,8 +127,7 @@ def auroc(scores_iid: np.ndarray, scores_ood: np.ndarray,
     return float((rank_sum_ood - n_o * (n_o + 1) / 2.0) / (n_o * n_i))
 
 
-def aupr(scores_iid: np.ndarray, scores_ood: np.ndarray,
-         higher_is_ood: bool = True) -> float:
+def aupr(scores_iid: np.ndarray, scores_ood: np.ndarray) -> float:
     """Area under precision-recall with OOD as the positive class.
 
     Uses interpolated precision (max precision at recall >= r) integrated
@@ -140,8 +137,6 @@ def aupr(scores_iid: np.ndarray, scores_ood: np.ndarray,
     ood = np.asarray(scores_ood, dtype=np.float64)
     if iid.size == 0 or ood.size == 0:
         raise ValueError("both score sets must be non-empty")
-    if not higher_is_ood:
-        iid, ood = -iid, -ood
     scores = np.concatenate([iid, ood])
     positives = np.concatenate([np.zeros(iid.size, bool), np.ones(ood.size, bool)])
     order = np.argsort(-scores, kind="mergesort")
@@ -159,11 +154,10 @@ def aupr(scores_iid: np.ndarray, scores_ood: np.ndarray,
     return float(((recall - prev_recall) * interp).sum())
 
 
-def ood_detection(scores_iid: np.ndarray, scores_ood: np.ndarray,
-                  higher_is_ood: bool = True) -> dict[str, float]:
+def ood_detection(scores_iid: np.ndarray, scores_ood: np.ndarray) -> dict[str, float]:
     return {
-        "auroc": auroc(scores_iid, scores_ood, higher_is_ood),
-        "aupr": aupr(scores_iid, scores_ood, higher_is_ood),
+        "auroc": auroc(scores_iid, scores_ood),
+        "aupr": aupr(scores_iid, scores_ood),
     }
 
 

@@ -46,8 +46,8 @@ class DensityConfig:
     flow: FlowConfig = FlowConfig()
 
     def __post_init__(self):
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("bandwidth must be > 0")
+        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
 
 @dataclass(frozen=True)

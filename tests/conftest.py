@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as perfbench/run.py pins it, set before numpy loads: at
+# OpenBLAS's default thread count the suite stalls when another process
+# keeps a core busy. CLI subprocesses inherit it.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 import pytest
 

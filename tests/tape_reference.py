@@ -16,9 +16,11 @@ The compositions below build each training stage's loss from these
 primitives, one node per operation; the coupling layers here run on
 full-width masked arrays with separate s- and t-nets, where the program's
 kernels work on column halves with the two subnets stacked. ``slot_nets``
-views a coupling layer's stacked slots as two 2-D nets and ``pass_mask``
+views a coupling layer's stacked slots as two 2-D nets and ``SplitCoupling``
 builds its full-width mask from its pass-through columns, so no oracle
-runs the stacked forward. A program coupling net maps the |P| pass-through
+runs the stacked forward. A layer's log-det is each row's sum of s over
+its transformed columns T (``Node.row_sum``), so it groups its terms as
+the program's sum of s does. A program coupling net maps the |P| pass-through
 columns to the |T| transformed ones; ``SplitCoupling.full_width`` widens
 its first weight to every row and its last weight and bias to every column
 with zeros, by a tape op (``Node.widen``) whose backward hands the leaf its
@@ -207,6 +209,18 @@ class Node:
         out._backward = backward
         return out
 
+    def row_sum(self, cols) -> "Node":
+        """Each row's sum over the columns ``cols`` (a slice)."""
+        out = Node(row_sums(self.data, cols), (self,))
+
+        def backward():
+            g = np.zeros_like(self.data)
+            g[:, cols] = out.grad[:, None]
+            self.accumulate(g)
+
+        out._backward = backward
+        return out
+
     def sum(self) -> "Node":
         out = Node(self.data.sum(), (self,))
 
@@ -246,6 +260,12 @@ class Node:
         for node in reversed(order):
             if node._backward is not None and node._grad is not None:
                 node._backward()
+
+
+def row_sums(a: np.ndarray, cols) -> np.ndarray:
+    """Each row's sum over the columns ``cols`` of a 2-D array, taken on a
+    contiguous copy, as the program sums its contiguous s."""
+    return np.ascontiguousarray(a[:, cols]).sum(axis=1)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -343,21 +363,15 @@ def slot_nets(layer) -> tuple[DenseNet, DenseNet]:
         for i, x in enumerate(layer.net.layers)]) for slot in (0, 1))
 
 
-def pass_mask(layer) -> np.ndarray:
-    """The full-width mask of a coupling layer: ones on its pass-through
-    columns."""
-    mask = np.zeros(layer.dim)
-    mask[layer.p_cols] = 1.0
-    return mask
-
-
 class SplitCoupling:
     """A coupling layer's mask and its subnets as separate DenseNets with
     their own parameters: the layer the tape differentiates."""
 
     def __init__(self, layer):
-        self.dim, self.p_cols, self.t_cols = layer.dim, layer.p_cols, layer.t_cols
-        self.mask = pass_mask(layer)
+        self.p_cols, self.t_cols = layer.p_cols, layer.t_cols
+        self.dim = max(self.p_cols.stop, self.t_cols.stop)
+        self.mask = np.zeros(self.dim)  # ones on the pass-through columns
+        self.mask[self.p_cols] = 1.0
         self.s_net, self.t_net = (node_net(net, copy=True) for net in slot_nets(layer))
 
     def full_width(self) -> list[DenseNet]:
@@ -428,21 +442,21 @@ def coupling_forward_tape(layer, z: Node) -> tuple[Node, Node]:
     s = densenet_forward_tape(s_net, h).mul_const(comp)
     b = densenet_forward_tape(t_net, h).mul_const(comp)
     t = h + (z * s.exp() + b).mul_const(comp)
-    return t, s.sum()
+    return t, s.row_sum(layer.t_cols)
 
 
 def masked_coupling_forward(layer, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A coupling layer's inference forward on full-width masked arrays,
     through its slots' 2-D nets widened to dim -> dim: h = m*z,
     s = S(h)*(1-m), t = h + (z*exp(s) + T(h)*(1-m))*(1-m); returns t and
-    log|det| per row."""
+    log|det| per row, the sum of s over the columns T."""
     twin = SplitCoupling(layer)
     comp = 1.0 - twin.mask
     s_net, t_net = twin.full_width()
     h = z * twin.mask
     s = s_net.forward(h) * comp
     t = h + (z * np.exp(s) + t_net.forward(h) * comp) * comp
-    return t, s.sum(axis=1)
+    return t, row_sums(s, twin.t_cols)
 
 
 def masked_log_density(flow, z: np.ndarray) -> np.ndarray:
@@ -457,11 +471,11 @@ def masked_log_density(flow, z: np.ndarray) -> np.ndarray:
 def flow_nll_loss(flow, batch: np.ndarray, l2: float) -> Node:
     n, d = batch.shape
     z = Node(batch)
-    s_total = None
+    log_det = None
     for layer in flow.layers:
-        z, s_sum = coupling_forward_tape(layer, z)
-        s_total = s_sum if s_total is None else s_total + s_sum
-    loss = (z.square().sum().scale(0.5) - s_total).scale(1.0 / n)
+        z, layer_log_det = coupling_forward_tape(layer, z)
+        log_det = layer_log_det if log_det is None else log_det + layer_log_det
+    loss = (z.square().sum().scale(0.5) - log_det.sum()).scale(1.0 / n)
     loss = loss.add_const(0.5 * d * LOG_2PI)
     penalty = l2_penalty(flow.weight_tensors(), l2)
     if penalty is not None:

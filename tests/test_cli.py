@@ -201,6 +201,25 @@ class TestCsvLabels:
         assert not (tmp_path / "rel").exists()
 
 
+class TestCsvTags:
+    """A CSV whose domain or intensity tag is invalid exits 2 naming the file
+    and the line (in-process ``main``)."""
+
+    @pytest.mark.parametrize("tags, problem", [
+        ("shifted,9", "shifted sets need intensity in 1..5"),
+        ("weird,0", "unknown domain 'weird'"),
+    ], ids=["intensity", "domain"])
+    def test_reliability(self, work, tmp_path, capsys, tags, problem):
+        root, _ = work
+        csv = tmp_path / "tags.csv"
+        csv.write_text(f"x0,x1,label,domain,intensity\n0.1,0.2,0,{tags}\n0.3,0.1,1,{tags}\n")
+        argv = ["reliability", "--model", root / "run" / "model.json", "--set", csv,
+                "--out", tmp_path / "rel"]
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {csv}:2: {problem}\n"
+        assert not (tmp_path / "rel").exists()
+
+
 class TestSeedBoundary:
     """A seed numpy cannot draw from, or a --seed on a config whose root is
     not an object, exits 2 naming the seed field or the file (in-process

@@ -15,7 +15,7 @@ from density_softmax.data import ShiftSpec
 from density_softmax.density import FlowConfig
 from density_softmax.model import EncoderConfig
 from density_softmax.optim import OptimizerSpec
-from density_softmax.predictor import ReoptConfig
+from density_softmax.predictor import DensityConfig, ReoptConfig
 
 BASE = {"dataset": {"generator": "two_moons"}}
 
@@ -51,6 +51,13 @@ class TestParseConfig:
     @pytest.mark.parametrize("generator", ["two_moons", "two_ovals"])
     def test_class_count_comes_from_the_generator(self, generator):
         assert parse_config({"dataset": {"generator": generator}}).k == 2
+
+    @pytest.mark.parametrize("bandwidth", [math.inf, math.nan, 0.0, -1.0])
+    def test_density_config_refuses_a_bad_bandwidth(self, bandwidth):
+        """A config built in code fails at construction, not later inside the
+        pipeline as its density stage."""
+        with pytest.raises(ValueError, match="^bandwidth must be positive and finite$"):
+            DensityConfig(bandwidth=bandwidth)
 
 
 class TestCliExitCodes:

@@ -188,10 +188,11 @@ class TestOodDetection:
         np.testing.assert_allclose(auroc(iid, ood), wins + 0.5 * ties, rtol=1e-12, atol=0)
 
     def test_direction_flag(self):
+        """A score that is low for OOD rows is negated first."""
         iid = np.array([0.9, 0.8])  # iid scores HIGH under this scoring
         ood = np.array([0.1, 0.2])
-        assert auroc(iid, ood, higher_is_ood=False) == 1.0
-        assert aupr(iid, ood, higher_is_ood=False) == 1.0
+        assert auroc(-iid, -ood) == 1.0
+        assert aupr(-iid, -ood) == 1.0
 
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):

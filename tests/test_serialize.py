@@ -84,8 +84,12 @@ class TestDensitySoftmaxContainer:
         the same model in the current layout: stacked subnets that store
         only the entries an output reads, no per-layer activation, and the
         identity projection on its 8-d latent (mean 0, directions I, scales
-        1, residual_scale 1; no row has a residual). It must load, predict the same bits and write the same bytes
-        back."""
+        1, residual_scale 1; no row has a residual). It must load, predict
+        the same bits and write the same bytes back. The probs are the
+        version-2 ones; the scaled likelihoods were re-recorded from the same
+        x once the log-det became each row's sum of s over the 4 transformed
+        columns, not a zero-padded 8-wide row sum (3 of 38 rows moved by at
+        most 8 ulp)."""
         model = load_container(DATA / "flow_model_v7.json")
         want = json.loads((DATA / "flow_model_v2_expected.json").read_text())
         pred = model.predict(_decode_array(want["x"], "x", 2))

@@ -351,7 +351,7 @@ def cmd_compare(args) -> int:
         cfg = load_config(config_path, args.seed)
         sets = build_datasets(cfg)
         result = _run_pipeline(cfg, sets)
-        ensemble = ensemble_train(cfg.ensemble_size, cfg.encoder, cfg.k,
+        ensemble = ensemble_train(cfg.ensemble_size, result.erm_model, cfg.encoder,
                                   sets["train"], cfg.train)
         config_name = Path(config_path).stem
         models = {"erm": result.erm_model, "density_softmax": result.model,

@@ -13,8 +13,8 @@ its path within the object, which the parser prefixes with the object's.
 There are three exceptions to the mirror:
 
 * ``bins`` is written under ``"metrics"``: ``{"metrics": {"bins": 15}}``;
-* ``train.seed`` is not a key: it takes the top-level seed, which
-  ``train_pipeline`` also hands to the flow fit and the re-optimization,
+* ``train.seed`` is not a key: ``ExperimentConfig`` sets it to the
+  top-level seed, which ``train_pipeline`` hands to every training stage,
   so every random draw derives from that single seed and reruns reproduce
   artifacts byte for byte;
 * ``dataset`` and ``dataset.generator`` are required.
@@ -94,6 +94,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed", "must be >= 0")
+        object.__setattr__(self, "train", dataclasses.replace(self.train, seed=self.seed))
         if self.bins < 1:
             raise ConfigError("metrics.bins", "must be >= 1")
         if self.ensemble_size < 2:
@@ -135,27 +136,24 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _value(tp, val, path: str, seed: int):
+def _value(tp, val, path: str):
     """val checked against the type hint tp (converted where JSON differs)."""
     if dataclasses.is_dataclass(tp):
-        return _object(tp, val, path, seed)
+        return _object(tp, val, path)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # X | None
         if val is None:
             return None
         (tp,) = [a for a in args if a is not type(None)]
-        return _value(tp, val, path, seed)
+        return _value(tp, val, path)
     if origin is Literal:
         if val not in args:
             raise ConfigError(path, f"must be one of {args}")
         return val
-    if origin is tuple:
-        fixed = args[-1] is not Ellipsis
-        if not isinstance(val, list) or fixed and len(val) != len(args):
-            count = f"{len(args)} " if fixed else ""
-            raise ConfigError(path, f"expected a list of {count}{args[0].__name__}")
-        items = args if fixed else [args[0]] * len(val)
-        return tuple(_value(t, v, path, seed) for t, v in zip(items, val))
+    if origin is tuple:  # every tuple in the tree has a fixed length
+        if not isinstance(val, list) or len(val) != len(args):
+            raise ConfigError(path, f"expected a list of {len(args)} {args[0].__name__}")
+        return tuple(_value(t, v, path) for t, v in zip(args, val))
     if tp is float and isinstance(val, (int, float)) and not isinstance(val, bool):
         if not abs(val) <= sys.float_info.max:
             raise ConfigError(path, f"expected a finite number, got {val!r}")
@@ -165,23 +163,20 @@ def _value(tp, val, path: str, seed: int):
     return val
 
 
-def _object(cls, doc, path: str, seed: int):
-    """cls built from a JSON object whose keys are its fields (but a seed)."""
+def _object(cls, doc, path: str):
+    """cls built from a JSON object whose keys are its fields (not a nested seed)."""
     if not isinstance(doc, dict):
         raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
     hints = typing.get_type_hints(cls)
-    keys = [f.name for f in dataclasses.fields(cls) if f.name != "seed"]
+    keys = [f.name for f in dataclasses.fields(cls) if f.name != "seed" or not path]
     for key in doc:
         if key not in keys:
             raise ConfigError(_join(path, key), "unknown field")
     for key in keys:
         if _join(path, key) in REQUIRED and key not in doc:
             raise ConfigError(_join(path, key), "missing required field")
-    # a nested object left out is walked as {}, so that its seed is set
-    fields = {key: _value(hints[key], doc.get(key, {}), _join(path, key), seed)
-              for key in keys if key in doc or dataclasses.is_dataclass(hints[key])}
-    if "seed" in hints:
-        fields["seed"] = seed
+    fields = {key: _value(hints[key], doc[key], _join(path, key))
+              for key in keys if key in doc}
     try:
         return cls(**fields)
     except ConfigError as exc:
@@ -204,9 +199,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for key, val in metrics.items():
         if key != "bins":
             raise ConfigError(_join("metrics", key), "unknown field")
-        doc["bins"] = _value(int, val, "metrics.bins", 0)
-    seed = _value(int, doc.pop("seed", ExperimentConfig.seed), "seed", 0)
-    return _object(ExperimentConfig, doc, "", seed)
+        doc["bins"] = _value(int, val, "metrics.bins")
+    return _object(ExperimentConfig, doc, "")
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:

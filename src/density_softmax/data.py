@@ -212,19 +212,19 @@ def save_csv(dataset: LabeledSet, path) -> None:
 def load_csv(path) -> LabeledSet:
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     if not lines:
         raise DataError(f"{path}: no rows")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if len(header) < 4 or header[-3:] != ["label", "domain", "intensity"]:
-        raise DataError(f"{path}: bad header {lines[0]!r}")
+        raise DataError(f"{path}: bad header {lines[0][1]!r}")
     if len(lines) == 1:
         raise DataError(f"{path}: no data rows")
     d = len(header) - 3
-    feats, labels, domains, intensities = [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    feats, labels, tags = [], [], None
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
@@ -239,16 +239,17 @@ def load_csv(path) -> LabeledSet:
             if not math.isfinite(v):
                 raise DataError(f"{path}:{lineno}: non-finite cell {c!r}")
         try:
-            intensities.append(int(cells[d + 2]))
+            row_tags = cells[d + 1], int(cells[d + 2])
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-integer intensity {cells[d + 2]!r}") from None
-        domains.append(cells[d + 1])
-        problem = _tag_problem(domains[-1], intensities[-1])
+        problem = _tag_problem(*row_tags)
         if problem:
             raise DataError(f"{path}:{lineno}: {problem}")
-    if len(set(domains)) != 1 or len(set(intensities)) != 1:
-        raise DataError(f"{path}: mixed domain/intensity tags in one file")
-    return LabeledSet(np.array(feats), np.array(labels), domains[0], intensity=intensities[0])
+        tags = tags or row_tags
+        if row_tags != tags:
+            raise DataError(f"{path}:{lineno}: mixed domain/intensity tags in one file "
+                            f"({','.join(map(str, row_tags))} after {','.join(map(str, tags))})")
+    return LabeledSet(np.array(feats), np.array(labels), tags[0], intensity=tags[1])
 
 
 def require_fittable(dataset: LabeledSet) -> LabeledSet:

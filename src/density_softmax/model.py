@@ -58,7 +58,7 @@ class TrainConfig:
     batch_size: int = 128
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     l2: float = 0.0
-    seed: int = 0
+    seed: int = 0  # the run's seed: ExperimentConfig sets it, train_pipeline reads it
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -266,8 +266,9 @@ def erm_loss(encoder: Encoder, classifier: Classifier, x: np.ndarray,
 
 
 def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
-              config: TrainConfig) -> list[float]:
-    """Minimize mean cross-entropy of softmax(classifier(encoder(x))).
+              config: TrainConfig, seed: int) -> list[float]:
+    """Minimize mean cross-entropy of softmax(classifier(encoder(x))), in the
+    batch order seed draws (config.seed is not read).
 
     Returns the per-epoch mean loss trace. An optional l2 coefficient adds
     l2 * sum(w^2) over all weight matrices to the loss.
@@ -280,4 +281,4 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
 
     return train_minibatches("erm", loss_fn, encoder.params() + classifier.params(),
                              config.optimizer.lr, train.n, config.batch_size,
-                             config.epochs, config.seed)
+                             config.epochs, seed)

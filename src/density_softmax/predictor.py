@@ -24,7 +24,7 @@ the same model type without a density (s = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -146,15 +146,15 @@ class Ensemble:
         return sum(m.param_count() for m in self.members)
 
 
-def ensemble_train(m: int, encoder_config: EncoderConfig, k: int,
+def ensemble_train(m: int, erm_model: DensitySoftmaxModel, encoder_config: EncoderConfig,
                    train: LabeledSet, train_config: TrainConfig) -> Ensemble:
+    """erm_model, trained at train_config.seed, and m - 1 ERM models at seed + 1..m-1."""
     if m < 2:
         raise ValueError("an ensemble needs at least 2 members")
-    members = []
-    for i in range(m):
-        enc, clf = init_model(encoder_config, train.features.shape[1], k,
-                              train_config.seed + i)
-        erm_train(enc, clf, train, replace(train_config, seed=train_config.seed + i))
+    members = [erm_model]
+    for seed in range(train_config.seed + 1, train_config.seed + m):
+        enc, clf = init_model(encoder_config, train.features.shape[1], erm_model.k, seed)
+        erm_train(enc, clf, train, train_config, seed)
         members.append(DensitySoftmaxModel(enc, clf))
     return Ensemble(members)
 
@@ -198,13 +198,13 @@ def reoptimize_classifier(classifier: Classifier, train: LabeledSet, z: np.ndarr
 
 def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,
                    train_config: TrainConfig, density_config: DensityConfig,
-                   reopt_config: ReoptConfig, k: int = 2) -> PipelineResult:
+                   reopt_config: ReoptConfig, k: int) -> PipelineResult:
     """Run all three training steps and keep the step-1 head as a baseline."""
     require_fittable(train)
-    encoder, classifier = init_model(encoder_config, train.features.shape[1], k,
-                                     train_config.seed)
+    seed = train_config.seed  # the run's seed: every stage draws from it
+    encoder, classifier = init_model(encoder_config, train.features.shape[1], k, seed)
     try:
-        erm_trace = erm_train(encoder, classifier, train, train_config)
+        erm_trace = erm_train(encoder, classifier, train, train_config, seed)
     except Exception as exc:
         raise PipelineError("erm", exc) from exc
     erm_classifier = classifier.clone()
@@ -215,14 +215,14 @@ def train_pipeline(train: LabeledSet, encoder_config: EncoderConfig,
         if density_config.kind == "kde":
             fitted = kde_fit(train_z, density_config.bandwidth)
         else:
-            fitted, density_trace = flow_fit(train_z, density_config.flow, train_config.seed)
+            fitted, density_trace = flow_fit(train_z, density_config.flow, seed)
         density, train_s = compute_scale(fitted, train_z)
     except Exception as exc:
         raise PipelineError("density", exc) from exc
 
     try:
         reopt_trace = reoptimize_classifier(classifier, train, train_z, train_s, reopt_config,
-                                            train_config.seed)
+                                            seed)
     except Exception as exc:
         raise PipelineError("reoptimize", exc) from exc
 

@@ -11,6 +11,8 @@ import pytest
 from density_softmax.autodiff import Tensor
 from density_softmax.density import LatentProjection
 from density_softmax.layers import Dense, fan_in_uniform
+from density_softmax.model import erm_train, init_model
+from density_softmax.predictor import DensitySoftmaxModel
 
 
 def central_difference_grad(loss_fn, params: list[Tensor], h: float = 1e-5):
@@ -54,6 +56,13 @@ def dense(rng, in_dim: int, out_dim: int, activation: str = "relu",
     """A freshly initialized layer: a fan-in uniform weight, a zero bias."""
     return Dense(Tensor(fan_in_uniform(rng, in_dim, out_dim)), Tensor(np.zeros(out_dim)),
                  activation, residual)
+
+
+def erm_model(encoder_config, train, train_config) -> DensitySoftmaxModel:
+    """The 2-class ERM model train_pipeline trains first, at train_config.seed."""
+    enc, clf = init_model(encoder_config, train.features.shape[1], 2, train_config.seed)
+    erm_train(enc, clf, train, train_config, train_config.seed)
+    return DensitySoftmaxModel(enc, clf)
 
 
 def identity_projection(dim: int) -> LatentProjection:

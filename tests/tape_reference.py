@@ -542,7 +542,7 @@ def reopt_loss(theta: Node, z: np.ndarray, s: np.ndarray, labels: np.ndarray) ->
     return softmax_cross_entropy(scaled, labels)
 
 
-def reference_erm(encoder, classifier, train, config) -> list[float]:
+def reference_erm(encoder, classifier, train, config, seed: int) -> list[float]:
     """ERM on the tape, training the program encoder's and head's arrays."""
     net, theta = node_net(encoder.net), Node(classifier.theta.data)
 
@@ -551,7 +551,7 @@ def reference_erm(encoder, classifier, train, config) -> list[float]:
 
     return reference_loop(loss_fn, net.params() + [theta],
                           config.optimizer.lr, train.n, config.batch_size,
-                          config.epochs, config.seed)
+                          config.epochs, seed)
 
 
 def reference_flow_fit(flow, z, config, seed: int) -> list[float]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import density_softmax
+from density_softmax import predictor
 from density_softmax.cli import main
 from density_softmax.data import LabeledSet, save_csv
 from density_softmax.model import EncoderConfig, init_model
@@ -74,6 +75,20 @@ class TestSubcommands:
         first = tree(outs[0])
         assert {"compare.json", "compare.md", "tiny_model_ensemble.json"} <= set(first)
         assert first == tree(outs[1])
+
+    def test_compare_trains_one_erm_model_per_ensemble_member(self, work, tmp_path,
+                                                               monkeypatch):
+        """The pipeline's ERM model is ensemble member 0, so compare makes
+        ensemble_size ERM fits, at the run's seed + 0..m-1 (in-process)."""
+        _, config = work
+        seeds, erm_train = [], predictor.erm_train
+
+        def spy(*args):
+            seeds.append(args[-1])
+            return erm_train(*args)
+        monkeypatch.setattr(predictor, "erm_train", spy)
+        assert main(["compare", "--configs", str(config), "--out", str(tmp_path / "cmp")]) == 0
+        assert seeds == [TINY["seed"] + i for i in range(TINY["ensemble_size"])]
 
     def test_every_other_subcommand_exits_0(self, work):
         root, config = work
@@ -202,21 +217,23 @@ class TestCsvLabels:
 
 
 class TestCsvTags:
-    """A CSV whose domain or intensity tag is invalid exits 2 naming the file
-    and the line (in-process ``main``)."""
+    """A CSV whose domain or intensity tag is invalid, or differs from the
+    first row's, exits 2 naming the file and the line (in-process ``main``)."""
 
-    @pytest.mark.parametrize("tags, problem", [
-        ("shifted,9", "shifted sets need intensity in 1..5"),
-        ("weird,0", "unknown domain 'weird'"),
-    ], ids=["intensity", "domain"])
-    def test_reliability(self, work, tmp_path, capsys, tags, problem):
+    @pytest.mark.parametrize("tags, second, line, problem", [
+        ("shifted,9", "shifted,9", 2, "shifted sets need intensity in 1..5"),
+        ("weird,0", "weird,0", 2, "unknown domain 'weird'"),
+        ("iid_test,0", "shifted,2", 3,
+         "mixed domain/intensity tags in one file (shifted,2 after iid_test,0)"),
+    ], ids=["intensity", "domain", "mixed"])
+    def test_reliability(self, work, tmp_path, capsys, tags, second, line, problem):
         root, _ = work
         csv = tmp_path / "tags.csv"
-        csv.write_text(f"x0,x1,label,domain,intensity\n0.1,0.2,0,{tags}\n0.3,0.1,1,{tags}\n")
+        csv.write_text(f"x0,x1,label,domain,intensity\n0.1,0.2,0,{tags}\n0.3,0.1,1,{second}\n")
         argv = ["reliability", "--model", root / "run" / "model.json", "--set", csv,
                 "--out", tmp_path / "rel"]
         assert main([str(a) for a in argv]) == 2
-        assert capsys.readouterr().err == f"error: {csv}:2: {problem}\n"
+        assert capsys.readouterr().err == f"error: {csv}:{line}: {problem}\n"
         assert not (tmp_path / "rel").exists()
 
 

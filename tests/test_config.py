@@ -10,10 +10,10 @@ from dataclasses import replace
 import pytest
 
 from density_softmax import cli
-from density_softmax.config import ConfigError, ExperimentConfig, parse_config
+from density_softmax.config import ConfigError, DatasetSpec, ExperimentConfig, parse_config
 from density_softmax.data import ShiftSpec
 from density_softmax.density import FlowConfig
-from density_softmax.model import EncoderConfig
+from density_softmax.model import EncoderConfig, TrainConfig
 from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import DensityConfig, ReoptConfig
 
@@ -58,6 +58,23 @@ class TestParseConfig:
         pipeline as its density stage."""
         with pytest.raises(ValueError, match="^bandwidth must be positive and finite$"):
             DensityConfig(bandwidth=bandwidth)
+
+
+class TestOneSeed:
+    """The run's seed has one owner: ExperimentConfig hands it to train, so a
+    config built or changed in code trains at the seed its data is drawn at."""
+
+    def test_construction_sets_the_train_seed(self):
+        assert ExperimentConfig(seed=5).train.seed == 5
+
+    def test_replacing_the_seed_moves_the_train_seed(self):
+        assert replace(parse_config({**BASE, "seed": 3}), seed=9).train.seed == 9
+
+    def test_built_in_code_equals_parsed(self):
+        built = ExperimentConfig(seed=5, dataset=DatasetSpec(generator="two_ovals"),
+                                 train=TrainConfig(epochs=7))
+        assert built == parse_config({"seed": 5, "dataset": {"generator": "two_ovals"},
+                                      "train": {"epochs": 7}})
 
 
 class TestCliExitCodes:

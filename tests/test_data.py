@@ -202,11 +202,18 @@ class TestCsvRoundTrip:
         ("shifted,9", "shifted sets need intensity in 1..5"),
         ("weird,0", "unknown domain 'weird'"),
         ("shifted,x", "non-integer intensity 'x'"),
-    ], ids=["intensity", "domain", "non_integer"])
+        ("iid_test,0", "mixed domain/intensity tags in one file (iid_test,0 after train,0)"),
+    ], ids=["intensity", "domain", "non_integer", "mixed"])
     def test_invalid_tag_names_line(self, tmp_path, tags, problem):
         path = tmp_path / "bad.csv"
         path.write_text(f"x0,x1,label,domain,intensity\n1.0,2.0,0,train,0\n0.5,0.1,1,{tags}\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: {re.escape(problem)}$"):
+            load_csv(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,x1,label,domain,intensity\n1.0,2.0,0,train,0\n\n0.5,0.1,-1,train,0\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: negative label -1$"):
             load_csv(path)
 
     def test_non_utf8_bytes_name_the_file(self, tmp_path):

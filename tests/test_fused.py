@@ -373,10 +373,11 @@ def pipeline_and_reference(activation: str):
                           epochs=3, batch_size=32, l2=0.01, lr=1e-2)
     reopt_cfg = ReoptConfig(epochs=3, batch_size=32, lr=1e-2)
     result = train_pipeline(train, enc_cfg, train_cfg,
-                            DensityConfig(kind="flow", flow=flow_cfg), reopt_cfg)
+                            DensityConfig(kind="flow", flow=flow_cfg), reopt_cfg, 2)
 
     encoder, classifier = init_model(enc_cfg, 2, 2, train_cfg.seed)
-    ref_traces = {"erm": ref.reference_erm(encoder, classifier, train, train_cfg)}
+    ref_traces = {"erm": ref.reference_erm(encoder, classifier, train, train_cfg,
+                                                train_cfg.seed)}
     train_z = encoder.encode(train.features)
     projection = fit_projection(train_z)
     coords, _ = projection.project(train_z)
@@ -479,7 +480,7 @@ class TestGradientBuffersAreRewritten:
     def test_theta_taken_over_by_reoptimization(self):
         train = make_two_moons(32, 0.1, seed=1)
         encoder, classifier = init_model(EncoderConfig(width=8, depth=2), 2, 2, seed=0)
-        erm_train(encoder, classifier, train, TrainConfig(epochs=1, batch_size=16))
+        erm_train(encoder, classifier, train, TrainConfig(epochs=1, batch_size=16), 0)
         theta = classifier.theta
         assert theta.grad is None
         z = encoder.encode(train.features)
@@ -497,7 +498,7 @@ class TestGradientBuffersAreRewritten:
         result = train_pipeline(train, EncoderConfig(width=8, depth=2),
                                 TrainConfig(epochs=1, batch_size=32),
                                 DensityConfig(kind="flow", flow=flow_cfg),
-                                ReoptConfig(epochs=1, batch_size=32))
+                                ReoptConfig(epochs=1, batch_size=32), 2)
         model = result.model
         params = (model.encoder.params() + model.classifier.params()
                   + result.erm_model.classifier.params() + model.density.inner.params())
@@ -514,7 +515,7 @@ class TestNoReferenceCycles:
         gc.disable()
         try:
             erm_train(encoder, classifier, train,
-                      TrainConfig(epochs=2, batch_size=32, l2=1e-3))
+                      TrainConfig(epochs=2, batch_size=32, l2=1e-3), 0)
             assert gc.collect() == 0
             z = encoder.encode(train.features)
             flow, _ = flow_fit(z, FlowConfig(epochs=2, batch_size=32), 0)

@@ -13,14 +13,13 @@ from density_softmax.model import (Classifier, Encoder, EncoderConfig, TrainConf
 from density_softmax.optim import OptimizerSpec
 from density_softmax.predictor import DensitySoftmaxModel, Ensemble, ensemble_train
 
-from conftest import count_forward_rows, identity_projection
+from conftest import count_forward_rows, erm_model, identity_projection
 
 SMALL = EncoderConfig(width=8, depth=2)
 
 
-def small_train_config(epochs=30, lr=3e-3, seed=0, **kw):
-    return TrainConfig(epochs=epochs, batch_size=64,
-                       optimizer=OptimizerSpec(lr=lr), seed=seed, **kw)
+def small_train_config(epochs=30, lr=3e-3, **kw):
+    return TrainConfig(epochs=epochs, batch_size=64, optimizer=OptimizerSpec(lr=lr), **kw)
 
 
 class TestInitModel:
@@ -149,7 +148,7 @@ class TestErmTrain:
         train = make_two_moons(50, 0.1, seed=0)
         enc, clf = init_model(SMALL, 2, 2, seed=0)
         before = [p.data.copy() for p in enc.params() + clf.params()]
-        trace = erm_train(enc, clf, train, small_train_config(epochs=0))
+        trace = erm_train(enc, clf, train, small_train_config(epochs=0), 0)
         assert trace == []
         for p, b in zip(enc.params() + clf.params(), before):
             np.testing.assert_array_equal(p.data, b)
@@ -157,13 +156,13 @@ class TestErmTrain:
     def test_loss_decreases(self):
         train = make_two_moons(100, 0.1, seed=0)
         enc, clf = init_model(SMALL, 2, 2, seed=0)
-        trace = erm_train(enc, clf, train, small_train_config())
+        trace = erm_train(enc, clf, train, small_train_config(), 0)
         assert trace[-1] < trace[0]
 
     def test_separable_ovals_reach_high_accuracy(self):
         train = make_two_ovals(100, 4.0, 0.05, seed=0)
         enc, clf = init_model(SMALL, 2, 2, seed=0)
-        erm_train(enc, clf, train, small_train_config(epochs=60))
+        erm_train(enc, clf, train, small_train_config(epochs=60), 0)
         probs = DensitySoftmaxModel(enc, clf).predict(train.features).probs
         acc = (probs.argmax(axis=1) == train.labels).mean()
         assert acc >= 0.99
@@ -173,7 +172,7 @@ class TestErmTrain:
         results = []
         for _ in range(2):
             enc, clf = init_model(SMALL, 2, 2, seed=3)
-            erm_train(enc, clf, train, small_train_config(epochs=5, seed=3))
+            erm_train(enc, clf, train, small_train_config(epochs=5), 3)
             results.append(np.concatenate([p.data.ravel()
                                            for p in enc.params() + clf.params()]))
         np.testing.assert_array_equal(results[0], results[1])
@@ -185,16 +184,15 @@ class TestErmTrain:
         shifted = apply_shift(iid, ShiftSpec(), 1, seed=0)
         enc, clf = init_model(SMALL, 2, 2, seed=0)
         with pytest.raises(DataError):
-            erm_train(enc, clf, shifted, small_train_config(epochs=1))
+            erm_train(enc, clf, shifted, small_train_config(epochs=1), 0)
 
     def test_divergence_raises(self):
         train = make_two_moons(50, 0.1, seed=0)
         enc, clf = init_model(SMALL, 2, 2, seed=0)
         cfg = TrainConfig(epochs=200, batch_size=32,
-                          optimizer=OptimizerSpec(lr=1e200),
-                          seed=0)
+                          optimizer=OptimizerSpec(lr=1e200))
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
-            erm_train(enc, clf, train, cfg)
+            erm_train(enc, clf, train, cfg, 0)
         err = info.value
         assert (err.stage, err.epoch, err.batch) == ("erm", 0, 1)
         assert np.isfinite(err.last_finite_loss)
@@ -240,19 +238,21 @@ class TestUnboundGradient:
 class TestEnsemble:
     def test_requires_two_members(self):
         train = make_two_moons(30, 0.1, seed=0)
+        cfg = small_train_config(epochs=1)
         with pytest.raises(ValueError):
-            ensemble_train(1, SMALL, 2, train, small_train_config(epochs=1))
+            ensemble_train(1, erm_model(SMALL, train, cfg), SMALL, train, cfg)
 
     def test_mean_of_simplex_stays_on_simplex(self):
         train = make_two_moons(30, 0.1, seed=0)
-        ens = ensemble_train(2, SMALL, 2, train, small_train_config(epochs=3))
+        cfg = small_train_config(epochs=3)
+        ens = ensemble_train(2, erm_model(SMALL, train, cfg), SMALL, train, cfg)
         probs = ens.predict(train.features[:10]).probs
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_identical_members_equal_single_model(self):
         train = make_two_moons(30, 0.1, seed=0)
         enc, clf = init_model(SMALL, 2, 2, seed=4)
-        erm_train(enc, clf, train, small_train_config(epochs=3, seed=4))
+        erm_train(enc, clf, train, small_train_config(epochs=3), 4)
         model = DensitySoftmaxModel(enc, clf)
         ens = Ensemble([model, model])
         single = model.predict(train.features[:5]).probs
@@ -260,6 +260,7 @@ class TestEnsemble:
 
     def test_param_count_additivity(self):
         train = make_two_moons(30, 0.1, seed=0)
-        ens = ensemble_train(2, SMALL, 2, train, small_train_config(epochs=1))
+        cfg = small_train_config(epochs=1)
+        ens = ensemble_train(2, erm_model(SMALL, train, cfg), SMALL, train, cfg)
         single = ens.members[0].param_count()
         assert ens.param_count() == 2 * single

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import identity_projection
+from conftest import erm_model, identity_projection
 
 from density_softmax import cli
 from density_softmax.data import make_two_moons
@@ -31,7 +31,7 @@ FAST = TrainConfig(epochs=5, batch_size=64,
 def pipeline_result():
     train = make_two_moons(80, 0.1, seed=0)
     return train, train_pipeline(train, SMALL, FAST, DensityConfig(kind="kde"),
-                                 ReoptConfig(epochs=2, batch_size=64))
+                                 ReoptConfig(epochs=2, batch_size=64), 2)
 
 
 class TestDensitySoftmaxContainer:
@@ -68,7 +68,7 @@ class TestDensitySoftmaxContainer:
             train, SMALL, FAST,
             DensityConfig(kind="flow", flow=FlowConfig(epochs=3, batch_size=128,
                                                        coupling_layers=2)),
-            ReoptConfig(epochs=1, batch_size=64))
+            ReoptConfig(epochs=1, batch_size=64), 2)
         path = tmp_path / "flow_model.json"
         save_container(density_softmax_container(result.model), path)
         back = load_container(path)
@@ -123,11 +123,12 @@ class TestEveryStoredKeyIsRead:
             make_two_moons(130, 0.1, seed=1), SMALL, FAST,
             DensityConfig(kind="flow", flow=FlowConfig(epochs=1, batch_size=128,
                                                        coupling_layers=2, hidden_layers=1)),
-            ReoptConfig(epochs=1, batch_size=64))
+            ReoptConfig(epochs=1, batch_size=64), 2)
         return {"kde": density_softmax_container(result.model),
                 "flow": density_softmax_container(flow.model),
                 "erm": density_softmax_container(result.erm_model),
-                "ensemble": ensemble_container(ensemble_train(2, SMALL, 2, train, FAST))}
+                "ensemble": ensemble_container(
+                    ensemble_train(2, result.erm_model, SMALL, train, FAST))}
 
     @pytest.mark.parametrize("kind", ["kde", "flow", "erm", "ensemble"])
     def test_deleting_any_key_fails_to_load(self, tmp_path, containers, kind):
@@ -234,7 +235,7 @@ class TestErmAndEnsembleContainers:
 
     def test_ensemble_round_trip(self, tmp_path):
         train = make_two_moons(40, 0.1, seed=0)
-        ens = ensemble_train(2, SMALL, 2, train, FAST)
+        ens = ensemble_train(2, erm_model(SMALL, train, FAST), SMALL, train, FAST)
         path = tmp_path / "ens.json"
         save_container(ensemble_container(ens), path)
         back = load_container(path)
@@ -245,7 +246,8 @@ class TestErmAndEnsembleContainers:
     def test_binary_ensemble_surface_exits_0(self, tmp_path):
         train = make_two_moons(40, 0.1, seed=0)
         path = tmp_path / "ens.json"
-        save_container(ensemble_container(ensemble_train(2, SMALL, 2, train, FAST)), path)
+        ens = ensemble_train(2, erm_model(SMALL, train, FAST), SMALL, train, FAST)
+        save_container(ensemble_container(ens), path)
         code = cli.main(["surface", "--model", str(path), "--out", str(tmp_path / "s"),
                          "--resolution", "5"])
         assert code == 0
@@ -317,7 +319,7 @@ class TestErmAndEnsembleContainers:
                 for net in flow["density"]["layers"]] == [[[2, 4, 16], [2, 16, 4]]] * 2
         assert all(set(layer) == {"weight", "bias"}
                    for net in flow["density"]["layers"] for layer in net)
-        ens = ensemble_container(ensemble_train(2, SMALL, 2, train, FAST))
+        ens = ensemble_container(ensemble_train(2, result.erm_model, SMALL, train, FAST))
         assert set(ens) == {"version", "kind", "members"}
         assert all(set(m) == {"kind", "encoder", "classifier"} for m in ens["members"])
 

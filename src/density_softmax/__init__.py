@@ -6,21 +6,22 @@ a coupling flow) on the frozen train latents, scale its likelihood into
 yields both the class probabilities and a distance-aware uncertainty.
 """
 
-from .config import ExperimentConfig, build_datasets, load_config, parse_config
-from .data import (LabeledSet, ShiftSpec, apply_shift, load_csv,
-                   make_ood_cluster, make_two_moons, make_two_ovals, save_csv)
-from .density import (FlowConfig, FlowModel, KdeModel, ScaledDensity,
-                      compute_scale, flow_fit, kde_fit)
+from .config import (DensityConfig, EncoderConfig, ExperimentConfig, FlowConfig,
+                     OptimizerSpec, ReoptConfig, ShiftSpec, TrainConfig, build_datasets,
+                     load_config, parse_config)
+from .data import (LabeledSet, apply_shift, load_csv, make_ood_cluster, make_two_moons,
+                   make_two_ovals, save_csv)
+from .density import FlowModel, KdeModel, ScaledDensity, compute_scale, flow_fit, kde_fit
 from .metrics import (EvalReport, accuracy, auroc, aupr, brier_score,
                       evaluate_predictions, expected_calibration_error,
                       misclassified_ece, negative_log_likelihood,
                       ood_detection, reliability_bins)
-from .model import Classifier, Encoder, EncoderConfig, TrainConfig, erm_train, init_model
+from .model import Classifier, Encoder, erm_train, init_model
 from .ops import entropy, softmax
-from .optim import Adam, OptimizerSpec
-from .predictor import (DensityConfig, DensitySoftmaxModel, Ensemble, Prediction,
-                        PipelineResult, ReoptConfig, ensemble_train,
-                        predictive_summaries, reoptimize_classifier, train_pipeline)
+from .optim import Adam
+from .predictor import (DensitySoftmaxModel, Ensemble, Prediction, PipelineResult,
+                        ensemble_train, predictive_summaries, reoptimize_classifier,
+                        train_pipeline)
 
 __version__ = "0.1.0"
 

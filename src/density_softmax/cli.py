@@ -41,17 +41,14 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _bins_csv(bins: list[M.BinStats]) -> str:
@@ -117,14 +114,21 @@ def _evaluate_model(model, name: str, sets: dict[str, LabeledSet],
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
+def _write_sets(args) -> tuple[ExperimentConfig, dict[str, LabeledSet]]:
+    """The config at --config (at --seed), and its sets, each written to
+    <out>/data/<tag>.csv."""
     cfg = load_config(args.config, args.seed)
-    out = Path(args.out)
     sets = build_datasets(cfg)
-    (out / "data").mkdir(parents=True, exist_ok=True)
+    data = Path(args.out) / "data"
+    data.mkdir(parents=True, exist_ok=True)
     for tag, dataset in sets.items():
-        save_csv(dataset, out / "data" / f"{tag}.csv")
-    log.info("wrote %d datasets under %s", len(sets), out / "data")
+        save_csv(dataset, data / f"{tag}.csv")
+    return cfg, sets
+
+
+def cmd_gen_data(args) -> int:
+    _, sets = _write_sets(args)
+    log.info("wrote %d datasets under %s", len(sets), Path(args.out) / "data")
     return EXIT_OK
 
 
@@ -134,13 +138,8 @@ def _run_pipeline(cfg: ExperimentConfig, sets: dict[str, LabeledSet]) -> Pipelin
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg, sets = _write_sets(args)
     out = Path(args.out)
-    sets = build_datasets(cfg)
-    (out / "data").mkdir(parents=True, exist_ok=True)
-    for tag, dataset in sets.items():
-        save_csv(dataset, out / "data" / f"{tag}.csv")
-
     result = _run_pipeline(cfg, sets)
     save_container(density_softmax_container(result.model), out / "model.json")
     save_container(density_softmax_container(result.erm_model), out / "model_erm.json")
@@ -203,7 +202,6 @@ def cmd_surface(args) -> int:
     for name in ("variance", "entropy_bits", "u", "scaled_likelihood"):
         fields[name] = summary[name]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["x,y," + ",".join(fields)]
     for i, (x, y) in enumerate(grid):
         vals = ",".join(format(fields[f][i], ".17g") for f in fields)
@@ -256,7 +254,6 @@ def cmd_hist_likelihood(args) -> int:
         series.append((tag, lik))
     edges = np.linspace(0.0, 1.0, args.hist_bins + 1)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["set,bin_lo,bin_hi,count"]
     means = {}
     for tag, lik in series:
@@ -287,7 +284,6 @@ def cmd_reliability(args) -> int:
     bins = M.reliability_bins(probs, dataset.labels, args.bins)
     ece = M.ece_from_bins(bins, dataset.n)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "reliability.csv", _bins_csv(bins))
     _write_text(out / "reliability.svg",
                 reliability_svg(bins, f"reliability ({dataset.tag}, ECE={ece:.4f})"))
@@ -329,7 +325,6 @@ def cmd_bench(args) -> int:
             "latency_ms_iqr": q3 - q1,
         })
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "bench.json", {"repetitions": args.repetitions,
                                      "warmup": args.warmup, "models": rows})
     header = "| model | kind | params | median ms/sample | IQR |"
@@ -344,16 +339,22 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    all_rows = []
+    configs: dict[str, str] = {}  # file stem -> path; the stem names its artifacts
     for config_path in args.configs:
+        stem = Path(config_path).stem
+        if stem in configs:
+            raise ConfigError("configs", f"{configs[stem]} and {config_path} share the "
+                              f"file stem {stem!r}")
+        configs[stem] = config_path
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # save_container does not make it
+    all_rows = []
+    for config_name, config_path in configs.items():
         cfg = load_config(config_path, args.seed)
         sets = build_datasets(cfg)
         result = _run_pipeline(cfg, sets)
         ensemble = ensemble_train(cfg.ensemble_size, result.erm_model, cfg.encoder,
                                   sets["train"], cfg.train)
-        config_name = Path(config_path).stem
         models = {"erm": result.erm_model, "density_softmax": result.model,
                   f"ensemble_{cfg.ensemble_size}": ensemble}
         save_container(density_softmax_container(result.model),

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .config import ShiftSpec
+
 DOMAINS = ("train", "iid_test", "ood", "shifted")
-SHIFT_KINDS = ("gaussian_noise", "rotation", "translation")
 
 # Five-level gaussian-noise ladder used by the default shift suite.
 DEFAULT_SHIFT_SCALES = (0.05, 0.1, 0.2, 0.4, 0.8)
@@ -69,22 +72,6 @@ class LabeledSet:
         if self.domain == "shifted":
             return f"shifted_{self.intensity}"
         return self.domain
-
-
-@dataclass(frozen=True)
-class ShiftSpec:
-    """A shift family: kind plus a strictly increasing 5-level scale ladder."""
-
-    kind: str = "gaussian_noise"
-    scales: tuple[float, float, float, float, float] = DEFAULT_SHIFT_SCALES
-
-    def __post_init__(self):
-        if self.kind not in SHIFT_KINDS:
-            raise DataError(f"unknown shift kind {self.kind!r}")
-        if len(self.scales) != 5:
-            raise DataError("shift spec needs exactly 5 intensity scales")
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise DataError("shift scales must be strictly increasing")
 
 
 def class_count(generator: str) -> int:

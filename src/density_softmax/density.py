@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
+from .config import FlowConfig
 from .layers import (Dense, DenseNet, activation_grad, apply_activation, fan_in_uniform,
                      l2_backward, l2_value)
 from .model import train_minibatches
@@ -405,28 +406,6 @@ def _fresh_net(rng: np.random.Generator, dim: int, config: FlowConfig, index: in
     s_net, t_net = subnet(), subnet()
     return coupling_net([(Tensor(np.stack(pair)), Tensor(np.zeros((2, 1, pair[0].shape[1]))))
                          for pair in zip(s_net, t_net)])
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    coupling_layers: int = 4
-    hidden_units: int = 16
-    hidden_layers: int = 4
-    epochs: int = 3000
-    batch_size: int = 128
-    l2: float = 0.01
-    lr: float = 1e-4  # Adam
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        for name in ("batch_size", "coupling_layers", "hidden_units", "hidden_layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not self.l2 >= 0:
-            raise ValueError("l2 must be >= 0")
-        if not 0 < self.lr < np.inf:
-            raise ValueError("lr must be positive and finite")
 
 
 class FlowModel:

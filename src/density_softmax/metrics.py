@@ -181,10 +181,7 @@ class EvalReport:
     bins: list[BinStats] | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.bins is not None:
-            d["bins"] = [asdict(b) for b in self.bins]
-        return d
+        return asdict(self)
 
 
 def evaluate_predictions(domain: str, probs: np.ndarray, labels: np.ndarray | None,

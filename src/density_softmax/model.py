@@ -9,16 +9,16 @@ every training stage shares ``train_minibatches``: Adam at a fixed rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .autodiff import Tensor, bound_grad
+from .config import EncoderConfig, TrainConfig
 from .data import LabeledSet, require_fittable
 from .layers import Activation, Dense, DenseNet, fan_in_uniform, l2_backward, l2_value
 from .ops import finite_rows
-from .optim import Adam, OptimizerSpec
+from .optim import Adam
 
 
 class TrainingDiverged(RuntimeError):
@@ -37,36 +37,6 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
         self.batch = batch
         self.last_finite_loss = last_finite_loss
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    width: int = 128
-    depth: int = 12
-    activation: Activation = "relu"
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 128
-    optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
-    l2: float = 0.0
-    seed: int = 0  # the run's seed: ExperimentConfig sets it, train_pipeline reads it
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.l2 >= 0:
-            raise ValueError("l2 must be >= 0")
 
 
 class Encoder:

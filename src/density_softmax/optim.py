@@ -19,7 +19,6 @@ loss (``train.l2``, ``density.flow.l2``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,14 +93,3 @@ class Adam:
             denom += EPS
             tmp /= denom
             self.data[c] -= tmp
-
-
-@dataclass(frozen=True)
-class OptimizerSpec:
-    """The learning rate of a training stage's Adam (``train.optimizer``)."""
-
-    lr: float = 1e-4
-
-    def __post_init__(self):
-        if not 0 < self.lr < np.inf:
-            raise ValueError("lr must be positive and finite")

@@ -25,44 +25,16 @@ the same model type without a density (s = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .autodiff import Tensor
+from .config import DensityConfig, EncoderConfig, ReoptConfig, TrainConfig
 from .data import LabeledSet, require_fittable
-from .density import FlowConfig, ScaledDensity, compute_scale, flow_fit, kde_fit
-from .model import (Classifier, Encoder, EncoderConfig, TrainConfig, erm_train,
-                    head_cross_entropy, init_model, train_minibatches)
+from .density import ScaledDensity, compute_scale, flow_fit, kde_fit
+from .model import (Classifier, Encoder, erm_train, head_cross_entropy, init_model,
+                    train_minibatches)
 from .ops import entropy, finite_rows, softmax
-
-
-@dataclass(frozen=True)
-class DensityConfig:
-    """Which density estimator step 2 fits on the train latents."""
-
-    kind: Literal["kde", "flow"] = "kde"
-    bandwidth: float | None = None  # kde; None = Scott's rule
-    flow: FlowConfig = FlowConfig()
-
-    def __post_init__(self):
-        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
-            raise ValueError("bandwidth must be positive and finite")
-
-
-@dataclass(frozen=True)
-class ReoptConfig:
-    epochs: int = 10
-    batch_size: int = 128
-    lr: float = 1e-4  # Adam
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0 < self.lr < np.inf:
-            raise ValueError("lr must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ import pytest
 import density_softmax
 from density_softmax import predictor
 from density_softmax.cli import main
+from density_softmax.config import EncoderConfig
 from density_softmax.data import LabeledSet, save_csv
-from density_softmax.model import EncoderConfig, init_model
+from density_softmax.model import init_model
 from density_softmax.predictor import DensitySoftmaxModel
 from density_softmax.serialize import density_softmax_container, save_container
 
@@ -117,6 +118,20 @@ class TestExitCodes:
         proc = cli("run", "--config", config, "--out", tmp_path / "out")
         assert proc.returncode == 2
         assert "error: colour: unknown field" in proc.stderr
+
+    def test_compare_refuses_configs_that_share_a_stem(self, tmp_path, capsys):
+        """A config's file stem names its containers and rows, so two configs
+        with one stem are refused before anything is trained or written."""
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = write_config(tmp_path / "a" / "tiny.json", TINY)
+        second = write_config(tmp_path / "b" / "tiny.json",
+                              {**TINY, "dataset": {**TINY["dataset"], "generator": "two_ovals"}})
+        out = tmp_path / "cmp"
+        assert main(["compare", "--configs", str(first), str(second), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: configs: {first} and {second} share the file stem 'tiny'\n")
+        assert not out.exists()
 
     def test_missing_model_exits_2(self, tmp_path):
         proc = cli("surface", "--model", tmp_path / "absent.json", "--out", tmp_path / "s")

@@ -1,21 +1,21 @@
 """Config parsing: a table of valid and invalid documents; errors name the
 dotted path and reach the CLI as exit 2."""
 
+import ast
 import dataclasses
 import json
 import math
+import types
 import typing
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from density_softmax import cli
-from density_softmax.config import ConfigError, DatasetSpec, ExperimentConfig, parse_config
-from density_softmax.data import ShiftSpec
-from density_softmax.density import FlowConfig
-from density_softmax.model import EncoderConfig, TrainConfig
-from density_softmax.optim import OptimizerSpec
-from density_softmax.predictor import DensityConfig, ReoptConfig
+from density_softmax import cli, config
+from density_softmax.config import (ConfigError, DatasetSpec, DensityConfig, EncoderConfig,
+                                    ExperimentConfig, FlowConfig, OodSpec, OptimizerSpec,
+                                    ReoptConfig, ShiftSpec, TrainConfig, parse_config)
 
 BASE = {"dataset": {"generator": "two_moons"}}
 
@@ -32,12 +32,13 @@ class TestParseConfig:
             parse_config(with_("train", {"optimizer": {"l2": 0.01}}))
         assert info.value.path == "train.optimizer.l2"
 
+    # explicit ids keep each case's test id stable when its expected path changes
     @pytest.mark.parametrize("section, fields, path", [
-        ("encoder", {"width": 0}, "encoder"),
-        ("train", {"epochs": -1}, "train"),
+        ("encoder", {"width": 0}, "encoder.width"),
+        ("train", {"epochs": -1}, "train.epochs"),
         ("dataset", {"generator": "two_moons", "shift": {"scales": [1, 1, 2, 3, 4]}},
-         "dataset.shift"),
-    ])
+         "dataset.shift.scales"),
+    ], ids=["encoder-fields0-encoder", "train-fields1-train", "dataset-fields2-dataset.shift"])
     def test_dataclass_validation_becomes_config_error(self, section, fields, path):
         with pytest.raises(ConfigError) as info:
             parse_config(with_(section, fields))
@@ -52,11 +53,16 @@ class TestParseConfig:
     def test_class_count_comes_from_the_generator(self, generator):
         assert parse_config({"dataset": {"generator": generator}}).k == 2
 
-    @pytest.mark.parametrize("bandwidth", [math.inf, math.nan, 0.0, -1.0])
-    def test_density_config_refuses_a_bad_bandwidth(self, bandwidth):
+    @pytest.mark.parametrize("bandwidth, message", [
+        (math.inf, "expected a finite number, got inf"),
+        (math.nan, "expected a finite number, got nan"),
+        (0.0, "must be > 0"),
+        (-1.0, "must be > 0"),
+    ], ids=["inf", "nan", "0.0", "-1.0"])
+    def test_density_config_refuses_a_bad_bandwidth(self, bandwidth, message):
         """A config built in code fails at construction, not later inside the
         pipeline as its density stage."""
-        with pytest.raises(ValueError, match="^bandwidth must be positive and finite$"):
+        with pytest.raises(ConfigError, match=f"^bandwidth: {message}$"):
             DensityConfig(bandwidth=bandwidth)
 
 
@@ -83,7 +89,7 @@ class TestCliExitCodes:
         config.write_text(json.dumps(with_("encoder", {"width": 0})))
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG == 2
-        assert "error: encoder: width must be >= 1" in capsys.readouterr().err
+        assert "error: encoder.width: must be >= 1" in capsys.readouterr().err
 
     def test_nan_token_exits_2(self, tmp_path, capsys):
         """json reads the token NaN as a float; the config refuses it."""
@@ -182,6 +188,8 @@ VALID = [
     (_doc("reopt.epochs", 0), _expect(("reopt.epochs", 0))),
 ]
 
+# A row's test id is its path, or its third entry where given, which keeps the
+# id stable when the row's expected path changes (pytest numbers repeated ids).
 INVALID = [
     ([], ""),
     ({}, "dataset"),
@@ -225,22 +233,22 @@ INVALID = [
     (_doc("dataset.shift.scales", 5), "dataset.shift.scales"),
     (_doc("dataset.shift.scales", [1, 2, 3, 4, "5"]), "dataset.shift.scales"),
     (_doc("dataset.shift.scales", [False, 1, 2, 3, 4]), "dataset.shift.scales"),
-    (_doc("dataset.shift.scales", [5, 4, 3, 2, 1]), "dataset.shift"),
-    (_doc("dataset.shift.kind", "blur"), "dataset.shift"),
+    (_doc("dataset.shift.scales", [5, 4, 3, 2, 1]), "dataset.shift.scales", "dataset.shift"),
+    (_doc("dataset.shift.kind", "blur"), "dataset.shift.kind", "dataset.shift"),
     (_doc("dataset.shift.kind", 3), "dataset.shift.kind"),
     (_doc("encoder.foo", 1), "encoder.foo"),
     (_doc("encoder", None), "encoder"),
     (_doc("encoder", []), "encoder"),
-    (_doc("encoder.depth", 0), "encoder"),
+    (_doc("encoder.depth", 0), "encoder.depth", "encoder"),
     (_doc("encoder.width", True), "encoder.width"),
     (_doc("encoder.activation", 1), "encoder.activation"),
     (_doc("encoder.activation", "foo"), "encoder.activation"),
-    (_doc("encoder.width", 0), "encoder"),
+    (_doc("encoder.width", 0), "encoder.width", "encoder"),
     (_doc("encoder", "wide"), "encoder"),
     (_doc("train.foo", 1), "train.foo"),
     (_doc("train.seed", 1), "train.seed"),
-    (_doc("train.epochs", -1), "train"),
-    (_doc("train.batch_size", 0), "train"),
+    (_doc("train.epochs", -1), "train.epochs", "train"),
+    (_doc("train.batch_size", 0), "train.batch_size", "train"),
     (_doc("train.l2", "none"), "train.l2"),
     (_doc("train.optimizer", "adam"), "train.optimizer"),
     (_doc("train.optimizer.l2", 0.01), "train.optimizer.l2"),
@@ -250,24 +258,26 @@ INVALID = [
     (_doc("density.kind", None), "density.kind"),
     (_doc("density.bandwidth", "wide"), "density.bandwidth"),
     (_doc("density.bandwidth", True), "density.bandwidth"),
-    (_doc("density.bandwidth", 0), "density"),
-    (_doc("density.bandwidth", -0.5), "density"),
+    (_doc("density.bandwidth", 0), "density.bandwidth", "density"),
+    (_doc("density.bandwidth", -0.5), "density.bandwidth", "density"),
     (_doc("density.flow", 4), "density.flow"),
     (_doc("density.flow.seed", 1), "density.flow.seed"),
     (_doc("density.flow.optimizer", {"lr": 0.1}), "density.flow.optimizer"),
     (_doc("density.flow.lr", "slow"), "density.flow.lr"),
     (_doc("density.flow.epochs", 1.0), "density.flow.epochs"),
-    (_doc("density.flow.epochs", -1), "density.flow"),
-    (_doc("density.flow.batch_size", 0), "density.flow"),
-    (_doc("density.flow.coupling_layers", 0), "density.flow"),
-    (_doc("density.flow.hidden_units", 0), "density.flow"),
-    (_doc("density.flow.hidden_layers", 0), "density.flow"),
+    (_doc("density.flow.epochs", -1), "density.flow.epochs", "density.flow"),
+    (_doc("density.flow.batch_size", 0), "density.flow.batch_size", "density.flow"),
+    (_doc("density.flow.coupling_layers", 0), "density.flow.coupling_layers",
+     "density.flow"),
+    (_doc("density.flow.hidden_units", 0), "density.flow.hidden_units", "density.flow"),
+    (_doc("density.flow.hidden_layers", 0), "density.flow.hidden_layers",
+     "density.flow"),
     (_doc("reopt.foo", 1), "reopt.foo"),
     (_doc("reopt.seed", 1), "reopt.seed"),
     (_doc("reopt.optimizer", {"lr": 0.1}), "reopt.optimizer"),
     (_doc("reopt.lr", None), "reopt.lr"),
-    (_doc("reopt.epochs", -1), "reopt"),
-    (_doc("reopt.batch_size", 0), "reopt"),
+    (_doc("reopt.epochs", -1), "reopt.epochs", "reopt"),
+    (_doc("reopt.batch_size", 0), "reopt.batch_size", "reopt"),
     *((_doc(dotted, value), dotted) for dotted, value in REMOVED.items()),
     # an unknown key is refused before its value is read
     (_doc("train.lr_decay_epochs", "3"), "train.lr_decay_epochs"),
@@ -286,22 +296,23 @@ BAD_NUMBERS = [
     ("dataset.ood.sigmas", math.nan, "dataset.ood.sigmas"),
     ("dataset.ood.center", [1.0, math.inf], "dataset.ood.center"),
     ("dataset.shift.scales", [1, 2, 3, 4, math.inf], "dataset.shift.scales"),
-    ("dataset.ood.spread", -0.1, "dataset.ood"),
+    ("dataset.ood.spread", -0.1, "dataset.ood.spread"),
     ("train.optimizer.lr", math.nan, "train.optimizer.lr"),
-    ("train.optimizer.lr", 0, "train.optimizer"),
-    ("train.optimizer.lr", -1e-3, "train.optimizer"),
-    ("train.l2", -5, "train"),
+    ("train.optimizer.lr", 0, "train.optimizer.lr"),
+    ("train.optimizer.lr", -1e-3, "train.optimizer.lr"),
+    ("train.l2", -5, "train.l2"),
     ("train.l2", 10**400, "train.l2"),
     ("density.bandwidth", math.inf, "density.bandwidth"),
-    ("density.flow.lr", 0, "density.flow"),
+    ("density.flow.lr", 0, "density.flow.lr"),
     ("density.flow.lr", math.inf, "density.flow.lr"),
-    ("density.flow.l2", -0.01, "density.flow"),
-    ("reopt.lr", 0, "reopt"),
+    ("density.flow.l2", -0.01, "density.flow.l2"),
+    ("reopt.lr", 0, "reopt.lr"),
     ("reopt.lr", math.nan, "reopt.lr"),
 ]
 
-REJECTED = INVALID + [(_doc(dotted, value), path) for dotted, value, path in BAD_NUMBERS]
-REJECTED_IDS = ([path or "root" for _, path in INVALID]
+REJECTED = ([row[:2] for row in INVALID]
+            + [(_doc(dotted, value), path) for dotted, value, path in BAD_NUMBERS])
+REJECTED_IDS = ([row[-1] or "root" for row in INVALID]
                 + [f"{dotted}={value!r}"[:40] for dotted, value, _ in BAD_NUMBERS])
 
 
@@ -380,3 +391,68 @@ def settable_paths(cls, path: str = "") -> list[str]:
 def test_settable_config_values_are_pinned():
     assert len(SETTABLE) == 33
     assert settable_paths(ExperimentConfig) == SETTABLE
+
+
+def refused(tp):
+    """A value the field type tp refuses: one past its bound, or a string."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    if typing.get_origin(tp) is typing.Annotated:
+        bound = tp.__metadata__[0]
+        return bound.low if bound.strict else bound.low - 1
+    return "x"
+
+
+@pytest.mark.parametrize("dotted", SETTABLE)
+def test_a_refused_value_names_its_field(dotted):
+    """Parsed, a bad value fails at its dotted path; given in code to the
+    config that holds it, at its field name."""
+    *parents, name = ("bins" if dotted == "metrics.bins" else dotted).split(".")
+    owner = ExperimentConfig
+    for parent in parents:
+        owner = typing.get_type_hints(owner)[parent]
+    value = refused(typing.get_type_hints(owner, include_extras=True)[name])
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(_doc(dotted, value))
+    assert parsed.value.path == dotted
+    with pytest.raises(ConfigError) as built:
+        owner(**{name: value})
+    assert built.value.path == name
+    assert built.value.message == parsed.value.message
+
+
+@pytest.mark.parametrize("cls, field, value, message", [
+    (DensityConfig, "kind", "kdee", "must be one of ('kde', 'flow')"),
+    (DatasetSpec, "generator", "blobs", "must be one of ('two_moons', 'two_ovals')"),
+    (EncoderConfig, "activation", "gelu", "must be one of ('relu', 'tanh', 'linear')"),
+    (OodSpec, "sigmas", math.nan, "expected a finite number, got nan"),
+    (FlowConfig, "epochs", True, "expected int, got bool"),
+    (ExperimentConfig, "train", {"epochs": 3}, "expected TrainConfig, got dict"),
+], ids=["kind", "generator", "activation", "sigmas", "epochs", "train"])
+def test_a_config_built_in_code_is_checked_as_a_parsed_one(cls, field, value, message):
+    with pytest.raises(ConfigError) as info:
+        cls(**{field: value})
+    assert str(info.value) == f"{field}: {message}"
+
+
+def config_classes(cls) -> set:
+    """cls and every config dataclass its fields hold, all the way down."""
+    found = {cls}
+    for tp in typing.get_type_hints(cls).values():
+        if dataclasses.is_dataclass(tp):
+            found |= config_classes(tp)
+    return found
+
+
+def test_the_config_surface_lives_in_one_module():
+    """Every config class is defined in config.py, which imports none of the
+    modules that read the configs."""
+    assert {cls.__module__ for cls in config_classes(ExperimentConfig)} == {config.__name__}
+    imported = set()
+    for node in ast.walk(ast.parse(Path(config.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name.rsplit(".", 1)[-1] for name in imported if name} & {
+        "model", "density", "predictor", "optim"}

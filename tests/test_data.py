@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from density_softmax.data import (DataError, LabeledSet, ShiftSpec, apply_shift,
+from density_softmax.config import ConfigError, ShiftSpec
+from density_softmax.data import (DataError, LabeledSet, apply_shift,
                                   default_ood_center, load_csv,
                                   make_ood_cluster, make_two_moons,
                                   make_two_ovals, require_fittable, save_csv,
@@ -140,7 +141,7 @@ class TestShifts:
         assert not np.array_equal(shifted.features, self.iid.features)
 
     def test_scales_must_increase(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             ShiftSpec(scales=(0.5, 0.4, 0.3, 0.2, 0.1))
 
 

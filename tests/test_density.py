@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from kde_reference import full_space_log_density, kde_log_density
 
 from density_softmax.autodiff import Tensor
+from density_softmax.config import FlowConfig
 from density_softmax.density import (FINAL, KDE_CHUNK_ROWS,
                                      KDE_LOG_KERNEL_FLOOR, KDE_VARIANCE_KEPT,
                                      LIKELIHOOD_FLOOR, LOG_2PI, PROJECTION_VARIANCE_KEPT,
-                                     CouplingLayer, FlowConfig, FlowModel, KdeModel,
+                                     CouplingLayer, FlowModel, KdeModel,
                                      LatentProjection, chunk_bounds, compute_scale,
                                      coupling_net, fit_projection, flow_fit, halves, kde_fit,
                                      scott_bandwidth)

@@ -17,15 +17,14 @@ import numpy as np
 import pytest
 
 from density_softmax.autodiff import Tensor
+from density_softmax.config import (DensityConfig, EncoderConfig, FlowConfig, OptimizerSpec,
+                                    ReoptConfig, TrainConfig)
 from density_softmax.data import make_two_moons
-from density_softmax.density import (FlowConfig, FlowModel, compute_scale, fit_projection,
-                                     flow_fit)
+from density_softmax.density import FlowModel, compute_scale, fit_projection, flow_fit
 from density_softmax.layers import DenseNet, l2_backward, l2_value
-from density_softmax.model import (EncoderConfig, TrainConfig, erm_loss, erm_train,
-                                   head_cross_entropy, init_model)
-from density_softmax.optim import Adam, OptimizerSpec
-from density_softmax.predictor import (DensityConfig, ReoptConfig, reoptimize_classifier,
-                                       train_pipeline)
+from density_softmax.model import erm_loss, erm_train, head_cross_entropy, init_model
+from density_softmax.optim import Adam
+from density_softmax.predictor import reoptimize_classifier, train_pipeline
 
 import tape_reference as ref
 from conftest import (assert_grads_close, bind_grads, central_difference_grad, dense,

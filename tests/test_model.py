@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from density_softmax.autodiff import Tensor
+from density_softmax.config import EncoderConfig, FlowConfig, OptimizerSpec, TrainConfig
 from density_softmax.data import make_two_moons, make_two_ovals
-from density_softmax.density import FlowConfig, FlowModel
+from density_softmax.density import FlowModel
 from density_softmax.layers import DenseNet, fan_in_uniform, l2_backward
-from density_softmax.model import (Classifier, Encoder, EncoderConfig, TrainConfig,
-                                   TrainingDiverged, erm_loss, erm_train, head_cross_entropy,
-                                   init_model)
-from density_softmax.optim import OptimizerSpec
+from density_softmax.model import (Classifier, Encoder, TrainingDiverged, erm_loss, erm_train,
+                                   head_cross_entropy, init_model)
 from density_softmax.predictor import DensitySoftmaxModel, Ensemble, ensemble_train
 
 from conftest import count_forward_rows, erm_model, identity_projection
@@ -178,7 +177,8 @@ class TestErmTrain:
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_shifted_set_rejected(self):
-        from density_softmax.data import DataError, ShiftSpec, apply_shift
+        from density_softmax.config import ShiftSpec
+        from density_softmax.data import DataError, apply_shift
 
         iid = make_two_moons(20, 0.1, seed=0, domain="iid_test")
         shifted = apply_shift(iid, ShiftSpec(), 1, seed=0)

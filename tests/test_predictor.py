@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from density_softmax.config import build_datasets, parse_config
+from density_softmax.config import (DensityConfig, EncoderConfig, FlowConfig, OptimizerSpec,
+                                    ReoptConfig, TrainConfig, build_datasets, parse_config)
 from density_softmax.data import LabeledSet, make_two_moons
-from density_softmax.density import (LIKELIHOOD_FLOOR, FlowConfig, FlowModel, KdeModel,
-                                     ScaledDensity, kde_fit)
-from density_softmax.model import EncoderConfig, TrainConfig, init_model
+from density_softmax.density import (LIKELIHOOD_FLOOR, FlowModel, KdeModel, ScaledDensity,
+                                     kde_fit)
+from density_softmax.model import init_model
 from density_softmax.ops import entropy, softmax
-from density_softmax.optim import OptimizerSpec
-from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel, Ensemble,
-                                       PipelineError, ReoptConfig, predictive_summaries,
-                                       reoptimize_classifier, train_pipeline)
+from density_softmax.predictor import (DensitySoftmaxModel, Ensemble, PipelineError,
+                                       predictive_summaries, reoptimize_classifier,
+                                       train_pipeline)
 
 from conftest import count_forward_rows
 

@@ -9,12 +9,12 @@ import pytest
 from conftest import erm_model, identity_projection
 
 from density_softmax import cli
+from density_softmax.config import (DensityConfig, EncoderConfig, FlowConfig, OptimizerSpec,
+                                    ReoptConfig, TrainConfig)
 from density_softmax.data import make_two_moons
-from density_softmax.density import FlowConfig, FlowModel, ScaledDensity
-from density_softmax.model import EncoderConfig, TrainConfig, init_model
-from density_softmax.optim import OptimizerSpec
-from density_softmax.predictor import (DensityConfig, DensitySoftmaxModel,
-                                       ReoptConfig, ensemble_train, train_pipeline)
+from density_softmax.density import FlowModel, ScaledDensity
+from density_softmax.model import init_model
+from density_softmax.predictor import DensitySoftmaxModel, ensemble_train, train_pipeline
 from density_softmax.serialize import (CONTAINER_VERSION, ContainerError,
                                        _decode_array, _encode_array, _model_to_dict,
                                        density_softmax_container, ensemble_container,

@@ -2,7 +2,8 @@
 
 Subcommands: run, surface, hist-likelihood, reliability, bench, compare,
 gen-data. Exit codes: 0 success, 2 configuration/input error, 3 training or
-runtime failure. Set DS_LOG=DEBUG|INFO|WARNING to control logging.
+runtime failure. Set DS_LOG=DEBUG|INFO|WARNING to control logging; an
+unknown level exits 2.
 
 All artifacts are pure functions of (config, seeds): JSON is dumped with
 sorted keys, CSV uses fixed formatting, and no file embeds a timestamp.
@@ -92,7 +93,8 @@ def _ood_scores(pred) -> dict[str, np.ndarray]:
 def _evaluate_model(model, name: str, sets: dict[str, LabeledSet],
                     bins: int) -> tuple[dict[str, M.EvalReport], dict]:
     """The model's report on every set, and its OOD detection of the ood set
-    against iid_test, from one prediction per set."""
+    against iid_test, from one prediction per set. The ood report's auroc and
+    aupr are its detection by max prob."""
     reports: dict[str, M.EvalReport] = {}
     scores: dict[str, dict[str, np.ndarray]] = {}
     for tag, dataset in sets.items():
@@ -108,6 +110,8 @@ def _evaluate_model(model, name: str, sets: dict[str, LabeledSet],
             scores[tag] = _ood_scores(pred)
     detection = {score: M.ood_detection(scores["iid_test"][score], scores["ood"][score])
                  for score in scores["iid_test"]}
+    reports["ood"].auroc = detection["neg_max_prob"]["auroc"]
+    reports["ood"].aupr = detection["neg_max_prob"]["aupr"]
     return reports, detection
 
 
@@ -209,31 +213,25 @@ def cmd_surface(args) -> int:
     _write_text(out / "surface.csv", "\n".join(lines) + "\n")
 
     for name in ("prob_class0", "variance", "entropy_bits", "u"):
-        values = fields[name].reshape(res, res)
-        vmax = 1.0
-        svg = heatmap_svg(values, f"{name} surface", 0.0, vmax,
+        svg = heatmap_svg(fields[name].reshape(res, res), f"{name} surface",
                           points=overlay, bounds=(x0, x1, y0, y1))
         _write_text(out / f"surface_{name}.svg", svg)
     return EXIT_OK
 
 
 def _load_overlay_points(model, data_dir: str) -> list:
-    """Scatter overlay from a run's data directory: train classes + OOD."""
+    """Scatter overlay from a run's data directory: train points by class
+    (grey outside {0, 1}), then OOD points in red."""
     points = []
-    colors = {0: "#ff8800", 1: "#3366ff"}
-    base = Path(data_dir)
-    train_path = base / "train.csv"
-    if train_path.exists():
-        train = load_csv(train_path)
-        _check_width(model, train, train_path)
-        for (x, y), label in zip(train.features, train.labels):
-            points.append((x, y, colors.get(int(label), "#555555")))
-    ood_path = base / "ood.csv"
-    if ood_path.exists():
-        ood = load_csv(ood_path)
-        _check_width(model, ood, ood_path)
-        for x, y in ood.features:
-            points.append((x, y, "#dd2222"))
+    for tag, colors, other in (("train", {0: "#ff8800", 1: "#3366ff"}, "#555555"),
+                               ("ood", {}, "#dd2222")):
+        path = Path(data_dir) / f"{tag}.csv"
+        if not path.exists():
+            continue
+        dataset = load_csv(path)
+        _check_width(model, dataset, path)
+        for (x, y), label in zip(dataset.features, dataset.labels):
+            points.append((x, y, colors.get(int(label), other)))
     return points
 
 
@@ -242,29 +240,29 @@ def cmd_hist_likelihood(args) -> int:
     if not isinstance(model, DensitySoftmaxModel) or model.density is None:
         raise ConfigError("model", "likelihood histograms need a density-softmax container")
     base = Path(args.data)
-    series = []
+    liks = {}
     for tag in args.sets:
+        if tag in liks:
+            raise ConfigError("sets", f"set tag {tag!r} is given twice")
         path = base / f"{tag}.csv"
         if not path.exists():
             raise ConfigError("sets", f"unknown set tag {tag!r} (no {path})")
         dataset = load_csv(path)
         _check_width(model, dataset, path)
         with _rows_of(path):
-            lik = model.density.scaled_likelihood(model.encoder.encode(dataset.features))
-        series.append((tag, lik))
+            liks[tag] = model.density.scaled_likelihood(model.encoder.encode(dataset.features))
     edges = np.linspace(0.0, 1.0, args.hist_bins + 1)
+    counts = {tag: np.histogram(lik, bins=edges)[0] for tag, lik in liks.items()}
     out = Path(args.out)
     lines = ["set,bin_lo,bin_hi,count"]
-    means = {}
-    for tag, lik in series:
-        counts, _ = np.histogram(lik, bins=edges)
-        means[tag] = float(np.mean(lik))
-        for j, c in enumerate(counts):
+    for tag, cnt in counts.items():
+        for j, c in enumerate(cnt):
             lines.append(f"{tag},{edges[j]:.17g},{edges[j + 1]:.17g},{int(c)}")
     _write_text(out / "likelihood_hist.csv", "\n".join(lines) + "\n")
-    _write_json(out / "likelihood_means.json", means)
+    _write_json(out / "likelihood_means.json",
+                {tag: float(np.mean(lik)) for tag, lik in liks.items()})
     _write_text(out / "likelihood_hist.svg",
-                histogram_svg(series, edges, "scaled likelihood by set"))
+                histogram_svg(list(counts.items()), edges, "scaled likelihood by set"))
     return EXIT_OK
 
 
@@ -364,27 +362,18 @@ def cmd_compare(args) -> int:
         save_container(ensemble_container(ensemble),
                        out / f"{config_name}_model_ensemble.json")
         for name, model in models.items():
-            reports, detection = _evaluate_model(model, name, sets, cfg.bins)
-            for tag, report in reports.items():
-                doc = report.to_dict()
+            reports, _ = _evaluate_model(model, name, sets, cfg.bins)
+            for report in reports.values():
+                doc = {"config": config_name, "model": name, **report.to_dict()}
                 doc.pop("bins")
-                doc.update({"config": config_name, "model": name})
-                if tag == "ood":
-                    doc["auroc"] = detection["neg_max_prob"]["auroc"]
-                    doc["aupr"] = detection["neg_max_prob"]["aupr"]
                 all_rows.append(doc)
     _write_json(out / "compare.json", all_rows)
-    cols = ["config", "model", "domain", "n", "accuracy", "nll", "ece", "mece",
-            "brier", "mean_entropy_nats", "mean_max_prob",
-            "mean_scaled_likelihood", "auroc", "aupr", "param_count"]
+    cols = list(all_rows[0])  # config, model, then EvalReport's fields
     lines = ["| " + " | ".join(cols) + " |",
              "|" + "---|" * len(cols)]
     for row in all_rows:
-        cells = []
-        for c in cols:
-            v = row.get(c)
-            cells.append("" if v is None else
-                         (f"{v:.5g}" if isinstance(v, float) else str(v)))
+        cells = ("" if v is None else (f"{v:.5g}" if isinstance(v, float) else str(v))
+                 for v in row.values())
         lines.append("| " + " | ".join(cells) + " |")
     table = "\n".join(lines) + "\n"
     _write_text(out / "compare.md", table)
@@ -467,16 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("DS_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    level = os.environ.get("DS_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: DS_LOG: unknown level {level!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ContainerError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PipelineError, TrainingDiverged, FloatingPointError) as exc:
+    except (PipelineError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

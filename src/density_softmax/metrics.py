@@ -163,7 +163,9 @@ def ood_detection(scores_iid: np.ndarray, scores_ood: np.ndarray) -> dict[str, f
 
 @dataclass
 class EvalReport:
-    """Metric bundle for one model on one dataset domain."""
+    """Metric bundle for one model on one dataset domain. auroc and aupr are
+    set by the CLI on the ood set's report only: its detection against
+    iid_test by max prob."""
 
     domain: str
     n: int

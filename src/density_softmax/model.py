@@ -58,17 +58,15 @@ class Encoder:
         return self.net.layers[-1].weight.data.shape[1]
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
+        """The latents of x's rows as a batch; a 1-D x is one row."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} input columns, got {x.shape[1]}")
         with np.errstate(over="ignore", invalid="ignore"):
             z = self.net.forward(x)
         # a finite but huge input row can overflow on its way through the stack
         finite_rows(z, "latent")
-        return z[0] if squeeze else z
+        return z
 
     def encode_tape(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """Training forward: the latents of x and the cache that

@@ -66,22 +66,19 @@ def viridis_like(v: float) -> str:
     return "rgb(253,231,37)"
 
 
-def heatmap_svg(values: np.ndarray, title: str, vmin: float = 0.0,
-                vmax: float = 1.0, points: list | None = None,
-                bounds: tuple[float, float, float, float] | None = None,
-                cell_px: int = 4) -> str:
-    """Grid heatmap; values[i, j] is the cell at row i (y) and column j (x),
-    row 0 at the bottom. Optional scatter overlay of (x, y, color) points."""
+def heatmap_svg(values: np.ndarray, title: str, points: list | None = None,
+                bounds: tuple[float, float, float, float] | None = None) -> str:
+    """Grid heatmap of values in [0, 1]; values[i, j] is the cell at row i (y)
+    and column j (x), row 0 at the bottom. Optional scatter overlay of
+    (x, y, color) points."""
     rows, cols = values.shape
-    margin = 30
+    margin, cell_px = 30, 4
     w, h = cols * cell_px, rows * cell_px
     canvas = SvgCanvas(w + 2 * margin, h + 2 * margin + 20)
-    span = vmax - vmin if vmax > vmin else 1.0
     for i in range(rows):
         for j in range(cols):
-            v = (float(values[i, j]) - vmin) / span
             canvas.rect(margin + j * cell_px, margin + (rows - 1 - i) * cell_px,
-                        cell_px, cell_px, viridis_like(v))
+                        cell_px, cell_px, viridis_like(values[i, j]))
     if points and bounds:
         x0, x1, y0, y1 = bounds
         for px, py, color in points:
@@ -90,8 +87,8 @@ def heatmap_svg(values: np.ndarray, title: str, vmin: float = 0.0,
             if margin <= cx <= margin + w and margin <= cy <= margin + h:
                 canvas.circle(cx, cy, 1.6, color)
     canvas.text(margin, margin - 10, title, size=13)
-    canvas.text(margin, margin + h + 16, f"min={vmin:g}", size=10)
-    canvas.text(margin + w, margin + h + 16, f"max={vmax:g}", size=10, anchor="end")
+    canvas.text(margin, margin + h + 16, "min=0", size=10)
+    canvas.text(margin + w, margin + h + 16, "max=1", size=10, anchor="end")
     return canvas.to_string()
 
 
@@ -123,13 +120,12 @@ SERIES_COLORS = ["#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
 
 def histogram_svg(series: list[tuple[str, np.ndarray]], bins: np.ndarray,
                   title: str) -> str:
-    """Overlaid step histograms of per-series counts on shared bin edges."""
+    """Overlaid step histograms of (name, counts) series on shared bin edges."""
     size, margin = 320, 45
     canvas = SvgCanvas(size + 2 * margin + 140, size + 2 * margin)
     ox, oy = margin, margin + size
-    counts = [np.histogram(vals, bins=bins)[0] for _, vals in series]
-    peak = max(1, max(int(c.max()) for c in counts))
-    for k, ((name, _), cnt) in enumerate(zip(series, counts)):
+    peak = max(1, max(int(cnt.max()) for _, cnt in series))
+    for k, (name, cnt) in enumerate(series):
         color = SERIES_COLORS[k % len(SERIES_COLORS)]
         for j, c in enumerate(cnt):
             x = ox + (bins[j] - bins[0]) / (bins[-1] - bins[0]) * size

@@ -1,6 +1,7 @@
 """The command line as it is run: `python -m density_softmax.cli` in a
 subprocess for every subcommand, exit codes 0/2/3, byte-identical reruns."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from density_softmax import predictor
 from density_softmax.cli import main
 from density_softmax.config import EncoderConfig
 from density_softmax.data import LabeledSet, save_csv
+from density_softmax.metrics import EvalReport
 from density_softmax.model import init_model
 from density_softmax.predictor import DensitySoftmaxModel
 from density_softmax.serialize import density_softmax_container, save_container
@@ -111,6 +113,45 @@ class TestSubcommands:
         bench = json.loads((root / "bench" / "bench.json").read_text())
         assert [m["kind"] for m in bench["models"]] == ["density_softmax", "erm"]
 
+    def test_figure_writing_subcommands_are_byte_identical_across_reruns(self, work):
+        root, _ = work
+        run, data = root / "run", root / "run" / "data"
+        commands = {
+            "surface": ["surface", "--model", run / "model.json", "--resolution", 10,
+                        "--data", data],
+            "hist": ["hist-likelihood", "--model", run / "model.json", "--data", data,
+                     "--sets", "iid_test", "shifted_3", "ood"],
+            "reliability": ["reliability", "--model", run / "model.json",
+                            "--set", data / "shifted_3.csv"],
+        }
+        for name, argv in commands.items():
+            outs = [root / f"rerun_{name}_a", root / f"rerun_{name}_b"]
+            for out in outs:
+                ok(*argv, "--out", out)
+            first = tree(outs[0])
+            assert first, name
+            assert first == tree(outs[1]), name
+
+    @pytest.mark.parametrize("name", ["density_softmax", "erm"])
+    def test_ood_report_carries_the_runs_detection(self, work, name):
+        """The ood report's auroc and aupr are its max-prob detection against
+        iid_test, the figures ood_detection_<model>.json holds."""
+        run = work[0] / "run"
+        report = json.loads((run / f"report_{name}_ood.json").read_text())
+        detection = json.loads((run / f"ood_detection_{name}.json").read_text())
+        assert report["auroc"] is not None
+        assert {k: report[k] for k in ("auroc", "aupr")} == detection["neg_max_prob"]
+
+    def test_compare_columns_are_the_eval_report_fields(self, work, tmp_path, capsys):
+        _, config = work
+        out = tmp_path / "cmp"
+        assert main(["compare", "--configs", str(config), "--out", str(out)]) == 0
+        header = (out / "compare.md").read_text().splitlines()[0]
+        fields = [f.name for f in dataclasses.fields(EvalReport) if f.name != "bins"]
+        assert header == "| " + " | ".join(["config", "model"] + fields) + " |"
+        rows = json.loads((out / "compare.json").read_text())
+        assert all(sorted(row) == sorted(["config", "model"] + fields) for row in rows)
+
 
 class TestExitCodes:
     def test_bad_config_exits_2(self, tmp_path):
@@ -132,6 +173,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: configs: {first} and {second} share the file stem 'tiny'\n")
         assert not out.exists()
+
+    def test_repeated_set_tag_exits_2(self, work, tmp_path, capsys):
+        run = work[0] / "run"
+        out = tmp_path / "hist"
+        argv = ["hist-likelihood", "--model", run / "model.json", "--data", run / "data",
+                "--sets", "ood", "iid_test", "iid_test", "--out", out]
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == "error: sets: set tag 'iid_test' is given twice\n"
+        assert not out.exists()
+
+    def test_unknown_log_level_exits_2(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path / "tiny.json", TINY)
+        monkeypatch.setenv("DS_LOG", "bogus")
+        proc = cli("gen-data", "--config", config, "--out", tmp_path / "bogus")
+        assert (proc.returncode, proc.stderr) == (2, "error: DS_LOG: unknown level 'BOGUS'\n")
+        assert not (tmp_path / "bogus").exists()
+        monkeypatch.setenv("DS_LOG", "debug")
+        proc = ok("gen-data", "--config", config, "--out", tmp_path / "debug")
+        assert "INFO density_softmax: wrote " in proc.stderr
 
     def test_missing_model_exits_2(self, tmp_path):
         proc = cli("surface", "--model", tmp_path / "absent.json", "--out", tmp_path / "s")

@@ -89,7 +89,7 @@ class TestEncode:
         x = rng.normal(size=(10, 2))
         batch = enc.encode(x)
         for i in range(10):
-            np.testing.assert_allclose(enc.encode(x[i]), batch[i],
+            np.testing.assert_allclose(enc.encode(x[i]), batch[i:i + 1],
                                        rtol=1e-12, atol=1e-14)
         # ...and changing other rows leaves row i bit-identical
         x2 = x.copy()

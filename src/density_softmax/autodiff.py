@@ -1,8 +1,10 @@
 """Parameters and loss nodes: one scalar loss node per training step.
 
-A ``Tensor`` is a parameter (a float64 array and its gradient buffer) or the
+A ``Tensor`` is a parameter (an array and its gradient buffer) or the
 scalar loss of one training step, which also carries a hand-written backward
-rule. Each stage builds one such node per step, with no graph behind it:
+rule. A parameter holds a float64 array, except while ERM steps the encoder
+and head in float32 (``model.erm_train``); every later stage steps in
+float64. Each stage builds one such node per step, with no graph behind it:
 ``erm_loss`` (encoder stack, head cross-entropy and L2),
 ``head_cross_entropy`` under the scaled likelihood s (re-optimization) and
 ``FlowModel.nll_loss``. :meth:`Tensor.backward` runs the rule, which takes
@@ -29,7 +31,10 @@ __all__ = ["Tensor", "bound_grad"]
 
 
 class Tensor:
-    """A parameter (``rule`` None) or a scalar loss node with its backward rule."""
+    """A parameter (``rule`` None) or a scalar loss node with its backward rule.
+
+    The constructor stores float64; ``erm_train`` rebinds ``data`` to float32
+    for the length of ERM, and a rule's gradient takes the dtype of ``data``."""
 
     __slots__ = ("data", "grad", "rule")
 

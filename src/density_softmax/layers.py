@@ -1,8 +1,11 @@
 """Dense layers and small feed-forward stacks with optional residual links.
 
-Each layer owns two float64 parameter Tensors, a weight and a bias. Each
-network's layout is built in one place, fresh or loaded: the encoder's by
-``model.encoder_net``, a coupling net's by ``density.coupling_net``.
+Each layer owns two parameter Tensors, a weight and a bias: float32 while
+ERM steps the encoder, float64 in every later stage and at inference. The
+kernels compute in their inputs' dtype, and the backward's scratch buffers
+take the gradient's. Each network's layout is built in one place, fresh or
+loaded: the encoder's by ``model.encoder_net``, a coupling net's by
+``density.coupling_net``.
 
 ``forward`` is the one forward step, for inference and training alike.
 Without a cache it works in place on its fresh matmul output. Given a cache
@@ -142,7 +145,7 @@ class DenseNet:
                 gh = g
             else:
                 if gh_buf is None or gh_buf.shape != g.shape:
-                    gh_buf = np.empty(g.shape)
+                    gh_buf = np.empty_like(g)
                 gh = activation_grad(g, a, layer.activation, gh_buf)
             np.add.reduce(gh, axis=-2, keepdims=gh.ndim > 2,
                           out=bound_grad(layer.bias, f"dense layer {i} bias"))
@@ -153,7 +156,7 @@ class DenseNet:
             gx = gh @ layer.weight.data.swapaxes(-1, -2)
             if layer.residual:
                 if sum_buf is None or sum_buf.shape != g.shape:
-                    sum_buf = np.empty(g.shape)
+                    sum_buf = np.empty_like(g)
                 g = np.add(g, gx, out=sum_buf)
             else:
                 g = gx

@@ -5,6 +5,13 @@ y = x + relu(Wx + b), so its width is the latent dimension. The
 classifier is a single d_z x K matrix with no bias; logits are z @ theta.
 ERM and re-optimization share the head's fused ``head_cross_entropy``, and
 every training stage shares ``train_minibatches``: Adam at a fixed rate.
+
+ERM steps in float32 (``ERM_DTYPE``): ``erm_train`` casts the features and
+the encoder's and head's parameters down once, trains them, and widens the
+parameters back to float64, which is exact. ``init_model`` draws weights
+that float32 holds exactly, so an untrained parameter survives the round
+trip too. Every later stage (the train latents, the density fit and
+``compute_scale``, re-optimization) and serving run in float64.
 """
 
 from __future__ import annotations
@@ -15,10 +22,14 @@ import numpy as np
 
 from .autodiff import Tensor, bound_grad
 from .config import EncoderConfig, TrainConfig
-from .data import LabeledSet, require_fittable
+from .data import DataError, LabeledSet, require_fittable
 from .layers import Activation, Dense, DenseNet, fan_in_uniform, l2_backward, l2_value
 from .ops import finite_rows
 from .optim import Adam
+
+# The dtype ERM trains the encoder and head in; the model keeps float64
+# arrays that hold its values exactly.
+ERM_DTYPE = np.float32
 
 
 class TrainingDiverged(RuntimeError):
@@ -120,17 +131,19 @@ def encoder_net(layers: list[tuple[Tensor, Tensor]], activation: Activation) -> 
 def init_model(config: EncoderConfig, input_dim: int, k: int, seed: int
                ) -> tuple[Encoder, Classifier]:
     """Fan-in scaled-uniform init of an encoder for input_dim columns and a
-    k-class head, deterministic per seed; biases start at zero."""
+    k-class head, deterministic per seed; biases start at zero. Each weight
+    is rounded to ERM_DTYPE and held as float64."""
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     if k < 2:
         raise ValueError("need at least 2 classes")
     rng = np.random.default_rng(seed)
     widths = [input_dim] + [config.width] * (config.depth + 1)
-    layers = [(Tensor(fan_in_uniform(rng, n_in, n_out)), Tensor(np.zeros(n_out)))
+    layers = [(Tensor(fan_in_uniform(rng, n_in, n_out).astype(ERM_DTYPE)),
+               Tensor(np.zeros(n_out)))
               for n_in, n_out in zip(widths, widths[1:])]
     encoder = Encoder(encoder_net(layers, config.activation))
-    theta = Tensor(fan_in_uniform(rng, config.width, k))
+    theta = Tensor(fan_in_uniform(rng, config.width, k).astype(ERM_DTYPE))
     return encoder, Classifier(theta)
 
 
@@ -239,14 +252,26 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
     batch order seed draws (config.seed is not read).
 
     Returns the per-epoch mean loss trace. An optional l2 coefficient adds
-    l2 * sum(w^2) over all weight matrices to the loss.
+    l2 * sum(w^2) over all weight matrices to the loss. The steps run in
+    ERM_DTYPE; on the way out, diverged or not, every parameter is a float64
+    array again. Train features beyond ERM_DTYPE's range raise DataError.
     """
     require_fittable(train)
+    limit = np.finfo(ERM_DTYPE).max
+    if np.abs(train.features).max() > limit:
+        raise DataError(f"train features exceed {limit:.4g}, the largest "
+                        f"{np.dtype(ERM_DTYPE).name} ERM trains in")
+    features = train.features.astype(ERM_DTYPE)
+    params = encoder.params() + classifier.params()
+    for p in params:
+        p.data = p.data.astype(ERM_DTYPE)
 
     def loss_fn(idx: np.ndarray) -> Tensor:
-        return erm_loss(encoder, classifier, train.features[idx], train.labels[idx],
-                        config.l2)
+        return erm_loss(encoder, classifier, features[idx], train.labels[idx], config.l2)
 
-    return train_minibatches("erm", loss_fn, encoder.params() + classifier.params(),
-                             config.optimizer.lr, train.n, config.batch_size,
-                             config.epochs, seed)
+    try:
+        return train_minibatches("erm", loss_fn, params, config.optimizer.lr, train.n,
+                                 config.batch_size, config.epochs, seed)
+    finally:
+        for p in params:
+            p.data = p.data.astype(np.float64)

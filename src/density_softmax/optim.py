@@ -1,13 +1,14 @@
 """Adam parameter updates at a fixed learning rate.
 
-Adam packs the parameters it is built with into one contiguous float64
-vector and rebinds each parameter's ``data`` to a view of it, and its
-``grad`` to the same view of a gradient vector; the two moments share the
-layout. The loss rules write every gradient into those views, so a step
-updates every parameter straight from the packed gradient with a few
-vectorized passes, whatever the number of parameters. The passes walk the
-vectors in chunks of CHUNK elements, so the half-dozen arrays one chunk's
-passes touch stay in cache from one pass to the next. Every update is
+Adam packs the parameters it is built with into one contiguous vector of
+their dtype (float32 for ERM, float64 for the flow and re-optimization) and
+rebinds each parameter's ``data`` to a view of it, and its ``grad`` to the
+same view of a gradient vector; the two moments and the scratch share the
+dtype and the layout. The loss rules write every gradient into those views,
+so a step updates every parameter straight from the packed gradient with a
+few vectorized passes, whatever the number of parameters. The passes walk
+the vectors in chunks of CHUNK bytes per array, so the half-dozen arrays one
+chunk's passes touch stay in cache from one pass to the next. Every update is
 elementwise, so the result is bit for bit the one a per-parameter loop
 gives. A step leaves its denominator in the gradient vector, so every step's
 rules write it afresh.
@@ -24,8 +25,9 @@ import numpy as np
 
 from .autodiff import Tensor
 
-# Elements per optimizer pass: 256 KiB of float64 per array.
-CHUNK = 32768
+# Bytes per array per optimizer pass, whatever the dtype: 32,768 float64
+# or 65,536 float32 elements.
+CHUNK = 256 * 1024
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -54,11 +56,11 @@ class Adam:
         self.grad = np.empty_like(self.data)
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
-        size = self.data.size
-        scratch = np.empty(min(size, CHUNK))
+        size, chunk = self.data.size, CHUNK // self.data.itemsize
+        scratch = np.empty(min(size, chunk), dtype=self.data.dtype)
         # (slice of the vectors, scratch of its length); the last is shorter
-        self.chunks = [(slice(lo, lo + CHUNK), scratch[:min(CHUNK, size - lo)])
-                       for lo in range(0, size, CHUNK)]
+        self.chunks = [(slice(lo, lo + chunk), scratch[:min(chunk, size - lo)])
+                       for lo in range(0, size, chunk)]
         shapes = [p.data.shape for p in self.params]
         self.data_views = _views(self.data, shapes)
         self.grad_views = _views(self.grad, shapes)

@@ -6,9 +6,11 @@ principal coordinates, or coupling layers on their whitened ones, each
 times a Gaussian on each row's distance off them),
 then likelihood scaling in one scoring pass over the latent rows, (3)
 re-optimization of the classifier alone against the density-scaled
-objective, starting from step 1's head. Every step that
-trains uses Adam at its own fixed learning rate. Inference multiplies each
-sample's logits by its scaled likelihood s in (0, 1] before the softmax:
+objective, starting from step 1's head. Every step that trains uses Adam
+at its own fixed learning rate. Step 1 steps in float32 and hands back
+float64 arrays of its float32 values; steps 2 and 3, and inference, run in
+float64. Inference multiplies each sample's logits by its scaled likelihood
+s in (0, 1] before the softmax:
 
     probs = softmax(s * (z @ theta)),  z = encode(x),  s = scaled_likelihood(z)
 

@@ -36,12 +36,20 @@ def central_difference_grad(loss_fn, params: list[Tensor], h: float = 1e-5):
 
 
 def bind_grads(params, fill: float = np.nan):
-    """Bind each parameter's grad to a fresh buffer filled with ``fill``, as
-    an optimizer binds views of its gradient vector, for calling a backward
-    rule without one. NaN makes an entry a rule leaves unwritten show."""
+    """Bind each parameter's grad to a fresh buffer of its dtype filled with
+    ``fill``, as an optimizer binds views of its gradient vector, for calling
+    a backward rule without one. NaN makes an entry a rule leaves unwritten show."""
     for p in params:
-        p.grad = np.full(p.data.shape, fill)
+        p.grad = np.full(p.data.shape, fill, dtype=p.data.dtype)
     return params
+
+
+def assert_float32_exact(arrays) -> None:
+    """Each array is float64 and holds float32 values: what ERM, which steps
+    in float32, leaves in the encoder and the head."""
+    for a in arrays:
+        assert a.dtype == np.float64
+        np.testing.assert_array_equal(a.astype(np.float32).astype(np.float64), a)
 
 
 def assert_grads_close(analytic, numeric, rel_tol: float = 1e-4):

@@ -47,9 +47,11 @@ from density_softmax.model import minibatches
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _as_f64(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
+def _as_float(data) -> np.ndarray:
+    """data as an array: a float array keeps its dtype, so the tape runs in
+    the dtype it is given; anything else becomes float64."""
+    arr = np.asarray(data)
+    return arr if arr.dtype.kind == "f" else arr.astype(np.float64)
 
 
 class Node:
@@ -59,7 +61,7 @@ class Node:
     __slots__ = ("data", "_grad", "_parents", "_backward")
 
     def __init__(self, data, parents=()):
-        self.data = _as_f64(data)
+        self.data = _as_float(data)
         self._grad = None
         self._parents = tuple(parents)
         self._backward = None
@@ -139,7 +141,7 @@ class Node:
 
     def mul_const(self, c) -> "Node":
         """Elementwise multiply by a constant array (masks, frozen scales)."""
-        c = _as_f64(c)
+        c = _as_float(c)
         out = Node(self.data * c, (self,))
 
         def backward():
@@ -151,7 +153,7 @@ class Node:
     def widen(self, shape: tuple, index) -> "Node":
         """A zero array of ``shape`` holding self at ``index``; the backward
         hands self the gradient at ``index``."""
-        data = np.zeros(shape)
+        data = np.zeros(shape, dtype=self.data.dtype)
         data[index] = self.data
         out = Node(data, (self,))
 
@@ -162,7 +164,7 @@ class Node:
         return out
 
     def add_const(self, c) -> "Node":
-        c = _as_f64(c)
+        c = _as_float(c)
         out = Node(self.data + c, (self,))
 
         def backward():
@@ -332,9 +334,12 @@ def l2_penalty(weights: list[Node], coefficient: float) -> Node | None:
     return total.scale(coefficient)
 
 
-def node_net(net: DenseNet, copy: bool = False) -> DenseNet:
-    """net's layers with Node leaves holding its arrays (copies if ``copy``)."""
+def node_net(net: DenseNet, copy: bool = False, dtype=None) -> DenseNet:
+    """net's layers with Node leaves holding its arrays (copies if ``copy``,
+    copies cast to ``dtype`` if given)."""
     def leaf(a):
+        if dtype is not None:
+            return Node(a.astype(dtype))
         return Node(a.copy() if copy else a)
 
     return DenseNet([Dense(leaf(x.weight.data), leaf(x.bias.data), x.activation, x.residual)
@@ -543,15 +548,22 @@ def reopt_loss(theta: Node, z: np.ndarray, s: np.ndarray, labels: np.ndarray) ->
 
 
 def reference_erm(encoder, classifier, train, config, seed: int) -> list[float]:
-    """ERM on the tape, training the program encoder's and head's arrays."""
-    net, theta = node_net(encoder.net), Node(classifier.theta.data)
+    """ERM on the tape in float32, as the program trains: the features and
+    float32 copies of the encoder's and head's arrays are trained, and the
+    result is written back into the program's arrays."""
+    net = node_net(encoder.net, dtype=np.float32)
+    theta = Node(classifier.theta.data.astype(np.float32))
+    features = train.features.astype(np.float32)
 
     def loss_fn(idx):
-        return erm_loss(net, theta, train.features[idx], train.labels[idx], config.l2)
+        return erm_loss(net, theta, features[idx], train.labels[idx], config.l2)
 
-    return reference_loop(loss_fn, net.params() + [theta],
-                          config.optimizer.lr, train.n, config.batch_size,
-                          config.epochs, seed)
+    trace = reference_loop(loss_fn, net.params() + [theta],
+                           config.optimizer.lr, train.n, config.batch_size,
+                           config.epochs, seed)
+    for p, leaf in zip(encoder.params() + classifier.params(), net.params() + [theta]):
+        p.data[...] = leaf.data
+    return trace
 
 
 def reference_flow_fit(flow, z, config, seed: int) -> list[float]:

@@ -8,7 +8,10 @@ They and their kernels (``DenseNet.forward`` with a cache and
 ``backward_cached``, ``l2_value``/``l2_backward``, the coupling step and its
 backward) must reproduce the per-op tape exactly: equal values and equal
 gradients for every parameter and input, bit for bit. The forward steps are
-the ones inference runs, so the same oracle holds the served path too.
+the ones inference runs, so the same oracle holds the served path too. ERM
+steps in float32 and every other stage in float64, so the kernels ERM runs
+and Adam are checked in both dtypes, and the oracle runs in the dtype it is
+given.
 """
 
 import gc
@@ -41,6 +44,13 @@ def assert_all_equal(got, want):
         np.testing.assert_array_equal(g, w)
 
 
+def cast(params, dtype):
+    """Rebind each parameter's data to a copy in dtype, as erm_train does."""
+    for p in params:
+        p.data = p.data.astype(dtype)
+    return params
+
+
 def set_grad(p, g):
     """Write g into p's gradient buffer; None writes zeros."""
     p.grad[...] = 0.0 if g is None else g
@@ -57,18 +67,21 @@ def randomized_flow(dim, layers, l2_seed):
 
 
 class TestDenseNetNode:
+    DTYPE = np.float64
+
     @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
     @pytest.mark.parametrize("residual", [False, True])
     @pytest.mark.parametrize("random_bias", [False, True])
     def test_matches_per_op_tape_exactly(self, rng, activation, residual, random_bias):
+        dtype = self.DTYPE
         net = DenseNet([dense(rng, 3, 5, activation), dense(rng, 5, 5, activation, residual),
                         dense(rng, 5, 5, activation, residual), dense(rng, 5, 4, activation)])
         if random_bias:  # a fresh layer's bias is zero
             for layer in net.layers:
                 layer.bias.data[...] = rng.normal(size=layer.bias.data.shape)
-        x = rng.normal(size=(9, 3))
-        upstream = rng.normal(size=(9, 4))
-        params = net.params()
+        x = rng.normal(size=(9, 3)).astype(dtype)
+        upstream = rng.normal(size=(9, 4)).astype(dtype)
+        params = cast(net.params(), dtype)
 
         twin, x_ref = ref.node_net(net), ref.Node(x)
         want = ref.densenet_forward_tape(twin, x_ref)
@@ -80,9 +93,16 @@ class TestDenseNetNode:
         got = net.forward(x, cache=cache)
         g_x = net.backward_cached(cache, upstream)
 
+        assert got.dtype == g_x.dtype == dtype
         np.testing.assert_array_equal(got, want.data)
         np.testing.assert_array_equal(got, net.forward(x))
         assert_all_equal(grads(params) + [g_x], want_grads)
+
+
+class TestDenseNetNodeInFloat32(TestDenseNetNode):
+    """The encoder's kernels as ERM runs them."""
+
+    DTYPE = np.float32
 
 
 class TestL2Node:
@@ -106,15 +126,18 @@ class TestL2Node:
 
 
 class TestErmNode:
+    DTYPE = np.float64
+
     @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
     @pytest.mark.parametrize("l2", [0.0, 1e-3])
     def test_matches_per_op_tape_exactly(self, activation, l2):
+        dtype = self.DTYPE
         rng = np.random.default_rng(7)
         config = EncoderConfig(width=6, depth=2, activation=activation)
         encoder, classifier = init_model(config, 3, 4, seed=1)
-        x = rng.normal(size=(11, 3))
+        x = rng.normal(size=(11, 3)).astype(dtype)
         labels = rng.integers(0, 4, size=11)
-        params = encoder.params() + classifier.params()
+        params = cast(encoder.params() + classifier.params(), dtype)
 
         net, theta = ref.node_net(encoder.net), ref.Node(classifier.theta.data)
         want = ref.erm_loss(net, theta, x, labels, l2)
@@ -125,8 +148,15 @@ class TestErmNode:
         got = erm_loss(encoder, classifier, x, labels, l2)
         got.backward()
 
+        assert want.data.dtype == dtype
         assert got.data == want.data
         assert_all_equal(grads(params), want_grads)
+
+
+class TestErmNodeInFloat32(TestErmNode):
+    """The ERM loss node (head, encoder stack, L2) in the dtype ERM steps in."""
+
+    DTYPE = np.float32
 
 
 class TestHeadNode:
@@ -305,15 +335,18 @@ class TestSplitCoupling:
 
 
 class TestContiguousOptimizer:
+    DTYPE = np.float64
     SHAPES = [(3, 4), (4,), (), (2, 2)]
-    # 61,538 elements: two optimizer chunks (optim.CHUNK = 32,768), the first
-    # ending inside the first parameter and the second ragged (28,770)
-    MULTI_CHUNK = [(180, 200), (37,), (), (150, 170)]
+    # A chunk is optim.CHUNK = 256 KiB per array: 32,768 float64 or 65,536
+    # float32 elements. Each layout below spans several chunks, the first
+    # ending inside the first parameter and the last ragged.
+    MULTI_CHUNK = {np.float64: ([(180, 200), (37,), (), (150, 170)], [32768, 28770]),
+                   np.float32: ([(260, 400), (37,), (), (150, 200)], [65536, 65536, 2966])}
 
     def params_and_grads(self, rng, steps, shapes=SHAPES):
-        params = [Tensor(rng.normal(size=s)) for s in shapes]
+        params = cast([Tensor(rng.normal(size=s)) for s in shapes], self.DTYPE)
         # None: the parameter's gradient is zero that step
-        seq = [[None if (i + t) % 3 == 0 else rng.normal(size=s)
+        seq = [[None if (i + t) % 3 == 0 else rng.normal(size=s).astype(self.DTYPE)
                 for i, s in enumerate(shapes)] for t in range(steps)]
         return params, seq
 
@@ -321,8 +354,10 @@ class TestContiguousOptimizer:
         self.check_adam(rng, self.SHAPES)
 
     def test_adam_exact_across_chunks(self, rng):
-        chunks = self.check_adam(rng, self.MULTI_CHUNK).chunks
-        assert [buf.size for _, buf in chunks] == [32768, 28770]
+        shapes, sizes = self.MULTI_CHUNK[self.DTYPE]
+        chunks = self.check_adam(rng, shapes).chunks
+        assert [buf.size for _, buf in chunks] == sizes
+        assert {buf.dtype for _, buf in chunks} == {np.dtype(self.DTYPE)}
 
     def check_adam(self, rng, shapes):
         params, seq = self.params_and_grads(rng, 6, shapes)
@@ -334,6 +369,7 @@ class TestContiguousOptimizer:
                 set_grad(q, g)
             opt.step()
             oracle.step(twins)
+            assert {p.data.dtype for p in params} == {np.dtype(self.DTYPE)}
             assert_all_equal([p.data for p in params], [q.data for q in twins])
         for flat, moments in ((opt.m, oracle.m), (opt.v, oracle.v)):
             want = np.concatenate([moments[id(q)].ravel() for q in twins])
@@ -341,7 +377,7 @@ class TestContiguousOptimizer:
         return opt
 
     def test_parameters_become_views_of_one_vector(self, rng):
-        params = [Tensor(rng.normal(size=s)) for s in [(3, 4), (4,)]]
+        params = cast([Tensor(rng.normal(size=s)) for s in [(3, 4), (4,)]], self.DTYPE)
         before = [p.data.copy() for p in params]
         opt = Adam(params, lr=0.1)
         opt.grad[...] = 0.0  # zero gradients: parameters must not move
@@ -350,13 +386,19 @@ class TestContiguousOptimizer:
         assert params[0].data.base is params[1].data.base
 
     def test_rebound_parameter_rejected(self, rng):
-        p = Tensor(rng.normal(size=2))
+        p = cast([Tensor(rng.normal(size=2))], self.DTYPE)[0]
         opt = Adam([p], lr=0.1)
         opt.grad[...] = 0.0
         opt.step()
         p.data = np.zeros(2)
         with pytest.raises(ValueError, match="rebound"):
             opt.step()
+
+
+class TestContiguousOptimizerInFloat32(TestContiguousOptimizer):
+    """Adam packs, steps and chunks in its parameters' dtype."""
+
+    DTYPE = np.float32
 
 
 def pipeline_and_reference(activation: str):

@@ -5,14 +5,14 @@ import pytest
 
 from density_softmax.autodiff import Tensor
 from density_softmax.config import EncoderConfig, FlowConfig, OptimizerSpec, TrainConfig
-from density_softmax.data import make_two_moons, make_two_ovals
+from density_softmax.data import DataError, LabeledSet, make_two_moons, make_two_ovals
 from density_softmax.density import FlowModel
 from density_softmax.layers import DenseNet, fan_in_uniform, l2_backward
 from density_softmax.model import (Classifier, Encoder, TrainingDiverged, erm_loss, erm_train,
                                    head_cross_entropy, init_model)
 from density_softmax.predictor import DensitySoftmaxModel, Ensemble, ensemble_train
 
-from conftest import count_forward_rows, erm_model, identity_projection
+from conftest import assert_float32_exact, count_forward_rows, erm_model, identity_projection
 
 SMALL = EncoderConfig(width=8, depth=2)
 
@@ -64,15 +64,20 @@ class TestInitModel:
     def test_layout_and_draws(self):
         """Layer 0 projects and every later layer is a residual block, all with
         the configured activation; the weights are drawn layer by layer, then
-        theta, and the biases start at zero."""
+        theta, each rounded to float32 and held as float64, and the biases
+        start at zero."""
         enc, clf = init_model(EncoderConfig(width=4, depth=2, activation="tanh"), 3, 2, seed=7)
         rng = np.random.default_rng(7)
         assert [(x.activation, x.residual) for x in enc.net.layers] == [
             ("tanh", False), ("tanh", True), ("tanh", True)]
         for layer, shape in zip(enc.net.layers, [(3, 4), (4, 4), (4, 4)]):
-            np.testing.assert_array_equal(layer.weight.data, fan_in_uniform(rng, *shape))
+            np.testing.assert_array_equal(layer.weight.data,
+                                          fan_in_uniform(rng, *shape).astype(np.float32))
             np.testing.assert_array_equal(layer.bias.data, np.zeros(4))
-        np.testing.assert_array_equal(clf.theta.data, fan_in_uniform(rng, 4, 2))
+        np.testing.assert_array_equal(clf.theta.data,
+                                      fan_in_uniform(rng, 4, 2).astype(np.float32))
+        for p in enc.params() + clf.params():
+            assert p.data.dtype == np.float64
 
     def test_widths_read_from_the_layers(self):
         enc, _ = init_model(EncoderConfig(width=6, depth=1), 3, 2, seed=0)
@@ -200,6 +205,39 @@ class TestErmTrain:
             f"non-finite erm loss at epoch 0, batch 1 (last finite loss "
             f"{err.last_finite_loss})")
 
+    def test_features_beyond_float32_rejected(self):
+        """ERM steps in float32: a finite float64 feature it cannot hold
+        is named, not turned into an infinity and a divergence."""
+        train = make_two_moons(20, 0.1, seed=0)
+        huge = LabeledSet(train.features * 1e39, train.labels, "train")
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
+        before = [p.data.copy() for p in enc.params() + clf.params()]
+        with pytest.raises(DataError, match=r"train features exceed 3\.403e\+38, the "
+                                            r"largest float32 ERM trains in"):
+            erm_train(enc, clf, huge, small_train_config(epochs=1), 0)
+        for p, b in zip(enc.params() + clf.params(), before):
+            assert p.data.dtype == np.float64
+            np.testing.assert_array_equal(p.data, b)
+
+    def test_divergence_leaves_float64_parameters(self):
+        """ERM steps in float32; a run that diverges still hands back
+        float64 arrays, and no gradient buffer."""
+        train = make_two_moons(50, 0.1, seed=0)
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
+        cfg = TrainConfig(epochs=200, batch_size=32, optimizer=OptimizerSpec(lr=1e200))
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+            erm_train(enc, clf, train, cfg, 0)
+        for p in enc.params() + clf.params():
+            assert p.data.dtype == np.float64
+            assert p.grad is None
+
+    def test_trained_parameters_are_float32_exact_float64_arrays(self):
+        train = make_two_moons(50, 0.1, seed=0)
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
+        erm_train(enc, clf, train, small_train_config(epochs=3, l2=1e-3), 0)
+        assert_float32_exact([p.data for p in enc.params() + clf.params()])
+        assert [p.grad for p in enc.params() + clf.params()] == [None] * 7
+
 
 class TestUnboundGradient:
     """A rule run on a parameter no optimizer bound names it in a ValueError
@@ -257,6 +295,14 @@ class TestEnsemble:
         ens = Ensemble([model, model])
         single = model.predict(train.features[:5]).probs
         np.testing.assert_array_equal(ens.predict(train.features[:5]).probs, single)
+
+    def test_members_hold_float32_exact_float64_arrays(self):
+        train = make_two_moons(30, 0.1, seed=0)
+        cfg = small_train_config(epochs=2)
+        ens = ensemble_train(3, erm_model(SMALL, train, cfg), SMALL, train, cfg)
+        for member in ens.members:
+            assert_float32_exact([p.data for p in member.encoder.params()
+                                  + member.classifier.params()])
 
     def test_param_count_additivity(self):
         train = make_two_moons(30, 0.1, seed=0)

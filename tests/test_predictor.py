@@ -18,7 +18,7 @@ from density_softmax.predictor import (DensitySoftmaxModel, Ensemble, PipelineEr
                                        predictive_summaries, reoptimize_classifier,
                                        train_pipeline)
 
-from conftest import count_forward_rows
+from conftest import assert_float32_exact, count_forward_rows
 
 SMALL = EncoderConfig(width=8, depth=2)
 
@@ -290,6 +290,20 @@ class TestPipeline:
         assert result.erm_model.classifier is not result.model.classifier
         assert not np.array_equal(result.erm_model.classifier.theta.data,
                                   result.model.classifier.theta.data)
+
+    def test_erm_weights_are_float32_exact_and_later_stages_float64(self):
+        """ERM's encoder and head come out as float64 arrays of float32
+        values; the re-optimized head, trained in float64, does not keep
+        to float32, and the served latents and s are float64."""
+        train, result = small_pipeline(seed=0)
+        model = result.model
+        assert_float32_exact([p.data for p in model.encoder.params()]
+                             + [result.erm_model.classifier.theta.data])
+        theta = model.classifier.theta.data
+        assert theta.dtype == np.float64
+        assert not np.array_equal(theta.astype(np.float32).astype(np.float64), theta)
+        pred = model.predict(train.features[:5])
+        assert pred.latent.dtype == pred.scaled_likelihood.dtype == pred.probs.dtype == np.float64
 
     def test_deterministic(self):
         _, r1 = small_pipeline(seed=2)

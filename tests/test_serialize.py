@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import erm_model, identity_projection
+from conftest import assert_float32_exact, erm_model, identity_projection
 
 from density_softmax import cli
 from density_softmax.config import (DensityConfig, EncoderConfig, FlowConfig, OptimizerSpec,
@@ -45,6 +45,28 @@ class TestDensitySoftmaxContainer:
                                       result.model.predict(x).probs)
         assert back.density.max_train_log_density == \
             result.model.density.max_train_log_density
+
+    @pytest.mark.parametrize("which", ["model", "erm_model"])
+    def test_loaded_model_holds_the_trained_arrays_and_predicts_bit_for_bit(
+            self, tmp_path, pipeline_result, which):
+        """The encoder and the ERM head, trained in float32, load as the same
+        float64 arrays, so the loaded model serves the same bits."""
+        train, result = pipeline_result
+        model = getattr(result, which)
+        path = tmp_path / "model.json"
+        save_container(density_softmax_container(model), path)
+        back = load_container(path)
+        trained = [p.data for p in model.encoder.params() + model.classifier.params()]
+        loaded = [p.data for p in back.encoder.params() + back.classifier.params()]
+        for got, want in zip(loaded, trained):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+        assert_float32_exact(loaded[:-1] if which == "model" else loaded)
+        x = train.features
+        np.testing.assert_array_equal(back.predict(x).probs, model.predict(x).probs)
+        for row in range(3):
+            np.testing.assert_array_equal(back.predict(x[row]).probs,
+                                          model.predict(x[row]).probs)
 
     def test_version_field_required(self, tmp_path, pipeline_result):
         _, result = pipeline_result
@@ -99,6 +121,18 @@ class TestDensitySoftmaxContainer:
         path = tmp_path / "again.json"
         save_container(density_softmax_container(model), path)
         assert path.read_bytes() == (DATA / "flow_model_v7.json").read_bytes()
+
+    def test_stored_container_serves_its_weights_unrounded(self):
+        """data/flow_model_v7.json was trained in float64: its weights are
+        not float32 values, and loading keeps every bit of them, so it
+        still serves its recorded probs (see the test above)."""
+        model = load_container(DATA / "flow_model_v7.json")
+        arrays = [p.data for p in model.encoder.params() + model.classifier.params()]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+        assert all(not np.array_equal(a.astype(np.float32), a) for a in arrays)
+        want = json.loads((DATA / "flow_model_v2_expected.json").read_text())
+        pred = model.predict(_decode_array(want["x"], "x", 2))
+        np.testing.assert_array_equal(pred.probs, _decode_array(want["probs"], "probs", 2))
 
 
 def _key_paths(node, path=()):

@@ -5,20 +5,24 @@ scalar loss of one training step, which also carries a hand-written backward
 rule. A parameter holds a float64 array, except while ERM steps the encoder
 and head in float32 (``model.erm_train``); every later stage steps in
 float64. Each stage builds one such node per step, with no graph behind it:
-``erm_loss`` (encoder stack, head cross-entropy and L2),
+``erm_loss`` (encoder stack and head cross-entropy),
 ``head_cross_entropy`` under the scaled likelihood s (re-optimization) and
-``FlowModel.nll_loss``. :meth:`Tensor.backward` runs the rule, which takes
-no argument: the loss is the end of the graph, so its upstream gradient is
-1.0. A rule holds no reference to its node, so a step leaves no cycle.
+``FlowModel.nll_loss``. Each node is a data term: the training loop adds the
+L2 term itself (``optim.L2Penalty``). :meth:`Tensor.backward` runs the
+rule, which takes no argument: the loss is the end of the graph, so its
+upstream gradient is 1.0. A rule holds no reference to its node, so a step
+leaves no cycle.
 
 Gradients are written once: a parameter's ``grad`` is None until an
 optimizer binds it to a view of its packed gradient vector (``optim.Adam``).
 A rule writes each parameter's data gradient into that view in place,
-overwriting the last step's, and an L2 term then adds to it, so there is
-nothing to clear between steps; every write goes through ``bound_grad``,
-which raises ValueError naming a parameter no optimizer bound. A general
-per-op tape exists only in the tests, as the oracle the rules must match
-bit for bit.
+overwriting the last step's, and the loop's L2 term then adds to the
+weights' views, so there is nothing to clear between steps. A rule finds
+each view through ``bound_grad``, which raises ValueError naming a
+parameter no optimizer bound; a training workspace (``layers.DenseWorkspace``)
+does so once, at its first backward, and keeps the views for the fit. A
+general per-op tape exists only in the tests, as the oracle the rules must
+match bit for bit.
 """
 
 from __future__ import annotations

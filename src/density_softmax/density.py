@@ -31,7 +31,9 @@ directions and 99.99% in about 17.
   serves inference (``forward``, ``log_density``) and training
   (``nll_loss``): it carries the flow state as its two column halves from
   layer to layer, joins them once at the end, and sums each row's log-det
-  from s.
+  from s. In training the walk writes every array into a
+  :class:`FlowWorkspace` that the fit makes once per batch size, and the
+  backward reads it there, so a step allocates no array; the fit drops it.
 
 Both estimators project each row by einsum, which gives a row the same
 coordinates in any batch. The KDE walks its query rows in fixed chunks of
@@ -69,8 +71,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import FlowConfig
-from .layers import (Dense, DenseNet, activation_grad, apply_activation, fan_in_uniform,
-                     l2_backward, l2_value)
+from .layers import (Buffers, Dense, DenseNet, DenseWorkspace, activation_grad,
+                     apply_activation, fan_in_uniform)
 from .model import train_minibatches
 
 LIKELIHOOD_FLOOR = sys.float_info.min  # smallest positive normal float64
@@ -310,7 +312,7 @@ class CouplingLayer:
 
     ``forward``, the one coupling step for inference and training, takes the
     halves z_P and z_T and returns t_T and s; t_P is z_P itself, and no
-    arithmetic runs on the zeros of a masked product. ``backward_cached``
+    arithmetic runs on the zeros of a masked product. ``backward``
     also works on halves.
     """
 
@@ -331,29 +333,27 @@ class CouplingLayer:
                              f"{dim}-d flow its halves need {needs[0]} -> {needs[1]}")
         self.net = net
 
-    def forward(self, zp: np.ndarray, zt: np.ndarray, caches: list | None = None
+    def forward(self, zp: np.ndarray, zt: np.ndarray, work: CouplingWorkspace | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
         """The coupling step on the halves z_P, z_T: t_T and s (t_P is z_P
-        itself). Given a caches list, appends what ``backward_cached``
-        needs."""
-        net_cache = None if caches is None else []
-        st = self.net.forward(zp, net_cache)
+        itself). Given the layer's workspace, whose input halves zp and zt
+        must be, every array goes into it, where ``backward`` reads it."""
+        st = self.net.forward(zp, None if work is None else work.net)
         for slot, activation in enumerate(FINAL):
             apply_activation(st[slot], activation, out=st[slot])
         s, b = st
-        e = np.exp(s)
-        t_t = zt * e
+        e = np.exp(s, out=None if work is None else work.e)
+        t_t = np.multiply(zt, e, out=None if work is None else work.t_t)
         t_t += b
-        if caches is not None:
-            caches.append((zt, e, st, net_cache))
         return t_t, s
 
-    def backward_cached(self, cache: tuple, g_p: np.ndarray, g_t: np.ndarray, g_s_sum,
-                        t_net_first: bool, input_grad: bool = True
-                        ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Given d(loss)/d(t_P), d(loss)/d(t_T) and d(loss)/d(sum of s),
-        write the subnets' parameter gradients; return d(loss)/d(z_P) and
-        d(loss)/d(z_T), or None when ``input_grad`` is false.
+    def backward(self, work: CouplingWorkspace, g_p: np.ndarray, g_t: np.ndarray, g_s_sum,
+                 t_net_first: bool, input_grad: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Given the workspace of the last forward, d(loss)/d(t_P),
+        d(loss)/d(t_T) and d(loss)/d(sum of s), write the subnets' parameter
+        gradients; return d(loss)/d(z_P) and d(loss)/d(z_T) in the
+        workspace's arrays, or None when ``input_grad`` is false.
 
         z_P collects three contributions, and floating-point addition is
         not associative, so their order is fixed to the one the per-op
@@ -361,24 +361,42 @@ class CouplingLayer:
         s-net's, then the t-net's; `t_net_first` swaps the last two, which
         is the tape's order in the flow's final coupling layer.
         """
-        zt, e, st, net_cache = cache
-        g = np.empty(st.shape)
-        activation_grad(g_s_sum + g_t * zt * e, st[0], FINAL[0], g[0])
+        e, g = work.e, work.g
+        st = work.net.layers[-1].act
+        # d(loss)/ds = g_s_sum + g_t * z_T * e, through the s-net's tanh
+        u = np.multiply(g_t, work.zt, out=work.u)
+        u *= e
+        u += g_s_sum
+        activation_grad(u, st[0], FINAL[0], g[0])
         activation_grad(g_t, st[1], FINAL[1], g[1])
-        g_in = self.net.backward_cached(net_cache, g, input_grad)
+        g_in = self.net.backward(work.net, g, input_grad)
         if not input_grad:
             return None
-        g_zp = g_p + g_in[1] + g_in[0] if t_net_first else g_p + g_in[0] + g_in[1]
-        return g_zp, g_t * e
+        first, second = (g_in[1], g_in[0]) if t_net_first else (g_in[0], g_in[1])
+        g_zp = np.add(g_p, first, out=work.g_zp)
+        g_zp += second
+        return g_zp, np.multiply(g_t, e, out=work.g_zt)
 
     def params(self) -> list[Tensor]:
         return self.net.params()
 
-    def weight_slots(self) -> list[np.ndarray]:
-        """The subnets' 2-D weight matrices, views of the stack: the s-net's,
-        then the t-net's."""
-        weights = self.net.weight_tensors()
-        return [w.data[slot] for slot in (0, 1) for w in weights]
+
+class CouplingWorkspace:
+    """A coupling layer's training arrays on its input halves zp and zt,
+    made once per fit and batch size from the fit's ``buffers`` (see
+    ``FlowWorkspace``): its net's ``DenseWorkspace`` on zp, the forward's
+    e = exp(s) and t_T, and the backward's scratch and outputs."""
+
+    __slots__ = ("zt", "net", "e", "t_t", "u", "g", "g_zp", "g_zt")
+
+    def __init__(self, layer: CouplingLayer, zp: np.ndarray, zt: np.ndarray,
+                 buffers: Buffers | None = None):
+        buffers = Buffers(zt.dtype) if buffers is None else buffers
+        self.zt = zt
+        self.net = DenseWorkspace(layer.net, zp, buffers)
+        self.e, self.t_t, self.u = (buffers.empty(zt.shape) for _ in range(3))
+        self.g = buffers.empty((2,) + zt.shape)
+        self.g_zp, self.g_zt = buffers.empty(zp.shape), buffers.empty(zt.shape)
 
 
 def coupling_net(layers: list[tuple[Tensor, Tensor]]) -> DenseNet:
@@ -435,22 +453,29 @@ class FlowModel:
         return cls(projection, [_fresh_net(rng, projection.dim, config, i)
                                 for i in range(config.coupling_layers)])
 
-    def forward(self, c: np.ndarray, caches: list | None = None
+    def forward(self, c: np.ndarray, work: FlowWorkspace | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
         """t of each row of the coordinates c and its log-det: each layer's
         s summed per row, added up layer by layer. The state travels as the
         next layer's halves (zp, zt) and is joined once at the end. Given a
-        caches list, each layer appends its cache."""
-        z = np.atleast_2d(np.asarray(c, dtype=np.float64))
-        first, last = self.layers[0], self.layers[-1]
-        zp, zt = z[:, first.p_cols], z[:, first.t_cols]
+        workspace (made for c's row count), c is copied into it and every
+        array of the walk goes there."""
+        if work is None:
+            z = np.atleast_2d(np.asarray(c, dtype=np.float64))
+            first = self.layers[0]
+            zp, zt = z[:, first.p_cols], z[:, first.t_cols]
+            works, s_sum, log_det_out, t = [None] * len(self.layers), None, None, np.empty(z.shape)
+        else:
+            np.copyto(work.x, c)
+            (zp, zt), works, s_sum, log_det_out, t = (work.halves, work.layers, work.s_sum,
+                                                      work.log_det, work.t)
         log_det = 0.0
-        for layer in self.layers:
-            t_t, s = layer.forward(zp, zt, caches)
-            log_det = log_det + s.sum(axis=1)
+        for layer, layer_work in zip(self.layers, works):
+            t_t, s = layer.forward(zp, zt, layer_work)
+            log_det = np.add(log_det, s.sum(axis=1, out=s_sum), out=log_det_out)
             # this layer's T is the next layer's P, and its P the next's T
             zp, zt = t_t, zp
-        t = np.empty(z.shape)
+        last = self.layers[-1]
         t[:, last.t_cols] = zp
         t[:, last.p_cols] = zt
         return t, log_det
@@ -481,46 +506,73 @@ class FlowModel:
         """The subnets' 2-D weight matrices (read-only views of the stacked
         slots), layer by layer: the s-net's, then the t-net's. The L2 value
         sums them in this order."""
-        return [Tensor(_read_only(w)) for layer in self.layers for w in layer.weight_slots()]
+        return [Tensor(_read_only(w.data[slot])) for layer in self.layers
+                for slot in (0, 1) for w in layer.net.weight_tensors()]
 
-    def nll_loss(self, batch: np.ndarray, l2: float) -> Tensor:
-        """Mean negative log-likelihood of a batch of coordinates plus
-        l2 * sum(w^2) over the subnets' weight matrices, as one loss node;
-        its rule walks the coupling layers in reverse, then adds the L2
-        term.
+    def nll_loss(self, batch: np.ndarray, work: FlowWorkspace | None = None) -> Tensor:
+        """Mean negative log-likelihood of a batch of coordinates as one loss
+        node, the data term (``train_minibatches`` adds the L2 term); its
+        rule walks the coupling layers in reverse.
 
-        The forward is the inference walk with caches; the gradient travels
-        as the halves (g_p, g_t) like the flow state."""
+        The forward is the inference walk on the workspace (one fit's, for
+        the batch's row count; without one, one is made for the batch); the
+        gradient travels as the halves (g_p, g_t) like the flow state."""
         n, d = batch.shape
-        caches: list = []
-        t, log_det = self.forward(batch, caches)
+        if work is None:
+            work = FlowWorkspace(self, n)
+        t, log_det = self.forward(batch, work)
         # mean over the batch of [0.5*||t||^2 - log_det] plus the base constant
-        loss = ((t * t).sum() * 0.5 - log_det.sum()) * (1.0 / n) + 0.5 * d * LOG_2PI
-        if l2 != 0.0:
-            loss = loss + l2_value([w for layer in self.layers for w in layer.weight_slots()],
-                                   l2)
+        loss = ((np.multiply(t, t, out=work.sq).sum() * 0.5 - log_det.sum()) * (1.0 / n)
+                + 0.5 * d * LOG_2PI)
+
         def rule() -> None:
             r = 1.0 / n
-            g = (r * 0.5) * (2.0 * t)
+            # d(loss)/dt = (r * 0.5) * (2.0 * t)
+            np.multiply(t, 2.0, out=work.g)
+            work.g *= r * 0.5
+            g_p, g_t = work.g_halves
             last = len(self.layers) - 1
-            g_p, g_t = g[:, self.layers[last].p_cols], g[:, self.layers[last].t_cols]
             for i in range(last, -1, -1):
-                g_z = self.layers[i].backward_cached(caches[i], g_p, g_t, -r, i == last,
-                                                     i > 0)
+                g_z = self.layers[i].backward(work.layers[i], g_p, g_t, -r, i == last, i > 0)
                 if g_z is not None:
                     # layer i's P and T are layer i-1's T and P
                     g_t, g_p = g_z
-            if l2 != 0.0:
-                l2_backward([w for layer in self.layers for w in layer.net.weight_tensors()], l2)
 
         return Tensor(loss, rule)
+
+
+class FlowWorkspace:
+    """The flow's training arrays for batches of ``rows`` coordinates, made
+    once per fit and batch size from the fit's ``buffers`` (fresh ones when
+    None), so a training step allocates none: the
+    batch's copy ``x`` and its first halves, one ``CouplingWorkspace`` per layer
+    (each on the halves its forward reads, which are the arrays the layer
+    before it wrote), the log-det sums, t and its square, and d(loss)/dt
+    with its last layer's halves."""
+
+    def __init__(self, flow: FlowModel, rows: int, buffers: Buffers | None = None):
+        buffers = Buffers(np.float64) if buffers is None else buffers
+        shape = (rows, flow.dim)
+        self.x = buffers.empty(shape)
+        first, last = flow.layers[0], flow.layers[-1]
+        zp, zt = self.halves = (self.x[:, first.p_cols], self.x[:, first.t_cols])
+        self.layers = []
+        for layer in flow.layers:
+            work = CouplingWorkspace(layer, zp, zt, buffers)
+            self.layers.append(work)
+            zp, zt = work.t_t, zp
+        self.s_sum, self.log_det = buffers.empty((rows,)), buffers.empty((rows,))
+        self.t, self.sq, self.g = (buffers.empty(shape) for _ in range(3))
+        self.g_halves = (self.g[:, last.p_cols], self.g[:, last.t_cols])
 
 
 def flow_fit(train_z: np.ndarray, config: FlowConfig, seed: int) -> tuple[FlowModel, list[float]]:
     """Fit the projection of the train latent rows (:func:`fit_projection`,
     one SVD), then the coupling layers on their coordinates by minimizing
-    mean NLL; seed draws the initial weights and the batch order. The
-    model's log-density is of latent rows, up to a constant.
+    mean NLL plus the L2 term; seed draws the initial weights and the batch
+    order. The steps run on one workspace per batch size, which the loop
+    makes and drops.
+    The model's log-density is of latent rows, up to a constant.
 
     Returns the model and the per-epoch loss trace.
     """
@@ -532,8 +584,11 @@ def flow_fit(train_z: np.ndarray, config: FlowConfig, seed: int) -> tuple[FlowMo
         raise ValueError(f"need at least batch_size={config.batch_size} rows, got {n}")
     flow = FlowModel.build(projection, config, seed)
     trace = train_minibatches(
-        "flow", lambda idx: flow.nll_loss(coords[idx], config.l2), flow.params(),
-        config.lr, n, config.batch_size, config.epochs, seed)
+        "flow", lambda idx, work: flow.nll_loss(coords[idx], work),
+        [layer.net.weight_tensors() for layer in flow.layers],
+        [b for layer in flow.layers for b in layer.net.bias_tensors()],
+        config.l2, config.lr, n, config.batch_size, config.epochs, seed,
+        lambda rows, buffers: FlowWorkspace(flow, rows, buffers))
     return flow, trace
 
 

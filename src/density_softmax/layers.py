@@ -2,22 +2,22 @@
 
 Each layer owns two parameter Tensors, a weight and a bias: float32 while
 ERM steps the encoder, float64 in every later stage and at inference. The
-kernels compute in their inputs' dtype, and the backward's scratch buffers
-take the gradient's. Each network's layout is built in one place, fresh or
-loaded: the encoder's by ``model.encoder_net``, a coupling net's by
+kernels compute in their inputs' dtype, and a workspace's arrays take its
+array's. Each network's layout is built in one place, fresh or loaded: the
+encoder's by ``model.encoder_net``, a coupling net's by
 ``density.coupling_net``.
 
 ``forward`` is the one forward step, for inference and training alike.
-Without a cache it works in place on its fresh matmul output. Given a cache
-list, each layer also appends its input and activation, and its residual sum
-goes out of place, so the cached arrays stay as they were.
-``backward_cached`` walks that cache once and writes each parameter's
-gradient, one product per parameter, with ``out=`` into the ``grad`` view
-the optimizer bound (see ``autodiff``); no gradient array is allocated per
-parameter. ``l2_value``/``l2_backward`` are the L2 penalty, whose gradient
-adds onto the written one in place; the loss nodes ``erm_loss`` and
-``FlowModel.nll_loss`` call them. The tests hold them to the per-op oracle
-tape, bit for bit in values and every gradient.
+Without a workspace it works in place on its fresh matmul output. Given a
+``DenseWorkspace``, the arrays of one fit and batch size, each layer writes its
+activation and its residual sum into the workspace, so the arrays the backward
+reads stay as they were. ``backward`` walks the workspace once and writes each
+parameter's gradient, one product per parameter, with ``out=`` into the
+``grad`` view the optimizer bound (see ``autodiff``); its scratch is the
+workspace's, so a training step allocates no array. The L2 penalty is no
+layer's: ``optim.L2Penalty`` adds it over the optimizer's packed weights.
+The tests hold the kernels to the per-op oracle tape, bit for bit in values
+and every gradient.
 
 A layer may also be stacked: weight (k, in, out) and bias (k, 1, out) hold k
 same-shaped layers, and every product broadcasts over the leading axis
@@ -90,21 +90,22 @@ class Dense:
             raise ValueError(f"bias has shape {self.bias.data.shape}, a weight of shape "
                              f"{shape} needs {want}")
 
-    def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-        """act(x W + b), plus x for a residual layer. The activation works in
-        place on the fresh matmul output. Given a cache list, the layer
-        appends (x, activation), which ``DenseNet.backward_cached`` reads (the
-        relu mask and the tanh derivative both follow from the activation),
-        and the residual sum goes to a new array."""
-        h = x @ self.weight.data
+    def forward(self, x: np.ndarray, arrays: LayerArrays | None = None) -> np.ndarray:
+        """act(x W + b), plus x for a residual layer. Without arrays the
+        activation works in place on the fresh matmul output, and so does the
+        residual sum. Given the layer's training arrays (see ``DenseWorkspace``),
+        the product and activation go to ``arrays.act``, which the backward
+        reads (the relu mask and the tanh derivative both follow from the
+        activation), and the residual sum to ``arrays.out``."""
+        h = np.matmul(x, self.weight.data, out=None if arrays is None else arrays.act)
         h += self.bias.data
         a = apply_activation(h, self.activation, out=h)
-        if cache is not None:
-            cache.append((x, a))
-            return x + a if self.residual else a
-        if self.residual:
+        if not self.residual:
+            return a
+        if arrays is None:
             a += x
-        return a
+            return a
+        return np.add(x, a, out=arrays.out)
 
     def params(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -124,42 +125,38 @@ class DenseNet:
                     f"{nxt.weight.data.shape}"
                 )
 
-    def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-        """The stack's output. Given a cache list, every layer appends what
-        ``backward_cached`` needs."""
-        for layer in self.layers:
-            x = layer.forward(x, cache)
+    def forward(self, x: np.ndarray, work: DenseWorkspace | None = None) -> np.ndarray:
+        """The stack's output. Given a workspace, x must be its input array,
+        and every layer writes into the workspace's arrays what ``backward`` reads."""
+        if work is None:
+            for layer in self.layers:
+                x = layer.forward(x)
+            return x
+        if x is not work.x:
+            raise ValueError("a workspace's forward runs on its own input array")
+        for layer, arrays in zip(self.layers, work.layers):
+            x = layer.forward(x, arrays)
         return x
 
-    def backward_cached(self, cache: list, g: np.ndarray, input_grad: bool = True
-                        ) -> np.ndarray | None:
-        """Given g = d(loss)/d(output), write every parameter's gradient into
-        its bound ``grad`` and return d(loss)/d(input), or None when
-        ``input_grad`` is false. Each product goes with ``out=`` straight
-        into the gradient. g is only read; the activation-derivative products
-        and the residual sums go to two buffers reused from layer to layer."""
-        gh_buf = sum_buf = None
+    def backward(self, work: DenseWorkspace, g: np.ndarray, input_grad: bool = True
+                 ) -> np.ndarray | None:
+        """Given the workspace of the last forward and g = d(loss)/d(output),
+        write every parameter's gradient into its bound ``grad`` and return
+        d(loss)/d(input), or None when ``input_grad`` is false. Each product
+        goes with ``out=`` straight into the gradient or into the
+        workspace's scratch; g is only read. The returned array is the workspace's, rewritten
+        by its next backward."""
+        if not work.bound:
+            work.bind(self)
         for i in range(len(self.layers) - 1, -1, -1):
-            layer, (x, a) = self.layers[i], cache[i]
-            if layer.activation == "linear":
-                gh = g
-            else:
-                if gh_buf is None or gh_buf.shape != g.shape:
-                    gh_buf = np.empty_like(g)
-                gh = activation_grad(g, a, layer.activation, gh_buf)
-            np.add.reduce(gh, axis=-2, keepdims=gh.ndim > 2,
-                          out=bound_grad(layer.bias, f"dense layer {i} bias"))
-            np.matmul(x.swapaxes(-1, -2), gh,
-                      out=bound_grad(layer.weight, f"dense layer {i} weight"))
+            layer, a = self.layers[i], work.layers[i]
+            gh = g if a.gh is None else activation_grad(g, a.act, layer.activation, a.gh)
+            np.add.reduce(gh, axis=-2, keepdims=gh.ndim > 2, out=a.grad_b)
+            np.matmul(a.x_t, gh, out=a.grad_w)
             if i == 0 and not input_grad:
                 return None
-            gx = gh @ layer.weight.data.swapaxes(-1, -2)
-            if layer.residual:
-                if sum_buf is None or sum_buf.shape != g.shape:
-                    sum_buf = np.empty_like(g)
-                g = np.add(g, gx, out=sum_buf)
-            else:
-                g = gx
+            gx = np.matmul(gh, a.w_t, out=a.gx)
+            g = np.add(g, gx, out=gx) if layer.residual else gx
         return g
 
     def params(self) -> list[Tensor]:
@@ -169,22 +166,95 @@ class DenseNet:
         return sum(p.data.size for p in self.params())
 
     def weight_tensors(self) -> list[Tensor]:
-        """Weight matrices only (biases excluded), for l2 penalties."""
+        """Weight matrices only, the ones the L2 term reads."""
         return [layer.weight for layer in self.layers]
 
-
-def l2_value(weights: list[np.ndarray], coefficient: float) -> float:
-    """coefficient * sum(w^2), summed array by array in list order."""
-    total = (weights[0] * weights[0]).sum()
-    for w in weights[1:]:
-        total = total + (w * w).sum()
-    return total * float(coefficient)
+    def bias_tensors(self) -> list[Tensor]:
+        return [layer.bias for layer in self.layers]
 
 
-def l2_backward(weights: list[Tensor], coefficient: float) -> None:
-    """Add coefficient * 2w to each weight's gradient, in place; the data
-    gradient is written there first."""
-    k = float(coefficient)
-    for i, w in enumerate(weights):
-        grad = bound_grad(w, f"L2 weight {i}")
-        grad += k * (2.0 * w.data)
+class Buffers:
+    """Where a fit's workspaces get their arrays. Fresh buffers make each
+    array and keep it; ``shorter()`` gives the buffers of a workspace built
+    the same way for fewer rows, which hand out the leading rows of those
+    arrays in the order they were made, so the workspaces of one fit share
+    their memory. An array's rows are its axis -2 (axis 0 of a vector)."""
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+        self.made: list[np.ndarray] = []
+        self.replay = None
+
+    def shorter(self) -> Buffers:
+        other = Buffers(self.dtype)
+        other.replay = iter(self.made)
+        return other
+
+    def empty(self, shape: tuple) -> np.ndarray:
+        if self.replay is None:
+            self.made.append(np.empty(shape, self.dtype))
+            return self.made[-1]
+        full = next(self.replay)
+        a = full[:shape[0]] if full.ndim == 1 else full[..., :shape[-2], :]
+        if a.shape != shape:
+            raise ValueError(f"a shorter workspace needs {shape}, where the full one has "
+                             f"{full.shape}")
+        return a
+
+
+class LayerArrays:
+    """One layer's arrays in a ``DenseWorkspace``: the forward's activation
+    ``act`` and residual sum ``out``, the transpose ``x_t`` of the layer's
+    input, the backward's scratch ``gh`` (None for a linear layer, whose gh
+    is g itself) and ``gx``; and, once bound, the weight's transpose ``w_t``
+    and the gradient views ``grad_w`` and ``grad_b``."""
+
+    __slots__ = ("act", "out", "x_t", "gh", "gx", "w_t", "grad_w", "grad_b")
+
+
+class DenseWorkspace:
+    """A DenseNet's training arrays on one input array ``x``, made once per
+    fit and batch size from the fit's ``buffers`` (fresh ones when None), so
+    a training step allocates none and looks nothing up: the forward writes each layer's activation into the workspace, and
+    the backward reads it there. A layer's forward arrays are its own. The
+    backward's scratch is shared between the layers of one shape: one
+    ``gh``, and two ``gx`` taking turns, since a layer's backward reads only
+    the ``gx`` of the layer above it. The first backward binds the weights'
+    transposes and the parameters' gradient views, after the optimizer has
+    packed them (``bound_grad`` names a parameter it did not bind); they
+    stay bound for the fit, as ``Adam.step`` checks."""
+
+    def __init__(self, net: DenseNet, x: np.ndarray, buffers: Buffers | None = None):
+        self.x = x
+        self.bound = False
+        self.layers: list[LayerArrays] = []
+        empty = (Buffers(x.dtype) if buffers is None else buffers).empty
+        scratch: dict = {}
+
+        def shared(shape: tuple, role: str) -> np.ndarray:
+            if (shape, role) not in scratch:
+                scratch[shape, role] = empty(shape)
+            return scratch[shape, role]
+
+        last = len(net.layers) - 1
+        for i, layer in enumerate(net.layers):
+            w = layer.weight.data.shape
+            out = np.broadcast_shapes(x.shape[:-2], w[:-2]) + (x.shape[-2], w[-1])
+            a = LayerArrays()
+            a.x_t = x.swapaxes(-1, -2)
+            a.act = empty(out)
+            a.out = empty(out) if layer.residual else None
+            a.gh = None if layer.activation == "linear" else shared(out, "gh")
+            a.gx = shared(out[:-1] + (w[-2],), "gx" + str((last - i) % 2))
+            self.layers.append(a)
+            x = a.act if a.out is None else a.out
+
+    def bind(self, net: DenseNet) -> None:
+        """Bind each layer's weight transpose and gradient views, top layer
+        first, bias before weight, as the backward walks them."""
+        for i in range(len(net.layers) - 1, -1, -1):
+            layer, a = net.layers[i], self.layers[i]
+            a.grad_b = bound_grad(layer.bias, f"dense layer {i} bias")
+            a.grad_w = bound_grad(layer.weight, f"dense layer {i} weight")
+            a.w_t = layer.weight.data.swapaxes(-1, -2)
+        self.bound = True

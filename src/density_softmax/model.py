@@ -4,7 +4,9 @@ The encoder is an input projection followed by `depth` residual blocks
 y = x + relu(Wx + b), so its width is the latent dimension. The
 classifier is a single d_z x K matrix with no bias; logits are z @ theta.
 ERM and re-optimization share the head's fused ``head_cross_entropy``, and
-every training stage shares ``train_minibatches``: Adam at a fixed rate.
+every training stage shares ``train_minibatches``: Adam at a fixed rate over
+the weights packed first and the biases after, with the one L2 path
+(``optim.L2Penalty``) over that weight prefix.
 
 ERM steps in float32 (``ERM_DTYPE``): ``erm_train`` casts the features and
 the encoder's and head's parameters down once, trains them, and widens the
@@ -23,13 +25,20 @@ import numpy as np
 from .autodiff import Tensor, bound_grad
 from .config import EncoderConfig, TrainConfig
 from .data import DataError, LabeledSet, require_fittable
-from .layers import Activation, Dense, DenseNet, fan_in_uniform, l2_backward, l2_value
+from .layers import Activation, Buffers, Dense, DenseNet, DenseWorkspace, fan_in_uniform
 from .ops import finite_rows
-from .optim import Adam
+from .optim import Adam, L2Penalty
 
 # The dtype ERM trains the encoder and head in; the model keeps float64
 # arrays that hold its values exactly.
 ERM_DTYPE = np.float32
+
+# The largest train feature magnitude ERM takes. Adam squares each
+# gradient, and a float32 square overflows beyond sqrt(3.4e38) = 1.8e19; the
+# first layer's gradients grow with the features. Two moons on the default
+# config trained with overflowing moments from |x| = 8.1e18 on (features
+# scaled by 3.76e18), so the limit is a quarter of that root, 4.6e18.
+ERM_FEATURE_LIMIT = float(np.sqrt(np.finfo(ERM_DTYPE).max)) / 4
 
 
 class TrainingDiverged(RuntimeError):
@@ -79,11 +88,17 @@ class Encoder:
         finite_rows(z, "latent")
         return z
 
-    def encode_tape(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """Training forward: the latents of x and the cache that
-        ``DenseNet.backward_cached`` takes."""
-        cache: list = []
-        return self.net.forward(x, cache=cache), cache
+    def encode_tape(self, x: np.ndarray, work: DenseWorkspace | None = None
+                    ) -> tuple[np.ndarray, DenseWorkspace]:
+        """Training forward: the latents of x and the workspace that
+        ``DenseNet.backward`` takes. Given a workspace (one fit's, for x's
+        row count), x is copied into its input array; without one, a
+        workspace is made on x."""
+        if work is None:
+            work = DenseWorkspace(self.net, x)
+        else:
+            np.copyto(work.x, x)
+        return self.net.forward(work.x, work), work
 
     def params(self) -> list[Tensor]:
         return self.net.params()
@@ -154,19 +169,36 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
-def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray], Tensor],
-                      params: list[Tensor], lr: float, n: int, batch_size: int,
-                      epochs: int, seed: int) -> list[float]:
+def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray, object], Tensor],
+                      weights: list[list[Tensor]], biases: list[Tensor], l2: float,
+                      lr: float, n: int, batch_size: int, epochs: int, seed: int,
+                      workspace: Callable[[int, Buffers], object] | None = None
+                      ) -> list[float]:
     """The minibatch loop every training stage shares.
 
-    Each epoch visits the n rows in a seeded shuffle; per batch it builds the
-    scalar loss node `loss_fn(idx)`, checks it is finite, runs backward into
-    Adam's packed gradient and takes one Adam step at the fixed rate lr.
+    Adam packs the weight matrices first, net by net (``weights`` holds each
+    net's), and the biases after. ``workspace(rows, buffers)``, when given,
+    makes the stage's training workspace for batches of ``rows`` rows: the
+    loop makes one per batch size once Adam has packed, the full batches'
+    on fresh buffers of Adam's dtype and a shorter last batch's in the
+    leading rows of their arrays, and drops them on the way out. Each epoch
+    visits the n rows in a seeded shuffle; per batch it builds the scalar
+    loss node `loss_fn(idx, work)`, the data term, on the batch's workspace
+    (None without ``workspace``); with l2 > 0 it adds l2 * sum(w^2) over the
+    weights (``optim.L2Penalty``). It checks the loss is finite, runs the
+    node's backward into Adam's packed gradient, adds the penalty's gradient
+    and takes one Adam step at the fixed rate lr.
     Returns the per-epoch mean loss trace; a non-finite loss raises
     TrainingDiverged. On the way out every ``grad`` is set to None, so a
     trained model holds no gradient memory.
     """
-    opt = Adam(params, lr)
+    opt = Adam([w for net in weights for w in net] + biases, lr)
+    penalty = L2Penalty(opt, weights, l2) if l2 != 0.0 else None
+    full = Buffers(opt.data.dtype)
+    sizes = sorted({min(batch_size, n - start) for start in range(0, n, batch_size)},
+                   reverse=True)
+    works = {rows: None if workspace is None else workspace(rows, full.shorter() if i else full)
+             for i, rows in enumerate(sizes)}
     rng = np.random.default_rng(seed)
     trace: list[float] = []
     last_finite = None
@@ -174,17 +206,19 @@ def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray], Tensor],
         for epoch in range(epochs):
             losses = []
             for batch, idx in enumerate(minibatches(n, batch_size, rng)):
-                loss = loss_fn(idx)
-                value = float(loss.data)
+                loss = loss_fn(idx, works[len(idx)])
+                value = float(loss.data if penalty is None else penalty.add_to(loss.data))
                 if not np.isfinite(value):
                     raise TrainingDiverged(stage, epoch, batch, last_finite)
                 loss.backward()
+                if penalty is not None:
+                    penalty.backward()
                 opt.step()
                 losses.append(value)
                 last_finite = value
             trace.append(float(np.mean(losses)))
     finally:
-        for p in params:
+        for p in opt.params:
             p.grad = None
     return trace
 
@@ -228,20 +262,16 @@ def head_cross_entropy(z: np.ndarray, theta: Tensor, labels: np.ndarray,
 
 
 def erm_loss(encoder: Encoder, classifier: Classifier, x: np.ndarray,
-             labels: np.ndarray, l2: float) -> Tensor:
-    """Mean cross-entropy of softmax(encode(x) @ theta) plus l2 * sum(w^2)
-    over every weight matrix, as one loss node. Its rule runs the head, the
-    encoder stack (no gradient for x) and the L2 term."""
-    z, cache = encoder.encode_tape(x)
+             labels: np.ndarray, work: DenseWorkspace | None = None) -> Tensor:
+    """Mean cross-entropy of softmax(encode(x) @ theta) as one loss node, the
+    data term (``train_minibatches`` adds the L2 term). Its rule runs the
+    head, then the encoder stack (no gradient for x). ``work`` is the
+    encoder's workspace for x's row count (see ``Encoder.encode_tape``)."""
+    z, work = encoder.encode_tape(x, work)
     loss, head_rule = head_cross_entropy(z, classifier.theta, labels)
-    weights = encoder.net.weight_tensors() + [classifier.theta] if l2 != 0.0 else []
-    if weights:
-        loss = loss + l2_value([w.data for w in weights], l2)
 
     def rule() -> None:
-        encoder.net.backward_cached(cache, head_rule(input_grad=True), input_grad=False)
-        if weights:
-            l2_backward(weights, l2)
+        encoder.net.backward(work, head_rule(input_grad=True), input_grad=False)
 
     return Tensor(loss, rule)
 
@@ -253,25 +283,36 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
 
     Returns the per-epoch mean loss trace. An optional l2 coefficient adds
     l2 * sum(w^2) over all weight matrices to the loss. The steps run in
-    ERM_DTYPE; on the way out, diverged or not, every parameter is a float64
-    array again. Train features beyond ERM_DTYPE's range raise DataError.
+    ERM_DTYPE, on one encoder workspace per batch size; on the way out, diverged
+    or not, every parameter is a float64 array again. Train features beyond
+    ERM_FEATURE_LIMIT (or beyond ERM_DTYPE's range) raise DataError.
     """
     require_fittable(train)
-    limit = np.finfo(ERM_DTYPE).max
-    if np.abs(train.features).max() > limit:
-        raise DataError(f"train features exceed {limit:.4g}, the largest "
-                        f"{np.dtype(ERM_DTYPE).name} ERM trains in")
+    limit, name = float(np.finfo(ERM_DTYPE).max), np.dtype(ERM_DTYPE).name
+    scale = float(np.abs(train.features).max())
+    if scale > limit:
+        raise DataError(f"train features exceed {limit:.4g}, the largest {name} ERM trains in")
+    if scale > ERM_FEATURE_LIMIT:
+        raise DataError(f"train features reach {scale:.3g}, beyond {ERM_FEATURE_LIMIT:.3g}: ERM "
+                        f"steps in {name} (range +-{limit:.4g}), which Adam's squared "
+                        "gradients overflow at this feature scale; rescale the features")
     features = train.features.astype(ERM_DTYPE)
     params = encoder.params() + classifier.params()
     for p in params:
         p.data = p.data.astype(ERM_DTYPE)
 
-    def loss_fn(idx: np.ndarray) -> Tensor:
-        return erm_loss(encoder, classifier, features[idx], train.labels[idx], config.l2)
+    def workspace(rows: int, buffers: Buffers) -> DenseWorkspace:
+        return DenseWorkspace(encoder.net, buffers.empty((rows, features.shape[1])), buffers)
+
+    def loss_fn(idx: np.ndarray, work: DenseWorkspace) -> Tensor:
+        return erm_loss(encoder, classifier, features[idx], train.labels[idx], work)
 
     try:
-        return train_minibatches("erm", loss_fn, params, config.optimizer.lr, train.n,
-                                 config.batch_size, config.epochs, seed)
+        return train_minibatches("erm", loss_fn,
+                                 [encoder.net.weight_tensors(), classifier.params()],
+                                 encoder.net.bias_tensors(), config.l2,
+                                 config.optimizer.lr, train.n, config.batch_size,
+                                 config.epochs, seed, workspace)
     finally:
         for p in params:
             p.data = p.data.astype(np.float64)

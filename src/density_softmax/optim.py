@@ -1,4 +1,4 @@
-"""Adam parameter updates at a fixed learning rate.
+"""Adam parameter updates at a fixed learning rate, and the L2 penalty.
 
 Adam packs the parameters it is built with into one contiguous vector of
 their dtype (float32 for ERM, float64 for the flow and re-optimization) and
@@ -13,12 +13,16 @@ elementwise, so the result is bit for bit the one a per-parameter loop
 gives. A step leaves its denominator in the gradient vector, so every step's
 rules write it afresh.
 
-There is no optimizer-level weight decay: the training loops put L2 in the
-loss (``train.l2``, ``density.flow.l2``).
+There is no optimizer-level weight decay: L2 (``train.l2``,
+``density.flow.l2``) is a term of the loss. The training loop hands Adam the
+weight matrices first, net by net, and the biases after, so the weights fill
+one prefix of its vectors, and :class:`L2Penalty` adds the term's value and
+gradient over that prefix.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -95,3 +99,67 @@ class Adam:
             denom += EPS
             tmp /= denom
             self.data[c] -= tmp
+
+
+class L2Penalty:
+    """coefficient * sum(w^2) over the weight matrices an Adam packed first.
+
+    ``nets`` lists each net's weights, and the optimizer's parameters must
+    begin with them in that order, so they fill one prefix of its vectors:
+    the gradient 2 * coefficient * w is one pass over it. A weight of shape
+    (k, in, out) stacks the matrices of k subnets; a 2-D weight is one. The
+    value squares the prefix once and sums each matrix alone (a run of
+    equal-sized matrices in one reduction over its rows), then adds the sums
+    one after another, net by net and subnet by subnet: for ERM the
+    encoder's weights, then the head's; for a coupling layer the s-net's,
+    then the t-net's.
+    """
+
+    def __init__(self, opt: Adam, nets: list[list[Tensor]], coefficient: float):
+        weights = [w for net in nets for w in net]
+        for i, w in enumerate(weights):
+            if i >= len(opt.params) or opt.params[i] is not w:
+                raise ValueError(f"L2 weight {i} is not the optimizer's parameter {i}; "
+                                 "it must pack the L2 weights first")
+        self.coefficient = float(coefficient)
+        size = sum(w.data.size for w in weights)
+        self.data, self.grad = opt.data[:size], opt.grad[:size]
+        self.scratch = np.empty_like(self.data)
+        sizes: list[int] = []  # each matrix's size, in packed order
+        order: list[int] = []  # the matrices' indices, in summing order
+        for net in nets:
+            slots = {w.data.shape[0] if w.data.ndim == 3 else 1 for w in net}
+            if len(slots) != 1:
+                raise ValueError(f"a net's weights stack {sorted(slots)} subnets; "
+                                 "the L2 term needs one count per net")
+            k, first = slots.pop(), len(sizes)
+            for w in net:
+                sizes += [w.data.size // k] * k
+            order += [first + i * k + slot for slot in range(k) for i in range(len(net))]
+        self.order = np.array(order)
+        self.sums = np.empty(len(sizes), self.data.dtype)
+        self.ordered = np.empty_like(self.sums)
+        self.runs = []  # (rows of equal-sized matrices, their sums)
+        start = index = 0
+        for width, run in itertools.groupby(sizes):
+            count = len(list(run))
+            self.runs.append((self.scratch[start:start + count * width].reshape(count, width),
+                              self.sums[index:index + count]))
+            start, index = start + count * width, index + count
+
+    def add_to(self, loss) -> np.floating:
+        """loss plus the penalty of the current weights, added in their dtype
+        (the loss node holds float64; ERM's loss is float32-valued)."""
+        np.multiply(self.data, self.data, out=self.scratch)
+        for rows, sums in self.runs:
+            np.add.reduce(rows, axis=1, out=sums)
+        np.take(self.sums, self.order, out=self.ordered)
+        total = np.add.accumulate(self.ordered, out=self.ordered)[-1]
+        return self.data.dtype.type(loss) + total * self.coefficient
+
+    def backward(self) -> None:
+        """Add 2 * coefficient * w to each weight's gradient, in place; the
+        data term's rule writes the gradient there first."""
+        term = np.multiply(self.data, 2.0, out=self.scratch)
+        term *= self.coefficient
+        self.grad += term

@@ -163,10 +163,10 @@ def reoptimize_classifier(classifier: Classifier, train: LabeledSet, z: np.ndarr
                          f"for {train.n} train rows")
     theta = classifier.theta
 
-    def loss_fn(idx: np.ndarray) -> Tensor:
+    def loss_fn(idx: np.ndarray, _) -> Tensor:
         return Tensor(*head_cross_entropy(z[idx], theta, train.labels[idx], s[idx]))
 
-    return train_minibatches("reopt", loss_fn, [theta], config.lr,
+    return train_minibatches("reopt", loss_fn, [[theta]], [], 0.0, config.lr,
                              train.n, config.batch_size, config.epochs, seed)
 
 

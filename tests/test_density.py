@@ -18,7 +18,7 @@ from density_softmax.config import FlowConfig
 from density_softmax.density import (FINAL, KDE_CHUNK_ROWS,
                                      KDE_LOG_KERNEL_FLOOR, KDE_VARIANCE_KEPT,
                                      LIKELIHOOD_FLOOR, LOG_2PI, PROJECTION_VARIANCE_KEPT,
-                                     CouplingLayer, FlowModel, KdeModel,
+                                     CouplingLayer, CouplingWorkspace, FlowModel, KdeModel,
                                      LatentProjection, chunk_bounds, compute_scale,
                                      coupling_net, fit_projection, flow_fit, halves, kde_fit,
                                      scott_bandwidth)
@@ -500,12 +500,13 @@ class TestFlowBijectivity:
         for layer in flow.layers:
             zp, zt = z[:, layer.p_cols], z[:, layer.t_cols]
             before = z.copy()
-            caches = []
+            work = CouplingWorkspace(layer, zp, zt)
             t_t, s = layer.forward(zp, zt)
-            t_cached, s_cached = layer.forward(zp, zt, caches)
-            np.testing.assert_array_equal(t_t, t_cached)
-            np.testing.assert_array_equal(s, s_cached)
-            assert len(caches) == 1
+            t_work, s_work = layer.forward(zp, zt, work)
+            np.testing.assert_array_equal(t_t, t_work)
+            np.testing.assert_array_equal(s, s_work)
+            # the training forward writes into the workspace
+            assert t_work is work.t_t and np.shares_memory(s_work, work.net.layers[-1].act)
             np.testing.assert_array_equal(z, before)
             z = z.copy()
             z[:, layer.t_cols] = t_t
@@ -514,7 +515,7 @@ class TestFlowBijectivity:
         flow = randomized_flow(3, seed=2)
         z = rng.normal(size=(6, 3))
         t_np, log_det_np = flow.forward(z)
-        loss = flow.nll_loss(z, l2=0.0)
+        loss = flow.nll_loss(z)
         expected = float(np.mean(0.5 * (t_np**2).sum(axis=1) - log_det_np)
                          + 0.5 * 3 * math.log(2 * math.pi))
         assert loss.data == pytest.approx(expected, rel=1e-12)

@@ -1,20 +1,22 @@
-"""Fused training nodes, the contiguous optimizer state and the shared
-minibatch loop against the per-op oracle in tape_reference.py.
+"""Fused training nodes, the contiguous optimizer state, the L2 penalty and
+the shared minibatch loop against the per-op oracle in tape_reference.py.
 
 Each training stage runs one loss node per step with a hand-written backward
-rule: ``erm_loss`` (encoder stack, head cross-entropy, L2), the head's
+rule: ``erm_loss`` (encoder stack, head cross-entropy), the head's
 ``head_cross_entropy`` under s (re-optimization) and ``FlowModel.nll_loss``.
-They and their kernels (``DenseNet.forward`` with a cache and
-``backward_cached``, ``l2_value``/``l2_backward``, the coupling step and its
-backward) must reproduce the per-op tape exactly: equal values and equal
-gradients for every parameter and input, bit for bit. The forward steps are
-the ones inference runs, so the same oracle holds the served path too. ERM
-steps in float32 and every other stage in float64, so the kernels ERM runs
-and Adam are checked in both dtypes, and the oracle runs in the dtype it is
-given.
+The loop adds the L2 term (``optim.L2Penalty``) over the weights Adam packs
+first. They and their kernels (``DenseNet.forward`` on a workspace and
+``backward``, the penalty, the coupling step and its backward) must
+reproduce the per-op tape exactly: equal values and equal gradients for
+every parameter and input, bit for bit. The forward steps are the ones
+inference runs, so the same oracle holds the served path too. ERM steps in
+float32 and every other stage in float64, so the kernels ERM runs and Adam
+are checked in both dtypes, and the oracle runs in the dtype it is given.
 """
 
 import gc
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -23,10 +25,11 @@ from density_softmax.autodiff import Tensor
 from density_softmax.config import (DensityConfig, EncoderConfig, FlowConfig, OptimizerSpec,
                                     ReoptConfig, TrainConfig)
 from density_softmax.data import make_two_moons
-from density_softmax.density import FlowModel, compute_scale, fit_projection, flow_fit
-from density_softmax.layers import DenseNet, l2_backward, l2_value
-from density_softmax.model import erm_loss, erm_train, head_cross_entropy, init_model
-from density_softmax.optim import Adam
+from density_softmax.density import (CouplingWorkspace, FlowModel, FlowWorkspace, compute_scale,
+                                     fit_projection, flow_fit)
+from density_softmax.layers import Buffers, DenseNet, DenseWorkspace, LayerArrays
+from density_softmax.model import erm_loss, erm_train, head_cross_entropy, init_model, minibatches
+from density_softmax.optim import Adam, L2Penalty
 from density_softmax.predictor import reoptimize_classifier, train_pipeline
 
 import tape_reference as ref
@@ -54,6 +57,37 @@ def cast(params, dtype):
 def set_grad(p, g):
     """Write g into p's gradient buffer; None writes zeros."""
     p.grad[...] = 0.0 if g is None else g
+
+
+def erm_layout(encoder, classifier):
+    """The weights, net by net, and the biases erm_train hands the loop."""
+    return [encoder.net.weight_tensors(), [classifier.theta]], encoder.net.bias_tensors()
+
+
+def flow_layout(flow):
+    """The weights, net by net, and the biases flow_fit hands the loop."""
+    return ([layer.net.weight_tensors() for layer in flow.layers],
+            [b for layer in flow.layers for b in layer.net.bias_tensors()])
+
+
+def packed(weights, biases, l2, fill=np.nan):
+    """Bind the parameters as train_minibatches does: Adam packs the weights
+    first, its gradient vector filled with ``fill`` (NaN makes an entry no
+    rule writes show), and with l2 > 0 the L2 penalty runs on that prefix.
+    Returns the penalty, or None."""
+    opt = Adam([w for net in weights for w in net] + biases, lr=0.1)
+    opt.grad[...] = fill
+    return L2Penalty(opt, weights, l2) if l2 != 0.0 else None
+
+
+def penalized(node, penalty):
+    """A step's loss value, as train_minibatches takes it, after writing
+    the node's gradients and then the penalty's into the bound buffers."""
+    value = node.data if penalty is None else penalty.add_to(node.data)
+    node.backward()
+    if penalty is not None:
+        penalty.backward()
+    return value
 
 
 def randomized_flow(dim, layers, l2_seed):
@@ -89,9 +123,9 @@ class TestDenseNetNode:
         want_grads = grads(twin.params() + [x_ref])
 
         bind_grads(params)
-        cache = []
-        got = net.forward(x, cache=cache)
-        g_x = net.backward_cached(cache, upstream)
+        work = DenseWorkspace(net, x)
+        got = net.forward(x, work)
+        g_x = net.backward(work, upstream)
 
         assert got.dtype == g_x.dtype == dtype
         np.testing.assert_array_equal(got, want.data)
@@ -109,20 +143,54 @@ class TestL2Node:
     @pytest.mark.parametrize("coefficient", [0.0, 0.01])
     def test_matches_per_op_tape_exactly(self, rng, coefficient):
         weights = [Tensor(rng.normal(size=s)) for s in [(3, 4), (4,), (4, 2)]]
-        twins = [ref.Node(w.data) for w in weights]
+        twins = [ref.Node(w.data.copy()) for w in weights]
         want = ref.l2_penalty(twins, coefficient)
-        got = l2_value([w.data for w in weights], coefficient)
-        bind_grads(weights, 0.0)  # the data gradient l2_backward adds onto
-        if coefficient == 0.0:  # the tape adds no node; the kernels add nothing
+        # the data gradient the penalty adds onto
+        penalty = L2Penalty(Adam(weights, lr=0.1), [weights], coefficient)
+        for w in weights:
+            w.grad[...] = 0.0
+        got = penalty.add_to(0.0)
+        penalty.backward()
+        if coefficient == 0.0:  # the tape adds no node; the penalty adds zeros
             assert want is None and got == 0.0
-            l2_backward(weights, coefficient)
             assert_all_equal(grads(weights), [np.zeros_like(w.data) for w in weights])
             return
         want.backward()
-        want_grads = grads(twins)
-        l2_backward(weights, coefficient)
         assert got == want.data
-        assert_all_equal(grads(weights), want_grads)
+        assert_all_equal(grads(weights), grads(twins))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_packed_prefix_holds_exactly_the_weights(self, rng, dtype):
+        """Adam packs the weights first, net by net, then the biases; the
+        penalty reads exactly that prefix, so a bias gets no L2 gradient."""
+        encoder, classifier = init_model(EncoderConfig(width=6, depth=2), 3, 4, seed=1)
+        cast(encoder.params() + classifier.params(), dtype)
+        weights, biases = erm_layout(encoder, classifier)
+        penalty = packed(weights, biases, 0.5, fill=0.0)
+        flat = [w for net in weights for w in net]
+        assert penalty.data.size == sum(w.data.size for w in flat)
+        assert penalty.data.dtype == dtype
+        assert all(np.shares_memory(w.data, penalty.data)
+                   and np.shares_memory(w.grad, penalty.grad) for w in flat)
+        assert not any(np.shares_memory(b.data, penalty.data)
+                       or np.shares_memory(b.grad, penalty.grad) for b in biases)
+        for b in biases:  # a nonzero bias, which an L2 term over it would see
+            b.data[...] = 1.0
+        penalty.backward()
+        assert_all_equal(grads(biases), [np.zeros_like(b.data) for b in biases])
+        assert_all_equal(grads(flat), [(0.5 * (2.0 * w.data)).astype(dtype) for w in flat])
+
+    def test_flow_sums_each_layer_s_net_then_t_net(self):
+        """A coupling layer's stacked weights pack slot by slot per weight,
+        but the value adds the s-net's matrices, then the t-net's, layer by
+        layer: FlowModel.weight_tensors' order, one matrix after another."""
+        flow, _ = randomized_flow(5, 3, 1)
+        penalty = packed(*flow_layout(flow), 0.01)
+        total = None
+        for view in flow.weight_tensors():
+            part = (view.data * view.data).sum()
+            total = part if total is None else total + part
+        assert penalty.add_to(0.0) == total * 0.01
 
 
 class TestErmNode:
@@ -144,17 +212,17 @@ class TestErmNode:
         want.backward()
         want_grads = grads(net.params() + [theta])
 
-        bind_grads(params)
-        got = erm_loss(encoder, classifier, x, labels, l2)
-        got.backward()
+        penalty = packed(*erm_layout(encoder, classifier), l2)
+        got = penalized(erm_loss(encoder, classifier, x, labels), penalty)
 
         assert want.data.dtype == dtype
-        assert got.data == want.data
+        assert got == want.data
         assert_all_equal(grads(params), want_grads)
 
 
 class TestErmNodeInFloat32(TestErmNode):
-    """The ERM loss node (head, encoder stack, L2) in the dtype ERM steps in."""
+    """The ERM loss node (head, encoder stack) and the L2 penalty in the
+    dtype ERM steps in."""
 
     DTYPE = np.float32
 
@@ -222,21 +290,20 @@ class TestFlowNllNode:
         want.backward()
         want_grads = twin.stacked("grad")
 
-        bind_grads(params)
-        got = flow.nll_loss(batch, l2)
-        got.backward()
+        got = penalized(flow.nll_loss(batch), packed(*flow_layout(flow), l2))
 
-        assert got.data == want.data
+        assert got == want.data
         assert_all_equal(grads(params), want_grads)
 
     def test_matches_finite_differences(self):
         flow, rng = randomized_flow(3, 2, 1)
         batch = rng.normal(size=(5, 3))
-        params = bind_grads(flow.params())
-        flow.nll_loss(batch, 0.01).backward()
+        params = flow.params()
+        penalty = packed(*flow_layout(flow), 0.01)
+        penalized(flow.nll_loss(batch), penalty)
 
         def loss():
-            return float(flow.nll_loss(batch, 0.01).data)
+            return float(penalty.add_to(flow.nll_loss(batch).data))
 
         assert_grads_close([p.grad for p in params],
                            central_difference_grad(loss, params))
@@ -270,15 +337,16 @@ class TestSplitCoupling:
 
         bind_grads(params)
         p, tc = layer.p_cols, layer.t_cols
-        caches = []
-        t_t, s = layer.forward(batch[:, p], batch[:, tc], caches)
+        zp, zt = batch[:, p], batch[:, tc]
+        work = CouplingWorkspace(layer, zp, zt)
+        t_t, s = layer.forward(zp, zt, work)
         t = batch.copy()
         t[:, tc] = t_t
         log_det = s.sum(axis=1)
         r = 1.0 / n  # the upstream gradients FlowModel.nll_loss hands its last layer
         g = (r * 0.5) * (2.0 * t)
         g_z = np.empty_like(batch)
-        g_z[:, p], g_z[:, tc] = layer.backward_cached(caches[0], g[:, p], g[:, tc], -r, True)
+        g_z[:, p], g_z[:, tc] = layer.backward(work, g[:, p], g[:, tc], -r, True)
 
         np.testing.assert_array_equal(t, t_ref.data)
         np.testing.assert_array_equal(log_det, log_det_ref.data)
@@ -300,11 +368,9 @@ class TestSplitCoupling:
         want = ref.flow_nll_loss(twin, batch, l2)
         want.backward()
         want_grads = twin.stacked("grad")
-        bind_grads(params)
-        got = flow.nll_loss(batch, l2)
-        got.backward()
+        got = penalized(flow.nll_loss(batch), packed(*flow_layout(flow), l2))
 
-        assert got.data == want.data
+        assert got == want.data
         assert_all_equal(grads(params), want_grads)
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 7, 128])
@@ -478,43 +544,50 @@ class TestPipelineAgainstPerOpLoops:
                                    classifier.theta.data, rtol=1e-12)
 
 
-def stale_then_fresh(params, loss_fn, first, second):
-    """The gradients the rules write into Adam's bound buffers on batch
-    ``second`` right after a whole step on ``first`` (the buffers then hold
-    Adam's spent denominators), and those one backward on ``second`` writes
-    into fresh NaN-filled buffers at the same parameter values."""
+def stale_then_fresh(weights, biases, l2, loss_fn, new_work, first, second):
+    """The gradients a step on batch ``second`` writes into Adam's bound
+    buffers right after a whole step on ``first`` on the same workspace (the
+    buffers then hold Adam's spent denominators), and those a step on
+    ``second`` writes into fresh NaN-filled buffers at the same parameter
+    values, on a fresh workspace. ``loss_fn(idx, work)`` builds a step's loss
+    node and ``new_work()`` a workspace; each step adds the L2 term when
+    l2 > 0, as train_minibatches does."""
+    params = [w for net in weights for w in net] + biases
     opt = Adam(params, lr=1e-2)
-    loss_fn(first).backward()
+    penalty = L2Penalty(opt, weights, l2) if l2 != 0.0 else None
+    work = new_work()
+    penalized(loss_fn(first, work), penalty)
     opt.step()
-    loss_fn(second).backward()
+    penalized(loss_fn(second, work), penalty)
     reused = grads(params)
-    bind_grads(params)
-    loss_fn(second).backward()
+    penalized(loss_fn(second, new_work()), packed(weights, biases, l2))
     return reused, grads(params)
 
 
 class TestGradientBuffersAreRewritten:
-    """Adam's gradient vector is reused from step to step and each rule
-    writes every entry of it afresh, so nothing of the last step survives."""
+    """Adam's gradient vector and a workspace are reused from step to step,
+    and each rule writes every entry of the gradient afresh, so nothing of
+    the last step survives."""
 
     FIRST, SECOND = np.arange(32), np.arange(32, 64)
 
     def test_erm_with_l2(self):
         train = make_two_moons(32, 0.1, seed=1)
         encoder, classifier = init_model(EncoderConfig(width=8, depth=2), 2, 2, seed=0)
-        params = encoder.params() + classifier.params()
         reused, fresh = stale_then_fresh(
-            params, lambda idx: erm_loss(encoder, classifier, train.features[idx],
-                                         train.labels[idx], 1e-3),
-            self.FIRST, self.SECOND)
+            *erm_layout(encoder, classifier), 1e-3,
+            lambda idx, work: erm_loss(encoder, classifier, train.features[idx],
+                                       train.labels[idx], work),
+            lambda: DenseWorkspace(encoder.net, np.empty((32, 2))), self.FIRST, self.SECOND)
         assert_all_equal(reused, fresh)
 
     @pytest.mark.parametrize("l2", [0.0, 0.01])
     def test_flow_nll(self, l2):
         flow, rng = randomized_flow(6, 2, 1)
         z = rng.normal(size=(64, 6))
-        params = flow.params()
-        reused, fresh = stale_then_fresh(params, lambda idx: flow.nll_loss(z[idx], l2),
+        reused, fresh = stale_then_fresh(*flow_layout(flow), l2,
+                                         lambda idx, work: flow.nll_loss(z[idx], work),
+                                         lambda: FlowWorkspace(flow, 32),
                                          self.FIRST, self.SECOND)
         assert_all_equal(reused, fresh)
 
@@ -527,9 +600,9 @@ class TestGradientBuffersAreRewritten:
         z = encoder.encode(train.features)
         s = np.random.default_rng(0).uniform(0.1, 1.0, size=train.n)
         reused, fresh = stale_then_fresh(
-            [theta], lambda idx: Tensor(*head_cross_entropy(z[idx], theta,
-                                                            train.labels[idx], s[idx])),
-            self.FIRST, self.SECOND)
+            [[theta]], [], 0.0,
+            lambda idx, _: Tensor(*head_cross_entropy(z[idx], theta, train.labels[idx], s[idx])),
+            lambda: None, self.FIRST, self.SECOND)
         assert_all_equal(reused, fresh)
 
     def test_trained_model_holds_no_gradient(self):
@@ -544,6 +617,123 @@ class TestGradientBuffersAreRewritten:
         params = (model.encoder.params() + model.classifier.params()
                   + result.erm_model.classifier.params() + model.density.inner.params())
         assert [p.grad for p in params] == [None] * len(params)
+
+
+class TestLoopsWithL2AgainstPerOpLoops:
+    """The shared loop with l2 > 0, over Adam's weights-first prefix, against
+    the per-op reference loops, bit for bit: 100 rows in batches of 32, so
+    the last batch (4 rows) runs on a workspace of its own."""
+
+    def test_erm_in_float32(self):
+        train = make_two_moons(50, 0.1, seed=6)
+        enc_cfg = EncoderConfig(width=8, depth=2)
+        cfg = TrainConfig(epochs=3, batch_size=32, l2=1e-2, optimizer=OptimizerSpec(lr=3e-3))
+        encoder, classifier = init_model(enc_cfg, 2, 2, seed=6)
+        twin_encoder, twin_classifier = init_model(enc_cfg, 2, 2, seed=6)
+        trace = erm_train(encoder, classifier, train, cfg, 6)
+        assert trace == ref.reference_erm(twin_encoder, twin_classifier, train, cfg, 6)
+        assert_all_equal([p.data for p in encoder.params() + classifier.params()],
+                         [p.data for p in twin_encoder.params() + twin_classifier.params()])
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_flow(self, r):
+        """Latents spanning r of 16 dims, each direction needed to keep 99%
+        of the variance, so the flow runs on r coordinates. The fit matches
+        a loop over arrays on the same loss node; at r = 4 it also matches
+        the masked per-op tape. At r = 3 one half is a single column, where
+        the half-width products round differently from the masked tape's
+        full-width ones (see test_narrow_flow_matches_to_rounding)."""
+        rng = np.random.default_rng(r)
+        directions = np.linalg.qr(rng.normal(size=(16, r)))[0].T
+        z = (rng.normal(size=(100, r)) * np.linspace(1.0, 0.6, r)) @ directions
+        cfg = FlowConfig(coupling_layers=3, hidden_units=4, hidden_layers=2, epochs=3,
+                         batch_size=32, l2=0.05, lr=1e-2)
+        flow, trace = flow_fit(z, cfg, r)
+        assert flow.dim == r
+        coords, _ = flow.projection.project(z)
+        looped = FlowModel.build(flow.projection, cfg, r)
+        assert trace == per_array_flow_fit(looped, coords, cfg, r)
+        assert_all_equal([p.data for p in flow.params()], [p.data for p in looped.params()])
+        if r == 4:
+            twin = ref.SplitFlow(FlowModel.build(flow.projection, cfg, r))
+            assert trace == ref.reference_flow_fit(twin, coords, cfg, r)
+            assert_all_equal([p.data for p in flow.params()], twin.stacked("data"))
+
+
+def per_array_flow_fit(flow, coords, config, seed) -> list[float]:
+    """The flow's fit as a loop over arrays: the program's loss node for the
+    data term, the L2 value summed matrix by matrix in
+    FlowModel.weight_tensors' order and its gradient added weight by weight,
+    and the per-parameter Adam."""
+    params = bind_grads(flow.params())
+    stacked = [w for layer in flow.layers for w in layer.net.weight_tensors()]
+    opt = ref.PerParamAdam(config.lr)
+    rng = np.random.default_rng(seed)
+    trace = []
+    for _ in range(config.epochs):
+        losses = []
+        for idx in minibatches(len(coords), config.batch_size, rng):
+            node = flow.nll_loss(coords[idx])
+            total = None
+            for w in flow.weight_tensors():
+                part = (w.data * w.data).sum()
+                total = part if total is None else total + part
+            losses.append(float(node.data + total * config.l2))
+            node.backward()
+            for w in stacked:
+                w.grad += config.l2 * (2.0 * w.data)
+            opt.step(params)
+        trace.append(float(np.mean(losses)))
+    return trace
+
+
+def held_objects(root) -> list:
+    """Every object reachable from root through instances, containers and
+    array bases, but not through types, modules or functions."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, np.ndarray):
+            if obj.base is not None:
+                stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+class TestFitsLeaveNothingBehind:
+    """After a fit every grad is None, and the model holds its own arrays
+    and nothing of the fit: no optimizer, penalty, workspace or gradient
+    vector."""
+
+    OF_A_FIT = (Adam, L2Penalty, Buffers, DenseWorkspace, LayerArrays, CouplingWorkspace,
+                FlowWorkspace)
+
+    def check(self, model, params, own_arrays):
+        held = held_objects(model)
+        assert [p.grad for p in params] == [None] * len(params)
+        assert [o for o in held if isinstance(o, self.OF_A_FIT)] == []
+        owners = [o for o in held if isinstance(o, np.ndarray) and o.base is None]
+        assert sum(a.nbytes for a in owners) == sum(a.nbytes for a in own_arrays)
+
+    def test_erm_train(self):
+        train = make_two_moons(50, 0.1, seed=0)  # batches 32, 32, 32, 4
+        encoder, classifier = init_model(EncoderConfig(width=8, depth=2), 2, 2, seed=0)
+        erm_train(encoder, classifier, train, TrainConfig(epochs=2, batch_size=32, l2=1e-3), 0)
+        params = encoder.params() + classifier.params()
+        self.check((encoder, classifier), params, [p.data for p in params])
+
+    def test_flow_fit(self):
+        z = np.random.default_rng(7).normal(size=(100, 5))
+        flow, _ = flow_fit(z, FlowConfig(coupling_layers=2, hidden_units=4, hidden_layers=2,
+                                         epochs=2, batch_size=32), 0)
+        projection = flow.projection
+        self.check(flow, flow.params(), [p.data for p in flow.params()]
+                   + [projection.mean, projection.directions, projection.scales])
 
 
 class TestNoReferenceCycles:
@@ -563,6 +753,28 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
             _, s = compute_scale(flow, z)
             reoptimize_classifier(classifier, train, z, s, ReoptConfig(epochs=2, batch_size=32), 0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_workspaces_are_freed_by_reference_counting(self):
+        """A workspace refers to no loss node, optimizer or penalty, so it
+        goes, with the step built on it, once its fit drops it."""
+        flow, rng = randomized_flow(6, 2, 1)
+        encoder, classifier = init_model(EncoderConfig(width=8, depth=2), 2, 2, seed=0)
+        train = make_two_moons(8, 0.1, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            flow_work = FlowWorkspace(flow, 16)
+            erm_work = DenseWorkspace(encoder.net, np.empty((16, 2)))
+            penalized(flow.nll_loss(rng.normal(size=(16, 6)), flow_work),
+                      packed(*flow_layout(flow), 0.01))
+            penalized(erm_loss(encoder, classifier, train.features, train.labels, erm_work),
+                      packed(*erm_layout(encoder, classifier), 1e-3))
+            refs = [weakref.ref(w) for w in (flow_work, flow_work.layers[0].net, erm_work)]
+            del flow_work, erm_work
+            assert [r() for r in refs] == [None] * 3
             assert gc.collect() == 0
         finally:
             gc.enable()

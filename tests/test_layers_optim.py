@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from density_softmax.autodiff import Tensor
-from density_softmax.layers import Dense, DenseNet, l2_backward, l2_value
-from density_softmax.optim import Adam
+from density_softmax.layers import Dense, DenseNet, DenseWorkspace
+from density_softmax.optim import Adam, L2Penalty
 
 from conftest import assert_grads_close, bind_grads, central_difference_grad, dense
 from tape_reference import Node, dense_forward_tape
@@ -56,9 +56,9 @@ class TestDenseNet:
         def loss():
             return float(np.square(net.forward(x)).sum())
 
-        cache = []
-        y = net.forward(x, cache=cache)
-        net.backward_cached(cache, 2.0 * y, input_grad=False)
+        work = DenseWorkspace(net, x)
+        y = net.forward(x, work)
+        net.backward(work, 2.0 * y, input_grad=False)
         assert_grads_close([p.grad for p in params],
                            central_difference_grad(loss, params))
 
@@ -71,19 +71,22 @@ class TestDenseNet:
         if random_bias:  # a fresh layer's bias is zero
             for layer in net.layers:
                 layer.bias.data[...] = rng.normal(size=4)
-        # without a cache the residual sum runs in place, with one out of place
+        # without a workspace the residual sum runs in place, with one into it
         x = rng.normal(size=(5, 4))
         before = x.copy()
-        outputs = [net.forward(x, cache=cache) for cache in (None, [])]
+        outputs = [net.forward(x), net.forward(x, DenseWorkspace(net, x))]
         np.testing.assert_array_equal(outputs[0], outputs[1])
         np.testing.assert_array_equal(x, before)
 
     def test_l2_penalty_value_and_grad(self, rng):
         net = DenseNet([dense(rng, 2, 3, "relu"), dense(rng, 3, 2, "relu")])
-        weights = bind_grads(net.weight_tensors(), 0.0)
-        assert l2_value([w.data for w in weights], 0.01) == pytest.approx(
+        weights = net.weight_tensors()
+        opt = Adam(weights + net.bias_tensors(), lr=0.1)
+        opt.grad[...] = 0.0  # the data gradient the penalty adds onto
+        penalty = L2Penalty(opt, [weights], 0.01)
+        assert penalty.add_to(0.0) == pytest.approx(
             0.01 * sum(np.square(w.data).sum() for w in weights))
-        l2_backward(weights, 0.01)
+        penalty.backward()
 
         def loss():
             return float(0.01 * sum(np.square(w.data).sum() for w in weights))

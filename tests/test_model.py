@@ -1,5 +1,8 @@
 """Encoder/classifier construction, ERM training, ensembles."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,10 @@ from density_softmax.autodiff import Tensor
 from density_softmax.config import EncoderConfig, FlowConfig, OptimizerSpec, TrainConfig
 from density_softmax.data import DataError, LabeledSet, make_two_moons, make_two_ovals
 from density_softmax.density import FlowModel
-from density_softmax.layers import DenseNet, fan_in_uniform, l2_backward
+from density_softmax.layers import DenseNet, fan_in_uniform
 from density_softmax.model import (Classifier, Encoder, TrainingDiverged, erm_loss, erm_train,
                                    head_cross_entropy, init_model)
+from density_softmax.optim import Adam, L2Penalty
 from density_softmax.predictor import DensitySoftmaxModel, Ensemble, ensemble_train
 
 from conftest import assert_float32_exact, count_forward_rows, erm_model, identity_projection
@@ -205,6 +209,32 @@ class TestErmTrain:
             f"non-finite erm loss at epoch 0, batch 1 (last finite loss "
             f"{err.last_finite_loss})")
 
+    def test_features_at_1e20_rejected(self):
+        """At this scale float32 holds the features, but Adam's squared
+        gradients overflow it; the scale and the range are named up front."""
+        train = make_two_moons(20, 0.1, seed=0)
+        huge = LabeledSet(train.features * 1e20, train.labels, "train")
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
+        before = [p.data.copy() for p in enc.params() + clf.params()]
+        scale = np.abs(huge.features).max()
+        with pytest.raises(DataError, match=re.escape(
+                f"train features reach {scale:.3g}, beyond 4.61e+18: ERM steps in float32 "
+                "(range +-3.403e+38)")):
+            erm_train(enc, clf, huge, small_train_config(epochs=1), 0)
+        for p, b in zip(enc.params() + clf.params(), before):
+            assert p.data.dtype == np.float64
+            np.testing.assert_array_equal(p.data, b)
+
+    def test_features_at_1e18_train(self):
+        train = make_two_moons(50, 0.1, seed=0)
+        large = LabeledSet(train.features * 1e18, train.labels, "train")
+        enc, clf = init_model(SMALL, 2, 2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow in Adam's moments warns
+            trace = erm_train(enc, clf, large, small_train_config(epochs=3), 0)
+        assert np.all(np.isfinite(trace))
+        assert all(np.all(np.isfinite(p.data)) for p in enc.params() + clf.params())
+
     def test_features_beyond_float32_rejected(self):
         """ERM steps in float32: a finite float64 feature it cannot hold
         is named, not turned into an infinity and a divergence."""
@@ -253,7 +283,7 @@ class TestUnboundGradient:
     def test_erm_loss(self):
         enc, clf = init_model(SMALL, 2, 2, seed=0)
         train = make_two_moons(5, 0.1, seed=0)
-        node = erm_loss(enc, clf, train.features, train.labels, 1e-3)
+        node = erm_loss(enc, clf, train.features, train.labels)
         with pytest.raises(ValueError, match="classifier theta has no bound gradient"):
             node.backward()
         clf.theta.grad = np.empty(clf.theta.data.shape)
@@ -263,14 +293,16 @@ class TestUnboundGradient:
     def test_flow_nll_loss(self):
         flow = FlowModel.build(identity_projection(4),
                                FlowConfig(coupling_layers=2, hidden_layers=1), 0)
-        node = flow.nll_loss(np.random.default_rng(0).normal(size=(6, 4)), 0.0)
+        node = flow.nll_loss(np.random.default_rng(0).normal(size=(6, 4)))
         with pytest.raises(ValueError, match="dense layer 1 bias has no bound gradient"):
             node.backward()
 
     def test_l2_term(self):
-        w = Tensor(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="L2 weight 0 has no bound gradient"):
-            l2_backward([w], 0.1)
+        """The L2 term writes into the optimizer's packed weights, so a
+        weight it did not pack first is named."""
+        w, b = Tensor(np.ones((2, 2))), Tensor(np.zeros(2))
+        with pytest.raises(ValueError, match="L2 weight 0 is not the optimizer's parameter 0"):
+            L2Penalty(Adam([b, w], lr=0.1), [[w]], 0.1)
 
 
 class TestEnsemble:

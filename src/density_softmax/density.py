@@ -342,8 +342,12 @@ class CouplingLayer:
         for slot, activation in enumerate(FINAL):
             apply_activation(st[slot], activation, out=st[slot])
         s, b = st
-        e = np.exp(s, out=None if work is None else work.e)
-        t_t = np.multiply(zt, e, out=None if work is None else work.t_t)
+        if work is None:
+            e = np.exp(s)
+            t_t = zt * e
+        else:
+            e = np.exp(s, out=work.e)
+            t_t = np.multiply(zt, e, out=work.t_t)
         t_t += b
         return t_t, s
 
@@ -464,15 +468,18 @@ class FlowModel:
             z = np.atleast_2d(np.asarray(c, dtype=np.float64))
             first = self.layers[0]
             zp, zt = z[:, first.p_cols], z[:, first.t_cols]
-            works, s_sum, log_det_out, t = [None] * len(self.layers), None, None, np.empty(z.shape)
+            t = np.empty(z.shape)
         else:
             np.copyto(work.x, c)
-            (zp, zt), works, s_sum, log_det_out, t = (work.halves, work.layers, work.s_sum,
-                                                      work.log_det, work.t)
+            (zp, zt), t = work.halves, work.t
         log_det = 0.0
-        for layer, layer_work in zip(self.layers, works):
-            t_t, s = layer.forward(zp, zt, layer_work)
-            log_det = np.add(log_det, s.sum(axis=1, out=s_sum), out=log_det_out)
+        for i, layer in enumerate(self.layers):
+            if work is None:
+                t_t, s = layer.forward(zp, zt)
+                log_det = log_det + s.sum(axis=1)
+            else:
+                t_t, s = layer.forward(zp, zt, work.layers[i])
+                log_det = np.add(log_det, s.sum(axis=1, out=work.s_sum), out=work.log_det)
             # this layer's T is the next layer's P, and its P the next's T
             zp, zt = t_t, zp
         last = self.layers[-1]

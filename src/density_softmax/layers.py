@@ -97,7 +97,8 @@ class Dense:
         the product and activation go to ``arrays.act``, which the backward
         reads (the relu mask and the tanh derivative both follow from the
         activation), and the residual sum to ``arrays.out``."""
-        h = np.matmul(x, self.weight.data, out=None if arrays is None else arrays.act)
+        w = self.weight.data
+        h = x @ w if arrays is None else np.matmul(x, w, out=arrays.act)
         h += self.bias.data
         a = apply_activation(h, self.activation, out=h)
         if not self.residual:

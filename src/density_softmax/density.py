@@ -32,8 +32,9 @@ directions and 99.99% in about 17.
   (``nll_loss``): it carries the flow state as its two column halves from
   layer to layer, joins them once at the end, and sums each row's log-det
   from s. In training the walk writes every array into a
-  :class:`FlowWorkspace` that the fit makes once per batch size, and the
-  backward reads it there, so a step allocates no array; the fit drops it.
+  :class:`FlowWorkspace` that the fit makes once for its full batches, and
+  the backward reads it there, so such a step allocates no array (the relu
+  mask aside); the fit drops it.
 
 Both estimators project each row by einsum, which gives a row the same
 coordinates in any batch. The KDE walks its query rows in fixed chunks of
@@ -71,9 +72,9 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import FlowConfig
-from .layers import (Buffers, Dense, DenseNet, DenseWorkspace, activation_grad,
-                     apply_activation, fan_in_uniform)
-from .model import train_minibatches
+from .layers import (Dense, DenseNet, DenseWorkspace, activation_grad, apply_activation,
+                     fan_in_uniform)
+from .model import batch_rows, train_minibatches
 
 LIKELIHOOD_FLOOR = sys.float_info.min  # smallest positive normal float64
 
@@ -338,16 +339,14 @@ class CouplingLayer:
         """The coupling step on the halves z_P, z_T: t_T and s (t_P is z_P
         itself). Given the layer's workspace, whose input halves zp and zt
         must be, every array goes into it, where ``backward`` reads it."""
+        if work is not None and zt is not work.zt:
+            raise ValueError("a coupling workspace's forward runs on its own input halves")
         st = self.net.forward(zp, None if work is None else work.net)
         for slot, activation in enumerate(FINAL):
             apply_activation(st[slot], activation, out=st[slot])
         s, b = st
-        if work is None:
-            e = np.exp(s)
-            t_t = zt * e
-        else:
-            e = np.exp(s, out=work.e)
-            t_t = np.multiply(zt, e, out=work.t_t)
+        e = np.exp(s, out=None if work is None else work.e)
+        t_t = np.multiply(zt, e, out=None if work is None else work.t_t)
         t_t += b
         return t_t, s
 
@@ -386,21 +385,19 @@ class CouplingLayer:
 
 
 class CouplingWorkspace:
-    """A coupling layer's training arrays on its input halves zp and zt,
-    made once per fit and batch size from the fit's ``buffers`` (see
-    ``FlowWorkspace``): its net's ``DenseWorkspace`` on zp, the forward's
-    e = exp(s) and t_T, and the backward's scratch and outputs."""
+    """A coupling layer's training arrays on its input halves zp and zt, in
+    their dtype (see ``FlowWorkspace``): its net's ``DenseWorkspace`` on zp,
+    the forward's e = exp(s) and t_T, and the backward's scratch and
+    outputs."""
 
     __slots__ = ("zt", "net", "e", "t_t", "u", "g", "g_zp", "g_zt")
 
-    def __init__(self, layer: CouplingLayer, zp: np.ndarray, zt: np.ndarray,
-                 buffers: Buffers | None = None):
-        buffers = Buffers(zt.dtype) if buffers is None else buffers
+    def __init__(self, layer: CouplingLayer, zp: np.ndarray, zt: np.ndarray):
         self.zt = zt
-        self.net = DenseWorkspace(layer.net, zp, buffers)
-        self.e, self.t_t, self.u = (buffers.empty(zt.shape) for _ in range(3))
-        self.g = buffers.empty((2,) + zt.shape)
-        self.g_zp, self.g_zt = buffers.empty(zp.shape), buffers.empty(zt.shape)
+        self.net = DenseWorkspace(layer.net, zp)
+        self.e, self.t_t, self.u, self.g_zt = (np.empty(zt.shape, zt.dtype) for _ in range(4))
+        self.g = np.empty((2,) + zt.shape, zt.dtype)
+        self.g_zp = np.empty(zp.shape, zp.dtype)
 
 
 def coupling_net(layers: list[tuple[Tensor, Tensor]]) -> DenseNet:
@@ -462,24 +459,23 @@ class FlowModel:
         """t of each row of the coordinates c and its log-det: each layer's
         s summed per row, added up layer by layer. The state travels as the
         next layer's halves (zp, zt) and is joined once at the end. Given a
-        workspace (made for c's row count), c is copied into it and every
-        array of the walk goes there."""
+        workspace, c must be its input array, and every array of the walk
+        goes into the workspace."""
         if work is None:
             z = np.atleast_2d(np.asarray(c, dtype=np.float64))
             first = self.layers[0]
-            zp, zt = z[:, first.p_cols], z[:, first.t_cols]
-            t = np.empty(z.shape)
+            halves = z[:, first.p_cols], z[:, first.t_cols]
+            works, s_sum, log_det_out, t = [None] * len(self.layers), None, None, np.empty(z.shape)
         else:
-            np.copyto(work.x, c)
-            (zp, zt), t = work.halves, work.t
+            if c is not work.x:
+                raise ValueError("a flow workspace's forward runs on its own input array")
+            halves, works, s_sum, log_det_out, t = (work.halves, work.layers, work.s_sum,
+                                                    work.log_det, work.t)
+        zp, zt = halves
         log_det = 0.0
-        for i, layer in enumerate(self.layers):
-            if work is None:
-                t_t, s = layer.forward(zp, zt)
-                log_det = log_det + s.sum(axis=1)
-            else:
-                t_t, s = layer.forward(zp, zt, work.layers[i])
-                log_det = np.add(log_det, s.sum(axis=1, out=work.s_sum), out=work.log_det)
+        for layer, layer_work in zip(self.layers, works):
+            t_t, s = layer.forward(zp, zt, layer_work)
+            log_det = np.add(log_det, s.sum(axis=1, out=s_sum), out=log_det_out)
             # this layer's T is the next layer's P, and its P the next's T
             zp, zt = t_t, zp
         last = self.layers[-1]
@@ -521,12 +517,12 @@ class FlowModel:
         node, the data term (``train_minibatches`` adds the L2 term); its
         rule walks the coupling layers in reverse.
 
-        The forward is the inference walk on the workspace (one fit's, for
-        the batch's row count; without one, one is made for the batch); the
+        The forward is the inference walk on the workspace, whose input
+        array the batch must be (without one, one is made on the batch); the
         gradient travels as the halves (g_p, g_t) like the flow state."""
         n, d = batch.shape
         if work is None:
-            work = FlowWorkspace(self, n)
+            work = FlowWorkspace(self, batch)
         t, log_det = self.forward(batch, work)
         # mean over the batch of [0.5*||t||^2 - log_det] plus the base constant
         loss = ((np.multiply(t, t, out=work.sq).sum() * 0.5 - log_det.sum()) * (1.0 / n)
@@ -549,27 +545,25 @@ class FlowModel:
 
 
 class FlowWorkspace:
-    """The flow's training arrays for batches of ``rows`` coordinates, made
-    once per fit and batch size from the fit's ``buffers`` (fresh ones when
-    None), so a training step allocates none: the
-    batch's copy ``x`` and its first halves, one ``CouplingWorkspace`` per layer
-    (each on the halves its forward reads, which are the arrays the layer
-    before it wrote), the log-det sums, t and its square, and d(loss)/dt
-    with its last layer's halves."""
+    """The flow's training arrays on one input array ``x`` of coordinates,
+    in x's dtype, made once per fit for the full batches, so such a step
+    allocates no array (the relu mask aside): x's first halves, one
+    ``CouplingWorkspace`` per layer (each on the halves its forward reads,
+    which are the arrays the layer before it wrote), the log-det sums, t and
+    its square, and d(loss)/dt with its last layer's halves. As a
+    ``DenseWorkspace``, it belongs to the one optimizer it first bound to."""
 
-    def __init__(self, flow: FlowModel, rows: int, buffers: Buffers | None = None):
-        buffers = Buffers(np.float64) if buffers is None else buffers
-        shape = (rows, flow.dim)
-        self.x = buffers.empty(shape)
+    def __init__(self, flow: FlowModel, x: np.ndarray):
+        self.x = x
         first, last = flow.layers[0], flow.layers[-1]
-        zp, zt = self.halves = (self.x[:, first.p_cols], self.x[:, first.t_cols])
+        zp, zt = self.halves = (x[:, first.p_cols], x[:, first.t_cols])
         self.layers = []
         for layer in flow.layers:
-            work = CouplingWorkspace(layer, zp, zt, buffers)
+            work = CouplingWorkspace(layer, zp, zt)
             self.layers.append(work)
             zp, zt = work.t_t, zp
-        self.s_sum, self.log_det = buffers.empty((rows,)), buffers.empty((rows,))
-        self.t, self.sq, self.g = (buffers.empty(shape) for _ in range(3))
+        self.s_sum, self.log_det = (np.empty(x.shape[0], x.dtype) for _ in range(2))
+        self.t, self.sq, self.g = (np.empty(x.shape, x.dtype) for _ in range(3))
         self.g_halves = (self.g[:, last.p_cols], self.g[:, last.t_cols])
 
 
@@ -577,8 +571,8 @@ def flow_fit(train_z: np.ndarray, config: FlowConfig, seed: int) -> tuple[FlowMo
     """Fit the projection of the train latent rows (:func:`fit_projection`,
     one SVD), then the coupling layers on their coordinates by minimizing
     mean NLL plus the L2 term; seed draws the initial weights and the batch
-    order. The steps run on one workspace per batch size, which the loop
-    makes and drops.
+    order. The full batches step on one workspace, which the loop makes
+    and drops.
     The model's log-density is of latent rows, up to a constant.
 
     Returns the model and the per-epoch loss trace.
@@ -591,11 +585,11 @@ def flow_fit(train_z: np.ndarray, config: FlowConfig, seed: int) -> tuple[FlowMo
         raise ValueError(f"need at least batch_size={config.batch_size} rows, got {n}")
     flow = FlowModel.build(projection, config, seed)
     trace = train_minibatches(
-        "flow", lambda idx, work: flow.nll_loss(coords[idx], work),
+        "flow", lambda idx, work: flow.nll_loss(batch_rows(coords, idx, work), work),
         [layer.net.weight_tensors() for layer in flow.layers],
         [b for layer in flow.layers for b in layer.net.bias_tensors()],
         config.l2, config.lr, n, config.batch_size, config.epochs, seed,
-        lambda rows, buffers: FlowWorkspace(flow, rows, buffers))
+        lambda rows: FlowWorkspace(flow, np.empty((rows, flow.dim))))
     return flow, trace
 
 

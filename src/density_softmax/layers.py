@@ -9,12 +9,12 @@ encoder's by ``model.encoder_net``, a coupling net's by
 
 ``forward`` is the one forward step, for inference and training alike.
 Without a workspace it works in place on its fresh matmul output. Given a
-``DenseWorkspace``, the arrays of one fit and batch size, each layer writes its
-activation and its residual sum into the workspace, so the arrays the backward
-reads stay as they were. ``backward`` walks the workspace once and writes each
-parameter's gradient, one product per parameter, with ``out=`` into the
-``grad`` view the optimizer bound (see ``autodiff``); its scratch is the
-workspace's, so a training step allocates no array. The L2 penalty is no
+``DenseWorkspace``, the arrays a fit makes once for its full batches, each
+layer writes its activation and its residual sum into the workspace, so the
+arrays the backward reads stay as they were. ``backward`` walks the
+workspace once and writes each parameter's gradient, one product per
+parameter, with ``out=`` into the ``grad`` view the optimizer bound (see
+``autodiff``); its scratch is the workspace's. The L2 penalty is no
 layer's: ``optim.L2Penalty`` adds it over the optimizer's packed weights.
 The tests hold the kernels to the per-op oracle tape, bit for bit in values
 and every gradient.
@@ -97,16 +97,12 @@ class Dense:
         the product and activation go to ``arrays.act``, which the backward
         reads (the relu mask and the tanh derivative both follow from the
         activation), and the residual sum to ``arrays.out``."""
-        w = self.weight.data
-        h = x @ w if arrays is None else np.matmul(x, w, out=arrays.act)
+        h = np.matmul(x, self.weight.data, out=None if arrays is None else arrays.act)
         h += self.bias.data
         a = apply_activation(h, self.activation, out=h)
         if not self.residual:
             return a
-        if arrays is None:
-            a += x
-            return a
-        return np.add(x, a, out=arrays.out)
+        return np.add(x, a, out=a if arrays is None else arrays.out)
 
     def params(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -174,35 +170,6 @@ class DenseNet:
         return [layer.bias for layer in self.layers]
 
 
-class Buffers:
-    """Where a fit's workspaces get their arrays. Fresh buffers make each
-    array and keep it; ``shorter()`` gives the buffers of a workspace built
-    the same way for fewer rows, which hand out the leading rows of those
-    arrays in the order they were made, so the workspaces of one fit share
-    their memory. An array's rows are its axis -2 (axis 0 of a vector)."""
-
-    def __init__(self, dtype):
-        self.dtype = dtype
-        self.made: list[np.ndarray] = []
-        self.replay = None
-
-    def shorter(self) -> Buffers:
-        other = Buffers(self.dtype)
-        other.replay = iter(self.made)
-        return other
-
-    def empty(self, shape: tuple) -> np.ndarray:
-        if self.replay is None:
-            self.made.append(np.empty(shape, self.dtype))
-            return self.made[-1]
-        full = next(self.replay)
-        a = full[:shape[0]] if full.ndim == 1 else full[..., :shape[-2], :]
-        if a.shape != shape:
-            raise ValueError(f"a shorter workspace needs {shape}, where the full one has "
-                             f"{full.shape}")
-        return a
-
-
 class LayerArrays:
     """One layer's arrays in a ``DenseWorkspace``: the forward's activation
     ``act`` and residual sum ``out``, the transpose ``x_t`` of the layer's
@@ -214,27 +181,29 @@ class LayerArrays:
 
 
 class DenseWorkspace:
-    """A DenseNet's training arrays on one input array ``x``, made once per
-    fit and batch size from the fit's ``buffers`` (fresh ones when None), so
-    a training step allocates none and looks nothing up: the forward writes each layer's activation into the workspace, and
-    the backward reads it there. A layer's forward arrays are its own. The
-    backward's scratch is shared between the layers of one shape: one
-    ``gh``, and two ``gx`` taking turns, since a layer's backward reads only
-    the ``gx`` of the layer above it. The first backward binds the weights'
-    transposes and the parameters' gradient views, after the optimizer has
-    packed them (``bound_grad`` names a parameter it did not bind); they
-    stay bound for the fit, as ``Adam.step`` checks."""
+    """A DenseNet's training arrays on one input array ``x``, in x's dtype,
+    made once per fit for the full batches, so the net's walk in such a step
+    allocates no array (the relu mask ``a > 0`` aside) and looks nothing up:
+    the forward writes each layer's activation into the workspace, and the
+    backward reads it there. A layer's forward arrays are its own. The backward's scratch is
+    shared between the layers of one shape: one ``gh``, and two ``gx``
+    taking turns, since a layer's backward reads only the ``gx`` of the
+    layer above it. The first backward binds the weights' transposes and the
+    parameters' gradient views, after the optimizer has packed them
+    (``bound_grad`` names a parameter it did not bind); they stay bound for
+    the fit, as ``Adam.step`` checks. So a workspace belongs to the one
+    optimizer it first bound to: under another one its backward would write
+    into the first one's gradient views."""
 
-    def __init__(self, net: DenseNet, x: np.ndarray, buffers: Buffers | None = None):
+    def __init__(self, net: DenseNet, x: np.ndarray):
         self.x = x
         self.bound = False
         self.layers: list[LayerArrays] = []
-        empty = (Buffers(x.dtype) if buffers is None else buffers).empty
-        scratch: dict = {}
+        dtype, scratch = x.dtype, {}
 
         def shared(shape: tuple, role: str) -> np.ndarray:
             if (shape, role) not in scratch:
-                scratch[shape, role] = empty(shape)
+                scratch[shape, role] = np.empty(shape, dtype)
             return scratch[shape, role]
 
         last = len(net.layers) - 1
@@ -243,8 +212,8 @@ class DenseWorkspace:
             out = np.broadcast_shapes(x.shape[:-2], w[:-2]) + (x.shape[-2], w[-1])
             a = LayerArrays()
             a.x_t = x.swapaxes(-1, -2)
-            a.act = empty(out)
-            a.out = empty(out) if layer.residual else None
+            a.act = np.empty(out, dtype)
+            a.out = np.empty(out, dtype) if layer.residual else None
             a.gh = None if layer.activation == "linear" else shared(out, "gh")
             a.gx = shared(out[:-1] + (w[-2],), "gx" + str((last - i) % 2))
             self.layers.append(a)

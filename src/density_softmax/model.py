@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import Tensor, bound_grad
 from .config import EncoderConfig, TrainConfig
 from .data import DataError, LabeledSet, require_fittable
-from .layers import Activation, Buffers, Dense, DenseNet, DenseWorkspace, fan_in_uniform
+from .layers import Activation, Dense, DenseNet, DenseWorkspace, fan_in_uniform
 from .ops import finite_rows
 from .optim import Adam, L2Penalty
 
@@ -91,14 +91,11 @@ class Encoder:
     def encode_tape(self, x: np.ndarray, work: DenseWorkspace | None = None
                     ) -> tuple[np.ndarray, DenseWorkspace]:
         """Training forward: the latents of x and the workspace that
-        ``DenseNet.backward`` takes. Given a workspace (one fit's, for x's
-        row count), x is copied into its input array; without one, a
-        workspace is made on x."""
+        ``DenseNet.backward`` takes. Given a workspace, x must be its input
+        array; without one, a workspace is made on x."""
         if work is None:
             work = DenseWorkspace(self.net, x)
-        else:
-            np.copyto(work.x, x)
-        return self.net.forward(work.x, work), work
+        return self.net.forward(x, work), work
 
     def params(self) -> list[Tensor]:
         return self.net.params()
@@ -169,23 +166,30 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
+def batch_rows(data: np.ndarray, idx: np.ndarray, work) -> np.ndarray:
+    """The rows idx of data: gathered into the workspace's input array
+    ``work.x`` when a workspace is given, else into a new array. idx is a
+    slice of a permutation, so every index is in range, and mode="clip"
+    only spares numpy the bounds check that would buffer the output."""
+    return np.take(data, idx, axis=0, out=None if work is None else work.x, mode="clip")
+
+
 def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray, object], Tensor],
                       weights: list[list[Tensor]], biases: list[Tensor], l2: float,
                       lr: float, n: int, batch_size: int, epochs: int, seed: int,
-                      workspace: Callable[[int, Buffers], object] | None = None
+                      workspace: Callable[[int], object] | None = None
                       ) -> list[float]:
     """The minibatch loop every training stage shares.
 
     Adam packs the weight matrices first, net by net (``weights`` holds each
-    net's), and the biases after. ``workspace(rows, buffers)``, when given,
-    makes the stage's training workspace for batches of ``rows`` rows: the
-    loop makes one per batch size once Adam has packed, the full batches'
-    on fresh buffers of Adam's dtype and a shorter last batch's in the
-    leading rows of their arrays, and drops them on the way out. Each epoch
-    visits the n rows in a seeded shuffle; per batch it builds the scalar
-    loss node `loss_fn(idx, work)`, the data term, on the batch's workspace
-    (None without ``workspace``); with l2 > 0 it adds l2 * sum(w^2) over the
-    weights (``optim.L2Penalty``). It checks the loss is finite, runs the
+    net's), and the biases after. ``workspace(rows)``, when given, makes the
+    stage's training workspace for batches of ``rows`` rows: the loop makes
+    one for the full batches once Adam has packed, and drops it on the way
+    out. Each epoch visits the n rows in a seeded shuffle; per batch it
+    builds the scalar loss node `loss_fn(idx, work)`, the data term, on that
+    workspace, or with work None for a shorter last batch (the node then
+    makes its own); with l2 > 0 it adds l2 * sum(w^2) over the weights
+    (``optim.L2Penalty``). It checks the loss is finite, runs the
     node's backward into Adam's packed gradient, adds the penalty's gradient
     and takes one Adam step at the fixed rate lr.
     Returns the per-epoch mean loss trace; a non-finite loss raises
@@ -194,11 +198,8 @@ def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray, object], Tensor
     """
     opt = Adam([w for net in weights for w in net] + biases, lr)
     penalty = L2Penalty(opt, weights, l2) if l2 != 0.0 else None
-    full = Buffers(opt.data.dtype)
-    sizes = sorted({min(batch_size, n - start) for start in range(0, n, batch_size)},
-                   reverse=True)
-    works = {rows: None if workspace is None else workspace(rows, full.shorter() if i else full)
-             for i, rows in enumerate(sizes)}
+    rows = min(batch_size, n)
+    work = None if workspace is None else workspace(rows)
     rng = np.random.default_rng(seed)
     trace: list[float] = []
     last_finite = None
@@ -206,7 +207,7 @@ def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray, object], Tensor
         for epoch in range(epochs):
             losses = []
             for batch, idx in enumerate(minibatches(n, batch_size, rng)):
-                loss = loss_fn(idx, works[len(idx)])
+                loss = loss_fn(idx, work if len(idx) == rows else None)
                 value = float(loss.data if penalty is None else penalty.add_to(loss.data))
                 if not np.isfinite(value):
                     raise TrainingDiverged(stage, epoch, batch, last_finite)
@@ -266,7 +267,7 @@ def erm_loss(encoder: Encoder, classifier: Classifier, x: np.ndarray,
     """Mean cross-entropy of softmax(encode(x) @ theta) as one loss node, the
     data term (``train_minibatches`` adds the L2 term). Its rule runs the
     head, then the encoder stack (no gradient for x). ``work`` is the
-    encoder's workspace for x's row count (see ``Encoder.encode_tape``)."""
+    encoder's workspace on x (see ``Encoder.encode_tape``)."""
     z, work = encoder.encode_tape(x, work)
     loss, head_rule = head_cross_entropy(z, classifier.theta, labels)
 
@@ -283,7 +284,7 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
 
     Returns the per-epoch mean loss trace. An optional l2 coefficient adds
     l2 * sum(w^2) over all weight matrices to the loss. The steps run in
-    ERM_DTYPE, on one encoder workspace per batch size; on the way out, diverged
+    ERM_DTYPE, the full batches on one encoder workspace; on the way out, diverged
     or not, every parameter is a float64 array again. Train features beyond
     ERM_FEATURE_LIMIT (or beyond ERM_DTYPE's range) raise DataError.
     """
@@ -301,11 +302,12 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
     for p in params:
         p.data = p.data.astype(ERM_DTYPE)
 
-    def workspace(rows: int, buffers: Buffers) -> DenseWorkspace:
-        return DenseWorkspace(encoder.net, buffers.empty((rows, features.shape[1])), buffers)
+    def workspace(rows: int) -> DenseWorkspace:
+        return DenseWorkspace(encoder.net, np.empty((rows, features.shape[1]), ERM_DTYPE))
 
-    def loss_fn(idx: np.ndarray, work: DenseWorkspace) -> Tensor:
-        return erm_loss(encoder, classifier, features[idx], train.labels[idx], work)
+    def loss_fn(idx: np.ndarray, work: DenseWorkspace | None) -> Tensor:
+        return erm_loss(encoder, classifier, batch_rows(features, idx, work), train.labels[idx],
+                        work)
 
     try:
         return train_minibatches("erm", loss_fn,

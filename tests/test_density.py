@@ -18,8 +18,8 @@ from density_softmax.config import FlowConfig
 from density_softmax.density import (FINAL, KDE_CHUNK_ROWS,
                                      KDE_LOG_KERNEL_FLOOR, KDE_VARIANCE_KEPT,
                                      LIKELIHOOD_FLOOR, LOG_2PI, PROJECTION_VARIANCE_KEPT,
-                                     CouplingLayer, CouplingWorkspace, FlowModel, KdeModel,
-                                     LatentProjection, chunk_bounds, compute_scale,
+                                     CouplingLayer, CouplingWorkspace, FlowModel, FlowWorkspace,
+                                     KdeModel, LatentProjection, chunk_bounds, compute_scale,
                                      coupling_net, fit_projection, flow_fit, halves, kde_fit,
                                      scott_bandwidth)
 from density_softmax.layers import Dense, DenseNet, fan_in_uniform
@@ -510,6 +510,25 @@ class TestFlowBijectivity:
             np.testing.assert_array_equal(z, before)
             z = z.copy()
             z[:, layer.t_cols] = t_t
+
+    def test_a_workspace_runs_only_on_its_own_input(self, rng):
+        """A workspace's backward reads the inputs it was made on, so a
+        forward given other arrays is refused, not run into stale gradients."""
+        flow = randomized_flow(4, seed=3)
+        work = FlowWorkspace(flow, rng.normal(size=(5, 4)))
+        with pytest.raises(ValueError, match="flow workspace's forward runs on its own"):
+            flow.forward(work.x.copy(), work)
+        layer, layer_work = flow.layers[0], work.layers[0]
+        zp, zt = work.halves
+        with pytest.raises(ValueError, match="coupling workspace's forward runs on its own"):
+            layer.forward(zp, zt.copy(), layer_work)
+        with pytest.raises(ValueError, match="a workspace's forward runs on its own"):
+            layer.forward(zp.copy(), zt, layer_work)
+        t, log_det = flow.forward(work.x, work)
+        want_t, want_log_det = flow.forward(work.x)
+        assert t is work.t
+        np.testing.assert_array_equal(t, want_t)
+        np.testing.assert_array_equal(log_det, want_log_det)
 
     def test_tape_forward_matches_numpy_forward(self, rng):
         flow = randomized_flow(3, seed=2)

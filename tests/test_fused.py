@@ -27,8 +27,9 @@ from density_softmax.config import (DensityConfig, EncoderConfig, FlowConfig, Op
 from density_softmax.data import make_two_moons
 from density_softmax.density import (CouplingWorkspace, FlowModel, FlowWorkspace, compute_scale,
                                      fit_projection, flow_fit)
-from density_softmax.layers import Buffers, DenseNet, DenseWorkspace, LayerArrays
-from density_softmax.model import erm_loss, erm_train, head_cross_entropy, init_model, minibatches
+from density_softmax.layers import DenseNet, DenseWorkspace, LayerArrays
+from density_softmax.model import (batch_rows, erm_loss, erm_train, head_cross_entropy, init_model,
+                                  minibatches)
 from density_softmax.optim import Adam, L2Penalty
 from density_softmax.predictor import reoptimize_classifier, train_pipeline
 
@@ -576,7 +577,7 @@ class TestGradientBuffersAreRewritten:
         encoder, classifier = init_model(EncoderConfig(width=8, depth=2), 2, 2, seed=0)
         reused, fresh = stale_then_fresh(
             *erm_layout(encoder, classifier), 1e-3,
-            lambda idx, work: erm_loss(encoder, classifier, train.features[idx],
+            lambda idx, work: erm_loss(encoder, classifier, batch_rows(train.features, idx, work),
                                        train.labels[idx], work),
             lambda: DenseWorkspace(encoder.net, np.empty((32, 2))), self.FIRST, self.SECOND)
         assert_all_equal(reused, fresh)
@@ -586,8 +587,9 @@ class TestGradientBuffersAreRewritten:
         flow, rng = randomized_flow(6, 2, 1)
         z = rng.normal(size=(64, 6))
         reused, fresh = stale_then_fresh(*flow_layout(flow), l2,
-                                         lambda idx, work: flow.nll_loss(z[idx], work),
-                                         lambda: FlowWorkspace(flow, 32),
+                                         lambda idx, work: flow.nll_loss(
+                                             batch_rows(z, idx, work), work),
+                                         lambda: FlowWorkspace(flow, np.empty((32, 6))),
                                          self.FIRST, self.SECOND)
         assert_all_equal(reused, fresh)
 
@@ -710,8 +712,7 @@ class TestFitsLeaveNothingBehind:
     and nothing of the fit: no optimizer, penalty, workspace or gradient
     vector."""
 
-    OF_A_FIT = (Adam, L2Penalty, Buffers, DenseWorkspace, LayerArrays, CouplingWorkspace,
-                FlowWorkspace)
+    OF_A_FIT = (Adam, L2Penalty, DenseWorkspace, LayerArrays, CouplingWorkspace, FlowWorkspace)
 
     def check(self, model, params, own_arrays):
         held = held_objects(model)
@@ -766,9 +767,9 @@ class TestNoReferenceCycles:
         gc.collect()
         gc.disable()
         try:
-            flow_work = FlowWorkspace(flow, 16)
-            erm_work = DenseWorkspace(encoder.net, np.empty((16, 2)))
-            penalized(flow.nll_loss(rng.normal(size=(16, 6)), flow_work),
+            flow_work = FlowWorkspace(flow, rng.normal(size=(16, 6)))
+            erm_work = DenseWorkspace(encoder.net, train.features)
+            penalized(flow.nll_loss(flow_work.x, flow_work),
                       packed(*flow_layout(flow), 0.01))
             penalized(erm_loss(encoder, classifier, train.features, train.labels, erm_work),
                       packed(*erm_layout(encoder, classifier), 1e-3))

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from density_softmax.config import EncoderConfig, FlowConfig, OptimizerSpec, Tra
 from density_softmax.data import DataError, LabeledSet, make_two_moons, make_two_ovals
 from density_softmax.density import FlowModel
 from density_softmax.layers import DenseNet, fan_in_uniform
-from density_softmax.model import (Classifier, Encoder, TrainingDiverged, erm_loss, erm_train,
-                                   head_cross_entropy, init_model)
+from density_softmax.autodiff import bound_grad
+from density_softmax.model import (Classifier, Encoder, TrainingDiverged, batch_rows, erm_loss,
+                                   erm_train, head_cross_entropy, init_model, train_minibatches)
 from density_softmax.optim import Adam, L2Penalty
 from density_softmax.predictor import DensitySoftmaxModel, Ensemble, ensemble_train
 
@@ -303,6 +305,46 @@ class TestUnboundGradient:
         w, b = Tensor(np.ones((2, 2))), Tensor(np.zeros(2))
         with pytest.raises(ValueError, match="L2 weight 0 is not the optimizer's parameter 0"):
             L2Penalty(Adam([b, w], lr=0.1), [[w]], 0.1)
+
+
+class TestTrainingWorkspace:
+    """The loop makes one workspace, for the full batches; a shorter last
+    batch gets none, and its loss node makes its own."""
+
+    def test_only_full_batches_step_on_the_workspace(self):
+        w = Tensor(np.ones((2, 2)))
+        made, seen = [], []
+
+        def workspace(rows):
+            made.append(rows)
+            return object()
+
+        def loss_fn(idx, work):
+            seen.append((len(idx), work))
+            return Tensor(1.0, lambda: bound_grad(w, "w").fill(0.0))
+
+        train_minibatches("test", loss_fn, [[w]], [], 0.0, 0.1, 100, 32, 2, 0, workspace)
+        assert len(made) == 1 and made[0] == 32
+        work = seen[0][1]
+        assert seen == [(32, work), (32, work), (32, work), (4, None)] * 2
+
+    def test_fewer_rows_than_a_batch(self):
+        made = []
+        w = Tensor(np.ones(1))
+        train_minibatches("test", lambda idx, work: Tensor(1.0, lambda: w.grad.fill(0.0)),
+                          [[w]], [], 0.0, 0.1, 5, 32, 1, 0, lambda rows: made.append(rows))
+        assert made == [5]
+
+    def test_batch_rows_gathers_into_the_workspace(self):
+        data = np.random.default_rng(0).normal(size=(10, 3)).astype(np.float32)
+        idx = np.array([7, 2, 9, 0])
+        work = SimpleNamespace(x=np.full((4, 3), np.nan, np.float32))
+        got = batch_rows(data, idx, work)
+        assert got is work.x
+        np.testing.assert_array_equal(got, data[idx])
+        fresh = batch_rows(data, idx, None)
+        assert fresh.dtype == np.float32
+        np.testing.assert_array_equal(fresh, data[idx])
 
 
 class TestEnsemble:

@@ -5,8 +5,14 @@ gen-data. Exit codes: 0 success, 2 configuration/input error, 3 training or
 runtime failure. Set DS_LOG=DEBUG|INFO|WARNING to control logging; an
 unknown level exits 2.
 
+`run` saves its models as model.dsm and model_erm.dsm, and `compare` as
+<stem>_model.dsm, <stem>_model_erm.dsm and <stem>_model_ensemble.dsm, in
+the binary container format of serialize.py; surface, hist-likelihood,
+reliability and bench read such a file (--model, --models).
+
 All artifacts are pure functions of (config, seeds): JSON is dumped with
-sorted keys, CSV uses fixed formatting, and no file embeds a timestamp.
+sorted keys, CSV uses fixed formatting, containers write the same bytes for
+the same model, and no file embeds a timestamp.
 Latency numbers are inherently non-reproducible, so they only appear in
 bench output, never in run/compare reports.
 """
@@ -31,8 +37,9 @@ from .model import TrainingDiverged
 from .ops import NonFiniteRow
 from .predictor import (DensitySoftmaxModel, PipelineError, PipelineResult,
                         ensemble_train, predictive_summaries, train_pipeline)
-from .serialize import (ContainerError, container_kind, density_softmax_container,
-                        ensemble_container, load_container, save_container)
+from .serialize import (CONTAINER_SUFFIX, ContainerError, container_kind,
+                        density_softmax_container, ensemble_container, load_container,
+                        save_container)
 from .svg import heatmap_svg, histogram_svg, reliability_svg
 
 log = logging.getLogger("density_softmax")
@@ -145,8 +152,9 @@ def cmd_run(args) -> int:
     cfg, sets = _write_sets(args)
     out = Path(args.out)
     result = _run_pipeline(cfg, sets)
-    save_container(density_softmax_container(result.model), out / "model.json")
-    save_container(density_softmax_container(result.erm_model), out / "model_erm.json")
+    save_container(density_softmax_container(result.model), out / f"model{CONTAINER_SUFFIX}")
+    save_container(density_softmax_container(result.erm_model),
+                   out / f"model_erm{CONTAINER_SUFFIX}")
 
     for name, model in (("density_softmax", result.model), ("erm", result.erm_model)):
         reports, detection = _evaluate_model(model, name, sets, cfg.bins)
@@ -356,11 +364,11 @@ def cmd_compare(args) -> int:
         models = {"erm": result.erm_model, "density_softmax": result.model,
                   f"ensemble_{cfg.ensemble_size}": ensemble}
         save_container(density_softmax_container(result.model),
-                       out / f"{config_name}_model.json")
+                       out / f"{config_name}_model{CONTAINER_SUFFIX}")
         save_container(density_softmax_container(result.erm_model),
-                       out / f"{config_name}_model_erm.json")
+                       out / f"{config_name}_model_erm{CONTAINER_SUFFIX}")
         save_container(ensemble_container(ensemble),
-                       out / f"{config_name}_model_ensemble.json")
+                       out / f"{config_name}_model_ensemble{CONTAINER_SUFFIX}")
         for name, model in models.items():
             reports, _ = _evaluate_model(model, name, sets, cfg.bins)
             for report in reports.values():
@@ -400,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="density-softmax",
         description="Train and probe density-scaled softmax classifiers on toy data.")
     sub = parser.add_subparsers(dest="command", required=True)
+    model_help = f"a model container ({CONTAINER_SUFFIX}) that run or compare wrote"
 
     run = sub.add_parser("run", help="train the full pipeline and write reports")
     run.add_argument("--config", required=True)
@@ -414,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen_data)
 
     surf = sub.add_parser("surface", help="probability/uncertainty surface grids")
-    surf.add_argument("--model", required=True)
+    surf.add_argument("--model", required=True, help=model_help)
     surf.add_argument("--out", required=True)
     surf.add_argument("--bounds", default="-3,4,-3,4",
                       help="grid bounds as x0,x1,y0,y1")
@@ -424,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     surf.set_defaults(func=cmd_surface)
 
     hist = sub.add_parser("hist-likelihood", help="scaled-likelihood histograms per set")
-    hist.add_argument("--model", required=True)
+    hist.add_argument("--model", required=True, help=model_help)
     hist.add_argument("--data", required=True, help="directory of <tag>.csv files")
     hist.add_argument("--sets", nargs="+", required=True)
     hist.add_argument("--hist-bins", type=_count(1), default=30)
@@ -432,14 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
     hist.set_defaults(func=cmd_hist_likelihood)
 
     rel = sub.add_parser("reliability", help="reliability diagram for one labeled set")
-    rel.add_argument("--model", required=True)
+    rel.add_argument("--model", required=True, help=model_help)
     rel.add_argument("--set", required=True, help="dataset CSV path")
     rel.add_argument("--bins", type=_count(1), default=15)
     rel.add_argument("--out", required=True)
     rel.set_defaults(func=cmd_reliability)
 
     bench = sub.add_parser("bench", help="parameter counts and per-sample latency")
-    bench.add_argument("--models", nargs="+", required=True)
+    bench.add_argument("--models", nargs="+", required=True,
+                       help=f"model containers ({CONTAINER_SUFFIX}) that run or compare wrote")
     bench.add_argument("--set", required=True)
     bench.add_argument("--warmup", type=_count(0), default=50)
     bench.add_argument("--repetitions", type=_count(1), default=1000)

@@ -677,14 +677,21 @@ class LatentProjection:
 
 def _principal_axes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The mean of the n latent rows z, the singular values and right
-    singular vectors of the centered rows (one SVD), and the rank
-    tolerance: a direction varies when its singular value exceeds max(n, d)
-    * eps * sqrt(n) * max|z|, numpy's tolerance taken relative to the rows'
+    singular vectors of the centered rows, and the rank tolerance: a
+    direction varies when its singular value exceeds max(n, d) * eps *
+    sqrt(n) * max|z|, numpy's tolerance taken relative to the rows'
     magnitude, since centering leaves rounding noise of about eps * max|z|
-    per entry even where every row is equal."""
+    per entry even where every row is equal.
+
+    The SVD is of the centered rows' R factor, which has their singular
+    values and right singular vectors, so no n x d left factor is made.
+    From n >= 11 d / 6 on, where LAPACK's gesdd QR-factors a tall matrix
+    itself, the values and vectors are bit for bit those of
+    ``np.linalg.svd`` of the centered rows; below that they agree to
+    rounding."""
     n = z.shape[0]
     mean = z.mean(axis=0)
-    _, sv, vt = np.linalg.svd(z - mean, full_matrices=False)
+    _, sv, vt = np.linalg.svd(np.linalg.qr(z - mean, mode="r"), full_matrices=False)
     tolerance = max(z.shape) * np.finfo(np.float64).eps * math.sqrt(n) * np.abs(z).max()
     return mean, sv, vt, tolerance
 

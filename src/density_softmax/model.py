@@ -42,17 +42,18 @@ ERM_FEATURE_LIMIT = float(np.sqrt(np.finfo(ERM_DTYPE).max)) / 4
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training loss goes non-finite (learning rate too high).
+    """Raised when a training loss goes non-finite (learning rate too high),
+    or, with its own message, when the optimizer's moments overflow.
 
     Names the stage ("erm", "flow" or "reopt"), the epoch and the batch within
     it, and the last finite loss of the run (None if the first batch failed).
     """
 
     def __init__(self, stage: str, epoch: int, batch: int,
-                 last_finite_loss: float | None):
-        super().__init__(
+                 last_finite_loss: float | None, message: str | None = None):
+        super().__init__(message or (
             f"non-finite {stage} loss at epoch {epoch}, batch {batch} "
-            f"(last finite loss {last_finite_loss}); lower the learning rate")
+            f"(last finite loss {last_finite_loss}); lower the learning rate"))
         self.stage = stage
         self.epoch = epoch
         self.batch = batch
@@ -193,8 +194,11 @@ def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray, object], Tensor
     node's backward into Adam's packed gradient, adds the penalty's gradient
     and takes one Adam step at the fixed rate lr.
     Returns the per-epoch mean loss trace; a non-finite loss raises
-    TrainingDiverged. On the way out every ``grad`` is set to None, so a
-    trained model holds no gradient memory.
+    TrainingDiverged. So do moments that overflowed Adam's dtype
+    (``Adam.moments_finite``), checked after each epoch's last step: the
+    loss can stay finite while they do, but an entry whose second moment
+    is infinite steps by 0. On the way out every ``grad`` is set to None,
+    so a trained model holds no gradient memory.
     """
     opt = Adam([w for net in weights for w in net] + biases, lr)
     penalty = L2Penalty(opt, weights, l2) if l2 != 0.0 else None
@@ -217,6 +221,12 @@ def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray, object], Tensor
                 opt.step()
                 losses.append(value)
                 last_finite = value
+            if not opt.moments_finite():
+                raise TrainingDiverged(
+                    stage, epoch, batch, last_finite,
+                    f"the {stage} optimizer's moments overflowed {opt.v.dtype} by the end "
+                    f"of epoch {epoch}: a squared gradient left the {opt.v.dtype} range, "
+                    "where Adam's steps stall; rescale the inputs")
             trace.append(float(np.mean(losses)))
     finally:
         for p in opt.params:

@@ -100,6 +100,17 @@ class Adam:
             tmp /= denom
             self.data[c] -= tmp
 
+    def moments_finite(self) -> bool:
+        """Whether the last step's moments were finite in every entry. A
+        step leaves its denominator sqrt(v / (1 - beta2^t)) + eps in the
+        gradient vector: it is >= 0, so its max is finite just when every
+        entry is (a NaN propagates). It bounds v; a finite v means finite
+        gradients, and |m| never exceeds the largest |g|. This
+        bias-corrected v, about the mean of g^2, overflows from |g| ~
+        sqrt(the dtype's max) on, well before v does, and an entry where it
+        is infinite steps by 0."""
+        return bool(np.isfinite(self.grad.max()))
+
 
 class L2Penalty:
     """coefficient * sum(w^2) over the weight matrices an Adam packed first.

@@ -67,7 +67,7 @@ class TestSubcommands:
         root, config = work
         ok("run", "--config", config, "--out", root / "run_again")
         first = tree(root / "run")
-        assert {"model.json", "model_erm.json", "loss_traces.json"} <= set(first)
+        assert {"model.dsm", "model_erm.dsm", "loss_traces.json"} <= set(first)
         assert first == tree(root / "run_again")
 
     def test_compare_is_byte_identical_across_reruns(self, work):
@@ -76,7 +76,7 @@ class TestSubcommands:
         for out in outs:
             ok("compare", "--configs", config, "--out", out)
         first = tree(outs[0])
-        assert {"compare.json", "compare.md", "tiny_model_ensemble.json"} <= set(first)
+        assert {"compare.json", "compare.md", "tiny_model_ensemble.dsm"} <= set(first)
         assert first == tree(outs[1])
 
     def test_compare_trains_one_erm_model_per_ensemble_member(self, work, tmp_path,
@@ -100,14 +100,14 @@ class TestSubcommands:
         # gen-data writes the very sets run trains and evaluates on
         assert tree(root / "gen") == {k: v for k, v in tree(run).items()
                                       if k.startswith("data/")}
-        for model in ("model.json", "model_erm.json"):
+        for model in ("model.dsm", "model_erm.dsm"):
             ok("surface", "--model", run / model, "--out", root / f"surf_{model}",
                "--resolution", 10, "--data", data)
             ok("reliability", "--model", run / model, "--set", data / "iid_test.csv",
                "--out", root / f"rel_{model}")
-        ok("hist-likelihood", "--model", run / "model.json", "--data", data,
+        ok("hist-likelihood", "--model", run / "model.dsm", "--data", data,
            "--sets", "train", "ood", "--out", root / "hist")
-        ok("bench", "--models", run / "model.json", run / "model_erm.json",
+        ok("bench", "--models", run / "model.dsm", run / "model_erm.dsm",
            "--set", data / "iid_test.csv", "--warmup", 2, "--repetitions", 5,
            "--out", root / "bench")
         bench = json.loads((root / "bench" / "bench.json").read_text())
@@ -117,11 +117,11 @@ class TestSubcommands:
         root, _ = work
         run, data = root / "run", root / "run" / "data"
         commands = {
-            "surface": ["surface", "--model", run / "model.json", "--resolution", 10,
+            "surface": ["surface", "--model", run / "model.dsm", "--resolution", 10,
                         "--data", data],
-            "hist": ["hist-likelihood", "--model", run / "model.json", "--data", data,
+            "hist": ["hist-likelihood", "--model", run / "model.dsm", "--data", data,
                      "--sets", "iid_test", "shifted_3", "ood"],
-            "reliability": ["reliability", "--model", run / "model.json",
+            "reliability": ["reliability", "--model", run / "model.dsm",
                             "--set", data / "shifted_3.csv"],
         }
         for name, argv in commands.items():
@@ -177,7 +177,7 @@ class TestExitCodes:
     def test_repeated_set_tag_exits_2(self, work, tmp_path, capsys):
         run = work[0] / "run"
         out = tmp_path / "hist"
-        argv = ["hist-likelihood", "--model", run / "model.json", "--data", run / "data",
+        argv = ["hist-likelihood", "--model", run / "model.dsm", "--data", run / "data",
                 "--sets", "ood", "iid_test", "iid_test", "--out", out]
         assert main([str(a) for a in argv]) == 2
         assert capsys.readouterr().err == "error: sets: set tag 'iid_test' is given twice\n"
@@ -194,7 +194,7 @@ class TestExitCodes:
         assert "INFO density_softmax: wrote " in proc.stderr
 
     def test_missing_model_exits_2(self, tmp_path):
-        proc = cli("surface", "--model", tmp_path / "absent.json", "--out", tmp_path / "s")
+        proc = cli("surface", "--model", tmp_path / "absent.dsm", "--out", tmp_path / "s")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
 
@@ -218,7 +218,7 @@ class TestLatentOverflow:
         data.mkdir(exist_ok=True)
         rows = np.array([[0.1, 0.2], [0.5, -0.3], [1.7e308, -1.7e308]])
         save_csv(LabeledSet(rows, np.array([0, 1, 0]), "iid_test"), data / "iid_test.csv")
-        return root / "run" / "model.json", data / "iid_test.csv"
+        return root / "run" / "model.dsm", data / "iid_test.csv"
 
     def check_exit_2(self, capsys, argv, csv):
         assert main([str(a) for a in argv]) == 2
@@ -253,7 +253,7 @@ class TestNonFiniteCell:
         csv.parent.mkdir(exist_ok=True)
         csv.write_text("x0,x1,label,domain,intensity\n0.1,0.2,0,iid_test,0\n"
                        "nan,0.3,1,iid_test,0\n")
-        return root / "run" / "model.json", csv
+        return root / "run" / "model.dsm", csv
 
     def check_exit_2(self, capsys, argv, csv):
         assert main([str(a) for a in argv]) == 2
@@ -284,7 +284,7 @@ class TestCsvLabels:
         csv = tmp_path / "labels.csv"
         csv.write_text("x0,x1,label,domain,intensity\n0.1,0.2,0,iid_test,0\n"
                        f"0.3,0.1,{label},iid_test,0\n")
-        argv = ["reliability", "--model", root / "run" / "model.json", "--set", csv,
+        argv = ["reliability", "--model", root / "run" / "model.dsm", "--set", csv,
                 "--out", tmp_path / "rel"]
         assert main([str(a) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {csv}{where}\n"
@@ -305,7 +305,7 @@ class TestCsvTags:
         root, _ = work
         csv = tmp_path / "tags.csv"
         csv.write_text(f"x0,x1,label,domain,intensity\n0.1,0.2,0,{tags}\n0.3,0.1,1,{second}\n")
-        argv = ["reliability", "--model", root / "run" / "model.json", "--set", csv,
+        argv = ["reliability", "--model", root / "run" / "model.dsm", "--set", csv,
                 "--out", tmp_path / "rel"]
         assert main([str(a) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {csv}:{line}: {problem}\n"
@@ -353,14 +353,14 @@ class TestUnreadableInputs:
         root, _ = work
         out = tmp_path / "taken"
         out.write_text("")
-        self.check_exit_2(capsys, ["reliability", "--model", root / "run" / "model.json",
+        self.check_exit_2(capsys, ["reliability", "--model", root / "run" / "model.dsm",
                                    "--set", root / "run" / "data" / "iid_test.csv",
                                    "--out", out], "File exists", f"'{out}'")
 
     @pytest.mark.parametrize("flag", ["--model", "--set"])
     def test_input_is_a_directory(self, work, tmp_path, capsys, flag):
         root, _ = work
-        argv = ["reliability", "--model", root / "run" / "model.json",
+        argv = ["reliability", "--model", root / "run" / "model.dsm",
                 "--set", root / "run" / "data" / "iid_test.csv", "--out", tmp_path / "rel"]
         argv[argv.index(flag) + 1] = tmp_path
         self.check_exit_2(capsys, argv, "Is a directory", f"'{tmp_path}'")
@@ -375,18 +375,19 @@ class TestUnreadableInputs:
         root, _ = work
         csv = tmp_path / "bad.csv"
         csv.write_bytes(b"x0,x1,label,domain,intensity\n0.1,\xff,0,iid_test,0\n")
-        self.check_exit_2(capsys, ["reliability", "--model", root / "run" / "model.json",
+        self.check_exit_2(capsys, ["reliability", "--model", root / "run" / "model.dsm",
                                    "--set", csv, "--out", tmp_path / "rel"],
                           f"error: {csv}: not UTF-8 text (")
 
     def test_container_is_not_utf8(self, work, tmp_path, capsys):
         root, _ = work
-        model = tmp_path / "bad_model.json"
-        model.write_bytes(b'{"version": "\xff"}')
+        model = tmp_path / "bad_model.dsm"
+        model.write_bytes(b'{"version": "\xff"}\n')
         self.check_exit_2(capsys, ["reliability", "--model", model,
                                    "--set", root / "run" / "data" / "iid_test.csv",
                                    "--out", tmp_path / "rel"],
-                          f"error: {model}: 'utf-8' codec can't decode byte 0xff")
+                          f"error: {model}: header line is not UTF-8: 'utf-8' codec can't "
+                          "decode byte 0xff")
 
 
 @pytest.mark.parametrize("bounds, message", [
@@ -396,7 +397,7 @@ class TestUnreadableInputs:
 ], ids=["span", "latent"])
 def test_surface_bounds_that_overflow_exit_2(work, tmp_path, capsys, bounds, message):
     root, _ = work
-    argv = ["surface", "--model", str(root / "run" / "model.json"), "--out", str(tmp_path),
+    argv = ["surface", "--model", str(root / "run" / "model.dsm"), "--out", str(tmp_path),
             "--resolution", "5", f"--bounds={bounds}"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: bounds: {message}\n"
@@ -414,7 +415,7 @@ class TestInputWidth:
         rows = np.random.default_rng(0).normal(size=(6, 3))
         for tag in ("iid_test", "train"):
             save_csv(LabeledSet(rows, np.array([0, 1] * 3), tag), data / f"{tag}.csv")
-        return root / "run" / "model.json", data
+        return root / "run" / "model.dsm", data
 
     def check_exit_2(self, capsys, argv, csv):
         assert main([str(a) for a in argv]) == 2
@@ -446,7 +447,7 @@ class TestInputWidth:
     def test_surface_model(self, tmp_path, capsys):
         # the surface grid is 2-D, so a model with another input width is refused
         encoder, classifier = init_model(EncoderConfig(width=4, depth=1), 3, 2, 0)
-        model = tmp_path / "wide_model.json"
+        model = tmp_path / "wide_model.dsm"
         save_container(density_softmax_container(DensitySoftmaxModel(encoder, classifier)),
                        model)
         assert main(["surface", "--model", str(model), "--out", str(tmp_path / "s")]) == 2
@@ -455,14 +456,14 @@ class TestInputWidth:
 
 
 @pytest.mark.parametrize("argv, flag, minimum", [
-    (["surface", "--model", "m.json", "--resolution", "0"], "--resolution", 1),
-    (["surface", "--model", "m.json", "--resolution", "-1"], "--resolution", 1),
-    (["reliability", "--model", "m.json", "--set", "x.csv", "--bins", "0"], "--bins", 1),
-    (["hist-likelihood", "--model", "m.json", "--data", "d", "--sets", "ood",
+    (["surface", "--model", "m.dsm", "--resolution", "0"], "--resolution", 1),
+    (["surface", "--model", "m.dsm", "--resolution", "-1"], "--resolution", 1),
+    (["reliability", "--model", "m.dsm", "--set", "x.csv", "--bins", "0"], "--bins", 1),
+    (["hist-likelihood", "--model", "m.dsm", "--data", "d", "--sets", "ood",
       "--hist-bins", "0"], "--hist-bins", 1),
-    (["bench", "--models", "m.json", "--set", "x.csv", "--repetitions", "0"],
+    (["bench", "--models", "m.dsm", "--set", "x.csv", "--repetitions", "0"],
      "--repetitions", 1),
-    (["bench", "--models", "m.json", "--set", "x.csv", "--warmup", "-1"], "--warmup", 0),
+    (["bench", "--models", "m.dsm", "--set", "x.csv", "--warmup", "-1"], "--warmup", 0),
 ], ids=["resolution_0", "resolution_-1", "bins_0", "hist_bins_0", "repetitions_0",
         "warmup_-1"])
 def test_count_flag_out_of_range_exits_2(tmp_path, capsys, argv, flag, minimum):

@@ -20,8 +20,8 @@ from density_softmax.density import (FINAL, KDE_CHUNK_ROWS,
                                      LIKELIHOOD_FLOOR, LOG_2PI, PROJECTION_VARIANCE_KEPT,
                                      CouplingLayer, CouplingWorkspace, FlowModel, FlowWorkspace,
                                      KdeModel, LatentProjection, chunk_bounds, compute_scale,
-                                     coupling_net, fit_projection, flow_fit, halves, kde_fit,
-                                     scott_bandwidth)
+                                     _principal_axes, coupling_net, fit_projection, flow_fit,
+                                     halves, kde_fit, scott_bandwidth)
 from density_softmax.layers import Dense, DenseNet, fan_in_uniform
 from density_softmax.model import TrainingDiverged
 
@@ -827,3 +827,32 @@ class TestLatentProjection:
         with pytest.raises(ValueError,
                            match="projection residual_scale must be positive and finite"):
             LatentProjection(np.zeros(3), np.eye(3)[:2], np.ones(2), scales[1])
+
+
+class TestPrincipalAxes:
+    """_principal_axes takes the SVD of the centered rows' R factor, which
+    has their singular values and right singular vectors."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_for_bit_numpy_svd_at_1000_by_128(self, seed):
+        """From n >= 11 d / 6 on, LAPACK's gesdd QR-factors the rows itself,
+        so on the pipelines' 1000 x 128 latents the values and vectors are
+        np.linalg.svd's, bit for bit, and so is every fit made from them."""
+        z = latent_like(np.random.default_rng(seed), 1000)
+        mean, sv, vt, _ = _principal_axes(z)
+        _, want_sv, want_vt = np.linalg.svd(z - z.mean(axis=0), full_matrices=False)
+        np.testing.assert_array_equal(mean, z.mean(axis=0))
+        np.testing.assert_array_equal(sv, want_sv)
+        np.testing.assert_array_equal(vt, want_vt)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_below_11_d_over_6_rows_agrees_to_rounding(self, seed):
+        """At 200 x 128 gesdd takes another path: the singular values agree
+        to 1e-12 relative and each right singular vector to 1e-12, up to
+        its sign."""
+        z = latent_like(np.random.default_rng(seed), 200)
+        _, sv, vt, _ = _principal_axes(z)
+        _, want_sv, want_vt = np.linalg.svd(z - z.mean(axis=0), full_matrices=False)
+        np.testing.assert_allclose(sv, want_sv, rtol=1e-12)
+        signs = np.sign(np.sum(vt * want_vt, axis=1))
+        np.testing.assert_allclose(vt * signs[:, None], want_vt, rtol=0, atol=1e-12)

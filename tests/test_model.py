@@ -211,6 +211,36 @@ class TestErmTrain:
             f"non-finite erm loss at epoch 0, batch 1 (last finite loss "
             f"{err.last_finite_loss})")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_moments_raise(self):
+        """A float32 gradient of 1e20 squares past float32's range: Adam's
+        bias-corrected v, about the mean of g^2, turns infinite (v itself,
+        1e37 after a step, does not) while the loss stays finite, and the
+        entry's step falls to 0. The loop raises at the end of the epoch,
+        naming the stage and the epoch, instead of training on stalled."""
+        w = Tensor(np.ones(3))
+        w.data = w.data.astype(np.float32)
+
+        def loss_fn(idx, work):
+            return Tensor(1.0, lambda: w.grad.fill(1e20))
+
+        with pytest.raises(TrainingDiverged) as info:
+            train_minibatches("erm", loss_fn, [[w]], [], 0.0, 0.1, 10, 4, 3, 0)
+        err = info.value
+        assert (err.stage, err.epoch, err.batch, err.last_finite_loss) == ("erm", 0, 2, 1.0)
+        assert str(err) == ("the erm optimizer's moments overflowed float32 by the end of "
+                            "epoch 0: a squared gradient left the float32 range, where "
+                            "Adam's steps stall; rescale the inputs")
+
+    def test_moments_within_range_train_on(self):
+        """Gradients of 1e18 square to 1e36, inside float32's range: no
+        epoch raises."""
+        w = Tensor(np.ones(3))
+        w.data = w.data.astype(np.float32)
+        trace = train_minibatches("erm", lambda idx, work: Tensor(
+            1.0, lambda: w.grad.fill(1e18)), [[w]], [], 0.0, 0.1, 10, 4, 3, 0)
+        assert trace == [1.0] * 3
+
     def test_features_at_1e20_rejected(self):
         """At this scale float32 holds the features, but Adam's squared
         gradients overflow it; the scale and the range are named up front."""

@@ -2,15 +2,17 @@
 
 A ``Tensor`` is a parameter (an array and its gradient buffer) or the
 scalar loss of one training step, which also carries a hand-written backward
-rule. A parameter holds a float64 array, except while ERM steps the encoder
-and head in float32 (``model.erm_train``); every later stage steps in
-float64. Each stage builds one such node per step, with no graph behind it:
-``erm_loss`` (encoder stack and head cross-entropy),
-``head_cross_entropy`` under the scaled likelihood s (re-optimization) and
-``FlowModel.nll_loss``. Each node is a data term: the training loop adds the
-L2 term itself (``optim.L2Penalty``). :meth:`Tensor.backward` runs the
-rule, which takes no argument: the loss is the end of the graph, so its
-upstream gradient is 1.0. A rule holds no reference to its node, so a step
+rule. A parameter holds a float64 array, except the encoder's: ERM steps
+the encoder and head in float32 (``model.erm_train``) and leaves the
+encoder's arrays in float32, which it serves in (``Encoder.encode``); the
+head widens back, and every later stage steps in float64. Each stage builds
+one such node per step, with no graph behind it: ``erm_loss`` (encoder
+stack and head cross-entropy), ``head_cross_entropy`` under the scaled
+likelihood s (re-optimization) and ``FlowModel.nll_loss``. Each node is a
+data term: the training loop adds the L2 term itself
+(``optim.L2Penalty``). :meth:`Tensor.backward` runs the rule, which takes
+no argument: the loss is the end of the graph, so its upstream gradient is
+1.0. A rule holds no reference to its node, so a step
 leaves no cycle.
 
 Gradients are written once: a parameter's ``grad`` is None until an
@@ -37,8 +39,9 @@ __all__ = ["Tensor", "bound_grad"]
 class Tensor:
     """A parameter (``rule`` None) or a scalar loss node with its backward rule.
 
-    The constructor stores float64; ``erm_train`` rebinds ``data`` to float32
-    for the length of ERM, and a rule's gradient takes the dtype of ``data``."""
+    The constructor stores float64; ``model.narrow`` rebinds ``data`` to
+    float32, for the length of ERM for the head and from then on for the
+    encoder, and a rule's gradient takes the dtype of ``data``."""
 
     __slots__ = ("data", "grad", "rule")
 

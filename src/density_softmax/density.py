@@ -32,17 +32,20 @@ directions and 99.99% in about 17.
   (``nll_loss``): it carries the flow state as its two column halves from
   layer to layer, joins them once at the end, and sums each row's log-det
   from s. In training the walk writes every array into a
-  :class:`FlowWorkspace` that the fit makes once for its full batches, and
-  the backward reads it there, so such a step allocates no array (the relu
-  mask aside); the fit drops it.
+  :class:`FlowWorkspace` that the fit makes once per batch size, and the
+  backward reads it there, so a step allocates no array (the relu mask
+  aside); the fit drops them.
 
 Both estimators project each row by einsum, which gives a row the same
 coordinates in any batch. The KDE walks its query rows in fixed chunks of
 ``KDE_CHUNK_ROWS`` (see :func:`chunk_bounds`), which bound its chunk x
-support kernel block. The flow scores all rows in one coupling walk, whose
-temporaries are as wide as the coordinates (r = 3-4 on the default config)
-or the hidden layers. At narrow widths a row's last bits can depend on the
-batch it comes in.
+support kernel block, and a 1-row query as two rows (``ops.gemm_rows``),
+so each kernel GEMM has two or more rows, and at the default config's
+shapes a row's log-density has the same bits in any batch. The flow scores
+all rows in one coupling walk, whose temporaries are as wide as the
+coordinates (r = 3-4 on the default config) or the hidden layers; at those
+widths a row's last bits can depend on the batch it comes in, even walked
+as two rows.
 The KDE raises its max-shifted log-kernels to at least
 ``KDE_LOG_KERNEL_FLOOR`` = -700 before the exp, which keeps numpy on its
 vectorized exp (a subnormal or zero result costs 15-150x more per element)
@@ -75,6 +78,7 @@ from .config import FlowConfig
 from .layers import (Dense, DenseNet, DenseWorkspace, activation_grad, apply_activation,
                      fan_in_uniform)
 from .model import batch_rows, train_minibatches
+from .ops import gemm_rows
 
 LIKELIHOOD_FLOOR = sys.float_info.min  # smallest positive normal float64
 
@@ -96,12 +100,9 @@ KDE_LOG_KERNEL_FLOOR = -700.0
 
 def chunk_bounds(rows: int, chunk: int) -> list[int]:
     """Row bounds of fixed chunks over rows, with a 1-row tail folded into
-    the chunk before it: numpy sends a 1-row product to another BLAS kernel
-    (gemv) whose last bits differ from the batched (gemm) ones. A chunked
-    pass is then bit-identical to a one-shot pass where the gemm gives each
-    row the same bits in any row block, as at the 128-d default latent; at
-    a narrow latent (d = 2) OpenBLAS can give a row other last bits in
-    another block."""
+    the chunk before it, so every chunk's GEMM has two or more rows (see
+    ``ops.gemm_rows``) and a chunked pass is bit-identical to a one-shot
+    pass."""
     bounds = list(range(0, rows, chunk)) + [rows]
     if len(bounds) > 2 and rows - bounds[-2] == 1:
         del bounds[-2]
@@ -182,8 +183,10 @@ class KdeModel:
         (a far, huge row), never NaN.
 
         Walks z in chunks of KDE_CHUNK_ROWS rows (see chunk_bounds) through
-        reused buffers. Each chunk is centered and projected by einsum,
-        which sums each dot product over the row alone, so a row scores
+        reused buffers, and a 1-row z as two rows (``ops.gemm_rows``), so
+        at the default config's shapes a row scores the same bits in any
+        batch. Each chunk is centered and projected by einsum, which sums
+        each dot product over the row alone, so a row's coordinates are
         alike in any batch. One GEMM of the augmented query [c / h, 1]
         against ``augmented`` then gives every c.s / h^2 - ||s||^2 / (2 h^2),
         the log-kernel plus the row's ||c||^2 / (2 h^2); a max-shifted
@@ -205,6 +208,8 @@ class KdeModel:
         one-shot kernel as the oracle.
         """
         z = latent_rows(z, self.dim)
+        asked = z.shape[0]
+        z = gemm_rows(z)
         rows = z.shape[0]
         bounds = chunk_bounds(rows, KDE_CHUNK_ROWS)
         cap = min(rows, KDE_CHUNK_ROWS + 1)
@@ -238,7 +243,7 @@ class KdeModel:
         # an infinite max, came out NaN; fmax turns exactly those into -inf.
         np.fmax(out, -np.inf, out=out)
         out -= self.log_norm
-        return out
+        return out[:asked]
 
     def param_count(self) -> int:
         """The support, the mean, the directions and the bandwidth."""
@@ -546,7 +551,7 @@ class FlowModel:
 
 class FlowWorkspace:
     """The flow's training arrays on one input array ``x`` of coordinates,
-    in x's dtype, made once per fit for the full batches, so such a step
+    in x's dtype, made once per fit for each batch size, so a step
     allocates no array (the relu mask aside): x's first halves, one
     ``CouplingWorkspace`` per layer (each on the halves its forward reads,
     which are the arrays the layer before it wrote), the log-det sums, t and
@@ -571,7 +576,7 @@ def flow_fit(train_z: np.ndarray, config: FlowConfig, seed: int) -> tuple[FlowMo
     """Fit the projection of the train latent rows (:func:`fit_projection`,
     one SVD), then the coupling layers on their coordinates by minimizing
     mean NLL plus the L2 term; seed draws the initial weights and the batch
-    order. The full batches step on one workspace, which the loop makes
+    order. Each batch size steps on one workspace, which the loop makes
     and drops.
     The model's log-density is of latent rows, up to a constant.
 
@@ -742,9 +747,11 @@ class ScaledDensity:
 
     def scaled_likelihood(self, z: np.ndarray) -> np.ndarray:
         """exp(log p(z) - max train log p), clamped into [floor, 1], of each
-        latent row of z. A row's s can differ in its last bits between a
-        batch-1 call and a batched one: at narrow widths BLAS may round a
-        row's products differently in another batch (see chunk_bounds)."""
+        latent row of z. A KDE gives a row the same s in any batch at the
+        default config's shapes (see ops.gemm_rows); only a flow's s can
+        differ in its last bits between a batch-1 call and a batched one,
+        since at its narrow widths BLAS may round a row's products
+        differently in another batch, even walked as two rows."""
         return self.scale(self.inner.log_density(z))
 
     def scale(self, log_density: np.ndarray) -> np.ndarray:
@@ -768,8 +775,8 @@ def compute_scale(density: KdeModel | FlowModel, train_z: np.ndarray
     serves the train rows.
 
     Served in other batches, the densest train row can score 1 minus an ulp
-    or two (see ScaledDensity.scaled_likelihood); in 128- and 256-row
-    batches it scored exactly 1 on the tests' pipelines."""
+    or two under a flow (see ScaledDensity.scaled_likelihood); in 128- and
+    256-row batches it scored exactly 1 on the tests' pipelines."""
     train_z = np.asarray(train_z, dtype=np.float64)
     if train_z.ndim != 2 or train_z.shape[0] == 0:
         raise ValueError("train_z must be a non-empty matrix")

@@ -1,15 +1,15 @@
 """Dense layers and small feed-forward stacks with optional residual links.
 
-Each layer owns two parameter Tensors, a weight and a bias: float32 while
-ERM steps the encoder, float64 in every later stage and at inference. The
-kernels compute in their inputs' dtype, and a workspace's arrays take its
-array's. Each network's layout is built in one place, fresh or loaded: the
-encoder's by ``model.encoder_net``, a coupling net's by
-``density.coupling_net``.
+Each layer owns two parameter Tensors, a weight and a bias: float32 in a
+trained encoder, which ERM steps and ``Encoder.encode`` serves in that
+dtype, and float64 in a coupling net. The kernels compute in their inputs'
+dtype, and a workspace's arrays take its array's. Each network's layout is
+built in one place, fresh or loaded: the encoder's by
+``model.encoder_net``, a coupling net's by ``density.coupling_net``.
 
 ``forward`` is the one forward step, for inference and training alike.
 Without a workspace it works in place on its fresh matmul output. Given a
-``DenseWorkspace``, the arrays a fit makes once for its full batches, each
+``DenseWorkspace``, the arrays a fit makes once per batch size, each
 layer writes its activation and its residual sum into the workspace, so the
 arrays the backward reads stay as they were. ``backward`` walks the
 workspace once and writes each parameter's gradient, one product per
@@ -182,7 +182,7 @@ class LayerArrays:
 
 class DenseWorkspace:
     """A DenseNet's training arrays on one input array ``x``, in x's dtype,
-    made once per fit for the full batches, so the net's walk in such a step
+    made once per fit for each batch size, so the net's walk in a step
     allocates no array (the relu mask ``a > 0`` aside) and looks nothing up:
     the forward writes each layer's activation into the workspace, and the
     backward reads it there. A layer's forward arrays are its own. The backward's scratch is

@@ -9,15 +9,26 @@ the weights packed first and the biases after, with the one L2 path
 (``optim.L2Penalty``) over that weight prefix.
 
 ERM steps in float32 (``ERM_DTYPE``): ``erm_train`` casts the features and
-the encoder's and head's parameters down once, trains them, and widens the
-parameters back to float64, which is exact. ``init_model`` draws weights
-that float32 holds exactly, so an untrained parameter survives the round
-trip too. Every later stage (the train latents, the density fit and
-``compute_scale``, re-optimization) and serving run in float64.
+the encoder's and head's parameters down once (``narrow``) and trains them;
+the encoder keeps its float32 arrays and the head widens back to float64,
+which is exact. ``init_model`` draws weights that float32 holds exactly, so
+an untrained parameter survives the round trip too.
+
+``Encoder.encode`` walks in its weights' dtype, float32 for every encoder
+this program trains or loads (``serialize.load_container`` narrows an
+encoder whose weights and biases are all float32 values), and hands float64
+latents on. It walks a 1-row batch as two identical rows (``ops.gemm_rows``),
+so at the default config's widths a row's latent has the same bits in any
+batch. A row that the float32 walk cannot hold (an input past float32's
+3.4e38, or one that overflows on the way) is walked again in float64 from
+the exactly widened weights. Every later stage (the density fit and
+``compute_scale``, re-optimization, the head and the density at inference)
+runs in float64.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -26,11 +37,11 @@ from .autodiff import Tensor, bound_grad
 from .config import EncoderConfig, TrainConfig
 from .data import DataError, LabeledSet, require_fittable
 from .layers import Activation, Dense, DenseNet, DenseWorkspace, fan_in_uniform
-from .ops import finite_rows
+from .ops import finite_rows, gemm_rows
 from .optim import Adam, L2Penalty
 
-# The dtype ERM trains the encoder and head in; the model keeps float64
-# arrays that hold its values exactly.
+# The dtype ERM trains the encoder and head in, and the one a trained
+# encoder keeps and serves in; the head widens back to float64.
 ERM_DTYPE = np.float32
 
 # The largest train feature magnitude ERM takes. Adam squares each
@@ -79,15 +90,26 @@ class Encoder:
         return self.net.layers[-1].weight.data.shape[1]
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        """The latents of x's rows as a batch; a 1-D x is one row."""
+        """The float64 latents of x's rows as a batch; a 1-D x is one row.
+
+        The stack walks in its weights' dtype, a 1-row batch as two rows,
+        so at the default config's widths a row's latent has the same bits
+        in any batch (see ``ops.gemm_rows``). Rows the walk leaves not
+        finite are walked again in float64 from the exactly widened
+        weights, the one walk that holds an input past float32's range; a
+        row that overflows float64 too raises NonFiniteRow ("latent row i
+        is not finite"), i counted in x."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} input columns, got {x.shape[1]}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = self.net.forward(x)
+        z = _walk(self.net, x)
+        if self.net.layers[0].weight.data.dtype != np.float64 and not np.isfinite(z).all():
+            far = ~np.isfinite(z).all(axis=1)
+            wide = DenseNet([replace(layer, weight=Tensor(layer.weight.data),
+                                     bias=Tensor(layer.bias.data)) for layer in self.net.layers])
+            z[far] = _walk(wide, x[far])
         # a finite but huge input row can overflow on its way through the stack
-        finite_rows(z, "latent")
-        return z
+        return finite_rows(z, "latent")
 
     def encode_tape(self, x: np.ndarray, work: DenseWorkspace | None = None
                     ) -> tuple[np.ndarray, DenseWorkspace]:
@@ -103,6 +125,20 @@ class Encoder:
 
     def param_count(self) -> int:
         return self.net.param_count()
+
+
+def _walk(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    """The stack's output for the float64 rows x, walked in the net's dtype
+    (see ``ops.gemm_rows``), as float64 rows; overflows are left in it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = net.forward(gemm_rows(x).astype(net.layers[0].weight.data.dtype, copy=False))
+    return z[:len(x)].astype(np.float64, copy=False)
+
+
+def narrow(params: list[Tensor]) -> None:
+    """Rebind each parameter's data to an ERM_DTYPE copy of its own."""
+    for p in params:
+        p.data = p.data.astype(ERM_DTYPE)
 
 
 class Classifier:
@@ -184,12 +220,13 @@ def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray, object], Tensor
 
     Adam packs the weight matrices first, net by net (``weights`` holds each
     net's), and the biases after. ``workspace(rows)``, when given, makes the
-    stage's training workspace for batches of ``rows`` rows: the loop makes
-    one for the full batches once Adam has packed, and drops it on the way
-    out. Each epoch visits the n rows in a seeded shuffle; per batch it
-    builds the scalar loss node `loss_fn(idx, work)`, the data term, on that
-    workspace, or with work None for a shorter last batch (the node then
-    makes its own); with l2 > 0 it adds l2 * sum(w^2) over the weights
+    stage's training workspace for batches of ``rows`` rows: once Adam has
+    packed, the loop makes one for the full batches and, when n is not a
+    multiple of the batch size, one for the shorter last batch, and drops
+    both on the way out. Each epoch visits the n rows in a seeded shuffle;
+    per batch it builds the scalar loss node `loss_fn(idx, work)`, the data
+    term, on the workspace of the batch's size (work None without
+    ``workspace``); with l2 > 0 it adds l2 * sum(w^2) over the weights
     (``optim.L2Penalty``). It checks the loss is finite, runs the
     node's backward into Adam's packed gradient, adds the penalty's gradient
     and takes one Adam step at the fixed rate lr.
@@ -202,8 +239,10 @@ def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray, object], Tensor
     """
     opt = Adam([w for net in weights for w in net] + biases, lr)
     penalty = L2Penalty(opt, weights, l2) if l2 != 0.0 else None
-    rows = min(batch_size, n)
-    work = None if workspace is None else workspace(rows)
+    works = {}  # rows -> the workspace for batches of that many rows
+    for rows in (min(batch_size, n), n % batch_size):
+        if workspace is not None and rows and rows not in works:
+            works[rows] = workspace(rows)
     rng = np.random.default_rng(seed)
     trace: list[float] = []
     last_finite = None
@@ -211,7 +250,7 @@ def train_minibatches(stage: str, loss_fn: Callable[[np.ndarray, object], Tensor
         for epoch in range(epochs):
             losses = []
             for batch, idx in enumerate(minibatches(n, batch_size, rng)):
-                loss = loss_fn(idx, work if len(idx) == rows else None)
+                loss = loss_fn(idx, works.get(len(idx)))
                 value = float(loss.data if penalty is None else penalty.add_to(loss.data))
                 if not np.isfinite(value):
                     raise TrainingDiverged(stage, epoch, batch, last_finite)
@@ -294,9 +333,11 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
 
     Returns the per-epoch mean loss trace. An optional l2 coefficient adds
     l2 * sum(w^2) over all weight matrices to the loss. The steps run in
-    ERM_DTYPE, the full batches on one encoder workspace; on the way out, diverged
-    or not, every parameter is a float64 array again. Train features beyond
-    ERM_FEATURE_LIMIT (or beyond ERM_DTYPE's range) raise DataError.
+    ERM_DTYPE, each batch size on one encoder workspace; on the way out,
+    diverged or not, the encoder's parameters are ERM_DTYPE arrays of their
+    own, which ``Encoder.encode`` walks in, and the head's is a float64
+    array again. Train features beyond ERM_FEATURE_LIMIT (or beyond
+    ERM_DTYPE's range) raise DataError and leave the parameters as they were.
     """
     require_fittable(train)
     limit, name = float(np.finfo(ERM_DTYPE).max), np.dtype(ERM_DTYPE).name
@@ -308,9 +349,7 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
                         f"steps in {name} (range +-{limit:.4g}), which Adam's squared "
                         "gradients overflow at this feature scale; rescale the features")
     features = train.features.astype(ERM_DTYPE)
-    params = encoder.params() + classifier.params()
-    for p in params:
-        p.data = p.data.astype(ERM_DTYPE)
+    narrow(encoder.params() + classifier.params())
 
     def workspace(rows: int) -> DenseWorkspace:
         return DenseWorkspace(encoder.net, np.empty((rows, features.shape[1]), ERM_DTYPE))
@@ -326,5 +365,6 @@ def erm_train(encoder: Encoder, classifier: Classifier, train: LabeledSet,
                                  config.optimizer.lr, train.n, config.batch_size,
                                  config.epochs, seed, workspace)
     finally:
-        for p in params:
+        narrow(encoder.params())  # each its own array, not a view of Adam's vector
+        for p in classifier.params():
             p.data = p.data.astype(np.float64)

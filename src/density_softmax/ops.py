@@ -1,4 +1,4 @@
-"""Plain-numpy inference ops: input check, softmax, entropy."""
+"""Plain-numpy inference ops: input check, the two-row rule, softmax, entropy."""
 
 from __future__ import annotations
 
@@ -29,6 +29,20 @@ def finite_rows(x, what: str = "input") -> np.ndarray:
         row = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
         raise NonFiniteRow(what, row)
     return x
+
+
+def gemm_rows(x: np.ndarray) -> np.ndarray:
+    """x, or a 1-row x repeated to two rows, for a product whose rows
+    should not depend on the batch. numpy sends a 1-row product to gemv,
+    whose last bits differ from gemm's. OpenBLAS's gemm gives a row the same
+    bits in every product of two or more rows at the default config's
+    shapes: the encoder's 2 -> 128 and 128 -> 128 layers in float32 and
+    float64, and the KDE's r + 1 coordinates against its 1000 support rows
+    (tests/test_ops.py checks them on the BLAS at hand). At some other
+    output widths, such as 500 or 1001 support rows or a 100-wide layer, a
+    row's last bits move with the batch even so. The caller keeps the first
+    len(x) rows of the product."""
+    return np.repeat(x, 2, axis=0) if len(x) == 1 else x
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

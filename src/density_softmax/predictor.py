@@ -7,10 +7,13 @@ times a Gaussian on each row's distance off them),
 then likelihood scaling in one scoring pass over the latent rows, (3)
 re-optimization of the classifier alone against the density-scaled
 objective, starting from step 1's head. Every step that trains uses Adam
-at its own fixed learning rate. Step 1 steps in float32 and hands back
-float64 arrays of its float32 values; steps 2 and 3, and inference, run in
-float64. Inference multiplies each sample's logits by its scaled likelihood
-s in (0, 1] before the softmax:
+at its own fixed learning rate. Step 1 steps in float32 and leaves the
+encoder in float32, which it also serves in (a 1-row batch walked as two
+rows, a row past float32's range walked again in float64; see
+``Encoder.encode``), and the head as a float64 array of float32 values;
+the latents it hands on, steps 2 and 3, and the head and density at
+inference are float64. Inference multiplies each sample's logits by its
+scaled likelihood s in (0, 1] before the softmax:
 
     probs = softmax(s * (z @ theta)),  z = encode(x),  s = scaled_likelihood(z)
 
@@ -67,8 +70,12 @@ class DensitySoftmaxModel:
         """One encoder pass, one density pass, one matrix product per sample.
 
         Rows with a NaN or an infinity are rejected up front (ValueError).
-        A row's s, and so its probs, can differ in the last bits between a
-        batch-1 call and a batched one (see ScaledDensity.scaled_likelihood).
+        At the default config's shapes a row's latent has the same bits in
+        a batch-1 call as in a batched one, and so has its s under a KDE;
+        only a flow's s can differ in the last bits (see
+        ScaledDensity.scaled_likelihood). The head's K-column product can
+        round a row's logits, and so its probs, differently in another
+        batch.
         """
         z = finite_rows(x)
         latent = self.encoder.encode(z)

@@ -1,16 +1,20 @@
 """Versioned binary model containers with exact float round-trip.
 
 A container is one file: a header line, then a payload. The header line is
-one JSON document with sorted keys, ended by a newline. Every float64 array
-of the model (dense weights and biases, the classifier's theta, the
-projections, the KDE support) appears in it as an object ``{"shape": [...],
-"offset": n}``, and the payload holds the arrays' raw little-endian
-IEEE-754 bytes, back to back, in the order the header lists them: each
-array's bytes start n bytes into the payload. Save -> load therefore
-reproduces every parameter bit for bit by construction (the bytes are the
-bits, -0.0, subnormals and the largest finite value included), and neither
-side turns a weight into a Python float, its decimal repr or a text encoding
-of its bytes. Since the header sorts its keys and the payload follows the
+one JSON document with sorted keys, ended by a newline. Every array of the
+model (dense weights and biases, the classifier's theta, the projections,
+the KDE support) appears in it as an object ``{"shape": [...], "offset":
+n}``, and the payload holds the arrays' raw little-endian IEEE-754 float64
+bytes, back to back, in the order the header lists them: each array's bytes
+start n bytes into the payload. A trained encoder's float32 arrays are
+stored widened to float64, which is exact, and an encoder whose weights and
+biases are all float32 values loads narrowed to float32 again
+(``model.narrow``), the dtype ``Encoder.encode`` then walks in; one trained
+in float64 keeps its float64 arrays. Save -> load therefore reproduces
+every parameter bit for bit by construction (the bytes are the bits, -0.0,
+subnormals and the largest finite value included), and neither side turns
+a weight into a Python float, its decimal repr or a text encoding of its
+bytes. Since the header sorts its keys and the payload follows the
 header's order, saving a model twice writes the same bytes. Scalars
 (bandwidth, max_train_log_density, residual_scale) stay finite JSON numbers
 in the header.
@@ -74,7 +78,7 @@ import numpy as np
 from .autodiff import Tensor
 from .density import FlowModel, KdeModel, LatentProjection, ScaledDensity, coupling_net
 from .layers import DenseNet
-from .model import Classifier, Encoder, encoder_net
+from .model import ERM_DTYPE, Classifier, Encoder, encoder_net, narrow
 from .predictor import DensitySoftmaxModel, Ensemble
 
 CONTAINER_VERSION = 8
@@ -379,6 +383,11 @@ def _model_from_dict(doc, what: str, payload: _Payload) -> DensitySoftmaxModel:
     encoder = Encoder(_net_from_list(stored["layers"], "encoder",
                                      lambda pairs: encoder_net(pairs, stored["activation"]),
                                      payload))
+    params = encoder.params()
+    with np.errstate(over="ignore"):  # a weight past float32's range casts to inf
+        exact = all(np.array_equal(p.data.astype(ERM_DTYPE), p.data) for p in params)
+    if exact:
+        narrow(params)  # serve in the dtype ERM trained it in
     classifier = _known(doc["classifier"], "classifier", ("theta",))
     theta = payload.array(classifier["theta"], "classifier theta", 2)
     if theta.shape[0] != encoder.latent_dim:

@@ -46,10 +46,18 @@ def bind_grads(params, fill: float = np.nan):
 
 def assert_float32_exact(arrays) -> None:
     """Each array is float64 and holds float32 values: what ERM, which steps
-    in float32, leaves in the encoder and the head."""
+    in float32, leaves in the head."""
     for a in arrays:
         assert a.dtype == np.float64
         np.testing.assert_array_equal(a.astype(np.float32).astype(np.float64), a)
+
+
+def assert_own_float32(arrays) -> None:
+    """Each array is float32 and owns its memory, not a view of an
+    optimizer's packed vector: what ERM leaves in the encoder."""
+    for a in arrays:
+        assert a.dtype == np.float32
+        assert a.base is None
 
 
 def assert_grads_close(analytic, numeric, rel_tol: float = 1e-4):

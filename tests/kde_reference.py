@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from density_softmax.ops import gemm_rows
+
 LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -26,8 +28,11 @@ def kde_log_density(kde, z: np.ndarray) -> np.ndarray:
     """log-mean of Gaussian kernels on the coordinates c plus the Gaussian
     on the residual, every log-kernel in one matrix: the GEMM of [c/h, 1]
     against [s/h, -||s/h||^2/2] gives c.s/h^2 - ||s||^2/(2h^2), and
-    ||c||^2 + ||residual||^2 = ||z - mean||^2 comes after the log-sum-exp."""
+    ||c||^2 + ||residual||^2 = ||z - mean||^2 comes after the log-sum-exp.
+    A 1-row z is scored as two rows, as the program walks it (ops.gemm_rows)."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    rows = len(z)
+    z = gemm_rows(z)
     mean, directions, h = kde.mean, kde.directions, kde.bandwidth
     n, d = kde.support.shape[0], mean.size
     with np.errstate(over="ignore", invalid="ignore"):
@@ -39,7 +44,7 @@ def kde_log_density(kde, z: np.ndarray) -> np.ndarray:
         sq = np.einsum("nd,nd->n", centered, centered) / h / h * 0.5
         out = logsumexp(query @ support.T, axis=1) - sq
     norm = math.log(n) + d * math.log(h) + 0.5 * d * LOG_2PI
-    return np.fmax(out, -np.inf) - norm
+    return (np.fmax(out, -np.inf) - norm)[:rows]
 
 
 def full_space_log_density(support: np.ndarray, bandwidth: float, z: np.ndarray) -> np.ndarray:

@@ -57,6 +57,16 @@ class TestKde:
         slow = brute_force_kde_logpdf(support, 0.5, queries)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
+    def test_a_row_scores_its_batched_bits_at_batch_1(self, rng):
+        """A 1-row query is walked as two rows (ops.gemm_rows), so against
+        1000 support rows, as many as the default config's train set, a row
+        scores the same bits alone as in a batch."""
+        z = rng.normal(size=(1000, 4)) @ rng.normal(size=(4, 16))
+        kde = kde_fit(z)
+        queries = z[:100] + rng.normal(size=(100, 16))
+        batched = kde.log_density(queries)
+        assert [kde.log_density(q)[0] for q in queries] == list(batched)
+
     def test_bad_bandwidth_rejected(self, rng):
         for bandwidth in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="bandwidth must be positive and finite"):

@@ -471,8 +471,9 @@ class TestContiguousOptimizerInFloat32(TestContiguousOptimizer):
 def pipeline_and_reference(activation: str):
     """A small flow pipeline's result, and the per-op reference loops run
     from the same initial model: ERM, the projection flow_fit fits
-    (fit_projection gives it again from the same latents), the flow fit on
-    the coordinates and the re-optimization against the scaled likelihood."""
+    (fit_projection gives it again from the same latents, encoded in
+    float32 as the program's trained encoder walks), the flow fit on the
+    coordinates and the re-optimization against the scaled likelihood."""
     train = make_two_moons(50, 0.1, seed=2)  # 100 rows: batches 32,32,32,4
     enc_cfg = EncoderConfig(width=8, depth=2, activation=activation)
     train_cfg = TrainConfig(epochs=4, batch_size=32, l2=1e-3,
@@ -486,6 +487,7 @@ def pipeline_and_reference(activation: str):
     encoder, classifier = init_model(enc_cfg, 2, 2, train_cfg.seed)
     ref_traces = {"erm": ref.reference_erm(encoder, classifier, train, train_cfg,
                                                 train_cfg.seed)}
+    cast(encoder.params(), np.float32)
     train_z = encoder.encode(train.features)
     projection = fit_projection(train_z)
     coords, _ = projection.project(train_z)

@@ -14,11 +14,13 @@ from density_softmax.density import FlowModel
 from density_softmax.layers import DenseNet, fan_in_uniform
 from density_softmax.autodiff import bound_grad
 from density_softmax.model import (Classifier, Encoder, TrainingDiverged, batch_rows, erm_loss,
-                                   erm_train, head_cross_entropy, init_model, train_minibatches)
+                                   erm_train, head_cross_entropy, init_model, narrow,
+                                   train_minibatches)
 from density_softmax.optim import Adam, L2Penalty
 from density_softmax.predictor import DensitySoftmaxModel, Ensemble, ensemble_train
 
-from conftest import assert_float32_exact, count_forward_rows, erm_model, identity_projection
+from conftest import (assert_float32_exact, assert_own_float32, count_forward_rows, erm_model,
+                      identity_projection)
 
 SMALL = EncoderConfig(width=8, depth=2)
 
@@ -120,12 +122,45 @@ class TestEncode:
         np.testing.assert_array_equal(out, np.zeros((1, 8)))
 
     def test_eval_count_tracks_rows(self, rng, monkeypatch):
+        """One walk per call; a 1-row call walks its row twice, as a 2-row
+        batch (ops.gemm_rows)."""
         enc, _ = init_model(SMALL, 2, 2, seed=1)
         rows = count_forward_rows(monkeypatch, enc.net)
         enc.encode(rng.normal(size=(7, 2)))
         assert rows == [7]
         enc.encode(rng.normal(size=2))
-        assert rows == [7, 1]
+        assert rows == [7, 2]
+
+    def test_rows_past_float32_are_walked_again_in_float64(self, rng):
+        """A trained encoder walks in float32; rows whose float32 walk is
+        not finite (1e200 is past float32's range) get the float64 walk of
+        the exactly widened weights, with no warning, and the other rows
+        keep their float32 latents."""
+        enc, _ = init_model(SMALL, 2, 2, seed=1)
+        wide, _ = init_model(SMALL, 2, 2, seed=1)
+        narrow(enc.params())
+        x = rng.normal(size=(5, 2))
+        x[[1, 3]] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = enc.encode(x)
+            np.testing.assert_array_equal(z[[1, 3]], wide.encode(x[[1, 3]]))
+            np.testing.assert_array_equal(enc.encode(x[3]), wide.encode(x[3]))
+        np.testing.assert_array_equal(z[[0, 2, 4]], enc.encode(x[[0, 2, 4]]))
+        assert z.dtype == np.float64 and np.isfinite(z).all()
+
+    def test_a_row_past_float64_too_is_named_in_the_callers_batch(self):
+        """Row 2 overflows float32 and is held by the float64 walk; row 1
+        overflows float64 too, and is named by its index in the batch."""
+        enc, _ = init_model(SMALL, 2, 2, seed=1)
+        narrow(enc.params())
+        enc.net.layers[0].weight.data *= 1e30
+        x = np.array([[0.5, 0.25], [1e300, 1e300], [1e100, 1e100]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(enc.encode(x[[0, 2]])).all()
+            with pytest.raises(ValueError, match="latent row 1 is not finite"):
+                enc.encode(x)
 
 
 class TestLogits:
@@ -282,22 +317,26 @@ class TestErmTrain:
             np.testing.assert_array_equal(p.data, b)
 
     def test_divergence_leaves_float64_parameters(self):
-        """ERM steps in float32; a run that diverges still hands back
-        float64 arrays, and no gradient buffer."""
+        """ERM steps in float32; a run that diverges still hands back the
+        encoder as float32 arrays of its own and the head as a float64
+        array, and no gradient buffer."""
         train = make_two_moons(50, 0.1, seed=0)
         enc, clf = init_model(SMALL, 2, 2, seed=0)
         cfg = TrainConfig(epochs=200, batch_size=32, optimizer=OptimizerSpec(lr=1e200))
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             erm_train(enc, clf, train, cfg, 0)
-        for p in enc.params() + clf.params():
-            assert p.data.dtype == np.float64
-            assert p.grad is None
+        assert_own_float32([p.data for p in enc.params()])
+        assert clf.theta.data.dtype == np.float64
+        assert [p.grad for p in enc.params() + clf.params()] == [None] * 7
 
     def test_trained_parameters_are_float32_exact_float64_arrays(self):
+        """The trained encoder keeps float32 arrays of its own, which it
+        serves in; the head is a float64 array of float32 values."""
         train = make_two_moons(50, 0.1, seed=0)
         enc, clf = init_model(SMALL, 2, 2, seed=0)
         erm_train(enc, clf, train, small_train_config(epochs=3, l2=1e-3), 0)
-        assert_float32_exact([p.data for p in enc.params() + clf.params()])
+        assert_own_float32([p.data for p in enc.params()])
+        assert_float32_exact([clf.theta.data])
         assert [p.grad for p in enc.params() + clf.params()] == [None] * 7
 
 
@@ -338,10 +377,10 @@ class TestUnboundGradient:
 
 
 class TestTrainingWorkspace:
-    """The loop makes one workspace, for the full batches; a shorter last
-    batch gets none, and its loss node makes its own."""
+    """The loop makes one workspace per batch size, once per fit: one for
+    the full batches and one for a shorter last batch."""
 
-    def test_only_full_batches_step_on_the_workspace(self):
+    def test_each_batch_size_steps_on_its_own_workspace(self):
         w = Tensor(np.ones((2, 2)))
         made, seen = [], []
 
@@ -354,9 +393,17 @@ class TestTrainingWorkspace:
             return Tensor(1.0, lambda: bound_grad(w, "w").fill(0.0))
 
         train_minibatches("test", loss_fn, [[w]], [], 0.0, 0.1, 100, 32, 2, 0, workspace)
-        assert len(made) == 1 and made[0] == 32
-        work = seen[0][1]
-        assert seen == [(32, work), (32, work), (32, work), (4, None)] * 2
+        assert made == [32, 4]
+        full, tail = seen[0][1], seen[3][1]
+        assert full is not tail
+        assert seen == [(32, full), (32, full), (32, full), (4, tail)] * 2
+
+    def test_no_tail_workspace_when_the_batches_fill(self):
+        made = []
+        w = Tensor(np.ones(1))
+        train_minibatches("test", lambda idx, work: Tensor(1.0, lambda: w.grad.fill(0.0)),
+                          [[w]], [], 0.0, 0.1, 64, 32, 1, 0, lambda rows: made.append(rows))
+        assert made == [32]
 
     def test_fewer_rows_than_a_batch(self):
         made = []
@@ -405,8 +452,8 @@ class TestEnsemble:
         cfg = small_train_config(epochs=2)
         ens = ensemble_train(3, erm_model(SMALL, train, cfg), SMALL, train, cfg)
         for member in ens.members:
-            assert_float32_exact([p.data for p in member.encoder.params()
-                                  + member.classifier.params()])
+            assert_own_float32([p.data for p in member.encoder.params()])
+            assert_float32_exact([member.classifier.theta.data])
 
     def test_param_count_additivity(self):
         train = make_two_moons(30, 0.1, seed=0)

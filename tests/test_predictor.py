@@ -18,7 +18,7 @@ from density_softmax.predictor import (DensitySoftmaxModel, Ensemble, PipelineEr
                                        predictive_summaries, reoptimize_classifier,
                                        train_pipeline)
 
-from conftest import assert_float32_exact, count_forward_rows
+from conftest import assert_float32_exact, assert_own_float32, count_forward_rows
 
 SMALL = EncoderConfig(width=8, depth=2)
 
@@ -292,13 +292,14 @@ class TestPipeline:
                                   result.model.classifier.theta.data)
 
     def test_erm_weights_are_float32_exact_and_later_stages_float64(self):
-        """ERM's encoder and head come out as float64 arrays of float32
-        values; the re-optimized head, trained in float64, does not keep
-        to float32, and the served latents and s are float64."""
+        """ERM's encoder comes out as float32 arrays, which it serves in, and
+        its head as a float64 array of float32 values; the re-optimized
+        head, trained in float64, does not keep to float32, and the served
+        latents and s are float64."""
         train, result = small_pipeline(seed=0)
         model = result.model
-        assert_float32_exact([p.data for p in model.encoder.params()]
-                             + [result.erm_model.classifier.theta.data])
+        assert_own_float32([p.data for p in model.encoder.params()])
+        assert_float32_exact([result.erm_model.classifier.theta.data])
         theta = model.classifier.theta.data
         assert theta.dtype == np.float64
         assert not np.array_equal(theta.astype(np.float32).astype(np.float64), theta)
@@ -359,10 +360,39 @@ class TestPipeline:
         assert err.value.stage == "erm"
 
 
+class TestBatchOneMatchesBatched:
+    """On the default encoder and data (2 ERM epochs), a row predicted at
+    batch 1 gets the bits of its latent in a batch: the encoder walks a
+    1-row batch as two rows (ops.gemm_rows). Under a KDE, which walks its
+    query so too, its s has the batched bits as well; a flow's s, and the
+    probs through the head's 2-column product, are held to 1e-12."""
+
+    @pytest.mark.parametrize("kind", ["kde", "flow"])
+    def test_rows_at_batch_1(self, kind):
+        cfg = parse_config({"seed": 0, "dataset": {"generator": "two_moons"},
+                            "train": {"epochs": 2, "optimizer": {"lr": 1e-3}},
+                            "density": {"kind": kind, "flow": {"epochs": 20}}})
+        sets = build_datasets(cfg)
+        model = train_pipeline(sets["train"], cfg.encoder, cfg.train, cfg.density, cfg.reopt,
+                               cfg.k).model
+        x = np.vstack([sets[tag].features[:50] for tag in ("iid_test", "shifted_3",
+                                                           "shifted_5", "ood")])
+        batched = model.predict(x)
+        for i, row in enumerate(x):
+            one = model.predict(row)
+            np.testing.assert_array_equal(one.latent[0], batched.latent[i])
+            if kind == "kde":
+                assert one.scaled_likelihood[0] == batched.scaled_likelihood[i]
+            else:
+                assert one.scaled_likelihood[0] == pytest.approx(batched.scaled_likelihood[i],
+                                                                 rel=1e-12)
+            np.testing.assert_allclose(one.probs[0], batched.probs[i], rtol=0, atol=1e-12)
+
+
 class TestTrainScale:
     """The densest train row scores exactly 1 when the train latents are
-    scored again in the 128-row batches of the benchmark's check (a batch-1
-    call may differ in the last bits; see compute_scale)."""
+    scored again in the 128-row batches of the benchmark's check (under a
+    flow a batch-1 call may differ in the last bits; see compute_scale)."""
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("kind", ["kde", "flow"])

@@ -8,14 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_float32_exact, erm_model, identity_projection
+from conftest import assert_float32_exact, assert_own_float32, erm_model, identity_projection
 
 from density_softmax import cli
+from density_softmax.autodiff import Tensor
 from density_softmax.config import (DensityConfig, EncoderConfig, FlowConfig, OptimizerSpec,
                                     ReoptConfig, TrainConfig)
 from density_softmax.data import make_two_moons
 from density_softmax.density import FlowModel, ScaledDensity
-from density_softmax.model import init_model
+from density_softmax.model import Encoder, encoder_net, init_model
 from density_softmax.predictor import DensitySoftmaxModel, ensemble_train, train_pipeline
 from density_softmax.serialize import (CONTAINER_SUFFIX, CONTAINER_VERSION, ContainerError,
                                        _model_to_dict, _read, density_softmax_container,
@@ -51,8 +52,9 @@ class TestDensitySoftmaxContainer:
     @pytest.mark.parametrize("which", ["model", "erm_model"])
     def test_loaded_model_holds_the_trained_arrays_and_predicts_bit_for_bit(
             self, tmp_path, pipeline_result, which):
-        """The encoder and the ERM head, trained in float32, load as the same
-        float64 arrays, so the loaded model serves the same bits."""
+        """The encoder, trained in float32, loads as the same float32
+        arrays, and the head as the same float64 array, so the loaded model
+        serves the same bits."""
         train, result = pipeline_result
         model = getattr(result, which)
         path = tmp_path / "model.dsm"
@@ -61,14 +63,39 @@ class TestDensitySoftmaxContainer:
         trained = [p.data for p in model.encoder.params() + model.classifier.params()]
         loaded = [p.data for p in back.encoder.params() + back.classifier.params()]
         for got, want in zip(loaded, trained):
-            assert got.dtype == np.float64
+            assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-        assert_float32_exact(loaded[:-1] if which == "model" else loaded)
+        assert_own_float32(loaded[:-1])
+        assert loaded[-1].dtype == np.float64
+        if which == "erm_model":
+            assert_float32_exact(loaded[-1:])
         x = train.features
         np.testing.assert_array_equal(back.predict(x).probs, model.predict(x).probs)
         for row in range(3):
             np.testing.assert_array_equal(back.predict(x[row]).probs,
                                           model.predict(x[row]).probs)
+
+    def test_float32_encoder_saves_the_bytes_of_its_float64_twin(self, tmp_path,
+                                                                 pipeline_result):
+        """A container stores the float32 encoder's arrays widened to
+        float64, so the model and its twin with float64 copies of the same
+        values write the same bytes, and both load with a float32 encoder."""
+        _, result = pipeline_result
+        model = result.model
+        twin = DensitySoftmaxModel(Encoder(encoder_net(
+            [(Tensor(layer.weight.data), Tensor(layer.bias.data))
+             for layer in model.encoder.net.layers], model.encoder.net.layers[0].activation)),
+            model.classifier, model.density)
+        assert {p.data.dtype for p in twin.encoder.params()} == {np.dtype(np.float64)}
+        paths = tmp_path / "model.dsm", tmp_path / "twin.dsm"
+        for m, path in zip((model, twin), paths):
+            save_container(density_softmax_container(m), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        for path in paths:
+            loaded = load_container(path).encoder.params()
+            assert {p.data.dtype for p in loaded} == {np.dtype(np.float32)}
+            for got, want in zip(loaded, model.encoder.params()):
+                np.testing.assert_array_equal(got.data, want.data)
 
     def test_version_field_required(self, tmp_path, pipeline_result):
         _, result = pipeline_result
@@ -193,9 +220,10 @@ class TestFileLayout:
         ] + [a for layer in model.encoder.net.layers for a in (layer.bias.data,
                                                                 layer.weight.data)]
         assert [d["shape"] for d in stored] == [list(a.shape) for a in arrays]
-        assert payload == b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)
+        wide = [np.asarray(a, "<f8") for a in arrays]  # the encoder's are float32
+        assert payload == b"".join(a.tobytes() for a in wide)
         assert [d["offset"] for d in stored] == list(
-            np.cumsum([0] + [a.nbytes for a in arrays[:-1]]))
+            np.cumsum([0] + [a.nbytes for a in wide[:-1]]))
 
     @pytest.mark.parametrize("which", ["model", "erm_model", "ensemble"])
     def test_save_load_save_writes_the_same_bytes(self, tmp_path, pipeline_result, which):

@@ -2,23 +2,23 @@
 
 Two estimators share the same interface: ``log_density`` of latent rows,
 up to a constant, which refuses rows of another width than the train
-latents'. Each models the rows' coordinates on the train latents' top
-principal directions, and scores each row's distance off their subspace
-with a Gaussian, so a row far from the train latents in any direction
-still scores low. In all 128 latent dims a fitted density's log p spreads
-over so many nats that almost every row's scaled likelihood collapses
-toward 0, while on two moons 99% of the variance lies in about 4
-directions and 99.99% in about 17.
+latents'. Both see the rows through a :class:`LatentProjection`: their
+coordinates on the train latents' top principal directions (``_top_axes``
+picks them for both), and a Gaussian on each row's distance off their
+subspace, so a row far from the train latents in any direction still
+scores low. In all 128 latent dims a fitted density's log p spreads over so
+many nats that almost every row's scaled likelihood collapses toward 0,
+while on two moons 99% of the variance lies in about 4 directions and
+99.99% in about 17.
 
-* :class:`KdeModel` — Gaussian kernel density with a scalar bandwidth h on
-  the rows' coordinates in the directions holding KDE_VARIANCE_KEPT of the
-  variance (:func:`kde_fit`), times a Gaussian of width h on the residual;
-  it holds its mean, directions, support and bandwidth itself, and one
-  GEMM gives every log-kernel.
+* :class:`KdeModel` — Gaussian kernel density with a scalar bandwidth h:
+  a unit-bandwidth KDE of the coordinates under a projection whose scales
+  and residual scale are all h, on the directions holding
+  KDE_VARIANCE_KEPT of the variance (:func:`kde_fit`); one GEMM gives
+  every log-kernel.
 * :class:`FlowModel` — affine coupling flow with exact log-likelihood via
   the change-of-variables formula, on the rows' whitened coordinates in the
-  directions holding PROJECTION_VARIANCE_KEPT, which its
-  :class:`LatentProjection` maps them to (:func:`flow_fit`):
+  directions holding PROJECTION_VARIANCE_KEPT (:func:`flow_fit`):
   log p(c) = log N(t; 0, I) + log|det J|
   where c are a latent row's coordinates and t their stacked coupling
   transform. Each coupling layer splits c into pass-through columns P and
@@ -36,16 +36,17 @@ directions and 99.99% in about 17.
   backward reads it there, so a step allocates no array (the relu mask
   aside); the fit drops them.
 
-Both estimators project each row by einsum, which gives a row the same
-coordinates in any batch. The KDE walks its query rows in fixed chunks of
-``KDE_CHUNK_ROWS`` (see :func:`chunk_bounds`), which bound its chunk x
-support kernel block, and a 1-row query as two rows (``ops.gemm_rows``),
-so each kernel GEMM has two or more rows, and at the default config's
-shapes a row's log-density has the same bits in any batch. The flow scores
-all rows in one coupling walk, whose temporaries are as wide as the
-coordinates (r = 3-4 on the default config) or the hidden layers; at those
-widths a row's last bits can depend on the batch it comes in, even walked
-as two rows.
+``LatentProjection.project`` centers, projects and forms the residual of
+each row by einsum, which gives a row the same coordinates and residual
+term in any batch. The KDE walks its query rows in fixed chunks of
+``KDE_CHUNK_ROWS`` (see :func:`chunk_bounds`), each projected into reused
+buffers, which bound its chunk x support kernel block, and a 1-row query
+as two rows (``ops.gemm_rows``), so each kernel GEMM has two or more rows,
+and at the default config's shapes a row's log-density has the same bits
+in any batch. The flow scores all rows in one coupling walk, whose
+temporaries are as wide as the coordinates (r = 3-4 on the default config)
+or the hidden layers; at those widths a row's last bits can depend on the
+batch it comes in, even walked as two rows.
 The KDE raises its max-shifted log-kernels to at least
 ``KDE_LOG_KERNEL_FLOOR`` = -700 before the exp, which keeps numpy on its
 vectorized exp (a subnormal or zero result costs 15-150x more per element)
@@ -85,6 +86,172 @@ LIKELIHOOD_FLOOR = sys.float_info.min  # smallest positive normal float64
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+# -- latent projection --------------------------------------------------------
+
+
+# Share of the train latents' variance that the flow's coordinates keep: the
+# fewest top principal directions holding it, and at least 2 (a coupling
+# layer needs two halves).
+PROJECTION_VARIANCE_KEPT = 0.99
+
+# Share of the train latents' variance that the KDE's coordinates keep: the
+# fewest top principal directions holding it, and at least 1. It is more
+# than the flow keeps because the KDE scores the residual at its bandwidth,
+# narrower than the left-out spread: at 99.99% (r = 16-20 on the default
+# config) an iid row's log s moved by at most 0.11 against the 128-d KDE.
+KDE_VARIANCE_KEPT = 0.9999
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def latent_rows(z, width: int) -> np.ndarray:
+    """z as a float64 matrix of latent rows (a vector is one row), once
+    each row is width wide; numpy would otherwise broadcast a row of
+    another width against a width-wide mean."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if z.ndim != 2 or z.shape[1] != width:
+        raise ValueError(f"latent rows have shape {z.shape}; the density reads rows "
+                         f"{width} wide")
+    return z
+
+
+@dataclass(frozen=True)
+class LatentProjection:
+    """Both densities' view of latent rows: their scaled top principal
+    coordinates, (z - mean) @ directions.T / scales, and the log-density of
+    each row's residual off their subspace under N(0, residual_scale^2 I).
+
+    ``directions`` holds r orthonormal rows, the top right singular vectors
+    of the centered train latents. The flow's ``scales`` are the train
+    latents' standard deviation along each, so its train coordinates have
+    mean 0 and unit variance per column, and its ``residual_scale`` their
+    standard deviation along the largest direction the coordinates leave
+    out, so the Gaussian on the residual is at least as wide as the train
+    latents along every direction it covers (:func:`fit_projection`). The
+    KDE's scales and residual scale are all its bandwidth (:func:`kde_fit`).
+    Either way a row far off the subspace scores low. The arrays are copied
+    and made read-only at construction.
+    """
+
+    mean: np.ndarray  # (d,)
+    directions: np.ndarray  # (r, d)
+    scales: np.ndarray  # (r,)
+    residual_scale: float
+
+    def __post_init__(self):
+        for name in ("mean", "directions", "scales"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), float)))
+        object.__setattr__(self, "residual_scale", float(self.residual_scale))
+        want = (self.scales.size, self.mean.size)
+        if self.directions.shape != want:
+            raise ValueError(f"projection directions have shape {self.directions.shape}; "
+                             f"{want[0]} scales over a {want[1]}-d mean need {want}")
+        if not np.all((self.scales > 0) & (self.scales < np.inf)):
+            raise ValueError("projection scales must be positive and finite")
+        if not 0 < self.residual_scale < np.inf:
+            raise ValueError("projection residual_scale must be positive and finite")
+
+    @property
+    def dim(self) -> int:
+        """r, the width of the coordinates."""
+        return self.directions.shape[0]
+
+    def project(self, z: np.ndarray, out: tuple[np.ndarray, ...] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates of each row of z, and -||residual||^2 /
+        (2 residual_scale^2), where the residual is the row's centered part
+        off the directions' span. A row of another width than the mean
+        raises ValueError. Given ``out``, four arrays of z's rows (the
+        centered rows, their part in the span, the coordinates and the
+        residual terms), every array goes into them.
+
+        Each is a function of its row alone: numpy's einsum sums every dot
+        product over the row's entries in one loop, whatever the batch,
+        where a BLAS product with r columns rounds a row differently in
+        batches of other sizes, and the densest train row could then score
+        below 1 when served in another batch than compute_scale's. The
+        residual's squared norm is divided by the scale twice, so that at a
+        tiny scale no step multiplies an infinity by 0. A huge row's values
+        overflow to an infinity or NaN, which the densities map to -inf,
+        with no warning."""
+        z = latent_rows(z, self.mean.size)
+        centered, span, coords, off = (None,) * 4 if out is None else out
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = np.subtract(z, self.mean, out=centered)
+            coords = np.einsum("nd,rd->nr", centered, self.directions, out=coords)
+            centered -= np.einsum("nr,rd->nd", coords, self.directions, out=span)
+            off = np.einsum("nd,nd->n", centered, centered, out=off)
+            off /= self.residual_scale
+            off /= -2.0 * self.residual_scale
+            coords /= self.scales
+        return coords, off
+
+    def param_count(self) -> int:
+        return self.mean.size + self.directions.size + self.scales.size + 1
+
+
+def _principal_axes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The mean of the n latent rows z, the singular values and right
+    singular vectors of the centered rows, and the rank tolerance: a
+    direction varies when its singular value exceeds max(n, d) * eps *
+    sqrt(n) * max|z|, numpy's tolerance taken relative to the rows'
+    magnitude, since centering leaves rounding noise of about eps * max|z|
+    per entry even where every row is equal.
+
+    The SVD is of the centered rows' R factor, which has their singular
+    values and right singular vectors, so no n x d left factor is made.
+    From n >= 11 d / 6 on, where LAPACK's gesdd QR-factors a tall matrix
+    itself, the values and vectors are bit for bit those of
+    ``np.linalg.svd`` of the centered rows; below that they agree to
+    rounding."""
+    n = z.shape[0]
+    mean = z.mean(axis=0)
+    _, sv, vt = np.linalg.svd(np.linalg.qr(z - mean, mode="r"), full_matrices=False)
+    tolerance = max(z.shape) * np.finfo(np.float64).eps * math.sqrt(n) * np.abs(z).max()
+    return mean, sv, vt, tolerance
+
+
+def _top_axes(z: np.ndarray, kept: float, least: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """_principal_axes of the latent rows z with the right singular vectors
+    cut to the fewest top directions whose squared singular values hold
+    the share kept of their sum, at most the varying ones, and at least
+    ``least`` of them."""
+    mean, sv, vt, tolerance = _principal_axes(z)
+    varying = int((sv > tolerance).sum())
+    r = least
+    if varying:
+        power = sv * sv
+        share = np.cumsum(power) / power.sum()
+        r = max(least, min(varying, int(np.searchsorted(share, kept)) + 1))
+    return mean, sv, vt[:r], tolerance
+
+
+def fit_projection(z: np.ndarray) -> LatentProjection:
+    """The flow's projection of the n latent rows z onto their fewest top
+    principal directions that keep PROJECTION_VARIANCE_KEPT of the variance
+    (at least 2), from one SVD of the centered rows (see _top_axes).
+
+    Raises ValueError when the rows vary along fewer than 2 directions. The
+    residual scale comes from the largest singular value left out, and at
+    least from the rank tolerance, so it stays positive where the rows lie
+    in r directions."""
+    z = np.asarray(z, dtype=np.float64)
+    mean, sv, directions, noise = _top_axes(z, PROJECTION_VARIANCE_KEPT, 2)
+    varying = int((sv > noise).sum())
+    if varying < 2:
+        raise ValueError(f"the train latents vary along {varying} direction(s); "
+                         "the flow needs at least 2")
+    r = directions.shape[0]
+    left_out = sv[r] if r < sv.size else 0.0
+    root_n = math.sqrt(z.shape[0])
+    return LatentProjection(mean, directions, sv[:r] / root_n,
+                            float(max(left_out, noise)) / root_n)
+
+
 # -- kernel density estimation ----------------------------------------------
 
 
@@ -109,74 +276,55 @@ def chunk_bounds(rows: int, chunk: int) -> list[int]:
     return bounds
 
 
-def latent_rows(z, width: int) -> np.ndarray:
-    """z as a float64 matrix of latent rows (a vector is one row), once
-    each row is width wide; numpy would otherwise broadcast a row of
-    another width against a width-wide mean."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.ndim != 2 or z.shape[1] != width:
-        raise ValueError(f"latent rows have shape {z.shape}; the density reads rows "
-                         f"{width} wide")
-    return z
-
-
 @dataclass(frozen=True)
 class KdeModel:
-    """Gaussian KDE of latent rows on their top principal coordinates.
+    """Gaussian KDE of latent rows on their projected coordinates.
 
-    A d-wide latent row z has the r coordinates c = (z - mean) @
-    directions.T, where ``directions`` holds r orthonormal rows; ``support``
-    holds the train rows' coordinates. The density is an r-dim KDE of c
-    with the scalar bandwidth h times an isotropic Gaussian of width h on
-    the residual, the row's centered part off the directions' span:
+    ``projection`` maps a d-wide latent row z to its r coordinates q and
+    the log-density of its residual (:meth:`LatentProjection.project`), and
+    ``support`` holds the train rows' coordinates. The density is a
+    unit-bandwidth Gaussian KDE of q times the projection's Gaussian on the
+    residual, over z:
 
-        log p(z) = log mean_j N(c; s_j, h^2 I_r) - ||residual||^2 / (2 h^2)
-                   - (d - r) log h - (d - r)/2 log 2 pi,
+        log p(z) = log mean_j N(q; s_j, I_r) + residual term
+                   - sum log scales - (d - r) log residual_scale
+                   - (d - r)/2 log 2 pi.
 
-    which equals the full-space KDE exactly when the support lies in the
-    subspace, and scores a row far off it low in every direction.
+    :func:`kde_fit` sets every scale and the residual scale to the bandwidth
+    h: the KDE with bandwidth h on the coordinates times a Gaussian of width
+    h on the residual, which equals the full-space KDE exactly when the
+    support lies in the subspace, and scores a row far off it low in every
+    direction.
 
-    The arrays are copied and made read-only at construction, and two
+    The support is copied and made read-only at construction, and two
     derived values are cached then (not serialized, not compared): the
-    ``augmented`` n x (r + 1) support [s / h, -||s / h||^2 / 2] and the
-    normalizer ``log_norm`` = log n + d log h + d/2 log 2 pi.
+    ``augmented`` n x (r + 1) support [s, -||s||^2 / 2] and the normalizer
+    ``log_norm``, log n plus the terms above and d/2 log 2 pi.
     """
 
-    mean: np.ndarray  # (d,)
-    directions: np.ndarray  # (r, d)
+    projection: LatentProjection
     support: np.ndarray  # (n, r) train coordinates
-    bandwidth: float
     augmented: np.ndarray = field(init=False, repr=False, compare=False)
     log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("mean", "directions", "support"):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), float)))
-        h = float(self.bandwidth)
-        object.__setattr__(self, "bandwidth", h)
-        if not 0 < h < np.inf:
-            raise ValueError("bandwidth must be positive and finite")
-        support = self.support
+        support = _read_only(np.array(self.support, float))
+        object.__setattr__(self, "support", support)
         if support.ndim != 2 or support.shape[0] == 0:
             raise ValueError("KDE support must be a non-empty matrix")
         n, r = support.shape
-        want = (r, self.dim)
-        if self.directions.shape != want:
-            raise ValueError(f"kde directions have shape {self.directions.shape}; a support "
-                             f"of shape {support.shape} over a {want[1]}-d mean needs {want}")
+        projection = self.projection
+        if r != projection.dim:
+            raise ValueError(f"kde support has shape {support.shape}; a projection onto "
+                             f"{projection.dim} coordinates needs {projection.dim} columns")
         augmented = np.empty((n, r + 1))
-        np.divide(support, h, out=augmented[:, :r])
-        augmented[:, r] = np.einsum("nr,nr->n", augmented[:, :r], augmented[:, :r])
+        augmented[:, :r] = support
+        augmented[:, r] = np.einsum("nr,nr->n", support, support)
         augmented[:, r] *= -0.5
-        augmented.flags.writeable = False
-        object.__setattr__(self, "augmented", augmented)
-        object.__setattr__(self, "log_norm", math.log(n) + self.dim * math.log(h)
-                           + 0.5 * self.dim * LOG_2PI)
-
-    @property
-    def dim(self) -> int:
-        """d, the width of the latent rows."""
-        return self.mean.size
+        object.__setattr__(self, "augmented", _read_only(augmented))
+        d = projection.mean.size
+        object.__setattr__(self, "log_norm", math.log(n) + float(np.log(projection.scales).sum())
+                           + (d - r) * math.log(projection.residual_scale) + 0.5 * d * LOG_2PI)
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
         """Log-density of each latent row of z; -inf where a value overflows
@@ -185,17 +333,14 @@ class KdeModel:
         Walks z in chunks of KDE_CHUNK_ROWS rows (see chunk_bounds) through
         reused buffers, and a 1-row z as two rows (``ops.gemm_rows``), so
         at the default config's shapes a row scores the same bits in any
-        batch. Each chunk is centered and projected by einsum, which sums
-        each dot product over the row alone, so a row's coordinates are
-        alike in any batch. One GEMM of the augmented query [c / h, 1]
-        against ``augmented`` then gives every c.s / h^2 - ||s||^2 / (2 h^2),
-        the log-kernel plus the row's ||c||^2 / (2 h^2); a max-shifted
-        log-sum-exp runs over them, its shifted terms raised to at least
-        KDE_LOG_KERNEL_FLOOR before the exp. The row's own term comes after:
-        the directions are orthonormal, so ||c||^2 + ||residual||^2 =
-        ||z - mean||^2, and one norm per row gives both the kernels' missing
-        part and the residual's Gaussian. It is divided by h twice, so that
-        at a tiny h no step multiplies an infinity by 0.
+        batch. Each chunk goes through ``projection.project`` into the
+        buffers, its coordinates q into the augmented query [q, 1]; a row's
+        coordinates and residual term are alike in any batch. One GEMM of
+        the query against ``augmented`` then gives every q.s - ||s||^2 / 2,
+        the log-kernel plus the row's ||q||^2 / 2; a max-shifted log-sum-exp
+        runs over them, its shifted terms raised to at least
+        KDE_LOG_KERNEL_FLOOR before the exp. The row's ||q||^2 / 2 and its
+        residual term come after.
 
         No squared distance is formed, so none needs a clamp at 0: the shift
         bounds every exp at e^0 = 1 whatever the rounding, and rounding that
@@ -207,38 +352,38 @@ class KdeModel:
         absorbs that partial. tests/kde_reference.py keeps the unfloored
         one-shot kernel as the oracle.
         """
-        z = latent_rows(z, self.dim)
+        projection = self.projection
+        d, r = projection.mean.size, projection.dim
+        z = latent_rows(z, d)
         asked = z.shape[0]
         z = gemm_rows(z)
         rows = z.shape[0]
         bounds = chunk_bounds(rows, KDE_CHUNK_ROWS)
         cap = min(rows, KDE_CHUNK_ROWS + 1)
-        r = self.directions.shape[0]
-        centered = np.empty((cap, self.dim))
+        centered, span = np.empty((cap, d)), np.empty((cap, d))
         query = np.empty((cap, r + 1))
         query[:, r] = 1.0
+        off, half = np.empty(cap), np.empty(cap)
         buf = np.empty((cap, self.support.shape[0]))
         out = np.empty(rows)
-        h, mean, directions = self.bandwidth, self.mean, self.directions
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for lo, hi in zip(bounds, bounds[1:]):
-                c = np.subtract(z[lo:hi], mean, out=centered[:hi - lo])
-                q = query[:hi - lo]
-                np.divide(np.einsum("rd,nd->nr", directions, c), h, out=q[:, :r])
-                a = buf[:hi - lo]
+                m = hi - lo
+                q, c = query[:m], query[:m, :r]
+                projection.project(z[lo:hi], (centered[:m], span[:m], c, off[:m]))
+                a = buf[:m]
                 np.matmul(q, self.augmented.T, out=a)
-                m = a.max(axis=1)
-                a -= m[:, None]
+                top = a.max(axis=1)
+                a -= top[:, None]
                 np.maximum(a, KDE_LOG_KERNEL_FLOOR, out=a)
                 np.exp(a, out=a)
                 lse = out[lo:hi]
                 np.log(a.sum(axis=1), out=lse)
-                lse += m
-                sq = np.einsum("nd,nd->n", c, c)
-                sq /= h
-                sq /= h
-                sq *= 0.5
-                lse -= sq
+                lse += top
+                np.einsum("nr,nr->n", c, c, out=half[:m])
+                half[:m] *= 0.5
+                lse -= half[:m]
+                lse += off[:m]
         # A row whose max is -inf or NaN, or whose norm overflowed to meet
         # an infinite max, came out NaN; fmax turns exactly those into -inf.
         np.fmax(out, -np.inf, out=out)
@@ -246,8 +391,8 @@ class KdeModel:
         return out[:asked]
 
     def param_count(self) -> int:
-        """The support, the mean, the directions and the bandwidth."""
-        return self.support.size + self.mean.size + self.directions.size + 1
+        """The support and the projection."""
+        return self.support.size + self.projection.param_count()
 
 
 def scott_bandwidth(z: np.ndarray) -> float:
@@ -261,26 +406,24 @@ def scott_bandwidth(z: np.ndarray) -> float:
 
 
 def kde_fit(z: np.ndarray, bandwidth: float | None = None) -> KdeModel:
-    """The KDE of the latent rows z on their fewest top principal
-    directions that keep KDE_VARIANCE_KEPT of the variance (at least 1),
-    from one SVD of the centered rows. The bandwidth defaults to Scott's
-    rule on the full d-wide rows."""
+    """The KDE of the latent rows z at bandwidth h on their fewest top
+    principal directions that keep KDE_VARIANCE_KEPT of the variance (at
+    least 1), from one SVD of the centered rows (see _top_axes): its
+    projection's scales and residual scale are all h, and its support is
+    the rows' coordinates. The bandwidth defaults to Scott's rule on the
+    full d-wide rows."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] == 0:
         raise ValueError("KDE support must be a non-empty matrix")
-    if bandwidth is None:
-        bandwidth = scott_bandwidth(z)
-    mean, sv, vt, noise = _principal_axes(z)
-    directions = vt[:max(1, _directions_holding(sv, noise, KDE_VARIANCE_KEPT))]
-    return KdeModel(mean, directions, np.einsum("rd,nd->nr", directions, z - mean), bandwidth)
+    h = scott_bandwidth(z) if bandwidth is None else float(bandwidth)
+    if not 0 < h < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
+    mean, _, directions, _ = _top_axes(z, KDE_VARIANCE_KEPT, 1)
+    projection = LatentProjection(mean, directions, np.full(directions.shape[0], h), h)
+    return KdeModel(projection, projection.project(z)[0])
 
 
 # -- coupling flow ------------------------------------------------------------
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 FINAL = ("tanh", "linear")  # the s-net's and t-net's last activations, per slot
@@ -596,142 +739,6 @@ def flow_fit(train_z: np.ndarray, config: FlowConfig, seed: int) -> tuple[FlowMo
         config.l2, config.lr, n, config.batch_size, config.epochs, seed,
         lambda rows: FlowWorkspace(flow, np.empty((rows, flow.dim))))
     return flow, trace
-
-
-# -- latent projection --------------------------------------------------------
-
-
-# Share of the train latents' variance that the flow's coordinates keep: the
-# fewest top principal directions holding it, and at least 2 (a coupling
-# layer needs two halves).
-PROJECTION_VARIANCE_KEPT = 0.99
-
-# Share of the train latents' variance that the KDE's coordinates keep: the
-# fewest top principal directions holding it, and at least 1. It is more
-# than the flow keeps because the KDE scores the residual at its bandwidth,
-# narrower than the left-out spread: at 99.99% (r = 16-20 on the default
-# config) an iid row's log s moved by at most 0.11 against the 128-d KDE.
-KDE_VARIANCE_KEPT = 0.9999
-
-
-@dataclass(frozen=True)
-class LatentProjection:
-    """The flow's view of latent rows: their whitened top principal
-    coordinates, (z - mean) @ directions.T / scales, and the log-density of
-    each row's residual off their subspace under N(0, residual_scale^2 I).
-
-    ``directions`` holds r orthonormal rows, the top right singular vectors
-    of the centered train latents, and ``scales`` the train latents'
-    standard deviation along each, so the train coordinates have mean 0 and
-    unit variance per column. ``residual_scale`` is their standard
-    deviation along the largest direction the coordinates leave out, so the
-    Gaussian on the residual is at least as wide as the train latents along
-    every direction it covers, and a row far off the subspace still scores
-    low. The arrays are copied and made read-only at construction.
-    """
-
-    mean: np.ndarray  # (d,)
-    directions: np.ndarray  # (r, d)
-    scales: np.ndarray  # (r,)
-    residual_scale: float
-
-    def __post_init__(self):
-        for name in ("mean", "directions", "scales"):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), float)))
-        object.__setattr__(self, "residual_scale", float(self.residual_scale))
-        want = (self.scales.size, self.mean.size)
-        if self.directions.shape != want:
-            raise ValueError(f"projection directions have shape {self.directions.shape}; "
-                             f"{want[0]} scales over a {want[1]}-d mean need {want}")
-        if not np.all((self.scales > 0) & (self.scales < np.inf)):
-            raise ValueError("projection scales must be positive and finite")
-        if not 0 < self.residual_scale < np.inf:
-            raise ValueError("projection residual_scale must be positive and finite")
-
-    @property
-    def dim(self) -> int:
-        """r, the width of the coordinates."""
-        return self.directions.shape[0]
-
-    def project(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The coordinates of each row of z, and -||residual||^2 /
-        (2 residual_scale^2), where the residual is the row's centered part
-        off the directions' span. A row of another width than the mean
-        raises ValueError.
-
-        Each is a function of its row alone: numpy's einsum sums every dot
-        product over the row's entries in one loop, whatever the batch,
-        where a BLAS product with r columns rounds a row differently in
-        batches of other sizes, and the densest train row could then score
-        below 1 when served in another batch than compute_scale's. Under the
-        flow walk's errstate: a huge row's values overflow to an infinity or
-        NaN, which the density maps to -inf, with no warning."""
-        z = latent_rows(z, self.mean.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            centered = z - self.mean
-            coords = np.einsum("nd,rd->nr", centered, self.directions)
-            centered -= np.einsum("nr,rd->nd", coords, self.directions)
-            off = (centered * centered).sum(axis=1)
-            off *= -0.5 / self.residual_scale**2
-            coords /= self.scales
-        return coords, off
-
-    def param_count(self) -> int:
-        return self.mean.size + self.directions.size + self.scales.size + 1
-
-
-def _principal_axes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The mean of the n latent rows z, the singular values and right
-    singular vectors of the centered rows, and the rank tolerance: a
-    direction varies when its singular value exceeds max(n, d) * eps *
-    sqrt(n) * max|z|, numpy's tolerance taken relative to the rows'
-    magnitude, since centering leaves rounding noise of about eps * max|z|
-    per entry even where every row is equal.
-
-    The SVD is of the centered rows' R factor, which has their singular
-    values and right singular vectors, so no n x d left factor is made.
-    From n >= 11 d / 6 on, where LAPACK's gesdd QR-factors a tall matrix
-    itself, the values and vectors are bit for bit those of
-    ``np.linalg.svd`` of the centered rows; below that they agree to
-    rounding."""
-    n = z.shape[0]
-    mean = z.mean(axis=0)
-    _, sv, vt = np.linalg.svd(np.linalg.qr(z - mean, mode="r"), full_matrices=False)
-    tolerance = max(z.shape) * np.finfo(np.float64).eps * math.sqrt(n) * np.abs(z).max()
-    return mean, sv, vt, tolerance
-
-
-def _directions_holding(sv: np.ndarray, tolerance: float, kept: float) -> int:
-    """The fewest top directions whose squared singular values hold the
-    share kept of their sum, and at most the varying ones (0 if none)."""
-    varying = int((sv > tolerance).sum())
-    if varying == 0:
-        return 0
-    power = sv * sv
-    share = np.cumsum(power) / power.sum()
-    return min(varying, int(np.searchsorted(share, kept)) + 1)
-
-
-def fit_projection(z: np.ndarray) -> LatentProjection:
-    """The projection of the n latent rows z onto their fewest top principal
-    directions that keep PROJECTION_VARIANCE_KEPT of the variance (at least
-    2), from one SVD of the centered rows (see _principal_axes).
-
-    Raises ValueError when the rows vary along fewer than 2 directions. The
-    residual scale comes from the largest singular value left out, and at
-    least from the rank tolerance, so it stays positive where the rows lie
-    in r directions."""
-    z = np.asarray(z, dtype=np.float64)
-    n = z.shape[0]
-    mean, sv, vt, noise = _principal_axes(z)
-    varying = int((sv > noise).sum())
-    if varying < 2:
-        raise ValueError(f"the train latents vary along {varying} direction(s); "
-                         "the flow needs at least 2")
-    r = max(2, _directions_holding(sv, noise, PROJECTION_VARIANCE_KEPT))
-    left_out = sv[r] if r < sv.size else 0.0
-    return LatentProjection(mean, vt[:r], sv[:r] / math.sqrt(n),
-                            float(max(left_out, noise)) / math.sqrt(n))
 
 
 # -- likelihood scaling -------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A container is one file: a header line, then a payload. The header line is
 one JSON document with sorted keys, ended by a newline. Every array of the
-model (dense weights and biases, the classifier's theta, the projections,
-the KDE support) appears in it as an object ``{"shape": [...], "offset":
+model (dense weights and biases, the classifier's theta, the density's
+projection, the KDE support) appears in it as an object ``{"shape": [...], "offset":
 n}``, and the payload holds the arrays' raw little-endian IEEE-754 float64
 bytes, back to back, in the order the header lists them: each array's bytes
 start n bytes into the payload. A trained encoder's float32 arrays are
@@ -16,8 +16,8 @@ subnormals and the largest finite value included), and neither side turns
 a weight into a Python float, its decimal repr or a text encoding of its
 bytes. Since the header sorts its keys and the payload follows the
 header's order, saving a model twice writes the same bytes. Scalars
-(bandwidth, max_train_log_density, residual_scale) stay finite JSON numbers
-in the header.
+(max_train_log_density, residual_scale) stay finite JSON numbers in the
+header.
 
 The arrays' byte ranges must tile the payload: every range lies inside it,
 no two overlap, and every payload byte lies in one. A range that runs past
@@ -28,22 +28,19 @@ each refused with a ContainerError naming the array or the container, as is
 a file with no header line or whose header line is not UTF-8 JSON. An array
 holding a NaN or an infinity is refused at load, named by its key.
 
-Version 8, the only version read, stores arrays and no layout: the "kind"
+Version 9, the only version read, stores arrays and no layout: the "kind"
 ("density_softmax" or "erm"), the "encoder" as its "activation" and its
 "layers", "classifier.theta" and, for "density_softmax" only, the
-"density": its max_train_log_density and either
+"density": its "kind" ("kde" or "flow"), its max_train_log_density, its
+"projection" (``LatentProjection``: its "mean" (d,), "directions" (r, d)
+and "scales" (r,), which map a d-wide latent to the r coordinates the
+density models, and its "residual_scale", the width of the Gaussian on a
+row's distance off them), in one layout for both kinds, and either
 
-* a KDE's "mean" (d,) and "directions" (r, d), which map a d-wide latent
-  to its r top principal coordinates, its "support" (n, r), the train
-  rows' coordinates, and its "bandwidth", the fields of ``KdeModel``; the
-  augmented support that the kernel's GEMM reads is worked out again at
-  load; or
-* a flow's "projection" (``FlowModel.projection``: its "mean" (d,),
-  "directions" (r, d) and "scales" (r,), which map a d-wide latent to the
-  r coordinates the coupling layers model, and its "residual_scale", the
-  width of the Gaussian on a row's distance off them) and "layers", one
-  stacked net per coupling layer with (2, in, out) weights (slot 0 the
-  s-net, slot 1 the t-net).
+* a KDE's "support" (n, r), the train rows' coordinates; the augmented
+  support that the kernel's GEMM reads is worked out again at load; or
+* a flow's "layers", one stacked net per coupling layer with (2, in, out)
+  weights (slot 0 the s-net, slot 1 the t-net).
 
 Each layer is a {weight, bias}. A coupling net maps its layer's |P|
 pass-through columns to its |T| transformed ones, so it stores no weight
@@ -52,16 +49,17 @@ without the version field. The loader lays each net out with the function
 that builds it fresh, ``model.encoder_net`` or ``density.coupling_net``,
 and works out and checks the rest: the input and latent widths from the
 encoder's end layers, the class count from theta's columns (at least 2,
-latent-width rows), each projection's width against the latent width, the
-KDE's directions against its mean and support, the flow's scales and
-residual_scale (positive), the flow's width from the projection's r and
-each coupling layer's halves from its index. Another version, 1 to 7
-included, is refused with a ContainerError after reading the version field
-alone (a file of version 7 or older is one JSON line with no payload);
-``run`` writes the same model again as version 8. So is a key the loader
-does not read, in any object of the header, and an object or a list stored
-as another JSON type, each named by its key: a stale or hand-added fact
-could otherwise disagree with the model silently.
+latent-width rows), the projection's width against the latent width, its
+directions against its mean and scales, its scales and residual_scale
+(positive), the KDE's support against the projection's r, the flow's width
+from the projection's r and each coupling layer's halves from its index.
+Another version, 1 to 8 included, is refused with a ContainerError after
+reading the version field alone (a file of version 7 or older is one JSON
+line with no payload; version 8 stored a KDE's own mean, directions and
+bandwidth); ``run`` writes the same model again as version 9. So is a key
+the loader does not read, in any object of the header, and an object or a
+list stored as another JSON type, each named by its key: a stale or
+hand-added fact could otherwise disagree with the model silently.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ from .layers import DenseNet
 from .model import ERM_DTYPE, Classifier, Encoder, encoder_net, narrow
 from .predictor import DensitySoftmaxModel, Ensemble
 
-CONTAINER_VERSION = 8
+CONTAINER_VERSION = 9
 CONTAINER_SUFFIX = ".dsm"  # the file name suffix of the containers the CLI writes
 
 PROJECTION_ARRAYS = ("mean", "directions", "scales")  # and the scalar residual_scale
@@ -216,53 +214,42 @@ def _net_from_list(layers, what: str, build: Callable[[list], DenseNet], payload
 
 def _density_to_dict(density: ScaledDensity) -> dict:
     inner = density.inner
+    projection = inner.projection
+    body = {"projection": {**{name: getattr(projection, name) for name in PROJECTION_ARRAYS},
+                           "residual_scale": projection.residual_scale},
+            "max_train_log_density": density.max_train_log_density}
     if isinstance(inner, KdeModel):
-        body = {"kind": "kde", "bandwidth": inner.bandwidth,
-                **{name: getattr(inner, name) for name in ("mean", "directions", "support")}}
-    elif isinstance(inner, FlowModel):
-        projection = inner.projection
-        body = {"kind": "flow",
-                "projection": {**{name: getattr(projection, name) for name in PROJECTION_ARRAYS},
-                               "residual_scale": projection.residual_scale},
-                "layers": [_net_to_list(layer.net) for layer in inner.layers]}
-    else:  # pragma: no cover
-        raise ContainerError(f"unknown density type {type(inner).__name__}")
-    body["max_train_log_density"] = density.max_train_log_density
+        body.update(kind="kde", support=inner.support)
+    else:
+        body.update(kind="flow", layers=[_net_to_list(layer.net) for layer in inner.layers])
     return body
 
 
 def _density_from_dict(d, latent_dim: int, payload: _Payload) -> ScaledDensity:
-    if _object(d, "density")["kind"] == "kde":
-        _known(d, "density", ("kind", "mean", "directions", "support", "bandwidth",
-                              "max_train_log_density"))
-        inner: KdeModel | FlowModel = KdeModel(
-            payload.array(d["mean"], "kde mean", 1),
-            payload.array(d["directions"], "kde directions", 2),
-            payload.array(d["support"], "kde support", 2), _finite_number(d, "bandwidth"))
-        if inner.dim != latent_dim:
-            raise ContainerError(f"kde density is {inner.dim}-d, "
-                                 f"the encoder's latent_dim is {latent_dim}")
-    elif d["kind"] == "flow":
-        _known(d, "density", ("kind", "projection", "layers", "max_train_log_density"))
-        stored = _known(d["projection"], "flow projection",
-                        PROJECTION_ARRAYS + ("residual_scale",))
+    kind = _object(d, "density")["kind"]
+    if kind not in ("kde", "flow"):
+        raise ContainerError(f"unknown density kind {kind!r}")
+    _known(d, "density", ("kind", "projection", "support" if kind == "kde" else "layers",
+                          "max_train_log_density"))
+    what = f"{kind} projection"
+    stored = _known(d["projection"], what, PROJECTION_ARRAYS + ("residual_scale",))
 
-        def array(name: str, ndim: int) -> np.ndarray:
-            return payload.array(stored[name], f"flow projection {name}", ndim)
+    def array(name: str, ndim: int) -> np.ndarray:
+        return payload.array(stored[name], f"{what} {name}", ndim)
 
-        projection = LatentProjection(array("mean", 1), array("directions", 2),
-                                      array("scales", 1),
-                                      _finite_number(stored, "residual_scale", "flow projection"))
-        if projection.mean.size != latent_dim:
-            raise ContainerError(f"flow projection reads {projection.mean.size} latent "
-                                 f"columns, the encoder's latent_dim is {latent_dim}")
-        # the flow is as wide as the coordinates it models
+    projection = LatentProjection(array("mean", 1), array("directions", 2), array("scales", 1),
+                                  _finite_number(stored, "residual_scale", what))
+    if projection.mean.size != latent_dim:
+        raise ContainerError(f"{what} reads {projection.mean.size} latent columns, "
+                             f"the encoder's latent_dim is {latent_dim}")
+    if kind == "kde":
+        inner: KdeModel | FlowModel = KdeModel(projection,
+                                               payload.array(d["support"], "kde support", 2))
+    else:  # the flow is as wide as the coordinates it models
         inner = FlowModel(projection,
                           [_net_from_list(layers, f"flow layer {i}", coupling_net, payload,
                                           stacked=True)
                            for i, layers in enumerate(_list(d["layers"], "flow layers"))])
-    else:
-        raise ContainerError(f"unknown density kind {d['kind']!r}")
     return ScaledDensity(inner=inner,
                          max_train_log_density=_finite_number(d, "max_train_log_density"))
 

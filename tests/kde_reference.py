@@ -1,11 +1,13 @@
 """Reference Gaussian KDE kernels.
 
-`KdeModel.log_density` walks the query rows in chunks through one reused
-buffer; `kde_log_density` keeps the whole-matrix form of the same formula,
-so tests can hold the chunked kernel to it bit for bit. It reads the
-model's stored facts (mean, directions, support coordinates, bandwidth) and derives the rest itself. `full_space_log_density` is the
-KDE on d-wide support rows, which the projected one equals where the
-support lies in its subspace.
+`KdeModel.log_density` walks the query rows in chunks through reused
+buffers; `kde_log_density` keeps the whole-matrix form of the same formula,
+so tests can hold the chunked kernel to it bit for bit. It takes each row's
+coordinates and residual term from the model's projection
+(`LatentProjection.project`, which TestLatentProjection checks on its
+own), reads the support and derives the rest itself.
+`full_space_log_density` is the KDE on d-wide support rows, which the
+projected one equals where the support lies in its subspace.
 """
 
 import math
@@ -25,25 +27,22 @@ def logsumexp(a: np.ndarray, axis=None):
 
 
 def kde_log_density(kde, z: np.ndarray) -> np.ndarray:
-    """log-mean of Gaussian kernels on the coordinates c plus the Gaussian
-    on the residual, every log-kernel in one matrix: the GEMM of [c/h, 1]
-    against [s/h, -||s/h||^2/2] gives c.s/h^2 - ||s||^2/(2h^2), and
-    ||c||^2 + ||residual||^2 = ||z - mean||^2 comes after the log-sum-exp.
-    A 1-row z is scored as two rows, as the program walks it (ops.gemm_rows)."""
+    """log-mean of unit-bandwidth Gaussian kernels on the coordinates q plus
+    the projection's residual term, every log-kernel in one matrix: the
+    GEMM of [q, 1] against [s, -||s||^2/2] gives q.s - ||s||^2/2, and
+    ||q||^2/2 and the residual term come after the log-sum-exp. A 1-row z
+    is scored as two rows, as the program walks it (ops.gemm_rows)."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     rows = len(z)
-    z = gemm_rows(z)
-    mean, directions, h = kde.mean, kde.directions, kde.bandwidth
-    n, d = kde.support.shape[0], mean.size
+    projection, support = kde.projection, kde.support
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = z - mean
-        query = np.hstack([np.einsum("rd,nd->nr", directions, centered) / h,
-                           np.ones((len(z), 1))])
-        v = kde.support / h
-        support = np.hstack([v, -0.5 * np.einsum("nr,nr->n", v, v)[:, None]])
-        sq = np.einsum("nd,nd->n", centered, centered) / h / h * 0.5
-        out = logsumexp(query @ support.T, axis=1) - sq
-    norm = math.log(n) + d * math.log(h) + 0.5 * d * LOG_2PI
+        q, off = projection.project(gemm_rows(z))
+        query = np.hstack([q, np.ones((len(q), 1))])
+        augmented = np.hstack([support, -0.5 * np.einsum("nr,nr->n", support, support)[:, None]])
+        out = logsumexp(query @ augmented.T, axis=1) - np.einsum("nr,nr->n", q, q) * 0.5 + off
+    (n, r), d = support.shape, projection.mean.size
+    norm = (math.log(n) + float(np.log(projection.scales).sum())
+            + (d - r) * math.log(projection.residual_scale) + 0.5 * d * LOG_2PI)
     return (np.fmax(out, -np.inf) - norm)[:rows]
 
 

@@ -74,9 +74,10 @@ class TestKde:
 
     def test_scott_default(self, rng):
         z = rng.normal(size=(100, 4))
-        kde = kde_fit(z)
-        assert kde.bandwidth == pytest.approx(scott_bandwidth(z))
-        assert kde.bandwidth > 0
+        projection = kde_fit(z).projection
+        assert projection.residual_scale == pytest.approx(scott_bandwidth(z))
+        assert projection.residual_scale > 0
+        assert np.all(projection.scales == projection.residual_scale)
 
     def test_density_integrates_to_one_2d(self, rng):
         kde = kde_fit(rng.normal(size=(30, 2)) * 0.5, bandwidth=0.4)
@@ -97,9 +98,9 @@ class TestKde:
         on = shift + (rng.normal(size=(40, 3)) * 2.0) @ basis
         off = on + rng.normal(size=(40, 16)) * 0.5
         kde = kde_fit(support, bandwidth)
-        assert kde.directions.shape == (3, 16) and kde.dim == 16
+        assert kde.projection.directions.shape == (3, 16)
         h = scott_bandwidth(support) if bandwidth is None else bandwidth
-        assert kde.bandwidth == h
+        assert kde.projection.residual_scale == h
         for z in (on, off, support[:50]):
             np.testing.assert_allclose(kde.log_density(z),
                                        full_space_log_density(support, h, z),
@@ -111,35 +112,40 @@ class TestKde:
         kde = kde_fit(z)
         power = np.linalg.svd(z - z.mean(axis=0), compute_uv=False) ** 2
         share = np.cumsum(power) / power.sum()
-        r = kde.directions.shape[0]
+        directions = kde.projection.directions
+        r = directions.shape[0]
         assert share[r - 1] >= KDE_VARIANCE_KEPT > share[r - 2]
-        np.testing.assert_allclose(kde.directions @ kde.directions.T, np.eye(r),
+        np.testing.assert_allclose(directions @ directions.T, np.eye(r),
                                    rtol=0, atol=1e-12)
         assert kde.support.shape == (500, r)
 
     def test_rows_at_one_point_keep_one_direction(self):
         kde = kde_fit(np.ones((4, 3)), bandwidth=0.5)
-        assert kde.directions.shape == (1, 3)
+        assert kde.projection.directions.shape == (1, 3)
         assert kde.log_density(np.ones(3))[0] == pytest.approx(
             -3 * math.log(0.5) - 1.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_param_count_of_the_default_shape(self):
         """1000 train rows of a 128-d latent on 17 coordinates: the
-        support, the mean, the directions and the bandwidth. The support was
-        128,000 numbers."""
-        kde = KdeModel(np.zeros(128), np.eye(128)[:17], np.zeros((1000, 17)), 1.0)
-        assert kde.param_count() == 17_000 + 128 + 17 * 128 + 1 == 19_305
+        support and the projection (the mean, the directions, the 17 scales
+        and the residual scale). The support was 128,000 numbers."""
+        kde = KdeModel(LatentProjection(np.zeros(128), np.eye(128)[:17], np.ones(17), 1.0),
+                       np.zeros((1000, 17)))
+        assert kde.param_count() == 17_000 + 128 + 17 * 128 + 17 + 1 == 19_322
 
-    @pytest.mark.parametrize("mean, directions, support, needs", [
-        (4, (2, 4), (5, 3), (3, 4)), (4, (2, 3), (5, 2), (2, 4)), (3, (2, 4), (5, 2), (2, 3)),
+    @pytest.mark.parametrize("mean, directions, support, message", [
+        (4, (2, 4), (5, 3), "kde support has shape (5, 3); a projection onto 2 coordinates "
+                            "needs 2 columns"),
+        (4, (2, 3), (5, 2), "projection directions have shape (2, 3); 2 scales over a 4-d "
+                            "mean need (2, 4)"),
+        (3, (2, 4), (5, 2), "projection directions have shape (2, 4); 2 scales over a 3-d "
+                            "mean need (2, 3)"),
     ], ids=["support_width", "directions_width", "mean_width"])
     def test_directions_that_do_not_fit_the_mean_and_support_rejected(
-            self, mean, directions, support, needs):
-        message = (f"kde directions have shape {directions}; a support of shape {support} "
-                   f"over a {mean}-d mean needs {needs}")
+            self, mean, directions, support, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            KdeModel(np.zeros(mean), np.eye(4)[:directions[0], :directions[1]],
-                     np.zeros(support), 1.0)
+            KdeModel(LatentProjection(np.zeros(mean), np.eye(4)[:directions[0], :directions[1]],
+                                      np.ones(directions[0]), 1.0), np.zeros(support))
 
 
 def latent_like(rng, rows: int, d: int = 128) -> np.ndarray:
@@ -199,7 +205,7 @@ class TestKdeChunkedKernel:
     def test_support_norms_cached_read_only_not_in_repr(self, rng):
         z = rng.normal(size=(20, 3))
         kde = kde_fit(z, 0.5)
-        v = kde.support / 0.5
+        v = kde.support
         np.testing.assert_array_equal(kde.augmented[:, :-1], v)
         np.testing.assert_array_equal(kde.augmented[:, -1], -0.5 * (v * v).sum(axis=1))
         assert not kde.support.flags.writeable
@@ -670,10 +676,10 @@ class TestScaling:
     def test_scaled_density_param_count(self, rng):
         z = rng.normal(size=(20, 3))
         sd, _ = compute_scale(kde_fit(z, 0.5), z)
-        # 3 coordinates per support row, the mean, the directions, the
-        # bandwidth and the scale constant
-        assert sd.inner.directions.shape == (3, 3)
-        assert sd.param_count() == 20 * 3 + 3 + 3 * 3 + 1 + 1
+        # 3 coordinates per support row, the mean, the directions, the 3
+        # scales, the residual scale and the scale constant
+        assert sd.inner.projection.directions.shape == (3, 3)
+        assert sd.param_count() == 20 * 3 + 3 + 3 * 3 + 3 + 1 + 1
 
 
 class TestLatentRowWidth:
@@ -696,9 +702,8 @@ class TestLatentRowWidth:
         z = np.zeros(shape)
         message = re.escape(f"latent rows have shape {np.atleast_2d(z).shape}; the density "
                             "reads rows 4 wide")
-        calls = [lambda: density.log_density(z), lambda: scaled.scaled_likelihood(z)]
-        if kind == "flow":
-            calls.append(lambda: density.projection.project(z))
+        calls = [lambda: density.log_density(z), lambda: scaled.scaled_likelihood(z),
+                 lambda: density.projection.project(z)]
         if len(shape) == 2:
             calls.append(lambda: compute_scale(density, z))
         for call in calls:
@@ -780,23 +785,42 @@ class TestLatentProjection:
             assert np.all(sd.scaled_likelihood(huge) == LIKELIHOOD_FLOOR)
 
     def test_residual_is_scored_at_the_largest_left_out_scale(self):
-        """residual_scale is the train rows' standard deviation along the
-        largest direction the coordinates leave out, and a row moved off
-        the subspace by v loses exactly ||v||^2 / (2 residual_scale^2) of
-        log p: the flow sees no change in its coordinates."""
+        """The flow's residual_scale is the train rows' standard deviation
+        along the largest direction the coordinates leave out, the KDE's is
+        its bandwidth h, and a row moved off either's subspace by v loses
+        exactly ||v||^2 / (2 residual_scale^2) of log p: the density sees no
+        change in its coordinates."""
         rng = np.random.default_rng(4)
         rotation, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         z = (rng.normal(size=(400, 6)) * [5.0, 3.0, 0.3, 0.2, 0.1, 0.05]) @ rotation
         p = fit_projection(z)
         sv = np.linalg.svd(z - z.mean(axis=0), compute_uv=False)
         assert p.dim == 2 and p.residual_scale == pytest.approx(sv[2] / 20.0, rel=1e-12)
-        flow = identity_flow(projection=p)
+        kde = kde_fit(z)
+        assert kde.projection.dim == 5
+        assert kde.projection.residual_scale == scott_bandwidth(z)
         on = p.mean + np.array([[0.5, -1.0]]) @ p.directions  # on the subspace
-        off = rotation[3] * 4.0 * p.residual_scale - p.directions.T @ (
-            p.directions @ rotation[3] * 4.0 * p.residual_scale)  # orthogonal to it
-        gap = flow.log_density(on) - flow.log_density(on + off)
-        np.testing.assert_allclose(gap, 0.5 * (off @ off) / p.residual_scale**2, rtol=1e-9)
-        np.testing.assert_allclose(p.project(on + off)[0], p.project(on)[0], atol=1e-12)
+        for density in (identity_flow(projection=p), kde):
+            q = density.projection
+            off = rotation[3] * 4.0 * q.residual_scale - q.directions.T @ (
+                q.directions @ rotation[3] * 4.0 * q.residual_scale)  # orthogonal to it
+            gap = density.log_density(on) - density.log_density(on + off)
+            np.testing.assert_allclose(gap, 0.5 * (off @ off) / q.residual_scale**2, rtol=1e-9)
+            np.testing.assert_allclose(q.project(on + off)[0], q.project(on)[0], atol=1e-12)
+
+    def test_a_row_on_the_subspace_has_no_residual_at_any_scale(self):
+        """The residual's squared norm is divided by the scale twice: at a
+        scale of 1e-160, whose square underflows to 0, a row on the subspace
+        still has a residual term of 0 (not 0 times an infinity, NaN), and
+        the flow scores it as its coordinates; a row 1 off it scores -inf."""
+        p = LatentProjection(np.zeros(3), np.eye(3)[:2], np.ones(2), 1e-160)
+        coords, off = p.project([[1.0, 2.0, 0.0]])
+        np.testing.assert_array_equal(coords, [[1.0, 2.0]])
+        assert off[0] == 0.0
+        flow = identity_flow(projection=p)
+        on, off = flow.log_density([[1.0, 2.0, 0.0], [1.0, 2.0, 1.0]])
+        assert on == flow.log_density([[0.0, 0.0, 0.0]])[0] - 2.5
+        assert off == -np.inf
 
     def test_rows_in_r_directions_keep_a_positive_residual_scale(self):
         """Rows that vary along exactly 2 directions leave no variance out;

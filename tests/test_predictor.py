@@ -238,13 +238,14 @@ class TestDefaultConfigDistanceAwareness:
 
         train_z = model.encoder.encode(train.features)
         kde = model.density.inner
-        directions = kde.directions
-        u = rng.normal(size=(64, kde.dim))
+        directions = kde.projection.directions
+        d = directions.shape[1]
+        u = rng.normal(size=(64, d))
         u -= (u @ directions.T) @ directions
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         spread = np.sqrt(train_z.var(axis=0).sum())
         moved = (train_z[rng.integers(0, len(train_z), 64)][:, None, :]
-                 + (self.OFFSETS[:, None] * spread * u[:, None, :])).reshape(-1, kde.dim)
+                 + (self.OFFSETS[:, None] * spread * u[:, None, :])).reshape(-1, d)
 
         z = np.vstack([ray.latent, moved])
         sq = ((z * z).sum(axis=1)[:, None] - 2.0 * z @ train_z.T
@@ -257,7 +258,7 @@ class TestDefaultConfigDistanceAwareness:
         kde, s, sq, _ = probe
         order = np.argsort(sq)
         sq, s = sq[order], s[order]
-        margin = 2.0 * kde.bandwidth**2 * np.log(kde.support.shape[0])
+        margin = 2.0 * kde.projection.residual_scale**2 * np.log(kde.support.shape[0])
         # row i against every row j with sq_j <= sq_i - margin: the nearer
         # rows' smallest s bounds s_i
         nearer = np.searchsorted(sq, sq - margin, side="right")
@@ -280,9 +281,8 @@ class TestPipeline:
         # the density support (the coordinates of the step-1 latents)
         z = model.encoder.encode(train.features)
         kde = model.density.inner
-        np.testing.assert_array_equal(kde.mean, z.mean(axis=0))
-        np.testing.assert_array_equal(np.einsum("nd,rd->nr", z - kde.mean, kde.directions),
-                                      kde.support)
+        np.testing.assert_array_equal(kde.projection.mean, z.mean(axis=0))
+        np.testing.assert_array_equal(kde.projection.project(z)[0], kde.support)
 
     def test_erm_snapshot_shares_encoder_but_not_head(self):
         train, result = small_pipeline(seed=1)
@@ -335,7 +335,7 @@ class TestPipeline:
         coords, _ = projection.project(z)
         np.testing.assert_allclose(coords.std(axis=0), 1.0, rtol=1e-12)
         kde = small_pipeline(seed=4)[1].model.density.inner
-        assert isinstance(kde, KdeModel) and kde.dim == z.shape[1]
+        assert isinstance(kde, KdeModel) and kde.projection.mean.size == z.shape[1]
 
     @pytest.mark.parametrize("points", [1, 2])
     def test_latents_varying_along_fewer_than_two_directions_fail_the_density_stage(

@@ -23,7 +23,7 @@ from density_softmax.serialize import (CONTAINER_SUFFIX, CONTAINER_VERSION, Cont
                                        ensemble_container, load_container, save_container)
 
 DATA = Path(__file__).resolve().parent / "data"
-STORED = DATA / f"flow_model_v8{CONTAINER_SUFFIX}"
+STORED = DATA / f"flow_model_v9{CONTAINER_SUFFIX}"
 
 SMALL = EncoderConfig(width=8, depth=2)
 FAST = TrainConfig(epochs=5, batch_size=64,
@@ -215,9 +215,10 @@ class TestFileLayout:
         assert line.decode() == json.dumps(header, sort_keys=True)
         stored = [_at(header, p) for p in _key_paths(header)
                   if isinstance(_at(header, p), dict) and "offset" in _at(header, p)]
+        projection = model.density.inner.projection
         arrays = [model.classifier.theta.data] + [
-            getattr(model.density.inner, name) for name in ("directions", "mean", "support")
-        ] + [a for layer in model.encoder.net.layers for a in (layer.bias.data,
+            getattr(projection, name) for name in ("directions", "mean", "scales")
+        ] + [model.density.inner.support] + [a for layer in model.encoder.net.layers for a in (layer.bias.data,
                                                                 layer.weight.data)]
         assert [d["shape"] for d in stored] == [list(a.shape) for a in arrays]
         wide = [np.asarray(a, "<f8") for a in arrays]  # the encoder's are float32
@@ -282,6 +283,9 @@ class TestEveryStoredKeyIsRead:
         path.write_bytes(containers[kind])
         paths = list(_key_paths(_read(path)[0]))
         assert len(paths) > 20
+        if kind in ("kde", "flow"):  # both densities store one projection layout
+            assert {("density", "projection", key) for key in (
+                "mean", "directions", "scales", "residual_scale")} <= set(paths)
         for key_path in paths:
             path.write_bytes(containers[kind])
             _edit_header(path, lambda header: _at(header, key_path[:-1]).pop(key_path[-1]))
@@ -426,19 +430,21 @@ class TestErmAndEnsembleContainers:
         _refused(path, "ensemble member 0 is not an object", capsys)
 
     def test_stored_keys_are_the_documented_facts(self, pipeline_result):
-        """Version 8 keeps no copy of a fact the loader works out again: no
+        """Version 9 keeps no copy of a fact the loader works out again: no
         layer stores its activation or whether it is residual, the flow's
-        width is its projection's, and the KDE stores its mean, directions,
-        support and bandwidth, with no scales and no residual scale."""
+        width is its projection's, and the KDE stores its projection, in
+        the flow's layout, and its support, with no bandwidth of its own."""
         train, result = pipeline_result
         kde = density_softmax_container(result.model)
         assert set(kde) == {"version", "kind", "encoder", "classifier", "density"}
         assert set(kde["classifier"]) == {"theta"}
-        assert set(kde["density"]) == {"kind", "mean", "directions", "support", "bandwidth",
-                                       "max_train_log_density"}
-        r = result.model.density.inner.directions.shape[0]
-        assert {key: kde["density"][key].shape for key in ("mean", "directions", "support")
-                } == {"mean": (8,), "directions": (r, 8), "support": (train.n, r)}
+        assert set(kde["density"]) == {"kind", "projection", "support", "max_train_log_density"}
+        r = result.model.density.inner.projection.dim
+        projection = kde["density"]["projection"]
+        assert {key: value.shape for key, value in projection.items()
+                if key != "residual_scale"} == {"mean": (8,), "directions": (r, 8), "scales": (r,)}
+        assert kde["density"]["support"].shape == (train.n, r)
+        assert np.all(projection["scales"] == projection["residual_scale"])
         assert set(kde["encoder"]) == {"activation", "layers"}
         assert all(set(layer) == {"weight", "bias"} for layer in kde["encoder"]["layers"])
         flow = density_softmax_container(DensitySoftmaxModel(
@@ -552,15 +558,17 @@ def _narrow_support(doc, model):
 @_saved
 def _kde_directions_one_column_short(doc, model):
     """KDE directions of shape (r, d - 1) beside the d-wide mean."""
-    doc["density"]["directions"] = doc["density"]["directions"][:, :7]
+    projection = doc["density"]["projection"]
+    projection["directions"] = projection["directions"][:, :7]
     return doc
 
 
 @_saved
 def _kde_directions_one_row_long(doc, model):
-    """KDE directions of shape (r + 1, d) beside the r-column support."""
-    rows = doc["density"]["directions"]
-    doc["density"]["directions"] = np.vstack([rows, rows[:1]])
+    """KDE directions of shape (r + 1, d) beside the r scales."""
+    projection = doc["density"]["projection"]
+    projection["directions"] = np.vstack([projection["directions"],
+                                          projection["directions"][:1]])
     return doc
 
 
@@ -581,9 +589,9 @@ def _non_finite(value, *key_path, flow: bool = False):
 @_saved
 def _kde_of_other_width(doc, model):
     """A KDE whose projection reads 4 latent columns of the 8-d latent."""
-    density = doc["density"]
-    density["mean"] = density["mean"][:4]
-    density["directions"] = density["directions"][:, :4]
+    projection = doc["density"]["projection"]
+    projection["mean"] = projection["mean"][:4]
+    projection["directions"] = projection["directions"][:, :4]
     return doc
 
 
@@ -672,7 +680,7 @@ def _version(number: int):
 
 
 def _old_version(number: int) -> str:
-    return (f"unsupported container version {number}; this build reads version 8, "
+    return (f"unsupported container version {number}; this build reads version 9, "
             "so write the model again with `run`")
 
 
@@ -752,7 +760,7 @@ def _theta(**fields):
 @_in_header
 def _overlapping_ranges(header):
     """The KDE directions start 8 bytes inside theta's range."""
-    header["density"]["directions"]["offset"] -= 8
+    header["density"]["projection"]["directions"]["offset"] -= 8
 
 
 def _gap(path, model):
@@ -792,8 +800,8 @@ class TestContainerValidation:
     @pytest.mark.parametrize("corrupt, message", [
         (_drop_density, "missing key 'density'"),
         (_short_theta, "classifier theta has 4 rows, the encoder's latent_dim is 8"),
-        (_narrow_support, r"kde directions have shape \(8, 8\); a support of shape "
-                          r"\(160, 4\) over a 8-d mean needs \(4, 8\)"),
+        (_narrow_support, r"kde support has shape \(160, 4\); a projection onto 8 "
+                          "coordinates needs 8 columns"),
         (_flow_of_other_dim, "coupling layer 0 net maps 2 -> 2 columns; in the 8-d flow "
                              "its halves need 4 -> 4"),
         (_encoder_layers_do_not_compose,
@@ -802,13 +810,14 @@ class TestContainerValidation:
         (_version(3), _old_version(3)),
         (_version(2), _old_version(2)),
         (_version(1), _old_version(1)),
-        (_truncated_file, "encoder layer 2 weight reads payload bytes 11776..12288, past the "
-                           "payload's end at 12280"),
-        (_truncated_mid_value, "encoder layer 2 weight reads payload bytes 11776..12288, past "
-                                "the payload's end at 12287"),
+        (_truncated_file, "encoder layer 2 weight reads payload bytes 11840..12352, past the "
+                           "payload's end at 12344"),
+        (_truncated_mid_value, "encoder layer 2 weight reads payload bytes 11840..12352, past "
+                                "the payload's end at 12351"),
         (_header_not_utf8, "header line is not UTF-8: 'utf-8' codec can't decode byte 0xff in "
                              "position 0: invalid start byte"),
-        (_theta(shape=[8, 3]), "kde directions reads payload bytes 128..640, which overlap "
+        (_theta(shape=[8, 3]), "kde projection directions reads payload bytes 128..640, which "
+                               "overlap "
                                       "the bytes up to 192 that classifier theta reads"),
         (_flat_theta, r"classifier theta shape \[16\] is not a list of 2 non-negative "
                       "integers"),
@@ -839,12 +848,12 @@ class TestContainerValidation:
         (_stored_as("1", "density", "projection", "residual_scale"),
          "flow projection residual_scale is '1', not a finite number"),
         (_version(6), _old_version(6)),
-        (_kde_of_other_width, "kde density is 4-d, the encoder's latent_dim is 8"),
-        (_kde_directions_one_column_short, r"kde directions have shape \(8, 7\); a support "
-                                           r"of shape \(160, 8\) over a 8-d mean needs "
-                                           r"\(8, 8\)"),
-        (_kde_directions_one_row_long, r"kde directions have shape \(9, 8\); a support of "
-                                       r"shape \(160, 8\) over a 8-d mean needs \(8, 8\)"),
+        (_kde_of_other_width,
+         "kde projection reads 4 latent columns, the encoder's latent_dim is 8"),
+        (_kde_directions_one_column_short, r"projection directions have shape \(8, 7\); 8 "
+                                           r"scales over a 8-d mean need \(8, 8\)"),
+        (_kde_directions_one_row_long, r"projection directions have shape \(9, 8\); 8 scales "
+                                       r"over a 8-d mean need \(8, 8\)"),
         (_non_finite(np.nan, "encoder", "layers", 1, "weight"),
          "encoder layer 1 weight holds a NaN or an infinity"),
         (_non_finite(np.inf, "classifier", "theta"),
@@ -855,10 +864,11 @@ class TestContainerValidation:
         (_non_finite(np.nan, "density", "layers", 0, 1, "weight", flow=True),
          "flow layer 0 layer 1 weight holds a NaN or an infinity"),
         (_version(7), _old_version(7)),
-        (_trailing_byte, "payload bytes 12288..12289 are read by no array"),
-        (_overlapping_ranges, "kde directions reads payload bytes 120..632, which overlap the "
-                                "bytes up to 128 that classifier theta reads"),
-        (_gap, "payload bytes 11776..11784 are read by no array"),
+        (_version(8), _old_version(8)),
+        (_trailing_byte, "payload bytes 12352..12353 are read by no array"),
+        (_overlapping_ranges, "kde projection directions reads payload bytes 120..632, which "
+                              "overlap the bytes up to 128 that classifier theta reads"),
+        (_gap, "payload bytes 11840..11848 are read by no array"),
         (_theta(offset=-8), r"classifier theta offset -8 is not a non-negative integer"),
         (_theta(offset=0.0), r"classifier theta offset 0.0 is not a non-negative integer"),
         (_theta(offset=False), r"classifier theta offset False is not a non-negative "
@@ -879,7 +889,7 @@ class TestContainerValidation:
             "projection_zero_residual_scale", "projection_residual_scale_type", "version_6",
             "kde_width", "kde_directions_width", "kde_directions_rows",
             "non_finite_encoder_weight", "non_finite_theta", "non_finite_kde_support",
-            "non_finite_projection", "non_finite_coupling_weight", "version_7",
+            "non_finite_projection", "non_finite_coupling_weight", "version_7", "version_8",
             "trailing_byte", "overlapping_ranges", "gap", "offset_negative", "offset_float",
             "offset_bool", "shape_negative", "header_without_newline", "header_not_json"])
     def test_rejected_at_load_and_cli_exits_2(self, tmp_path, pipeline_result,
@@ -889,11 +899,13 @@ class TestContainerValidation:
         corrupt(path, result.model)
         _refused(path, message, capsys)
 
+    MAX = ("max_train_log_density",)
+    BANDWIDTH = ("projection", "residual_scale")  # the KDE's bandwidth h
+
     @pytest.mark.parametrize("key, value", [
-        ("max_train_log_density", float("nan")), ("max_train_log_density", float("-inf")),
-        ("max_train_log_density", float("inf")), ("max_train_log_density", "0.5"),
-        ("max_train_log_density", True), ("bandwidth", "3.5"), ("bandwidth", True),
-        ("bandwidth", float("nan")), ("bandwidth", 10**400),
+        (MAX, float("nan")), (MAX, float("-inf")), (MAX, float("inf")), (MAX, "0.5"),
+        (MAX, True), (BANDWIDTH, "3.5"), (BANDWIDTH, True), (BANDWIDTH, float("nan")),
+        (BANDWIDTH, 10**400),
     ], ids=["max_nan", "max_-inf", "max_inf", "max_string", "max_bool", "bandwidth_string",
             "bandwidth_bool", "bandwidth_nan", "bandwidth_beyond_float"])
     def test_scalar_that_is_not_a_finite_number_rejected(self, tmp_path, pipeline_result,
@@ -903,16 +915,19 @@ class TestContainerValidation:
         for a number."""
         _, result = pipeline_result
         doc = density_softmax_container(result.model)
-        doc["density"][key] = value
+        _at(doc["density"], key[:-1])[key[-1]] = value
         path = tmp_path / "bad.dsm"
         save_container(doc, path)
-        _refused(path, re.escape(f"density {key} is {value!r}, not a finite number"), capsys)
+        what = "kde projection" if key == self.BANDWIDTH else "density"
+        _refused(path, re.escape(f"{what} {key[-1]} is {value!r}, not a finite number"), capsys)
 
     def test_integer_scalars_load(self, tmp_path, pipeline_result):
         _, result = pipeline_result
         doc = density_softmax_container(result.model)
-        doc["density"].update(bandwidth=1, max_train_log_density=0)
+        doc["density"].update(max_train_log_density=0)
+        doc["density"]["projection"].update(residual_scale=1)
         path = tmp_path / "ints.dsm"
         save_container(doc, path)
         density = load_container(path).density
-        assert (density.inner.bandwidth, density.max_train_log_density) == (1.0, 0.0)
+        assert (density.inner.projection.residual_scale,
+                density.max_train_log_density) == (1.0, 0.0)

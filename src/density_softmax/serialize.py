@@ -2,8 +2,8 @@
 
 A container is one file: a header line, then a payload. The header line is
 one JSON document with sorted keys, ended by a newline. Every array of the
-model (dense weights and biases, the classifier's theta, the density's
-projection, the KDE support) appears in it as an object ``{"shape": [...], "offset":
+model (dense weights and biases, the classifier's theta, the projection,
+the KDE support) appears in it as an object ``{"shape": [...], "offset":
 n}``, and the payload holds the arrays' raw little-endian IEEE-754 float64
 bytes, back to back, in the order the header lists them: each array's bytes
 start n bytes into the payload. A trained encoder's float32 arrays are

@@ -215,12 +215,13 @@ class TestKdeChunkedKernel:
 
     @pytest.mark.parametrize("huge", [1e160, 1e200])
     def test_huge_row_has_minus_inf_log_density(self, rng, huge):
-        kde = kde_fit(rng.normal(size=(50, 4)), 0.5)
+        train = rng.normal(size=(50, 4))
+        kde = kde_fit(train, 0.5)
         z = np.array([[0.1, 0.0, 0.0, 0.0], [huge] * 4, [huge, -huge, huge, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             logp = kde.log_density(z)
-            s = compute_scale(kde, kde.support)[0].scaled_likelihood(z)
+            s = compute_scale(kde, train)[0].scaled_likelihood(z)
         assert np.isfinite(logp[0])
         assert np.all(logp[1:] == -np.inf)
         assert np.all(s[1:] == LIKELIHOOD_FLOOR)

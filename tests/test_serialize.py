@@ -218,8 +218,8 @@ class TestFileLayout:
         projection = model.density.inner.projection
         arrays = [model.classifier.theta.data] + [
             getattr(projection, name) for name in ("directions", "mean", "scales")
-        ] + [model.density.inner.support] + [a for layer in model.encoder.net.layers for a in (layer.bias.data,
-                                                                layer.weight.data)]
+        ] + [model.density.inner.support] + [
+            a for layer in model.encoder.net.layers for a in (layer.bias.data, layer.weight.data)]
         assert [d["shape"] for d in stored] == [list(a.shape) for a in arrays]
         wide = [np.asarray(a, "<f8") for a in arrays]  # the encoder's are float32
         assert payload == b"".join(a.tobytes() for a in wide)

@@ -107,8 +107,8 @@ def _evaluate_model(model, name: str, sets: dict[str, LabeledSet],
     for tag, dataset in sets.items():
         pred = model.predict(dataset.features)
         labels = None if dataset.domain == "ood" else dataset.labels
-        report = M.evaluate_predictions(tag, pred.probs, labels,
-                                        pred.scaled_likelihood, bins)
+        report = M.evaluate_predictions(tag, pred.probs, labels, pred.scaled_likelihood, bins,
+                                        predicted=pred.labels)
         report.param_count = model.param_count()
         reports[tag] = report
         log.info("%s on %s: acc=%s ece=%s", name, tag,
@@ -286,8 +286,8 @@ def cmd_reliability(args) -> int:
         raise DataError(f"{args.set}: data row {row}: label {dataset.labels[row]} is not "
                         f"one of the model's {model.k} classes")
     with _rows_of(args.set):
-        probs = model.predict(dataset.features).probs
-    bins = M.reliability_bins(probs, dataset.labels, args.bins)
+        pred = model.predict(dataset.features)
+    bins = M.reliability_bins(pred.probs, dataset.labels, args.bins, predicted=pred.labels)
     ece = M.ece_from_bins(bins, dataset.n)
     out = Path(args.out)
     _write_text(out / "reliability.csv", _bins_csv(bins))

@@ -36,14 +36,17 @@ while on two moons 99% of the variance lies in about 4 directions and
   backward reads it there, so a step allocates no array (the relu mask
   aside); the fit drops them.
 
-``LatentProjection.project`` centers, projects and forms the residual of
-each row by einsum, which gives a row the same coordinates and residual
-term in any batch. The KDE walks its query rows in fixed chunks of
-``KDE_CHUNK_ROWS`` (see :func:`chunk_bounds`), each projected into reused
-buffers, which bound its chunk x support kernel block, and a 1-row query
-as two rows (``ops.gemm_rows``), so each kernel GEMM has two or more rows,
-and at the default config's shapes a row's log-density has the same bits
-in any batch. The flow scores all rows in one coupling walk, whose
+``LatentProjection.project`` centers each row, then projects it and forms
+its residual by two stacked BLAS products over fixed blocks of
+``PROJECT_BLOCK_ROWS`` rows (a batch padded to whole blocks with copies of
+its last row) and takes the residual's squared norm by ``np.vecdot``, which
+gives a row the same coordinates and residual term in any batch. The KDE
+walks its query rows in fixed chunks of ``KDE_CHUNK_ROWS`` (see
+:func:`chunk_bounds`), each projected into reused buffers, which bound its
+chunk x support kernel block, and a 1-row query as two rows (the row and
+its padding copy; ``ops.gemm_rows``), so each kernel GEMM has two or more
+rows, and at the default config's shapes a row's log-density has the same
+bits in any batch. The flow scores all rows in one coupling walk, whose
 temporaries are as wide as the coordinates (r = 3-4 on the default config)
 or the hidden layers; at those widths a row's last bits can depend on the
 batch it comes in, even walked as two rows.
@@ -79,7 +82,6 @@ from .config import FlowConfig
 from .layers import (Dense, DenseNet, DenseWorkspace, activation_grad, apply_activation,
                      fan_in_uniform)
 from .model import batch_rows, train_minibatches
-from .ops import gemm_rows
 
 LIKELIHOOD_FLOOR = sys.float_info.min  # smallest positive normal float64
 
@@ -105,6 +107,16 @@ KDE_VARIANCE_KEPT = 0.9999
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+# Rows per block of LatentProjection.project's stacked BLAS products; a
+# batch is padded to whole blocks.
+PROJECT_BLOCK_ROWS = 8
+
+
+def padded_rows(rows: int) -> int:
+    """rows rounded up to whole blocks of PROJECT_BLOCK_ROWS."""
+    return -(-rows // PROJECT_BLOCK_ROWS) * PROJECT_BLOCK_ROWS
 
 
 def latent_rows(z, width: int) -> np.ndarray:
@@ -164,30 +176,49 @@ class LatentProjection:
         """The coordinates of each row of z, and -||residual||^2 /
         (2 residual_scale^2), where the residual is the row's centered part
         off the directions' span. A row of another width than the mean
-        raises ValueError. Given ``out``, four arrays of z's rows (the
-        centered rows, their part in the span, the coordinates and the
-        residual terms), every array goes into them.
+        raises ValueError. Given ``out``, four arrays of at least
+        ``padded_rows(len(z))`` rows (the centered rows, their part in the
+        span, the coordinates and the residual terms), every array goes into
+        them, and their rows past z's hold copies of its last row.
 
-        Each is a function of its row alone: numpy's einsum sums every dot
-        product over the row's entries in one loop, whatever the batch,
-        where a BLAS product with r columns rounds a row differently in
-        batches of other sizes, and the densest train row could then score
-        below 1 when served in another batch than compute_scale's. The
-        residual's squared norm is divided by the scale twice, so that at a
-        tiny scale no step multiplies an infinity by 0. A huge row's values
-        overflow to an infinity or NaN, which the densities map to -inf,
-        with no warning."""
+        Each is a function of its row alone. The rows are padded to whole
+        blocks of PROJECT_BLOCK_ROWS with copies of the last one, and both
+        products, the coordinates (z - mean) @ directions.T and the span
+        coords @ directions, run as one stacked matmul over the blocks, so
+        BLAS makes the same fixed-shape gemm call for every block, which
+        computes each row of it on its own (tests/test_ops.py checks this on
+        the BLAS at hand); the residual's squared norm is one ``np.vecdot``
+        per row. A BLAS product over a batch of another size could round a
+        row differently, and the densest train row could then score below 1
+        when served in another batch than compute_scale's. The residual's
+        squared norm is divided by the scale twice, so that at a tiny scale
+        no step multiplies an infinity by 0. A huge row's values overflow
+        to an infinity or NaN, which the densities map to -inf, with no
+        warning."""
         z = latent_rows(z, self.mean.size)
-        centered, span, coords, off = (None,) * 4 if out is None else out
+        n, d = z.shape
+        r = self.directions.shape[0]
+        rows = padded_rows(n)
+        if out is None:
+            centered, span = np.empty((rows, d)), np.empty((rows, d))
+            coords, off = np.empty((rows, r)), np.empty(rows)
+        else:
+            centered, span, coords, off = out
+            centered, span, coords, off = centered[:rows], span[:rows], coords[:rows], off[:rows]
+        blocks = rows // PROJECT_BLOCK_ROWS
         with np.errstate(over="ignore", invalid="ignore"):
-            centered = np.subtract(z, self.mean, out=centered)
-            coords = np.einsum("nd,rd->nr", centered, self.directions, out=coords)
-            centered -= np.einsum("nr,rd->nd", coords, self.directions, out=span)
-            off = np.einsum("nd,nd->n", centered, centered, out=off)
+            np.subtract(z, self.mean, out=centered[:n])
+            centered[n:] = centered[n - 1:n]
+            np.matmul(centered.reshape(blocks, PROJECT_BLOCK_ROWS, d), self.directions.T,
+                      out=coords.reshape(blocks, PROJECT_BLOCK_ROWS, r))
+            np.matmul(coords.reshape(blocks, PROJECT_BLOCK_ROWS, r), self.directions,
+                      out=span.reshape(blocks, PROJECT_BLOCK_ROWS, d))
+            centered -= span
+            np.vecdot(centered, centered, out=off)
             off /= self.residual_scale
             off /= -2.0 * self.residual_scale
             coords /= self.scales
-        return coords, off
+        return coords[:n], off[:n]
 
     def param_count(self) -> int:
         return self.mean.size + self.directions.size + self.scales.size + 1
@@ -298,13 +329,14 @@ class KdeModel:
 
     The support is copied and made read-only at construction, and two
     derived values are cached then (not serialized, not compared): the
-    ``augmented`` n x (r + 1) support [s, -||s||^2 / 2] and the normalizer
-    ``log_norm``, log n plus the terms above and d/2 log 2 pi.
+    contiguous (r + 1) x n ``kernel_operand`` [s, -||s||^2 / 2]^T, whose
+    product with a query [q, 1] gives every q.s - ||s||^2 / 2, and the
+    normalizer ``log_norm``, log n plus the terms above and d/2 log 2 pi.
     """
 
     projection: LatentProjection
     support: np.ndarray  # (n, r) train coordinates
-    augmented: np.ndarray = field(init=False, repr=False, compare=False)
+    kernel_operand: np.ndarray = field(init=False, repr=False, compare=False)
     log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -317,11 +349,11 @@ class KdeModel:
         if r != projection.dim:
             raise ValueError(f"kde support has shape {support.shape}; a projection onto "
                              f"{projection.dim} coordinates needs {projection.dim} columns")
-        augmented = np.empty((n, r + 1))
-        augmented[:, :r] = support
-        augmented[:, r] = np.einsum("nr,nr->n", support, support)
-        augmented[:, r] *= -0.5
-        object.__setattr__(self, "augmented", _read_only(augmented))
+        operand = np.empty((r + 1, n))
+        operand[:r] = support.T
+        np.vecdot(support, support, out=operand[r])
+        operand[r] *= -0.5
+        object.__setattr__(self, "kernel_operand", _read_only(operand))
         d = projection.mean.size
         object.__setattr__(self, "log_norm", math.log(n) + float(np.log(projection.scales).sum())
                            + (d - r) * math.log(projection.residual_scale) + 0.5 * d * LOG_2PI)
@@ -331,16 +363,18 @@ class KdeModel:
         (a far, huge row), never NaN.
 
         Walks z in chunks of KDE_CHUNK_ROWS rows (see chunk_bounds) through
-        reused buffers, and a 1-row z as two rows (``ops.gemm_rows``), so
-        at the default config's shapes a row scores the same bits in any
-        batch. Each chunk goes through ``projection.project`` into the
-        buffers, its coordinates q into the augmented query [q, 1]; a row's
-        coordinates and residual term are alike in any batch. One GEMM of
-        the query against ``augmented`` then gives every q.s - ||s||^2 / 2,
-        the log-kernel plus the row's ||q||^2 / 2; a max-shifted log-sum-exp
-        runs over them, its shifted terms raised to at least
-        KDE_LOG_KERNEL_FLOOR before the exp. The row's ||q||^2 / 2 and its
-        residual term come after.
+        reused buffers. Each chunk goes through ``projection.project`` into
+        the buffers, its coordinates q into the augmented query [q, 1],
+        padded to whole projection blocks with copies of the chunk's last
+        row; a row's coordinates and residual term are alike in any batch.
+        One GEMM of the chunk's queries, two rows for a 1-row chunk (the
+        two-row rule of ``ops.gemm_rows``, never padded further), against
+        ``kernel_operand`` then gives every q.s - ||s||^2 / 2, the
+        log-kernel plus the row's ||q||^2 / 2, so at the default config's
+        shapes a row's log-density has the same bits in any batch; a
+        max-shifted log-sum-exp runs over them, its shifted terms raised to
+        at least KDE_LOG_KERNEL_FLOOR before the exp. The row's ||q||^2 / 2
+        (one ``np.vecdot`` per row) and its residual term come after.
 
         No squared distance is formed, so none needs a clamp at 0: the shift
         bounds every exp at e^0 = 1 whatever the rounding, and rounding that
@@ -350,37 +384,36 @@ class KdeModel:
         1e-304, far under half an ulp of it; it can only change a partial
         sum of the pairwise summation that is itself tiny, and the row sum
         absorbs that partial. tests/kde_reference.py keeps the unfloored
-        one-shot kernel as the oracle.
+        kernel, one matrix per chunk, as the oracle.
         """
         projection = self.projection
         d, r = projection.mean.size, projection.dim
         z = latent_rows(z, d)
-        asked = z.shape[0]
-        z = gemm_rows(z)
         rows = z.shape[0]
         bounds = chunk_bounds(rows, KDE_CHUNK_ROWS)
-        cap = min(rows, KDE_CHUNK_ROWS + 1)
+        cap = padded_rows(min(rows, KDE_CHUNK_ROWS + 1))
         centered, span = np.empty((cap, d)), np.empty((cap, d))
         query = np.empty((cap, r + 1))
         query[:, r] = 1.0
         off, half = np.empty(cap), np.empty(cap)
+        buffers = centered, span, query[:, :r], off
         buf = np.empty((cap, self.support.shape[0]))
-        out = np.empty(rows)
+        out = np.empty(max(rows, 2))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for lo, hi in zip(bounds, bounds[1:]):
-                m = hi - lo
+                m = max(hi - lo, 2)
                 q, c = query[:m], query[:m, :r]
-                projection.project(z[lo:hi], (centered[:m], span[:m], c, off[:m]))
+                projection.project(z[lo:hi], buffers)
                 a = buf[:m]
-                np.matmul(q, self.augmented.T, out=a)
+                np.matmul(q, self.kernel_operand, out=a)
                 top = a.max(axis=1)
                 a -= top[:, None]
                 np.maximum(a, KDE_LOG_KERNEL_FLOOR, out=a)
                 np.exp(a, out=a)
-                lse = out[lo:hi]
+                lse = out[lo:lo + m]
                 np.log(a.sum(axis=1), out=lse)
                 lse += top
-                np.einsum("nr,nr->n", c, c, out=half[:m])
+                np.vecdot(c, c, out=half[:m])
                 half[:m] *= 0.5
                 lse -= half[:m]
                 lse += off[:m]
@@ -388,7 +421,7 @@ class KdeModel:
         # an infinite max, came out NaN; fmax turns exactly those into -inf.
         np.fmax(out, -np.inf, out=out)
         out -= self.log_norm
-        return out[:asked]
+        return out[:rows]
 
     def param_count(self) -> int:
         """The support and the projection."""

@@ -5,6 +5,13 @@ covers ((m-1)/M, m/M], so a confidence exactly on an edge belongs to the
 lower bin and anything <= 1/M lands in bin 1. ``expected_calibration_error``
 is computed from :func:`reliability_bins`, so the diagram data and the
 scalar always agree exactly.
+
+The class a row is scored on is ``predicted``, given as a keyword where a
+model serves it (``Prediction.labels``), else ``probs.argmax``. They differ
+where probabilities tie exactly: a Density-Softmax row whose scaled logits
+fall below an ulp of the softmax ties, and its argmax picks class 0, while
+its served class is the argmax of the logits. The confidence stays
+max(probs), so such a row counts at 1/K.
 """
 
 from __future__ import annotations
@@ -36,6 +43,19 @@ def _validate(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     return probs, labels
 
 
+def _classes(probs: np.ndarray, predicted: np.ndarray | None) -> np.ndarray:
+    """The class each row of the validated probs is scored on: predicted,
+    when given, else the argmax of its probabilities."""
+    if predicted is None:
+        return probs.argmax(axis=1)
+    predicted = np.asarray(predicted)
+    if predicted.shape != (probs.shape[0],):
+        raise ValueError("predicted classes must align with probability rows")
+    if predicted.min() < 0 or predicted.max() >= probs.shape[1]:
+        raise ValueError("predicted class index out of range")
+    return predicted
+
+
 def bin_index(confidence: np.ndarray, bins: int) -> np.ndarray:
     """1-based bin index for each confidence under the ((m-1)/M, m/M] rule."""
     edges = np.arange(1, bins + 1) / bins
@@ -43,12 +63,13 @@ def bin_index(confidence: np.ndarray, bins: int) -> np.ndarray:
     return np.clip(idx, 1, bins)
 
 
-def reliability_bins(probs: np.ndarray, labels: np.ndarray, bins: int) -> list[BinStats]:
+def reliability_bins(probs: np.ndarray, labels: np.ndarray, bins: int, *,
+                     predicted: np.ndarray | None = None) -> list[BinStats]:
     probs, labels = _validate(probs, labels)
     if bins < 1:
         raise ValueError("need at least one bin")
     conf = probs.max(axis=1)
-    correct = probs.argmax(axis=1) == labels
+    correct = _classes(probs, predicted) == labels
     idx = bin_index(conf, bins)
     stats = []
     for m in range(1, bins + 1):
@@ -68,26 +89,28 @@ def ece_from_bins(stats: list[BinStats], n: int) -> float:
 
 
 def expected_calibration_error(probs: np.ndarray, labels: np.ndarray,
-                               bins: int = 15) -> float:
+                               bins: int = 15, *,
+                               predicted: np.ndarray | None = None) -> float:
     """Bin-weighted |accuracy - confidence| gap; empty bins contribute 0."""
-    stats = reliability_bins(probs, labels, bins)
+    stats = reliability_bins(probs, labels, bins, predicted=predicted)
     return ece_from_bins(stats, len(np.asarray(labels)))
 
 
-def misclassified_ece(probs: np.ndarray, labels: np.ndarray, bins: int = 15
-                      ) -> float | None:
+def misclassified_ece(probs: np.ndarray, labels: np.ndarray, bins: int = 15, *,
+                      predicted: np.ndarray | None = None) -> float | None:
     """Calibration gap normalized by the misclassified count instead of N.
 
     Returns None ("not applicable") when every sample is classified
     correctly.
     """
     probs, labels = _validate(probs, labels)
-    return _mece(reliability_bins(probs, labels, bins), probs, labels)
+    predicted = _classes(probs, predicted)
+    return _mece(reliability_bins(probs, labels, bins, predicted=predicted), predicted, labels)
 
 
-def _mece(stats: list[BinStats], probs: np.ndarray, labels: np.ndarray) -> float | None:
-    """misclassified_ece from the reliability bins of probs and labels."""
-    n_wrong = int((probs.argmax(axis=1) != labels).sum())
+def _mece(stats: list[BinStats], predicted: np.ndarray, labels: np.ndarray) -> float | None:
+    """misclassified_ece from the reliability bins and the scored classes."""
+    n_wrong = int((predicted != labels).sum())
     return ece_from_bins(stats, n_wrong) if n_wrong else None
 
 
@@ -97,9 +120,10 @@ def negative_log_likelihood(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
-def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
+def accuracy(probs: np.ndarray, labels: np.ndarray, *,
+             predicted: np.ndarray | None = None) -> float:
     probs, labels = _validate(probs, labels)
-    return float((probs.argmax(axis=1) == labels).mean())
+    return float((_classes(probs, predicted) == labels).mean())
 
 
 def brier_score(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -188,9 +212,11 @@ class EvalReport:
 
 def evaluate_predictions(domain: str, probs: np.ndarray, labels: np.ndarray | None,
                          scaled_likelihood: np.ndarray | None = None,
-                         bins: int = 15) -> EvalReport:
-    """Full EvalReport for a batch; label-dependent metrics are skipped when
-    labels are None (OOD sets carry sentinel labels only)."""
+                         bins: int = 15, *,
+                         predicted: np.ndarray | None = None) -> EvalReport:
+    """Full EvalReport for a batch, scored on the predicted classes (see
+    the module docstring); label-dependent metrics are skipped when labels
+    are None (OOD sets carry sentinel labels only)."""
     probs = np.atleast_2d(probs)
     report = EvalReport(domain=domain, n=probs.shape[0])
     report.mean_entropy_nats = float(entropy(probs, "nats").mean())
@@ -198,10 +224,12 @@ def evaluate_predictions(domain: str, probs: np.ndarray, labels: np.ndarray | No
     if scaled_likelihood is not None:
         report.mean_scaled_likelihood = float(np.mean(scaled_likelihood))
     if labels is not None:
-        report.accuracy = accuracy(probs, labels)
+        probs, labels = _validate(probs, labels)
+        predicted = _classes(probs, predicted)
+        report.accuracy = accuracy(probs, labels, predicted=predicted)
         report.nll = negative_log_likelihood(probs, labels)
-        report.bins = reliability_bins(probs, labels, bins)
+        report.bins = reliability_bins(probs, labels, bins, predicted=predicted)
         report.ece = ece_from_bins(report.bins, report.n)
-        report.mece = _mece(report.bins, *_validate(probs, labels))
+        report.mece = _mece(report.bins, predicted, labels)
         report.brier = brier_score(probs, labels)
     return report

@@ -37,7 +37,7 @@ from .autodiff import Tensor, bound_grad
 from .config import EncoderConfig, TrainConfig
 from .data import DataError, LabeledSet, require_fittable
 from .layers import Activation, Dense, DenseNet, DenseWorkspace, fan_in_uniform
-from .ops import finite_rows, gemm_rows
+from .ops import NonFiniteRow, gemm_rows
 from .optim import Adam, L2Penalty
 
 # The dtype ERM trains the encoder and head in, and the one a trained
@@ -103,13 +103,18 @@ class Encoder:
         if x.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} input columns, got {x.shape[1]}")
         z = _walk(self.net, x)
-        if self.net.layers[0].weight.data.dtype != np.float64 and not np.isfinite(z).all():
-            far = ~np.isfinite(z).all(axis=1)
+        if np.isfinite(z).all():  # the one scan of a batch whose latents are all finite
+            return z
+        far = np.flatnonzero(~np.isfinite(z).all(axis=1))
+        if self.net.layers[0].weight.data.dtype != np.float64:
             wide = DenseNet([replace(layer, weight=Tensor(layer.weight.data),
                                      bias=Tensor(layer.bias.data)) for layer in self.net.layers])
             z[far] = _walk(wide, x[far])
+            far = far[~np.isfinite(z[far]).all(axis=1)]
         # a finite but huge input row can overflow on its way through the stack
-        return finite_rows(z, "latent")
+        if far.size:
+            raise NonFiniteRow("latent", int(far[0]))
+        return z
 
     def encode_tape(self, x: np.ndarray, work: DenseWorkspace | None = None
                     ) -> tuple[np.ndarray, DenseWorkspace]:

@@ -34,14 +34,29 @@ def finite_rows(x, what: str = "input") -> np.ndarray:
 def gemm_rows(x: np.ndarray) -> np.ndarray:
     """x, or a 1-row x repeated to two rows, for a product whose rows
     should not depend on the batch. numpy sends a 1-row product to gemv,
-    whose last bits differ from gemm's. OpenBLAS's gemm gives a row the same
-    bits in every product of two or more rows at the default config's
-    shapes: the encoder's 2 -> 128 and 128 -> 128 layers in float32 and
-    float64, and the KDE's r + 1 coordinates against its 1000 support rows
-    (tests/test_ops.py checks them on the BLAS at hand). At some other
-    output widths, such as 500 or 1001 support rows or a 100-wide layer, a
-    row's last bits move with the batch even so. The caller keeps the first
-    len(x) rows of the product."""
+    whose last bits differ from gemm's. The caller keeps the first len(x)
+    rows of the product.
+
+    Serving gives a row the same bits at batch 1 as in a batch by resting
+    on three properties of the BLAS, which tests/test_ops.py checks on the
+    BLAS at hand:
+
+    * OpenBLAS's gemm gives a row the same bits in every product of two or
+      more rows at the default config's shapes: the encoder's 2 -> 128 and
+      128 -> 128 layers in float32 and float64 (walked through this
+      function), and the KDE's r + 1 query columns against its C-ordered
+      (r + 1) x 1000 kernel operand. At some other output widths, such as
+      500 or 1001 support rows or a 100-wide layer, a row's last bits move
+      with the batch even so, and a transposed operand can round a row
+      other ways than a C-ordered one.
+    * A fixed-shape gemm computes each row of its block on its own, at any
+      offset in the block: ``LatentProjection.project`` runs its two
+      products, (8, d) @ (d, r) against the directions' transposed view and
+      (8, r) @ (r, d), as stacked matmuls over blocks of
+      ``PROJECT_BLOCK_ROWS`` rows, a batch padded to whole blocks.
+    * ``np.vecdot`` takes each row's dot product on its own (one BLAS dot
+      per row), whatever the batch and in a strided view: the projection's
+      residual norm and the KDE's ||q||^2."""
     return np.repeat(x, 2, axis=0) if len(x) == 1 else x
 
 

@@ -21,9 +21,10 @@ so s -> 0 drives the prediction to uniform while s = 1 reproduces the plain
 softmax bit for bit. In exact arithmetic a positive s never reorders the
 logits, so the argmax would match the plain softmax with the same weights.
 In floating point it need not: once s * logits falls below an ulp of the
-softmax, the probabilities tie exactly and ``argmax(probs)`` picks class 0,
-so accuracy taken from ``probs`` can drop below the logits' (ROADMAP, open
-item "The served class is the argmax of the logits"). The ERM baseline is
+softmax, the probabilities tie exactly and ``argmax(probs)`` picks class 0.
+So a prediction serves its class as ``labels``, the argmax of the logits,
+which is the plain softmax's class, and the metrics score it (at the
+confidence max(probs), so a tied row counts at 1/K). The ERM baseline is
 the same model type without a density (s = 1).
 """
 
@@ -45,6 +46,7 @@ from .ops import entropy, finite_rows, softmax
 @dataclass(frozen=True)
 class Prediction:
     probs: np.ndarray
+    labels: np.ndarray  # the served class of each row (see the module docstring)
     scaled_likelihood: np.ndarray | None  # None: no density (plain softmax)
     latent: np.ndarray | None  # None for an ensemble
 
@@ -67,7 +69,8 @@ class DensitySoftmaxModel:
         return self.encoder.input_dim
 
     def predict(self, x: np.ndarray) -> Prediction:
-        """One encoder pass, one density pass, one matrix product per sample.
+        """One encoder pass, one density pass, one matrix product per sample;
+        the served class is the argmax of the logits.
 
         Rows with a NaN or an infinity are rejected up front (ValueError).
         At the default config's shapes a row's latent has the same bits in
@@ -80,11 +83,12 @@ class DensitySoftmaxModel:
         z = finite_rows(x)
         latent = self.encoder.encode(z)
         logits = self.classifier.logits(latent)
+        labels = logits.argmax(axis=1)
         if self.density is None:
-            return Prediction(probs=softmax(logits), scaled_likelihood=None, latent=latent)
+            return Prediction(softmax(logits), labels, scaled_likelihood=None, latent=latent)
         s = self.density.scaled_likelihood(latent)
         probs = softmax(s[:, None] * logits)
-        return Prediction(probs=probs, scaled_likelihood=s, latent=latent)
+        return Prediction(probs, labels, scaled_likelihood=s, latent=latent)
 
     def param_count(self) -> int:
         total = self.encoder.param_count() + self.classifier.param_count()
@@ -94,7 +98,8 @@ class DensitySoftmaxModel:
 @dataclass
 class Ensemble:
     """Deep ensemble: members differ only by seed; the prediction is the
-    arithmetic mean of member probability vectors."""
+    arithmetic mean of member probability vectors, and its class their
+    argmax."""
 
     members: list[DensitySoftmaxModel]
 
@@ -121,7 +126,7 @@ class Ensemble:
 
     def predict(self, x: np.ndarray) -> Prediction:
         probs = np.mean([m.predict(x).probs for m in self.members], axis=0)
-        return Prediction(probs=probs, scaled_likelihood=None, latent=None)
+        return Prediction(probs, probs.argmax(axis=1), scaled_likelihood=None, latent=None)
 
     def param_count(self) -> int:
         return sum(m.param_count() for m in self.members)

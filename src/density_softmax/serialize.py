@@ -37,8 +37,8 @@ and "scales" (r,), which map a d-wide latent to the r coordinates the
 density models, and its "residual_scale", the width of the Gaussian on a
 row's distance off them), in one layout for both kinds, and either
 
-* a KDE's "support" (n, r), the train rows' coordinates; the augmented
-  support that the kernel's GEMM reads is worked out again at load; or
+* a KDE's "support" (n, r), the train rows' coordinates; the kernel
+  operand that the kernel's GEMM reads is worked out again at load; or
 * a flow's "layers", one stacked net per coupling layer with (2, in, out)
   weights (slot 0 the s-net, slot 1 the t-net).
 

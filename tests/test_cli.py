@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 import density_softmax
+from density_softmax import metrics as M
 from density_softmax import predictor
 from density_softmax.cli import main
 from density_softmax.config import EncoderConfig
-from density_softmax.data import LabeledSet, save_csv
+from density_softmax.data import LabeledSet, load_csv, save_csv
 from density_softmax.metrics import EvalReport
 from density_softmax.model import init_model
 from density_softmax.predictor import DensitySoftmaxModel
-from density_softmax.serialize import density_softmax_container, save_container
+from density_softmax.serialize import density_softmax_container, load_container, save_container
 
 SRC = Path(density_softmax.__file__).resolve().parents[1]
 
@@ -141,6 +142,27 @@ class TestSubcommands:
         detection = json.loads((run / f"ood_detection_{name}.json").read_text())
         assert report["auroc"] is not None
         assert {k: report[k] for k in ("auroc", "aupr")} == detection["neg_max_prob"]
+
+    @pytest.mark.parametrize("name, container", [("density_softmax", "model.dsm"),
+                                                 ("erm", "model_erm.dsm")])
+    def test_reports_score_the_served_class(self, work, name, container):
+        """run's reports and reliability score each row on the class the
+        model serves (Prediction.labels), at the confidence max(probs)."""
+        root, _ = work
+        run = root / "run"
+        model = load_container(run / container)
+        for tag in ("iid_test", "shifted_5"):
+            data = load_csv(run / "data" / f"{tag}.csv")
+            pred = model.predict(data.features)
+            report = json.loads((run / f"report_{name}_{tag}.json").read_text())
+            assert report["accuracy"] == M.accuracy(pred.probs, data.labels,
+                                                    predicted=pred.labels)
+            assert report["ece"] == M.expected_calibration_error(
+                pred.probs, data.labels, 15, predicted=pred.labels)
+        out = root / f"rel_served_{name}"
+        ok("reliability", "--model", run / container, "--set", run / "data" / "shifted_5.csv",
+           "--out", out)
+        assert json.loads((out / "reliability.json").read_text())["ece"] == report["ece"]
 
     def test_compare_columns_are_the_eval_report_fields(self, work, tmp_path, capsys):
         _, config = work

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from conftest import identity_projection
 from hypothesis import strategies as st
-from kde_reference import full_space_log_density, kde_log_density
+from kde_reference import chunkwise_log_density, full_space_log_density, kde_log_density
 
 from density_softmax.autodiff import Tensor
 from density_softmax.config import FlowConfig
@@ -20,6 +20,7 @@ from density_softmax.density import (FINAL, KDE_CHUNK_ROWS,
                                      LIKELIHOOD_FLOOR, LOG_2PI, PROJECTION_VARIANCE_KEPT,
                                      CouplingLayer, CouplingWorkspace, FlowModel, FlowWorkspace,
                                      KdeModel, LatentProjection, chunk_bounds, compute_scale,
+                                     padded_rows,
                                      _principal_axes, coupling_net, fit_projection, flow_fit,
                                      halves, kde_fit, scott_bandwidth)
 from density_softmax.layers import Dense, DenseNet, fan_in_uniform
@@ -156,6 +157,15 @@ def latent_like(rng, rows: int, d: int = 128) -> np.ndarray:
     return z
 
 
+def low_rank_latents(rng, rows: int) -> np.ndarray:
+    """Rows like the default pipeline's latents: 128 wide, their spread
+    falling geometrically over the directions, so that at 1000 rows the KDE
+    keeps 13 coordinates and the flow 7."""
+    spread = 6.0 * 0.7 ** np.arange(128)
+    return (rng.normal(size=(rows, 128)) * spread) @ np.linalg.qr(
+        rng.normal(size=(128, 128)))[0] + rng.normal(size=128)
+
+
 class TestKdeChunkedKernel:
     """log_density walks the queries in chunks through one reused buffer;
     kde_reference keeps the one-shot n x N expansion it replaced."""
@@ -189,6 +199,18 @@ class TestKdeChunkedKernel:
                    for i in range(0, 1000, 128)]
         assert max(batched) == 1.0
 
+    def test_train_s_is_the_served_s_at_batch_1_and_128(self):
+        """compute_scale's s of each train row, from one pass over all of
+        them, is the s that row is served in 1-row and in 128-row calls."""
+        train_z = low_rank_latents(np.random.default_rng(8), 1000)
+        sd, train_s = compute_scale(kde_fit(train_z), train_z)
+        assert train_s.max() == 1.0
+        np.testing.assert_array_equal(
+            [sd.scaled_likelihood(row)[0] for row in train_z], train_s)
+        np.testing.assert_array_equal(
+            np.concatenate([sd.scaled_likelihood(train_z[i:i + 128])
+                            for i in range(0, 1000, 128)]), train_s)
+
     def test_temporaries_do_not_grow_with_batch(self, kde_and_queries):
         kde, queries = kde_and_queries
 
@@ -206,12 +228,14 @@ class TestKdeChunkedKernel:
         z = rng.normal(size=(20, 3))
         kde = kde_fit(z, 0.5)
         v = kde.support
-        np.testing.assert_array_equal(kde.augmented[:, :-1], v)
-        np.testing.assert_array_equal(kde.augmented[:, -1], -0.5 * (v * v).sum(axis=1))
+        operand = kde.kernel_operand
+        np.testing.assert_array_equal(operand[:-1], v.T)
+        np.testing.assert_array_equal(operand[-1], -0.5 * np.vecdot(v, v))
+        assert operand.flags.c_contiguous
         assert not kde.support.flags.writeable
-        assert not kde.augmented.flags.writeable
+        assert not operand.flags.writeable
         assert z.flags.writeable  # the caller's array is copied, not frozen
-        assert "augmented" not in repr(kde)
+        assert "kernel_operand" not in repr(kde)
 
     @pytest.mark.parametrize("huge", [1e160, 1e200])
     def test_huge_row_has_minus_inf_log_density(self, rng, huge):
@@ -240,15 +264,6 @@ class TestKdeChunkedKernel:
 # or any of those and normal.
 LOG_KERNEL_BANDS = {"subnormal": (-745.0, -709.0), "zero": (-1500.0, -745.0),
                     "mixed": (-1500.0, 0.0)}
-
-
-def chunkwise_reference(kde, z):
-    """kde_reference over each chunk of KdeModel.log_density. At a latent
-    width of a few dims OpenBLAS's gemm gives a row other last bits in
-    another row block, so a one-shot product is no oracle there."""
-    bounds = chunk_bounds(len(z), KDE_CHUNK_ROWS)
-    return np.concatenate([kde_log_density(kde, z[lo:hi])
-                           for lo, hi in zip(bounds, bounds[1:])])
 
 
 class TestKdeLogKernelFloor:
@@ -283,12 +298,12 @@ class TestKdeLogKernelFloor:
 
         kde = kde_fit(support, bandwidth)
         np.testing.assert_array_equal(kde.log_density(queries),
-                                      chunkwise_reference(kde, queries))
+                                      chunkwise_log_density(kde, queries))
         np.testing.assert_array_equal(kde.log_density(queries[0]),
                                       kde_log_density(kde, queries[0]))
         sd, train_s = compute_scale(kde, support)
         np.testing.assert_array_equal(kde.log_density(support),
-                                      chunkwise_reference(kde, support))
+                                      chunkwise_log_density(kde, support))
         assert sd.scaled_likelihood(support).max() == 1.0
         np.testing.assert_array_equal(train_s, sd.scaled_likelihood(support))
 
@@ -757,6 +772,30 @@ class TestLatentProjection:
             parts = [p.project(z[i:i + rows]) for i in range(0, 1000, rows)]
             np.testing.assert_array_equal(np.vstack([c for c, _ in parts]), whole[0])
             np.testing.assert_array_equal(np.concatenate([o for _, o in parts]), whole[1])
+
+    @pytest.mark.parametrize("kind", ["kde", "flow"])
+    def test_batch_1_matches_batched(self, kind):
+        """A row's coordinates and residual term are the same bits in a
+        1-row call as in calls of 7, 8, 9, 129 and 1000 rows (whole blocks,
+        a padded last block and a 1-row last block), with and without the
+        KDE's buffers, whose coordinates are a strided view of its query."""
+        rng = np.random.default_rng(7)
+        z = low_rank_latents(rng, 1000)
+        p = kde_fit(z).projection if kind == "kde" else fit_projection(z)
+        assert p.dim == (13 if kind == "kde" else 7)
+        alone = [p.project(row) for row in z]
+        alone = np.vstack([c for c, _ in alone]), np.concatenate([o for _, o in alone])
+        cap = padded_rows(1000)
+        query = np.empty((cap, p.dim + 1))
+        buffers = np.empty((cap, 128)), np.empty((cap, 128)), query[:, :p.dim], np.empty(cap)
+        for rows in (7, 8, 9, 129, 1000):
+            for out in (None, buffers):
+                parts = [[a.copy() for a in p.project(z[i:i + rows], out)]
+                         for i in range(0, 1000, rows)]
+                coords = np.vstack([c for c, _ in parts])
+                off = np.concatenate([o for _, o in parts])
+                np.testing.assert_array_equal(coords, alone[0])
+                np.testing.assert_array_equal(off, alone[1])
 
     @pytest.mark.parametrize("points, varying", [(1, 0), (2, 1)])
     def test_fewer_than_two_varying_directions_rejected(self, points, varying):

@@ -140,6 +140,58 @@ class TestPointMetrics:
         assert brier_score(probs, labels) == pytest.approx((k - 1) / k, abs=1e-12)
 
 
+class TestPredictedClasses:
+    """Tied probabilities score on the served class, at the confidence
+    max(probs) = 1/K; without ``predicted`` each metric keeps the argmax."""
+
+    def tied(self):
+        # rows 0-1 are tied (argmax picks class 0) but served as class 1
+        probs = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
+        return probs, np.array([1, 1, 1, 1]), np.array([1, 1, 1, 0])
+
+    def test_accuracy(self):
+        probs, labels, predicted = self.tied()
+        assert accuracy(probs, labels) == 0.25
+        assert accuracy(probs, labels, predicted=predicted) == 0.75
+
+    def test_bins_count_a_tied_row_at_one_over_k(self):
+        probs, labels, predicted = self.tied()
+        stats = reliability_bins(probs, labels, 2, predicted=predicted)
+        assert (stats[0].count, stats[0].acc, stats[0].conf) == (2, 1.0, 0.5)
+        assert (stats[1].count, stats[1].acc) == (2, 0.5)
+        assert expected_calibration_error(probs, labels, 2, predicted=predicted) == \
+            pytest.approx(0.5 * 0.5 + 0.5 * 0.35, abs=1e-12)
+        assert misclassified_ece(probs, labels, 2, predicted=predicted) == \
+            pytest.approx(4 * (0.5 * 0.5 + 0.5 * 0.35), abs=1e-12)
+
+    def test_report_scores_the_predicted_classes(self):
+        probs, labels, predicted = self.tied()
+        report = evaluate_predictions("t", probs, labels, bins=2, predicted=predicted)
+        assert report.accuracy == 0.75
+        assert report.ece == expected_calibration_error(probs, labels, 2, predicted=predicted)
+        assert report.mece == misclassified_ece(probs, labels, 2, predicted=predicted)
+        plain = evaluate_predictions("t", probs, labels, bins=2)
+        assert plain.accuracy == 0.25
+        assert plain.ece == expected_calibration_error(probs, labels, 2)
+
+    def test_argmax_classes_are_the_default(self, rng):
+        probs = binary_probs(rng.uniform(0.5, 1.0, 50))
+        labels = rng.integers(0, 2, 50)
+        predicted = probs.argmax(axis=1)
+        assert accuracy(probs, labels, predicted=predicted) == accuracy(probs, labels)
+        assert reliability_bins(probs, labels, 15, predicted=predicted) == \
+            reliability_bins(probs, labels, 15)
+
+    @pytest.mark.parametrize("predicted, message", [
+        (np.array([0, 1, 1]), "predicted classes must align with probability rows"),
+        (np.array([0, 1, 2, 0]), "predicted class index out of range"),
+        (np.array([0, -1, 1, 0]), "predicted class index out of range")])
+    def test_bad_predicted_classes_rejected(self, predicted, message):
+        probs, labels, _ = self.tied()
+        with pytest.raises(ValueError, match=message):
+            accuracy(probs, labels, predicted=predicted)
+
+
 def brute_force_auroc(iid, ood):
     """All-pairs comparison: P(ood > iid) + 0.5 P(tie)."""
     wins = ties = 0

@@ -1,10 +1,12 @@
-"""Softmax and entropy numerics, and the BLAS property the two-row rule rests on."""
+"""Softmax and entropy numerics, and the BLAS properties serving's batch
+invariance rests on."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from density_softmax.density import PROJECT_BLOCK_ROWS
 from density_softmax.ops import entropy, gemm_rows, softmax
 from kde_reference import logsumexp
 
@@ -98,11 +100,36 @@ def batch_dependent_rows(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
                     if not np.array_equal((gemm_rows(a[i:i + 1]) @ b)[:1], full[i:i + 1])]
 
 
+def stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a's rows times b as LatentProjection.project runs its products: one
+    stacked matmul over blocks of PROJECT_BLOCK_ROWS rows."""
+    blocks = a.reshape(-1, PROJECT_BLOCK_ROWS, a.shape[1])
+    return np.matmul(blocks, b).reshape(len(a), -1)
+
+
+def block_dependent_rows(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
+    """(shift, row) of each row of a whose stacked product with b has other
+    bits once a's rows are rolled by shift, which puts the row at another
+    offset in another block, or once the row fills a block alone (shift 0),
+    as a 1-row batch padded with copies of itself does."""
+    full = stacked(a, b)
+    found = []
+    for shift in (1, 2, 3, 5, 7, 13, 100):
+        moved = np.roll(stacked(np.roll(a, shift, axis=0), b), -shift, axis=0)
+        found += [(shift, int(i)) for i in np.flatnonzero((moved != full).any(axis=1))]
+    return found + [(0, i) for i in range(0, len(a), 17)
+                    if not np.array_equal(stacked(np.repeat(a[i:i + 1], PROJECT_BLOCK_ROWS,
+                                                            axis=0), b)[0], full[i])]
+
+
 class TestGemmRowsAreBatchInvariant:
-    """The property the encoder's and the KDE's two-row rule rests on: at
-    the default config's shapes the BLAS gives a row the same bits in every
-    gemm of two or more rows. A BLAS without it fails here, by name, rather
-    than as a batch-1 prediction that differs from the batched one."""
+    """The BLAS properties that serving's batch invariance rests on (see
+    ``ops.gemm_rows``): at the default config's shapes the BLAS gives a row
+    the same bits in every gemm of two or more rows; a fixed-shape gemm of a
+    projection block computes each of its rows on its own; and
+    ``np.vecdot`` takes each row's dot product on its own. A BLAS without
+    them fails here, by name, rather than as a batch-1 prediction that
+    differs from the batched one."""
 
     ROWS = 1000
 
@@ -119,13 +146,49 @@ class TestGemmRowsAreBatchInvariant:
                              f"first row) {found[:5]}")
 
     def test_kde_kernel(self):
-        """The KDE's augmented queries [c / h, 1] (r + 1 columns, r = 1-21)
-        against the transpose of its 1000-row augmented support."""
+        """The KDE's augmented queries [q, 1] (r + 1 columns, r = 1-21)
+        against its C-ordered (r + 1) x 1000 kernel operand."""
         rng = np.random.default_rng(0)
         for r in range(1, 22):
             query = np.hstack([rng.normal(size=(self.ROWS, r)), np.ones((self.ROWS, 1))])
-            support = rng.normal(size=(1000, r + 1))
-            found = batch_dependent_rows(query, support.T)
+            operand = rng.normal(size=(r + 1, 1000))
+            found = batch_dependent_rows(query, operand)
             assert found == [], (f"{blas_name()} rounds a row of the KDE's {r + 1}-column "
                                  f"kernel product differently by batch at (rows, first row) "
                                  f"{found[:5]}")
+
+    @pytest.mark.parametrize("d", [16, 100, 128])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 13, 16, 20])
+    def test_projection_blocks(self, r, d):
+        """LatentProjection.project's two float64 products, in stacked
+        blocks: the centered rows (k, 8, d) against the transposed view of
+        the C-ordered r x d directions, and the coordinates (k, 8, r)
+        against the directions."""
+        rng = np.random.default_rng(100 * r + d)
+        rows = 40 * PROJECT_BLOCK_ROWS
+        directions = rng.normal(size=(r, d)) / np.sqrt(d)
+        for a, b, what in ((rng.normal(size=(rows, d)), directions.T, f"{d} -> {r}"),
+                           (rng.normal(size=(rows, r)), directions, f"{r} -> {d}")):
+            found = block_dependent_rows(a, b)
+            assert found == [], (f"{blas_name()} rounds a row of the projection's {what} "
+                                 f"block product differently by block and offset at (shift, "
+                                 f"row) {found[:5]}")
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 13, 16, 20, 21, 100, 128])
+    def test_vecdot_rows(self, d):
+        """np.vecdot of rows with themselves, the projection's residual norm
+        and the KDE's ||q||^2 (whose rows are a strided view of its query):
+        a row's value is the same bits over the whole batch, over a block at
+        any offset, alone and in a strided view."""
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(self.ROWS, d))
+        full = np.vecdot(a, a)
+        wide = np.ones((self.ROWS, d + 1))
+        wide[:, :d] = a
+        found = [("strided", 0)] if not np.array_equal(
+            np.vecdot(wide[:, :d], wide[:, :d]), full) else []
+        found += [(m, lo) for m in (1, 2, 7, 8, 9, 129) for lo in (0, 1, 13, self.ROWS - m)
+                  if not np.array_equal(np.vecdot(a[lo:lo + m], a[lo:lo + m]),
+                                        full[lo:lo + m])]
+        assert found == [], (f"{blas_name()} rounds a row's {d}-wide np.vecdot differently "
+                             f"by batch at (rows, first row) {found[:5]}")

@@ -15,8 +15,8 @@ from density_softmax.density import (LIKELIHOOD_FLOOR, FlowModel, KdeModel, Scal
 from density_softmax.model import init_model
 from density_softmax.ops import entropy, softmax
 from density_softmax.predictor import (DensitySoftmaxModel, Ensemble, PipelineError,
-                                       predictive_summaries, reoptimize_classifier,
-                                       train_pipeline)
+                                       ensemble_train, predictive_summaries,
+                                       reoptimize_classifier, train_pipeline)
 
 from conftest import assert_float32_exact, assert_own_float32, count_forward_rows
 
@@ -387,6 +387,51 @@ class TestBatchOneMatchesBatched:
                 assert one.scaled_likelihood[0] == pytest.approx(batched.scaled_likelihood[i],
                                                                  rel=1e-12)
             np.testing.assert_allclose(one.probs[0], batched.probs[i], rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def default_data_models():
+    """The sets of the default data and every kind of trained model on
+    them (2 ERM epochs): the KDE and flow pipelines, the ERM model and a
+    3-member ensemble."""
+    models = {}
+    for kind in ("kde", "flow"):
+        cfg = parse_config({"seed": 0, "dataset": {"generator": "two_moons"},
+                            "train": {"epochs": 2, "optimizer": {"lr": 1e-3}},
+                            "density": {"kind": kind, "flow": {"epochs": 20}}})
+        sets = build_datasets(cfg)
+        result = train_pipeline(sets["train"], cfg.encoder, cfg.train, cfg.density, cfg.reopt,
+                                cfg.k)
+        models[kind] = result.model
+    models["erm"] = result.erm_model
+    models["ensemble"] = ensemble_train(3, result.erm_model, cfg.encoder, sets["train"],
+                                        cfg.train)
+    return sets, models
+
+
+class TestServedClass:
+    """A prediction's labels are the plain softmax's class with the same
+    head, on every set, even where s * logits ties the probabilities."""
+
+    @pytest.mark.parametrize("kind", ["kde", "flow", "erm", "ensemble"])
+    def test_labels_are_the_plain_softmax_argmax(self, default_data_models, kind):
+        sets, models = default_data_models
+        model = models[kind]
+        members = model.members if kind == "ensemble" else [model]
+        for tag, dataset in sets.items():
+            pred = model.predict(dataset.features)
+            plain = np.mean([DensitySoftmaxModel(m.encoder, m.classifier)
+                             .predict(dataset.features).probs for m in members], axis=0)
+            np.testing.assert_array_equal(pred.labels, plain.argmax(axis=1), err_msg=tag)
+
+    def test_tied_rows_keep_the_logits_class(self, default_data_models):
+        """On shifted_5 the KDE model ties some rows' probabilities exactly,
+        where argmax(probs) would serve class 0."""
+        sets, models = default_data_models
+        pred = models["kde"].predict(sets["shifted_5"].features)
+        tied = pred.probs[:, 0] == pred.probs[:, 1]
+        assert np.any(pred.labels[tied] == 1)
+        np.testing.assert_array_equal(pred.probs.argmax(axis=1)[tied], 0)
 
 
 class TestTrainScale:
